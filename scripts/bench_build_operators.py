@@ -1,0 +1,130 @@
+#!/usr/bin/env python3
+"""Time build_operators against a baseline commit and write BENCH_build_operators.json.
+
+Usage, from the root of a checkout:
+
+    python3 scripts/bench_build_operators.py --baseline <commit>
+
+The baseline's ``src/`` is taken with ``git archive``; the working tree's
+``src/`` is the change.  Each side runs in fresh single-threaded worker
+processes, the sides alternating round by round, and the reported time per
+order is the best over every call of every round.  Each side also reports its
+largest entrywise deviation, over all SpectralOperators fields, from the
+dense reference ``dense_operators`` in tests/test_spectral_core.py.
+"""
+
+import argparse
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import tarfile
+import tempfile
+import timeit
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "perfbench")]
+
+from worker import BLAS_THREAD_VARS, machine  # noqa: E402
+
+ORDERS = (4, 8, 16, 32, 64, 127, 255, 511, 1023, 2047)
+ROUNDS = 3
+REPEATS = 5
+# smallest total time of one timing sample, so that timer overhead is noise
+SAMPLE_S = 0.02
+OUT = ROOT / "BENCH_build_operators.json"
+
+
+def measure(with_deviation):
+    """Worker: best time per call, and optionally the oracle deviation, per order."""
+    import numpy as np
+
+    from chebfred.spectral_core import build_operators
+    from test_spectral_core import dense_operators
+
+    out = {}
+    for n in ORDERS:
+        once = timeit.timeit(lambda: build_operators(n), number=1)
+        number = max(1, int(SAMPLE_S / max(once, 1e-7)))
+        samples = timeit.repeat(lambda: build_operators(n), number=number, repeat=REPEATS)
+        out[n] = {"best_s": min(samples) / number}
+        if with_deviation:
+            ops, ref = build_operators(n), dense_operators(n)
+            out[n]["max_deviation"] = max(
+                float(np.max(np.abs(np.asarray(getattr(ops, name)) - ref[name]))) for name in ref
+            )
+    return {"orders": out, "machine": machine()}
+
+
+def run_worker(src, with_deviation):
+    env = dict(os.environ, PYTHONPATH=str(src), **{var: "1" for var in BLAS_THREAD_VARS})
+    args = [sys.executable, __file__, "--worker"]
+    if with_deviation:
+        args.append("--deviation")
+    proc = subprocess.run(args, env=env, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--baseline", help="git commit whose src/ is the 'before' side")
+    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--deviation", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.worker:
+        print(json.dumps(measure(args.deviation)))
+        return 0
+    if not args.baseline:
+        parser.error("--baseline is required")
+    commit = subprocess.run(
+        ["git", "rev-parse", "--short", args.baseline], cwd=ROOT, capture_output=True, text=True, check=True
+    ).stdout.strip()
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = pathlib.Path(tmp) / "baseline.tar"
+        subprocess.run(["git", "archive", "-o", str(archive), commit, "src"], cwd=ROOT, check=True)
+        with tarfile.open(archive) as tar:
+            tar.extractall(tmp, filter="data")
+        sides = {"before": pathlib.Path(tmp) / "src", "after": ROOT / "src"}
+        best = {side: {} for side in sides}
+        for r in range(ROUNDS):
+            for side in sides if r % 2 == 0 else reversed(list(sides)):
+                result = run_worker(sides[side], with_deviation=r == 0)
+                for n, v in result["orders"].items():
+                    entry = best[side].setdefault(int(n), dict(v))
+                    entry["best_s"] = min(entry["best_s"], v["best_s"])
+    rows = [
+        {
+            "n": n,
+            "before_s": best["before"][n]["best_s"],
+            "after_s": best["after"][n]["best_s"],
+            "speedup": best["before"][n]["best_s"] / best["after"][n]["best_s"],
+            "before_max_deviation": best["before"][n]["max_deviation"],
+            "after_max_deviation": best["after"][n]["max_deviation"],
+        }
+        for n in ORDERS
+    ]
+    report = {
+        "benchmark": "spectral_core.build_operators, best-of-k wall time per call",
+        "command": f"python3 scripts/bench_build_operators.py --baseline {commit}",
+        "before": f"src/ at {commit}",
+        "after": "src/ of the checkout this file is committed in",
+        "method": (
+            f"{ROUNDS} rounds of fresh worker processes, sides alternating; "
+            f"{REPEATS} timing samples of >= {SAMPLE_S} s per order per round; best sample / calls"
+        ),
+        "deviation": "max entrywise |field - dense_operators(n)[field]| over all SpectralOperators fields",
+        "machine": result["machine"],
+        "results": rows,
+    }
+    OUT.write_text(json.dumps(report, indent=2) + "\n")
+    for row in rows:
+        print(
+            f"n={row['n']:5d}  before {row['before_s'] * 1e3:9.3f} ms  after {row['after_s'] * 1e3:8.3f} ms"
+            f"  x{row['speedup']:5.2f}  dev {row['before_max_deviation']:.1e} / {row['after_max_deviation']:.1e}"
+        )
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

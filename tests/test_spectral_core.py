@@ -1,6 +1,9 @@
 """Node sets, cosine transforms, and the one-sided integration matrices."""
 
+import dataclasses
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -144,9 +147,79 @@ def test_superalgebraic_decay_on_entire_function(n, bound):
     assert np.max(np.abs(approx - exact)) < bound
 
 
+def _antiderivative_factor_loop(n):
+    # the antiderivative recurrence written out row by row
+    B = np.zeros((n + 1, n + 1))
+    B[1, 0] = 1.0
+    if n >= 2:
+        B[1, 2] = -0.5
+    for j in range(2, n):
+        B[j, j - 1] = 1.0 / (2 * j)
+        B[j, j + 1] = -1.0 / (2 * j)
+    if n >= 2:
+        B[n, n - 1] = 1.0 / (2 * n)
+    return B
+
+
+def dense_operators(n):
+    """Reference for build_operators: every field by plain dense products.
+
+    W = C (L B) C^-1 and V = C (R B) C^-1 with L and R written out, costing
+    O(n^3); no closed form is used.
+    """
+    C = cosine_matrix(n)
+    Ci = inverse_cosine_matrix(n)
+    B = _antiderivative_factor_loop(n)
+    L = np.eye(n + 1)
+    L[0, 1:] = (-1.0) ** (np.arange(1, n + 1) + 1)
+    R = -np.eye(n + 1)
+    R[0, :] = 1.0
+    SL = L @ B
+    SR = R @ B
+    return {
+        "order": n,
+        "cosine": C,
+        "cosine_inv": Ci,
+        "coeff_int_left": SL,
+        "coeff_int_right": SR,
+        "int_left": C @ SL @ Ci,
+        "int_right": C @ SR @ Ci,
+        "full_weights": np.ones(n + 1) @ SL @ Ci,
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 16, 63, 255, 1023])
+def test_build_operators_matches_dense_oracle(n):
+    ops = build_operators(n)
+    ref = dense_operators(n)
+    assert ops.order == ref["order"]
+    # the coefficient maps involve no rounding beyond the entries of B
+    assert np.array_equal(ops.coeff_int_left, ref["coeff_int_left"])
+    assert np.array_equal(ops.coeff_int_right, ref["coeff_int_right"])
+    for field in dataclasses.fields(ops):
+        if field.name != "order":
+            deviation = np.max(np.abs(getattr(ops, field.name) - ref[field.name]))
+            assert deviation <= 1e-13 * n, field.name
+    # the exactly reduced cosine table against the plain floating-point argument
+    k = np.arange(n + 1)[:, None]
+    j = np.arange(n + 1)[None, :]
+    plain = np.cos((2 * k + 1) * j * np.pi / (2 * (n + 1)))
+    assert np.max(np.abs(ops.cosine - plain)) <= 1e-13 * n
+
+
+def test_import_leaves_scipy_fft_unloaded():
+    # build_operators uses numpy.fft, which numpy loads anyway; importing
+    # scipy.fft as well would lengthen every process start
+    code = "import sys, chebfred; assert 'scipy.fft' not in sys.modules, 'scipy.fft loaded'"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_left_matrix_requires_order_one():
     with pytest.raises(ValueError):
         spectral_matrix_left(0)
+    with pytest.raises(ValueError):
+        build_operators(0)
 
 
 def test_grid_maps_reference_nodes():
