@@ -1,0 +1,296 @@
+#!/usr/bin/env python3
+"""Time the composite solve against a baseline commit and write BENCH_composite_solve.json.
+
+Usage, from the root of a checkout:
+
+    python3 scripts/bench_composite_solve.py --baseline <commit>
+
+The baseline's ``src/`` is taken with ``git archive``; the working tree's
+``src/`` is the change.  Each side runs in fresh single-threaded worker
+processes, the sides alternating round by round, and times
+``solve_composite`` on the five systems of the ``many_panel`` workload plus
+one long-interval system (T = 2000 pi, 128 panels, N = 8192).  The reported
+time per system is the best over every call of every round; each side also
+reports its relative sup error against the analytic solution.
+
+The change's first worker also records, for every system, the ranks of the
+hierarchical tree, the number of refinement steps, the deviation from plain
+LU and both condition estimates; a dense-versus-hierarchical table over N
+from which the crossover N is read; and sweeps of the leaf size and the
+sketch tolerance on the many_panel systems.
+"""
+
+import argparse
+import json
+import math
+import os
+import pathlib
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from worker import BLAS_THREAD_VARS, machine  # noqa: E402
+
+T_200PI = 200.0 * math.pi
+T_2000PI = 2000.0 * math.pi
+# (label, problem, panels, order, T) as the CLI's --panels/--n/--T build them
+MANY_PANEL = (
+    ("example2-T200pi-8p", "example2", 8, 127, T_200PI),
+    ("example2-T200pi-16p", "example2", 16, 63, T_200PI),
+    ("example2-T200pi-32p", "example2", 32, 63, T_200PI),
+    ("example2-T200pi-64p", "example2", 64, 31, T_200PI),
+    ("example4-16p", "example4", 16, 63, None),
+)
+# the long-interval case: 128 panels of order 63, N = 8192; at 64 panels of
+# order 63 the T = 2000 pi solution is not resolved
+LONG_INTERVAL = (("example2-T2000pi-128p", "example2", 128, 63, T_2000PI),)
+# dense versus hierarchical below and above the crossover: (problem, T, panels,
+# order), with order-63 panels and with the two panels of the CLI's default
+# example4 partition (split at the singular point) or of example2 halved
+CROSSOVER_CASES = tuple(
+    [(name, T, panels, 63) for name, T in (("example2", T_200PI), ("example4", None))
+     for panels in (4, 8, 12, 16, 24, 32)]
+    + [(name, T, 2, order) for name, T in (("example2", T_200PI), ("example4", None))
+       for order in (127, 255, 383, 511)]
+)
+LEAF_SIZES = (128, 256, 512)
+SKETCH_TOLS = (1e-10, 1e-12, 1e-14)
+ROUNDS = 3
+REPEATS = 3
+OUT = ROOT / "BENCH_composite_solve.json"
+
+
+def build(problem_name, panels, order, T):
+    import numpy as np
+
+    from chebfred.composite_solver import assemble_blocks, build_partition
+    from chebfred.kernel_catalog import catalog_lookup
+
+    problem = catalog_lookup(problem_name, **({} if T is None else {"T": T}))
+    edges = np.linspace(problem.a, problem.b, panels + 1)
+    partition = build_partition(
+        problem.a, problem.b, breakpoints=tuple(edges[1:-1]), orders=order,
+        singular_points=problem.kernel.singular_points,
+    )
+    return problem, assemble_blocks(problem.kernel, partition, problem.lam, problem.rhs)
+
+
+def best_time(fn, repeats=REPEATS):
+    best, result = math.inf, None
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = fn()
+        best = min(best, time.perf_counter() - start)
+    return best, result
+
+
+def details(system):
+    """Ranks per tree level, refinement steps and the comparison with plain LU."""
+    import numpy as np
+
+    from chebfred import hierarchical
+    from chebfred.fredholm_solver import dense_solve
+
+    matrix, rhs, offsets = system.matrix, system.rhs, system.partition.offsets
+    anorm = np.linalg.norm(matrix, 1)
+    root = hierarchical._build(matrix, offsets, 0, len(offsets) - 1,
+                               hierarchical.SKETCH_TOL * anorm,
+                               np.random.default_rng(hierarchical.SEED))
+    ranks = []
+    level = [root]
+    while level:
+        nodes = [node for node in level if isinstance(node, hierarchical._Node)]
+        if nodes:
+            ranks.append(sorted({r for node in nodes for r in (node.u1.shape[1], node.u2.shape[1])}))
+        level = [child for node in nodes for child in (node.left, node.right)]
+    steps = None
+    if isinstance(root, hierarchical._Node):
+        root.factor()
+        solves = []
+
+        def counted(b):
+            solves.append(1)
+            return root.solve(b)
+
+        hierarchical._refine(matrix, rhs, counted, np.linalg.norm(matrix, np.inf))
+        steps = len(solves) - 1
+    x_dense, rcond_dense, _ = dense_solve(matrix, rhs)
+    x, rcond, _ = dense_solve(matrix, rhs, blocks=offsets)
+    return {
+        "ranks_by_level": ranks,
+        "leaf_sizes": sorted({node.size for node in _leaves(root)}),
+        "refinement_steps": steps,
+        "deviation_from_lu": float(np.max(np.abs(x - x_dense)) / np.max(np.abs(x_dense))),
+        "rcond": rcond,
+        "rcond_gecon": rcond_dense,
+    }
+
+
+def _leaves(node):
+    from chebfred import hierarchical
+
+    if isinstance(node, hierarchical._Leaf):
+        return [node]
+    return _leaves(node.left) + _leaves(node.right)
+
+
+def measure(with_details):
+    """Worker: best solve time and error per system; optionally the details."""
+    from chebfred.composite_solver import solve_composite
+    from chebfred.fredholm_solver import relative_sup_error
+
+    out = {"systems": {}}
+    for label, name, panels, order, T in MANY_PANEL + LONG_INTERVAL:
+        problem, system = build(name, panels, order, T)
+        repeats = 1 if len(system.matrix) > 2048 else REPEATS
+        seconds, sol = best_time(lambda: solve_composite(system), repeats)
+        entry = {
+            "N": len(system.matrix),
+            "best_s": seconds,
+            "error": relative_sup_error(sol.node_values, problem.solution(sol.nodes)),
+        }
+        if with_details:
+            entry.update(details(system))
+        out["systems"][label] = entry
+    if with_details:
+        out["crossover"] = crossover_table()
+        out["sweeps"] = sweeps()
+    out["machine"] = machine()
+    return out
+
+
+def crossover_table():
+    from chebfred import hierarchical
+    from chebfred.fredholm_solver import dense_solve
+
+    rows = []
+    crossover = hierarchical.CROSSOVER_N
+    hierarchical.CROSSOVER_N = 0
+    try:
+        for name, T, panels, order in CROSSOVER_CASES:
+            _, system = build(name, panels, order, T)
+            matrix, rhs, offsets = system.matrix, system.rhs, system.partition.offsets
+            dense_s, _ = best_time(lambda: dense_solve(matrix, rhs), 5)
+            hier_s, solved = best_time(lambda: hierarchical.hierarchical_solve(matrix, rhs, offsets), 5)
+            rows.append({"problem": name, "panels": panels, "order": order, "N": len(matrix),
+                         "dense_s": dense_s, "hierarchical_s": hier_s, "fell_back": solved is None})
+    finally:
+        hierarchical.CROSSOVER_N = crossover
+    return rows
+
+
+def sweeps():
+    """Hierarchical time per many_panel system at other leaf sizes and tolerances."""
+    from chebfred import hierarchical
+
+    saved = hierarchical.LEAF_SIZE, hierarchical.SKETCH_TOL
+    systems = [(label, build(name, p, n, T)[1]) for label, name, p, n, T in MANY_PANEL]
+    out = {"leaf_size": [], "sketch_tol": []}
+    try:
+        for key, values in (("leaf_size", LEAF_SIZES), ("sketch_tol", SKETCH_TOLS)):
+            for value in values:
+                hierarchical.LEAF_SIZE, hierarchical.SKETCH_TOL = saved
+                setattr(hierarchical, key.upper(), value)
+                row = {key: value}
+                for label, system in systems:
+                    seconds, solved = best_time(lambda: hierarchical.hierarchical_solve(
+                        system.matrix, system.rhs, system.partition.offsets), 5)
+                    row[label] = None if solved is None else seconds
+                out[key].append(row)
+    finally:
+        hierarchical.LEAF_SIZE, hierarchical.SKETCH_TOL = saved
+    return out
+
+
+def run_worker(src, with_details):
+    env = dict(os.environ, PYTHONPATH=str(src), **{var: "1" for var in BLAS_THREAD_VARS})
+    args = [sys.executable, __file__, "--worker"] + (["--details"] if with_details else [])
+    proc = subprocess.run(args, env=env, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def measured_crossover(rows):
+    """Smallest N from which the hierarchical path wins on every measured system."""
+    sizes = sorted({row["N"] for row in rows})
+    for n in sizes:
+        if all(r["hierarchical_s"] < r["dense_s"] and not r["fell_back"] for r in rows if r["N"] >= n):
+            return n
+    return None
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--baseline", help="git commit whose src/ is the 'before' side")
+    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--details", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.worker:
+        print(json.dumps(measure(args.details)))
+        return 0
+    if not args.baseline:
+        parser.error("--baseline is required")
+    commit = subprocess.run(
+        ["git", "rev-parse", "--short", args.baseline], cwd=ROOT, capture_output=True, text=True, check=True
+    ).stdout.strip()
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = pathlib.Path(tmp) / "baseline.tar"
+        subprocess.run(["git", "archive", "-o", str(archive), commit, "src"], cwd=ROOT, check=True)
+        with tarfile.open(archive) as tar:
+            tar.extractall(tmp, filter="data")
+        sides = {"before": pathlib.Path(tmp) / "src", "after": ROOT / "src"}
+        best = {side: {} for side in sides}
+        extras = None
+        for r in range(ROUNDS):
+            for side in sides if r % 2 == 0 else reversed(list(sides)):
+                result = run_worker(sides[side], with_details=(r == 0 and side == "after"))
+                if "crossover" in result:
+                    extras = result
+                for label, v in result["systems"].items():
+                    entry = best[side].setdefault(label, dict(v))
+                    entry["best_s"] = min(entry["best_s"], v["best_s"])
+    rows = []
+    for label in best["after"]:
+        before, after = best["before"][label], best["after"][label]
+        row = {"system": label, "N": after["N"], "before_s": before["best_s"], "after_s": after["best_s"],
+               "speedup": before["best_s"] / after["best_s"],
+               "before_error": before["error"], "after_error": after["error"]}
+        row.update({k: after[k] for k in ("ranks_by_level", "leaf_sizes", "refinement_steps",
+                                          "deviation_from_lu", "rcond", "rcond_gecon")})
+        rows.append(row)
+    report = {
+        "benchmark": "composite_solver.solve_composite, best-of-k wall time per call",
+        "command": f"python3 scripts/bench_composite_solve.py --baseline {commit}",
+        "before": f"src/ at {commit}",
+        "after": "src/ of the checkout this file is committed in",
+        "method": (
+            f"{ROUNDS} rounds of fresh worker processes, sides alternating; best of {REPEATS} calls "
+            "per system per round (1 call for N = 8192); errors are relative sup errors against the "
+            "analytic solution; deviation_from_lu is |x - x_LU|_inf / |x_LU|_inf in the change's worker"
+        ),
+        "machine": extras["machine"],
+        "results": rows,
+        "crossover": {
+            "measured_N": measured_crossover(extras["crossover"]),
+            "rule": "smallest N from which the hierarchical path wins on every row; best of 5 per cell",
+            "rows": extras["crossover"],
+        },
+        "sweeps": extras["sweeps"],
+    }
+    OUT.write_text(json.dumps(report, indent=2) + "\n")
+    for row in rows:
+        print(
+            f"{row['system']:24s} N={row['N']:5d} before {row['before_s'] * 1e3:8.1f} ms  after "
+            f"{row['after_s'] * 1e3:7.1f} ms  x{row['speedup']:5.2f}  err {row['before_error']:.6e} / "
+            f"{row['after_error']:.6e}  ranks {row['ranks_by_level']}  steps {row['refinement_steps']}"
+        )
+    print("measured crossover N:", report["crossover"]["measured_N"])
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -7,6 +7,15 @@ every target node, so only one kernel branch and the plain full-interval
 weights of the source panel are involved.  Forcing interior kernel
 singularities onto panel boundaries keeps every sampled point regular, since
 Chebyshev nodes of the first kind never touch panel endpoints.
+
+Because the kernel is smooth away from s = t, every block that couples two
+disjoint groups of panels is numerically low-rank.  ``solve_composite``
+passes the panel offsets to ``dense_solve``, which from
+``hierarchical.CROSSOVER_N`` unknowns on factors the system hierarchically:
+bisection at panel boundaries, randomized compression of the off-diagonal
+blocks, Sherman-Morrison-Woodbury solves, refinement against the exact
+matrix, and dense LU as the fallback whenever that answer does not reach
+working accuracy (see ``dense_solve``).
 """
 
 from __future__ import annotations
@@ -173,8 +182,8 @@ def assemble_blocks(kernel, partition: Partition, lam: float, rhs) -> BlockSyste
 
 
 def solve_composite(system: BlockSystem) -> ChebSolution:
-    vals, rcond, warn = dense_solve(system.matrix, system.rhs)
     offsets = system.partition.offsets
+    vals, rcond, warn = dense_solve(system.matrix, system.rhs, blocks=offsets)
     grids = system.partition.grids
     values = tuple(vals[offsets[p] : offsets[p + 1]] for p in range(len(grids)))
     coeffs = tuple(

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg
 
+from .hierarchical import hierarchical_solve
 from .spectral_core import ChebGrid, SpectralOperators, build_operators, cheb_grid, chebyshev_eval
 
 __all__ = [
@@ -40,16 +41,38 @@ class SingularMatrixError(np.linalg.LinAlgError):
     """LU factorization hit an exactly zero pivot."""
 
 
-def dense_solve(matrix: np.ndarray, rhs: np.ndarray):
-    """Solve via LU with partial pivoting; returns (x, rcond, warning).
+def dense_solve(matrix: np.ndarray, rhs: np.ndarray, blocks=None):
+    """Solve A x = y; returns (x, rcond, warning).
 
-    ``rcond`` is the LAPACK reciprocal condition estimate in the 1-norm and
+    ``rcond`` is the reciprocal condition estimate in the 1-norm and
     ``warning`` is True when it drops below 1e-12.
+
+    Without ``blocks`` this is LU with partial pivoting and the LAPACK
+    ``gecon`` estimate.  ``blocks`` gives the panel boundaries of a composite
+    system (``Partition.offsets``).  With at least two panels and N at or
+    above ``hierarchical.CROSSOVER_N``, the system is first factored
+    hierarchically: the matrix is bisected at panel boundaries, each
+    off-diagonal block is compressed to low rank by a seeded randomized
+    range finder, and the factorization solves through the Sherman-Morrison-
+    Woodbury formula.  That answer is refined against the exact matrix and
+    kept only when the last correction is below eps ||x||, or when refinement
+    stagnates at a normwise backward error of a few eps; rcond then comes
+    from the same estimator ``gecon`` uses (dlacn2), run on hierarchical
+    solves with A and A^T.  A node whose ranks make the Woodbury update cost
+    more than a dense LU of the node is factored densely.  Every other
+    outcome (no low-rank split, a zero pivot, refinement that does not
+    converge) falls back to the LU path, so a singular system still raises
+    ``SingularMatrixError`` and a non-finite one ``ValueError``.
     """
     matrix = np.asarray(matrix, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     if not np.all(np.isfinite(matrix)):
         raise ValueError("system matrix contains non-finite entries")
+    if blocks is not None:
+        solved = hierarchical_solve(matrix, rhs, blocks)
+        if solved is not None:
+            x, rcond = solved
+            return x, rcond, bool(rcond < RCOND_WARN)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", linalg.LinAlgWarning)
         lu, piv = linalg.lu_factor(matrix, check_finite=False)

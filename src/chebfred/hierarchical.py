@@ -1,0 +1,278 @@
+"""Hierarchical (HODLR) solve for composite systems with low-rank coupling.
+
+Away from s = t the kernel is infinitely differentiable, so every block that
+couples two disjoint groups of panels is numerically low-rank.  The system
+matrix is cut recursively at the panel boundary nearest the middle of each
+node; the two off-diagonal blocks of a node are compressed, A12 ~ U1 V2^T
+and A21 ~ U2 V1^T, and the node is solved with the Sherman-Morrison-Woodbury
+formula on top of its two children:
+
+    A^{-1} = D^{-1} - Y C^{-1} V^T D^{-1},  D = diag(A11, A22),
+    Y = D^{-1} U,  C = I + V^T Y,
+
+with one small LU of the capacitance matrix C per node and a dense LU per
+leaf (Martinsson & Rokhlin, JCP 2005; Ambikasaran & Darve, J. Sci. Comput.
+2013).  Solves with A^T use the same factors with the roles of U and V
+swapped: A^{-T} = D^{-T} (I - V C^{-T} Y^T).
+
+Compression is a seeded randomized range finder (Halko, Martinsson & Tropp,
+SIAM Rev. 2011): sketch, QR, SVD of the small projection, truncation at
+``SKETCH_TOL`` times the 1-norm of the whole matrix.  The fixed seed makes
+every run bitwise repeatable.  A node whose ranks make the Woodbury update
+cost more than a dense LU of the node is a dense leaf instead.
+
+The factorization is only a preconditioner: the answer is refined against
+the exact matrix, and anything that does not converge to working accuracy
+returns None, so the caller falls back to its dense LU.  The condition
+estimate is LAPACK's dlacn2 iteration (Hager 1984; Higham, ACM TOMS 1988),
+the estimator ``gecon`` runs, applied through the hierarchical solves.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from scipy import linalg
+
+__all__ = ["CROSSOVER_N", "LEAF_SIZE", "SKETCH_TOL", "hierarchical_solve"]
+
+# Smallest system the hierarchical path is tried on, and the largest node
+# factored as a dense leaf; both from scripts/bench_composite_solve.py.
+CROSSOVER_N = 1024
+LEAF_SIZE = 128
+# Singular values below SKETCH_TOL * ||A||_1 are dropped.
+SKETCH_TOL = 1e-12
+SEED = 20130501
+# Range-finder sketch width: first try, and columns kept beyond the rank.
+SKETCH_START = 8
+OVERSAMPLE = 6
+# Iterative refinement: most steps, and the largest normwise backward error
+# accepted from a refinement that stopped contracting, in units of eps.
+MAX_REFINE = 8
+BERR_EPS = 8.0
+# dlacn2's iteration limit.
+ITMAX = 5
+
+_EPS = np.finfo(float).eps
+_getrf, _getrs = linalg.get_lapack_funcs(("getrf", "getrs"), (np.empty((1, 1)),))
+
+
+def _lu(block):
+    lu, piv, info = _getrf(block)
+    if info > 0:  # an exactly zero pivot
+        raise np.linalg.LinAlgError("zero pivot")
+    return lu, piv
+
+
+def _lu_solve(factors, b, trans=0):
+    x, _info = _getrs(factors[0], factors[1], b, trans=trans)
+    return x
+
+
+class _Leaf:
+    def __init__(self, matrix, lo, hi):
+        self.size = hi - lo
+        self.factor_flops = 2.0 / 3.0 * self.size**3
+        self.solve_flops = 2.0 * self.size**2
+        self.block = matrix[lo:hi, lo:hi]
+
+    def factor(self):
+        self.lu = _lu(self.block)
+        self.block = None
+
+    def solve(self, b):
+        return _lu_solve(self.lu, b)
+
+    def solve_t(self, b):
+        return _lu_solve(self.lu, b, trans=1)
+
+
+class _Node:
+    """A12 = U1 V2^T, A21 = U2 V1^T over children of sizes n1 and n2."""
+
+    def __init__(self, left, right, u1, v2, u2, v1):
+        self.left, self.right = left, right
+        self.u1, self.v2, self.u2, self.v1 = u1, v2, u2, v1
+        n1, n2 = left.size, right.size
+        r1, r2 = u1.shape[1], u2.shape[1]
+        self.size, self.r1 = n1 + n2, r1
+        self.solve_flops = (
+            left.solve_flops + right.solve_flops
+            + 4.0 * (n1 + n2) * (r1 + r2) + 2.0 * (r1 + r2) ** 2
+        )
+        self.factor_flops = (
+            left.factor_flops + right.factor_flops
+            + r1 * left.solve_flops + r2 * right.solve_flops
+            + 4.0 * (n1 + n2) * r1 * r2 + 2.0 / 3.0 * (r1 + r2) ** 3
+        )
+
+    def factor(self):
+        self.left.factor()
+        self.right.factor()
+        self.y1 = self.left.solve(self.u1)
+        self.y2 = self.right.solve(self.u2)
+        r1 = self.r1
+        cap = np.eye(r1 + self.u2.shape[1])
+        cap[:r1, r1:] = self.v2.T @ self.y2
+        cap[r1:, :r1] = self.v1.T @ self.y1
+        self.cap = _lu(cap) if len(cap) else None
+
+    def solve(self, b):
+        n1, r1 = self.left.size, self.r1
+        z1 = self.left.solve(b[:n1])
+        z2 = self.right.solve(b[n1:])
+        if self.cap is None:
+            return np.concatenate([z1, z2])
+        w = _lu_solve(self.cap, np.concatenate([self.v2.T @ z2, self.v1.T @ z1]))
+        return np.concatenate([z1 - self.y1 @ w[:r1], z2 - self.y2 @ w[r1:]])
+
+    def solve_t(self, b):
+        n1, r1 = self.left.size, self.r1
+        b1, b2 = b[:n1], b[n1:]
+        if self.cap is not None:
+            w = _lu_solve(self.cap, np.concatenate([self.y1.T @ b1, self.y2.T @ b2]), trans=1)
+            b1 = b1 - self.v1 @ w[r1:]
+            b2 = b2 - self.v2 @ w[:r1]
+        return np.concatenate([self.left.solve_t(b1), self.right.solve_t(b2)])
+
+
+def _compress(block, tol, rng, start):
+    """(U, V) with block ~ U V^T to within tol in the 2-norm, or None if the
+    block's rank is near half its smaller side.
+
+    The sketch starts ``start`` columns wide and grows, keeping the columns
+    it has, until it holds OVERSAMPLE columns more than the rank it finds.
+    """
+    m, n = block.shape
+    side = min(m, n)
+    sketch = block @ rng.standard_normal((n, min(max(start, SKETCH_START), side)))
+    while True:
+        ell = sketch.shape[1]
+        q, _ = linalg.qr(sketch, mode="economic", check_finite=False)
+        # SVD of the ell x n projection through a QR of its transpose
+        q2, r2 = linalg.qr((q.T @ block).T, mode="economic", check_finite=False)
+        ub, s, vt = linalg.svd(r2.T, check_finite=False)
+        rank = int(np.count_nonzero(s > tol))
+        if rank + OVERSAMPLE <= ell or ell == side:
+            break
+        if 2 * ell >= side:
+            return None
+        # a full sketch says nothing about the rank beyond it: double it
+        grow = ell if rank == ell else rank + 2 * OVERSAMPLE - ell
+        sketch = np.hstack([sketch, block @ rng.standard_normal((n, min(grow, side - ell)))])
+    return (q @ ub[:, :rank]) * s[:rank], q2 @ vt[:rank].T
+
+
+def _build(matrix, offsets, p0, p1, tol, rng):
+    """Tree over panels p0 .. p1-1, compressed top-down."""
+    lo, hi = int(offsets[p0]), int(offsets[p1])
+    if p1 - p0 < 2 or hi - lo <= LEAF_SIZE:
+        return _Leaf(matrix, lo, hi)
+    k = p0 + 1 + int(np.argmin(np.abs(offsets[p0 + 1 : p1] - (lo + hi) / 2.0)))
+    mid = int(offsets[k])
+    upper = _compress(matrix[lo:mid, mid:hi], tol, rng, SKETCH_START)
+    if upper is None:
+        return _Leaf(matrix, lo, hi)
+    # the transposed coupling usually has a similar rank: start the sketch there
+    lower = _compress(matrix[mid:hi, lo:mid], tol, rng, upper[0].shape[1] + OVERSAMPLE)
+    if lower is None:
+        return _Leaf(matrix, lo, hi)
+    node = _Node(
+        _build(matrix, offsets, p0, k, tol, rng),
+        _build(matrix, offsets, k, p1, tol, rng),
+        upper[0], upper[1], lower[0], lower[1],
+    )
+    if node.factor_flops > 2.0 / 3.0 * node.size**3:
+        return _Leaf(matrix, lo, hi)
+    return node
+
+
+def _abs_sums(matrix, rows=64):
+    """Column and row sums of |A|, without an n x n temporary."""
+    cols = np.zeros(matrix.shape[1])
+    row_sums = np.empty(matrix.shape[0])
+    buf = np.empty((rows, matrix.shape[1]))
+    for i in range(0, len(matrix), rows):
+        chunk = matrix[i : i + rows]
+        chunk = np.abs(chunk, out=buf[: len(chunk)])
+        cols += chunk.sum(axis=0)
+        row_sums[i : i + rows] = chunk.sum(axis=1)
+    return cols, row_sums
+
+
+def _refine(matrix, rhs, solve, anorm_inf):
+    """x <- x + H^{-1}(y - A x) until the correction is below eps ||x||.
+
+    A refinement that stops contracting is accepted only at a normwise
+    backward error of at most BERR_EPS * eps; anything else returns None.
+    """
+    x = solve(rhs)
+    rhs_norm = np.max(np.abs(rhs))
+    previous = np.inf
+    for _ in range(MAX_REFINE):
+        residual = rhs - matrix @ x
+        correction = solve(residual)
+        size = np.max(np.abs(correction))
+        refined = x + correction
+        if size <= _EPS * np.max(np.abs(refined)):
+            return refined
+        if not size < 0.5 * previous:
+            berr = np.max(np.abs(residual)) / (anorm_inf * np.max(np.abs(x)) + rhs_norm)
+            return x if berr <= BERR_EPS * _EPS else None
+        x, previous = refined, size
+    return None
+
+
+def _inverse_norm1_estimate(solve, solve_t, n):
+    """dlacn2: a lower bound on ||A^{-1}||_1 from solves with A and A^T."""
+    x = solve(np.full(n, 1.0 / n))
+    est = np.sum(np.abs(x))
+    sign = np.where(x >= 0.0, 1.0, -1.0)
+    x = solve_t(sign)
+    j = int(np.argmax(np.abs(x)))
+    iteration = 2
+    while True:
+        x = solve(np.eye(1, n, j)[0])
+        est_old, est = est, np.sum(np.abs(x))
+        new_sign = np.where(x >= 0.0, 1.0, -1.0)
+        if np.array_equal(new_sign, sign) or est <= est_old:
+            break
+        sign = new_sign
+        x = solve_t(sign)
+        j_last, j = j, int(np.argmax(np.abs(x)))
+        if x[j_last] == abs(x[j]) or iteration >= ITMAX:
+            break
+        iteration += 1
+    alternating = (1.0 + np.arange(n) / (n - 1)) * np.where(np.arange(n) % 2, -1.0, 1.0)
+    return max(est, 2.0 * np.sum(np.abs(solve(alternating))) / (3.0 * n))
+
+
+def hierarchical_solve(matrix, rhs, offsets):
+    """(x, rcond) from the hierarchical path, or None to use dense LU.
+
+    ``offsets`` are the panel boundaries of the rows, from 0 to N.  None
+    means the path does not apply (N below CROSSOVER_N, one panel, no
+    low-rank split) or failed (a zero pivot, or refinement that did not
+    reach working accuracy).  ``matrix`` must be finite.
+    """
+    offsets = np.asarray(offsets)
+    n = len(matrix)
+    if n < CROSSOVER_N or len(offsets) < 3 or offsets[0] != 0 or offsets[-1] != n:
+        return None
+    col_sums, row_sums = _abs_sums(matrix)
+    anorm = col_sums.max()
+    rng = np.random.default_rng(SEED)
+    # overflow or a zero pivot anywhere hands the system back to dense LU
+    with np.errstate(all="ignore"):
+        try:
+            root = _build(matrix, offsets, 0, len(offsets) - 1, SKETCH_TOL * anorm, rng)
+            if isinstance(root, _Leaf):
+                return None
+            root.factor()
+            x = _refine(matrix, rhs, root.solve, row_sums.max())
+            if x is None:
+                return None
+            ainvnm = _inverse_norm1_estimate(root.solve, root.solve_t, n)
+        except np.linalg.LinAlgError:
+            return None
+    rcond = 1.0 / ainvnm / anorm if ainvnm != 0.0 else 0.0
+    return x, float(rcond)

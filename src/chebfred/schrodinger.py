@@ -47,16 +47,20 @@ def build_kernel_matrices(potential: NonlocalPotential, grid: ChebGrid, ops: Spe
     K11 vs K12 (and K21 vs K22) along the diagonal.
     """
     t = grid.nodes
-    kappa = potential.kappa
-    half_t = grid.width / 2.0
-    sin_t = np.sin(kappa * t)
-    cos_t = np.cos(kappa * t)
     v1 = potential.eval_lower(t[:, None], t[None, :])
     v2 = potential.eval_upper(t[:, None], t[None, :])
+    kappa = potential.kappa
+    return _integrate_potential(v1, v2, np.sin(kappa * t), np.cos(kappa * t), grid, ops)
+
+
+def _integrate_potential(v1, v2, sin_t, cos_t, grid: ChebGrid, ops: SpectralOperators):
+    """K11, K12, K21, K22 from the sampled branches V1 and V2."""
+    half_t = grid.width / 2.0
     w_sin = ops.int_left * sin_t[None, :]  # W D_s
     v_cos = ops.int_right * cos_t[None, :]  # V D_c
-    d = np.diag(w_sin @ (v1 - v2))
-    e = np.diag(v_cos @ (v2 - v1))
+    # only the diagonals of W D_s (V1 - V2) and V D_c (V2 - V1) are needed
+    d = np.einsum("ij,ji->i", w_sin, v1 - v2)
+    e = np.einsum("ij,ji->i", v_cos, v2 - v1)
     k11 = half_t * (d[None, :] + w_sin @ v2)
     k12 = half_t * (w_sin @ v1)
     k21 = half_t * (v_cos @ v2)
@@ -95,7 +99,7 @@ def assemble(potential: NonlocalPotential, grid: ChebGrid, rhs_override=None) ->
     cos_t = np.cos(kappa * t)
     v1 = potential.eval_lower(t[:, None], t[None, :])
     v2 = potential.eval_upper(t[:, None], t[None, :])
-    k11, k12, k21, k22 = build_kernel_matrices(potential, grid, ops)
+    k11, k12, k21, k22 = _integrate_potential(v1, v2, sin_t, cos_t, grid, ops)
     scale = grid.width / (2.0 * kappa)
     matrix = (
         np.eye(grid.order + 1)

@@ -1,0 +1,147 @@
+"""Hierarchical (HODLR) solve of composite systems, checked against dense LU."""
+
+import numpy as np
+import pytest
+from scipy import linalg
+
+from chebfred import hierarchical
+from chebfred.composite_solver import assemble_blocks, build_partition, solve_composite
+from chebfred.fredholm_solver import SingularMatrixError, dense_solve
+from chebfred.kernel_catalog import catalog_lookup
+
+T_200PI = 200.0 * np.pi
+
+
+def _system(name, panels, order, **overrides):
+    """The composite system the CLI builds for --panels/--n."""
+    problem = catalog_lookup(name, **overrides)
+    edges = np.linspace(problem.a, problem.b, panels + 1)
+    partition = build_partition(
+        problem.a,
+        problem.b,
+        breakpoints=tuple(edges[1:-1]),
+        orders=order,
+        singular_points=problem.kernel.singular_points,
+    )
+    return assemble_blocks(problem.kernel, partition, problem.lam, problem.rhs)
+
+
+def _exact_discrete_solution(matrix, rhs):
+    """Dense LU refined with residuals accumulated in extended precision."""
+    factors = linalg.lu_factor(matrix)
+    x = linalg.lu_solve(factors, rhs)
+    wide = np.longdouble
+    for _ in range(4):
+        residual = np.empty(len(rhs), dtype=wide)
+        for i in range(0, len(rhs), 256):
+            rows = matrix[i : i + 256].astype(wide)
+            residual[i : i + 256] = rhs[i : i + 256].astype(wide) - rows @ x.astype(wide)
+        x = (x.astype(wide) + linalg.lu_solve(factors, residual.astype(float))).astype(float)
+    return x
+
+
+def _rel(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+@pytest.fixture(scope="module", params=[
+    ("example2", 8, 127, {"T": T_200PI}),
+    ("example2", 32, 63, {"T": T_200PI}),
+    ("example4", 16, 63, {}),
+])
+def case(request):
+    name, panels, order, overrides = request.param
+    system = _system(name, panels, order, **overrides)
+    return system, _exact_discrete_solution(system.matrix, system.rhs)
+
+
+def test_hierarchical_path_agrees_with_dense_oracle(case):
+    system, exact = case
+    offsets = system.partition.offsets
+    assert len(system.matrix) >= hierarchical.CROSSOVER_N
+    assert hierarchical.hierarchical_solve(system.matrix, system.rhs, offsets) is not None
+    x_dense, rcond_dense, warn_dense = dense_solve(system.matrix, system.rhs)
+    x, rcond, warn = dense_solve(system.matrix, system.rhs, blocks=offsets)
+    # Plain LU is itself off by up to ~cond * eps (5.3e-12 at 32 x 63), so
+    # both answers are measured against the exact discrete solution.
+    assert _rel(x, exact) < 1e-12
+    assert _rel(x, exact) <= max(_rel(x_dense, exact), 1e-13)
+    assert _rel(x, x_dense) < 1e-12 + _rel(x_dense, exact)
+    assert warn == warn_dense
+    assert 0.1 < rcond / rcond_dense < 10.0
+
+
+def test_hierarchical_solve_is_bitwise_repeatable(case):
+    system, _ = case
+    offsets = system.partition.offsets
+    x1, rcond1, _ = dense_solve(system.matrix, system.rhs, blocks=offsets)
+    x2, rcond2, _ = dense_solve(system.matrix, system.rhs, blocks=offsets)
+    assert np.array_equal(x1, x2)
+    assert rcond1 == rcond2
+
+
+def test_factor_solves_with_matrix_and_transpose():
+    system = _system("example2", 8, 127, T=T_200PI)
+    matrix, offsets = system.matrix, system.partition.offsets
+    tol = hierarchical.SKETCH_TOL * np.linalg.norm(matrix, 1)
+    root = hierarchical._build(matrix, offsets, 0, len(offsets) - 1, tol, np.random.default_rng(0))
+    root.factor()
+    b = np.random.default_rng(1).standard_normal((len(matrix), 3))
+    assert _rel(matrix @ root.solve(b), b) < 1e-9
+    assert _rel(matrix.T @ root.solve_t(b), b) < 1e-9
+    assert root.u1.shape[1] <= 4 and root.u2.shape[1] <= 4
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 60])
+def test_inverse_norm_estimate_matches_gecon(n):
+    rng = np.random.default_rng(n)
+    matrix = rng.standard_normal((n, n)) + 0.5 * n * np.diag(rng.uniform(0.01, 1.0, n))
+    factors = linalg.lu_factor(matrix)
+    estimate = hierarchical._inverse_norm1_estimate(
+        lambda b: linalg.lu_solve(factors, b), lambda b: linalg.lu_solve(factors, b, trans=1), n
+    )
+    anorm = np.linalg.norm(matrix, 1)
+    gecon = linalg.get_lapack_funcs("gecon", (matrix,))
+    rcond, _ = gecon(factors[0], anorm)
+    assert 1.0 / estimate / anorm == pytest.approx(rcond, rel=1e-10)
+    assert estimate <= np.linalg.norm(np.linalg.inv(matrix), 1) * (1 + 1e-12)
+
+
+def _blocked_random(n, panels, seed):
+    rng = np.random.default_rng(seed)
+    return np.eye(n) + rng.standard_normal((n, n)) / np.sqrt(n), np.linspace(0, n, panels + 1).astype(int)
+
+
+def test_full_rank_coupling_returns_the_lu_answer():
+    matrix, offsets = _blocked_random(hierarchical.CROSSOVER_N, 4, 3)
+    rhs = np.ones(len(matrix))
+    assert hierarchical.hierarchical_solve(matrix, rhs, offsets) is None
+    plain = dense_solve(matrix, rhs)
+    blocked = dense_solve(matrix, rhs, blocks=offsets)
+    assert np.array_equal(plain[0], blocked[0])
+    assert plain[1:] == blocked[1:]
+
+
+def test_singular_blocked_matrix_raises():
+    system = _system("example2", 8, 127, T=T_200PI)
+    matrix = system.matrix.copy()
+    matrix[700] = 0.0
+    with pytest.raises(SingularMatrixError):
+        dense_solve(matrix, system.rhs, blocks=system.partition.offsets)
+
+
+def test_nonfinite_blocked_matrix_raises():
+    system = _system("example2", 8, 127, T=T_200PI)
+    matrix = system.matrix.copy()
+    matrix[3, 900] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        dense_solve(matrix, system.rhs, blocks=system.partition.offsets)
+
+
+def test_below_crossover_is_bitwise_the_lu_path():
+    system = _system("example2", 4, 127, T=T_200PI)
+    assert len(system.matrix) < hierarchical.CROSSOVER_N
+    x_plain, rcond_plain, warn_plain = dense_solve(system.matrix, system.rhs)
+    solution = solve_composite(system)
+    assert np.array_equal(np.concatenate(solution.values), x_plain)
+    assert (solution.rcond, solution.cond_warning) == (rcond_plain, warn_plain)

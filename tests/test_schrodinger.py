@@ -1,5 +1,7 @@
 """Nonlocal-potential scattering solver: kernel assembly and convergence."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,47 @@ def test_smooth_potential_has_no_splice_correction():
     assert np.array_equal(k22, half_t * (v_cos @ v))
     assert np.array_equal(k11, k12)
     assert np.array_equal(k21, k22)
+
+
+def _reference_kernel_matrices(potential, grid, ops):
+    """K11..K22 with the splice diagonals taken from full matrix products."""
+    t = grid.nodes
+    v1 = potential.eval_lower(t[:, None], t[None, :])
+    v2 = potential.eval_upper(t[:, None], t[None, :])
+    w_sin = ops.int_left * np.sin(potential.kappa * t)[None, :]
+    v_cos = ops.int_right * np.cos(potential.kappa * t)[None, :]
+    d = np.diag(w_sin @ (v1 - v2))
+    e = np.diag(v_cos @ (v2 - v1))
+    half_t = grid.width / 2.0
+    return (
+        half_t * (d[None, :] + w_sin @ v2),
+        half_t * (w_sin @ v1),
+        half_t * (v_cos @ v2),
+        half_t * (v_cos @ v1 + e[None, :]),
+    )
+
+
+@pytest.mark.parametrize("name", ["schrod_pereybuck", "schrod_separable"])
+def test_assemble_samples_each_branch_once(name):
+    pot = catalog_lookup(name).potential
+    calls = {"lower": 0, "upper": 0}
+
+    def counted(branch, key):
+        def sample(p, r2):
+            calls[key] += 1
+            return branch(p, r2)
+
+        return sample
+
+    counted_pot = dataclasses.replace(
+        pot, lower=counted(pot.lower, "lower"), upper=counted(pot.upper, "upper")
+    )
+    grid = cheb_grid(48, 0.0, pot.cutoff)
+    system = assemble(counted_pot, grid)
+    assert calls == {"lower": 1, "upper": 1}
+    reference = _reference_kernel_matrices(pot, grid, build_operators(48))
+    for k, ref in zip((system.k11, system.k12, system.k21, system.k22), reference):
+        assert np.max(np.abs(k - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_inner_integral_matrix_against_row_quadrature():
