@@ -8,9 +8,14 @@ Usage, from the root of a checkout:
 The baseline's ``src/`` is taken with ``git archive``; the working tree's
 ``src/`` is the change.  Each side runs in fresh single-threaded worker
 processes, the sides alternating round by round, and the reported time per
-order is the best over every call of every round.  Each side also reports its
-largest entrywise deviation, over all SpectralOperators fields, from the
-dense reference ``dense_operators`` in tests/test_spectral_core.py.
+order is the best over every call of every round.  Two things are timed per
+order: ``build_operators(n)`` alone, and a build followed by
+``semismooth_block`` on fixed random branch samples, which is what a
+one-panel solve assembles.  The second also gets its ``tracemalloc`` peak
+(numpy reports its buffers to tracemalloc; the branch samples are allocated
+before tracing starts).  Each side also reports its largest entrywise
+deviation, over every operator in ``OPERATOR_NAMES``, from the dense
+reference ``dense_operators`` in tests/dense_oracle.py.
 """
 
 import argparse
@@ -22,6 +27,7 @@ import sys
 import tarfile
 import tempfile
 import timeit
+import tracemalloc
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "perfbench")]
@@ -36,23 +42,38 @@ SAMPLE_S = 0.02
 OUT = ROOT / "BENCH_build_operators.json"
 
 
+def best_time(call):
+    """Best time per call over REPEATS samples of at least SAMPLE_S each."""
+    once = timeit.timeit(call, number=1)
+    number = max(1, int(SAMPLE_S / max(once, 1e-7)))
+    return min(timeit.repeat(call, number=number, repeat=REPEATS)) / number
+
+
 def measure(with_deviation):
-    """Worker: best time per call, and optionally the oracle deviation, per order."""
+    """Worker: best times, the assembly's allocation peak and optionally the
+    oracle deviation, per order."""
     import numpy as np
 
+    from chebfred.fredholm_solver import semismooth_block
     from chebfred.spectral_core import build_operators
-    from test_spectral_core import dense_operators
+    from dense_oracle import OPERATOR_NAMES, dense_operators
 
     out = {}
     for n in ORDERS:
-        once = timeit.timeit(lambda: build_operators(n), number=1)
-        number = max(1, int(SAMPLE_S / max(once, 1e-7)))
-        samples = timeit.repeat(lambda: build_operators(n), number=number, repeat=REPEATS)
-        out[n] = {"best_s": min(samples) / number}
+        k1, k2 = np.random.default_rng(n).uniform(0.5, 2.0, (2, n + 1, n + 1))
+
+        def assemble():
+            return semismooth_block(build_operators(n), k1, k2, 0.5)
+
+        out[n] = {"best_s": best_time(lambda: build_operators(n)), "assemble_s": best_time(assemble)}
+        tracemalloc.start()
+        assemble()
+        out[n]["assemble_peak_mb"] = tracemalloc.get_traced_memory()[1] / 2**20
+        tracemalloc.stop()
         if with_deviation:
             ops, ref = build_operators(n), dense_operators(n)
             out[n]["max_deviation"] = max(
-                float(np.max(np.abs(np.asarray(getattr(ops, name)) - ref[name]))) for name in ref
+                float(np.max(np.abs(np.asarray(getattr(ops, name)) - ref[name]))) for name in OPERATOR_NAMES
             )
     return {"orders": out, "machine": machine()}
 
@@ -92,20 +113,29 @@ def main():
                 result = run_worker(sides[side], with_deviation=r == 0)
                 for n, v in result["orders"].items():
                     entry = best[side].setdefault(int(n), dict(v))
-                    entry["best_s"] = min(entry["best_s"], v["best_s"])
+                    for key in ("best_s", "assemble_s", "assemble_peak_mb"):
+                        entry[key] = min(entry[key], v[key])
     rows = [
         {
             "n": n,
             "before_s": best["before"][n]["best_s"],
             "after_s": best["after"][n]["best_s"],
             "speedup": best["before"][n]["best_s"] / best["after"][n]["best_s"],
+            "assemble_before_s": best["before"][n]["assemble_s"],
+            "assemble_after_s": best["after"][n]["assemble_s"],
+            "assemble_speedup": best["before"][n]["assemble_s"] / best["after"][n]["assemble_s"],
+            "assemble_before_peak_mb": best["before"][n]["assemble_peak_mb"],
+            "assemble_after_peak_mb": best["after"][n]["assemble_peak_mb"],
             "before_max_deviation": best["before"][n]["max_deviation"],
             "after_max_deviation": best["after"][n]["max_deviation"],
         }
         for n in ORDERS
     ]
     report = {
-        "benchmark": "spectral_core.build_operators, best-of-k wall time per call",
+        "benchmark": (
+            "spectral_core.build_operators, and build_operators followed by fredholm_solver.semismooth_block "
+            "(assemble_*), best-of-k wall time per call; assemble_*_peak_mb is the tracemalloc peak of one assembly"
+        ),
         "command": f"python3 scripts/bench_build_operators.py --baseline {commit}",
         "before": f"src/ at {commit}",
         "after": "src/ of the checkout this file is committed in",
@@ -113,15 +143,18 @@ def main():
             f"{ROUNDS} rounds of fresh worker processes, sides alternating; "
             f"{REPEATS} timing samples of >= {SAMPLE_S} s per order per round; best sample / calls"
         ),
-        "deviation": "max entrywise |field - dense_operators(n)[field]| over all SpectralOperators fields",
+        "deviation": "max entrywise |op - dense_operators(n)[op]| over every operator in OPERATOR_NAMES",
         "machine": result["machine"],
         "results": rows,
     }
     OUT.write_text(json.dumps(report, indent=2) + "\n")
     for row in rows:
         print(
-            f"n={row['n']:5d}  before {row['before_s'] * 1e3:9.3f} ms  after {row['after_s'] * 1e3:8.3f} ms"
-            f"  x{row['speedup']:5.2f}  dev {row['before_max_deviation']:.1e} / {row['after_max_deviation']:.1e}"
+            f"n={row['n']:5d}  build {row['before_s'] * 1e3:8.3f} -> {row['after_s'] * 1e3:7.3f} ms"
+            f"  x{row['speedup']:6.2f}  +assembly {row['assemble_before_s'] * 1e3:8.3f} ->"
+            f" {row['assemble_after_s'] * 1e3:8.3f} ms  x{row['assemble_speedup']:5.2f}"
+            f"  peak {row['assemble_before_peak_mb']:6.1f} -> {row['assemble_after_peak_mb']:6.1f} MB"
+            f"  dev {row['before_max_deviation']:.1e} / {row['after_max_deviation']:.1e}"
         )
     return 0
 

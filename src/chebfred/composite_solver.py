@@ -187,7 +187,7 @@ def solve_composite(system: BlockSystem) -> ChebSolution:
     grids = system.partition.grids
     values = tuple(vals[offsets[p] : offsets[p + 1]] for p in range(len(grids)))
     coeffs = tuple(
-        build_operators(g.order).cosine_inv @ v for g, v in zip(grids, values)
+        build_operators(g.order).coefficients(v) for g, v in zip(grids, values)
     )
     return ChebSolution(
         grids=grids, values=values, coeffs=coeffs, rcond=rcond, cond_warning=warn

@@ -96,11 +96,27 @@ def schur_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def semismooth_block(
     ops: SpectralOperators, k1_vals: np.ndarray, k2_vals: np.ndarray, scale: float
 ) -> np.ndarray:
-    """I + scale * (W o K1 + V o K2), the one-panel semismooth system matrix."""
+    """I + scale * (W o K1 + V o K2), the one-panel semismooth system matrix.
+
+    With W = a + B and V = c - B (``spectral_core``), the sum is formed as
+    K1 o a + K2 o c + (K1 - K2) o B, so W and V are never built: besides
+    the operators' cached bracket B it allocates the result and one scratch
+    array.  Branch samples of the wrong shape raise ValueError.
+    """
     n1 = ops.order + 1
-    return np.eye(n1) + scale * (
-        schur_product(ops.int_left, k1_vals) + schur_product(ops.int_right, k2_vals)
-    )
+    k1 = np.asarray(k1_vals, dtype=float)
+    k2 = np.asarray(k2_vals, dtype=float)
+    for k in (k1, k2):
+        if k.shape != (n1, n1):
+            raise ValueError(f"shape mismatch {(n1, n1)} vs {k.shape}")
+    block = np.subtract(k1, k2)
+    block *= ops.bracket
+    scratch = np.multiply(k1, ops.left_offset)
+    block += scratch
+    block += np.multiply(k2, ops.right_offset, out=scratch)
+    block *= scale
+    block.reshape(-1)[:: n1 + 1] += 1.0
+    return block
 
 
 @dataclass(frozen=True)
@@ -203,7 +219,7 @@ class ChebSolution:
 
 def solve_system(system: DiscreteSystem) -> ChebSolution:
     vals, rcond, warn = dense_solve(system.matrix, system.rhs)
-    coeffs = system.ops.cosine_inv @ vals
+    coeffs = system.ops.coefficients(vals)
     return ChebSolution(
         grids=(system.grid,),
         values=(vals,),

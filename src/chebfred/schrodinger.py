@@ -133,7 +133,7 @@ def solve_schrodinger(potential: NonlocalPotential, order: int, rhs_override=Non
     grid = cheb_grid(order, 0.0, potential.cutoff)
     system = assemble(potential, grid, rhs_override)
     vals, rcond, warn = dense_solve(system.matrix, system.rhs)
-    coeffs = system.ops.cosine_inv @ vals
+    coeffs = system.ops.coefficients(vals)
     return ChebSolution(
         grids=(grid,), values=(vals,), coeffs=(coeffs,), rcond=rcond, cond_warning=warn
     )

@@ -42,13 +42,36 @@ The bracket is a Toeplitz plus a Hankel matrix, scaled by column.  U at all
 4N points is -Im of one length-4N FFT of h_j = 1/j (j = 1..n, zero
 elsewhere).  The formulas are exact, not a further approximation: they
 differ from the dense products only by rounding.
+
+What is stored
+--------------
+``build_operators`` computes only the vectors a, b, c, sigma and the S
+values, in O(n log n).  Every matrix (the bracket, W, V, C, C^-1, S_L and
+S_R) is a cached property of ``SpectralOperators``, built in O(n^2) the
+first time it is read.
+
+Assembly without W or V
+-----------------------
+Write B[k, m] = b_m [S(m-k) + S(m+k+1)] for the bracket, so W = a + B and
+V = c - B, with a and c added to every row.  For branch samples K1 and K2,
+
+    W o K1 + V o K2 = (a + B) o K1 + (c - B) o K2
+                    = K1 o a + K2 o c + (K1 - K2) o B,
+
+where K1 o a scales column m of K1 by a_m.  The right side reads the
+vectors a and c and the single matrix B, so the semismooth block
+I + s (W o K1 + V o K2) is assembled without forming W or V
+(``fredholm_solver.semismooth_block``).  Where the branches agree, K1 - K2
+vanishes and the rule reduces to the full weights sigma = a + c.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebval
 
 __all__ = [
     "ChebGrid",
@@ -59,6 +82,7 @@ __all__ = [
     "spectral_matrix_left",
     "spectral_matrix_right",
     "build_operators",
+    "chebyshev_coefficients",
     "cheb_grid",
     "chebyshev_eval",
 ]
@@ -105,15 +129,13 @@ def cosine_matrix(n: int) -> np.ndarray:
     return table[turns]
 
 
-def inverse_cosine_matrix(n: int, cosine: np.ndarray | None = None) -> np.ndarray:
+def inverse_cosine_matrix(n: int) -> np.ndarray:
     """Inverse of :func:`cosine_matrix`, i.e. the node-values-to-coefficients map.
 
     By discrete orthogonality of cosines at the first-kind points the inverse
     is a row-scaled transpose: diag(1/(n+1), 2/(n+1), ..., 2/(n+1)) @ C.T.
     """
-    if cosine is None:
-        cosine = cosine_matrix(n)
-    inverse = cosine.T * (2.0 / (n + 1))
+    inverse = cosine_matrix(n).T * (2.0 / (n + 1))
     inverse[0] *= 0.5
     return inverse
 
@@ -165,63 +187,163 @@ def spectral_matrix_right(n: int) -> np.ndarray:
     return _one_sided_factors(n)[1]
 
 
+def chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients of the interpolant through node values.
+
+    ``values`` holds f at the n+1 nodes of :func:`chebyshev_nodes`.  The
+    result equals ``inverse_cosine_matrix(n) @ values`` up to rounding, but
+    is a DCT-II in O(n log n): with N = n + 1, theta_m = (2m+1) pi/(2N) and
+    Y the FFT of the even extension (f_0, ..., f_n, f_n, ..., f_0),
+
+        sum_m f_m cos(j theta_m) = Re(exp(-i pi j/(2N)) Y_j) / 2,
+
+    and coefficient j is that sum times (2 - [j = 0])/N.
+    """
+    f = np.asarray(values, dtype=float)
+    if f.ndim != 1 or f.size == 0:
+        raise ValueError(f"need a non-empty vector of node values, got shape {f.shape}")
+    N = f.size
+    Y = np.fft.rfft(np.concatenate((f, f[::-1])))[:N]
+    Y *= np.exp(np.arange(N) * (-0.5j * np.pi / N))
+    coeffs = Y.real * (1.0 / N)
+    coeffs[0] *= 0.5
+    return coeffs
+
+
 @dataclass(frozen=True)
 class SpectralOperators:
-    """Bundle of the order-n transforms and integration matrices.
+    """The order-n spectral operators, stored as the vectors of the closed form.
 
-    Attributes
-    ----------
+    The fields are the O(n) vectors of the closed form in the module
+    docstring, filled by :func:`build_operators`.  Every (n+1)-by-(n+1)
+    matrix is a cached property: it is built the first time it is read and
+    kept on the instance, so a solve pays only for the matrices it reads.
+
+    Fields (eager)
+    --------------
     order : int
+    left_offset, right_offset : ndarray
+        a_m and c_m, the column offsets of W and V.
+    bracket_scale : ndarray
+        b_m = sin(theta_m)/N, the column scale of the bracket.
+    s_values : ndarray
+        S(q) for q = -n .. 2n+1, the values that the bracket's Toeplitz and
+        Hankel parts read.
+    full_weights : ndarray
+        Quadrature weights for the whole interval, a + c, equal to ones @
+        coeff_int_left @ cosine_inv; strictly positive and summing to 2.
+
+    Properties (lazy)
+    -----------------
+    bracket : ndarray
+        B[k, m] = b_m [S(m-k) + S(m+k+1)].
+    int_left, int_right : ndarray
+        Node-space running-integral operators W = a + B and V = c - B:
+        (int_left @ f)[k] approximates the integral of f from -1 to tau_k;
+        int_right integrates tau_k to 1.
     cosine, cosine_inv : ndarray
         Coefficients-to-values map and its inverse.
     coeff_int_left, coeff_int_right : ndarray
-        Coefficient-space antiderivative maps.
-    int_left, int_right : ndarray
-        Node-space running-integral operators: (int_left @ f)[k] approximates
-        the integral of f from -1 to tau_k; int_right integrates tau_k to 1.
-    full_weights : ndarray
-        Quadrature weights for the whole interval, ones @ coeff_int_left
-        @ cosine_inv; strictly positive and summing to 2.
+        Coefficient-space antiderivative maps S_L and S_R.
+
+    The debug-mode checks run when a matrix is built: the row sums
+    W 1 = tau + 1 and V 1 = 1 - tau with the bracket, and W + V = sigma with
+    either integration operator.
     """
 
     order: int
-    cosine: np.ndarray
-    cosine_inv: np.ndarray
-    coeff_int_left: np.ndarray
-    coeff_int_right: np.ndarray
-    int_left: np.ndarray
-    int_right: np.ndarray
+    left_offset: np.ndarray
+    right_offset: np.ndarray
+    bracket_scale: np.ndarray
+    s_values: np.ndarray
     full_weights: np.ndarray
+
+    @cached_property
+    def bracket(self) -> np.ndarray:
+        n = self.order
+        S = self.s_values
+        # S(m-k) and S(m+k+1) as strided views of S: a Toeplitz and a Hankel
+        # matrix.  numpy checks that both stay inside S.
+        step = S.itemsize
+        toeplitz = np.ndarray((n + 1, n + 1), S.dtype, S, n * step, (-step, step))
+        hankel = np.ndarray((n + 1, n + 1), S.dtype, S, (n + 1) * step, (step, step))
+        B = toeplitz + hankel
+        B *= self.bracket_scale
+        if __debug__:
+            # W 1 = sum(a) + B 1 = tau + 1 and V 1 = sum(c) - B 1 = 1 - tau
+            tau = chebyshev_nodes(n)
+            rows = B.sum(axis=1)
+            scale = 1e-13 * n
+            assert np.abs(self.left_offset.sum() + rows - (tau + 1)).max() < scale
+            assert np.abs(self.right_offset.sum() - rows - (1 - tau)).max() < scale
+        return B
+
+    @cached_property
+    def int_left(self) -> np.ndarray:
+        W = self.left_offset + self.bracket
+        if __debug__:
+            V = self.__dict__.get("int_right")
+            self._check_full_weights(W, self.right_offset - self.bracket if V is None else V)
+        return W
+
+    @cached_property
+    def int_right(self) -> np.ndarray:
+        V = self.right_offset - self.bracket
+        if __debug__:
+            W = self.__dict__.get("int_left")
+            self._check_full_weights(self.left_offset + self.bracket if W is None else W, V)
+        return V
+
+    def _check_full_weights(self, W: np.ndarray, V: np.ndarray) -> None:
+        gap = W + V  # one n-by-n temporary: sigma broadcasts, so W + V - sigma would take two
+        gap -= self.full_weights
+        assert np.abs(gap, out=gap).max() < 1e-13 * self.order
+
+    @cached_property
+    def cosine(self) -> np.ndarray:
+        return cosine_matrix(self.order)
+
+    @cached_property
+    def cosine_inv(self) -> np.ndarray:
+        return inverse_cosine_matrix(self.order)
+
+    @cached_property
+    def coeff_int_left(self) -> np.ndarray:
+        return spectral_matrix_left(self.order)
+
+    @cached_property
+    def coeff_int_right(self) -> np.ndarray:
+        return spectral_matrix_right(self.order)
+
+    def coefficients(self, values: np.ndarray) -> np.ndarray:
+        """Chebyshev coefficients from node values: ``cosine_inv @ values`` in
+        O(n log n), without building ``cosine_inv``."""
+        values = np.asarray(values, dtype=float)
+        if values.shape != (self.order + 1,):
+            raise ValueError(f"need {self.order + 1} node values, got shape {values.shape}")
+        return chebyshev_coefficients(values)
 
 
 def build_operators(n: int) -> SpectralOperators:
-    """Construct all order-n spectral operators in O(n^2).
+    """Construct the order-n spectral operators in O(n log n).
 
-    ``int_left``, ``int_right`` and ``full_weights`` come from the closed form
-    in the module docstring: with b_m = sin(theta_m)/N,
-    a_m = -2 b_m U(2m+1+2N), c_m = 2 b_m U(2m+1) and S(q) = U(2q),
+    Only the vectors of the closed form in the module docstring are built:
+    with b_m = sin(theta_m)/N, a_m = -2 b_m U(2m+1+2N), c_m = 2 b_m U(2m+1)
+    and S(q) = U(2q),
 
         int_left[k, m]  = a_m + b_m [S(m-k) + S(m+k+1)]
         int_right[k, m] = c_m - b_m [S(m-k) + S(m+k+1)]
         full_weights[m] = a_m + c_m
 
     which equal C S_L C^-1, C S_R C^-1 and ones @ S_L @ C^-1 up to rounding.
-    One length-4N FFT gives U at every p; the bracket is a Toeplitz plus a
-    Hankel matrix, both strided views of one vector of S values.  S_L and
-    S_R are the banded B with row 0 replaced.  No step costs more than
-    O(n^2).
-
-    Cheap debug-mode sanity checks assert the O(n^2) row-sum identities; the
-    full inverse and exactness checks live in the test suite.
+    One length-4N FFT gives U at every p.  The matrices are built from these
+    vectors only when read (see :class:`SpectralOperators`).
 
     Raises ValueError for n < 1.
     """
     if n < 1:
         raise ValueError("order must be >= 1")
     N = n + 1
-    C = cosine_matrix(n)
-    Ci = inverse_cosine_matrix(n, C)
-    SL, SR = _one_sided_factors(n)
     h = np.zeros(4 * N)
     h[: 3 * N : -1] = 1.0 / np.arange(1, N)  # h[-j] = 1/j, so Im fft(h) = +U
     U = np.fft.fft(h).imag  # U(p) for p = 0..4N-1
@@ -232,33 +354,13 @@ def build_operators(n: int) -> SpectralOperators:
     two_b = 2.0 * b
     a = two_b * U_odd[::-1]  # U(2m+1+2N) = -U(2N-2m-1)
     c = two_b * U_odd
-    # S(m-k) and S(m+k+1) as strided views of S: a Toeplitz and a Hankel
-    # matrix.  numpy checks that both stay inside S.
-    step = S.itemsize
-    toeplitz = np.ndarray((N, N), S.dtype, S, n * step, (-step, step))
-    hankel = np.ndarray((N, N), S.dtype, S, (n + 1) * step, (step, step))
-    T = toeplitz + hankel
-    T *= b
-    W = a + T
-    V = np.subtract(c, T, out=T)  # V takes over T's memory
-    sigma = a + c
-    if __debug__:
-        tau = C[:, 1]  # T_1 at the nodes
-        scale = 1e-13 * n
-        assert np.abs(W.sum(axis=1) - (tau + 1)).max() < scale
-        assert np.abs(V.sum(axis=1) - (1 - tau)).max() < scale
-        gap = W + V  # one n-by-n temporary: sigma broadcasts, so W + V - sigma would take two
-        gap -= sigma
-        assert np.abs(gap, out=gap).max() < scale
     return SpectralOperators(
         order=n,
-        cosine=C,
-        cosine_inv=Ci,
-        coeff_int_left=SL,
-        coeff_int_right=SR,
-        int_left=W,
-        int_right=V,
-        full_weights=sigma,
+        left_offset=a,
+        right_offset=c,
+        bracket_scale=b,
+        s_values=S,
+        full_weights=a + c,
     )
 
 
@@ -300,20 +402,8 @@ def cheb_grid(n: int, a: float, b: float) -> ChebGrid:
 
 
 def chebyshev_eval(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Evaluate sum_j coeffs[j] T_j(x) by the three-term recurrence.
+    """Evaluate sum_j coeffs[j] T_j(x) by Clenshaw's recurrence.
 
     ``x`` is on the reference interval; scalar or array.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
-    x = np.asarray(x, dtype=float)
-    result = np.full_like(x, coeffs[0])
-    if len(coeffs) == 1:
-        return result
-    t_prev = np.ones_like(x)
-    t_cur = x.copy()
-    result = result + coeffs[1] * t_cur
-    for c in coeffs[2:]:
-        t_next = 2.0 * x * t_cur - t_prev
-        result = result + c * t_next
-        t_prev, t_cur = t_cur, t_next
-    return result
+    return chebval(np.asarray(x, dtype=float), np.asarray(coeffs, dtype=float))

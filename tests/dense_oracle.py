@@ -1,0 +1,64 @@
+"""Dense O(n^3) reference for every operator that SpectralOperators exposes.
+
+Shared by tests/test_spectral_core.py and scripts/bench_build_operators.py.
+It imports only functions that every version of chebfred.spectral_core has,
+so the benchmark can check a baseline checkout against it too.
+"""
+
+import numpy as np
+
+from chebfred.spectral_core import cosine_matrix, inverse_cosine_matrix
+
+
+def _antiderivative_factor_loop(n):
+    # the antiderivative recurrence written out row by row
+    B = np.zeros((n + 1, n + 1))
+    B[1, 0] = 1.0
+    if n >= 2:
+        B[1, 2] = -0.5
+    for j in range(2, n):
+        B[j, j - 1] = 1.0 / (2 * j)
+        B[j, j + 1] = -1.0 / (2 * j)
+    if n >= 2:
+        B[n, n - 1] = 1.0 / (2 * n)
+    return B
+
+
+# every operator that SpectralOperators exposes, eager field or lazy property
+OPERATOR_NAMES = (
+    "order",
+    "cosine",
+    "cosine_inv",
+    "coeff_int_left",
+    "coeff_int_right",
+    "int_left",
+    "int_right",
+    "full_weights",
+)
+
+
+def dense_operators(n):
+    """Reference for build_operators: every operator by plain dense products.
+
+    W = C (L B) C^-1 and V = C (R B) C^-1 with L and R written out, costing
+    O(n^3); no closed form is used.
+    """
+    C = cosine_matrix(n)
+    Ci = inverse_cosine_matrix(n)
+    B = _antiderivative_factor_loop(n)
+    L = np.eye(n + 1)
+    L[0, 1:] = (-1.0) ** (np.arange(1, n + 1) + 1)
+    R = -np.eye(n + 1)
+    R[0, :] = 1.0
+    SL = L @ B
+    SR = R @ B
+    return {
+        "order": n,
+        "cosine": C,
+        "cosine_inv": Ci,
+        "coeff_int_left": SL,
+        "coeff_int_right": SR,
+        "int_left": C @ SL @ Ci,
+        "int_right": C @ SR @ Ci,
+        "full_weights": np.ones(n + 1) @ SL @ Ci,
+    }

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chebfred.composite_solver import assemble_blocks, build_partition
 from chebfred.fredholm_solver import (
     SingularMatrixError,
     dense_solve,
@@ -12,11 +13,12 @@ from chebfred.fredholm_solver import (
     discretize_smooth,
     relative_sup_error,
     schur_product,
+    semismooth_block,
     solve_fredholm,
     solve_system,
 )
 from chebfred.kernel_catalog import catalog_lookup
-from chebfred.spectral_core import cheb_grid, inverse_cosine_matrix
+from chebfred.spectral_core import build_operators, cheb_grid, inverse_cosine_matrix
 
 
 def test_dense_solve_identity():
@@ -80,6 +82,62 @@ def test_schur_vector_action_identity(seed):
     lhs = schur_product(a, b) @ c
     rhs = np.diag(a @ np.diag(c) @ b.T)
     assert np.max(np.abs(lhs - rhs)) < 1e-13
+
+
+def _fused_and_split_blocks(kernel, grid, lam):
+    # the fused semismooth block, and the same block from W and V
+    ops = build_operators(grid.order)
+    t = grid.nodes
+    k1 = kernel.eval_lower(t[:, None], t[None, :])
+    k2 = kernel.eval_upper(t[:, None], t[None, :])
+    scale = lam * grid.width / 2.0
+    split = np.eye(grid.order + 1) + scale * (ops.int_left * k1 + ops.int_right * k2)
+    return semismooth_block(ops, k1, k2, scale), split
+
+
+@pytest.mark.parametrize("n", [1, 4, 63, 1023])
+@pytest.mark.parametrize("name", ["example1", "example2", "example3", "example4"])
+def test_semismooth_block_matches_split_operators(name, n):
+    # the fused assembly never forms W or V; it must agree with them to
+    # rounding.  example4 is singular at t = s = 0, so it is checked on both
+    # panels of the partition at 0
+    problem = catalog_lookup(name)
+    kernel = problem.kernel
+    part = build_partition(problem.a, problem.b, orders=n, singular_points=kernel.singular_points)
+    for grid in part.grids:
+        fused, split = _fused_and_split_blocks(kernel, grid, problem.lam)
+        assert np.max(np.abs(fused - split)) <= 1e-13 * n * np.max(np.abs(split))
+
+
+def test_composite_diagonal_block_matches_split_operators():
+    problem = catalog_lookup("example2", T=200 * np.pi)
+    edges = np.linspace(problem.a, problem.b, 5)
+    part = build_partition(problem.a, problem.b, breakpoints=tuple(edges[1:-1]), orders=63)
+    system = assemble_blocks(problem.kernel, part, problem.lam, problem.rhs)
+    rows = slice(part.offsets[1], part.offsets[2])
+    _, split = _fused_and_split_blocks(problem.kernel, part.grids[1], problem.lam)
+    assert np.max(np.abs(system.matrix[rows, rows] - split)) <= 1e-13 * 63 * np.max(np.abs(split))
+
+
+def test_semismooth_block_rejects_mismatched_shapes():
+    ops = build_operators(4)
+    good = np.ones((5, 5))
+    for bad in (np.ones((5, 4)), np.ones((4, 4)), np.ones(5)):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            semismooth_block(ops, bad, good, 1.0)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            semismooth_block(ops, good, bad, 1.0)
+
+
+def test_discretizations_build_only_the_matrices_they_read():
+    problem = catalog_lookup("example2")
+    grid = cheb_grid(1023, problem.a, problem.b)
+    split = discretize_semismooth(problem.kernel, grid, problem.lam, problem.rhs)
+    cached = set(vars(split.ops))
+    assert "bracket" in cached
+    assert not {"int_left", "int_right", "cosine", "cosine_inv", "coeff_int_left", "coeff_int_right"} & cached
+    smooth = discretize_smooth(problem.kernel, grid, problem.lam, problem.rhs)
+    assert all(np.ndim(value) <= 1 for value in vars(smooth.ops).values())
 
 
 def test_smooth_rule_zero_kernel():

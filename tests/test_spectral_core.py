@@ -1,6 +1,5 @@
 """Node sets, cosine transforms, and the one-sided integration matrices."""
 
-import dataclasses
 import math
 import subprocess
 import sys
@@ -10,9 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_oracle import OPERATOR_NAMES, dense_operators
+
 from chebfred.spectral_core import (
     build_operators,
     cheb_grid,
+    chebyshev_coefficients,
     chebyshev_eval,
     chebyshev_nodes,
     cosine_matrix,
@@ -147,47 +149,6 @@ def test_superalgebraic_decay_on_entire_function(n, bound):
     assert np.max(np.abs(approx - exact)) < bound
 
 
-def _antiderivative_factor_loop(n):
-    # the antiderivative recurrence written out row by row
-    B = np.zeros((n + 1, n + 1))
-    B[1, 0] = 1.0
-    if n >= 2:
-        B[1, 2] = -0.5
-    for j in range(2, n):
-        B[j, j - 1] = 1.0 / (2 * j)
-        B[j, j + 1] = -1.0 / (2 * j)
-    if n >= 2:
-        B[n, n - 1] = 1.0 / (2 * n)
-    return B
-
-
-def dense_operators(n):
-    """Reference for build_operators: every field by plain dense products.
-
-    W = C (L B) C^-1 and V = C (R B) C^-1 with L and R written out, costing
-    O(n^3); no closed form is used.
-    """
-    C = cosine_matrix(n)
-    Ci = inverse_cosine_matrix(n)
-    B = _antiderivative_factor_loop(n)
-    L = np.eye(n + 1)
-    L[0, 1:] = (-1.0) ** (np.arange(1, n + 1) + 1)
-    R = -np.eye(n + 1)
-    R[0, :] = 1.0
-    SL = L @ B
-    SR = R @ B
-    return {
-        "order": n,
-        "cosine": C,
-        "cosine_inv": Ci,
-        "coeff_int_left": SL,
-        "coeff_int_right": SR,
-        "int_left": C @ SL @ Ci,
-        "int_right": C @ SR @ Ci,
-        "full_weights": np.ones(n + 1) @ SL @ Ci,
-    }
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 16, 63, 255, 1023])
 def test_build_operators_matches_dense_oracle(n):
     ops = build_operators(n)
@@ -196,15 +157,42 @@ def test_build_operators_matches_dense_oracle(n):
     # the coefficient maps involve no rounding beyond the entries of B
     assert np.array_equal(ops.coeff_int_left, ref["coeff_int_left"])
     assert np.array_equal(ops.coeff_int_right, ref["coeff_int_right"])
-    for field in dataclasses.fields(ops):
-        if field.name != "order":
-            deviation = np.max(np.abs(getattr(ops, field.name) - ref[field.name]))
-            assert deviation <= 1e-13 * n, field.name
+    # the matrices are lazy properties, which dataclasses.fields does not list
+    for name in OPERATOR_NAMES:
+        deviation = np.max(np.abs(getattr(ops, name) - ref[name]))
+        assert deviation <= 1e-13 * n, name
     # the exactly reduced cosine table against the plain floating-point argument
     k = np.arange(n + 1)[:, None]
     j = np.arange(n + 1)[None, :]
     plain = np.cos((2 * k + 1) * j * np.pi / (2 * (n + 1)))
     assert np.max(np.abs(ops.cosine - plain)) <= 1e-13 * n
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 63, 1023, 2047])
+def test_coefficients_match_inverse_cosine_matrix(n):
+    # the O(n log n) DCT against the dense node-values-to-coefficients map
+    rng = np.random.default_rng(n)
+    for vals in (rng.uniform(-1.0, 1.0, n + 1), 1e3 * np.exp(chebyshev_nodes(n))):
+        coeffs = chebyshev_coefficients(vals) if n == 0 else build_operators(n).coefficients(vals)
+        assert np.max(np.abs(coeffs - inverse_cosine_matrix(n) @ vals)) <= 1e-15 * np.max(np.abs(vals))
+
+
+def test_coefficients_reject_wrong_length():
+    with pytest.raises(ValueError):
+        build_operators(4).coefficients(np.ones(4))
+    with pytest.raises(ValueError):
+        chebyshev_coefficients(np.ones((2, 2)))
+    with pytest.raises(ValueError):
+        chebyshev_coefficients(np.ones(0))
+
+
+def test_operators_build_matrices_only_when_read():
+    ops = build_operators(63)
+    assert all(np.ndim(v) <= 1 for v in vars(ops).values())
+    W = ops.int_left
+    assert ops.int_left is W
+    assert set(vars(ops)) >= {"bracket", "int_left"}
+    assert not {"int_right", "cosine", "cosine_inv", "coeff_int_left", "coeff_int_right"} & set(vars(ops))
 
 
 def test_import_leaves_scipy_fft_unloaded():
