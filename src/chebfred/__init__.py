@@ -17,6 +17,7 @@ from .baselines import (
     trapezium_deferred_solve,
 )
 from .composite_solver import (
+    BlockOperator,
     BlockSystem,
     Partition,
     assemble_blocks,

@@ -8,14 +8,24 @@ weights of the source panel are involved.  Forcing interior kernel
 singularities onto panel boundaries keeps every sampled point regular, since
 Chebyshev nodes of the first kind never touch panel endpoints.
 
+``assemble_blocks`` returns the system matrix as a ``BlockOperator``
+(``block_operator``).  When ``detect_toeplitz`` holds (a difference kernel
+on panels of equal width and order), block (j, i) depends on j - i only, so
+the operator keeps the 2m - 1 distinct blocks, each sampled once, and no
+N x N array is formed.  Otherwise every block is distinct, and the N x N
+array they are written into is the operator's storage.
+
 Because the kernel is smooth away from s = t, every block that couples two
 disjoint groups of panels is numerically low-rank.  ``solve_composite``
-passes the panel offsets to ``dense_solve``, which from
-``hierarchical.CROSSOVER_N`` unknowns on factors the system hierarchically:
-bisection at panel boundaries, randomized compression of the off-diagonal
-blocks, Sherman-Morrison-Woodbury solves, refinement against the exact
-matrix, and dense LU as the fallback whenever that answer does not reach
-working accuracy (see ``dense_solve``).
+passes the operator to ``dense_solve``, which from
+``hierarchical.CROSSOVER_N`` unknowns on factors the system hierarchically
+from its blocks: bisection at panel boundaries, randomized compression of
+the off-diagonal blocks through blockwise products, one compression and
+factorization per distinct subtree under Toeplitz structure,
+Sherman-Morrison-Woodbury solves, and refinement against the exact operator.
+Under Toeplitz structure the N x N array is formed only for dense LU: below
+the crossover, and as the fallback whenever the hierarchical answer does not
+reach working accuracy (see ``dense_solve``).
 """
 
 from __future__ import annotations
@@ -24,11 +34,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .block_operator import BlockOperator, DenseBlocks, ToeplitzBlocks
 from .fredholm_solver import ChebSolution, dense_solve, semismooth_block
 from .spectral_core import ChebGrid, build_operators, cheb_grid
 
 __all__ = [
     "Partition",
+    "BlockOperator",
     "BlockSystem",
     "build_partition",
     "detect_toeplitz",
@@ -126,7 +138,7 @@ def detect_toeplitz(kernel, partition: Partition) -> bool:
 
 @dataclass(frozen=True)
 class BlockSystem:
-    matrix: np.ndarray
+    matrix: BlockOperator
     rhs: np.ndarray
     partition: Partition
     lam: float
@@ -134,42 +146,46 @@ class BlockSystem:
 
 
 def assemble_blocks(kernel, partition: Partition, lam: float, rhs) -> BlockSystem:
-    """Build the global block matrix and right-hand side.
+    """Build the system as a BlockOperator of panel blocks, plus the right-hand side.
 
     When the block structure is Toeplitz, each distinct block (indexed by the
-    panel offset j - i) is sampled once and reused along its diagonal.
+    panel offset j - i) is sampled once, from the first (j, i) on its
+    diagonal, which the operator reuses along that diagonal, and no N x N
+    array is formed.  Otherwise every block (j, i) is sampled and written into
+    the N x N array that the operator wraps.
     """
     grids = partition.grids
     offsets = partition.offsets
     total = offsets[-1]
-    matrix = np.zeros((total, total))
     ops_cache = {}
     for g in grids:
         if g.order not in ops_cache:
             ops_cache[g.order] = build_operators(g.order)
     toeplitz = detect_toeplitz(kernel, partition)
-    block_cache = {}
-    for j, gj in enumerate(grids):
-        rows = slice(offsets[j], offsets[j + 1])
-        for i, gi in enumerate(grids):
-            cols = slice(offsets[i], offsets[i + 1])
-            key = j - i
-            if toeplitz and key in block_cache:
-                matrix[rows, cols] = block_cache[key]
-                continue
-            ops_i = ops_cache[gi.order]
-            if i == j:
-                k1 = kernel.eval_lower(gj.nodes[:, None], gj.nodes[None, :])
-                k2 = kernel.eval_upper(gj.nodes[:, None], gj.nodes[None, :])
-                block = semismooth_block(ops_i, k1, k2, lam * gj.width / 2.0)
-            else:
-                tt = gj.nodes[:, None]
-                ss = gi.nodes[None, :]
-                kv = kernel.eval_lower(tt, ss) if i < j else kernel.eval_upper(tt, ss)
-                block = (lam * gi.width / 2.0) * kv * ops_i.full_weights[None, :]
-            matrix[rows, cols] = block
-            if toeplitz:
-                block_cache[key] = block
+
+    def block(j, i):
+        gj, gi = grids[j], grids[i]
+        ops_i = ops_cache[gi.order]
+        if i == j:
+            k1 = kernel.eval_lower(gj.nodes[:, None], gj.nodes[None, :])
+            k2 = kernel.eval_upper(gj.nodes[:, None], gj.nodes[None, :])
+            return semismooth_block(ops_i, k1, k2, lam * gj.width / 2.0)
+        tt = gj.nodes[:, None]
+        ss = gi.nodes[None, :]
+        kv = kernel.eval_lower(tt, ss) if i < j else kernel.eval_upper(tt, ss)
+        return (lam * gi.width / 2.0) * kv * ops_i.full_weights[None, :]
+
+    m = len(grids)
+    if toeplitz:
+        # diagonal d is sampled at its first (j, i) in row-major order
+        diagonals = {d: block(d, 0) if d >= 0 else block(0, -d) for d in range(1 - m, m)}
+        matrix = ToeplitzBlocks(offsets, diagonals)
+    else:
+        dense = np.empty((total, total))
+        for j in range(m):
+            for i in range(m):
+                dense[offsets[j] : offsets[j + 1], offsets[i] : offsets[i + 1]] = block(j, i)
+        matrix = DenseBlocks(dense, offsets)
     if callable(rhs):
         rhs_vec = np.concatenate([np.asarray(rhs(g.nodes), dtype=float) for g in grids])
     else:
@@ -183,7 +199,7 @@ def assemble_blocks(kernel, partition: Partition, lam: float, rhs) -> BlockSyste
 
 def solve_composite(system: BlockSystem) -> ChebSolution:
     offsets = system.partition.offsets
-    vals, rcond, warn = dense_solve(system.matrix, system.rhs, blocks=offsets)
+    vals, rcond, warn = dense_solve(system.matrix, system.rhs)
     grids = system.partition.grids
     values = tuple(vals[offsets[p] : offsets[p + 1]] for p in range(len(grids)))
     coeffs = tuple(

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg
 
+from .block_operator import BlockOperator, abs_sums, as_block_operator
 from .hierarchical import hierarchical_solve
 from .spectral_core import ChebGrid, SpectralOperators, build_operators, cheb_grid, chebyshev_eval
 
@@ -41,45 +42,61 @@ class SingularMatrixError(np.linalg.LinAlgError):
     """LU factorization hit an exactly zero pivot."""
 
 
-def dense_solve(matrix: np.ndarray, rhs: np.ndarray, blocks=None):
+def dense_solve(matrix, rhs: np.ndarray, blocks=None):
     """Solve A x = y; returns (x, rcond, warning).
 
     ``rcond`` is the reciprocal condition estimate in the 1-norm and
     ``warning`` is True when it drops below 1e-12.
 
-    Without ``blocks`` this is LU with partial pivoting and the LAPACK
-    ``gecon`` estimate.  ``blocks`` gives the panel boundaries of a composite
-    system (``Partition.offsets``).  With at least two panels and N at or
-    above ``hierarchical.CROSSOVER_N``, the system is first factored
-    hierarchically: the matrix is bisected at panel boundaries, each
-    off-diagonal block is compressed to low rank by a seeded randomized
-    range finder, and the factorization solves through the Sherman-Morrison-
-    Woodbury formula.  That answer is refined against the exact matrix and
-    kept only when the last correction is below eps ||x||, or when refinement
-    stagnates at a normwise backward error of a few eps; rcond then comes
-    from the same estimator ``gecon`` uses (dlacn2), run on hierarchical
-    solves with A and A^T.  A node whose ranks make the Woodbury update cost
-    more than a dense LU of the node is factored densely.  Every other
-    outcome (no low-rank split, a zero pivot, refinement that does not
-    converge) falls back to the LU path, so a singular system still raises
-    ``SingularMatrixError`` and a non-finite one ``ValueError``.
+    ``matrix`` is an array or a ``BlockOperator`` (a composite system cut at
+    panel boundaries, each distinct block stored once).  An array with
+    ``blocks``, the panel boundaries of a composite system
+    (``Partition.offsets``), is wrapped as an operator that shares no blocks.  A plain array is solved by LU with
+    partial pivoting and the LAPACK ``gecon`` estimate; ||A||_1 comes from
+    one chunked pass over |A|, and only when it is not finite does an exact
+    finiteness check decide between ``ValueError`` and an overflowed norm.
+
+    An operator is checked for finite entries once per distinct block.  With
+    at least two panels and N at or above ``hierarchical.CROSSOVER_N``, it
+    is then factored hierarchically from its blocks, forming no N x N array:
+    the matrix is bisected at panel boundaries, each off-diagonal block is
+    compressed to low rank by a seeded randomized range finder working
+    through blockwise products, and the factorization solves through the
+    Sherman-Morrison-Woodbury formula.  Under Toeplitz block structure each
+    distinct subtree is compressed and factored once.  That answer is refined
+    against the exact operator and kept only when the last correction is
+    below eps ||x||, or when refinement stagnates at a normwise backward
+    error of a few eps; rcond then comes from the same estimator ``gecon``
+    uses (dlacn2), run on hierarchical solves with A and A^T.  A node whose
+    ranks make the Woodbury update cost more than a dense LU of the node is
+    factored densely.  Every other outcome (N below the crossover, no
+    low-rank split, a zero pivot, refinement that does not converge) forms
+    the dense array and takes the LU path, which factors it in place, so a
+    singular system still raises ``SingularMatrixError``.
     """
-    matrix = np.asarray(matrix, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    if not np.all(np.isfinite(matrix)):
-        raise ValueError("system matrix contains non-finite entries")
-    if blocks is not None:
-        solved = hierarchical_solve(matrix, rhs, blocks)
+    fresh = False
+    if isinstance(matrix, BlockOperator) or blocks is not None:
+        op = as_block_operator(matrix, blocks)
+        if not (np.isfinite(op.norm1()) or op.is_finite()):
+            raise ValueError("system matrix contains non-finite entries")
+        solved = hierarchical_solve(op, rhs)
         if solved is not None:
             x, rcond = solved
             return x, rcond, bool(rcond < RCOND_WARN)
+        matrix, fresh = op.dense(), True
+    else:
+        matrix = np.asarray(matrix, dtype=float)
+    anorm = abs_sums(matrix)[0].max()
+    if not np.isfinite(anorm) and not np.all(np.isfinite(matrix)):
+        raise ValueError("system matrix contains non-finite entries")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", linalg.LinAlgWarning)
-        lu, piv = linalg.lu_factor(matrix, check_finite=False)
+        lu, piv = linalg.lu_factor(matrix, overwrite_a=fresh, check_finite=False)
     if np.min(np.abs(np.diag(lu))) == 0.0:
         raise SingularMatrixError("discretized operator is singular to working precision")
-    gecon = linalg.get_lapack_funcs("gecon", (matrix,))
-    rcond, _info = gecon(lu, np.linalg.norm(matrix, 1))
+    gecon = linalg.get_lapack_funcs("gecon", (lu,))
+    rcond, _info = gecon(lu, anorm)
     x = linalg.lu_solve((lu, piv), rhs, check_finite=False)
     return x, float(rcond), bool(rcond < RCOND_WARN)
 

@@ -15,6 +15,16 @@ leaf (Martinsson & Rokhlin, JCP 2005; Ambikasaran & Darve, J. Sci. Comput.
 2013).  Solves with A^T use the same factors with the roles of U and V
 swapped: A^{-T} = D^{-T} (I - V C^{-T} Y^T).
 
+The matrix is a ``BlockOperator``, and the solver forms no N x N array of
+its own.  Compression sketches an off-diagonal block through the operator's
+blockwise products with A and A^T; a leaf forms only its own diagonal part,
+when it is factored.  Nodes are memoised by ``BlockOperator.share_key``: under Toeplitz
+block structure every node over the same number of panels has the same
+matrix, so the tree holds one node per panel count, compressed and factored
+once, and a node whose two children are one object solves both halves in one
+batched call.  Without that structure the key is the panel range, and
+nothing is shared.
+
 Compression is a seeded randomized range finder (Halko, Martinsson & Tropp,
 SIAM Rev. 2011): sketch, QR, SVD of the small projection, truncation at
 ``SKETCH_TOL`` times the 1-norm of the whole matrix.  The fixed seed makes
@@ -22,16 +32,19 @@ every run bitwise repeatable.  A node whose ranks make the Woodbury update
 cost more than a dense LU of the node is a dense leaf instead.
 
 The factorization is only a preconditioner: the answer is refined against
-the exact matrix, and anything that does not converge to working accuracy
-returns None, so the caller falls back to its dense LU.  The condition
-estimate is LAPACK's dlacn2 iteration (Hager 1984; Higham, ACM TOMS 1988),
-the estimator ``gecon`` runs, applied through the hierarchical solves.
+the exact matrix, whose residual is computed block by block, and anything
+that does not converge to working accuracy returns None, so the caller falls
+back to its dense LU.  The condition estimate is LAPACK's dlacn2 iteration
+(Hager 1984; Higham, ACM TOMS 1988), the estimator ``gecon`` runs, applied
+through the hierarchical solves.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy import linalg
+
+from .block_operator import as_block_operator
 
 __all__ = ["CROSSOVER_N", "LEAF_SIZE", "SKETCH_TOL", "hierarchical_solve"]
 
@@ -57,7 +70,8 @@ _getrf, _getrs = linalg.get_lapack_funcs(("getrf", "getrs"), (np.empty((1, 1)),)
 
 
 def _lu(block):
-    lu, piv, info = _getrf(block)
+    """LU factors of a fresh array, factored in place."""
+    lu, piv, info = _getrf(block, overwrite_a=True)
     if info > 0:  # an exactly zero pivot
         raise np.linalg.LinAlgError("zero pivot")
     return lu, piv
@@ -69,15 +83,18 @@ def _lu_solve(factors, b, trans=0):
 
 
 class _Leaf:
-    def __init__(self, matrix, lo, hi):
-        self.size = hi - lo
+    """Dense LU of the diagonal part over panels p0 .. p1-1, formed on first factor()."""
+
+    def __init__(self, op, p0, p1):
+        self.op, self.p0, self.p1 = op, p0, p1
+        self.size = int(op.offsets[p1] - op.offsets[p0])
         self.factor_flops = 2.0 / 3.0 * self.size**3
         self.solve_flops = 2.0 * self.size**2
-        self.block = matrix[lo:hi, lo:hi]
+        self.lu = None
 
     def factor(self):
-        self.lu = _lu(self.block)
-        self.block = None
+        if self.lu is None:
+            self.lu = _lu(self.op.dense(self.p0, self.p1))
 
     def solve(self, b):
         return _lu_solve(self.lu, b)
@@ -86,8 +103,21 @@ class _Leaf:
         return _lu_solve(self.lu, b, trans=1)
 
 
+def _solve_children(left, right, b1, b2, transpose=False):
+    """(left^{-1} b1, right^{-1} b2), one batched solve when both are one shared node."""
+    if left is right:
+        z = left.solve_t(np.hstack([b1, b2])) if transpose else left.solve(np.hstack([b1, b2]))
+        return z[:, : b1.shape[1]], z[:, b1.shape[1] :]
+    if transpose:
+        return left.solve_t(b1), right.solve_t(b2)
+    return left.solve(b1), right.solve(b2)
+
+
 class _Node:
-    """A12 = U1 V2^T, A21 = U2 V1^T over children of sizes n1 and n2."""
+    """A12 = U1 V2^T, A21 = U2 V1^T over children of sizes n1 and n2.
+
+    Solves take and return 2-D arrays, one column per right-hand side.
+    """
 
     def __init__(self, left, right, u1, v2, u2, v1):
         self.left, self.right = left, right
@@ -104,22 +134,24 @@ class _Node:
             + r1 * left.solve_flops + r2 * right.solve_flops
             + 4.0 * (n1 + n2) * r1 * r2 + 2.0 / 3.0 * (r1 + r2) ** 3
         )
+        self.factored = False
 
     def factor(self):
+        if self.factored:
+            return
         self.left.factor()
         self.right.factor()
-        self.y1 = self.left.solve(self.u1)
-        self.y2 = self.right.solve(self.u2)
+        self.y1, self.y2 = _solve_children(self.left, self.right, self.u1, self.u2)
         r1 = self.r1
         cap = np.eye(r1 + self.u2.shape[1])
         cap[:r1, r1:] = self.v2.T @ self.y2
         cap[r1:, :r1] = self.v1.T @ self.y1
         self.cap = _lu(cap) if len(cap) else None
+        self.factored = True
 
     def solve(self, b):
         n1, r1 = self.left.size, self.r1
-        z1 = self.left.solve(b[:n1])
-        z2 = self.right.solve(b[n1:])
+        z1, z2 = _solve_children(self.left, self.right, b[:n1], b[n1:])
         if self.cap is None:
             return np.concatenate([z1, z2])
         w = _lu_solve(self.cap, np.concatenate([self.v2.T @ z2, self.v1.T @ z1]))
@@ -132,24 +164,27 @@ class _Node:
             w = _lu_solve(self.cap, np.concatenate([self.y1.T @ b1, self.y2.T @ b2]), trans=1)
             b1 = b1 - self.v1 @ w[r1:]
             b2 = b2 - self.v2 @ w[:r1]
-        return np.concatenate([self.left.solve_t(b1), self.right.solve_t(b2)])
+        return np.concatenate(_solve_children(self.left, self.right, b1, b2, transpose=True))
 
 
-def _compress(block, tol, rng, start):
+def _compress(op, rows, cols, tol, rng, start):
     """(U, V) with block ~ U V^T to within tol in the 2-norm, or None if the
     block's rank is near half its smaller side.
 
+    The block is A[rows, cols] (panel ranges) of the BlockOperator ``op``,
+    seen only through the operator's products with it and its transpose.
     The sketch starts ``start`` columns wide and grows, keeping the columns
     it has, until it holds OVERSAMPLE columns more than the rank it finds.
     """
-    m, n = block.shape
+    off = op.offsets
+    m, n = off[rows[1]] - off[rows[0]], off[cols[1]] - off[cols[0]]
     side = min(m, n)
-    sketch = block @ rng.standard_normal((n, min(max(start, SKETCH_START), side)))
+    sketch = op.matmul(rng.standard_normal((n, min(max(start, SKETCH_START), side))), rows, cols)
     while True:
         ell = sketch.shape[1]
         q, _ = linalg.qr(sketch, mode="economic", check_finite=False)
-        # SVD of the ell x n projection through a QR of its transpose
-        q2, r2 = linalg.qr((q.T @ block).T, mode="economic", check_finite=False)
+        # SVD of the ell x n projection q^T block through a QR of its transpose
+        q2, r2 = linalg.qr(op.rmatmul(q, rows, cols), mode="economic", check_finite=False)
         ub, s, vt = linalg.svd(r2.T, check_finite=False)
         rank = int(np.count_nonzero(s > tol))
         if rank + OVERSAMPLE <= ell or ell == side:
@@ -158,58 +193,59 @@ def _compress(block, tol, rng, start):
             return None
         # a full sketch says nothing about the rank beyond it: double it
         grow = ell if rank == ell else rank + 2 * OVERSAMPLE - ell
-        sketch = np.hstack([sketch, block @ rng.standard_normal((n, min(grow, side - ell)))])
+        omega = rng.standard_normal((n, min(grow, side - ell)))
+        sketch = np.hstack([sketch, op.matmul(omega, rows, cols)])
     return (q @ ub[:, :rank]) * s[:rank], q2 @ vt[:rank].T
 
 
-def _build(matrix, offsets, p0, p1, tol, rng):
-    """Tree over panels p0 .. p1-1, compressed top-down."""
+def _build(op, p0, p1, tol, rng, memo):
+    """Tree over panels p0 .. p1-1, compressed top-down.
+
+    ``memo`` maps ``op.share_key`` to the subtree already built for it, so
+    ranges whose matrices are equal share one subtree, compressed and later
+    factored once.
+    """
+    key = op.share_key(p0, p1)
+    if key not in memo:
+        memo[key] = _split(op, p0, p1, tol, rng, memo)
+    return memo[key]
+
+
+def _split(op, p0, p1, tol, rng, memo):
+    offsets = op.offsets
     lo, hi = int(offsets[p0]), int(offsets[p1])
     if p1 - p0 < 2 or hi - lo <= LEAF_SIZE:
-        return _Leaf(matrix, lo, hi)
+        return _Leaf(op, p0, p1)
     k = p0 + 1 + int(np.argmin(np.abs(offsets[p0 + 1 : p1] - (lo + hi) / 2.0)))
-    mid = int(offsets[k])
-    upper = _compress(matrix[lo:mid, mid:hi], tol, rng, SKETCH_START)
+    upper = _compress(op, (p0, k), (k, p1), tol, rng, SKETCH_START)
     if upper is None:
-        return _Leaf(matrix, lo, hi)
+        return _Leaf(op, p0, p1)
     # the transposed coupling usually has a similar rank: start the sketch there
-    lower = _compress(matrix[mid:hi, lo:mid], tol, rng, upper[0].shape[1] + OVERSAMPLE)
+    lower = _compress(op, (k, p1), (p0, k), tol, rng, upper[0].shape[1] + OVERSAMPLE)
     if lower is None:
-        return _Leaf(matrix, lo, hi)
+        return _Leaf(op, p0, p1)
     node = _Node(
-        _build(matrix, offsets, p0, k, tol, rng),
-        _build(matrix, offsets, k, p1, tol, rng),
+        _build(op, p0, k, tol, rng, memo),
+        _build(op, k, p1, tol, rng, memo),
         upper[0], upper[1], lower[0], lower[1],
     )
     if node.factor_flops > 2.0 / 3.0 * node.size**3:
-        return _Leaf(matrix, lo, hi)
+        return _Leaf(op, p0, p1)
     return node
 
 
-def _abs_sums(matrix, rows=64):
-    """Column and row sums of |A|, without an n x n temporary."""
-    cols = np.zeros(matrix.shape[1])
-    row_sums = np.empty(matrix.shape[0])
-    buf = np.empty((rows, matrix.shape[1]))
-    for i in range(0, len(matrix), rows):
-        chunk = matrix[i : i + rows]
-        chunk = np.abs(chunk, out=buf[: len(chunk)])
-        cols += chunk.sum(axis=0)
-        row_sums[i : i + rows] = chunk.sum(axis=1)
-    return cols, row_sums
-
-
-def _refine(matrix, rhs, solve, anorm_inf):
+def _refine(op, rhs, solve, anorm_inf):
     """x <- x + H^{-1}(y - A x) until the correction is below eps ||x||.
 
-    A refinement that stops contracting is accepted only at a normwise
-    backward error of at most BERR_EPS * eps; anything else returns None.
+    The residual is computed block by block.  A refinement that stops
+    contracting is accepted only at a normwise backward error of at most
+    BERR_EPS * eps; anything else returns None.
     """
     x = solve(rhs)
     rhs_norm = np.max(np.abs(rhs))
     previous = np.inf
     for _ in range(MAX_REFINE):
-        residual = rhs - matrix @ x
+        residual = rhs - op.matmul(x)
         correction = solve(residual)
         size = np.max(np.abs(correction))
         refined = x + correction
@@ -246,32 +282,42 @@ def _inverse_norm1_estimate(solve, solve_t, n):
     return max(est, 2.0 * np.sum(np.abs(solve(alternating))) / (3.0 * n))
 
 
-def hierarchical_solve(matrix, rhs, offsets):
+def hierarchical_solve(matrix, rhs, offsets=None):
     """(x, rcond) from the hierarchical path, or None to use dense LU.
 
-    ``offsets`` are the panel boundaries of the rows, from 0 to N.  None
-    means the path does not apply (N below CROSSOVER_N, one panel, no
-    low-rank split) or failed (a zero pivot, or refinement that did not
-    reach working accuracy).  ``matrix`` must be finite.
+    ``matrix`` is a ``BlockOperator``, or an N x N array cut at ``offsets``
+    (the panel boundaries of its rows, from 0 to N), which is wrapped as an
+    operator that shares no blocks.  None means the path does not apply (N
+    below CROSSOVER_N, one panel, no low-rank split, non-finite entries) or
+    failed (a zero pivot, or refinement that did not reach working accuracy).
+    The solve forms no N x N array.
     """
-    offsets = np.asarray(offsets)
-    n = len(matrix)
-    if n < CROSSOVER_N or len(offsets) < 3 or offsets[0] != 0 or offsets[-1] != n:
+    op = as_block_operator(matrix, offsets)
+    n = len(op)
+    if n < CROSSOVER_N or op.panels < 2:
         return None
-    col_sums, row_sums = _abs_sums(matrix)
-    anorm = col_sums.max()
+    anorm, anorm_inf = op.norm1(), op.norm_inf()
+    if not np.isfinite(anorm):
+        return None
     rng = np.random.default_rng(SEED)
+
+    def solve(b):
+        return root.solve(b[:, None])[:, 0]
+
+    def solve_t(b):
+        return root.solve_t(b[:, None])[:, 0]
+
     # overflow or a zero pivot anywhere hands the system back to dense LU
     with np.errstate(all="ignore"):
         try:
-            root = _build(matrix, offsets, 0, len(offsets) - 1, SKETCH_TOL * anorm, rng)
+            root = _build(op, 0, op.panels, SKETCH_TOL * anorm, rng, {})
             if isinstance(root, _Leaf):
                 return None
             root.factor()
-            x = _refine(matrix, rhs, root.solve, row_sums.max())
+            x = _refine(op, rhs, solve, anorm_inf)
             if x is None:
                 return None
-            ainvnm = _inverse_norm1_estimate(root.solve, root.solve_t, n)
+            ainvnm = _inverse_norm1_estimate(solve, solve_t, n)
         except np.linalg.LinAlgError:
             return None
     rcond = 1.0 / ainvnm / anorm if ainvnm != 0.0 else 0.0
