@@ -18,14 +18,9 @@ import time
 
 import numpy as np
 
-from chebfred.baselines import (
-    MethodNotApplicableError,
-    gauss_legendre_rule,
-    nystrom_solve,
-    trapezium_deferred_solve,
-)
-from chebfred.composite_solver import solve_partitioned
-from chebfred.fredholm_solver import relative_sup_error, solve_fredholm
+from chebfred.baselines import MethodNotApplicableError
+from chebfred.cli import run_method
+from chebfred.fredholm_solver import relative_sup_error
 from chebfred.kernel_catalog import catalog_lookup
 from chebfred.schrodinger import self_convergence, solve_schrodinger
 
@@ -39,26 +34,9 @@ BENCHMARKS = {
 ORDER_OVERRIDES = {"example4": (15, 31, 63, 127, 255)}
 
 
-def _run(problem, method, n):
-    kern, a, b, lam, rhs = problem.kernel, problem.a, problem.b, problem.lam, problem.rhs
+def _run(problem, method, n, breakpoints=()):
     start = time.perf_counter()
-    if method == "schur":
-        sol = solve_fredholm(kern, a, b, lam, rhs, n)
-        nodes, values = sol.nodes, sol.node_values
-    elif method == "alg1":
-        sol = solve_fredholm(kern, a, b, lam, rhs, n, smooth=True)
-        nodes, values = sol.nodes, sol.node_values
-    elif method == "composite":
-        sol = solve_partitioned(kern, a, b, lam, rhs, orders=n)
-        nodes, values = sol.nodes, sol.node_values
-    elif method == "gleg":
-        res = nystrom_solve(kern, gauss_legendre_rule(n, a, b), lam, rhs)
-        nodes, values = res.nodes, res.values
-    elif method == "tdef":
-        res = trapezium_deferred_solve(kern, a, b, lam, rhs, n)
-        nodes, values = res.nodes, res.values
-    else:
-        raise ValueError(method)
+    nodes, values, _ = run_method(problem, method, n, breakpoints)
     elapsed = (time.perf_counter() - start) * 1e3
     return relative_sup_error(values, problem.solution(nodes)), elapsed
 
@@ -90,19 +68,8 @@ def write_longrange_table(outdir: pathlib.Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["panels", "n", "error", "elapsed_ms"])
         for m, n in cases:
-            start = time.perf_counter()
             edges = np.linspace(problem.a, problem.b, m + 1)
-            sol = solve_partitioned(
-                problem.kernel,
-                problem.a,
-                problem.b,
-                problem.lam,
-                problem.rhs,
-                breakpoints=tuple(edges[1:-1]),
-                orders=n,
-            )
-            ms = (time.perf_counter() - start) * 1e3
-            err = relative_sup_error(sol.node_values, problem.solution(sol.nodes))
+            err, ms = _run(problem, "composite", n, tuple(edges[1:-1]))
             writer.writerow([m, n, f"{err:.6e}", f"{ms:.3f}"])
     print(f"wrote {path}")
 

@@ -28,15 +28,11 @@ from .composite_solver import (
 )
 from .fredholm_solver import (
     ChebSolution,
-    DiscreteSystem,
     SingularMatrixError,
     dense_solve,
-    discretize_semismooth,
     discretize_smooth,
     relative_sup_error,
-    schur_product,
     solve_fredholm,
-    solve_system,
 )
 from .kernel_catalog import (
     BenchmarkProblem,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fredholm_solver import dense_solve
+from .fredholm_solver import _rhs_values, dense_solve
 
 __all__ = [
     "MethodNotApplicableError",
@@ -91,19 +91,12 @@ def _sample(kernel, t, s) -> np.ndarray:
     return np.asarray(kernel(t, s), dtype=float)
 
 
-def _rhs_at(rhs, nodes: np.ndarray) -> np.ndarray:
-    vals = np.asarray(rhs(nodes) if callable(rhs) else rhs, dtype=float)
-    if vals.shape != nodes.shape:
-        raise ValueError(f"rhs has shape {vals.shape}, expected {nodes.shape}")
-    return vals
-
-
 def nystrom_solve(kernel, rule: QuadratureRule, lam: float, rhs) -> BaselineSolution:
     """x_i + lam * sum_j w_j k(t_i, s_j) x_j = y(t_i), dense solve."""
     t = rule.nodes
     k_vals = _sample(kernel, t[:, None], t[None, :])
     matrix = np.eye(len(t)) + lam * k_vals * rule.weights[None, :]
-    vals, rcond, warn = dense_solve(matrix, _rhs_at(rhs, t))
+    vals, rcond, warn = dense_solve(matrix, _rhs_values(rhs, t))
     return BaselineSolution(nodes=t, values=vals, rcond=rcond, cond_warning=warn)
 
 
@@ -128,7 +121,7 @@ def _trapezium_semismooth(kernel, a: float, b: float, lam: float, rhs, panels: i
         k1 = np.asarray(kernel(t[:, None], t[None, :]), dtype=float)
         k2 = k1
     matrix = np.eye(m + 1) + lam * (w1 * k1 + w2 * k2)
-    return dense_solve(matrix, _rhs_at(rhs, t)), t
+    return dense_solve(matrix, _rhs_values(rhs, t)), t
 
 
 def trapezium_deferred_solve(

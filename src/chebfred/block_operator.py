@@ -18,8 +18,8 @@ Two storages implement it:
 * ``DenseBlocks``: every block is distinct, so the N x N array is itself
   the storage, and a range of panels is a view of it.
 
-``as_block_operator`` wraps a plain array cut at given offsets as
-``DenseBlocks``.
+``as_block_operator`` wraps a plain array as ``DenseBlocks``, cut at given
+offsets or taken as one panel.
 """
 
 from __future__ import annotations
@@ -196,14 +196,13 @@ class ToeplitzBlocks(BlockOperator):
 
 
 def as_block_operator(matrix, offsets=None):
-    """``matrix`` itself if it is a BlockOperator, else the array cut at ``offsets``."""
+    """``matrix`` itself if it is a BlockOperator, else the array cut at
+    ``offsets`` (default: one panel)."""
     if isinstance(matrix, BlockOperator):
-        if offsets is not None and not np.array_equal(offsets, matrix.offsets):
-            raise ValueError("offsets differ from the operator's own")
         return matrix
     matrix = np.asarray(matrix, dtype=float)
-    off = np.asarray(offsets, dtype=int)
     n = len(matrix)
+    off = np.asarray((0, n) if offsets is None else offsets, dtype=int)
     if matrix.shape != (n, n) or off[0] != 0 or off[-1] != n or np.any(np.diff(off) <= 0):
         raise ValueError(f"offsets {off.tolist()} do not cut a square {matrix.shape} matrix")
     return DenseBlocks(matrix, off)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import (
+    BaselineSolution,
     MethodNotApplicableError,
     gauss_legendre_rule,
     nystrom_solve,
@@ -36,7 +37,7 @@ from .kernel_catalog import (
 )
 from .schrodinger import self_convergence, solve_schrodinger
 
-__all__ = ["main", "RunConfig", "ConfigError"]
+__all__ = ["main", "run_method", "RunConfig", "ConfigError"]
 
 METHODS = ("schur", "alg1", "gleg", "tdef", "composite")
 CONFIG_KEYS = (
@@ -211,32 +212,34 @@ def _lookup(config: RunConfig):
     )
 
 
-def _solve_benchmark(problem, method: str, order: int, config: RunConfig) -> RunRow:
-    kern = problem.kernel
-    a, b, lam = problem.a, problem.b, problem.lam
-    start = time.perf_counter()
-    if method == "schur":
-        sol = solve_fredholm(kern, a, b, lam, problem.rhs, order)
-        nodes, values, warn = sol.nodes, sol.node_values, sol.cond_warning
-    elif method == "alg1":
-        sol = solve_fredholm(kern, a, b, lam, problem.rhs, order, smooth=True)
-        nodes, values, warn = sol.nodes, sol.node_values, sol.cond_warning
+def run_method(problem, method: str, order: int, breakpoints=()):
+    """Solve a benchmark problem by one method; returns (nodes, values, cond_warning).
+
+    ``breakpoints`` are the interior panel edges of the ``composite`` method;
+    kernel singular points are added to them.  A ``gleg`` order below 1
+    raises ValueError.
+    """
+    kern, a, b, lam, rhs = problem.kernel, problem.a, problem.b, problem.lam, problem.rhs
+    if method in ("schur", "alg1"):
+        sol = solve_fredholm(kern, a, b, lam, rhs, order, smooth=method == "alg1")
     elif method == "composite":
-        bps = config.breakpoints
-        if not bps and config.panels:
-            bps = tuple(np.linspace(a, b, config.panels + 1)[1:-1])
-        sol = solve_partitioned(kern, a, b, lam, problem.rhs, breakpoints=bps, orders=order)
-        nodes, values, warn = sol.nodes, sol.node_values, sol.cond_warning
+        sol = solve_partitioned(kern, a, b, lam, rhs, breakpoints=breakpoints, orders=order)
     elif method == "gleg":
-        if order < 1:
-            raise ConfigError("gleg needs n >= 1")
-        res = nystrom_solve(kern, gauss_legendre_rule(order, a, b), lam, problem.rhs)
-        nodes, values, warn = res.nodes, res.values, res.cond_warning
+        sol = nystrom_solve(kern, gauss_legendre_rule(order, a, b), lam, rhs)
     elif method == "tdef":
-        res = trapezium_deferred_solve(kern, a, b, lam, problem.rhs, order)
-        nodes, values, warn = res.nodes, res.values, res.cond_warning
-    else:  # pragma: no cover - guarded by config validation
-        raise ConfigError(f"unknown method {method!r}")
+        sol = trapezium_deferred_solve(kern, a, b, lam, rhs, order)
+    else:
+        raise ConfigError(f"unknown method {method!r}; known: {', '.join(METHODS)}")
+    values = sol.values if isinstance(sol, BaselineSolution) else sol.node_values
+    return sol.nodes, values, sol.cond_warning
+
+
+def _solve_benchmark(problem, method: str, order: int, config: RunConfig) -> RunRow:
+    bps = config.breakpoints
+    if method == "composite" and not bps and config.panels:
+        bps = tuple(np.linspace(problem.a, problem.b, config.panels + 1)[1:-1])
+    start = time.perf_counter()
+    nodes, values, warn = run_method(problem, method, order, bps)
     elapsed = (time.perf_counter() - start) * 1e3
     error = relative_sup_error(values, problem.solution(nodes))
     if not math.isfinite(error):

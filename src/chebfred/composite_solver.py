@@ -1,6 +1,8 @@
 """Composite rule: the semismooth discretization on a partition of [a, b].
 
-Each panel keeps its own Chebyshev grid.  Diagonal blocks are the one-panel
+This is the package's one discretization path: a single-panel solve
+(``fredholm_solver.solve_fredholm``) is the partition into one panel.  Each
+panel keeps its own Chebyshev grid.  Diagonal blocks are the one-panel
 semismooth matrices; an off-diagonal block couples target nodes in panel j to
 source nodes in panel i, where the whole source panel lies on one side of
 every target node, so only one kernel branch and the plain full-interval
@@ -9,11 +11,12 @@ singularities onto panel boundaries keeps every sampled point regular, since
 Chebyshev nodes of the first kind never touch panel endpoints.
 
 ``assemble_blocks`` returns the system matrix as a ``BlockOperator``
-(``block_operator``).  When ``detect_toeplitz`` holds (a difference kernel
-on panels of equal width and order), block (j, i) depends on j - i only, so
-the operator keeps the 2m - 1 distinct blocks, each sampled once, and no
-N x N array is formed.  Otherwise every block is distinct, and the N x N
-array they are written into is the operator's storage.
+(``block_operator``).  When ``detect_toeplitz`` holds (one panel, or a
+difference kernel on panels of equal width and order), block (j, i) depends
+on j - i only, so the operator keeps the 2m - 1 distinct blocks, each
+sampled once, and no N x N array is formed.  Otherwise every block is
+distinct, and the N x N array they are written into is the operator's
+storage.
 
 Because the kernel is smooth away from s = t, every block that couples two
 disjoint groups of panels is numerically low-rank.  ``solve_composite``
@@ -23,9 +26,9 @@ from its blocks: bisection at panel boundaries, randomized compression of
 the off-diagonal blocks through blockwise products, one compression and
 factorization per distinct subtree under Toeplitz structure,
 Sherman-Morrison-Woodbury solves, and refinement against the exact operator.
-Under Toeplitz structure the N x N array is formed only for dense LU: below
-the crossover, and as the fallback whenever the hierarchical answer does not
-reach working accuracy (see ``dense_solve``).
+Under Toeplitz structure the N x N array is formed only for dense LU: for
+one panel, below the crossover, and as the fallback whenever the
+hierarchical answer does not reach working accuracy (see ``dense_solve``).
 """
 
 from __future__ import annotations
@@ -35,8 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .block_operator import BlockOperator, DenseBlocks, ToeplitzBlocks
-from .fredholm_solver import ChebSolution, dense_solve, semismooth_block
-from .spectral_core import ChebGrid, build_operators, cheb_grid
+from .fredholm_solver import ChebSolution, _rhs_values, dense_solve, semismooth_block
+from .kernel_catalog import SemismoothKernel
+from .spectral_core import build_operators, cheb_grid
 
 __all__ = [
     "Partition",
@@ -126,8 +130,11 @@ def build_partition(
 
 
 def detect_toeplitz(kernel, partition: Partition) -> bool:
-    """True when blocks repeat along diagonals: difference-form kernel,
-    equal panel widths, equal panel orders."""
+    """True when blocks repeat along diagonals: one panel, whose single block
+    depends on j - i trivially, or a difference-form kernel on panels of
+    equal width and order."""
+    if partition.panels == 1:
+        return True
     if not getattr(kernel, "difference_form", False):
         return False
     widths = np.array([g.width for g in partition.grids])
@@ -148,12 +155,16 @@ class BlockSystem:
 def assemble_blocks(kernel, partition: Partition, lam: float, rhs) -> BlockSystem:
     """Build the system as a BlockOperator of panel blocks, plus the right-hand side.
 
-    When the block structure is Toeplitz, each distinct block (indexed by the
-    panel offset j - i) is sampled once, from the first (j, i) on its
-    diagonal, which the operator reuses along that diagonal, and no N x N
-    array is formed.  Otherwise every block (j, i) is sampled and written into
-    the N x N array that the operator wraps.
+    ``kernel`` is a two-branch kernel or a plain callable k(t, s), taken as
+    equal branches.  When the block structure is Toeplitz, each distinct
+    block (indexed by the panel offset j - i) is sampled once, from the first
+    (j, i) on its diagonal, which the operator reuses along that diagonal,
+    and no N x N array is formed; a one-panel system is its one block.
+    Otherwise every block (j, i) is sampled and written into the N x N array
+    that the operator wraps.
     """
+    if not hasattr(kernel, "eval_lower"):
+        kernel = SemismoothKernel(kernel, kernel)
     grids = partition.grids
     offsets = partition.offsets
     total = offsets[-1]
@@ -186,28 +197,12 @@ def assemble_blocks(kernel, partition: Partition, lam: float, rhs) -> BlockSyste
             for i in range(m):
                 dense[offsets[j] : offsets[j + 1], offsets[i] : offsets[i + 1]] = block(j, i)
         matrix = DenseBlocks(dense, offsets)
-    if callable(rhs):
-        rhs_vec = np.concatenate([np.asarray(rhs(g.nodes), dtype=float) for g in grids])
-    else:
-        rhs_vec = np.asarray(rhs, dtype=float)
-    if rhs_vec.shape != (total,):
-        raise ValueError(f"rhs has shape {rhs_vec.shape}, expected ({total},)")
-    if not np.all(np.isfinite(rhs_vec)):
-        raise ValueError("rhs contains non-finite values")
+    rhs_vec = _rhs_values(rhs, np.concatenate([g.nodes for g in grids]))
     return BlockSystem(matrix, rhs_vec, partition, lam, toeplitz)
 
 
 def solve_composite(system: BlockSystem) -> ChebSolution:
-    offsets = system.partition.offsets
-    vals, rcond, warn = dense_solve(system.matrix, system.rhs)
-    grids = system.partition.grids
-    values = tuple(vals[offsets[p] : offsets[p + 1]] for p in range(len(grids)))
-    coeffs = tuple(
-        build_operators(g.order).coefficients(v) for g, v in zip(grids, values)
-    )
-    return ChebSolution(
-        grids=grids, values=values, coeffs=coeffs, rcond=rcond, cond_warning=warn
-    )
+    return ChebSolution.from_solve(system.partition.grids, dense_solve(system.matrix, system.rhs))
 
 
 def solve_partitioned(

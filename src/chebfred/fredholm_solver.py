@@ -1,113 +1,95 @@
 """Nystrom-style discretization and solve for second-kind integral equations.
 
-Both discretizations collocate x(t) + lam * int_a^b k(t,s) x(s) ds = y(t) at
-the Chebyshev nodes of a single panel.  ``discretize_smooth`` treats the
-kernel as one smooth function and needs only the full-interval weight row;
-``discretize_semismooth`` keeps the two branches separate and pairs each with
-the one-sided integration matrix that is exact for polynomial integrands up
-to the discretization degree, which is what preserves spectral accuracy when
-the kernel has a kink or jump on the diagonal.
+Both rules collocate x(t) + lam * int_a^b k(t,s) x(s) ds = y(t) at Chebyshev
+nodes.  The branch-split rule keeps the two kernel branches separate and
+pairs each with the one-sided integration matrix that is exact for
+polynomial integrands up to the discretization degree, which is what
+preserves spectral accuracy when the kernel has a kink or jump on the
+diagonal; ``semismooth_block`` forms one panel's matrix of it.  The
+composite solver (``composite_solver``) assembles these blocks on a
+partition of [a, b], and ``solve_fredholm`` is its one-panel case.
+``discretize_smooth`` (the ``alg1`` baseline) treats the kernel as one
+smooth function and needs only the full-interval weight row.
+
+This module also holds what every solver shares: ``dense_solve``, the rhs
+check and the ``ChebSolution`` result.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 from scipy import linalg
 
-from .block_operator import BlockOperator, abs_sums, as_block_operator
+from .block_operator import ToeplitzBlocks, as_block_operator
 from .hierarchical import hierarchical_solve
-from .spectral_core import ChebGrid, SpectralOperators, build_operators, cheb_grid, chebyshev_eval
+from .spectral_core import ChebGrid, SpectralOperators, build_operators, chebyshev_eval
 
 __all__ = [
     "SingularMatrixError",
-    "DiscreteSystem",
     "ChebSolution",
     "dense_solve",
-    "schur_product",
     "semismooth_block",
     "discretize_smooth",
-    "discretize_semismooth",
-    "solve_system",
     "solve_fredholm",
     "relative_sup_error",
 ]
 
 RCOND_WARN = 1e-12
+_getrf, _gecon, _getrs = linalg.get_lapack_funcs(("getrf", "gecon", "getrs"), (np.empty((1, 1)),))
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
     """LU factorization hit an exactly zero pivot."""
 
 
-def dense_solve(matrix, rhs: np.ndarray, blocks=None):
+def dense_solve(matrix, rhs: np.ndarray):
     """Solve A x = y; returns (x, rcond, warning).
 
     ``rcond`` is the reciprocal condition estimate in the 1-norm and
     ``warning`` is True when it drops below 1e-12.
 
-    ``matrix`` is an array or a ``BlockOperator`` (a composite system cut at
-    panel boundaries, each distinct block stored once).  An array with
-    ``blocks``, the panel boundaries of a composite system
-    (``Partition.offsets``), is wrapped as an operator that shares no blocks.  A plain array is solved by LU with
-    partial pivoting and the LAPACK ``gecon`` estimate; ||A||_1 comes from
-    one chunked pass over |A|, and only when it is not finite does an exact
-    finiteness check decide between ``ValueError`` and an overflowed norm.
+    ``matrix`` is a ``BlockOperator`` (a system cut at panel boundaries, each
+    distinct block stored once) or a plain array, taken as one panel.
+    ||A||_1 comes from the operator's column sums of |A|, and only when it
+    is not finite does an exact finiteness check, once per distinct block,
+    decide between ``ValueError`` and an overflowed norm.
 
-    An operator is checked for finite entries once per distinct block.  With
-    at least two panels and N at or above ``hierarchical.CROSSOVER_N``, it
-    is then factored hierarchically from its blocks, forming no N x N array:
-    the matrix is bisected at panel boundaries, each off-diagonal block is
-    compressed to low rank by a seeded randomized range finder working
-    through blockwise products, and the factorization solves through the
-    Sherman-Morrison-Woodbury formula.  Under Toeplitz block structure each
-    distinct subtree is compressed and factored once.  That answer is refined
-    against the exact operator and kept only when the last correction is
-    below eps ||x||, or when refinement stagnates at a normwise backward
-    error of a few eps; rcond then comes from the same estimator ``gecon``
-    uses (dlacn2), run on hierarchical solves with A and A^T.  A node whose
-    ranks make the Woodbury update cost more than a dense LU of the node is
-    factored densely.  Every other outcome (N below the crossover, no
-    low-rank split, a zero pivot, refinement that does not converge) forms
-    the dense array and takes the LU path, which factors it in place, so a
-    singular system still raises ``SingularMatrixError``.
+    With at least two panels and N at or above ``hierarchical.CROSSOVER_N``,
+    the system is factored hierarchically from its blocks, forming no N x N
+    array: the matrix is bisected at panel boundaries, each off-diagonal
+    block is compressed to low rank by a seeded randomized range finder
+    working through blockwise products, and the factorization solves
+    through the Sherman-Morrison-Woodbury formula.  Under Toeplitz block
+    structure each distinct subtree is compressed and factored once.  That
+    answer is refined against the exact operator and kept only when the last
+    correction is below eps ||x||, or when refinement stagnates at a
+    normwise backward error of a few eps; rcond then comes from the same
+    estimator ``gecon`` uses (dlacn2), run on hierarchical solves with A and
+    A^T.  A node whose ranks make the Woodbury update cost more than a dense
+    LU of the node is factored densely.  Every other outcome (one panel, N
+    below the crossover, no low-rank split, a zero pivot, refinement that
+    does not converge) forms the dense array and factors it in place by LU
+    with partial pivoting, with the LAPACK ``gecon`` estimate, so a singular
+    system raises ``SingularMatrixError``.
     """
     rhs = np.asarray(rhs, dtype=float)
-    fresh = False
-    if isinstance(matrix, BlockOperator) or blocks is not None:
-        op = as_block_operator(matrix, blocks)
-        if not (np.isfinite(op.norm1()) or op.is_finite()):
-            raise ValueError("system matrix contains non-finite entries")
-        solved = hierarchical_solve(op, rhs)
-        if solved is not None:
-            x, rcond = solved
-            return x, rcond, bool(rcond < RCOND_WARN)
-        matrix, fresh = op.dense(), True
-    else:
-        matrix = np.asarray(matrix, dtype=float)
-    anorm = abs_sums(matrix)[0].max()
-    if not np.isfinite(anorm) and not np.all(np.isfinite(matrix)):
+    op = as_block_operator(matrix)
+    anorm = op.norm1()
+    if not (np.isfinite(anorm) or op.is_finite()):
         raise ValueError("system matrix contains non-finite entries")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", linalg.LinAlgWarning)
-        lu, piv = linalg.lu_factor(matrix, overwrite_a=fresh, check_finite=False)
-    if np.min(np.abs(np.diag(lu))) == 0.0:
+    solved = hierarchical_solve(op, rhs)
+    if solved is not None:
+        x, rcond = solved
+        return x, rcond, bool(rcond < RCOND_WARN)
+    lu, piv, info = _getrf(op.dense(), overwrite_a=True)
+    if info > 0:  # an exactly zero pivot
         raise SingularMatrixError("discretized operator is singular to working precision")
-    gecon = linalg.get_lapack_funcs("gecon", (lu,))
-    rcond, _info = gecon(lu, anorm)
-    x = linalg.lu_solve((lu, piv), rhs, check_finite=False)
+    rcond, _info = _gecon(lu, anorm)
+    x, _info = _getrs(lu, piv, rhs)
     return x, float(rcond), bool(rcond < RCOND_WARN)
-
-
-def schur_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entrywise product, with a shape check that fails loudly."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    return a * b
 
 
 def semismooth_block(
@@ -136,17 +118,9 @@ def semismooth_block(
     return block
 
 
-@dataclass(frozen=True)
-class DiscreteSystem:
-    matrix: np.ndarray
-    rhs: np.ndarray
-    grid: ChebGrid
-    ops: SpectralOperators
-    lam: float
-    kind: str  # "smooth" or "semismooth"
-
-
 def _rhs_values(rhs, nodes: np.ndarray) -> np.ndarray:
+    """The right-hand side at ``nodes``, from a callable or an array of their
+    shape; a wrong shape or a non-finite value raises ValueError."""
     if callable(rhs):
         vals = np.asarray(rhs(nodes), dtype=float)
     else:
@@ -158,12 +132,16 @@ def _rhs_values(rhs, nodes: np.ndarray) -> np.ndarray:
     return vals
 
 
-def discretize_smooth(kernel, grid: ChebGrid, lam: float, rhs) -> DiscreteSystem:
+def discretize_smooth(kernel, grid: ChebGrid, lam: float, rhs):
     """Plain product-quadrature discretization with the full weight row.
 
-    ``kernel`` may be a two-branch kernel (sampled with the branch selected by
-    the side of the diagonal) or any callable k(t, s).
+    Returns a one-panel ``BlockSystem`` whose operator holds the assembled
+    matrix itself.  ``kernel`` may be a two-branch kernel (sampled with the
+    branch selected by the side of the diagonal) or any callable k(t, s).
     """
+    # composite_solver imports this module, so it is imported at call time
+    from .composite_solver import BlockSystem, Partition
+
     ops = build_operators(grid.order)
     t = grid.nodes
     if hasattr(kernel, "eval"):
@@ -172,22 +150,9 @@ def discretize_smooth(kernel, grid: ChebGrid, lam: float, rhs) -> DiscreteSystem
         k_vals = np.asarray(kernel(t[:, None], t[None, :]), dtype=float)
     scale = lam * grid.width / 2.0
     matrix = np.eye(grid.order + 1) + scale * k_vals * ops.full_weights[None, :]
-    return DiscreteSystem(matrix, _rhs_values(rhs, t), grid, ops, lam, "smooth")
-
-
-def discretize_semismooth(kernel, grid: ChebGrid, lam: float, rhs) -> DiscreteSystem:
-    """Branch-split discretization: each branch gets its one-sided matrix."""
-    ops = build_operators(grid.order)
-    t = grid.nodes
-    if hasattr(kernel, "eval_lower"):
-        k1_vals = kernel.eval_lower(t[:, None], t[None, :])
-        k2_vals = kernel.eval_upper(t[:, None], t[None, :])
-    else:
-        k1_vals = np.asarray(kernel(t[:, None], t[None, :]), dtype=float)
-        k2_vals = k1_vals
-    scale = lam * grid.width / 2.0
-    matrix = semismooth_block(ops, k1_vals, k2_vals, scale)
-    return DiscreteSystem(matrix, _rhs_values(rhs, t), grid, ops, lam, "semismooth")
+    partition = Partition(np.array([grid.a, grid.b]), (grid,))
+    op = ToeplitzBlocks(partition.offsets, {0: matrix})
+    return BlockSystem(op, _rhs_values(rhs, t), partition, lam, toeplitz=True)
 
 
 @dataclass(frozen=True)
@@ -233,26 +198,36 @@ class ChebSolution:
             out[mask] = chebyshev_eval(self.coeffs[p], g.to_reference(t_arr[mask]))
         return out if np.ndim(t) else out[0]
 
-
-def solve_system(system: DiscreteSystem) -> ChebSolution:
-    vals, rcond, warn = dense_solve(system.matrix, system.rhs)
-    coeffs = system.ops.coefficients(vals)
-    return ChebSolution(
-        grids=(system.grid,),
-        values=(vals,),
-        coeffs=(coeffs,),
-        rcond=rcond,
-        cond_warning=warn,
-    )
+    @classmethod
+    def from_solve(cls, grids, solved) -> ChebSolution:
+        """The solution on ``grids`` from ``dense_solve``'s (x, rcond, warning):
+        x is split at the panel offsets, and each panel's node values give its
+        Chebyshev coefficients."""
+        x, rcond, warn = solved
+        bounds = list(accumulate((g.order + 1 for g in grids), initial=0))
+        values = tuple(x[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
+        coeffs = tuple(build_operators(g.order).coefficients(v) for g, v in zip(grids, values))
+        return cls(grids=tuple(grids), values=values, coeffs=coeffs, rcond=rcond, cond_warning=warn)
 
 
 def solve_fredholm(
     kernel, a: float, b: float, lam: float, rhs, order: int, smooth: bool = False
 ) -> ChebSolution:
-    """One-call path: grid, discretize (semismooth by default), dense solve."""
-    grid = cheb_grid(order, a, b)
-    disc = discretize_smooth if smooth else discretize_semismooth
-    return solve_system(disc(kernel, grid, lam, rhs))
+    """One-call path: the composite solve on [a, b] as one panel.
+
+    The system is assembled branch-split by ``assemble_blocks`` (default) or
+    with the full weight row by ``discretize_smooth``.  Kernel singular
+    points are not made breakpoints; ``solve_partitioned`` does that.
+    """
+    # composite_solver imports this module, so it is imported at call time
+    from .composite_solver import assemble_blocks, build_partition, solve_composite
+
+    partition = build_partition(a, b, orders=order)
+    if smooth:
+        system = discretize_smooth(kernel, partition.grids[0], lam, rhs)
+    else:
+        system = assemble_blocks(kernel, partition, lam, rhs)
+    return solve_composite(system)
 
 
 def relative_sup_error(approx: np.ndarray, exact: np.ndarray) -> float:

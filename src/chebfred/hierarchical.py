@@ -44,8 +44,6 @@ from __future__ import annotations
 import numpy as np
 from scipy import linalg
 
-from .block_operator import as_block_operator
-
 __all__ = ["CROSSOVER_N", "LEAF_SIZE", "SKETCH_TOL", "hierarchical_solve"]
 
 # Smallest system the hierarchical path is tried on, and the largest node
@@ -282,17 +280,14 @@ def _inverse_norm1_estimate(solve, solve_t, n):
     return max(est, 2.0 * np.sum(np.abs(solve(alternating))) / (3.0 * n))
 
 
-def hierarchical_solve(matrix, rhs, offsets=None):
+def hierarchical_solve(op, rhs):
     """(x, rcond) from the hierarchical path, or None to use dense LU.
 
-    ``matrix`` is a ``BlockOperator``, or an N x N array cut at ``offsets``
-    (the panel boundaries of its rows, from 0 to N), which is wrapped as an
-    operator that shares no blocks.  None means the path does not apply (N
+    ``op`` is a ``BlockOperator``.  None means the path does not apply (N
     below CROSSOVER_N, one panel, no low-rank split, non-finite entries) or
     failed (a zero pivot, or refinement that did not reach working accuracy).
     The solve forms no N x N array.
     """
-    op = as_block_operator(matrix, offsets)
     n = len(op)
     if n < CROSSOVER_N or op.panels < 2:
         return None

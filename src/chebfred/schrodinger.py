@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fredholm_solver import ChebSolution, dense_solve, relative_sup_error, schur_product
+from .fredholm_solver import ChebSolution, _rhs_values, dense_solve, relative_sup_error
 from .kernel_catalog import NonlocalPotential, SchrodingerProblem
 from .spectral_core import ChebGrid, SpectralOperators, build_operators, cheb_grid
 
@@ -103,15 +103,10 @@ def assemble(potential: NonlocalPotential, grid: ChebGrid, rhs_override=None) ->
     scale = grid.width / (2.0 * kappa)
     matrix = (
         np.eye(grid.order + 1)
-        + scale * cos_t[:, None] * (schur_product(ops.int_left, k11) + schur_product(ops.int_right, k12))
-        + scale * sin_t[:, None] * (schur_product(ops.int_left, k21) + schur_product(ops.int_right, k22))
+        + scale * cos_t[:, None] * (ops.int_left * k11 + ops.int_right * k12)
+        + scale * sin_t[:, None] * (ops.int_left * k21 + ops.int_right * k22)
     )
-    if rhs_override is None:
-        rhs = sin_t.copy()
-    else:
-        rhs = np.asarray(rhs_override(t), dtype=float)
-        if rhs.shape != t.shape:
-            raise ValueError(f"rhs override returned shape {rhs.shape}, expected {t.shape}")
+    rhs = sin_t.copy() if rhs_override is None else _rhs_values(rhs_override, t)
     return SchrodingerSystem(
         grid=grid,
         ops=ops,
@@ -132,11 +127,7 @@ def assemble(potential: NonlocalPotential, grid: ChebGrid, rhs_override=None) ->
 def solve_schrodinger(potential: NonlocalPotential, order: int, rhs_override=None) -> ChebSolution:
     grid = cheb_grid(order, 0.0, potential.cutoff)
     system = assemble(potential, grid, rhs_override)
-    vals, rcond, warn = dense_solve(system.matrix, system.rhs)
-    coeffs = system.ops.coefficients(vals)
-    return ChebSolution(
-        grids=(grid,), values=(vals,), coeffs=(coeffs,), rcond=rcond, cond_warning=warn
-    )
+    return ChebSolution.from_solve((grid,), dense_solve(system.matrix, system.rhs))
 
 
 def self_convergence(potential: NonlocalPotential, order: int, rhs_override=None) -> float:

@@ -132,3 +132,20 @@ def test_deferred_trapezium_needs_two_panels():
         trapezium_deferred_solve(
             problem.kernel, problem.a, problem.b, problem.lam, problem.rhs, 1
         )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nystrom_rejects_nonfinite_rhs(bad):
+    problem = catalog_lookup("example1")
+    rule = gauss_legendre_rule(8, problem.a, problem.b)
+    with pytest.raises(ValueError, match="non-finite"):
+        nystrom_solve(problem.kernel, rule, problem.lam, lambda t: np.where(t > 0.5, bad, 1.0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_trapezium_deferred_rejects_nonfinite_rhs(bad):
+    problem = catalog_lookup("example1")
+    with pytest.raises(ValueError, match="non-finite"):
+        trapezium_deferred_solve(
+            problem.kernel, problem.a, problem.b, problem.lam, lambda t: np.where(t > 0.5, bad, 1.0), 8
+        )

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from chebfred import hierarchical
-from chebfred.block_operator import DenseBlocks, ToeplitzBlocks
+from chebfred.block_operator import DenseBlocks, ToeplitzBlocks, as_block_operator
 from chebfred.composite_solver import assemble_blocks, build_partition, solve_composite
 from chebfred.fredholm_solver import dense_solve, relative_sup_error, semismooth_block
 from chebfred.kernel_catalog import catalog_lookup
@@ -184,4 +184,4 @@ def test_nonfinite_off_diagonal_block_raises(toeplitz):
 
 def test_offsets_must_cut_the_matrix():
     with pytest.raises(ValueError, match="offsets"):
-        dense_solve(np.eye(4), np.ones(4), blocks=[0, 2, 5])
+        as_block_operator(np.eye(4), [0, 2, 5])

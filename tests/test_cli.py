@@ -101,6 +101,7 @@ def test_composite_method_with_panels(capsys):
         ["convergence", "--problem", "example1", "--n", "16"],
         ["solve", "--problem", "example2", "--T", "-3"],
         ["schrodinger", "--problem", "schrod_pereybuck", "--format", "plot-data"],
+        ["solve", "--problem", "example1", "--method", "gleg", "--n", "0"],
     ],
 )
 def test_configuration_errors_exit_2(argv, capsys):

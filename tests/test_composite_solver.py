@@ -12,7 +12,7 @@ from chebfred.composite_solver import (
     solve_composite,
     solve_partitioned,
 )
-from chebfred.fredholm_solver import discretize_semismooth, relative_sup_error
+from chebfred.fredholm_solver import relative_sup_error, semismooth_block
 from chebfred.kernel_catalog import catalog_lookup
 from chebfred.spectral_core import build_operators, cheb_grid
 
@@ -71,9 +71,12 @@ def test_single_panel_matches_single_grid_discretization():
     part = build_partition(problem.a, problem.b, orders=16)
     block = assemble_blocks(problem.kernel, part, problem.lam, problem.rhs)
     grid = cheb_grid(16, problem.a, problem.b)
-    single = discretize_semismooth(problem.kernel, grid, problem.lam, problem.rhs)
-    assert np.array_equal(block.matrix.dense(), single.matrix)
-    assert np.array_equal(block.rhs, single.rhs)
+    t = grid.nodes
+    k1 = problem.kernel.eval_lower(t[:, None], t[None, :])
+    k2 = problem.kernel.eval_upper(t[:, None], t[None, :])
+    single = semismooth_block(build_operators(16), k1, k2, problem.lam * grid.width / 2.0)
+    assert np.array_equal(block.matrix.dense(), single)
+    assert np.array_equal(block.rhs, problem.rhs(t))
 
 
 def test_off_diagonal_blocks_consistent_with_split_rule():

@@ -1,21 +1,22 @@
-"""Single-panel discretizations, dense solve, and off-grid evaluation."""
+"""One-panel systems, dense solve, and off-grid evaluation."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chebfred.composite_solver import assemble_blocks, build_partition
+from chebfred import composite_solver, fredholm_solver
+from chebfred.block_operator import ToeplitzBlocks
+from chebfred.composite_solver import assemble_blocks, build_partition, solve_composite
 from chebfred.fredholm_solver import (
     SingularMatrixError,
     dense_solve,
-    discretize_semismooth,
     discretize_smooth,
     relative_sup_error,
-    schur_product,
     semismooth_block,
     solve_fredholm,
-    solve_system,
 )
 from chebfred.kernel_catalog import catalog_lookup
 from chebfred.spectral_core import build_operators, cheb_grid, inverse_cosine_matrix
@@ -62,15 +63,6 @@ def test_dense_solve_rejects_nonfinite_matrix():
         dense_solve(a, np.array([1.0, 1.0]))
 
 
-def test_schur_product_small_cases():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert schur_product(a, np.eye(2)) == pytest.approx(np.diag([1.0, 4.0]))
-    b = np.array([[5.0, 6.0], [7.0, 8.0]])
-    assert schur_product(a, b) == pytest.approx(np.array([[5.0, 12.0], [21.0, 32.0]]))
-    with pytest.raises(ValueError):
-        schur_product(a, np.ones((2, 3)))
-
-
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=200, deadline=None)
 def test_schur_vector_action_identity(seed):
@@ -79,7 +71,7 @@ def test_schur_vector_action_identity(seed):
     a = rng.uniform(-1.0, 1.0, (5, 5))
     b = rng.uniform(-1.0, 1.0, (5, 5))
     c = rng.uniform(-1.0, 1.0, 5)
-    lhs = schur_product(a, b) @ c
+    lhs = (a * b) @ c
     rhs = np.diag(a @ np.diag(c) @ b.T)
     assert np.max(np.abs(lhs - rhs)) < 1e-13
 
@@ -128,23 +120,38 @@ def test_semismooth_block_rejects_mismatched_shapes():
             semismooth_block(ops, good, bad, 1.0)
 
 
-def test_discretizations_build_only_the_matrices_they_read():
+def _capture_operators(monkeypatch, module):
+    built = []
+
+    def capture(n):
+        built.append(build_operators(n))
+        return built[-1]
+
+    monkeypatch.setattr(module, "build_operators", capture)
+    return built
+
+
+def test_discretizations_build_only_the_matrices_they_read(monkeypatch):
     problem = catalog_lookup("example2")
-    grid = cheb_grid(1023, problem.a, problem.b)
-    split = discretize_semismooth(problem.kernel, grid, problem.lam, problem.rhs)
-    cached = set(vars(split.ops))
+    part = build_partition(problem.a, problem.b, orders=1023)
+    built = _capture_operators(monkeypatch, composite_solver)
+    assemble_blocks(problem.kernel, part, problem.lam, problem.rhs)
+    (split_ops,) = built
+    cached = set(vars(split_ops))
     assert "bracket" in cached
     assert not {"int_left", "int_right", "cosine", "cosine_inv", "coeff_int_left", "coeff_int_right"} & cached
-    smooth = discretize_smooth(problem.kernel, grid, problem.lam, problem.rhs)
-    assert all(np.ndim(value) <= 1 for value in vars(smooth.ops).values())
+    built = _capture_operators(monkeypatch, fredholm_solver)
+    discretize_smooth(problem.kernel, part.grids[0], problem.lam, problem.rhs)
+    (smooth_ops,) = built
+    assert all(np.ndim(value) <= 1 for value in vars(smooth_ops).values())
 
 
 def test_smooth_rule_zero_kernel():
     grid = cheb_grid(8, -1.0, 1.0)
     system = discretize_smooth(lambda t, s: t * 0.0 + s * 0.0, grid, 1.0, np.cos)
-    assert system.matrix == pytest.approx(np.eye(9))
-    assert system.kind == "smooth"
-    sol = solve_system(system)
+    assert system.matrix.dense() == pytest.approx(np.eye(9))
+    assert system.partition.grids == (grid,)
+    sol = solve_composite(system)
     assert sol.node_values == pytest.approx(np.cos(grid.nodes))
 
 
@@ -152,40 +159,58 @@ def test_smooth_rule_constant_kernel_constant_solution():
     # x + integral over [-1,1] of x = 1 forces the constant solution 1/3
     grid = cheb_grid(10, -1.0, 1.0)
     system = discretize_smooth(lambda t, s: np.ones(np.broadcast(t, s).shape), grid, 1.0, lambda t: np.ones_like(t))
-    sol = solve_system(system)
+    sol = solve_composite(system)
     assert sol.node_values == pytest.approx(np.full(11, 1.0 / 3.0), abs=1e-13)
     assert sol.evaluate(0.77) == pytest.approx(1.0 / 3.0, abs=1e-13)
 
 
 def test_semismooth_rule_zero_branches():
-    grid = cheb_grid(6, 0.0, 2.0)
+    part = build_partition(0.0, 2.0, orders=6)
     zero = lambda t, s: t * 0.0 + s * 0.0
-    system = discretize_semismooth(
+    system = assemble_blocks(
         type("K", (), {"eval_lower": staticmethod(zero), "eval_upper": staticmethod(zero)})(),
-        grid,
+        part,
         0.5,
         np.sin,
     )
-    assert system.kind == "semismooth"
-    sol = solve_system(system)
-    assert sol.node_values == pytest.approx(np.sin(grid.nodes))
+    sol = solve_composite(system)
+    assert sol.node_values == pytest.approx(np.sin(part.grids[0].nodes))
 
 
 @pytest.mark.parametrize("n", [4, 16, 64])
 def test_smooth_and_split_rules_agree_on_smooth_kernel(n):
-    # with identical branches the two discretizations coincide
+    # with identical branches the two discretizations coincide; a plain
+    # callable kernel is taken as two equal branches
     kernel = lambda t, s: np.exp(t * s)
-    grid = cheb_grid(n, -1.0, 1.0)
+    part = build_partition(-1.0, 1.0, orders=n)
     rhs = lambda t: np.cosh(t)
-    sys_a = discretize_smooth(kernel, grid, 0.4, rhs)
-    sys_b = discretize_semismooth(kernel, grid, 0.4, rhs)
+    sys_a = discretize_smooth(kernel, part.grids[0], 0.4, rhs)
+    sys_b = assemble_blocks(kernel, part, 0.4, rhs)
     rng = np.random.default_rng(n)
     v = rng.uniform(-1.0, 1.0, n + 1)
-    num = np.max(np.abs(sys_a.matrix @ v - sys_b.matrix @ v))
-    assert num / np.max(np.abs(sys_b.matrix @ v)) < 1e-12
-    xa = solve_system(sys_a).node_values
-    xb = solve_system(sys_b).node_values
+    num = np.max(np.abs(sys_a.matrix.dense() @ v - sys_b.matrix.dense() @ v))
+    assert num / np.max(np.abs(sys_b.matrix.dense() @ v)) < 1e-12
+    xa = solve_composite(sys_a).node_values
+    xb = solve_composite(sys_b).node_values
     assert np.max(np.abs(xa - xb)) < 1e-13
+
+
+def test_one_panel_system_keeps_its_block_as_storage():
+    # a one-panel system is Toeplitz: the operator holds the assembled block
+    # itself, and the solve adds only the LU copy of it (8 MB at n = 1000)
+    problem = catalog_lookup("example1")
+    part = build_partition(problem.a, problem.b, orders=1000)
+    system = assemble_blocks(problem.kernel, part, problem.lam, problem.rhs)
+    assert isinstance(system.matrix, ToeplitzBlocks)
+    assert list(system.matrix.diagonals) == [0]
+    assert system.matrix.diagonals[0].shape == (1001, 1001)
+    tracemalloc.start()
+    try:
+        solve_fredholm(problem.kernel, problem.a, problem.b, problem.lam, problem.rhs, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 44e6
 
 
 def test_sign_jump_problem_spectral_accuracy():
@@ -217,10 +242,11 @@ def test_error_decreases_until_rounding_floor(name):
 def test_assembled_operator_matches_trapezium_quadrature():
     # (A - I) x / lam reproduces the split integrals of the exact solution
     problem = catalog_lookup("example2")
-    grid = cheb_grid(16, problem.a, problem.b)
-    system = discretize_semismooth(problem.kernel, grid, problem.lam, problem.rhs)
+    part = build_partition(problem.a, problem.b, orders=16)
+    grid = part.grids[0]
+    system = assemble_blocks(problem.kernel, part, problem.lam, problem.rhs)
     x_exact = problem.solution(grid.nodes)
-    integrals = (system.matrix - np.eye(17)) @ x_exact / problem.lam
+    integrals = (system.matrix.dense() - np.eye(17)) @ x_exact / problem.lam
     kern, x = problem.kernel, problem.solution
     for i, ti in enumerate(grid.nodes):
         s_left = np.linspace(problem.a, ti, 10**5 + 1)

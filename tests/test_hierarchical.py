@@ -5,6 +5,7 @@ import pytest
 from scipy import linalg
 
 from chebfred import hierarchical
+from chebfred.block_operator import as_block_operator
 from chebfred.composite_solver import assemble_blocks, build_partition, solve_composite
 from chebfred.fredholm_solver import SingularMatrixError, dense_solve
 from chebfred.kernel_catalog import catalog_lookup
@@ -65,8 +66,8 @@ def test_hierarchical_path_agrees_with_dense_oracle(case):
     assert hierarchical.hierarchical_solve(system.matrix, system.rhs) is not None
     x_dense, rcond_dense, warn_dense = dense_solve(dense, system.rhs)
     # the block operator, and the dense array cut at the same offsets
-    for matrix, blocks in ((system.matrix, None), (dense, system.partition.offsets)):
-        x, rcond, warn = dense_solve(matrix, system.rhs, blocks=blocks)
+    for matrix in (system.matrix, as_block_operator(dense, system.partition.offsets)):
+        x, rcond, warn = dense_solve(matrix, system.rhs)
         # Plain LU is itself off by up to ~cond * eps (5.3e-12 at 32 x 63), so
         # both answers are measured against the exact discrete solution.
         assert _rel(x, exact) < 1e-12
@@ -127,8 +128,9 @@ def _same_lu_answer(plain, other):
 def test_full_rank_coupling_returns_the_lu_answer():
     matrix, offsets = _blocked_random(hierarchical.CROSSOVER_N, 4, 3)
     rhs = np.ones(len(matrix))
-    assert hierarchical.hierarchical_solve(matrix, rhs, offsets) is None
-    _same_lu_answer(dense_solve(matrix, rhs), dense_solve(matrix, rhs, blocks=offsets))
+    blocked = as_block_operator(matrix, offsets)
+    assert hierarchical.hierarchical_solve(blocked, rhs) is None
+    _same_lu_answer(dense_solve(matrix, rhs), dense_solve(blocked, rhs))
 
 
 def test_singular_blocked_matrix_raises():
@@ -136,7 +138,7 @@ def test_singular_blocked_matrix_raises():
     matrix = system.matrix.dense()
     matrix[700] = 0.0
     with pytest.raises(SingularMatrixError):
-        dense_solve(matrix, system.rhs, blocks=system.partition.offsets)
+        dense_solve(as_block_operator(matrix, system.partition.offsets), system.rhs)
 
 
 def test_nonfinite_blocked_matrix_raises():
@@ -144,7 +146,7 @@ def test_nonfinite_blocked_matrix_raises():
     matrix = system.matrix.dense()
     matrix[3, 900] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
-        dense_solve(matrix, system.rhs, blocks=system.partition.offsets)
+        dense_solve(as_block_operator(matrix, system.partition.offsets), system.rhs)
 
 
 def test_below_crossover_is_bitwise_the_lu_path():

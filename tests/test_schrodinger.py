@@ -213,6 +213,13 @@ def test_assemble_validates_grid_and_kappa():
         assemble(bad, cheb_grid(8, 0.0, T_CUT))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rhs_override_rejects_nonfinite_values(bad):
+    pot = catalog_lookup("schrod_pereybuck").potential
+    with pytest.raises(ValueError, match="non-finite"):
+        solve_schrodinger(pot, 16, rhs_override=lambda t: np.where(t > 1.0, bad, 0.0))
+
+
 def test_self_convergence_rejects_tiny_orders():
     pot = catalog_lookup("schrod_pereybuck").potential
     with pytest.raises(ValueError, match="order"):
