@@ -30,9 +30,11 @@ from .fredholm_solver import (
     ChebSolution,
     SingularMatrixError,
     dense_solve,
+    discretize_semismooth,
     discretize_smooth,
     relative_sup_error,
     solve_fredholm,
+    solve_system,
 )
 from .kernel_catalog import (
     BenchmarkProblem,

@@ -20,7 +20,7 @@ storage.
 
 Because the kernel is smooth away from s = t, every block that couples two
 disjoint groups of panels is numerically low-rank.  ``solve_composite``
-passes the operator to ``dense_solve``, which from
+passes the operator to ``dense_solve`` (through ``solve_system``), which from
 ``hierarchical.CROSSOVER_N`` unknowns on factors the system hierarchically
 from its blocks: bisection at panel boundaries, randomized compression of
 the off-diagonal blocks through blockwise products, one compression and
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .block_operator import BlockOperator, DenseBlocks, ToeplitzBlocks
-from .fredholm_solver import ChebSolution, _rhs_values, dense_solve, semismooth_block
+from .fredholm_solver import ChebSolution, _rhs_values, semismooth_block, solve_system
 from .kernel_catalog import SemismoothKernel
 from .spectral_core import build_operators, cheb_grid
 
@@ -202,7 +202,7 @@ def assemble_blocks(kernel, partition: Partition, lam: float, rhs) -> BlockSyste
 
 
 def solve_composite(system: BlockSystem) -> ChebSolution:
-    return ChebSolution.from_solve(system.partition.grids, dense_solve(system.matrix, system.rhs))
+    return solve_system(system.partition.grids, system.matrix, system.rhs)
 
 
 def solve_partitioned(

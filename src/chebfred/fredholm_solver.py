@@ -7,12 +7,13 @@ polynomial integrands up to the discretization degree, which is what
 preserves spectral accuracy when the kernel has a kink or jump on the
 diagonal; ``semismooth_block`` forms one panel's matrix of it.  The
 composite solver (``composite_solver``) assembles these blocks on a
-partition of [a, b], and ``solve_fredholm`` is its one-panel case.
+partition of [a, b], and ``solve_fredholm`` is its one-panel case:
+``discretize_semismooth`` is ``assemble_blocks`` on one panel.
 ``discretize_smooth`` (the ``alg1`` baseline) treats the kernel as one
 smooth function and needs only the full-interval weight row.
 
 This module also holds what every solver shares: ``dense_solve``, the rhs
-check and the ``ChebSolution`` result.
+check, and ``solve_system``, which solves and builds the ``ChebSolution``.
 """
 
 from __future__ import annotations
@@ -25,14 +26,16 @@ from scipy import linalg
 
 from .block_operator import ToeplitzBlocks, as_block_operator
 from .hierarchical import hierarchical_solve
-from .spectral_core import ChebGrid, SpectralOperators, build_operators, chebyshev_eval
+from .spectral_core import ChebGrid, SpectralOperators, build_operators, cheb_grid, chebyshev_eval
 
 __all__ = [
     "SingularMatrixError",
     "ChebSolution",
     "dense_solve",
     "semismooth_block",
+    "discretize_semismooth",
     "discretize_smooth",
+    "solve_system",
     "solve_fredholm",
     "relative_sup_error",
 ]
@@ -77,6 +80,8 @@ def dense_solve(matrix, rhs: np.ndarray):
     """
     rhs = np.asarray(rhs, dtype=float)
     op = as_block_operator(matrix)
+    if rhs.shape != (len(op),):
+        raise ValueError(f"rhs has shape {rhs.shape}, expected {(len(op),)}")
     anorm = op.norm1()
     if not (np.isfinite(anorm) or op.is_finite()):
         raise ValueError("system matrix contains non-finite entries")
@@ -130,6 +135,16 @@ def _rhs_values(rhs, nodes: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(vals)):
         raise ValueError("rhs contains non-finite values")
     return vals
+
+
+def discretize_semismooth(kernel, grid: ChebGrid, lam: float, rhs):
+    """Branch-split discretization on one panel: ``assemble_blocks`` on the
+    partition of [grid.a, grid.b] into ``grid`` alone, a one-panel
+    ``BlockSystem`` whose operator holds the ``semismooth_block`` itself."""
+    # composite_solver imports this module, so it is imported at call time
+    from .composite_solver import Partition, assemble_blocks
+
+    return assemble_blocks(kernel, Partition(np.array([grid.a, grid.b]), (grid,)), lam, rhs)
 
 
 def discretize_smooth(kernel, grid: ChebGrid, lam: float, rhs):
@@ -198,16 +213,16 @@ class ChebSolution:
             out[mask] = chebyshev_eval(self.coeffs[p], g.to_reference(t_arr[mask]))
         return out if np.ndim(t) else out[0]
 
-    @classmethod
-    def from_solve(cls, grids, solved) -> ChebSolution:
-        """The solution on ``grids`` from ``dense_solve``'s (x, rcond, warning):
-        x is split at the panel offsets, and each panel's node values give its
-        Chebyshev coefficients."""
-        x, rcond, warn = solved
-        bounds = list(accumulate((g.order + 1 for g in grids), initial=0))
-        values = tuple(x[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
-        coeffs = tuple(build_operators(g.order).coefficients(v) for g, v in zip(grids, values))
-        return cls(grids=tuple(grids), values=values, coeffs=coeffs, rcond=rcond, cond_warning=warn)
+
+def solve_system(grids, matrix, rhs) -> ChebSolution:
+    """Solve ``matrix`` x = ``rhs`` with ``dense_solve`` and return the
+    solution on ``grids``: x is split at the panel offsets, and each panel's
+    node values give its Chebyshev coefficients."""
+    x, rcond, warn = dense_solve(matrix, rhs)
+    bounds = list(accumulate((g.order + 1 for g in grids), initial=0))
+    values = tuple(x[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
+    coeffs = tuple(build_operators(g.order).coefficients(v) for g, v in zip(grids, values))
+    return ChebSolution(grids=tuple(grids), values=values, coeffs=coeffs, rcond=rcond, cond_warning=warn)
 
 
 def solve_fredholm(
@@ -215,19 +230,16 @@ def solve_fredholm(
 ) -> ChebSolution:
     """One-call path: the composite solve on [a, b] as one panel.
 
-    The system is assembled branch-split by ``assemble_blocks`` (default) or
-    with the full weight row by ``discretize_smooth``.  Kernel singular
-    points are not made breakpoints; ``solve_partitioned`` does that.
+    The system is discretized branch-split (``discretize_semismooth``, the
+    default) or with the full weight row (``discretize_smooth``) and solved
+    by ``solve_composite``.  Kernel singular points are not made
+    breakpoints; ``solve_partitioned`` does that.
     """
     # composite_solver imports this module, so it is imported at call time
-    from .composite_solver import assemble_blocks, build_partition, solve_composite
+    from .composite_solver import solve_composite
 
-    partition = build_partition(a, b, orders=order)
-    if smooth:
-        system = discretize_smooth(kernel, partition.grids[0], lam, rhs)
-    else:
-        system = assemble_blocks(kernel, partition, lam, rhs)
-    return solve_composite(system)
+    disc = discretize_smooth if smooth else discretize_semismooth
+    return solve_composite(disc(kernel, cheb_grid(order, a, b), lam, rhs))
 
 
 def relative_sup_error(approx: np.ndarray, exact: np.ndarray) -> float:

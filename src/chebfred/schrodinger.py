@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fredholm_solver import ChebSolution, _rhs_values, dense_solve, relative_sup_error
+from .fredholm_solver import ChebSolution, _rhs_values, relative_sup_error, solve_system
 from .kernel_catalog import NonlocalPotential, SchrodingerProblem
 from .spectral_core import ChebGrid, SpectralOperators, build_operators, cheb_grid
 
@@ -127,7 +127,7 @@ def assemble(potential: NonlocalPotential, grid: ChebGrid, rhs_override=None) ->
 def solve_schrodinger(potential: NonlocalPotential, order: int, rhs_override=None) -> ChebSolution:
     grid = cheb_grid(order, 0.0, potential.cutoff)
     system = assemble(potential, grid, rhs_override)
-    return ChebSolution.from_solve((grid,), dense_solve(system.matrix, system.rhs))
+    return solve_system((grid,), system.matrix, system.rhs)
 
 
 def self_convergence(potential: NonlocalPotential, order: int, rhs_override=None) -> float:

@@ -13,6 +13,7 @@ from chebfred.composite_solver import assemble_blocks, build_partition, solve_co
 from chebfred.fredholm_solver import (
     SingularMatrixError,
     dense_solve,
+    discretize_semismooth,
     discretize_smooth,
     relative_sup_error,
     semismooth_block,
@@ -55,6 +56,11 @@ def test_dense_solve_near_singular_warns():
     assert warn
     assert rcond < 1e-12
     assert x == pytest.approx([1.0, 1.0])
+
+
+def test_dense_solve_rejects_wrong_length_rhs():
+    with pytest.raises(ValueError, match="rhs has shape"):
+        dense_solve(np.eye(3), np.ones(2))
 
 
 def test_dense_solve_rejects_nonfinite_matrix():
@@ -211,6 +217,18 @@ def test_one_panel_system_keeps_its_block_as_storage():
     finally:
         tracemalloc.stop()
     assert peak < 44e6
+
+
+def test_discretize_semismooth_is_the_one_panel_assembly():
+    problem = catalog_lookup("example1")
+    grid = cheb_grid(12, problem.a, problem.b)
+    system = discretize_semismooth(problem.kernel, grid, problem.lam, problem.rhs)
+    part = build_partition(problem.a, problem.b, orders=12)
+    expected = assemble_blocks(problem.kernel, part, problem.lam, problem.rhs)
+    assert isinstance(system.matrix, ToeplitzBlocks)
+    assert system.partition.grids == (grid,)
+    assert np.array_equal(system.matrix.dense(), expected.matrix.dense())
+    assert np.array_equal(system.rhs, expected.rhs)
 
 
 def test_sign_jump_problem_spectral_accuracy():
