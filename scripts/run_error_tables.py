@@ -19,10 +19,9 @@ import time
 import numpy as np
 
 from chebfred.baselines import MethodNotApplicableError
-from chebfred.cli import run_method
+from chebfred.cli import run_method, schrodinger_error
 from chebfred.fredholm_solver import relative_sup_error
 from chebfred.kernel_catalog import catalog_lookup
-from chebfred.schrodinger import self_convergence, solve_schrodinger
 
 BENCHMARKS = {
     "example1": ("schur", "alg1", "gleg", "tdef"),
@@ -83,20 +82,16 @@ def write_scattering_table(outdir: pathlib.Path) -> None:
             problem = catalog_lookup(name)
             for n in problem.orders:
                 start = time.perf_counter()
-                if problem.solution is not None:
-                    sol = solve_schrodinger(problem.potential, n, rhs_override=problem.rhs)
-                    err = relative_sup_error(sol.node_values, problem.solution(sol.nodes))
-                else:
-                    err = self_convergence(problem.potential, n)
+                err = schrodinger_error(problem, n)
                 ms = (time.perf_counter() - start) * 1e3
                 writer.writerow([name, n, f"{err:.6e}", f"{ms:.3f}"])
     print(f"wrote {path}")
 
 
-def main() -> None:
+def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--outdir", default="results", help="directory for the CSV files")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     write_benchmark_tables(outdir)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fredholm_solver import _rhs_values, dense_solve
+from .kernel_catalog import as_semismooth
 
 __all__ = [
     "MethodNotApplicableError",
@@ -85,16 +86,10 @@ class BaselineSolution:
     cond_warning: bool
 
 
-def _sample(kernel, t, s) -> np.ndarray:
-    if hasattr(kernel, "eval"):
-        return kernel.eval(t, s)
-    return np.asarray(kernel(t, s), dtype=float)
-
-
 def nystrom_solve(kernel, rule: QuadratureRule, lam: float, rhs) -> BaselineSolution:
     """x_i + lam * sum_j w_j k(t_i, s_j) x_j = y(t_i), dense solve."""
     t = rule.nodes
-    k_vals = _sample(kernel, t[:, None], t[None, :])
+    k_vals = as_semismooth(kernel).eval(t[:, None], t[None, :])
     matrix = np.eye(len(t)) + lam * k_vals * rule.weights[None, :]
     vals, rcond, warn = dense_solve(matrix, _rhs_values(rhs, t))
     return BaselineSolution(nodes=t, values=vals, rcond=rcond, cond_warning=warn)
@@ -114,12 +109,9 @@ def _trapezium_semismooth(kernel, a: float, b: float, lam: float, rhs, panels: i
     w2[:, -1] *= 0.5
     w2[jj == ii] *= 0.5
     w2[-1, :] = 0.0  # empty [t_m, b]
-    if hasattr(kernel, "eval_lower"):
-        k1 = kernel.eval_lower(t[:, None], t[None, :])
-        k2 = kernel.eval_upper(t[:, None], t[None, :])
-    else:
-        k1 = np.asarray(kernel(t[:, None], t[None, :]), dtype=float)
-        k2 = k1
+    kernel = as_semismooth(kernel)
+    k1 = kernel.eval_lower(t[:, None], t[None, :])
+    k2 = kernel.eval_upper(t[:, None], t[None, :])
     matrix = np.eye(m + 1) + lam * (w1 * k1 + w2 * k2)
     return dense_solve(matrix, _rhs_values(rhs, t)), t
 

@@ -37,7 +37,7 @@ from .kernel_catalog import (
 )
 from .schrodinger import self_convergence, solve_schrodinger
 
-__all__ = ["main", "run_method", "RunConfig", "ConfigError"]
+__all__ = ["main", "run_method", "schrodinger_error", "RunConfig", "ConfigError"]
 
 METHODS = ("schur", "alg1", "gleg", "tdef", "composite")
 CONFIG_KEYS = (
@@ -96,6 +96,23 @@ def _float_list(text: str) -> tuple:
         return tuple(float(p) for p in text.split(",") if p.strip() != "")
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+
+
+def _config_numbers(value, key: str, integral: bool) -> tuple:
+    """A config-file value as a tuple: a string is parsed as its flag is, and a
+    boolean, a non-number or (if ``integral``) a fraction raises ConfigError."""
+    if isinstance(value, str):
+        try:
+            return (_int_list if integral else _float_list)(value)
+        except argparse.ArgumentTypeError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
+    items = value if isinstance(value, (list, tuple)) else (value,)
+    for v in items:
+        number = isinstance(v, (int, float)) and not isinstance(v, bool)
+        if not number or (integral and isinstance(v, float) and not v.is_integer()):
+            kind = "integers" if integral else "numbers"
+            raise ConfigError(f"{key} must hold {kind}, got {v!r}")
+    return tuple(int(v) if integral else float(v) for v in items)
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
@@ -167,22 +184,21 @@ def _load_config(args: argparse.Namespace, default_fmt: str) -> RunConfig:
 
     orders = pick(args.n, "n")
     if orders is not None:
-        if isinstance(orders, int):
-            orders = (orders,)
-        orders = tuple(int(n) for n in orders)
+        orders = _config_numbers(orders, "n", integral=True)
         if not orders:
             raise ConfigError("n list is empty")
         if any(n < 0 for n in orders):
             raise ConfigError("orders must be nonnegative")
         orders = tuple(sorted(set(orders)))
 
-    breakpoints = pick(args.breakpoints, "breakpoints")
-    breakpoints = () if breakpoints is None else tuple(float(c) for c in breakpoints)
+    bps = pick(args.breakpoints, "breakpoints")
+    breakpoints = () if bps is None else _config_numbers(bps, "breakpoints", integral=False)
     panels = pick(args.panels, "panels")
     if panels is not None:
-        panels = int(panels)
-        if panels < 1:
-            raise ConfigError(f"panels must be >= 1, got {panels}")
+        counts = _config_numbers(panels, "panels", integral=True)
+        if len(counts) != 1 or counts[0] < 1:
+            raise ConfigError(f"panels must be one integer >= 1, got {panels!r}")
+        panels = counts[0]
     fmt = pick(args.format, "format") or default_fmt
     if fmt not in ("csv", "plot-data"):
         raise ConfigError(f"unknown format {fmt!r}")
@@ -232,6 +248,15 @@ def run_method(problem, method: str, order: int, breakpoints=()):
         raise ConfigError(f"unknown method {method!r}; known: {', '.join(METHODS)}")
     values = sol.values if isinstance(sol, BaselineSolution) else sol.node_values
     return sol.nodes, values, sol.cond_warning
+
+
+def schrodinger_error(problem: SchrodingerProblem, order: int) -> float:
+    """Relative sup error of an order-``order`` scattering solve: against the
+    analytic solution if the problem has one, else ``self_convergence``."""
+    if problem.solution is None:
+        return self_convergence(problem.potential, order)
+    sol = solve_schrodinger(problem.potential, order, rhs_override=problem.rhs)
+    return relative_sup_error(sol.node_values, problem.solution(sol.nodes))
 
 
 def _solve_benchmark(problem, method: str, order: int, config: RunConfig) -> RunRow:
@@ -323,11 +348,7 @@ def _cmd_schrodinger(config: RunConfig) -> int:
     orders = config.orders if config.orders is not None else problem.orders
     lines = ["n,error"]
     for n in orders:
-        if problem.solution is not None:
-            sol = solve_schrodinger(problem.potential, n, rhs_override=problem.rhs)
-            err = relative_sup_error(sol.node_values, problem.solution(sol.nodes))
-        else:
-            err = self_convergence(problem.potential, n)
+        err = schrodinger_error(problem, n)
         if not math.isfinite(err):
             raise RuntimeError(f"{problem.name} at n={n} gave a non-finite error")
         lines.append(f"{n},{err:.6e}")

@@ -39,7 +39,7 @@ import numpy as np
 
 from .block_operator import BlockOperator, DenseBlocks, ToeplitzBlocks
 from .fredholm_solver import ChebSolution, _rhs_values, semismooth_block, solve_system
-from .kernel_catalog import SemismoothKernel
+from .kernel_catalog import as_semismooth
 from .spectral_core import build_operators, cheb_grid
 
 __all__ = [
@@ -163,8 +163,7 @@ def assemble_blocks(kernel, partition: Partition, lam: float, rhs) -> BlockSyste
     Otherwise every block (j, i) is sampled and written into the N x N array
     that the operator wraps.
     """
-    if not hasattr(kernel, "eval_lower"):
-        kernel = SemismoothKernel(kernel, kernel)
+    kernel = as_semismooth(kernel)
     grids = partition.grids
     offsets = partition.offsets
     total = offsets[-1]

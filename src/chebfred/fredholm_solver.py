@@ -26,6 +26,7 @@ from scipy import linalg
 
 from .block_operator import ToeplitzBlocks, as_block_operator
 from .hierarchical import hierarchical_solve
+from .kernel_catalog import as_semismooth
 from .spectral_core import ChebGrid, SpectralOperators, build_operators, cheb_grid, chebyshev_eval
 
 __all__ = [
@@ -159,10 +160,7 @@ def discretize_smooth(kernel, grid: ChebGrid, lam: float, rhs):
 
     ops = build_operators(grid.order)
     t = grid.nodes
-    if hasattr(kernel, "eval"):
-        k_vals = kernel.eval(t[:, None], t[None, :])
-    else:
-        k_vals = np.asarray(kernel(t[:, None], t[None, :]), dtype=float)
+    k_vals = as_semismooth(kernel).eval(t[:, None], t[None, :])
     scale = lam * grid.width / 2.0
     matrix = np.eye(grid.order + 1) + scale * k_vals * ops.full_weights[None, :]
     partition = Partition(np.array([grid.a, grid.b]), (grid,))

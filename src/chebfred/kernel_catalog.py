@@ -19,6 +19,7 @@ __all__ = [
     "KernelEvaluationError",
     "CatalogError",
     "SemismoothKernel",
+    "as_semismooth",
     "BenchmarkProblem",
     "NonlocalPotential",
     "SchrodingerProblem",
@@ -87,6 +88,13 @@ class SemismoothKernel:
         if not np.all(np.isfinite(out)):
             raise KernelEvaluationError("kernel evaluated to a non-finite value")
         return out
+
+
+def as_semismooth(kernel):
+    """A plain callable k(t, s) as ``SemismoothKernel(k, k)``; a kernel with branches as is."""
+    if hasattr(kernel, "eval_lower"):
+        return kernel
+    return SemismoothKernel(kernel, kernel)
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,10 @@ branch end to end.  The assembled system is
     [I + (T/2k) D_c (W o K11 + V o K12) + (T/2k) D_s (W o K21 + V o K22)] psi = rhs
 
 with D_c = diag(cos(k t_i)), D_s = diag(sin(k t_i)) and the K matrices built
-below.  The default right-hand side is the free solution sin(k t); tests with
-a manufactured solution override it.
+below.  Since D (W o K) = W o (D K), it is the semismooth block
+I + (T/2k) (W o K1 + V o K2) of the spliced branches K1 = D_c K11 + D_s K21
+and K2 = D_c K12 + D_s K22.  The default right-hand side is the free
+solution sin(k t); tests with a manufactured solution override it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fredholm_solver import ChebSolution, _rhs_values, relative_sup_error, solve_system
+from .fredholm_solver import (
+    ChebSolution, _rhs_values, relative_sup_error, semismooth_block, solve_system
+)
 from .kernel_catalog import NonlocalPotential, SchrodingerProblem
 from .spectral_core import ChebGrid, SpectralOperators, build_operators, cheb_grid
 
@@ -50,14 +54,9 @@ def build_kernel_matrices(potential: NonlocalPotential, grid: ChebGrid, ops: Spe
     v1 = potential.eval_lower(t[:, None], t[None, :])
     v2 = potential.eval_upper(t[:, None], t[None, :])
     kappa = potential.kappa
-    return _integrate_potential(v1, v2, np.sin(kappa * t), np.cos(kappa * t), grid, ops)
-
-
-def _integrate_potential(v1, v2, sin_t, cos_t, grid: ChebGrid, ops: SpectralOperators):
-    """K11, K12, K21, K22 from the sampled branches V1 and V2."""
     half_t = grid.width / 2.0
-    w_sin = ops.int_left * sin_t[None, :]  # W D_s
-    v_cos = ops.int_right * cos_t[None, :]  # V D_c
+    w_sin = ops.int_left * np.sin(kappa * t)[None, :]  # W D_s
+    v_cos = ops.int_right * np.cos(kappa * t)[None, :]  # V D_c
     # only the diagonals of W D_s (V1 - V2) and V D_c (V2 - V1) are needed
     d = np.einsum("ij,ji->i", w_sin, v1 - v2)
     e = np.einsum("ij,ji->i", v_cos, v2 - v1)
@@ -71,18 +70,12 @@ def _integrate_potential(v1, v2, sin_t, cos_t, grid: ChebGrid, ops: SpectralOper
 @dataclass(frozen=True)
 class SchrodingerSystem:
     grid: ChebGrid
-    ops: SpectralOperators
-    d_cos: np.ndarray  # cos(kappa * t_i)
-    d_sin: np.ndarray
-    v_lower: np.ndarray
-    v_upper: np.ndarray
     k11: np.ndarray
     k12: np.ndarray
     k21: np.ndarray
     k22: np.ndarray
     matrix: np.ndarray
     rhs: np.ndarray
-    kappa: float
 
 
 def assemble(potential: NonlocalPotential, grid: ChebGrid, rhs_override=None) -> SchrodingerSystem:
@@ -94,33 +87,19 @@ def assemble(potential: NonlocalPotential, grid: ChebGrid, rhs_override=None) ->
     if not kappa > 0.0:
         raise ValueError(f"need kappa > 0, got {kappa}")
     ops = build_operators(grid.order)
+    k11, k12, k21, k22 = build_kernel_matrices(potential, grid, ops)
     t = grid.nodes
     sin_t = np.sin(kappa * t)
     cos_t = np.cos(kappa * t)
-    v1 = potential.eval_lower(t[:, None], t[None, :])
-    v2 = potential.eval_upper(t[:, None], t[None, :])
-    k11, k12, k21, k22 = _integrate_potential(v1, v2, sin_t, cos_t, grid, ops)
-    scale = grid.width / (2.0 * kappa)
-    matrix = (
-        np.eye(grid.order + 1)
-        + scale * cos_t[:, None] * (ops.int_left * k11 + ops.int_right * k12)
-        + scale * sin_t[:, None] * (ops.int_left * k21 + ops.int_right * k22)
-    )
-    rhs = sin_t.copy() if rhs_override is None else _rhs_values(rhs_override, t)
+    # row scaling commutes with the Hadamard product: D (W o K) = W o (D K)
+    k1 = cos_t[:, None] * k11
+    k1 += sin_t[:, None] * k21
+    k2 = cos_t[:, None] * k12
+    k2 += sin_t[:, None] * k22
+    matrix = semismooth_block(ops, k1, k2, grid.width / (2.0 * kappa))
+    rhs = sin_t if rhs_override is None else _rhs_values(rhs_override, t)
     return SchrodingerSystem(
-        grid=grid,
-        ops=ops,
-        d_cos=cos_t,
-        d_sin=sin_t,
-        v_lower=v1,
-        v_upper=v2,
-        k11=k11,
-        k12=k12,
-        k21=k21,
-        k22=k22,
-        matrix=matrix,
-        rhs=rhs,
-        kappa=kappa,
+        grid=grid, k11=k11, k12=k12, k21=k21, k22=k22, matrix=matrix, rhs=rhs
     )
 
 

@@ -119,6 +119,52 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    ("n", "expected"),
+    [("16", ["16"]), ("4, 8", ["4", "8"]), (16, ["16"]), ([8.0, 4], ["4", "8"])],
+)
+def test_config_orders_parse_like_the_flag(n, expected, tmp_path, capsys):
+    # a string is split at commas, as --n is, not iterated digit by digit
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"problem": "example1", "n": n}))
+    assert cli.main(["solve", "--config", str(cfg)]) == 0
+    _, rows = _rows(capsys.readouterr().out)
+    assert [r[0] for r in rows] == expected
+
+
+def test_config_breakpoints_string_parses_like_the_flag(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"breakpoints": "-0.5,0.5"}))
+    base = ["solve", "--problem", "example4", "--method", "composite", "--n", "15"]
+    assert cli.main(base + ["--config", str(cfg)]) == 0
+    from_config = _rows(capsys.readouterr().out)[1]
+    assert cli.main(base + ["--breakpoints=-0.5,0.5"]) == 0
+    from_flag = _rows(capsys.readouterr().out)[1]
+    assert [r[:4] for r in from_config] == [r[:4] for r in from_flag]
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        {"n": 16.5},
+        {"n": True},
+        {"n": [8, 16.5]},
+        {"n": [None]},
+        {"n": "16.5"},
+        {"panels": 2.5},
+        {"panels": True},
+        {"panels": [2, 4]},
+        {"breakpoints": [False]},
+        {"breakpoints": "half"},
+    ],
+)
+def test_config_rejects_non_integral_and_boolean_values(entries, tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"problem": "example4", "method": "composite", "n": 15, **entries}))
+    assert cli.main(["solve", "--config", str(cfg)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["solve", "--problem", "example3", "--method", "tdef", "--n", "16"],
