@@ -29,8 +29,6 @@ BENCHMARKS = {
     "example3": ("schur", "gleg"),
     "example4": ("composite", "alg1"),
 }
-# interior-kink problem: odd orders keep nodes away from the kink at 0
-ORDER_OVERRIDES = {"example4": (15, 31, 63, 127, 255)}
 
 
 def _run(problem, method, n, breakpoints=()):
@@ -43,13 +41,12 @@ def _run(problem, method, n, breakpoints=()):
 def write_benchmark_tables(outdir: pathlib.Path) -> None:
     for name, methods in BENCHMARKS.items():
         problem = catalog_lookup(name)
-        orders = ORDER_OVERRIDES.get(name, problem.orders)
         path = outdir / f"{name}.csv"
         with path.open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["n", "method", "error", "elapsed_ms"])
             for method in methods:
-                for n in orders:
+                for n in problem.orders:
                     try:
                         err, ms = _run(problem, method, n)
                     except MethodNotApplicableError:

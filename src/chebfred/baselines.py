@@ -35,7 +35,6 @@ class MethodNotApplicableError(ValueError):
 class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
-    family: str  # "gauss-legendre" or "trapezium"
 
 
 def gauss_legendre_rule(n: int, a: float, b: float) -> QuadratureRule:
@@ -64,18 +63,16 @@ def gauss_legendre_rule(n: int, a: float, b: float) -> QuadratureRule:
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     half = (b - a) / 2.0
     center = (a + b) / 2.0
-    return QuadratureRule(
-        nodes=center + half * x[::-1], weights=half * w[::-1], family="gauss-legendre"
-    )
+    return QuadratureRule(nodes=center + half * x[::-1], weights=half * w[::-1])
 
 
 def _legendre_pair(n: int, x: np.ndarray):
-    """(P_n(x), P_{n-1}(x)) by upward recurrence."""
+    """(P_n(x), P_{n-1}(x)) by upward recurrence, for n >= 1."""
     p_prev = np.ones_like(x)
     p = x.copy()
     for k in range(2, n + 1):
         p, p_prev = ((2 * k - 1) * x * p - (k - 1) * p_prev) / k, p
-    return (p, p_prev) if n >= 1 else (p_prev, p_prev)
+    return p, p_prev
 
 
 @dataclass(frozen=True)

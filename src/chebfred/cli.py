@@ -3,9 +3,9 @@
 Subcommands: ``solve`` (error table for one problem, one or more methods),
 ``convergence`` (log10-error series per method, gnuplot-friendly),
 ``schrodinger`` (scattering problems, n vs error table), ``list-problems``.
-Options may come from flags or a JSON config file (flags win).  Exit codes:
-0 success, 2 configuration error, 3 method/problem incompatibility,
-4 solver failure.
+Options may come from flags or a JSON config file (flags win); both go
+through the same parsers.  Exit codes: 0 success, 2 configuration error,
+3 method/problem incompatibility, 4 solver failure.
 """
 
 from __future__ import annotations
@@ -40,19 +40,21 @@ from .schrodinger import self_convergence, solve_schrodinger
 __all__ = ["main", "run_method", "schrodinger_error", "RunConfig", "ConfigError"]
 
 METHODS = ("schur", "alg1", "gleg", "tdef", "composite")
-CONFIG_KEYS = (
-    "problem",
-    "method",
-    "n",
-    "lam",
-    "T",
-    "kappa",
-    "A",
-    "panels",
-    "breakpoints",
-    "output",
-    "format",
-)
+# every run option, as a flag --<key> and as a config-file key; both are parsed
+# by the same code in _load_config
+OPTIONS = {
+    "problem": "catalog problem name",
+    "method": "comma-separated methods: " + ", ".join(METHODS),
+    "n": "comma-separated order list",
+    "lam": "integral-term multiplier override",
+    "T": "interval length override (problems that take one)",
+    "kappa": "wavenumber override (scattering problems)",
+    "A": "nonlocality range override (Perey-Buck)",
+    "panels": "uniform panel count for the composite method",
+    "breakpoints": "comma-separated interior breakpoints",
+    "output": "output file (default stdout)",
+    "format": "output format: csv or plot-data",
+}
 
 
 class ConfigError(ValueError):
@@ -84,50 +86,43 @@ class RunRow:
     elapsed_ms: float
 
 
-def _int_list(text: str) -> tuple:
-    try:
-        return tuple(int(p) for p in text.split(",") if p.strip() != "")
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-
-
-def _float_list(text: str) -> tuple:
-    try:
-        return tuple(float(p) for p in text.split(",") if p.strip() != "")
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
-
-
-def _config_numbers(value, key: str, integral: bool) -> tuple:
-    """A config-file value as a tuple: a string is parsed as its flag is, and a
-    boolean, a non-number or (if ``integral``) a fraction raises ConfigError."""
+def _numbers(value, key: str, integral: bool = False) -> tuple:
+    """A flag string or a config-file value as a tuple of numbers.  A string is
+    split at commas; a boolean, a non-number or (if ``integral``) a fraction
+    raises ConfigError."""
+    kind = "integers" if integral else "numbers"
     if isinstance(value, str):
         try:
-            return (_int_list if integral else _float_list)(value)
-        except argparse.ArgumentTypeError as exc:
-            raise ConfigError(f"{key}: {exc}") from None
-    items = value if isinstance(value, (list, tuple)) else (value,)
+            return tuple((int if integral else float)(p) for p in value.split(",") if p.strip())
+        except ValueError:
+            raise ConfigError(f"{key}: expected comma-separated {kind}, got {value!r}") from None
+    items = value if isinstance(value, list) else (value,)
     for v in items:
         number = isinstance(v, (int, float)) and not isinstance(v, bool)
         if not number or (integral and isinstance(v, float) and not v.is_integer()):
-            kind = "integers" if integral else "numbers"
             raise ConfigError(f"{key} must hold {kind}, got {v!r}")
     return tuple(int(v) if integral else float(v) for v in items)
 
 
+def _number(value, key: str, integral: bool = False):
+    """``_numbers`` that requires exactly one value, given as a string or a
+    bare number: a list, even of one number, raises ConfigError."""
+    numbers = () if isinstance(value, list) else _numbers(value, key, integral)
+    if len(numbers) != 1:
+        raise ConfigError(f"{key} must be one number, got {value!r}")
+    return numbers[0]
+
+
+def _text(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string, got {value!r}")
+    return value
+
+
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file with config keys; flags override it")
-    p.add_argument("--problem", help="catalog problem name")
-    p.add_argument("--method", help="comma-separated methods: " + ", ".join(METHODS))
-    p.add_argument("--n", type=_int_list, help="comma-separated order list")
-    p.add_argument("--lam", type=float, help="integral-term multiplier override")
-    p.add_argument("--T", type=float, help="interval length override (problems that take one)")
-    p.add_argument("--kappa", type=float, help="wavenumber override (scattering problems)")
-    p.add_argument("--A", type=float, help="nonlocality range override (Perey-Buck)")
-    p.add_argument("--panels", type=int, help="uniform panel count for the composite method")
-    p.add_argument("--breakpoints", type=_float_list, help="comma-separated interior breakpoints")
-    p.add_argument("--output", help="output file (default stdout)")
-    p.add_argument("--format", choices=("csv", "plot-data"), help="output format")
+    for key, blurb in OPTIONS.items():
+        p.add_argument(f"--{key}", help=blurb)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -158,66 +153,55 @@ def _load_config(args: argparse.Namespace, default_fmt: str) -> RunConfig:
             raise ConfigError(f"config file is not valid JSON: {exc}")
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = sorted(set(data) - set(CONFIG_KEYS))
+        unknown = sorted(set(data) - set(OPTIONS))
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    # a flag beats the file; a null in the file is an absent key
+    raw = {key: value for key, value in data.items() if value is not None}
+    raw.update({key: getattr(args, key) for key in OPTIONS if getattr(args, key) is not None})
 
-    def pick(flag_value, key):
-        return flag_value if flag_value is not None else data.get(key)
+    def opt(key, parse, *extra):
+        return parse(raw[key], key, *extra) if key in raw else None
 
-    problem = pick(args.problem, "problem")
+    problem = opt("problem", _text)
     if not problem:
         raise ConfigError("no problem given (use --problem or the config file)")
 
-    methods = pick(args.method, "method")
-    if methods is None:
-        methods = ("schur",)
-    elif isinstance(methods, str):
-        methods = tuple(m.strip() for m in methods.split(",") if m.strip())
-    else:
-        methods = tuple(str(m) for m in methods)
+    method = raw.get("method", "schur")
+    entries = method if isinstance(method, list) else _text(method, "method").split(",")
+    methods = tuple(m for m in (_text(e, "method").strip() for e in entries) if m)
     if not methods:
         raise ConfigError("method list is empty")
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}; known: {', '.join(METHODS)}")
 
-    orders = pick(args.n, "n")
+    orders = opt("n", _numbers, True)
     if orders is not None:
-        orders = _config_numbers(orders, "n", integral=True)
         if not orders:
             raise ConfigError("n list is empty")
         if any(n < 0 for n in orders):
             raise ConfigError("orders must be nonnegative")
         orders = tuple(sorted(set(orders)))
 
-    bps = pick(args.breakpoints, "breakpoints")
-    breakpoints = () if bps is None else _config_numbers(bps, "breakpoints", integral=False)
-    panels = pick(args.panels, "panels")
-    if panels is not None:
-        counts = _config_numbers(panels, "panels", integral=True)
-        if len(counts) != 1 or counts[0] < 1:
-            raise ConfigError(f"panels must be one integer >= 1, got {panels!r}")
-        panels = counts[0]
-    fmt = pick(args.format, "format") or default_fmt
+    panels = opt("panels", _number, True)
+    if panels is not None and panels < 1:
+        raise ConfigError(f"panels must be >= 1, got {panels}")
+    fmt = _text(raw.get("format", default_fmt), "format")
     if fmt not in ("csv", "plot-data"):
         raise ConfigError(f"unknown format {fmt!r}")
 
-    def opt_float(flag_value, key):
-        v = pick(flag_value, key)
-        return None if v is None else float(v)
-
     return RunConfig(
-        problem=str(problem),
+        problem=problem,
         methods=methods,
         orders=orders,
-        lam=opt_float(args.lam, "lam"),
-        T=opt_float(args.T, "T"),
-        kappa=opt_float(args.kappa, "kappa"),
-        A=opt_float(args.A, "A"),
+        lam=opt("lam", _number),
+        T=opt("T", _number),
+        kappa=opt("kappa", _number),
+        A=opt("A", _number),
         panels=panels,
-        breakpoints=breakpoints,
-        output=pick(args.output, "output"),
+        breakpoints=opt("breakpoints", _numbers) or (),
+        output=opt("output", _text),
         fmt=fmt,
     )
 
@@ -272,20 +256,6 @@ def _solve_benchmark(problem, method: str, order: int, config: RunConfig) -> Run
     return RunRow(order, method, problem.name, error, warn, elapsed)
 
 
-def _run_rows(config: RunConfig) -> list:
-    problem = _lookup(config)
-    if isinstance(problem, SchrodingerProblem):
-        raise MethodNotApplicableError(
-            f"{problem.name} is a scattering problem; use the schrodinger subcommand"
-        )
-    orders = config.orders if config.orders is not None else problem.orders
-    rows = []
-    for method in config.methods:
-        for n in orders:
-            rows.append(_solve_benchmark(problem, method, n, config))
-    return rows
-
-
 def _format_csv(rows) -> str:
     lines = ["n,method,problem,error,cond_warning,elapsed_ms"]
     for r in rows:
@@ -315,24 +285,18 @@ def _emit(text: str, output: str | None) -> None:
             fh.write(text)
 
 
-def _cmd_solve(config: RunConfig) -> int:
-    rows = _run_rows(config)
-    text = _format_csv(rows) if config.fmt == "csv" else _format_plot(rows)
-    _emit(text, config.output)
-    return 0
-
-
-def _cmd_convergence(config: RunConfig) -> int:
-    problem_probe = _lookup(config)
-    if isinstance(problem_probe, SchrodingerProblem):
+def _cmd_table(config: RunConfig, min_orders: int) -> int:
+    """``solve`` and ``convergence``: one row per method and order."""
+    problem = _lookup(config)
+    if isinstance(problem, SchrodingerProblem):
         raise MethodNotApplicableError(
-            f"{problem_probe.name} is a scattering problem; use the schrodinger subcommand"
+            f"{problem.name} is a scattering problem; use the schrodinger subcommand"
         )
-    orders = config.orders if config.orders is not None else problem_probe.orders
-    if len(orders) < 2:
-        raise ConfigError("convergence needs at least two orders")
-    rows = _run_rows(config)
-    text = _format_plot(rows) if config.fmt == "plot-data" else _format_csv(rows)
+    orders = config.orders if config.orders is not None else problem.orders
+    if len(orders) < min_orders:
+        raise ConfigError(f"need at least {min_orders} orders, got {len(orders)}")
+    rows = [_solve_benchmark(problem, m, n, config) for m in config.methods for n in orders]
+    text = _format_csv(rows) if config.fmt == "csv" else _format_plot(rows)
     _emit(text, config.output)
     return 0
 
@@ -373,11 +337,9 @@ def main(argv=None) -> int:
             return _cmd_list()
         default_fmt = "plot-data" if args.command == "convergence" else "csv"
         config = _load_config(args, default_fmt)
-        if args.command == "solve":
-            return _cmd_solve(config)
-        if args.command == "convergence":
-            return _cmd_convergence(config)
-        return _cmd_schrodinger(config)
+        if args.command == "schrodinger":
+            return _cmd_schrodinger(config)
+        return _cmd_table(config, min_orders=2 if args.command == "convergence" else 1)
     except MethodNotApplicableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

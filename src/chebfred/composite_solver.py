@@ -148,8 +148,6 @@ class BlockSystem:
     matrix: BlockOperator
     rhs: np.ndarray
     partition: Partition
-    lam: float
-    toeplitz: bool
 
 
 def assemble_blocks(kernel, partition: Partition, lam: float, rhs) -> BlockSystem:
@@ -171,7 +169,6 @@ def assemble_blocks(kernel, partition: Partition, lam: float, rhs) -> BlockSyste
     for g in grids:
         if g.order not in ops_cache:
             ops_cache[g.order] = build_operators(g.order)
-    toeplitz = detect_toeplitz(kernel, partition)
 
     def block(j, i):
         gj, gi = grids[j], grids[i]
@@ -186,7 +183,7 @@ def assemble_blocks(kernel, partition: Partition, lam: float, rhs) -> BlockSyste
         return (lam * gi.width / 2.0) * kv * ops_i.full_weights[None, :]
 
     m = len(grids)
-    if toeplitz:
+    if detect_toeplitz(kernel, partition):
         # diagonal d is sampled at its first (j, i) in row-major order
         diagonals = {d: block(d, 0) if d >= 0 else block(0, -d) for d in range(1 - m, m)}
         matrix = ToeplitzBlocks(offsets, diagonals)
@@ -197,7 +194,7 @@ def assemble_blocks(kernel, partition: Partition, lam: float, rhs) -> BlockSyste
                 dense[offsets[j] : offsets[j + 1], offsets[i] : offsets[i + 1]] = block(j, i)
         matrix = DenseBlocks(dense, offsets)
     rhs_vec = _rhs_values(rhs, np.concatenate([g.nodes for g in grids]))
-    return BlockSystem(matrix, rhs_vec, partition, lam, toeplitz)
+    return BlockSystem(matrix, rhs_vec, partition)
 
 
 def solve_composite(system: BlockSystem) -> ChebSolution:

@@ -165,7 +165,7 @@ def discretize_smooth(kernel, grid: ChebGrid, lam: float, rhs):
     matrix = np.eye(grid.order + 1) + scale * k_vals * ops.full_weights[None, :]
     partition = Partition(np.array([grid.a, grid.b]), (grid,))
     op = ToeplitzBlocks(partition.offsets, {0: matrix})
-    return BlockSystem(op, _rhs_values(rhs, t), partition, lam, toeplitz=True)
+    return BlockSystem(op, _rhs_values(rhs, t), partition)
 
 
 @dataclass(frozen=True)

@@ -332,7 +332,7 @@ def catalog_lookup(
 
     Returns a :class:`BenchmarkProblem` for the integral-equation entries and
     a :class:`SchrodingerProblem` for the scattering entries.  Overrides that
-    an entry does not support raise ValueError.
+    an entry does not support, and non-finite overrides, raise ValueError.
     """
     if name not in _DEFAULTS:
         raise CatalogError(
@@ -346,6 +346,8 @@ def catalog_lookup(
         if key not in params:
             raise ValueError(f"problem {name!r} does not take a {key} override")
         params[key] = float(value)
+        if not math.isfinite(params[key]):
+            raise ValueError(f"{key} override must be finite, got {value!r}")
     if name == "example1":
         return _example1(**params)
     if name == "example2":

@@ -65,7 +65,7 @@ def assembled(request):
     system = assemble_blocks(problem.kernel, partition, problem.lam, problem.rhs)
     # example2 is a difference kernel on equal panels, example4 is not
     assert system.matrix.toeplitz == (name == "example2")
-    dense = _dense_assembly(problem.kernel, partition, problem.lam, system.toeplitz)
+    dense = _dense_assembly(problem.kernel, partition, problem.lam, system.matrix.toeplitz)
     return system, dense
 
 

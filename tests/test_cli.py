@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -102,10 +103,16 @@ def test_composite_method_with_panels(capsys):
         ["solve", "--problem", "example2", "--T", "-3"],
         ["schrodinger", "--problem", "schrod_pereybuck", "--format", "plot-data"],
         ["solve", "--problem", "example1", "--method", "gleg", "--n", "0"],
+        ["solve", "--problem", "example2", "--T", "inf", "--n", "8"],
+        ["schrodinger", "--problem", "schrod_separable", "--kappa", "inf"],
+        ["schrodinger", "--problem", "schrod_pereybuck", "--A", "inf", "--n", "8"],
     ],
 )
 def test_configuration_errors_exit_2(argv, capsys):
-    assert cli.main(argv) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(argv) == 2
+    assert not caught, [str(w.message) for w in caught]
     assert "error:" in capsys.readouterr().err
 
 
@@ -155,6 +162,13 @@ def test_config_breakpoints_string_parses_like_the_flag(tmp_path, capsys):
         {"panels": [2, 4]},
         {"breakpoints": [False]},
         {"breakpoints": "half"},
+        {"problem": "example2", "lam": True},
+        {"problem": "example2", "lam": "x"},
+        {"problem": "example2", "lam": [0.1]},
+        {"problem": "example2", "T": [1, 2]},
+        {"problem": "example2", "T": float("inf")},
+        {"method": 5},
+        {"output": 7},
     ],
 )
 def test_config_rejects_non_integral_and_boolean_values(entries, tmp_path, capsys):
@@ -162,6 +176,37 @@ def test_config_rejects_non_integral_and_boolean_values(entries, tmp_path, capsy
     cfg.write_text(json.dumps({"problem": "example4", "method": "composite", "n": 15, **entries}))
     assert cli.main(["solve", "--config", str(cfg)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+# one sample string per run option; a key added to cli.OPTIONS needs one here
+OPTION_SAMPLES = {
+    "problem": "example2",
+    "method": "schur, gleg",
+    "n": "4,8",
+    "lam": "-0.5",
+    "T": "2.5",
+    "kappa": "2",
+    "A": "50",
+    "panels": "3",
+    "breakpoints": "-0.5,0.5",
+    "output": "table.csv",
+    "format": "plot-data",
+}
+
+
+@pytest.mark.parametrize("key", list(cli.OPTIONS))
+def test_flag_and_config_value_parse_alike(key, tmp_path):
+    # the one parse path: a key's string gives the same RunConfig either way
+    value = OPTION_SAMPLES[key]
+    parser = cli._build_parser()
+    base, cfg = tmp_path / "base.json", tmp_path / "run.json"
+    base.write_text(json.dumps({"problem": "example1"}))
+    cfg.write_text(json.dumps({"problem": "example1", key: value}))
+    flag_args = parser.parse_args(["solve", "--config", str(base), f"--{key}={value}"])
+    file_args = parser.parse_args(["solve", "--config", str(cfg)])
+    from_flag = cli._load_config(flag_args, "csv")
+    assert from_flag == cli._load_config(file_args, "csv")
+    assert from_flag != cli._load_config(parser.parse_args(["solve", "--config", str(base)]), "csv")
 
 
 @pytest.mark.parametrize(

@@ -151,10 +151,10 @@ def test_toeplitz_reuse_matches_direct_assembly():
     edges = np.linspace(problem.a, problem.b, 5)
     part = build_partition(problem.a, problem.b, breakpoints=tuple(edges[1:-1]), orders=31)
     reused = assemble_blocks(problem.kernel, part, problem.lam, problem.rhs)
-    assert reused.toeplitz
+    assert reused.matrix.toeplitz
     plain_kernel = dataclasses.replace(problem.kernel, difference_form=False)
     direct = assemble_blocks(plain_kernel, part, problem.lam, problem.rhs)
-    assert not direct.toeplitz
+    assert not direct.matrix.toeplitz
     diff = np.max(np.abs(reused.matrix.dense() - direct.matrix.dense()))
     assert diff / np.max(np.abs(direct.matrix.dense())) < 1e-11
     assert np.array_equal(reused.rhs, direct.rhs)

@@ -142,6 +142,11 @@ def test_unsupported_override_rejected():
         catalog_lookup("example1", kappa=2.0)
 
 
+def test_non_finite_override_rejected():
+    with pytest.raises(ValueError, match="finite"):
+        catalog_lookup("example2", T=math.inf)
+
+
 @pytest.mark.parametrize("name", ["schrod_separable", "schrod_pereybuck"])
 def test_potential_branches_agree_on_diagonal(name):
     pot = catalog_lookup(name).potential
