@@ -11,6 +11,8 @@ through the same parsers.  Exit codes: 0 success, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import math
 import sys
@@ -125,7 +127,10 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument(f"--{key}", help=blurb)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: ``parse_args`` keeps no state between
+    calls, and building it costs more than a small solve."""
     parser = argparse.ArgumentParser(
         prog="chebfred",
         description="Spectral solver for integral equations with diagonally kinked kernels",
@@ -234,11 +239,15 @@ def run_method(problem, method: str, order: int, breakpoints=()):
     return sol.nodes, values, sol.cond_warning
 
 
-def schrodinger_error(problem: SchrodingerProblem, order: int) -> float:
+def schrodinger_error(problem: SchrodingerProblem, order: int, solutions=None) -> float:
     """Relative sup error of an order-``order`` scattering solve: against the
-    analytic solution if the problem has one, else ``self_convergence``."""
+    analytic solution if the problem has one, else ``self_convergence``.
+
+    ``solutions`` is passed to ``self_convergence``: a caller that keeps one
+    dict across the orders of a problem solves each distinct order once.
+    """
     if problem.solution is None:
-        return self_convergence(problem.potential, order)
+        return self_convergence(problem.potential, order, solutions=solutions)
     sol = solve_schrodinger(problem.potential, order, rhs_override=problem.rhs)
     return relative_sup_error(sol.node_values, problem.solution(sol.nodes))
 
@@ -277,12 +286,20 @@ def _format_plot(rows) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The stream a table goes to.  A file is opened, and truncated, when the
+    block is entered, before any solve, so an unwritable path is a
+    ConfigError, not a crash after the work is done."""
+    if path is None:
+        yield sys.stdout
+        return
+    try:
+        fh = open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file: {exc}") from None
+    with fh:
+        yield fh
 
 
 def _cmd_table(config: RunConfig, min_orders: int) -> int:
@@ -295,9 +312,9 @@ def _cmd_table(config: RunConfig, min_orders: int) -> int:
     orders = config.orders if config.orders is not None else problem.orders
     if len(orders) < min_orders:
         raise ConfigError(f"need at least {min_orders} orders, got {len(orders)}")
-    rows = [_solve_benchmark(problem, m, n, config) for m in config.methods for n in orders]
-    text = _format_csv(rows) if config.fmt == "csv" else _format_plot(rows)
-    _emit(text, config.output)
+    with _output(config.output) as out:
+        rows = [_solve_benchmark(problem, m, n, config) for m in config.methods for n in orders]
+        out.write(_format_csv(rows) if config.fmt == "csv" else _format_plot(rows))
     return 0
 
 
@@ -311,12 +328,14 @@ def _cmd_schrodinger(config: RunConfig) -> int:
         )
     orders = config.orders if config.orders is not None else problem.orders
     lines = ["n,error"]
-    for n in orders:
-        err = schrodinger_error(problem, n)
-        if not math.isfinite(err):
-            raise RuntimeError(f"{problem.name} at n={n} gave a non-finite error")
-        lines.append(f"{n},{err:.6e}")
-    _emit("\n".join(lines) + "\n", config.output)
+    solutions = {}
+    with _output(config.output) as out:
+        for n in orders:
+            err = schrodinger_error(problem, n, solutions)
+            if not math.isfinite(err):
+                raise RuntimeError(f"{problem.name} at n={n} gave a non-finite error")
+            lines.append(f"{n},{err:.6e}")
+        out.write("\n".join(lines) + "\n")
     return 0
 
 

@@ -9,11 +9,36 @@ branch end to end.  The assembled system is
 
     [I + (T/2k) D_c (W o K11 + V o K12) + (T/2k) D_s (W o K21 + V o K22)] psi = rhs
 
-with D_c = diag(cos(k t_i)), D_s = diag(sin(k t_i)) and the K matrices built
-below.  Since D (W o K) = W o (D K), it is the semismooth block
-I + (T/2k) (W o K1 + V o K2) of the spliced branches K1 = D_c K11 + D_s K21
-and K2 = D_c K12 + D_s K22.  The default right-hand side is the free
-solution sin(k t); tests with a manufactured solution override it.
+with D_c = diag(cos(k t_i)), D_s = diag(sin(k t_i)) and K11..K22 the
+matrices of ``build_kernel_matrices``.  Since D (W o K) = W o (D K), it is
+the semismooth block I + (T/2k) (W o K1 + V o K2) of the spliced branches
+K1 = D_c K11 + D_s K21 and K2 = D_c K12 + D_s K22.  The default right-hand
+side is the free solution sin(k t); tests with a manufactured solution
+override it.
+
+Assembly through one shared operator
+------------------------------------
+Row scaling commutes with the matrix products inside K11..K22, so the two
+spliced branches share one integration operator M.  With cos and sin the
+vectors cos(k t) and sin(k t), V1 and V2 the lower and upper potential
+samples and Delta = V1 - V2,
+
+    M  = D_c W D_s + D_s V D_c
+    K1 = (T/2) [M V2 + cos d^T]
+    K2 = (T/2) [M V1 + sin e^T]
+
+where d_i = sum_l W[i, l] sin_l Delta[l, i] and
+e_i = -sum_l V[i, l] cos_l Delta[l, i] are the splice diagonals.  With
+W = a + B and V = c - B (``spectral_core``), M is built entrywise from the
+vectors a, c and the cached bracket B,
+
+    M = B o (cos sin^T - sin cos^T) + cos (sin o a)^T + sin (cos o c)^T,
+
+and d and e read B, a and c against Delta^T.  ``assemble`` therefore
+forms neither W nor V, and its two n-by-n products M V2 and M V1 cost
+4n^3 flops, half of the four products that K11..K22 take.
+``build_kernel_matrices`` is kept as the K11..K22 reference that tests
+check the splice against.
 """
 
 from __future__ import annotations
@@ -69,13 +94,50 @@ def build_kernel_matrices(potential: NonlocalPotential, grid: ChebGrid, ops: Spe
 
 @dataclass(frozen=True)
 class SchrodingerSystem:
+    """The assembled system: ``k1`` and ``k2`` are the spliced branches, and
+    ``matrix`` is their semismooth block."""
+
     grid: ChebGrid
-    k11: np.ndarray
-    k12: np.ndarray
-    k21: np.ndarray
-    k22: np.ndarray
+    k1: np.ndarray
+    k2: np.ndarray
     matrix: np.ndarray
     rhs: np.ndarray
+
+
+def _spliced_branches(
+    potential: NonlocalPotential, grid: ChebGrid, ops: SpectralOperators, sin_t, cos_t
+):
+    """K1 and K2 through the shared operator M (module docstring).
+
+    Besides the bracket, the two branch samples and the two results, this
+    allocates M and one scratch array.  The T/2 factor is folded into the
+    row vectors hc and hs.
+    """
+    t = grid.nodes
+    v1 = potential.eval_lower(t[:, None], t[None, :])
+    v2 = potential.eval_upper(t[:, None], t[None, :])
+    half_t = grid.width / 2.0
+    a, c, bracket = ops.left_offset, ops.right_offset, ops.bracket
+    hc = half_t * cos_t
+    hs = half_t * sin_t
+    # (T/2) d and (T/2) e: with W = a + B, d_i = (Delta^T (a o sin))_i
+    # + ((B o Delta^T) sin)_i, and likewise e with V = c - B
+    work = np.subtract(v1.T, v2.T)
+    splice = work @ np.column_stack((a * hs, -(c * hc)))
+    work *= bracket
+    splice += work @ np.column_stack((hs, hc))
+    # (T/2) M = B o (hc sin^T - hs cos^T) + hc (sin o a)^T + hs (cos o c)^T
+    m = np.multiply.outer(hc, sin_t)
+    m -= np.multiply.outer(hs, cos_t, out=work)
+    m *= bracket
+    m += np.matmul(
+        np.column_stack((hc, hs)), np.vstack((sin_t * a, cos_t * c)), out=work
+    )
+    k1 = m @ v2
+    k1 += np.multiply.outer(cos_t, splice[:, 0], out=work)
+    k2 = m @ v1
+    k2 += np.multiply.outer(sin_t, splice[:, 1], out=work)
+    return k1, k2
 
 
 def assemble(potential: NonlocalPotential, grid: ChebGrid, rhs_override=None) -> SchrodingerSystem:
@@ -87,20 +149,13 @@ def assemble(potential: NonlocalPotential, grid: ChebGrid, rhs_override=None) ->
     if not kappa > 0.0:
         raise ValueError(f"need kappa > 0, got {kappa}")
     ops = build_operators(grid.order)
-    k11, k12, k21, k22 = build_kernel_matrices(potential, grid, ops)
     t = grid.nodes
     sin_t = np.sin(kappa * t)
     cos_t = np.cos(kappa * t)
-    # row scaling commutes with the Hadamard product: D (W o K) = W o (D K)
-    k1 = cos_t[:, None] * k11
-    k1 += sin_t[:, None] * k21
-    k2 = cos_t[:, None] * k12
-    k2 += sin_t[:, None] * k22
+    k1, k2 = _spliced_branches(potential, grid, ops, sin_t, cos_t)
     matrix = semismooth_block(ops, k1, k2, grid.width / (2.0 * kappa))
     rhs = sin_t if rhs_override is None else _rhs_values(rhs_override, t)
-    return SchrodingerSystem(
-        grid=grid, k11=k11, k12=k12, k21=k21, k22=k22, matrix=matrix, rhs=rhs
-    )
+    return SchrodingerSystem(grid=grid, k1=k1, k2=k2, matrix=matrix, rhs=rhs)
 
 
 def solve_schrodinger(potential: NonlocalPotential, order: int, rhs_override=None) -> ChebSolution:
@@ -109,12 +164,22 @@ def solve_schrodinger(potential: NonlocalPotential, order: int, rhs_override=Non
     return solve_system((grid,), system.matrix, system.rhs)
 
 
-def self_convergence(potential: NonlocalPotential, order: int, rhs_override=None) -> float:
+def self_convergence(
+    potential: NonlocalPotential, order: int, rhs_override=None, solutions=None
+) -> float:
     """Relative sup distance between the order-n and order-2n solutions,
-    measured at the order-n nodes through the finer solution's interpolant."""
+    measured at the order-n nodes through the finer solution's interpolant.
+
+    ``solutions``, if given, maps orders to solutions of this same potential
+    and right-hand side.  Orders it lacks are solved and added, so a caller
+    that passes one dict across orders n, 2n, 4n, ... solves each once.
+    """
     if order < 4:
         raise ValueError(f"need order >= 4, got {order}")
-    coarse = solve_schrodinger(potential, order, rhs_override)
-    fine = solve_schrodinger(potential, 2 * order, rhs_override)
+    solutions = {} if solutions is None else solutions
+    for n in (order, 2 * order):
+        if n not in solutions:
+            solutions[n] = solve_schrodinger(potential, n, rhs_override)
+    coarse, fine = solutions[order], solutions[2 * order]
     nodes = coarse.grids[0].nodes
     return relative_sup_error(coarse.node_values, fine.evaluate(nodes))

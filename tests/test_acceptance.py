@@ -127,12 +127,13 @@ def test_criterion_5_interior_kink_needs_partition():
 def test_criterion_6_separable_scattering_accuracy():
     """Order 64 meets its bound; order 32 is red by design.
 
-    The separable potential's kernel matrices carry entries on the e^(+T)
-    scale (T = 20), and their splice columns cancel to order-one values.  In
-    double precision that cancellation leaves an absolute residue near 1e-4
-    in the assembled operator at order 32, so the solve cannot land under
-    1e-5 no matter how the linear algebra is arranged; the measured error
-    sits near 2.4e-5.  The bound is asserted as stated and fails honestly.
+    The separable potential's spliced kernel branches carry entries on the
+    e^(+T) scale (T = 20; about 2.4e7 at order 32), and the semismooth block
+    cancels them to entries below 5e4.  In double precision that
+    cancellation leaves an absolute residue near 1e-4 in the assembled
+    operator at order 32, so the solve cannot land under 1e-5 no matter how
+    the linear algebra is arranged; the measured error is 2.34e-5.  The
+    bound is asserted as stated and fails honestly.
     """
     problem = catalog_lookup("schrod_separable")
     errors = {}

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import chebfred.cli as cli
+import chebfred.schrodinger as schrodinger
 from chebfred.fredholm_solver import SingularMatrixError
-from chebfred.kernel_catalog import catalog_names
+from chebfred.kernel_catalog import catalog_lookup, catalog_names
 
 
 def _rows(csv_text):
@@ -106,6 +107,8 @@ def test_composite_method_with_panels(capsys):
         ["solve", "--problem", "example2", "--T", "inf", "--n", "8"],
         ["schrodinger", "--problem", "schrod_separable", "--kappa", "inf"],
         ["schrodinger", "--problem", "schrod_pereybuck", "--A", "inf", "--n", "8"],
+        ["solve", "--problem", "example1", "--n", "8", "--output", "/nonexistent/x.csv"],
+        ["solve", "--problem", "example1", "--n", "8", "--output", ""],
     ],
 )
 def test_configuration_errors_exit_2(argv, capsys):
@@ -114,6 +117,38 @@ def test_configuration_errors_exit_2(argv, capsys):
         assert cli.main(argv) == 2
     assert not caught, [str(w.message) for w in caught]
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["solve", "--problem", "example1"], ["schrodinger", "--problem", "schrod_pereybuck"]])
+def test_unwritable_output_fails_before_any_solve(command, tmp_path, monkeypatch, capsys):
+    def boom(*args, **kwargs):
+        raise AssertionError("solved before checking the output path")
+
+    monkeypatch.setattr(cli, "solve_fredholm", boom)
+    monkeypatch.setattr(cli, "self_convergence", boom)
+    missing = tmp_path / "no-such-dir" / "x.csv"
+    assert cli.main(command + ["--n", "8", "--output", str(missing)]) == 2
+    assert "cannot write output file" in capsys.readouterr().err
+
+
+def test_parser_keeps_no_state_between_calls(capsys):
+    # the parser is built once per process and reused by every main call
+    assert cli._build_parser() is cli._build_parser()
+    first = ["solve", "--problem", "example2", "--method", "alg1,gleg", "--n", "4,8", "--lam", "0.5"]
+    second = ["solve", "--problem", "example1", "--n", "8"]
+    fresh = cli._build_parser.__wrapped__()
+    shared = cli._build_parser()
+    shared.parse_args(first)
+    assert vars(shared.parse_args(second)) == vars(fresh.parse_args(second))
+
+    assert cli.main(first) == 0
+    _, rows = _rows(capsys.readouterr().out)
+    assert {(r[0], r[1], r[2]) for r in rows} == {
+        (n, m, "example2") for n in ("4", "8") for m in ("alg1", "gleg")
+    }
+    assert cli.main(second) == 0
+    _, rows = _rows(capsys.readouterr().out)
+    assert [(r[0], r[1], r[2]) for r in rows] == [("8", "schur", "example1")]
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
@@ -239,6 +274,23 @@ def test_schrodinger_self_convergence_table(capsys):
     n, err = lines[1].split(",")
     assert n == "16"
     assert 1e-5 < float(err) < 1e-2
+
+
+def test_schrodinger_solves_each_distinct_order_once(monkeypatch, capsys):
+    pot = catalog_lookup("schrod_pereybuck").potential
+    separate = [f"{schrodinger.self_convergence(pot, n):.6e}" for n in (16, 32, 64)]
+    solved = []
+    solve = schrodinger.solve_schrodinger
+
+    def counted(potential, order, rhs_override=None):
+        solved.append(order)
+        return solve(potential, order, rhs_override)
+
+    monkeypatch.setattr(schrodinger, "solve_schrodinger", counted)
+    assert cli.main(["schrodinger", "--problem", "schrod_pereybuck", "--n", "16,32,64"]) == 0
+    assert sorted(solved) == [16, 32, 64, 128]
+    _, rows = _rows(capsys.readouterr().out)
+    assert [err for _, err in rows] == separate
 
 
 def test_schrodinger_analytic_table(capsys):

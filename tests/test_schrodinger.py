@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import chebfred.schrodinger as schrodinger
 from chebfred.kernel_catalog import NonlocalPotential, catalog_lookup
 from chebfred.schrodinger import (
     assemble,
@@ -26,8 +27,7 @@ def test_zero_potential_gives_free_solution():
     pot = _zero_potential()
     grid = cheb_grid(16, 0.0, T_CUT)
     system = assemble(pot, grid)
-    for block in (system.k11, system.k12, system.k21, system.k22):
-        assert np.all(block == 0.0)
+    assert np.all(system.k1 == 0.0) and np.all(system.k2 == 0.0)
     assert np.array_equal(system.matrix, np.eye(17))
     sol = solve_schrodinger(pot, 16)
     assert np.max(np.abs(sol.node_values - np.sin(grid.nodes))) < 1e-13
@@ -87,9 +87,14 @@ def test_assemble_samples_each_branch_once(name):
     grid = cheb_grid(48, 0.0, pot.cutoff)
     system = assemble(counted_pot, grid)
     assert calls == {"lower": 1, "upper": 1}
-    reference = _reference_kernel_matrices(pot, grid, build_operators(48))
-    for k, ref in zip((system.k11, system.k12, system.k21, system.k22), reference):
-        assert np.max(np.abs(k - ref)) <= 1e-13 * np.max(np.abs(ref))
+    k11, k12, k21, k22 = _reference_kernel_matrices(pot, grid, build_operators(48))
+    sin_t = np.sin(pot.kappa * grid.nodes)[:, None]
+    cos_t = np.cos(pot.kappa * grid.nodes)[:, None]
+    # relative to the spliced terms: on the separable potential the splice
+    # cancels e^T-scale entries
+    term_scale = max(np.max(np.abs(k)) for k in (k11, k12, k21, k22))
+    for k, ref in ((system.k1, cos_t * k11 + sin_t * k21), (system.k2, cos_t * k12 + sin_t * k22)):
+        assert np.max(np.abs(k - ref)) <= 1e-13 * term_scale
 
 
 def _hadamard_matrix(potential, grid):
@@ -121,6 +126,41 @@ def test_matrix_is_semismooth_block_of_spliced_branches(name, order):
     reference, term_scale = _hadamard_matrix(pot, grid)
     matrix = assemble(pot, grid).matrix
     assert np.max(np.abs(matrix - reference)) <= 1e-14 * term_scale
+
+
+@pytest.mark.parametrize("order", [8, 32, 128])
+@pytest.mark.parametrize("name", ["schrod_pereybuck", "schrod_separable"])
+def test_matrix_is_semismooth_block_at_kappa_2(name, order):
+    """The oracle comparison above at kappa = 2, where sin and cos of the
+    nodes no longer share the potential's unit length scale."""
+    pot = catalog_lookup(name, kappa=2.0).potential
+    grid = cheb_grid(order, 0.0, pot.cutoff)
+    reference, term_scale = _hadamard_matrix(pot, grid)
+    matrix = assemble(pot, grid).matrix
+    assert np.max(np.abs(matrix - reference)) <= 1e-14 * term_scale
+
+
+def test_assemble_forms_neither_integration_matrix(monkeypatch):
+    """``assemble`` reads the bracket and the offset vectors only: W, V and
+    the K11..K22 matrices are never built."""
+    built = []
+
+    def recording_build(n):
+        built.append(build_operators(n))
+        return built[-1]
+
+    def forbidden(*args):
+        raise AssertionError("assemble called build_kernel_matrices")
+
+    monkeypatch.setattr(schrodinger, "build_operators", recording_build)
+    monkeypatch.setattr(schrodinger, "build_kernel_matrices", forbidden)
+    for name in ("schrod_pereybuck", "schrod_separable"):
+        pot = catalog_lookup(name).potential
+        schrodinger.assemble(pot, cheb_grid(32, 0.0, pot.cutoff))
+    assert len(built) == 2
+    for ops in built:
+        assert "bracket" in vars(ops)
+        assert "int_left" not in vars(ops) and "int_right" not in vars(ops)
 
 
 def test_inner_integral_matrix_against_row_quadrature():
