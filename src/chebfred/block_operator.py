@@ -5,8 +5,10 @@ blocks.  ``BlockOperator`` is what the solvers read from such a matrix:
 products with A and A^T over any range of panels, the column and row sums
 of |A| (hence its 1- and infinity-norms), a finiteness check, and ``dense``,
 which forms the square array of a range of panels only when a dense
-factorization needs it.  ``share_key`` tells the hierarchical solver which
-panel ranges carry the same matrix.
+factorization needs it.  That array is a plain C-order copy: its transpose
+is the same memory in Fortran order, so LAPACK factors A^T in place and
+solves with A through ``trans`` (``hierarchical._lu``).  ``share_key``
+tells the hierarchical solver which panel ranges carry the same matrix.
 
 Two storages implement it:
 
@@ -125,10 +127,9 @@ class DenseBlocks(BlockOperator):
         return bool(np.isfinite(self.matrix).all())
 
     def dense(self, p0=0, p1=None):
-        """A fresh Fortran-order copy of A[p0:p1, p0:p1] (panels; default all),
-        which LAPACK can factor in place."""
+        """A fresh C-order copy of A[p0:p1, p0:p1] (panels; default all)."""
         span = self._span((p0, self.panels if p1 is None else p1))
-        return np.array(self._view(span, span), order="F")
+        return np.array(self._view(span, span), order="C")
 
 
 class ToeplitzBlocks(BlockOperator):
@@ -184,11 +185,10 @@ class ToeplitzBlocks(BlockOperator):
         return all(np.isfinite(block).all() for block in self.diagonals.values())
 
     def dense(self, p0=0, p1=None):
-        """A fresh Fortran-order array holding A[p0:p1, p0:p1] (panels; default
-        all), which LAPACK can factor in place."""
+        """A fresh C-order array holding A[p0:p1, p0:p1] (panels; default all)."""
         count = (self.panels if p1 is None else p1) - p0
         n = self.size
-        out = np.empty((count * n, count * n), order="F")
+        out = np.empty((count * n, count * n))
         for j in range(count):
             for i in range(count):
                 out[j * n : (j + 1) * n, i * n : (i + 1) * n] = self.diagonals[j - i]

@@ -5,7 +5,8 @@ Subcommands: ``solve`` (error table for one problem, one or more methods),
 ``schrodinger`` (scattering problems, n vs error table), ``list-problems``.
 Options may come from flags or a JSON config file (flags win); both go
 through the same parsers.  Exit codes: 0 success, 2 configuration error,
-3 method/problem incompatibility, 4 solver failure.
+3 method/problem incompatibility, 4 solver failure (out of memory
+included).
 """
 
 from __future__ import annotations
@@ -364,6 +365,10 @@ def main(argv=None) -> int:
         return 3
     except (KernelEvaluationError, SingularMatrixError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:
+        # numpy's message names the size and shape it could not allocate
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
         return 4
     except (ConfigError, CatalogError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

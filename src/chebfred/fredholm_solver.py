@@ -22,10 +22,9 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
-from scipy import linalg
 
 from .block_operator import ToeplitzBlocks, as_block_operator
-from .hierarchical import hierarchical_solve
+from .hierarchical import _lu, _lu_rcond, _lu_solve, hierarchical_solve
 from .kernel_catalog import as_semismooth
 from .spectral_core import ChebGrid, SpectralOperators, build_operators, cheb_grid, chebyshev_eval
 
@@ -42,7 +41,9 @@ __all__ = [
 ]
 
 RCOND_WARN = 1e-12
-_getrf, _gecon, _getrs = linalg.get_lapack_funcs(("getrf", "gecon", "getrs"), (np.empty((1, 1)),))
+# Entries per row block of ``semismooth_block``, from
+# scripts/bench_build_operators.py: 32 rows at n = 1000.
+ROW_BLOCK_ENTRIES = 32768
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -75,9 +76,15 @@ def dense_solve(matrix, rhs: np.ndarray):
     A^T.  A node whose ranks make the Woodbury update cost more than a dense
     LU of the node is factored densely.  Every other outcome (one panel, N
     below the crossover, no low-rank split, a zero pivot, refinement that
-    does not converge) forms the dense array and factors it in place by LU
-    with partial pivoting, with the LAPACK ``gecon`` estimate, so a singular
-    system raises ``SingularMatrixError``.
+    does not converge) takes the dense LU: ``BlockOperator.dense`` forms a
+    plain C-order copy of A, and LAPACK factors its transpose, which is the
+    same memory in Fortran order, in place by LU with partial pivoting
+    (``hierarchical._lu``, the helper the hierarchical leaves use too).  The
+    factors are those of A^T, so ``getrs`` solves A x = y with ``trans``
+    flipped (``_lu_solve``), and rcond is ``gecon``'s infinity-norm
+    estimate for A^T from ||A^T||_inf = ||A||_1, which is its 1-norm
+    estimate for A (``_lu_rcond``).  A zero pivot raises
+    ``SingularMatrixError``.
     """
     rhs = np.asarray(rhs, dtype=float)
     op = as_block_operator(matrix)
@@ -90,12 +97,12 @@ def dense_solve(matrix, rhs: np.ndarray):
     if solved is not None:
         x, rcond = solved
         return x, rcond, bool(rcond < RCOND_WARN)
-    lu, piv, info = _getrf(op.dense(), overwrite_a=True)
-    if info > 0:  # an exactly zero pivot
-        raise SingularMatrixError("discretized operator is singular to working precision")
-    rcond, _info = _gecon(lu, anorm)
-    x, _info = _getrs(lu, piv, rhs)
-    return x, float(rcond), bool(rcond < RCOND_WARN)
+    try:
+        factors = _lu(op.dense())
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError("discretized operator is singular to working precision") from None
+    rcond = _lu_rcond(factors, anorm)
+    return _lu_solve(factors, rhs), rcond, bool(rcond < RCOND_WARN)
 
 
 def semismooth_block(
@@ -104,9 +111,16 @@ def semismooth_block(
     """I + scale * (W o K1 + V o K2), the one-panel semismooth system matrix.
 
     With W = a + B and V = c - B (``spectral_core``), the sum is formed as
-    K1 o a + K2 o c + (K1 - K2) o B, so W and V are never built: besides
-    the operators' cached bracket B it allocates the result and one scratch
-    array.  Branch samples of the wrong shape raise ValueError.
+    K1 o a + K2 o c + (K1 - K2) o B, so W and V are never built.  Neither
+    is B: the block is formed ROW_BLOCK_ENTRIES entries at a time, each row
+    block computing its rows of B into a small work array
+    (``ops.bracket_rows``), so that a row block's rows of K1, K2, B and the
+    result stay in cache through every elementwise step.  The steps and
+    their order are those of the whole-array formula, so the result is
+    bitwise the same.  Besides the result it allocates two row blocks of
+    work space.  Under ``__debug__`` every call checks the row sums of B
+    (``ops.check_bracket_row_sums``).  Branch samples of the wrong shape
+    raise ValueError.
     """
     n1 = ops.order + 1
     k1 = np.asarray(k1_vals, dtype=float)
@@ -114,12 +128,23 @@ def semismooth_block(
     for k in (k1, k2):
         if k.shape != (n1, n1):
             raise ValueError(f"shape mismatch {(n1, n1)} vs {k.shape}")
-    block = np.subtract(k1, k2)
-    block *= ops.bracket
-    scratch = np.multiply(k1, ops.left_offset)
-    block += scratch
-    block += np.multiply(k2, ops.right_offset, out=scratch)
-    block *= scale
+    block = np.empty((n1, n1))
+    rows = max(1, ROW_BLOCK_ENTRIES // n1)
+    work = np.empty((2, min(rows, n1), n1))
+    row_sums = np.empty(n1) if __debug__ else None
+    for start in range(0, n1, rows):
+        stop = min(start + rows, n1)
+        bracket = ops.bracket_rows(start, stop, out=work[0, : stop - start])
+        if __debug__:
+            row_sums[start:stop] = bracket.sum(axis=1)
+        scratch = work[1, : stop - start]
+        out = np.subtract(k1[start:stop], k2[start:stop], out=block[start:stop])
+        out *= bracket
+        out += np.multiply(k1[start:stop], ops.left_offset, out=scratch)
+        out += np.multiply(k2[start:stop], ops.right_offset, out=scratch)
+        out *= scale
+    if __debug__:
+        ops.check_bracket_row_sums(row_sums)
     block.reshape(-1)[:: n1 + 1] += 1.0
     return block
 

@@ -64,20 +64,32 @@ BERR_EPS = 8.0
 ITMAX = 5
 
 _EPS = np.finfo(float).eps
-_getrf, _getrs = linalg.get_lapack_funcs(("getrf", "getrs"), (np.empty((1, 1)),))
+_getrf, _gecon, _getrs = linalg.get_lapack_funcs(("getrf", "gecon", "getrs"), (np.empty((1, 1)),))
 
 
-def _lu(block):
-    """LU factors of a fresh array, factored in place."""
-    lu, piv, info = _getrf(block, overwrite_a=True)
+def _lu(matrix):
+    """LU factors of A^T, for a fresh C-order array A.
+
+    A^T is the same memory in Fortran order, so LAPACK factors it in place,
+    with no transposing copy.  ``_lu_solve`` solves with A or A^T from it.
+    """
+    lu, piv, info = _getrf(matrix.T, overwrite_a=True)
     if info > 0:  # an exactly zero pivot
         raise np.linalg.LinAlgError("zero pivot")
     return lu, piv
 
 
 def _lu_solve(factors, b, trans=0):
-    x, _info = _getrs(factors[0], factors[1], b, trans=trans)
+    """A^{-1} b, or A^{-T} b with trans=1, from ``_lu``'s factors of A^T."""
+    x, _info = _getrs(factors[0], factors[1], b, trans=1 - trans)
     return x
+
+
+def _lu_rcond(factors, anorm):
+    """``gecon``'s estimate of 1 / (||A||_1 ||A^{-1}||_1) from ``_lu``'s
+    factors of A^T, given ||A||_1: for A^T that is the infinity norm."""
+    rcond, _info = _gecon(factors[0], anorm, norm="I")
+    return float(rcond)
 
 
 class _Leaf:

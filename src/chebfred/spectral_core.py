@@ -61,8 +61,12 @@ V = c - B, with a and c added to every row.  For branch samples K1 and K2,
 where K1 o a scales column m of K1 by a_m.  The right side reads the
 vectors a and c and the single matrix B, so the semismooth block
 I + s (W o K1 + V o K2) is assembled without forming W or V
-(``fredholm_solver.semismooth_block``).  Where the branches agree, K1 - K2
-vanishes and the rule reduces to the full weights sigma = a + c.
+(``fredholm_solver.semismooth_block``).  It forms no B either: entry
+(k, m) of B needs only b_m and two values of S, so the block is built a
+few rows at a time, each row block reading its rows of B from the
+Toeplitz and Hankel views of S (``SpectralOperators.bracket_rows``).
+Where the branches agree, K1 - K2 vanishes and the rule reduces to the
+full weights sigma = a + c.
 """
 
 from __future__ import annotations
@@ -236,7 +240,8 @@ class SpectralOperators:
     Properties (lazy)
     -----------------
     bracket : ndarray
-        B[k, m] = b_m [S(m-k) + S(m+k+1)].
+        B[k, m] = b_m [S(m-k) + S(m+k+1)]; ``bracket_rows`` gives any of its
+        rows without building it.
     int_left, int_right : ndarray
         Node-space running-integral operators W = a + B and V = c - B:
         (int_left @ f)[k] approximates the integral of f from -1 to tau_k;
@@ -247,7 +252,8 @@ class SpectralOperators:
         Coefficient-space antiderivative maps S_L and S_R.
 
     The debug-mode checks run when a matrix is built: the row sums
-    W 1 = tau + 1 and V 1 = 1 - tau with the bracket, and W + V = sigma with
+    W 1 = tau + 1 and V 1 = 1 - tau with the bracket (``semismooth_block``
+    runs them on the row sums of its row blocks), and W + V = sigma with
     either integration operator.
     """
 
@@ -260,23 +266,37 @@ class SpectralOperators:
 
     @cached_property
     def bracket(self) -> np.ndarray:
+        B = self.bracket_rows(0, self.order + 1)
+        if __debug__:
+            self.check_bracket_row_sums(B.sum(axis=1))
+        return B
+
+    def bracket_rows(self, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Rows start .. stop-1 of the bracket B, bitwise those of ``bracket``,
+        computed into ``out`` if given.
+
+        S(m-k) and S(m+k+1) are read through strided views of S, a Toeplitz
+        and a Hankel matrix (numpy checks that both stay inside S), so a row
+        block costs no more than its own rows.
+        """
         n = self.order
         S = self.s_values
-        # S(m-k) and S(m+k+1) as strided views of S: a Toeplitz and a Hankel
-        # matrix.  numpy checks that both stay inside S.
         step = S.itemsize
-        toeplitz = np.ndarray((n + 1, n + 1), S.dtype, S, n * step, (-step, step))
-        hankel = np.ndarray((n + 1, n + 1), S.dtype, S, (n + 1) * step, (step, step))
-        B = toeplitz + hankel
-        B *= self.bracket_scale
-        if __debug__:
-            # W 1 = sum(a) + B 1 = tau + 1 and V 1 = sum(c) - B 1 = 1 - tau
-            tau = chebyshev_nodes(n)
-            rows = B.sum(axis=1)
-            scale = 1e-13 * n
-            assert np.abs(self.left_offset.sum() + rows - (tau + 1)).max() < scale
-            assert np.abs(self.right_offset.sum() - rows - (1 - tau)).max() < scale
-        return B
+        shape = (stop - start, n + 1)
+        toeplitz = np.ndarray(shape, S.dtype, S, (n - start) * step, (-step, step))
+        hankel = np.ndarray(shape, S.dtype, S, (n + 1 + start) * step, (step, step))
+        rows = np.add(toeplitz, hankel, out=out)
+        rows *= self.bracket_scale
+        return rows
+
+    def check_bracket_row_sums(self, row_sums: np.ndarray) -> None:
+        """Debug check of the bracket's row sums B 1 against the row sums of
+        the integration operators: W 1 = sum(a) + B 1 = tau + 1 and
+        V 1 = sum(c) - B 1 = 1 - tau."""
+        tau = chebyshev_nodes(self.order)
+        scale = 1e-13 * self.order
+        assert np.abs(self.left_offset.sum() + row_sums - (tau + 1)).max() < scale
+        assert np.abs(self.right_offset.sum() - row_sums - (1 - tau)).max() < scale
 
     @cached_property
     def int_left(self) -> np.ndarray:

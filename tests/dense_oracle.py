@@ -1,8 +1,9 @@
-"""Dense O(n^3) reference for every operator that SpectralOperators exposes.
+"""Dense references: every operator that SpectralOperators exposes, by
+O(n^3) products, and the semismooth block over whole n x n arrays.
 
-Shared by tests/test_spectral_core.py and scripts/bench_build_operators.py.
-It imports only functions that every version of chebfred.spectral_core has,
-so the benchmark can check a baseline checkout against it too.
+Shared by the tests and scripts/bench_build_operators.py.  It imports only
+functions that every version of chebfred.spectral_core has, so the
+benchmark can check a baseline checkout against it too.
 """
 
 import numpy as np
@@ -62,3 +63,21 @@ def dense_operators(n):
         "int_right": C @ SR @ Ci,
         "full_weights": np.ones(n + 1) @ SL @ Ci,
     }
+
+
+def semismooth_block_reference(ops, k1, k2, scale):
+    """I + scale [K1 o a + K2 o c + (K1 - K2) o B] in one shot over whole
+    n x n arrays, with the cached bracket B.
+
+    ``fredholm_solver.semismooth_block`` takes the same elementwise steps in
+    the same order, one row block at a time, so the two agree bitwise.
+    """
+    n1 = ops.order + 1
+    block = np.subtract(k1, k2)
+    block *= ops.bracket
+    scratch = np.multiply(k1, ops.left_offset)
+    block += scratch
+    block += np.multiply(k2, ops.right_offset, out=scratch)
+    block *= scale
+    block.reshape(-1)[:: n1 + 1] += 1.0
+    return block

@@ -266,6 +266,21 @@ def test_solver_failure_exits_4(monkeypatch, capsys):
     assert "synthetic failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("error", [
+    MemoryError("Unable to allocate 74.5 GiB for an array with shape (100001, 100001) and data type float64"),
+    MemoryError(),
+])
+def test_out_of_memory_exits_4(monkeypatch, capsys, error):
+    def exhausted(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "solve_fredholm", exhausted)
+    assert cli.main(["solve", "--problem", "example1", "--n", "100000"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and str(error) in err
+    assert "Traceback" not in err
+
+
 def test_schrodinger_self_convergence_table(capsys):
     code = cli.main(["schrodinger", "--problem", "schrod_pereybuck", "--n", "16"])
     assert code == 0

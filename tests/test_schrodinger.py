@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from dense_oracle import semismooth_block_reference
 
 import chebfred.schrodinger as schrodinger
 from chebfred.kernel_catalog import NonlocalPotential, catalog_lookup
@@ -126,6 +127,19 @@ def test_matrix_is_semismooth_block_of_spliced_branches(name, order):
     reference, term_scale = _hadamard_matrix(pot, grid)
     matrix = assemble(pot, grid).matrix
     assert np.max(np.abs(matrix - reference)) <= 1e-14 * term_scale
+
+
+@pytest.mark.parametrize("order", [8, 127, 255, 384])
+@pytest.mark.parametrize("name", ["schrod_pereybuck", "schrod_separable"])
+def test_matrix_is_bitwise_the_whole_array_block_of_spliced_branches(name, order):
+    """The row-blocked ``semismooth_block`` gives the spliced branches'
+    block bitwise as the whole-array formula does."""
+    pot = catalog_lookup(name).potential
+    grid = cheb_grid(order, 0.0, pot.cutoff)
+    system = assemble(pot, grid)
+    scale = grid.width / (2.0 * pot.kappa)
+    reference = semismooth_block_reference(build_operators(order), system.k1, system.k2, scale)
+    assert np.array_equal(system.matrix, reference)
 
 
 @pytest.mark.parametrize("order", [8, 32, 128])

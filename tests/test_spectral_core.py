@@ -195,6 +195,19 @@ def test_operators_build_matrices_only_when_read():
     assert not {"int_right", "cosine", "cosine_inv", "coeff_int_left", "coeff_int_right"} & set(vars(ops))
 
 
+@pytest.mark.parametrize("start, stop", [(0, 1), (10, 17), (40, 51), (0, 51)])
+def test_bracket_rows_compute_into_out_whether_or_not_bracket_is_cached(start, stop):
+    ops = build_operators(50)
+    before = np.empty((stop - start, 51))
+    assert ops.bracket_rows(start, stop, out=before) is before
+    bracket = ops.bracket
+    assert "bracket" in vars(ops)
+    after = np.empty_like(before)
+    assert ops.bracket_rows(start, stop, out=after) is after
+    assert np.array_equal(before, bracket[start:stop])
+    assert np.array_equal(after, bracket[start:stop])
+
+
 def test_import_leaves_scipy_fft_unloaded():
     # build_operators uses numpy.fft, which numpy loads anyway; importing
     # scipy.fft as well would lengthen every process start
