@@ -61,9 +61,15 @@ OUT = ROOT / "BENCH_build_operators.json"
 
 
 def best_time(call):
-    """Best time per call over REPEATS samples of at least SAMPLE_S each."""
-    once = timeit.timeit(call, number=1)
-    number = max(1, int(SAMPLE_S / max(once, 1e-7)))
+    """Best time per call over REPEATS samples of about SAMPLE_S each.
+
+    The loop is sized from warm calls: the first call of a fresh process can
+    take ten times as long as the next (cold caches, lazy set-up), and a loop
+    sized from it runs samples far shorter than SAMPLE_S.
+    """
+    call()
+    number, total = timeit.Timer(call).autorange()
+    number = max(1, math.ceil(number * SAMPLE_S / total))
     return min(timeit.repeat(call, number=number, repeat=REPEATS)) / number
 
 
@@ -197,7 +203,8 @@ def main():
         "after": "src/ of the checkout this file is committed in",
         "method": (
             f"{ROUNDS} rounds of fresh worker processes, sides alternating; "
-            f"{REPEATS} timing samples of >= {SAMPLE_S} s per order per round; best sample / calls"
+            f"{REPEATS} timing samples of about {SAMPLE_S} s per order per round, the calls per sample "
+            "sized from warm calls; best sample / calls"
         ),
         "deviation": "max entrywise |op - dense_operators(n)[op]| over every operator in OPERATOR_NAMES",
         "solve_errors_note": "relative sup error of solve_fredholm at its nodes against the analytic solution",

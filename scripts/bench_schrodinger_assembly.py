@@ -21,6 +21,7 @@ error tables and the benchmark's ``schrodinger`` workload print, through
 
 import argparse
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -47,9 +48,11 @@ OUT = ROOT / "BENCH_schrodinger_assembly.json"
 
 
 def best_time(call):
-    """Best time per call over REPEATS samples of at least SAMPLE_S each."""
-    once = timeit.timeit(call, number=1)
-    number = max(1, int(SAMPLE_S / max(once, 1e-7)))
+    """Best time per call over REPEATS samples of about SAMPLE_S each, the
+    loop sized from warm calls (a cold first call sizes it too short)."""
+    call()
+    number, total = timeit.Timer(call).autorange()
+    number = max(1, math.ceil(number * SAMPLE_S / total))
     return min(timeit.repeat(call, number=number, repeat=REPEATS)) / number
 
 
@@ -156,7 +159,8 @@ def main():
         "after": "src/ of the checkout this file is committed in",
         "method": (
             f"{ROUNDS} rounds of fresh worker processes, sides alternating; "
-            f"{REPEATS} timing samples of >= {SAMPLE_S} s per order per round; best sample / calls"
+            f"{REPEATS} timing samples of about {SAMPLE_S} s per order per round, the calls per sample "
+            "sized from warm calls; best sample / calls"
         ),
         "oracle_deviation": (
             "max entrywise |assemble(...).matrix - Hadamard formula| / (s max|K11..K22|), "

@@ -37,12 +37,22 @@ that does not converge to working accuracy returns None, so the caller falls
 back to its dense LU.  The condition estimate is LAPACK's dlacn2 iteration
 (Hager 1984; Higham, ACM TOMS 1988), the estimator ``gecon`` runs, applied
 through the hierarchical solves.
+
+LU, its condition estimate and every dense solve are LAPACK's ``getrf``,
+``gecon`` and ``getrs`` from scipy's compiled LAPACK module,
+``scipy.linalg._flapack``, loaded on its own: the ``scipy.linalg`` package
+costs each process about 0.3 s and 25 MB at import, and nothing else of it
+is used.  The QR and SVD of the range finder are ``numpy.linalg``'s.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import pathlib
+import sys
+
 import numpy as np
-from scipy import linalg
 
 __all__ = ["CROSSOVER_N", "LEAF_SIZE", "SKETCH_TOL", "hierarchical_solve"]
 
@@ -64,7 +74,32 @@ BERR_EPS = 8.0
 ITMAX = 5
 
 _EPS = np.finfo(float).eps
-_getrf, _gecon, _getrs = linalg.get_lapack_funcs(("getrf", "gecon", "getrs"), (np.empty((1, 1)),))
+
+
+def _load_flapack():
+    """``scipy.linalg._flapack``, run without scipy's or scipy.linalg's __init__.
+
+    It is registered under that name, so a later ``import scipy.linalg``
+    shares the one module.
+    """
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        scipy = importlib.util.find_spec("scipy")  # locates the package without running it
+        if scipy is None:
+            raise ImportError("chebfred needs scipy for its LAPACK extension _flapack")
+        where = pathlib.Path(scipy.submodule_search_locations[0], "linalg")
+        path = where / f"_flapack{importlib.machinery.EXTENSION_SUFFIXES[0]}"
+        if not path.is_file():
+            raise ImportError(f"scipy's LAPACK extension {path.name} not found in {where}")
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return sys.modules[name]
+
+
+_flapack = _load_flapack()
+_getrf, _gecon, _getrs = _flapack.dgetrf, _flapack.dgecon, _flapack.dgetrs
 
 
 def _lu(matrix):
@@ -192,10 +227,10 @@ def _compress(op, rows, cols, tol, rng, start):
     sketch = op.matmul(rng.standard_normal((n, min(max(start, SKETCH_START), side))), rows, cols)
     while True:
         ell = sketch.shape[1]
-        q, _ = linalg.qr(sketch, mode="economic", check_finite=False)
+        q, _ = np.linalg.qr(sketch)
         # SVD of the ell x n projection q^T block through a QR of its transpose
-        q2, r2 = linalg.qr(op.rmatmul(q, rows, cols), mode="economic", check_finite=False)
-        ub, s, vt = linalg.svd(r2.T, check_finite=False)
+        q2, r2 = np.linalg.qr(op.rmatmul(q, rows, cols))
+        ub, s, vt = np.linalg.svd(r2.T)
         rank = int(np.count_nonzero(s > tol))
         if rank + OVERSAMPLE <= ell or ell == side:
             break

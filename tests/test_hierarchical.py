@@ -1,5 +1,8 @@
 """Hierarchical (HODLR) solve of composite systems, checked against dense LU."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy import linalg
@@ -155,3 +158,38 @@ def test_below_crossover_is_bitwise_the_lu_path():
     plain = dense_solve(system.matrix.dense(), system.rhs)
     solution = solve_composite(system)
     _same_lu_answer(plain, (np.concatenate(solution.values), solution.rcond, solution.cond_warning))
+
+
+_SHARED_FLAPACK = """
+import gc, sys, types
+import numpy as np
+{first}
+{second}
+from scipy.linalg import lapack
+flapack = [m for m in gc.get_objects()
+           if isinstance(m, types.ModuleType) and m.__name__ == "scipy.linalg._flapack"]
+assert len(flapack) == 1, flapack
+assert flapack[0] is sys.modules["scipy.linalg._flapack"] is lapack._flapack
+assert chebfred.hierarchical._getrf is lapack.dgetrf
+matrix = np.array([[4.0, 1.0], [2.0, 3.0]])
+x = scipy.linalg.lu_solve(scipy.linalg.lu_factor(matrix), [1.0, 2.0])
+assert np.allclose(matrix @ x, [1.0, 2.0])
+"""
+
+
+@pytest.mark.parametrize("chebfred_first", [True, False])
+def test_lapack_extension_is_shared_with_scipy_linalg(chebfred_first):
+    # chebfred loads scipy.linalg._flapack without scipy.linalg; whichever
+    # is imported first, the two must end up with one module
+    imports = ["import chebfred.hierarchical", "import scipy.linalg"]
+    first, second = imports if chebfred_first else imports[::-1]
+    code = _SHARED_FLAPACK.format(first=first, second=second)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_missing_lapack_extension_raises_import_error_naming_the_directory(monkeypatch):
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(hierarchical.importlib.machinery, "EXTENSION_SUFFIXES", [".missing.so"])
+    with pytest.raises(ImportError, match=r"_flapack\.missing\.so not found in .*scipy.linalg$"):
+        hierarchical._load_flapack()

@@ -208,12 +208,22 @@ def test_bracket_rows_compute_into_out_whether_or_not_bracket_is_cached(start, s
     assert np.array_equal(after, bracket[start:stop])
 
 
-def test_import_leaves_scipy_fft_unloaded():
-    # build_operators uses numpy.fft, which numpy loads anyway; importing
-    # scipy.fft as well would lengthen every process start
-    code = "import sys, chebfred; assert 'scipy.fft' not in sys.modules, 'scipy.fft loaded'"
+@pytest.fixture(scope="module")
+def modules_after_cli_import():
+    code = "import sys, chebfred.cli; print('\\n'.join(sys.modules))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+# build_operators uses numpy.fft, which numpy loads anyway, and the solvers
+# need only scipy's LAPACK extension; each of these modules would lengthen
+# every process start (scipy.linalg's __init__ alone costs about 0.3 s)
+@pytest.mark.parametrize(
+    "module", ["scipy.fft", "scipy.linalg", "scipy._lib._array_api", "numpy.f2py", "numpy.testing"]
+)
+def test_cli_import_leaves_module_unloaded(modules_after_cli_import, module):
+    assert module not in modules_after_cli_import
 
 
 def test_left_matrix_requires_order_one():
