@@ -17,9 +17,9 @@ LU overwrites, the LU, the ``gecon`` estimate and the solve).  The assembly
 also gets its ``tracemalloc`` peak (numpy reports its buffers to
 tracemalloc; the branch samples are allocated before tracing starts).
 
-Each side also reports its largest entrywise deviation, over every operator
-in ``OPERATOR_NAMES``, from the dense reference ``dense_operators`` in
-tests/dense_oracle.py, and the relative sup error of ``solve_fredholm`` on
+Each side also reports its largest entrywise deviation, over the operators
+in ``OPERATOR_NAMES`` (``int_left``, ``int_right`` and ``full_weights``),
+from the dense reference ``dense_operators`` in tests/dense_oracle.py, and the relative sup error of ``solve_fredholm`` on
 the ``SOLVES`` problems, so a speed-up that costs digits shows up here.
 When the change's ``fredholm_solver`` has ``ROW_BLOCK_ENTRIES``, its
 worker also times ``semismooth_block`` with each value in
@@ -29,19 +29,12 @@ worker also times ``semismooth_block`` with each value in
 import argparse
 import json
 import math
-import os
-import pathlib
-import subprocess
 import sys
-import tarfile
-import tempfile
-import timeit
 import tracemalloc
 
-ROOT = pathlib.Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "perfbench")]
+import _ab
 
-from worker import BLAS_THREAD_VARS, machine  # noqa: E402
+sys.path.insert(0, str(_ab.ROOT / "tests"))
 
 ORDERS = (4, 8, 16, 32, 64, 127, 255, 511, 1023, 2047)
 # (label, catalog name, overrides) solved at SOLVE_ORDERS for the error columns
@@ -57,20 +50,11 @@ ROUNDS = 3
 REPEATS = 5
 # smallest total time of one timing sample, so that timer overhead is noise
 SAMPLE_S = 0.02
-OUT = ROOT / "BENCH_build_operators.json"
+OUT = _ab.ROOT / "BENCH_build_operators.json"
 
 
 def best_time(call):
-    """Best time per call over REPEATS samples of about SAMPLE_S each.
-
-    The loop is sized from warm calls: the first call of a fresh process can
-    take ten times as long as the next (cold caches, lazy set-up), and a loop
-    sized from it runs samples far shorter than SAMPLE_S.
-    """
-    call()
-    number, total = timeit.Timer(call).autorange()
-    number = max(1, math.ceil(number * SAMPLE_S / total))
-    return min(timeit.repeat(call, number=number, repeat=REPEATS)) / number
+    return _ab.best_time(call, SAMPLE_S, REPEATS)
 
 
 def measure(with_deviation):
@@ -123,16 +107,7 @@ def measure(with_deviation):
             for entries in ROW_BLOCK_CANDIDATES:
                 fredholm_solver.ROW_BLOCK_ENTRIES = entries
                 sweep[f"{entries}/{n}"] = best_time(lambda: semismooth_block(ops, k1, k2, 0.5))
-    return {"orders": out, "errors": errors, "row_block_sweep": sweep, "machine": machine()}
-
-
-def run_worker(src, with_deviation):
-    env = dict(os.environ, PYTHONPATH=str(src), **{var: "1" for var in BLAS_THREAD_VARS})
-    args = [sys.executable, __file__, "--worker"]
-    if with_deviation:
-        args.append("--deviation")
-    proc = subprocess.run(args, env=env, capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout)
+    return {"orders": out, "errors": errors, "row_block_sweep": sweep, "machine": _ab.machine()}
 
 
 def main():
@@ -146,28 +121,19 @@ def main():
         return 0
     if not args.baseline:
         parser.error("--baseline is required")
-    commit = subprocess.run(
-        ["git", "rev-parse", "--short", args.baseline], cwd=ROOT, capture_output=True, text=True, check=True
-    ).stdout.strip()
-    with tempfile.TemporaryDirectory() as tmp:
-        archive = pathlib.Path(tmp) / "baseline.tar"
-        subprocess.run(["git", "archive", "-o", str(archive), commit, "src"], cwd=ROOT, check=True)
-        with tarfile.open(archive) as tar:
-            tar.extractall(tmp, filter="data")
-        sides = {"before": pathlib.Path(tmp) / "src", "after": ROOT / "src"}
-        best = {side: {} for side in sides}
-        errors, sweep = {}, {}
-        for r in range(ROUNDS):
-            for side in sides if r % 2 == 0 else reversed(list(sides)):
-                result = run_worker(sides[side], with_deviation=r == 0)
-                for n, v in result["orders"].items():
-                    entry = best[side].setdefault(int(n), dict(v))
-                    for key in ("best_s", "assemble_s", "dense_solve_s", "assemble_peak_mb"):
-                        entry[key] = min(entry[key], v[key])
-                for key, err in result["errors"].items():
-                    errors.setdefault(key, {})[side] = err
-                for key, t in result["row_block_sweep"].items():
-                    sweep[key] = min(sweep.get(key, t), t)
+    commit = _ab.short_commit(args.baseline)
+    best = {"before": {}, "after": {}}
+    errors, sweep = {}, {}
+    for r, side, src in _ab.alternating_rounds(commit, ROUNDS):
+        result = _ab.run_worker(__file__, src, *(["--deviation"] if r == 0 else []))
+        for n, v in result["orders"].items():
+            entry = best[side].setdefault(int(n), dict(v))
+            for key in ("best_s", "assemble_s", "dense_solve_s", "assemble_peak_mb"):
+                entry[key] = min(entry[key], v[key])
+        for key, err in result["errors"].items():
+            errors.setdefault(key, {})[side] = err
+        for key, t in result["row_block_sweep"].items():
+            sweep[key] = min(sweep.get(key, t), t)
     rows = [
         {
             "n": n,

@@ -29,18 +29,10 @@ many_panel systems.
 import argparse
 import json
 import math
-import os
-import pathlib
-import subprocess
-import sys
-import tarfile
-import tempfile
 import time
 
-ROOT = pathlib.Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "perfbench"))
+import _ab
 
-from worker import BLAS_THREAD_VARS, machine  # noqa: E402
 
 T_200PI = 200.0 * math.pi
 T_2000PI = 2000.0 * math.pi
@@ -71,7 +63,7 @@ LEAF_SIZES = (128, 256, 512)
 SKETCH_TOLS = (1e-10, 1e-12, 1e-14)
 ROUNDS = 3
 REPEATS = 3
-OUT = ROOT / "BENCH_composite_solve.json"
+OUT = _ab.ROOT / "BENCH_composite_solve.json"
 
 
 def problem_and_partition(problem_name, panels, order, T):
@@ -192,7 +184,7 @@ def measure(with_details):
     if with_details:
         out["crossover"] = crossover_table()
         out["sweeps"] = sweeps()
-    out["machine"] = machine()
+    out["machine"] = _ab.machine()
     return out
 
 
@@ -258,13 +250,6 @@ def sweeps():
     return out
 
 
-def run_worker(src, *flags):
-    env = dict(os.environ, PYTHONPATH=str(src), **{var: "1" for var in BLAS_THREAD_VARS})
-    args = [sys.executable, __file__, "--worker", *flags]
-    proc = subprocess.run(args, env=env, capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout)
-
-
 def measured_crossover(rows):
     """Smallest N from which the hierarchical path wins on every measured system."""
     sizes = sorted({row["N"] for row in rows})
@@ -286,27 +271,18 @@ def main():
         return 0
     if not args.baseline:
         parser.error("--baseline is required")
-    commit = subprocess.run(
-        ["git", "rev-parse", "--short", args.baseline], cwd=ROOT, capture_output=True, text=True, check=True
-    ).stdout.strip()
-    with tempfile.TemporaryDirectory() as tmp:
-        archive = pathlib.Path(tmp) / "baseline.tar"
-        subprocess.run(["git", "archive", "-o", str(archive), commit, "src"], cwd=ROOT, check=True)
-        with tarfile.open(archive) as tar:
-            tar.extractall(tmp, filter="data")
-        sides = {"before": pathlib.Path(tmp) / "src", "after": ROOT / "src"}
-        best = {side: {} for side in sides}
-        resolved = {side: [] for side in sides}
-        extras = None
-        for r in range(ROUNDS):
-            for side in sides if r % 2 == 0 else reversed(list(sides)):
-                result = run_worker(sides[side], *(["--details"] if r == 0 and side == "after" else []))
-                if "crossover" in result:
-                    extras = result
-                for label, v in result["systems"].items():
-                    entry = best[side].setdefault(label, dict(v))
-                    entry["best_s"] = min(entry["best_s"], v["best_s"])
-                resolved[side].append(run_worker(sides[side], "--resolved"))
+    commit = _ab.short_commit(args.baseline)
+    best = {"before": {}, "after": {}}
+    resolved = {"before": [], "after": []}
+    extras = None
+    for r, side, src in _ab.alternating_rounds(commit, ROUNDS):
+        result = _ab.run_worker(__file__, src, *(["--details"] if r == 0 and side == "after" else []))
+        if "crossover" in result:
+            extras = result
+        for label, v in result["systems"].items():
+            entry = best[side].setdefault(label, dict(v))
+            entry["best_s"] = min(entry["best_s"], v["best_s"])
+        resolved[side].append(_ab.run_worker(__file__, src, "--resolved"))
     rows = []
     for label in best["after"]:
         before, after = best["before"][label], best["after"][label]

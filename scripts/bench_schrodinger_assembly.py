@@ -21,20 +21,12 @@ error tables and the benchmark's ``schrodinger`` workload print, through
 
 import argparse
 import json
-import math
-import os
-import pathlib
-import subprocess
 import sys
-import tarfile
-import tempfile
-import timeit
 import tracemalloc
 
-ROOT = pathlib.Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "perfbench")]
+import _ab
 
-from worker import BLAS_THREAD_VARS, machine  # noqa: E402
+sys.path.insert(0, str(_ab.ROOT / "tests"))
 
 POTENTIALS = ("schrod_pereybuck", "schrod_separable")
 ORDERS = (64, 96, 128, 192, 256, 384, 512)
@@ -44,16 +36,11 @@ ROUNDS = 3
 REPEATS = 5
 # smallest total time of one timing sample, so that timer overhead is noise
 SAMPLE_S = 0.05
-OUT = ROOT / "BENCH_schrodinger_assembly.json"
+OUT = _ab.ROOT / "BENCH_schrodinger_assembly.json"
 
 
 def best_time(call):
-    """Best time per call over REPEATS samples of about SAMPLE_S each, the
-    loop sized from warm calls (a cold first call sizes it too short)."""
-    call()
-    number, total = timeit.Timer(call).autorange()
-    number = max(1, math.ceil(number * SAMPLE_S / total))
-    return min(timeit.repeat(call, number=number, repeat=REPEATS)) / number
+    return _ab.best_time(call, SAMPLE_S, REPEATS)
 
 
 def measure(with_accuracy):
@@ -85,16 +72,7 @@ def measure(with_accuracy):
             problem = catalog_lookup(name)
             for n in ERROR_ORDERS[name]:
                 errors[f"{name}/{n}"] = schrodinger_error(problem, n)
-    return {"timings": timings, "errors": errors, "machine": machine()}
-
-
-def run_worker(src, with_accuracy):
-    env = dict(os.environ, PYTHONPATH=str(src), **{var: "1" for var in BLAS_THREAD_VARS})
-    args = [sys.executable, __file__, "--worker"]
-    if with_accuracy:
-        args.append("--accuracy")
-    proc = subprocess.run(args, env=env, capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout)
+    return {"timings": timings, "errors": errors, "machine": _ab.machine()}
 
 
 def main():
@@ -108,26 +86,17 @@ def main():
         return 0
     if not args.baseline:
         parser.error("--baseline is required")
-    commit = subprocess.run(
-        ["git", "rev-parse", "--short", args.baseline], cwd=ROOT, capture_output=True, text=True, check=True
-    ).stdout.strip()
-    with tempfile.TemporaryDirectory() as tmp:
-        archive = pathlib.Path(tmp) / "baseline.tar"
-        subprocess.run(["git", "archive", "-o", str(archive), commit, "src"], cwd=ROOT, check=True)
-        with tarfile.open(archive) as tar:
-            tar.extractall(tmp, filter="data")
-        sides = {"before": pathlib.Path(tmp) / "src", "after": ROOT / "src"}
-        best = {side: {} for side in sides}
-        errors = {}
-        for r in range(ROUNDS):
-            for side in sides if r % 2 == 0 else reversed(list(sides)):
-                result = run_worker(sides[side], with_accuracy=r == 0)
-                for key, v in result["timings"].items():
-                    entry = best[side].setdefault(key, dict(v))
-                    for field in ("best_s", "peak_mb"):
-                        entry[field] = min(entry[field], v[field])
-                if r == 0:
-                    errors[side] = result["errors"]
+    commit = _ab.short_commit(args.baseline)
+    best = {"before": {}, "after": {}}
+    errors = {}
+    for r, side, src in _ab.alternating_rounds(commit, ROUNDS):
+        result = _ab.run_worker(__file__, src, *(["--accuracy"] if r == 0 else []))
+        for key, v in result["timings"].items():
+            entry = best[side].setdefault(key, dict(v))
+            for field in ("best_s", "peak_mb"):
+                entry[field] = min(entry[field], v[field])
+        if r == 0:
+            errors[side] = result["errors"]
     rows = []
     for key in best["before"]:
         before, after = best["before"][key], best["after"][key]

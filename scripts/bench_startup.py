@@ -22,18 +22,13 @@ each time over ``ROUNDS`` rounds, and the median ``ru_maxrss``.
 import argparse
 import json
 import os
-import pathlib
 import statistics
 import subprocess
 import sys
-import tarfile
-import tempfile
 import time
 
-ROOT = pathlib.Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "perfbench"))
+import _ab
 
-from worker import BLAS_THREAD_VARS, machine  # noqa: E402
 
 # modules whose import costs a CLI start tens of milliseconds or more;
 # "scipy" is there only if scipy's own __init__ ran
@@ -48,7 +43,7 @@ HEAVY = (
 )
 CLI_ARGS = ("-m", "chebfred", "solve", "--problem", "example1", "--n", "8")
 ROUNDS = 12
-OUT = ROOT / "BENCH_startup.json"
+OUT = _ab.ROOT / "BENCH_startup.json"
 
 
 # run with python -c, so nothing but json, resource, sys and time is loaded
@@ -98,22 +93,13 @@ def main():
     args = parser.parse_args()
     if not args.baseline:
         parser.error("--baseline is required")
-    os.environ.update({var: "1" for var in BLAS_THREAD_VARS})  # for the workers and machine()
-    commit = subprocess.run(
-        ["git", "rev-parse", "--short", args.baseline], cwd=ROOT, capture_output=True, text=True, check=True
-    ).stdout.strip()
-    with tempfile.TemporaryDirectory() as tmp:
-        archive = pathlib.Path(tmp) / "baseline.tar"
-        subprocess.run(["git", "archive", "-o", str(archive), commit, "src"], cwd=ROOT, check=True)
-        with tarfile.open(archive) as tar:
-            tar.extractall(tmp, filter="data")
-        sides = {"before": pathlib.Path(tmp) / "src", "after": ROOT / "src"}
-        runs = {side: [] for side in sides}
-        for r in range(ROUNDS + 1):
-            for side in sides if r % 2 == 0 else reversed(list(sides)):
-                result = run_side(sides[side])
-                if r:  # round 0 is untimed
-                    runs[side].append(result)
+    os.environ.update({var: "1" for var in _ab.BLAS_THREAD_VARS})  # for the workers and machine()
+    commit = _ab.short_commit(args.baseline)
+    runs = {"before": [], "after": []}
+    for r, side, src in _ab.alternating_rounds(commit, ROUNDS + 1):
+        result = run_side(src)
+        if r:  # round 0 is untimed
+            runs[side].append(result)
     summary = {side: summarize(side_runs) for side, side_runs in runs.items()}
     report = {
         "benchmark": (
@@ -128,7 +114,7 @@ def main():
             "best and median over the rounds"
         ),
         "heavy_modules": "which of " + ", ".join(HEAVY) + " are in sys.modules after the import",
-        "machine": machine(),
+        "machine": _ab.machine(),
         "results": summary,
     }
     OUT.write_text(json.dumps(report, indent=2) + "\n")

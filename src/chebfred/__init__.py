@@ -63,8 +63,6 @@ from .spectral_core import (
     chebyshev_nodes,
     cosine_matrix,
     inverse_cosine_matrix,
-    spectral_matrix_left,
-    spectral_matrix_right,
 )
 
 __version__ = "0.1.0"

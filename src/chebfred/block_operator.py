@@ -52,8 +52,6 @@ class BlockOperator:
     ``_apply`` (the product over spans from ``_span``) and ``_abs_sums``.
     """
 
-    toeplitz = False
-
     def __init__(self, offsets):
         self.offsets = np.asarray(offsets, dtype=int)
         self.panels = len(self.offsets) - 1
@@ -135,8 +133,6 @@ class DenseBlocks(BlockOperator):
 class ToeplitzBlocks(BlockOperator):
     """Block (j, i) is ``diagonals[j - i]``, for d = j - i from 1 - m to m - 1;
     every panel has the same size."""
-
-    toeplitz = True
 
     def __init__(self, offsets, diagonals):
         super().__init__(offsets)

@@ -10,7 +10,7 @@ right-hand sides plus two nonlocal scattering potentials consumed by the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -27,8 +27,6 @@ __all__ = [
     "catalog_names",
     "residual_check",
 ]
-
-INF = math.inf
 
 
 class KernelEvaluationError(ValueError):
@@ -56,17 +54,14 @@ def _checked(fn: Callable, t, s, what: str) -> np.ndarray:
 class SemismoothKernel:
     """Two-branch kernel k(t, s), split along s = t.
 
-    ``smoothness`` records how many continuous derivatives each branch has on
-    the closed square (math.inf for analytic branches).  ``singular_points``
-    lists diagonal points c where the kernel blows up at (c, c);
-    ``boundary_singular`` flags branches unbounded on the square's boundary.
-    ``difference_form`` marks kernels of the form k(|t-s|), which make uniform
-    equal-order partitions block-Toeplitz.
+    ``singular_points`` lists diagonal points c where the kernel blows up at
+    (c, c); ``boundary_singular`` flags branches unbounded on the square's
+    boundary.  ``difference_form`` marks kernels of the form k(|t-s|), which
+    make uniform equal-order partitions block-Toeplitz.
     """
 
     k_lower: Callable  # branch for s <= t
     k_upper: Callable  # branch for s >= t
-    smoothness: tuple = (INF, INF)
     singular_points: tuple = ()
     boundary_singular: bool = False
     difference_form: bool = False
@@ -78,16 +73,9 @@ class SemismoothKernel:
         return _checked(self.k_upper, t, s, "upper kernel branch")
 
     def eval(self, t, s) -> np.ndarray:
-        """Branch-selected value; the diagonal uses the lower branch."""
-        t = np.asarray(t, dtype=float)
-        s = np.asarray(s, dtype=float)
-        with np.errstate(all="ignore"):
-            lo = np.asarray(self.k_lower(t, s), dtype=float)
-            hi = np.asarray(self.k_upper(t, s), dtype=float)
-        out = np.where(s <= t, lo, hi)
-        if not np.all(np.isfinite(out)):
-            raise KernelEvaluationError("kernel evaluated to a non-finite value")
-        return out
+        """Branch-selected value; the diagonal uses the lower branch.  Only
+        the selected branch must be finite."""
+        return _checked(lambda t, s: np.where(s <= t, self.k_lower(t, s), self.k_upper(t, s)), t, s, "kernel")
 
 
 def as_semismooth(kernel):
@@ -307,18 +295,20 @@ def _schrod_pereybuck(lam: float, kappa: float, A: float, T: float) -> Schroding
     )
 
 
-_DEFAULTS = {
-    "example1": dict(lam=0.1),
-    "example2": dict(lam=-4.0 / math.pi, T=math.pi / 2.0),
-    "example3": dict(),
-    "example4": dict(),
-    "schrod_separable": dict(lam=0.1, kappa=1.0, T=20.0),
-    "schrod_pereybuck": dict(lam=0.1, kappa=1.0, A=100.0, T=20.0),
+# name -> (factory, default overrides); the keys of the defaults are the
+# overrides the entry accepts
+_CATALOG = {
+    "example1": (_example1, dict(lam=0.1)),
+    "example2": (_example2, dict(lam=-4.0 / math.pi, T=math.pi / 2.0)),
+    "example3": (_example3, dict()),
+    "example4": (_example4, dict()),
+    "schrod_separable": (_schrod_separable, dict(lam=0.1, kappa=1.0, T=20.0)),
+    "schrod_pereybuck": (_schrod_pereybuck, dict(lam=0.1, kappa=1.0, A=100.0, T=20.0)),
 }
 
 
 def catalog_names() -> tuple:
-    return tuple(_DEFAULTS)
+    return tuple(_CATALOG)
 
 
 def catalog_lookup(
@@ -334,11 +324,12 @@ def catalog_lookup(
     a :class:`SchrodingerProblem` for the scattering entries.  Overrides that
     an entry does not support, and non-finite overrides, raise ValueError.
     """
-    if name not in _DEFAULTS:
+    if name not in _CATALOG:
         raise CatalogError(
-            f"unknown problem {name!r}; known: {', '.join(_DEFAULTS)}"
+            f"unknown problem {name!r}; known: {', '.join(_CATALOG)}"
         )
-    params = dict(_DEFAULTS[name])
+    factory, defaults = _CATALOG[name]
+    params = dict(defaults)
     given = {"lam": lam, "T": T, "kappa": kappa, "A": A}
     for key, value in given.items():
         if value is None:
@@ -348,17 +339,7 @@ def catalog_lookup(
         params[key] = float(value)
         if not math.isfinite(params[key]):
             raise ValueError(f"{key} override must be finite, got {value!r}")
-    if name == "example1":
-        return _example1(**params)
-    if name == "example2":
-        return _example2(**params)
-    if name == "example3":
-        return _example3()
-    if name == "example4":
-        return _example4()
-    if name == "schrod_separable":
-        return _schrod_separable(**params)
-    return _schrod_pereybuck(**params)
+    return factory(**params)
 
 
 def residual_check(problem: BenchmarkProblem, t, panels: int = 10_000) -> np.ndarray:

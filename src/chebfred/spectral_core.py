@@ -46,9 +46,10 @@ differ from the dense products only by rounding.
 What is stored
 --------------
 ``build_operators`` computes only the vectors a, b, c, sigma and the S
-values, in O(n log n).  Every matrix (the bracket, W, V, C, C^-1, S_L and
-S_R) is a cached property of ``SpectralOperators``, built in O(n^2) the
-first time it is read.
+values, in O(n log n).  The bracket, W and V are cached properties of
+``SpectralOperators``, built in O(n^2) the first time they are read.  C and
+C^-1 are built by ``cosine_matrix`` and ``inverse_cosine_matrix``; S_L and
+S_R exist only in the derivation above, and no solve forms them.
 
 Assembly without W or V
 -----------------------
@@ -83,8 +84,6 @@ __all__ = [
     "chebyshev_nodes",
     "cosine_matrix",
     "inverse_cosine_matrix",
-    "spectral_matrix_left",
-    "spectral_matrix_right",
     "build_operators",
     "chebyshev_coefficients",
     "cheb_grid",
@@ -144,53 +143,6 @@ def inverse_cosine_matrix(n: int) -> np.ndarray:
     return inverse
 
 
-def _antiderivative_factor(n: int) -> np.ndarray:
-    # Coefficient map of f -> int f: b_j = (a_{j-1} - a_{j+1})/(2j) for j >= 2
-    # and b_1 = a_0 - a_2/2, truncated to degree n (the degree-(n+1)
-    # coefficient is dropped; it only shifts node values by the constant
-    # a_n/(2(n+1)) since T_{n+1} vanishes at the nodes).  Needs n >= 1.
-    B = np.zeros((n + 1, n + 1))
-    inv_2j = 0.5 / np.arange(1, n + 1)
-    flat = B.reshape(-1)
-    flat[n + 1 :: n + 2] = inv_2j  # B[j, j-1], j = 1..n
-    flat[n + 3 :: n + 2] = -inv_2j[:-1]  # B[j, j+1], j = 1..n-1
-    B[1, 0] = 1.0
-    return B
-
-
-def _one_sided_factors(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # S_L = L B and S_R = R B from one banded B, in O(n^2).  L and R differ
-    # from +I and -I only in row 0, and row 0 of B is zero.  R's row 0 is all
-    # ones, so row 0 of S_R holds the column sums of B.  L's row 0 is
-    # (-1)^(j+1); column i of B is nonzero only in rows i - 1 and i + 1, whose
-    # signs are both (-1)^i, so row 0 of S_L is row 0 of S_R with odd columns
-    # negated.
-    SL = _antiderivative_factor(n)
-    SR = -SL
-    SR[0] = SL.sum(axis=0)
-    SL[0] = SR[0]
-    SL[0, 1::2] *= -1.0
-    return SL, SR
-
-
-def spectral_matrix_left(n: int) -> np.ndarray:
-    """Coefficient-space map a(f) -> a(F) with F(x) = integral from -1 to x of f.
-
-    Row 0 fixes the integration constant so that F(-1) = 0, using
-    T_j(-1) = (-1)^j.
-    """
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    return _one_sided_factors(n)[0]
-
-
-def spectral_matrix_right(n: int) -> np.ndarray:
-    """Coefficient-space map for F(x) = integral from x to +1 of f (so F(1) = 0)."""
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    return _one_sided_factors(n)[1]
-
-
 def chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
     """Chebyshev coefficients of the interpolant through node values.
 
@@ -234,8 +186,8 @@ class SpectralOperators:
         S(q) for q = -n .. 2n+1, the values that the bracket's Toeplitz and
         Hankel parts read.
     full_weights : ndarray
-        Quadrature weights for the whole interval, a + c, equal to ones @
-        coeff_int_left @ cosine_inv; strictly positive and summing to 2.
+        Quadrature weights for the whole interval, a + c, equal to
+        ones @ S_L @ C^-1; strictly positive and summing to 2.
 
     Properties (lazy)
     -----------------
@@ -246,10 +198,6 @@ class SpectralOperators:
         Node-space running-integral operators W = a + B and V = c - B:
         (int_left @ f)[k] approximates the integral of f from -1 to tau_k;
         int_right integrates tau_k to 1.
-    cosine, cosine_inv : ndarray
-        Coefficients-to-values map and its inverse.
-    coeff_int_left, coeff_int_right : ndarray
-        Coefficient-space antiderivative maps S_L and S_R.
 
     The debug-mode checks run when a matrix is built: the row sums
     W 1 = tau + 1 and V 1 = 1 - tau with the bracket (``semismooth_block``
@@ -319,25 +267,9 @@ class SpectralOperators:
         gap -= self.full_weights
         assert np.abs(gap, out=gap).max() < 1e-13 * self.order
 
-    @cached_property
-    def cosine(self) -> np.ndarray:
-        return cosine_matrix(self.order)
-
-    @cached_property
-    def cosine_inv(self) -> np.ndarray:
-        return inverse_cosine_matrix(self.order)
-
-    @cached_property
-    def coeff_int_left(self) -> np.ndarray:
-        return spectral_matrix_left(self.order)
-
-    @cached_property
-    def coeff_int_right(self) -> np.ndarray:
-        return spectral_matrix_right(self.order)
-
     def coefficients(self, values: np.ndarray) -> np.ndarray:
-        """Chebyshev coefficients from node values: ``cosine_inv @ values`` in
-        O(n log n), without building ``cosine_inv``."""
+        """Chebyshev coefficients from node values: ``inverse_cosine_matrix(n)
+        @ values`` in O(n log n), without building that matrix."""
         values = np.asarray(values, dtype=float)
         if values.shape != (self.order + 1,):
             raise ValueError(f"need {self.order + 1} node values, got shape {values.shape}")
@@ -388,15 +320,14 @@ def build_operators(n: int) -> SpectralOperators:
 class ChebGrid:
     """First-kind Chebyshev grid mapped onto [a, b].
 
-    ``ref_nodes`` are the reference nodes on (-1, 1), ``nodes`` their affine
-    images on (a, b); both descending.  ``order`` is the polynomial order, so
-    there are order+1 points.
+    ``nodes`` are the affine images on (a, b) of the reference nodes on
+    (-1, 1), descending.  ``order`` is the polynomial order, so there are
+    order+1 points.
     """
 
     order: int
     a: float
     b: float
-    ref_nodes: np.ndarray
     nodes: np.ndarray
 
     @property
@@ -412,13 +343,7 @@ def cheb_grid(n: int, a: float, b: float) -> ChebGrid:
     if not b > a:
         raise ValueError(f"need b > a, got [{a}, {b}]")
     ref = chebyshev_nodes(n)
-    return ChebGrid(
-        order=n,
-        a=float(a),
-        b=float(b),
-        ref_nodes=ref,
-        nodes=0.5 * (b - a) * ref + 0.5 * (a + b),
-    )
+    return ChebGrid(order=n, a=float(a), b=float(b), nodes=0.5 * (b - a) * ref + 0.5 * (a + b))
 
 
 def chebyshev_eval(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Dense references: every operator that SpectralOperators exposes, by
+"""Dense references: the integration operators of SpectralOperators, by
 O(n^3) products, and the semismooth block over whole n x n arrays.
 
 Shared by the tests and scripts/bench_build_operators.py.  It imports only
@@ -25,21 +25,13 @@ def _antiderivative_factor_loop(n):
     return B
 
 
-# every operator that SpectralOperators exposes, eager field or lazy property
-OPERATOR_NAMES = (
-    "order",
-    "cosine",
-    "cosine_inv",
-    "coeff_int_left",
-    "coeff_int_right",
-    "int_left",
-    "int_right",
-    "full_weights",
-)
+# the fields and lazy properties of SpectralOperators that dense_operators rebuilds
+OPERATOR_NAMES = ("order", "int_left", "int_right", "full_weights")
 
 
 def dense_operators(n):
-    """Reference for build_operators: every operator by plain dense products.
+    """Reference for build_operators: the integration operators by plain
+    dense products.
 
     W = C (L B) C^-1 and V = C (R B) C^-1 with L and R written out, costing
     O(n^3); no closed form is used.
@@ -55,10 +47,6 @@ def dense_operators(n):
     SR = R @ B
     return {
         "order": n,
-        "cosine": C,
-        "cosine_inv": Ci,
-        "coeff_int_left": SL,
-        "coeff_int_right": SR,
         "int_left": C @ SL @ Ci,
         "int_right": C @ SR @ Ci,
         "full_weights": np.ones(n + 1) @ SL @ Ci,

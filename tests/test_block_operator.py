@@ -64,8 +64,9 @@ def assembled(request):
     problem, partition = _problem_and_partition(name, panels, order, **overrides)
     system = assemble_blocks(problem.kernel, partition, problem.lam, problem.rhs)
     # example2 is a difference kernel on equal panels, example4 is not
-    assert system.matrix.toeplitz == (name == "example2")
-    dense = _dense_assembly(problem.kernel, partition, problem.lam, system.matrix.toeplitz)
+    toeplitz = isinstance(system.matrix, ToeplitzBlocks)
+    assert toeplitz == (name == "example2")
+    dense = _dense_assembly(problem.kernel, partition, problem.lam, toeplitz)
     return system, dense
 
 
@@ -118,7 +119,7 @@ def _tree_nodes(root):
 def test_toeplitz_tree_shares_one_subtree_per_panel_count(monkeypatch):
     problem, partition = _problem_and_partition("example2", 32, 63, T=T_200PI)
     op = assemble_blocks(problem.kernel, partition, problem.lam, problem.rhs).matrix
-    assert op.toeplitz
+    assert isinstance(op, ToeplitzBlocks)
     calls = []
     compress = hierarchical._compress
 

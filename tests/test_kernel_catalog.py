@@ -87,6 +87,13 @@ def test_eval_checks_the_selected_branch_only():
     # a branch may blow up on the far side of the diagonal without harm
     k = SemismoothKernel(k_lower=lambda t, s: 1.0 / (t - s + 1e-30), k_upper=lambda t, s: t * 0 + s * 0)
     assert k.eval(0.0, 0.5) == 0.0
+    # but a non-finite value of the selected branch is an error, counted per
+    # point: log(t - s) is -inf on the diagonal, where the lower branch is
+    # selected, and each branch is nan on the side where it is not
+    k = SemismoothKernel(k_lower=lambda t, s: np.log(t - s), k_upper=lambda t, s: np.log(s - t))
+    assert k.eval(np.array([0.5, 0.0]), np.array([0.0, 0.5])) == pytest.approx([math.log(0.5)] * 2)
+    with pytest.raises(KernelEvaluationError, match="at 2 point"):
+        k.eval(np.array([0.5, 0.2, 0.0]), np.array([0.5, 0.2, 0.5]))
 
 
 @pytest.mark.parametrize("name", BENCHMARKS)
