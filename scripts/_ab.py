@@ -57,8 +57,8 @@ def run_worker(script, src, *flags):
     return json.loads(proc.stdout)
 
 
-def best_time(call, sample_s, repeats):
-    """Best time per call over ``repeats`` samples of about ``sample_s`` each.
+def time_samples(call, sample_s, repeats):
+    """Time per call in each of ``repeats`` samples of about ``sample_s`` each.
 
     The loop is sized from warm calls: the first call of a fresh process can
     take ten times as long as the next (cold caches, lazy set-up), and a loop
@@ -67,4 +67,9 @@ def best_time(call, sample_s, repeats):
     call()
     number, total = timeit.Timer(call).autorange()
     number = max(1, math.ceil(number * sample_s / total))
-    return min(timeit.repeat(call, number=number, repeat=repeats)) / number
+    return [t / number for t in timeit.repeat(call, number=number, repeat=repeats)]
+
+
+def best_time(call, sample_s, repeats):
+    """Best time per call over ``repeats`` samples of about ``sample_s`` each."""
+    return min(time_samples(call, sample_s, repeats))

@@ -7,28 +7,31 @@ Usage, from the root of a checkout:
 
 The baseline's ``src/`` is taken with ``git archive``; the working tree's
 ``src/`` is the change.  Each side runs in fresh single-threaded worker
-processes, the sides alternating round by round, and the reported time per
-order is the best over every call of every round.  Three things are timed
-per order: ``build_operators(n)`` alone; a build followed by
-``semismooth_block`` on fixed random branch samples, which is what a
-one-panel solve assembles; and ``dense_solve`` of that block held as a fresh
-one-panel operator, which is what a one-panel solve factors (the copy that
-LU overwrites, the LU, the ``gecon`` estimate and the solve).  The assembly
-also gets its ``tracemalloc`` peak (numpy reports its buffers to
-tracemalloc; the branch samples are allocated before tracing starts).
+processes, the sides alternating round by round.  Three things are timed
+per order: ``build_operators(n)`` alone; a one-panel ``assemble_blocks`` of
+the example2 kernel, which is what a one-panel solve assembles (operators,
+kernel sampling and ``semismooth_block``); and ``dense_solve`` of that block
+held as a fresh one-panel operator, which is what a one-panel solve factors
+(the copy that LU overwrites, the LU, the ``gecon`` estimate and the solve).
+``build_operators`` reports the best sample over every round.  The
+assembly and the dense solve report the best sample and the median and
+quartiles of every sample of every round, since one fast sample on a shared
+machine can decide a best-of figure.  The assembly also gets its
+``tracemalloc`` peak (numpy reports its buffers to tracemalloc).
 
 Each side also reports its largest entrywise deviation, over the operators
 in ``OPERATOR_NAMES`` (``int_left``, ``int_right`` and ``full_weights``),
 from the dense reference ``dense_operators`` in tests/dense_oracle.py, and the relative sup error of ``solve_fredholm`` on
 the ``SOLVES`` problems, so a speed-up that costs digits shows up here.
-When the change's ``fredholm_solver`` has ``ROW_BLOCK_ENTRIES``, its
-worker also times ``semismooth_block`` with each value in
-``ROW_BLOCK_CANDIDATES``, which is how that constant was chosen.
+The change's worker also times the one-panel assembly with each value of
+``fredholm_solver.ROW_BLOCK_ENTRIES`` in ``ROW_BLOCK_CANDIDATES``, which is
+how that constant was chosen.
 """
 
 import argparse
 import json
 import math
+import statistics
 import sys
 import tracemalloc
 
@@ -46,7 +49,7 @@ SOLVES = (
 SOLVE_ORDERS = (511, 767, 1023)
 ROW_BLOCK_CANDIDATES = (2048, 4096, 8192, 16384, 32768, 65536, 131072)
 ROW_BLOCK_ORDERS = (255, 511, 767, 1023, 2047)
-ROUNDS = 3
+ROUNDS = 5
 REPEATS = 5
 # smallest total time of one timing sample, so that timer overhead is noise
 SAMPLE_S = 0.02
@@ -57,31 +60,40 @@ def best_time(call):
     return _ab.best_time(call, SAMPLE_S, REPEATS)
 
 
-def measure(with_deviation):
-    """Worker: best times, the assembly's allocation peak and, in the first
-    round, the oracle deviation and the solve errors, per order."""
+def time_samples(call):
+    return _ab.time_samples(call, SAMPLE_S, REPEATS)
+
+
+def measure(with_deviation, with_sweep):
+    """Worker: per order, the best build time, every assembly and dense
+    solve sample, the assembly's allocation peak and, in the first round,
+    the oracle deviation and the solve errors; with ``with_sweep``, the
+    best assembly time per ROW_BLOCK_ENTRIES value."""
     import numpy as np
 
     from chebfred import fredholm_solver
     from chebfred.block_operator import ToeplitzBlocks
-    from chebfred.fredholm_solver import dense_solve, relative_sup_error, semismooth_block, solve_fredholm
+    from chebfred.composite_solver import assemble_blocks, build_partition
+    from chebfred.fredholm_solver import dense_solve, relative_sup_error, solve_fredholm
     from chebfred.kernel_catalog import catalog_lookup
     from chebfred.spectral_core import build_operators
     from dense_oracle import OPERATOR_NAMES, dense_operators
 
+    example2 = catalog_lookup("example2")
+
+    def one_panel_assembly(n):
+        partition = build_partition(example2.a, example2.b, orders=n)
+        return lambda: assemble_blocks(example2.kernel, partition, example2.lam, example2.rhs)
+
     out = {}
     for n in ORDERS:
-        k1, k2 = np.random.default_rng(n).uniform(0.5, 2.0, (2, n + 1, n + 1))
+        assemble = one_panel_assembly(n)
+        block = assemble().matrix.block(0, 0)
         rhs = np.ones(n + 1)
-
-        def assemble():
-            return semismooth_block(build_operators(n), k1, k2, 0.5)
-
-        block = assemble()
         out[n] = {
             "best_s": best_time(lambda: build_operators(n)),
-            "assemble_s": best_time(assemble),
-            "dense_solve_s": best_time(lambda: dense_solve(ToeplitzBlocks([0, n + 1], {0: block}), rhs)),
+            "assemble_samples_s": time_samples(assemble),
+            "dense_solve_samples_s": time_samples(lambda: dense_solve(ToeplitzBlocks([0, n + 1], {0: block}), rhs)),
         }
         tracemalloc.start()
         assemble()
@@ -100,14 +112,19 @@ def measure(with_deviation):
                 sol = solve_fredholm(problem.kernel, problem.a, problem.b, problem.lam, problem.rhs, n)
                 errors[f"{label}/{n}"] = relative_sup_error(sol.node_values, problem.solution(sol.nodes))
     sweep = {}
-    if hasattr(fredholm_solver, "ROW_BLOCK_ENTRIES"):
+    if with_sweep:
         for n in ROW_BLOCK_ORDERS:
-            ops = build_operators(n)
-            k1, k2 = np.random.default_rng(n).uniform(0.5, 2.0, (2, n + 1, n + 1))
+            assemble = one_panel_assembly(n)
             for entries in ROW_BLOCK_CANDIDATES:
                 fredholm_solver.ROW_BLOCK_ENTRIES = entries
-                sweep[f"{entries}/{n}"] = best_time(lambda: semismooth_block(ops, k1, k2, 0.5))
+                sweep[f"{entries}/{n}"] = best_time(assemble)
     return {"orders": out, "errors": errors, "row_block_sweep": sweep, "machine": _ab.machine()}
+
+
+def spread(times):
+    """Best, lower quartile, median and upper quartile of ``times``."""
+    q1, median, q3 = statistics.quantiles(times, n=4)
+    return {"s": min(times), "q1_s": q1, "median_s": median, "q3_s": q3}
 
 
 def main():
@@ -115,54 +132,61 @@ def main():
     parser.add_argument("--baseline", help="git commit whose src/ is the 'before' side")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--deviation", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--sweep", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.worker:
-        print(json.dumps(measure(args.deviation)))
+        print(json.dumps(measure(args.deviation, args.sweep)))
         return 0
     if not args.baseline:
         parser.error("--baseline is required")
     commit = _ab.short_commit(args.baseline)
     best = {"before": {}, "after": {}}
+    samples = {"before": {}, "after": {}}
     errors, sweep = {}, {}
     for r, side, src in _ab.alternating_rounds(commit, ROUNDS):
-        result = _ab.run_worker(__file__, src, *(["--deviation"] if r == 0 else []))
+        flags = (["--deviation"] if r == 0 else []) + (["--sweep"] if side == "after" else [])
+        result = _ab.run_worker(__file__, src, *flags)
         for n, v in result["orders"].items():
             entry = best[side].setdefault(int(n), dict(v))
-            for key in ("best_s", "assemble_s", "dense_solve_s", "assemble_peak_mb"):
+            for key in ("best_s", "assemble_peak_mb"):
                 entry[key] = min(entry[key], v[key])
+            pooled = samples[side].setdefault(int(n), {"assemble": [], "dense_solve": []})
+            for key in pooled:
+                pooled[key] += v[f"{key}_samples_s"]
         for key, err in result["errors"].items():
             errors.setdefault(key, {})[side] = err
         for key, t in result["row_block_sweep"].items():
             sweep[key] = min(sweep.get(key, t), t)
-    rows = [
-        {
+    rows = []
+    for n in ORDERS:
+        row = {
             "n": n,
             "before_s": best["before"][n]["best_s"],
             "after_s": best["after"][n]["best_s"],
             "speedup": best["before"][n]["best_s"] / best["after"][n]["best_s"],
-            "assemble_before_s": best["before"][n]["assemble_s"],
-            "assemble_after_s": best["after"][n]["assemble_s"],
-            "assemble_speedup": best["before"][n]["assemble_s"] / best["after"][n]["assemble_s"],
-            "assemble_before_peak_mb": best["before"][n]["assemble_peak_mb"],
-            "assemble_after_peak_mb": best["after"][n]["assemble_peak_mb"],
-            "dense_solve_before_s": best["before"][n]["dense_solve_s"],
-            "dense_solve_after_s": best["after"][n]["dense_solve_s"],
-            "dense_solve_speedup": best["before"][n]["dense_solve_s"] / best["after"][n]["dense_solve_s"],
-            "before_max_deviation": best["before"][n]["max_deviation"],
-            "after_max_deviation": best["after"][n]["max_deviation"],
         }
-        for n in ORDERS
-    ]
+        for key in ("assemble", "dense_solve"):
+            for side in ("before", "after"):
+                row.update({f"{key}_{side}_{k}": v for k, v in spread(samples[side][n][key]).items()})
+            row[f"{key}_speedup"] = row[f"{key}_before_s"] / row[f"{key}_after_s"]
+            row[f"{key}_median_speedup"] = row[f"{key}_before_median_s"] / row[f"{key}_after_median_s"]
+        row["assemble_before_peak_mb"] = best["before"][n]["assemble_peak_mb"]
+        row["assemble_after_peak_mb"] = best["after"][n]["assemble_peak_mb"]
+        row["before_max_deviation"] = best["before"][n]["max_deviation"]
+        row["after_max_deviation"] = best["after"][n]["max_deviation"]
+        rows.append(row)
     solve_errors = [
         {"problem": key.rsplit("/", 1)[0], "n": int(key.rsplit("/", 1)[1]), **sides_err}
         for key, sides_err in errors.items()
     ]
     report = {
         "benchmark": (
-            "spectral_core.build_operators, build_operators followed by fredholm_solver.semismooth_block "
-            "(assemble_*), and fredholm_solver.dense_solve of that block as a fresh one-panel operator "
-            "(dense_solve_*: copy, LU, gecon, getrs), best-of-k wall time per call; "
-            "assemble_*_peak_mb is the tracemalloc peak of one assembly"
+            "spectral_core.build_operators (before_s/after_s, best sample), a one-panel "
+            "composite_solver.assemble_blocks of the example2 kernel (assemble_*: operators, kernel sampling "
+            "and semismooth_block), and fredholm_solver.dense_solve of its block as a fresh one-panel operator "
+            "(dense_solve_*: copy, LU, gecon, getrs), wall time per call; assemble_* and dense_solve_* give "
+            "the best sample (*_s) and the quartiles of every sample of every round (*_q1_s, *_median_s, "
+            "*_q3_s); assemble_*_peak_mb is the tracemalloc peak of one assembly"
         ),
         "command": f"python3 scripts/bench_build_operators.py --baseline {commit}",
         "before": f"src/ at {commit}",
@@ -170,7 +194,7 @@ def main():
         "method": (
             f"{ROUNDS} rounds of fresh worker processes, sides alternating; "
             f"{REPEATS} timing samples of about {SAMPLE_S} s per order per round, the calls per sample "
-            "sized from warm calls; best sample / calls"
+            "sized from warm calls; time per call = sample / calls"
         ),
         "deviation": "max entrywise |op - dense_operators(n)[op]| over every operator in OPERATOR_NAMES",
         "solve_errors_note": "relative sup error of solve_fredholm at its nodes against the analytic solution",
@@ -181,8 +205,8 @@ def main():
     if sweep:
         report["row_block_sweep"] = {
             "note": (
-                "after side only: best semismooth_block time (s) on a prebuilt SpectralOperators, "
-                "per fredholm_solver.ROW_BLOCK_ENTRIES value and order"
+                "after side only: best time (s) of the one-panel assemble_blocks of assemble_*, kernel "
+                "sampling included, per fredholm_solver.ROW_BLOCK_ENTRIES value and order"
             ),
             "orders": list(ROW_BLOCK_ORDERS),
             "best_s": {
@@ -190,13 +214,20 @@ def main():
             },
         }
     OUT.write_text(json.dumps(report, indent=2) + "\n")
+    def timing(key, side):
+        return (
+            f"{row[f'{key}_{side}_s'] * 1e3:.3f} / {row[f'{key}_{side}_median_s'] * 1e3:.3f}"
+            f" [{row[f'{key}_{side}_q1_s'] * 1e3:.3f}, {row[f'{key}_{side}_q3_s'] * 1e3:.3f}]"
+        )
+
+    print("times in ms; assembly and dense_solve as best / median [quartiles]")
     for row in rows:
         print(
-            f"n={row['n']:5d}  build {row['before_s'] * 1e3:8.3f} -> {row['after_s'] * 1e3:7.3f} ms"
-            f"  x{row['speedup']:6.2f}  +assembly {row['assemble_before_s'] * 1e3:8.3f} ->"
-            f" {row['assemble_after_s'] * 1e3:8.3f} ms  x{row['assemble_speedup']:5.2f}"
-            f"  peak {row['assemble_before_peak_mb']:6.1f} -> {row['assemble_after_peak_mb']:6.1f} MB"
-            f"  dense_solve {row['dense_solve_before_s'] * 1e3:8.3f} -> {row['dense_solve_after_s'] * 1e3:8.3f} ms"
+            f"n={row['n']:5d}  build {row['before_s'] * 1e3:.3f} -> {row['after_s'] * 1e3:.3f}"
+            f"  x{row['speedup']:.2f}  assembly {timing('assemble', 'before')} -> {timing('assemble', 'after')}"
+            f"  x{row['assemble_median_speedup']:.2f}"
+            f"  peak {row['assemble_before_peak_mb']:.1f} -> {row['assemble_after_peak_mb']:.1f} MB"
+            f"  dense_solve {timing('dense_solve', 'before')} -> {timing('dense_solve', 'after')}"
             f"  dev {row['before_max_deviation']:.1e} / {row['after_max_deviation']:.1e}"
         )
     for row in solve_errors:

@@ -154,12 +154,20 @@ def assemble_blocks(kernel, partition: Partition, lam: float, rhs) -> BlockSyste
     """Build the system as a BlockOperator of panel blocks, plus the right-hand side.
 
     ``kernel`` is a two-branch kernel or a plain callable k(t, s), taken as
-    equal branches.  When the block structure is Toeplitz, each distinct
-    block (indexed by the panel offset j - i) is sampled once, from the first
-    (j, i) on its diagonal, which the operator reuses along that diagonal,
-    and no N x N array is formed; a one-panel system is its one block.
-    Otherwise every block (j, i) is sampled and written into the N x N array
-    that the operator wraps.
+    equal branches.  A diagonal block is ``semismooth_block``, which samples
+    both branches one row block at a time.  Block (j, i) off the diagonal is
+    (lam w_i / 2) K diag(full_weights_i), with w_i the width of source panel
+    i and K the lower branch for i < j, the upper for i > j; one kernel call
+    samples a run of such blocks, and the factor and the weights apply per
+    column.  When the block structure is Toeplitz, each distinct block
+    (indexed by the panel offset j - i) is sampled once, from the first
+    (j, i) on its diagonal, which the operator reuses along that diagonal:
+    one lower-branch call samples every block (d, 0) and one upper-branch
+    call every block (0, i).  No N x N array is formed, and a one-panel
+    system is its one block.  Otherwise every block is written into the
+    N x N array that the operator wraps, row panel j taking one lower-branch
+    call for the panels left of it and one upper-branch call for those right
+    of it.
     """
     kernel = as_semismooth(kernel)
     grids = partition.grids
@@ -170,30 +178,55 @@ def assemble_blocks(kernel, partition: Partition, lam: float, rhs) -> BlockSyste
         if g.order not in ops_cache:
             ops_cache[g.order] = build_operators(g.order)
 
-    def block(j, i):
-        gj, gi = grids[j], grids[i]
-        ops_i = ops_cache[gi.order]
-        if i == j:
-            k1 = kernel.eval_lower(gj.nodes[:, None], gj.nodes[None, :])
-            k2 = kernel.eval_upper(gj.nodes[:, None], gj.nodes[None, :])
-            return semismooth_block(ops_i, k1, k2, lam * gj.width / 2.0)
-        tt = gj.nodes[:, None]
-        ss = gi.nodes[None, :]
-        kv = kernel.eval_lower(tt, ss) if i < j else kernel.eval_upper(tt, ss)
-        return (lam * gi.width / 2.0) * kv * ops_i.full_weights[None, :]
+    def diagonal(g):
+        t = g.nodes
+
+        def branches(start, stop):
+            tt = t[start:stop, None]
+            return kernel.eval_lower(tt, t[None, :]), kernel.eval_upper(tt, t[None, :])
+
+        return semismooth_block(ops_cache[g.order], branches, lam * g.width / 2.0)
+
+    def per_column():
+        """lam w_i / 2 and full_weights_i per column of each source panel i."""
+        scale = np.repeat([lam * g.width / 2.0 for g in grids], np.diff(offsets))
+        return scale, np.concatenate([ops_cache[g.order].full_weights for g in grids])
 
     m = len(grids)
+    nodes = np.concatenate([g.nodes for g in grids])
     if detect_toeplitz(kernel, partition):
-        # diagonal d is sampled at its first (j, i) in row-major order
-        diagonals = {d: block(d, 0) if d >= 0 else block(0, -d) for d in range(1 - m, m)}
+        # diagonal d is sampled at its first (j, i) in row-major order:
+        # (d, 0) for d > 0 and (0, -d) for d < 0
+        g0, n1 = grids[0], offsets[1]
+        diagonals = {0: diagonal(g0)}
+        if m > 1:
+            col_scale, weights = per_column()
+            lower = col_scale[:n1] * kernel.eval_lower(nodes[n1:, None], g0.nodes[None, :]) * weights[:n1]
+            # the upper call's columns run over panels 1 .. m-1; each block
+            # is written C-contiguous, as its own sample would be
+            upper = np.empty((m - 1, n1, n1))
+            by_row = upper.transpose(1, 0, 2)
+            sampled = kernel.eval_upper(g0.nodes[:, None], nodes[None, n1:]).reshape(n1, m - 1, n1)
+            np.multiply(col_scale[n1:].reshape(m - 1, n1), sampled, out=by_row)
+            by_row *= weights[n1:].reshape(m - 1, n1)
+            for d in range(1, m):
+                diagonals[d] = lower[(d - 1) * n1 : d * n1]
+                diagonals[-d] = upper[d - 1]
         matrix = ToeplitzBlocks(offsets, diagonals)
     else:
+        col_scale, weights = per_column()
         dense = np.empty((total, total))
-        for j in range(m):
-            for i in range(m):
-                dense[offsets[j] : offsets[j + 1], offsets[i] : offsets[i + 1]] = block(j, i)
+        for j, g in enumerate(grids):
+            lo, hi = offsets[j], offsets[j + 1]
+            dense[lo:hi, lo:hi] = diagonal(g)
+            for cols, branch in ((slice(0, lo), kernel.eval_lower), (slice(hi, total), kernel.eval_upper)):
+                if cols.start == cols.stop:
+                    continue
+                dense[lo:hi, cols] = (
+                    col_scale[cols] * branch(g.nodes[:, None], nodes[None, cols]) * weights[cols]
+                )
         matrix = DenseBlocks(dense, offsets)
-    rhs_vec = _rhs_values(rhs, np.concatenate([g.nodes for g in grids]))
+    rhs_vec = _rhs_values(rhs, nodes)
     return BlockSystem(matrix, rhs_vec, partition)
 
 

@@ -105,44 +105,48 @@ def dense_solve(matrix, rhs: np.ndarray):
     return _lu_solve(factors, rhs), rcond, bool(rcond < RCOND_WARN)
 
 
-def semismooth_block(
-    ops: SpectralOperators, k1_vals: np.ndarray, k2_vals: np.ndarray, scale: float
-) -> np.ndarray:
+def semismooth_block(ops: SpectralOperators, branches, scale: float) -> np.ndarray:
     """I + scale * (W o K1 + V o K2), the one-panel semismooth system matrix.
 
-    With W = a + B and V = c - B (``spectral_core``), the sum is formed as
-    K1 o a + K2 o c + (K1 - K2) o B, so W and V are never built.  Neither
-    is B: the block is formed ROW_BLOCK_ENTRIES entries at a time, each row
-    block computing its rows of B into a small work array
+    ``branches(start, stop)`` returns rows start .. stop-1 of the branch
+    samples K1 and K2, each of shape (stop - start, n + 1).  With W = a + B
+    and V = c - B (``spectral_core``), the sum is formed as
+    K1 o a + K2 o c + (K1 - K2) o B, so W and V are never built.  Neither is
+    B, nor a whole branch sample: the block is formed ROW_BLOCK_ENTRIES
+    entries at a time, each row block asking ``branches`` for its rows of K1
+    and K2 and computing its rows of B into a small work array
     (``ops.bracket_rows``), so that a row block's rows of K1, K2, B and the
     result stay in cache through every elementwise step.  The steps and
     their order are those of the whole-array formula, so the result is
     bitwise the same.  Besides the result it allocates two row blocks of
-    work space.  Under ``__debug__`` every call checks the row sums of B
-    (``ops.check_bracket_row_sums``).  Branch samples of the wrong shape
-    raise ValueError.
+    work space, and holds what ``branches`` returns for one row block at a
+    time.  Under ``__debug__`` every call checks the row sums of B
+    (``ops.check_bracket_row_sums``).  Branch rows of the wrong shape raise
+    ValueError.
     """
     n1 = ops.order + 1
-    k1 = np.asarray(k1_vals, dtype=float)
-    k2 = np.asarray(k2_vals, dtype=float)
-    for k in (k1, k2):
-        if k.shape != (n1, n1):
-            raise ValueError(f"shape mismatch {(n1, n1)} vs {k.shape}")
     block = np.empty((n1, n1))
     rows = max(1, ROW_BLOCK_ENTRIES // n1)
     work = np.empty((2, min(rows, n1), n1))
     row_sums = np.empty(n1) if __debug__ else None
     for start in range(0, n1, rows):
         stop = min(start + rows, n1)
+        k1, k2 = (np.asarray(k, dtype=float) for k in branches(start, stop))
+        bad = [k.shape for k in (k1, k2) if k.shape != (stop - start, n1)]
+        if bad:
+            raise ValueError(f"shape mismatch {(stop - start, n1)} vs {bad[0]} in rows {start}:{stop}")
         bracket = ops.bracket_rows(start, stop, out=work[0, : stop - start])
         if __debug__:
             row_sums[start:stop] = bracket.sum(axis=1)
         scratch = work[1, : stop - start]
-        out = np.subtract(k1[start:stop], k2[start:stop], out=block[start:stop])
+        out = np.subtract(k1, k2, out=block[start:stop])
         out *= bracket
-        out += np.multiply(k1[start:stop], ops.left_offset, out=scratch)
-        out += np.multiply(k2[start:stop], ops.right_offset, out=scratch)
+        out += np.multiply(k1, ops.left_offset, out=scratch)
+        out += np.multiply(k2, ops.right_offset, out=scratch)
         out *= scale
+        # freed before the next row block is sampled, so one row block of
+        # samples is alive at a time
+        del k1, k2
     if __debug__:
         ops.check_bracket_row_sums(row_sums)
     block.reshape(-1)[:: n1 + 1] += 1.0

@@ -153,7 +153,11 @@ def assemble(potential: NonlocalPotential, grid: ChebGrid, rhs_override=None) ->
     sin_t = np.sin(kappa * t)
     cos_t = np.cos(kappa * t)
     k1, k2 = _spliced_branches(potential, grid, ops, sin_t, cos_t)
-    matrix = semismooth_block(ops, k1, k2, grid.width / (2.0 * kappa))
+
+    def branches(start, stop):
+        return k1[start:stop], k2[start:stop]
+
+    matrix = semismooth_block(ops, branches, grid.width / (2.0 * kappa))
     rhs = sin_t if rhs_override is None else _rhs_values(rhs_override, t)
     return SchrodingerSystem(grid=grid, k1=k1, k2=k2, matrix=matrix, rhs=rhs)
 

@@ -53,6 +53,16 @@ def dense_operators(n):
     }
 
 
+def row_slices(k1, k2):
+    """The row sampler ``fredholm_solver.semismooth_block`` reads, taking
+    rows of the whole branch samples K1 and K2."""
+
+    def branches(start, stop):
+        return k1[start:stop], k2[start:stop]
+
+    return branches
+
+
 def semismooth_block_reference(ops, k1, k2, scale):
     """I + scale [K1 o a + K2 o c + (K1 - K2) o B] in one shot over whole
     n x n arrays, with the cached bracket B.

@@ -4,11 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from dense_oracle import semismooth_block_reference
 
 from chebfred import hierarchical
 from chebfred.block_operator import DenseBlocks, ToeplitzBlocks, as_block_operator
 from chebfred.composite_solver import assemble_blocks, build_partition, solve_composite
-from chebfred.fredholm_solver import dense_solve, relative_sup_error, semismooth_block
+from chebfred.fredholm_solver import dense_solve, relative_sup_error
 from chebfred.kernel_catalog import catalog_lookup
 from chebfred.spectral_core import build_operators
 
@@ -28,8 +29,9 @@ def _problem_and_partition(name, panels, order, **overrides):
 
 def _dense_assembly(kernel, partition, lam, toeplitz):
     """Reference: every block written into one N x N array, row panel by row
-    panel; with ``toeplitz`` the block j - i is sampled at its first (j, i)
-    and copied along its diagonal."""
+    panel, each branch sampled on the whole block; a diagonal block is the
+    whole-array formula of ``dense_oracle``, and with ``toeplitz`` the block
+    j - i is sampled at its first (j, i) and copied along its diagonal."""
     grids, offsets = partition.grids, partition.offsets
     matrix = np.zeros((offsets[-1], offsets[-1]))
     block_cache = {}
@@ -44,7 +46,7 @@ def _dense_assembly(kernel, partition, lam, toeplitz):
             if i == j:
                 k1 = kernel.eval_lower(gj.nodes[:, None], gj.nodes[None, :])
                 k2 = kernel.eval_upper(gj.nodes[:, None], gj.nodes[None, :])
-                block = semismooth_block(ops_i, k1, k2, lam * gj.width / 2.0)
+                block = semismooth_block_reference(ops_i, k1, k2, lam * gj.width / 2.0)
             else:
                 tt, ss = gj.nodes[:, None], gi.nodes[None, :]
                 kv = kernel.eval_lower(tt, ss) if i < j else kernel.eval_upper(tt, ss)
@@ -54,11 +56,14 @@ def _dense_assembly(kernel, partition, lam, toeplitz):
     return matrix
 
 
-@pytest.fixture(scope="module", params=[
+SYSTEMS = [
     ("example2", 8, 127, {"T": T_200PI}),
     ("example2", 32, 63, {"T": T_200PI}),
     ("example4", 16, 63, {}),
-])
+]
+
+
+@pytest.fixture(scope="module", params=SYSTEMS)
 def assembled(request):
     name, panels, order, overrides = request.param
     problem, partition = _problem_and_partition(name, panels, order, **overrides)
@@ -70,13 +75,25 @@ def assembled(request):
     return system, dense
 
 
+# one panel of orders 1023 and 1000: 32 whole row blocks of 32 rows, then
+# 31 whole ones plus a short last one of 9 rows; example4 on 4 panels (3
+# plus the singular point) of orders 31, 63, 15, 15, so one row's source
+# panels differ in size and weights; a Toeplitz system of two panels
+@pytest.mark.parametrize("assembled", SYSTEMS + [
+    ("example2", 1, 1000, {}),
+    ("example2", 1, 1023, {}),
+    ("example4", 3, (31, 63, 15), {}),
+    ("example2", 2, 63, {"T": T_200PI}),
+], indirect=True)
 def test_materialisation_is_bitwise_the_dense_assembly(assembled):
     system, dense = assembled
     op = system.matrix
     assert len(op) == len(dense) and op.shape == dense.shape
     assert np.array_equal(op.dense(), dense)
     off = op.offsets
-    assert np.array_equal(op.dense(3, 7), dense[off[3] : off[7], off[3] : off[7]])
+    p1 = min(7, op.panels)
+    p0 = min(3, p1 - 1)
+    assert np.array_equal(op.dense(p0, p1), dense[off[p0] : off[p1], off[p0] : off[p1]])
 
 
 def test_products_match_the_dense_products(assembled):

@@ -1,5 +1,6 @@
 """Command-line harness: output formats, config handling, exit codes."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import chebfred.cli as cli
 import chebfred.schrodinger as schrodinger
 from chebfred.fredholm_solver import SingularMatrixError
 from chebfred.kernel_catalog import catalog_lookup, catalog_names
+from chebfred.spectral_core import cheb_grid
 
 
 def _rows(csv_text):
@@ -264,6 +266,19 @@ def test_solver_failure_exits_4(monkeypatch, capsys):
     monkeypatch.setattr(cli, "solve_fredholm", boom)
     assert cli.main(["solve", "--problem", "example1", "--n", "8"]) == 4
     assert "synthetic failure" in capsys.readouterr().err
+
+
+def test_kernel_failure_in_a_late_row_block_exits_4(monkeypatch, capsys):
+    # the lower branch is NaN only in the last row of a one-panel system,
+    # which the assembly samples in its last row block
+    problem = catalog_lookup("example2")
+    last = cheb_grid(1023, problem.a, problem.b).nodes[-1]
+    kernel = dataclasses.replace(
+        problem.kernel, k_lower=lambda t, s: np.where(t == last, np.nan, np.sin(t - s))
+    )
+    monkeypatch.setattr(cli, "catalog_lookup", lambda *args, **kwargs: dataclasses.replace(problem, kernel=kernel))
+    assert cli.main(["solve", "--problem", "example2", "--n", "1023"]) == 4
+    assert "lower kernel branch evaluated to a non-finite value" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("error", [

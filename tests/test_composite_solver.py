@@ -1,10 +1,13 @@
 """Multi-panel assembly: partition handling, block structure, Toeplitz reuse."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+from dense_oracle import semismooth_block_reference
 
+from chebfred import fredholm_solver
 from chebfred.block_operator import ToeplitzBlocks
 from chebfred.composite_solver import (
     assemble_blocks,
@@ -13,8 +16,8 @@ from chebfred.composite_solver import (
     solve_composite,
     solve_partitioned,
 )
-from chebfred.fredholm_solver import relative_sup_error, semismooth_block
-from chebfred.kernel_catalog import catalog_lookup
+from chebfred.fredholm_solver import relative_sup_error
+from chebfred.kernel_catalog import KernelEvaluationError, catalog_lookup
 from chebfred.spectral_core import build_operators, cheb_grid
 
 
@@ -75,7 +78,7 @@ def test_single_panel_matches_single_grid_discretization():
     t = grid.nodes
     k1 = problem.kernel.eval_lower(t[:, None], t[None, :])
     k2 = problem.kernel.eval_upper(t[:, None], t[None, :])
-    single = semismooth_block(build_operators(16), k1, k2, problem.lam * grid.width / 2.0)
+    single = semismooth_block_reference(build_operators(16), k1, k2, problem.lam * grid.width / 2.0)
     assert np.array_equal(block.matrix.dense(), single)
     assert np.array_equal(block.rhs, problem.rhs(t))
 
@@ -188,3 +191,111 @@ def test_interior_kink_needs_the_partition():
         errors.append(relative_sup_error(sol.node_values, problem.solution(sol.nodes)))
     assert errors[0] > errors[1] > errors[2]
     assert errors[2] < 5e-7
+
+
+def _uniform_partition(problem, panels, orders):
+    edges = np.linspace(problem.a, problem.b, panels + 1)
+    return build_partition(
+        problem.a, problem.b, breakpoints=tuple(edges[1:-1]), orders=orders,
+        singular_points=problem.kernel.singular_points,
+    )
+
+
+def _recording(kernel, calls):
+    """``kernel`` with every branch call appended to ``calls`` as (branch, t, s)."""
+
+    def record(name, fn):
+        def branch(t, s):
+            calls.append((name, np.asarray(t), np.asarray(s)))
+            return fn(t, s)
+
+        return branch
+
+    return dataclasses.replace(
+        kernel, k_lower=record("lower", kernel.k_lower), k_upper=record("upper", kernel.k_upper)
+    )
+
+
+@pytest.mark.parametrize("name, panels, orders, overrides", [
+    ("example4", 16, 63, {}),
+    ("example4", 3, (31, 63, 15), {}),
+    ("example2", 32, 63, {"T": 200 * np.pi}),
+    ("example2", 2, 63, {"T": 200 * np.pi}),
+])
+def test_off_diagonal_sampling_takes_one_call_per_branch_per_panel_row(name, panels, orders, overrides):
+    # DenseBlocks (example4): row panel j samples the panels left of it with
+    # one lower-branch call and those right of it with one upper-branch
+    # call.  ToeplitzBlocks (example2): one call per branch in all.  A
+    # diagonal block of order <= 180 is one row block, sampled once per branch.
+    problem = catalog_lookup(name, **overrides)
+    part = _uniform_partition(problem, panels, orders)
+    calls = []
+    system = assemble_blocks(_recording(problem.kernel, calls), part, problem.lam, problem.rhs)
+    m, grids = part.panels, part.grids
+
+    def target(t):
+        return int(np.searchsorted(part.breakpoints, t.ravel()[0])) - 1
+
+    off = []
+    for branch, t, s in calls:
+        j = target(t)
+        if not (np.array_equal(t.ravel(), grids[j].nodes) and np.array_equal(s.ravel(), grids[j].nodes)):
+            off.append((j, branch))
+    on = len(calls) - len(off)
+    if isinstance(system.matrix, ToeplitzBlocks):
+        assert name == "example2"
+        assert on == 2
+        assert sorted(off) == [(0, "upper"), (1, "lower")]
+    else:
+        assert on == 2 * m
+        expected = [(j, "lower") for j in range(1, m)] + [(j, "upper") for j in range(m - 1)]
+        assert sorted(off) == sorted(expected)
+
+
+def test_one_panel_assembly_holds_no_whole_branch_sample():
+    # at n = 1023 the block is 8.0 MiB; K1, K2 and their kernel temporaries
+    # are held one row block of 32 rows at a time
+    problem = catalog_lookup("example2")
+    part = build_partition(problem.a, problem.b, orders=1023)
+    tracemalloc.start()
+    try:
+        system = assemble_blocks(problem.kernel, part, problem.lam, problem.rhs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block_bytes = system.matrix.dense().nbytes
+    assert block_bytes == 1024 * 1024 * 8
+    assert peak < 1.3 * block_bytes
+
+
+def test_nan_in_the_last_row_block_of_one_panel_raises():
+    # the lower branch is NaN only in the diagonal block's last row, which
+    # is sampled by the last of 32 row blocks
+    problem = catalog_lookup("example2")
+    part = build_partition(problem.a, problem.b, orders=1023)
+    last = part.grids[0].nodes[-1]
+    kernel = dataclasses.replace(
+        problem.kernel, k_lower=lambda t, s: np.where(t == last, np.nan, np.sin(t - s))
+    )
+    calls = []
+    with pytest.raises(KernelEvaluationError, match="lower kernel branch"):
+        assemble_blocks(_recording(kernel, calls), part, problem.lam, problem.rhs)
+    rows = fredholm_solver.ROW_BLOCK_ENTRIES // 1024
+    assert len(calls) == 2 * (1024 // rows - 1) + 1
+
+
+def test_nan_in_one_off_diagonal_panel_of_a_row_raises():
+    # example4 on 4 panels is DenseBlocks; the upper branch is NaN only for
+    # targets in panel 0 and sources in panel 3, one block of row panel 0's
+    # upper-branch call
+    problem = catalog_lookup("example4")
+    part = _uniform_partition(problem, 4, 31)
+    edges = part.breakpoints
+    upper = problem.kernel.k_upper
+    kernel = dataclasses.replace(
+        problem.kernel,
+        k_upper=lambda t, s: np.where((t < edges[1]) & (s > edges[3]), np.nan, upper(t, s)),
+    )
+    assert not detect_toeplitz(kernel, part)
+    with pytest.raises(KernelEvaluationError, match="upper kernel branch"):
+        assemble_blocks(kernel, part, problem.lam, problem.rhs)

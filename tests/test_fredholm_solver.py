@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from dense_oracle import semismooth_block_reference
+from dense_oracle import row_slices, semismooth_block_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import linalg
@@ -146,7 +146,7 @@ def _fused_and_split_blocks(kernel, grid, lam):
     k2 = kernel.eval_upper(t[:, None], t[None, :])
     scale = lam * grid.width / 2.0
     split = np.eye(grid.order + 1) + scale * (ops.int_left * k1 + ops.int_right * k2)
-    return semismooth_block(ops, k1, k2, scale), split
+    return semismooth_block(ops, row_slices(k1, k2), scale), split
 
 
 @pytest.mark.parametrize("n", [1, 4, 63, 1023])
@@ -195,8 +195,18 @@ def test_semismooth_block_is_bitwise_the_whole_array_formula(monkeypatch, entrie
     ops = build_operators(n)
     k1, k2 = np.random.default_rng(n).uniform(-2.0, 2.0, (2, n + 1, n + 1))
     reference = semismooth_block_reference(build_operators(n), k1, k2, 0.37)
-    assert np.array_equal(semismooth_block(ops, k1, k2, 0.37), reference)
+    sampled = []
+    whole = row_slices(k1, k2)
+
+    def branches(start, stop):
+        sampled.append((start, stop))
+        return whole(start, stop)
+
+    assert np.array_equal(semismooth_block(ops, branches, 0.37), reference)
     assert all(np.ndim(value) <= 1 for value in vars(ops).values())
+    # the sampler is asked once per row block, for consecutive row ranges
+    rows = max(1, fredholm_solver.ROW_BLOCK_ENTRIES // (n + 1))
+    assert sampled == [(start, min(start + rows, n + 1)) for start in range(0, n + 1, rows)]
 
 
 def test_block_orders_cover_every_case():
@@ -217,17 +227,30 @@ def test_semismooth_block_checks_bracket_row_sums():
     bad = dataclasses.replace(ops, s_values=ops.s_values * 1.001)
     k = np.ones((41, 41))
     with pytest.raises(AssertionError):
-        semismooth_block(bad, k, k, 1.0)
+        semismooth_block(bad, row_slices(k, k), 1.0)
 
 
-def test_semismooth_block_rejects_mismatched_shapes():
+def test_semismooth_block_rejects_mismatched_shapes(monkeypatch):
     ops = build_operators(4)
     good = np.ones((5, 5))
     for bad in (np.ones((5, 4)), np.ones((4, 4)), np.ones(5)):
         with pytest.raises(ValueError, match="shape mismatch"):
-            semismooth_block(ops, bad, good, 1.0)
+            semismooth_block(ops, row_slices(bad, good), 1.0)
         with pytest.raises(ValueError, match="shape mismatch"):
-            semismooth_block(ops, good, bad, 1.0)
+            semismooth_block(ops, row_slices(good, bad), 1.0)
+    # rows of the wrong shape in one row block only: 2 rows per block here,
+    # and the sampler returns whole rows everywhere but in rows 2..3
+    monkeypatch.setattr(fredholm_solver, "ROW_BLOCK_ENTRIES", 10)
+
+    def one_bad_block(start, stop):
+        rows = good[start:stop] if start != 2 else good[start : stop + 1]
+        return good[start:stop], rows
+
+    with pytest.raises(ValueError, match=r"shape mismatch \(2, 5\) vs \(3, 5\) in rows 2:4"):
+        semismooth_block(ops, one_bad_block, 1.0)
+    # a sampler that returns the whole samples, not the rows it was asked for
+    with pytest.raises(ValueError, match=r"shape mismatch \(2, 5\) vs \(5, 5\) in rows 0:2"):
+        semismooth_block(ops, lambda start, stop: (good, good), 1.0)
 
 
 def _capture_operators(monkeypatch, module):
