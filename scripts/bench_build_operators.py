@@ -20,9 +20,13 @@ machine can decide a best-of figure.  The assembly also gets its
 ``tracemalloc`` peak (numpy reports its buffers to tracemalloc).
 
 Each side also reports its largest entrywise deviation, over the operators
-in ``OPERATOR_NAMES`` (``int_left``, ``int_right`` and ``full_weights``),
-from the dense reference ``dense_operators`` in tests/dense_oracle.py, and the relative sup error of ``solve_fredholm`` on
+in ``OPERATOR_NAMES``, from the dense reference ``dense_operators`` in
+tests/dense_oracle.py, and the relative sup error of ``solve_fredholm`` on
 the ``SOLVES`` problems, so a speed-up that costs digits shows up here.
+The integration operators ``int_left`` and ``int_right`` are W = a + B and
+V = c - B as ``integration_matrices`` forms them from the vectors that the
+solves read, with B from ``SpectralOperators.bracket_rows``, so the
+baseline must be a commit that has ``bracket_rows`` (8ba5047 or later).
 The change's worker also times the one-panel assembly with each value of
 ``fredholm_solver.ROW_BLOCK_ENTRIES`` in ``ROW_BLOCK_CANDIDATES``, which is
 how that constant was chosen.
@@ -77,7 +81,7 @@ def measure(with_deviation, with_sweep):
     from chebfred.fredholm_solver import dense_solve, relative_sup_error, solve_fredholm
     from chebfred.kernel_catalog import catalog_lookup
     from chebfred.spectral_core import build_operators
-    from dense_oracle import OPERATOR_NAMES, dense_operators
+    from dense_oracle import OPERATOR_NAMES, dense_operators, integration_matrices
 
     example2 = catalog_lookup("example2")
 
@@ -101,8 +105,10 @@ def measure(with_deviation, with_sweep):
         tracemalloc.stop()
         if with_deviation:
             ops, ref = build_operators(n), dense_operators(n)
+            left, right = integration_matrices(ops)
+            got = {"order": ops.order, "int_left": left, "int_right": right, "full_weights": ops.full_weights}
             out[n]["max_deviation"] = max(
-                float(np.max(np.abs(np.asarray(getattr(ops, name)) - ref[name]))) for name in OPERATOR_NAMES
+                float(np.max(np.abs(np.asarray(got[name]) - ref[name]))) for name in OPERATOR_NAMES
             )
     errors = {}
     if with_deviation:

@@ -8,20 +8,31 @@ Writes one CSV per table into --outdir (default results/):
 * scattering.csv      nonlocal-potential problems, analytic or self-converged
 
 Each run prints one line per file written.  Errors are relative sup norms at
-the method's own nodes.
+the method's own nodes.  Run as a script, it pins BLAS to one thread before
+numpy loads, as the benchmark workers do: some rows move in their last
+digits between one and two threads.
 """
 
 import argparse
 import csv
+import os
 import pathlib
+import sys
 import time
 
-import numpy as np
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
 
-from chebfred.baselines import MethodNotApplicableError
-from chebfred.cli import run_method, schrodinger_error
-from chebfred.fredholm_solver import relative_sup_error
-from chebfred.kernel_catalog import catalog_lookup
+from worker import BLAS_THREAD_VARS  # noqa: E402
+
+if __name__ == "__main__":
+    os.environ.update({var: "1" for var in BLAS_THREAD_VARS})  # read when numpy loads
+
+import numpy as np  # noqa: E402
+
+from chebfred.baselines import MethodNotApplicableError  # noqa: E402
+from chebfred.cli import run_method, schrodinger_error  # noqa: E402
+from chebfred.fredholm_solver import relative_sup_error  # noqa: E402
+from chebfred.kernel_catalog import catalog_lookup  # noqa: E402
 
 BENCHMARKS = {
     "example1": ("schur", "alg1", "gleg", "tdef"),

@@ -45,7 +45,6 @@ from .kernel_catalog import (
     SemismoothKernel,
     catalog_lookup,
     catalog_names,
-    residual_check,
 )
 from .schrodinger import (
     SchrodingerSystem,
@@ -61,8 +60,6 @@ from .spectral_core import (
     cheb_grid,
     chebyshev_eval,
     chebyshev_nodes,
-    cosine_matrix,
-    inverse_cosine_matrix,
 )
 
 __version__ = "0.1.0"

@@ -255,7 +255,7 @@ def schrodinger_error(problem: SchrodingerProblem, order: int, solutions=None) -
 
 def _solve_benchmark(problem, method: str, order: int, config: RunConfig) -> RunRow:
     bps = config.breakpoints
-    if method == "composite" and not bps and config.panels:
+    if method == "composite" and config.panels:
         bps = tuple(np.linspace(problem.a, problem.b, config.panels + 1)[1:-1])
     start = time.perf_counter()
     nodes, values, warn = run_method(problem, method, order, bps)
@@ -305,6 +305,10 @@ def _output(path: str | None):
 
 def _cmd_table(config: RunConfig, min_orders: int) -> int:
     """``solve`` and ``convergence``: one row per method and order."""
+    if config.panels is not None and config.breakpoints:
+        raise ConfigError("panels and breakpoints exclude each other; give one")
+    if (config.panels is not None or config.breakpoints) and "composite" not in config.methods:
+        raise ConfigError("panels and breakpoints apply to the composite method only")
     problem = _lookup(config)
     if isinstance(problem, SchrodingerProblem):
         raise MethodNotApplicableError(

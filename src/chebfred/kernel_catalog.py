@@ -25,7 +25,6 @@ __all__ = [
     "SchrodingerProblem",
     "catalog_lookup",
     "catalog_names",
-    "residual_check",
 ]
 
 
@@ -340,32 +339,3 @@ def catalog_lookup(
         if not math.isfinite(params[key]):
             raise ValueError(f"{key} override must be finite, got {value!r}")
     return factory(**params)
-
-
-def residual_check(problem: BenchmarkProblem, t, panels: int = 10_000) -> np.ndarray:
-    """|x(t) + lam*(int_a^t k_lower x + int_t^b k_upper x) - y(t)| by trapezium.
-
-    Independent of the spectral machinery: two composite trapezium sums split
-    at s = t, with the panel budget divided proportionally.  For kernels that
-    blow up on the boundary the end samples are pulled inward by a relative
-    1e-12, which perturbs the (finite) products k*x by far less than the
-    quadrature error.  Requires an analytic solution on the problem.
-    """
-    if problem.solution is None:
-        raise ValueError(f"{problem.name} has no analytic solution to check")
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    a, b, lam = problem.a, problem.b, problem.lam
-    kern, x, y = problem.kernel, problem.solution, problem.rhs
-    nudge = 1e-12 * (b - a) if problem.kernel.boundary_singular else 0.0
-    out = np.empty_like(t_arr)
-    for i, ti in enumerate(t_arr):
-        if not a < ti < b:
-            raise ValueError(f"residual point {ti} outside ({a}, {b})")
-        n_left = max(2, round(panels * (ti - a) / (b - a)))
-        n_right = max(2, panels - n_left)
-        s_left = np.linspace(a + nudge, ti, n_left + 1)
-        s_right = np.linspace(ti, b - nudge, n_right + 1)
-        int_left = np.trapezoid(kern.eval_lower(ti, s_left) * x(s_left), s_left)
-        int_right = np.trapezoid(kern.eval_upper(ti, s_right) * x(s_right), s_right)
-        out[i] = abs(x(ti) + lam * (int_left + int_right) - y(ti))
-    return out if np.ndim(t) else out[0]

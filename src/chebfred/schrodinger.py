@@ -30,7 +30,7 @@ samples and Delta = V1 - V2,
 where d_i = sum_l W[i, l] sin_l Delta[l, i] and
 e_i = -sum_l V[i, l] cos_l Delta[l, i] are the splice diagonals.  With
 W = a + B and V = c - B (``spectral_core``), M is built entrywise from the
-vectors a, c and the cached bracket B,
+vectors a, c and the bracket B,
 
     M = B o (cos sin^T - sin cos^T) + cos (sin o a)^T + sin (cos o c)^T,
 
@@ -73,15 +73,17 @@ def build_kernel_matrices(potential: NonlocalPotential, grid: ChebGrid, ops: Spe
     int_0^{t_i} sin(k p) v_lower(p, t_j) dp up to the (T/2) interval scaling.
     The d and e columns splice the two branches of the inner integral where it
     crosses the diagonal; exactness of the splice shows up as continuity of
-    K11 vs K12 (and K21 vs K22) along the diagonal.
+    K11 vs K12 (and K21 vs K22) along the diagonal.  W = a + B and V = c - B
+    are formed in full here; no solve calls this.
     """
     t = grid.nodes
     v1 = potential.eval_lower(t[:, None], t[None, :])
     v2 = potential.eval_upper(t[:, None], t[None, :])
     kappa = potential.kappa
     half_t = grid.width / 2.0
-    w_sin = ops.int_left * np.sin(kappa * t)[None, :]  # W D_s
-    v_cos = ops.int_right * np.cos(kappa * t)[None, :]  # V D_c
+    bracket = ops.bracket_rows(0, ops.order + 1)
+    w_sin = (ops.left_offset + bracket) * np.sin(kappa * t)[None, :]  # W D_s
+    v_cos = (ops.right_offset - bracket) * np.cos(kappa * t)[None, :]  # V D_c
     # only the diagonals of W D_s (V1 - V2) and V D_c (V2 - V1) are needed
     d = np.einsum("ij,ji->i", w_sin, v1 - v2)
     e = np.einsum("ij,ji->i", v_cos, v2 - v1)
@@ -117,7 +119,7 @@ def _spliced_branches(
     v1 = potential.eval_lower(t[:, None], t[None, :])
     v2 = potential.eval_upper(t[:, None], t[None, :])
     half_t = grid.width / 2.0
-    a, c, bracket = ops.left_offset, ops.right_offset, ops.bracket
+    a, c, bracket = ops.left_offset, ops.right_offset, ops.bracket_rows(0, ops.order + 1)
     hc = half_t * cos_t
     hs = half_t * sin_t
     # (T/2) d and (T/2) e: with W = a + B, d_i = (Delta^T (a o sin))_i

@@ -2,9 +2,9 @@
 
 Everything here lives on the reference interval [-1, 1].  The nodes are the
 roots of T_{n+1} in descending order, so interpolation and quadrature are
-spectrally accurate for smooth integrands.  The two integration operators map
-samples of f at the nodes to samples of the running integrals from -1 up to
-each node (``int_left``) and from each node up to +1 (``int_right``).
+spectrally accurate for smooth integrands.  The two integration operators W
+and V map samples of f at the nodes to samples of the running integrals from
+-1 up to each node (W) and from each node up to +1 (V).
 
 Closed form of the integration operators
 ----------------------------------------
@@ -43,14 +43,6 @@ The bracket is a Toeplitz plus a Hankel matrix, scaled by column.  U at all
 elsewhere).  The formulas are exact, not a further approximation: they
 differ from the dense products only by rounding.
 
-What is stored
---------------
-``build_operators`` computes only the vectors a, b, c, sigma and the S
-values, in O(n log n).  The bracket, W and V are cached properties of
-``SpectralOperators``, built in O(n^2) the first time they are read.  C and
-C^-1 are built by ``cosine_matrix`` and ``inverse_cosine_matrix``; S_L and
-S_R exist only in the derivation above, and no solve forms them.
-
 Assembly without W or V
 -----------------------
 Write B[k, m] = b_m [S(m-k) + S(m+k+1)] for the bracket, so W = a + B and
@@ -73,7 +65,6 @@ full weights sigma = a + c.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
@@ -82,8 +73,6 @@ __all__ = [
     "ChebGrid",
     "SpectralOperators",
     "chebyshev_nodes",
-    "cosine_matrix",
-    "inverse_cosine_matrix",
     "build_operators",
     "chebyshev_coefficients",
     "cheb_grid",
@@ -111,44 +100,12 @@ def chebyshev_nodes(n: int) -> np.ndarray:
     return np.cos((2 * k + 1) * np.pi / (2 * (n + 1)))
 
 
-def cosine_matrix(n: int) -> np.ndarray:
-    """Matrix C with C[k, j] = T_j(tau_k), built in closed form.
-
-    T_j(cos theta) = cos(j theta), so no polynomial recurrence is needed.  The
-    argument j theta_k is pi/(2(n+1)) times the integer (2k+1) j, which is
-    reduced exactly modulo 4(n+1) and looked up in a table of 4(n+1) cosines,
-    so the entries are accurate to rounding for any order.  C maps Chebyshev
-    coefficients to node values.
-    """
-    if n < 0:
-        raise ValueError("order must be >= 0")
-    N = n + 1
-    table = np.cos(np.arange(4 * N) * (np.pi / (2 * N)))
-    # (2k+1) j < 2 N^2 fits in 32 bits below N = 2^15, which halves the
-    # memory traffic of the reduction and the lookup
-    itype = np.int32 if N < 2**15 else np.int64
-    turns = np.multiply.outer(np.arange(1, 2 * N, 2, dtype=itype), np.arange(N, dtype=itype))
-    turns %= 4 * N
-    return table[turns]
-
-
-def inverse_cosine_matrix(n: int) -> np.ndarray:
-    """Inverse of :func:`cosine_matrix`, i.e. the node-values-to-coefficients map.
-
-    By discrete orthogonality of cosines at the first-kind points the inverse
-    is a row-scaled transpose: diag(1/(n+1), 2/(n+1), ..., 2/(n+1)) @ C.T.
-    """
-    inverse = cosine_matrix(n).T * (2.0 / (n + 1))
-    inverse[0] *= 0.5
-    return inverse
-
-
 def chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
     """Chebyshev coefficients of the interpolant through node values.
 
     ``values`` holds f at the n+1 nodes of :func:`chebyshev_nodes`.  The
-    result equals ``inverse_cosine_matrix(n) @ values`` up to rounding, but
-    is a DCT-II in O(n log n): with N = n + 1, theta_m = (2m+1) pi/(2N) and
+    result equals C^-1 values (module docstring) up to rounding, but is a
+    DCT-II in O(n log n): with N = n + 1, theta_m = (2m+1) pi/(2N) and
     Y the FFT of the even extension (f_0, ..., f_n, f_n, ..., f_0),
 
         sum_m f_m cos(j theta_m) = Re(exp(-i pi j/(2N)) Y_j) / 2,
@@ -171,12 +128,12 @@ class SpectralOperators:
     """The order-n spectral operators, stored as the vectors of the closed form.
 
     The fields are the O(n) vectors of the closed form in the module
-    docstring, filled by :func:`build_operators`.  Every (n+1)-by-(n+1)
-    matrix is a cached property: it is built the first time it is read and
-    kept on the instance, so a solve pays only for the matrices it reads.
+    docstring, filled by :func:`build_operators`, and nothing else is kept:
+    no (n+1)-by-(n+1) matrix is stored.  ``bracket_rows`` computes any rows
+    of the bracket B, from which W = a + B and V = c - B follow.
 
-    Fields (eager)
-    --------------
+    Fields
+    ------
     order : int
     left_offset, right_offset : ndarray
         a_m and c_m, the column offsets of W and V.
@@ -188,21 +145,6 @@ class SpectralOperators:
     full_weights : ndarray
         Quadrature weights for the whole interval, a + c, equal to
         ones @ S_L @ C^-1; strictly positive and summing to 2.
-
-    Properties (lazy)
-    -----------------
-    bracket : ndarray
-        B[k, m] = b_m [S(m-k) + S(m+k+1)]; ``bracket_rows`` gives any of its
-        rows without building it.
-    int_left, int_right : ndarray
-        Node-space running-integral operators W = a + B and V = c - B:
-        (int_left @ f)[k] approximates the integral of f from -1 to tau_k;
-        int_right integrates tau_k to 1.
-
-    The debug-mode checks run when a matrix is built: the row sums
-    W 1 = tau + 1 and V 1 = 1 - tau with the bracket (``semismooth_block``
-    runs them on the row sums of its row blocks), and W + V = sigma with
-    either integration operator.
     """
 
     order: int
@@ -212,16 +154,10 @@ class SpectralOperators:
     s_values: np.ndarray
     full_weights: np.ndarray
 
-    @cached_property
-    def bracket(self) -> np.ndarray:
-        B = self.bracket_rows(0, self.order + 1)
-        if __debug__:
-            self.check_bracket_row_sums(B.sum(axis=1))
-        return B
-
     def bracket_rows(self, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Rows start .. stop-1 of the bracket B, bitwise those of ``bracket``,
-        computed into ``out`` if given.
+        """Rows start .. stop-1 of the bracket B[k, m] = b_m [S(m-k) + S(m+k+1)],
+        computed into ``out`` if given.  Each row is bitwise the same whichever
+        row block it is computed in.
 
         S(m-k) and S(m+k+1) are read through strided views of S, a Toeplitz
         and a Hankel matrix (numpy checks that both stay inside S), so a row
@@ -246,30 +182,9 @@ class SpectralOperators:
         assert np.abs(self.left_offset.sum() + row_sums - (tau + 1)).max() < scale
         assert np.abs(self.right_offset.sum() - row_sums - (1 - tau)).max() < scale
 
-    @cached_property
-    def int_left(self) -> np.ndarray:
-        W = self.left_offset + self.bracket
-        if __debug__:
-            V = self.__dict__.get("int_right")
-            self._check_full_weights(W, self.right_offset - self.bracket if V is None else V)
-        return W
-
-    @cached_property
-    def int_right(self) -> np.ndarray:
-        V = self.right_offset - self.bracket
-        if __debug__:
-            W = self.__dict__.get("int_left")
-            self._check_full_weights(self.left_offset + self.bracket if W is None else W, V)
-        return V
-
-    def _check_full_weights(self, W: np.ndarray, V: np.ndarray) -> None:
-        gap = W + V  # one n-by-n temporary: sigma broadcasts, so W + V - sigma would take two
-        gap -= self.full_weights
-        assert np.abs(gap, out=gap).max() < 1e-13 * self.order
-
     def coefficients(self, values: np.ndarray) -> np.ndarray:
-        """Chebyshev coefficients from node values: ``inverse_cosine_matrix(n)
-        @ values`` in O(n log n), without building that matrix."""
+        """Chebyshev coefficients from node values: C^-1 values in
+        O(n log n), without building C^-1."""
         values = np.asarray(values, dtype=float)
         if values.shape != (self.order + 1,):
             raise ValueError(f"need {self.order + 1} node values, got shape {values.shape}")
@@ -283,13 +198,13 @@ def build_operators(n: int) -> SpectralOperators:
     with b_m = sin(theta_m)/N, a_m = -2 b_m U(2m+1+2N), c_m = 2 b_m U(2m+1)
     and S(q) = U(2q),
 
-        int_left[k, m]  = a_m + b_m [S(m-k) + S(m+k+1)]
-        int_right[k, m] = c_m - b_m [S(m-k) + S(m+k+1)]
+        W[k, m]         = a_m + b_m [S(m-k) + S(m+k+1)]
+        V[k, m]         = c_m - b_m [S(m-k) + S(m+k+1)]
         full_weights[m] = a_m + c_m
 
     which equal C S_L C^-1, C S_R C^-1 and ones @ S_L @ C^-1 up to rounding.
-    One length-4N FFT gives U at every p.  The matrices are built from these
-    vectors only when read (see :class:`SpectralOperators`).
+    One length-4N FFT gives U at every p.  No matrix is formed: a solve reads
+    rows of the bracket through ``SpectralOperators.bracket_rows``.
 
     Raises ValueError for n < 1.
     """

@@ -1,14 +1,53 @@
-"""Dense references: the integration operators of SpectralOperators, by
-O(n^3) products, and the semismooth block over whole n x n arrays.
+"""Dense references for what the package computes without dense matrices.
 
-Shared by the tests and scripts/bench_build_operators.py.  It imports only
-functions that every version of chebfred.spectral_core has, so the
-benchmark can check a baseline checkout against it too.
+* ``cosine_matrix`` and ``inverse_cosine_matrix``: the transforms C and C^-1
+  between Chebyshev coefficients and node values;
+* ``dense_operators``: the integration operators W and V by O(n^3)
+  products, and ``integration_matrices``: W and V formed in full from the
+  vectors of a ``SpectralOperators``, the ones every solve reads;
+* ``semismooth_block_reference``: the semismooth block over whole n x n
+  arrays;
+* ``residual_check``: the residual of a catalog problem's analytic solution,
+  by trapezium sums.
+
+Shared by the tests and scripts/bench_build_operators.py.  It imports
+nothing from chebfred, so the benchmark can check a baseline checkout
+against it too.
 """
 
 import numpy as np
 
-from chebfred.spectral_core import cosine_matrix, inverse_cosine_matrix
+
+def cosine_matrix(n: int) -> np.ndarray:
+    """Matrix C with C[k, j] = T_j(tau_k), built in closed form.
+
+    T_j(cos theta) = cos(j theta), so no polynomial recurrence is needed.  The
+    argument j theta_k is pi/(2(n+1)) times the integer (2k+1) j, which is
+    reduced exactly modulo 4(n+1) and looked up in a table of 4(n+1) cosines,
+    so the entries are accurate to rounding for any order.  C maps Chebyshev
+    coefficients to node values.
+    """
+    if n < 0:
+        raise ValueError("order must be >= 0")
+    N = n + 1
+    table = np.cos(np.arange(4 * N) * (np.pi / (2 * N)))
+    # (2k+1) j < 2 N^2 fits in 32 bits below N = 2^15, which halves the
+    # memory traffic of the reduction and the lookup
+    itype = np.int32 if N < 2**15 else np.int64
+    turns = np.multiply.outer(np.arange(1, 2 * N, 2, dtype=itype), np.arange(N, dtype=itype))
+    turns %= 4 * N
+    return table[turns]
+
+
+def inverse_cosine_matrix(n: int) -> np.ndarray:
+    """Inverse of :func:`cosine_matrix`, i.e. the node-values-to-coefficients map.
+
+    By discrete orthogonality of cosines at the first-kind points the inverse
+    is a row-scaled transpose: diag(1/(n+1), 2/(n+1), ..., 2/(n+1)) @ C.T.
+    """
+    inverse = cosine_matrix(n).T * (2.0 / (n + 1))
+    inverse[0] *= 0.5
+    return inverse
 
 
 def _antiderivative_factor_loop(n):
@@ -25,7 +64,7 @@ def _antiderivative_factor_loop(n):
     return B
 
 
-# the fields and lazy properties of SpectralOperators that dense_operators rebuilds
+# the operators that dense_operators rebuilds
 OPERATOR_NAMES = ("order", "int_left", "int_right", "full_weights")
 
 
@@ -53,6 +92,14 @@ def dense_operators(n):
     }
 
 
+def integration_matrices(ops):
+    """W = a + B and V = c - B, formed in full from the vectors of ``ops``
+    with B = ``ops.bracket_rows(0, n + 1)``: the entries every solve reads,
+    a few rows at a time."""
+    bracket = ops.bracket_rows(0, ops.order + 1)
+    return ops.left_offset + bracket, ops.right_offset - bracket
+
+
 def row_slices(k1, k2):
     """The row sampler ``fredholm_solver.semismooth_block`` reads, taking
     rows of the whole branch samples K1 and K2."""
@@ -65,17 +112,46 @@ def row_slices(k1, k2):
 
 def semismooth_block_reference(ops, k1, k2, scale):
     """I + scale [K1 o a + K2 o c + (K1 - K2) o B] in one shot over whole
-    n x n arrays, with the cached bracket B.
+    n x n arrays, with the whole bracket B.
 
     ``fredholm_solver.semismooth_block`` takes the same elementwise steps in
     the same order, one row block at a time, so the two agree bitwise.
     """
     n1 = ops.order + 1
     block = np.subtract(k1, k2)
-    block *= ops.bracket
+    block *= ops.bracket_rows(0, n1)
     scratch = np.multiply(k1, ops.left_offset)
     block += scratch
     block += np.multiply(k2, ops.right_offset, out=scratch)
     block *= scale
     block.reshape(-1)[:: n1 + 1] += 1.0
     return block
+
+
+def residual_check(problem, t, panels=10_000):
+    """|x(t) + lam*(int_a^t k_lower x + int_t^b k_upper x) - y(t)| by trapezium.
+
+    Independent of the spectral machinery: two composite trapezium sums split
+    at s = t, with the panel budget divided proportionally.  For kernels that
+    blow up on the boundary the end samples are pulled inward by a relative
+    1e-12, which perturbs the (finite) products k*x by far less than the
+    quadrature error.  Requires an analytic solution on the problem.
+    """
+    if problem.solution is None:
+        raise ValueError(f"{problem.name} has no analytic solution to check")
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    a, b, lam = problem.a, problem.b, problem.lam
+    kern, x, y = problem.kernel, problem.solution, problem.rhs
+    nudge = 1e-12 * (b - a) if problem.kernel.boundary_singular else 0.0
+    out = np.empty_like(t_arr)
+    for i, ti in enumerate(t_arr):
+        if not a < ti < b:
+            raise ValueError(f"residual point {ti} outside ({a}, {b})")
+        n_left = max(2, round(panels * (ti - a) / (b - a)))
+        n_right = max(2, panels - n_left)
+        s_left = np.linspace(a + nudge, ti, n_left + 1)
+        s_right = np.linspace(ti, b - nudge, n_right + 1)
+        int_left = np.trapezoid(kern.eval_lower(ti, s_left) * x(s_left), s_left)
+        int_right = np.trapezoid(kern.eval_upper(ti, s_right) * x(s_right), s_right)
+        out[i] = abs(x(ti) + lam * (int_left + int_right) - y(ti))
+    return out if np.ndim(t) else out[0]

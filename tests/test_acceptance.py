@@ -14,6 +14,7 @@ import time
 
 import numpy as np
 import pytest
+from dense_oracle import cosine_matrix, integration_matrices
 
 from chebfred.baselines import gauss_legendre_rule, nystrom_solve
 from chebfred.composite_solver import assemble_blocks, build_partition, solve_partitioned
@@ -25,13 +26,7 @@ from chebfred.fredholm_solver import (
 )
 from chebfred.kernel_catalog import catalog_lookup
 from chebfred.schrodinger import build_kernel_matrices, self_convergence, solve_schrodinger
-from chebfred.spectral_core import (
-    build_operators,
-    cheb_grid,
-    chebyshev_nodes,
-    cosine_matrix,
-    inverse_cosine_matrix,
-)
+from chebfred.spectral_core import build_operators, cheb_grid, chebyshev_coefficients, chebyshev_nodes
 
 
 def _check(criterion, label, passed, value=None):
@@ -163,9 +158,12 @@ def test_criterion_7_optical_potential_self_convergence():
 
 
 def test_criterion_8_transform_round_trip():
+    # column j of C holds the node values of T_j, whose coefficients are e_j
     worst = 0.0
     for n in range(2, 65):
-        worst = max(worst, np.max(np.abs(inverse_cosine_matrix(n) @ cosine_matrix(n) - np.eye(n + 1))))
+        C = cosine_matrix(n)
+        coeffs = np.column_stack([chebyshev_coefficients(column) for column in C.T])
+        worst = max(worst, np.max(np.abs(coeffs - np.eye(n + 1))))
     assert _check(8, "property: transform round trip, n=2..64, <= 1e-12", worst <= 1e-12, worst)
 
 
@@ -180,8 +178,8 @@ def test_criterion_8_one_sided_matrices_nonnegative():
     """
     worst = np.inf
     for n in range(1, 33):
-        ops = build_operators(n)
-        worst = min(worst, np.min(ops.int_left), np.min(ops.int_right))
+        W, V = integration_matrices(build_operators(n))
+        worst = min(worst, np.min(W), np.min(V))
     assert _check(8, "property: one-sided matrices entrywise >= 0", worst >= 0.0, worst), (
         "red by design: refuted at order 2 in exact arithmetic"
     )
@@ -190,11 +188,11 @@ def test_criterion_8_one_sided_matrices_nonnegative():
 def test_criterion_8_polynomial_exactness():
     worst = 0.0
     for n in (2, 5, 12, 31):
-        ops = build_operators(n)
+        W, V = integration_matrices(build_operators(n))
         tau = chebyshev_nodes(n)
         for d in range(n):
-            left = ops.int_left @ tau**d
-            right = ops.int_right @ tau**d
+            left = W @ tau**d
+            right = V @ tau**d
             worst = max(worst, np.max(np.abs(left - (tau ** (d + 1) - (-1.0) ** (d + 1)) / (d + 1))))
             worst = max(worst, np.max(np.abs(right - (1.0 - tau ** (d + 1)) / (d + 1))))
     assert _check(8, "property: exact on degrees below n, <= 1e-12", worst <= 1e-12, worst)
@@ -204,7 +202,8 @@ def test_criterion_8_split_weights_sum_to_full():
     worst = 0.0
     for n in (2, 8, 32, 64):
         ops = build_operators(n)
-        rows = ops.int_left + ops.int_right
+        W, V = integration_matrices(ops)
+        rows = W + V
         worst = max(worst, np.max(np.abs(rows - ops.full_weights[None, :])))
         worst = max(worst, abs(np.sum(ops.full_weights) - 2.0))
     assert _check(8, "property: left + right weights = full weights, <= 1e-12", worst <= 1e-12, worst)

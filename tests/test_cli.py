@@ -111,6 +111,10 @@ def test_composite_method_with_panels(capsys):
         ["schrodinger", "--problem", "schrod_pereybuck", "--A", "inf", "--n", "8"],
         ["solve", "--problem", "example1", "--n", "8", "--output", "/nonexistent/x.csv"],
         ["solve", "--problem", "example1", "--n", "8", "--output", ""],
+        # a partition that the run would silently drop
+        ["solve", "--problem", "example2", "--method", "composite", "--panels", "3", "--breakpoints", "0.5", "--n", "8"],
+        ["solve", "--problem", "example2", "--method", "schur", "--panels", "4", "--n", "8"],
+        ["convergence", "--problem", "example2", "--method", "schur,gleg", "--breakpoints", "0.5", "--n", "8,16"],
     ],
 )
 def test_configuration_errors_exit_2(argv, capsys):

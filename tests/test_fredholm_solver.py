@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from dense_oracle import row_slices, semismooth_block_reference
+from dense_oracle import integration_matrices, inverse_cosine_matrix, row_slices, semismooth_block_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import linalg
@@ -24,7 +24,7 @@ from chebfred.fredholm_solver import (
     solve_fredholm,
 )
 from chebfred.kernel_catalog import catalog_lookup
-from chebfred.spectral_core import build_operators, cheb_grid, inverse_cosine_matrix
+from chebfred.spectral_core import build_operators, cheb_grid
 
 
 def test_dense_solve_identity():
@@ -145,7 +145,8 @@ def _fused_and_split_blocks(kernel, grid, lam):
     k1 = kernel.eval_lower(t[:, None], t[None, :])
     k2 = kernel.eval_upper(t[:, None], t[None, :])
     scale = lam * grid.width / 2.0
-    split = np.eye(grid.order + 1) + scale * (ops.int_left * k1 + ops.int_right * k2)
+    W, V = integration_matrices(ops)
+    split = np.eye(grid.order + 1) + scale * (W * k1 + V * k2)
     return semismooth_block(ops, row_slices(k1, k2), scale), split
 
 

