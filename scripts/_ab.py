@@ -10,6 +10,7 @@ import json
 import math
 import os
 import pathlib
+import statistics
 import subprocess
 import sys
 import tarfile
@@ -73,3 +74,18 @@ def time_samples(call, sample_s, repeats):
 def best_time(call, sample_s, repeats):
     """Best time per call over ``repeats`` samples of about ``sample_s`` each."""
     return min(time_samples(call, sample_s, repeats))
+
+
+def spread(times):
+    """Best, lower quartile, median and upper quartile of ``times``."""
+    q1, median, q3 = statistics.quantiles(times, n=4)
+    return {"s": min(times), "q1_s": q1, "median_s": median, "q3_s": q3}
+
+
+def rounds_won(before, after):
+    """Rounds in which the "after" side measured less than the "before" side.
+
+    ``before`` and ``after`` hold one value per round, in round order; a
+    round where the two are equal counts for neither side.
+    """
+    return sum(a < b for b, a in zip(before, after, strict=True))

@@ -9,15 +9,20 @@ The baseline's ``src/`` is taken with ``git archive``; the working tree's
 ``src/`` is the change.  Each side runs in fresh single-threaded worker
 processes, the sides alternating round by round.  Three things are timed
 per order: ``build_operators(n)`` alone; a one-panel ``assemble_blocks`` of
-the example2 kernel, which is what a one-panel solve assembles (operators,
-kernel sampling and ``semismooth_block``); and ``dense_solve`` of that block
-held as a fresh one-panel operator, which is what a one-panel solve factors
-(the copy that LU overwrites, the LU, the ``gecon`` estimate and the solve).
-``build_operators`` reports the best sample over every round.  The
-assembly and the dense solve report the best sample and the median and
-quartiles of every sample of every round, since one fast sample on a shared
-machine can decide a best-of figure.  The assembly also gets its
-``tracemalloc`` peak (numpy reports its buffers to tracemalloc).
+each kernel in ``ASSEMBLIES``, which is what a one-panel solve assembles
+(operators, kernel sampling and ``semismooth_block``); and ``dense_solve``
+of the example2 block held as a fresh one-panel operator, which is what a
+one-panel solve factors (the copy that LU overwrites, the LU, the
+``gecon`` estimate and the solve).  ``ASSEMBLIES`` holds the reflected
+kernels example2 (T = pi/2 and 50 pi) and example4, which the tile-pair walk
+samples through the lower branch alone, and example1, which takes the
+row-block walk and is the control.  ``build_operators`` reports the best
+sample over every round.  The assembly and the dense solve report the best
+sample and the median and quartiles of every sample of every round, since
+one fast sample on a shared machine can decide a best-of figure, and the
+rounds won by the change (``_ab.rounds_won``) on each round's median.  Each
+assembly also gets its ``tracemalloc`` peak (numpy reports its buffers to
+tracemalloc).
 
 Each side also reports its largest entrywise deviation, over the operators
 in ``OPERATOR_NAMES``, from the dense reference ``dense_operators`` in
@@ -44,6 +49,13 @@ import _ab
 sys.path.insert(0, str(_ab.ROOT / "tests"))
 
 ORDERS = (4, 8, 16, 32, 64, 127, 255, 511, 1023, 2047)
+# (label, catalog name, overrides) assembled as one panel at every order
+ASSEMBLIES = (
+    ("example1", "example1", {}),
+    ("example2", "example2", {}),
+    ("example2-T50pi", "example2", {"T": 50 * math.pi}),
+    ("example4", "example4", {}),
+)
 # (label, catalog name, overrides) solved at SOLVE_ORDERS for the error columns
 SOLVES = (
     ("example1", "example1", {}),
@@ -53,7 +65,7 @@ SOLVES = (
 SOLVE_ORDERS = (511, 767, 1023)
 ROW_BLOCK_CANDIDATES = (2048, 4096, 8192, 16384, 32768, 65536, 131072)
 ROW_BLOCK_ORDERS = (255, 511, 767, 1023, 2047)
-ROUNDS = 5
+ROUNDS = 10
 REPEATS = 5
 # smallest total time of one timing sample, so that timer overhead is noise
 SAMPLE_S = 0.02
@@ -69,10 +81,10 @@ def time_samples(call):
 
 
 def measure(with_deviation, with_sweep):
-    """Worker: per order, the best build time, every assembly and dense
-    solve sample, the assembly's allocation peak and, in the first round,
-    the oracle deviation and the solve errors; with ``with_sweep``, the
-    best assembly time per ROW_BLOCK_ENTRIES value."""
+    """Worker: per order, the best build time, every dense solve sample,
+    every assembly sample and the assembly's allocation peak per kernel
+    and, in the first round, the oracle deviation and the solve errors;
+    with ``with_sweep``, the best assembly time per ROW_BLOCK_ENTRIES value."""
     import numpy as np
 
     from chebfred import fredholm_solver
@@ -83,26 +95,29 @@ def measure(with_deviation, with_sweep):
     from chebfred.spectral_core import build_operators
     from dense_oracle import OPERATOR_NAMES, dense_operators, integration_matrices
 
-    example2 = catalog_lookup("example2")
+    problems = {label: catalog_lookup(name, **overrides) for label, name, overrides in ASSEMBLIES}
 
-    def one_panel_assembly(n):
-        partition = build_partition(example2.a, example2.b, orders=n)
-        return lambda: assemble_blocks(example2.kernel, partition, example2.lam, example2.rhs)
+    def one_panel_assembly(label, n):
+        problem = problems[label]
+        partition = build_partition(problem.a, problem.b, orders=n)
+        return lambda: assemble_blocks(problem.kernel, partition, problem.lam, problem.rhs)
 
     out = {}
     for n in ORDERS:
-        assemble = one_panel_assembly(n)
-        block = assemble().matrix.block(0, 0)
+        block = one_panel_assembly("example2", n)().matrix.block(0, 0)
         rhs = np.ones(n + 1)
         out[n] = {
             "best_s": best_time(lambda: build_operators(n)),
-            "assemble_samples_s": time_samples(assemble),
             "dense_solve_samples_s": time_samples(lambda: dense_solve(ToeplitzBlocks([0, n + 1], {0: block}), rhs)),
+            "assemble": {},
         }
-        tracemalloc.start()
-        assemble()
-        out[n]["assemble_peak_mb"] = tracemalloc.get_traced_memory()[1] / 2**20
-        tracemalloc.stop()
+        for label in problems:
+            assemble = one_panel_assembly(label, n)
+            row = out[n]["assemble"][label] = {"samples_s": time_samples(assemble)}
+            tracemalloc.start()
+            assemble()
+            row["peak_mb"] = tracemalloc.get_traced_memory()[1] / 2**20
+            tracemalloc.stop()
         if with_deviation:
             ops, ref = build_operators(n), dense_operators(n)
             left, right = integration_matrices(ops)
@@ -120,17 +135,24 @@ def measure(with_deviation, with_sweep):
     sweep = {}
     if with_sweep:
         for n in ROW_BLOCK_ORDERS:
-            assemble = one_panel_assembly(n)
+            assemble = one_panel_assembly("example2", n)
             for entries in ROW_BLOCK_CANDIDATES:
                 fredholm_solver.ROW_BLOCK_ENTRIES = entries
                 sweep[f"{entries}/{n}"] = best_time(assemble)
     return {"orders": out, "errors": errors, "row_block_sweep": sweep, "machine": _ab.machine()}
 
 
-def spread(times):
-    """Best, lower quartile, median and upper quartile of ``times``."""
-    q1, median, q3 = statistics.quantiles(times, n=4)
-    return {"s": min(times), "q1_s": q1, "median_s": median, "q3_s": q3}
+def compare(samples, per_round):
+    """Before/after columns of one timed quantity: the spread of each side's
+    pooled samples, the speed-ups of the best and the median sample, and the
+    rounds won by the change on the per-round medians."""
+    row = {}
+    for side in ("before", "after"):
+        row.update({f"{side}_{k}": v for k, v in _ab.spread(samples[side]).items()})
+    row["speedup"] = row["before_s"] / row["after_s"]
+    row["median_speedup"] = row["before_median_s"] / row["after_median_s"]
+    row["rounds_won"] = _ab.rounds_won(per_round["before"], per_round["after"])
+    return row
 
 
 def main():
@@ -146,53 +168,61 @@ def main():
     if not args.baseline:
         parser.error("--baseline is required")
     commit = _ab.short_commit(args.baseline)
-    best = {"before": {}, "after": {}}
-    samples = {"before": {}, "after": {}}
-    errors, sweep = {}, {}
+    labels = [label for label, _, _ in ASSEMBLIES]
+    # (quantity, n) -> side -> pooled samples, and -> side -> each round's median
+    samples, per_round = {}, {}
+    deviation, errors, sweep = {}, {}, {}
     for r, side, src in _ab.alternating_rounds(commit, ROUNDS):
         flags = (["--deviation"] if r == 0 else []) + (["--sweep"] if side == "after" else [])
         result = _ab.run_worker(__file__, src, *flags)
         for n, v in result["orders"].items():
-            entry = best[side].setdefault(int(n), dict(v))
-            for key in ("best_s", "assemble_peak_mb"):
-                entry[key] = min(entry[key], v[key])
-            pooled = samples[side].setdefault(int(n), {"assemble": [], "dense_solve": []})
-            for key in pooled:
-                pooled[key] += v[f"{key}_samples_s"]
+            n = int(n)
+            timed = {("build", n): [v["best_s"]], ("dense_solve", n): v["dense_solve_samples_s"]}
+            for label, a in v["assemble"].items():
+                timed[(label, n)] = a["samples_s"]
+                samples.setdefault(("peak", label, n), {}).setdefault(side, []).append(a["peak_mb"])
+            for key, times in timed.items():
+                samples.setdefault(key, {}).setdefault(side, []).extend(times)
+                per_round.setdefault(key, {}).setdefault(side, []).append(statistics.median(times))
+            if "max_deviation" in v:
+                deviation.setdefault(n, {})[side] = v["max_deviation"]
         for key, err in result["errors"].items():
             errors.setdefault(key, {})[side] = err
         for key, t in result["row_block_sweep"].items():
             sweep[key] = min(sweep.get(key, t), t)
-    rows = []
+    rows, assembly = [], []
     for n in ORDERS:
+        build = compare(samples[("build", n)], per_round[("build", n)])
         row = {
             "n": n,
-            "before_s": best["before"][n]["best_s"],
-            "after_s": best["after"][n]["best_s"],
-            "speedup": best["before"][n]["best_s"] / best["after"][n]["best_s"],
+            "before_s": build["before_s"],
+            "after_s": build["after_s"],
+            "speedup": build["speedup"],
+            "rounds_won": build["rounds_won"],
         }
-        for key in ("assemble", "dense_solve"):
-            for side in ("before", "after"):
-                row.update({f"{key}_{side}_{k}": v for k, v in spread(samples[side][n][key]).items()})
-            row[f"{key}_speedup"] = row[f"{key}_before_s"] / row[f"{key}_after_s"]
-            row[f"{key}_median_speedup"] = row[f"{key}_before_median_s"] / row[f"{key}_after_median_s"]
-        row["assemble_before_peak_mb"] = best["before"][n]["assemble_peak_mb"]
-        row["assemble_after_peak_mb"] = best["after"][n]["assemble_peak_mb"]
-        row["before_max_deviation"] = best["before"][n]["max_deviation"]
-        row["after_max_deviation"] = best["after"][n]["max_deviation"]
+        row.update({f"dense_solve_{k}": v for k, v in compare(samples[("dense_solve", n)], per_round[("dense_solve", n)]).items()})
+        row["before_max_deviation"] = deviation[n]["before"]
+        row["after_max_deviation"] = deviation[n]["after"]
         rows.append(row)
+        for label in labels:
+            entry = {"kernel": label, "n": n, **compare(samples[(label, n)], per_round[(label, n)])}
+            for side in ("before", "after"):
+                entry[f"{side}_peak_mb"] = min(samples[("peak", label, n)][side])
+            assembly.append(entry)
     solve_errors = [
         {"problem": key.rsplit("/", 1)[0], "n": int(key.rsplit("/", 1)[1]), **sides_err}
         for key, sides_err in errors.items()
     ]
     report = {
         "benchmark": (
-            "spectral_core.build_operators (before_s/after_s, best sample), a one-panel "
-            "composite_solver.assemble_blocks of the example2 kernel (assemble_*: operators, kernel sampling "
-            "and semismooth_block), and fredholm_solver.dense_solve of its block as a fresh one-panel operator "
-            "(dense_solve_*: copy, LU, gecon, getrs), wall time per call; assemble_* and dense_solve_* give "
-            "the best sample (*_s) and the quartiles of every sample of every round (*_q1_s, *_median_s, "
-            "*_q3_s); assemble_*_peak_mb is the tracemalloc peak of one assembly"
+            "spectral_core.build_operators (results: before_s/after_s, best sample), "
+            "fredholm_solver.dense_solve of the one-panel example2 block as a fresh one-panel operator "
+            "(results: dense_solve_*: copy, LU, gecon, getrs), and a one-panel composite_solver.assemble_blocks "
+            "per kernel of ASSEMBLIES (assembly: operators, kernel sampling and semismooth_block), wall time per "
+            "call; dense_solve_* and assembly rows give the best sample (*_s), the quartiles of every sample of "
+            "every round (*_q1_s, *_median_s, *_q3_s) and the rounds won by the change on per-round medians "
+            "(rounds_won, ties counted for neither side; for build_operators, on per-round best samples); "
+            "*_peak_mb is the tracemalloc peak of one assembly"
         ),
         "command": f"python3 scripts/bench_build_operators.py --baseline {commit}",
         "before": f"src/ at {commit}",
@@ -202,17 +232,20 @@ def main():
             f"{REPEATS} timing samples of about {SAMPLE_S} s per order per round, the calls per sample "
             "sized from warm calls; time per call = sample / calls"
         ),
+        "rounds": ROUNDS,
         "deviation": "max entrywise |op - dense_operators(n)[op]| over every operator in OPERATOR_NAMES",
         "solve_errors_note": "relative sup error of solve_fredholm at its nodes against the analytic solution",
         "machine": result["machine"],
         "results": rows,
+        "assembly": assembly,
         "solve_errors": solve_errors,
     }
     if sweep:
         report["row_block_sweep"] = {
             "note": (
-                "after side only: best time (s) of the one-panel assemble_blocks of assemble_*, kernel "
-                "sampling included, per fredholm_solver.ROW_BLOCK_ENTRIES value and order"
+                "after side only: best time (s) of the one-panel example2 assemble_blocks, kernel sampling "
+                "included, per fredholm_solver.ROW_BLOCK_ENTRIES value and order; example2 is reflected, so "
+                "this times the tile-pair walk with tiles of side isqrt(ROW_BLOCK_ENTRIES)"
             ),
             "orders": list(ROW_BLOCK_ORDERS),
             "best_s": {
@@ -220,21 +253,27 @@ def main():
             },
         }
     OUT.write_text(json.dumps(report, indent=2) + "\n")
-    def timing(key, side):
+
+    def timing(row, side):
         return (
-            f"{row[f'{key}_{side}_s'] * 1e3:.3f} / {row[f'{key}_{side}_median_s'] * 1e3:.3f}"
-            f" [{row[f'{key}_{side}_q1_s'] * 1e3:.3f}, {row[f'{key}_{side}_q3_s'] * 1e3:.3f}]"
+            f"{row[f'{side}_s'] * 1e3:.3f} / {row[f'{side}_median_s'] * 1e3:.3f}"
+            f" [{row[f'{side}_q1_s'] * 1e3:.3f}, {row[f'{side}_q3_s'] * 1e3:.3f}]"
         )
 
-    print("times in ms; assembly and dense_solve as best / median [quartiles]")
+    print(f"times in ms as best / median [quartiles]; won = rounds of {ROUNDS} won by the change")
     for row in rows:
+        dense = {k[len("dense_solve_"):]: v for k, v in row.items() if k.startswith("dense_solve_")}
         print(
             f"n={row['n']:5d}  build {row['before_s'] * 1e3:.3f} -> {row['after_s'] * 1e3:.3f}"
-            f"  x{row['speedup']:.2f}  assembly {timing('assemble', 'before')} -> {timing('assemble', 'after')}"
-            f"  x{row['assemble_median_speedup']:.2f}"
-            f"  peak {row['assemble_before_peak_mb']:.1f} -> {row['assemble_after_peak_mb']:.1f} MB"
-            f"  dense_solve {timing('dense_solve', 'before')} -> {timing('dense_solve', 'after')}"
+            f"  x{row['speedup']:.2f} won {row['rounds_won']}"
+            f"  dense_solve {timing(dense, 'before')} -> {timing(dense, 'after')} won {dense['rounds_won']}"
             f"  dev {row['before_max_deviation']:.1e} / {row['after_max_deviation']:.1e}"
+        )
+    for row in assembly:
+        print(
+            f"{row['kernel']:>15s} n={row['n']:5d}  assembly {timing(row, 'before')} -> {timing(row, 'after')}"
+            f"  x{row['median_speedup']:.2f} won {row['rounds_won']}"
+            f"  peak {row['before_peak_mb']:.2f} -> {row['after_peak_mb']:.2f} MB"
         )
     for row in solve_errors:
         print(f"{row['problem']:>15s} n={row['n']:5d}  error {row['before']:.6e} -> {row['after']:.6e}")

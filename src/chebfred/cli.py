@@ -77,6 +77,7 @@ class RunConfig:
     breakpoints: tuple = ()
     output: str | None = None
     fmt: str = "csv"
+    given: frozenset = frozenset()  # the OPTIONS keys given, by flag or config key
 
 
 @dataclass(frozen=True)
@@ -209,6 +210,7 @@ def _load_config(args: argparse.Namespace, default_fmt: str) -> RunConfig:
         breakpoints=opt("breakpoints", _numbers) or (),
         output=opt("output", _text),
         fmt=fmt,
+        given=frozenset(raw),
     )
 
 
@@ -326,6 +328,11 @@ def _cmd_table(config: RunConfig, min_orders: int) -> int:
 def _cmd_schrodinger(config: RunConfig) -> int:
     if config.fmt != "csv":
         raise ConfigError("the schrodinger subcommand writes csv only")
+    # the one-panel spliced-branch solve reads no method and no partition;
+    # method has a default, so what counts is whether the key was given
+    ignored = sorted({"method", "panels", "breakpoints"} & config.given)
+    if ignored:
+        raise ConfigError(f"the schrodinger subcommand takes no {', '.join(ignored)}")
     problem = _lookup(config)
     if not isinstance(problem, SchrodingerProblem):
         raise MethodNotApplicableError(

@@ -18,6 +18,7 @@ check, and ``solve_system``, which solves and builds the ``ChebSolution``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -105,7 +106,7 @@ def dense_solve(matrix, rhs: np.ndarray):
     return _lu_solve(factors, rhs), rcond, bool(rcond < RCOND_WARN)
 
 
-def semismooth_block(ops: SpectralOperators, branches, scale: float) -> np.ndarray:
+def semismooth_block(ops: SpectralOperators, branches, scale: float, reflected: bool = False) -> np.ndarray:
     """I + scale * (W o K1 + V o K2), the one-panel semismooth system matrix.
 
     ``branches(start, stop)`` returns rows start .. stop-1 of the branch
@@ -117,36 +118,86 @@ def semismooth_block(ops: SpectralOperators, branches, scale: float) -> np.ndarr
     and K2 and computing its rows of B into a small work array
     (``ops.bracket_rows``), so that a row block's rows of K1, K2, B and the
     result stay in cache through every elementwise step.  The steps and
-    their order are those of the whole-array formula, so the result is
-    bitwise the same.  Besides the result it allocates two row blocks of
-    work space, and holds what ``branches`` returns for one row block at a
-    time.  Under ``__debug__`` every call checks the row sums of B
-    (``ops.check_bracket_row_sums``).  Branch rows of the wrong shape raise
+    their order are those of the whole-array formula (B is computed first
+    and multiplied by K1 - K2, and a product of two doubles does not depend
+    on the order of its factors), so the result is bitwise the same.
+    Besides the result it allocates one row block of work space, and holds
+    what ``branches`` returns for one row block at a time.
+
+    ``reflected`` states that K2 = K1^T, as for a kernel whose upper branch
+    is its lower branch with the arguments swapped
+    (``kernel_catalog.SemismoothKernel.reflected``).  Then
+    ``branches(start, stop, col_start, col_stop)`` returns K1 on rows
+    start .. stop-1 and columns col_start .. col_stop-1 alone, and the block
+    is walked in square tiles of side isqrt(ROW_BLOCK_ENTRIES), mirrored
+    tiles (R, C) and (C, R) together: the sample of K1 on (R, C) is K1 there
+    and, transposed, K2 on (C, R).  Each entry of K1 is sampled once and K2
+    never, with the same values and the same elementwise steps, so the
+    result is bitwise that of the row-block walk.  A tile is formed in
+    contiguous work space and written to the block once, scaled, since
+    every step written into a tile of the block itself costs a loop per
+    row.  It holds two tiles of samples and two of work space at a time.
+
+    Under ``__debug__`` every call checks the row sums of B
+    (``ops.check_bracket_row_sums``).  Samples of the wrong shape raise
     ValueError.
     """
     n1 = ops.order + 1
     block = np.empty((n1, n1))
-    rows = max(1, ROW_BLOCK_ENTRIES // n1)
-    work = np.empty((2, min(rows, n1), n1))
-    row_sums = np.empty(n1) if __debug__ else None
-    for start in range(0, n1, rows):
-        stop = min(start + rows, n1)
-        k1, k2 = (np.asarray(k, dtype=float) for k in branches(start, stop))
-        bad = [k.shape for k in (k1, k2) if k.shape != (stop - start, n1)]
-        if bad:
-            raise ValueError(f"shape mismatch {(stop - start, n1)} vs {bad[0]} in rows {start}:{stop}")
-        bracket = ops.bracket_rows(start, stop, out=work[0, : stop - start])
+    row_sums = np.zeros(n1) if __debug__ else None
+
+    def sampled(values, rows, cols):
+        k = np.asarray(values, dtype=float)
+        shape = (rows.stop - rows.start, cols.stop - cols.start)
+        if k.shape != shape:
+            raise ValueError(
+                f"shape mismatch {shape} vs {k.shape} in rows {rows.start}:{rows.stop}, columns {cols.start}:{cols.stop}"
+            )
+        return k
+
+    def unscaled(rows, cols, k1, k2, out, scratch):
+        # (K1 - K2) o B + K1 o a + K2 o c on block[rows, cols], into out: B
+        # first, summed by the debug check before out is multiplied in place
+        bracket = ops.bracket_rows(rows.start, rows.stop, cols.start, cols.stop, out=out)
         if __debug__:
-            row_sums[start:stop] = bracket.sum(axis=1)
-        scratch = work[1, : stop - start]
-        out = np.subtract(k1, k2, out=block[start:stop])
-        out *= bracket
-        out += np.multiply(k1, ops.left_offset, out=scratch)
-        out += np.multiply(k2, ops.right_offset, out=scratch)
-        out *= scale
-        # freed before the next row block is sampled, so one row block of
-        # samples is alive at a time
-        del k1, k2
+            row_sums[rows] += bracket.sum(axis=1)
+        out *= np.subtract(k1, k2, out=scratch)
+        out += np.multiply(k1, ops.left_offset[cols], out=scratch)
+        out += np.multiply(k2, ops.right_offset[cols], out=scratch)
+        return out
+
+    def tile_pair(rows, cols):
+        # the work space is allocated after the samples, so it is never
+        # alive with the kernel's temporaries, and all is freed on return
+        lower = sampled(branches(rows.start, rows.stop, cols.start, cols.stop), rows, cols)
+        if cols is rows:
+            pairs = [(rows, rows, lower, lower.T)]
+        else:
+            mirror = sampled(branches(cols.start, cols.stop, rows.start, rows.stop), cols, rows)
+            pairs = [(rows, cols, lower, mirror.T), (cols, rows, mirror, lower.T)]
+        work = np.empty((2, lower.size))
+        for r, c, k1, k2 in pairs:
+            out, scratch = work.reshape(2, *k1.shape)
+            np.multiply(unscaled(r, c, k1, k2, out, scratch), scale, out=block[r, c])
+
+    if reflected:
+        side = math.isqrt(ROW_BLOCK_ENTRIES)
+        tiles = [slice(start, min(start + side, n1)) for start in range(0, n1, side)]
+        for i, rows in enumerate(tiles):
+            for cols in tiles[i:]:
+                tile_pair(rows, cols)
+    else:
+        rows_per_block = max(1, ROW_BLOCK_ENTRIES // n1)
+        scratch = np.empty((min(rows_per_block, n1), n1))
+        every = slice(0, n1)
+        for start in range(0, n1, rows_per_block):
+            rows = slice(start, min(start + rows_per_block, n1))
+            k1, k2 = (sampled(k, rows, every) for k in branches(rows.start, rows.stop))
+            out = unscaled(rows, every, k1, k2, block[rows], scratch[: rows.stop - rows.start])
+            out *= scale
+            # freed before the next row block is sampled, so one row block of
+            # samples is alive at a time
+            del k1, k2
     if __debug__:
         ops.check_bracket_row_sums(row_sums)
     block.reshape(-1)[:: n1 + 1] += 1.0

@@ -5,6 +5,18 @@ square [a,b]^2: ``k_lower`` is used where s <= t and ``k_upper`` where s >= t.
 The catalog carries four integral-equation benchmarks with manufactured
 right-hand sides plus two nonlocal scattering potentials consumed by the
 :mod:`chebfred.schrodinger` module.
+
+A kernel or potential flagged ``reflected`` promises that its upper branch
+is its lower branch with the arguments swapped, bitwise: k_upper(t, s) and
+k_lower(s, t) give the same floating-point value at every sampled point.
+Then a branch sample over a square of node pairs is the transpose of the
+other branch's, and the assembly samples only the lower branch
+(``fredholm_solver.semismooth_block``, ``composite_solver.assemble_blocks``,
+``schrodinger._spliced_branches``).  The flag is set where the upper branch is
+the lower expression with its two arguments swapped, so that both take the
+same operations on the same values: example2, example4 and both scattering
+potentials.  A kernel that agrees with its reflection only to rounding must
+not carry it; tests/test_kernel_catalog.py checks every flagged entry.
 """
 
 from __future__ import annotations
@@ -56,7 +68,9 @@ class SemismoothKernel:
     ``singular_points`` lists diagonal points c where the kernel blows up at
     (c, c); ``boundary_singular`` flags branches unbounded on the square's
     boundary.  ``difference_form`` marks kernels of the form k(|t-s|), which
-    make uniform equal-order partitions block-Toeplitz.
+    make uniform equal-order partitions block-Toeplitz.  ``reflected`` marks
+    kernels with k_upper(t, s) equal to k_lower(s, t) bitwise (module
+    docstring); the assembly then samples the lower branch alone.
     """
 
     k_lower: Callable  # branch for s <= t
@@ -64,6 +78,7 @@ class SemismoothKernel:
     singular_points: tuple = ()
     boundary_singular: bool = False
     difference_form: bool = False
+    reflected: bool = False
 
     def eval_lower(self, t, s) -> np.ndarray:
         return _checked(self.k_lower, t, s, "lower kernel branch")
@@ -106,6 +121,9 @@ class NonlocalPotential:
     into the branch values already and kept only for reporting, as are the
     wavenumber ``kappa``, the domain cutoff ``cutoff`` (the potential is
     treated as negligible past it), and the optional ``nonlocal_range``.
+    ``reflected`` marks potentials with upper(p, r') equal to lower(r', p)
+    bitwise (module docstring); the assembly then samples the lower branch
+    alone.
     """
 
     lower: Callable
@@ -114,6 +132,7 @@ class NonlocalPotential:
     kappa: float
     cutoff: float
     nonlocal_range: float | None = None
+    reflected: bool = False
 
     def eval_lower(self, p, r2) -> np.ndarray:
         return _checked(self.lower, p, r2, "lower potential branch")
@@ -164,6 +183,7 @@ def _example2(lam: float, T: float) -> BenchmarkProblem:
         k_lower=lambda t, s: np.sin(t - s),
         k_upper=lambda t, s: np.sin(s - t),
         difference_form=True,
+        reflected=True,
     )
 
     def rhs(t):
@@ -219,6 +239,7 @@ def _example4() -> BenchmarkProblem:
         k_lower=lambda t, s: 1.0 / (t**2 + s**4),
         k_upper=lambda t, s: 1.0 / (s**2 + t**4),
         singular_points=(0.0,),
+        reflected=True,
     )
 
     def rhs(t):
@@ -250,6 +271,7 @@ def _schrod_separable(lam: float, kappa: float, T: float) -> SchrodingerProblem:
         strength=lam,
         kappa=kappa,
         cutoff=T,
+        reflected=True,
     )
     if kappa == 1.0:
         def rhs(r):
@@ -283,6 +305,7 @@ def _schrod_pereybuck(lam: float, kappa: float, A: float, T: float) -> Schroding
         kappa=kappa,
         cutoff=T,
         nonlocal_range=A,
+        reflected=True,
     )
     return SchrodingerProblem(
         name="schrod_pereybuck",

@@ -113,18 +113,26 @@ def _spliced_branches(
 
     Besides the bracket, the two branch samples and the two results, this
     allocates M and one scratch array.  The T/2 factor is folded into the
-    row vectors hc and hs.
+    row vectors hc and hs.  For a ``reflected`` potential V2 is V1^T, so
+    only the lower branch is sampled, and V2 is a C-order copy of V1^T: the
+    BLAS product with the transposed view itself rounds differently below
+    about n = 128.
     """
     t = grid.nodes
     v1 = potential.eval_lower(t[:, None], t[None, :])
-    v2 = potential.eval_upper(t[:, None], t[None, :])
+    if potential.reflected:
+        v2 = np.ascontiguousarray(v1.T)
+    else:
+        v2 = potential.eval_upper(t[:, None], t[None, :])
     half_t = grid.width / 2.0
     a, c, bracket = ops.left_offset, ops.right_offset, ops.bracket_rows(0, ops.order + 1)
     hc = half_t * cos_t
     hs = half_t * sin_t
     # (T/2) d and (T/2) e: with W = a + B, d_i = (Delta^T (a o sin))_i
-    # + ((B o Delta^T) sin)_i, and likewise e with V = c - B
-    work = np.subtract(v1.T, v2.T)
+    # + ((B o Delta^T) sin)_i, and likewise e with V = c - B.  Delta^T is the
+    # transpose of a C-order Delta whatever the layout of V2, since the
+    # layout decides how the products below round
+    work = np.subtract(v1, v2).T
     splice = work @ np.column_stack((a * hs, -(c * hc)))
     work *= bracket
     splice += work @ np.column_stack((hs, hc))

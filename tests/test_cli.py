@@ -115,6 +115,12 @@ def test_composite_method_with_panels(capsys):
         ["solve", "--problem", "example2", "--method", "composite", "--panels", "3", "--breakpoints", "0.5", "--n", "8"],
         ["solve", "--problem", "example2", "--method", "schur", "--panels", "4", "--n", "8"],
         ["convergence", "--problem", "example2", "--method", "schur,gleg", "--breakpoints", "0.5", "--n", "8,16"],
+        # options the schrodinger subcommand would silently ignore, each
+        # alone and together; schur is method's default value
+        ["schrodinger", "--problem", "schrod_pereybuck", "--n", "8", "--panels", "4", "--method", "gleg", "--breakpoints", "3"],
+        ["schrodinger", "--problem", "schrod_pereybuck", "--n", "8", "--method", "schur"],
+        ["schrodinger", "--problem", "schrod_separable", "--n", "8", "--panels", "2"],
+        ["schrodinger", "--problem", "schrod_separable", "--n", "8", "--breakpoints", "3"],
     ],
 )
 def test_configuration_errors_exit_2(argv, capsys):
@@ -123,6 +129,17 @@ def test_configuration_errors_exit_2(argv, capsys):
         assert cli.main(argv) == 2
     assert not caught, [str(w.message) for w in caught]
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", [{"method": "schur"}, {"panels": 4}, {"breakpoints": [3.0]}])
+def test_schrodinger_config_keys_it_would_ignore_exit_2(entry, tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"problem": "schrod_pereybuck", "n": 8, **entry}))
+    assert cli.main(["schrodinger", "--config", str(cfg)]) == 2
+    assert f"takes no {next(iter(entry))}" in capsys.readouterr().err
+    # a null in the file is an absent key
+    cfg.write_text(json.dumps({"problem": "schrod_pereybuck", "n": 8, **dict.fromkeys(entry)}))
+    assert cli.main(["schrodinger", "--config", str(cfg)]) == 0
 
 
 @pytest.mark.parametrize("command", [["solve", "--problem", "example1"], ["schrodinger", "--problem", "schrod_pereybuck"]])

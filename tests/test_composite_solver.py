@@ -217,21 +217,27 @@ def _recording(kernel, calls):
     )
 
 
+@pytest.mark.parametrize("reflected", [False, True])
 @pytest.mark.parametrize("name, panels, orders, overrides", [
     ("example4", 16, 63, {}),
     ("example4", 3, (31, 63, 15), {}),
     ("example2", 32, 63, {"T": 200 * np.pi}),
     ("example2", 2, 63, {"T": 200 * np.pi}),
 ])
-def test_off_diagonal_sampling_takes_one_call_per_branch_per_panel_row(name, panels, orders, overrides):
+def test_off_diagonal_sampling_takes_one_call_per_branch_per_panel_row(name, panels, orders, overrides, reflected):
     # DenseBlocks (example4): row panel j samples the panels left of it with
     # one lower-branch call and those right of it with one upper-branch
     # call.  ToeplitzBlocks (example2): one call per branch in all.  A
-    # diagonal block of order <= 180 is one row block, sampled once per branch.
+    # diagonal block of order <= 180 is one row block, sampled once per
+    # branch.  Both kernels are reflected; with the flag on, the upper
+    # branch is never called: a diagonal block of order <= 180 is one tile,
+    # sampled once, and each lower-branch call also gives the upper blocks
     problem = catalog_lookup(name, **overrides)
+    assert problem.kernel.reflected
     part = _uniform_partition(problem, panels, orders)
     calls = []
-    system = assemble_blocks(_recording(problem.kernel, calls), part, problem.lam, problem.rhs)
+    kernel = dataclasses.replace(problem.kernel, reflected=reflected)
+    system = assemble_blocks(_recording(kernel, calls), part, problem.lam, problem.rhs)
     m, grids = part.panels, part.grids
 
     def target(t):
@@ -243,19 +249,20 @@ def test_off_diagonal_sampling_takes_one_call_per_branch_per_panel_row(name, pan
         if not (np.array_equal(t.ravel(), grids[j].nodes) and np.array_equal(s.ravel(), grids[j].nodes)):
             off.append((j, branch))
     on = len(calls) - len(off)
+    per_block = 1 if reflected else 2
     if isinstance(system.matrix, ToeplitzBlocks):
         assert name == "example2"
-        assert on == 2
-        assert sorted(off) == [(0, "upper"), (1, "lower")]
+        assert on == per_block
+        assert sorted(off) == ([] if reflected else [(0, "upper")]) + [(1, "lower")]
     else:
-        assert on == 2 * m
-        expected = [(j, "lower") for j in range(1, m)] + [(j, "upper") for j in range(m - 1)]
+        assert on == per_block * m
+        expected = [(j, "lower") for j in range(1, m)] + ([] if reflected else [(j, "upper") for j in range(m - 1)])
         assert sorted(off) == sorted(expected)
 
 
 def test_one_panel_assembly_holds_no_whole_branch_sample():
-    # at n = 1023 the block is 8.0 MiB; K1, K2 and their kernel temporaries
-    # are held one row block of 32 rows at a time
+    # at n = 1023 the block is 8.0 MiB; the reflected example2 kernel is
+    # sampled one pair of 181 x 181 tiles at a time
     problem = catalog_lookup("example2")
     part = build_partition(problem.a, problem.b, orders=1023)
     tracemalloc.start()
@@ -271,12 +278,13 @@ def test_one_panel_assembly_holds_no_whole_branch_sample():
 
 def test_nan_in_the_last_row_block_of_one_panel_raises():
     # the lower branch is NaN only in the diagonal block's last row, which
-    # is sampled by the last of 32 row blocks
+    # is sampled by the last of 32 row blocks.  The NaN breaks the kernel's
+    # reflection, so the flag goes too
     problem = catalog_lookup("example2")
     part = build_partition(problem.a, problem.b, orders=1023)
     last = part.grids[0].nodes[-1]
     kernel = dataclasses.replace(
-        problem.kernel, k_lower=lambda t, s: np.where(t == last, np.nan, np.sin(t - s))
+        problem.kernel, k_lower=lambda t, s: np.where(t == last, np.nan, np.sin(t - s)), reflected=False
     )
     calls = []
     with pytest.raises(KernelEvaluationError, match="lower kernel branch"):
@@ -288,7 +296,8 @@ def test_nan_in_the_last_row_block_of_one_panel_raises():
 def test_nan_in_one_off_diagonal_panel_of_a_row_raises():
     # example4 on 4 panels is DenseBlocks; the upper branch is NaN only for
     # targets in panel 0 and sources in panel 3, one block of row panel 0's
-    # upper-branch call
+    # upper-branch call.  The NaN breaks the kernel's reflection, so the
+    # flag goes too
     problem = catalog_lookup("example4")
     part = _uniform_partition(problem, 4, 31)
     edges = part.breakpoints
@@ -296,6 +305,7 @@ def test_nan_in_one_off_diagonal_panel_of_a_row_raises():
     kernel = dataclasses.replace(
         problem.kernel,
         k_upper=lambda t, s: np.where((t < edges[1]) & (s > edges[3]), np.nan, upper(t, s)),
+        reflected=False,
     )
     assert not detect_toeplitz(kernel, part)
     with pytest.raises(KernelEvaluationError, match="upper kernel branch"):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from dense_oracle import residual_check
 from hypothesis import strategies as st
 
+from chebfred.composite_solver import build_partition
 from chebfred.kernel_catalog import (
     CatalogError,
     KernelEvaluationError,
@@ -17,6 +18,7 @@ from chebfred.kernel_catalog import (
     catalog_lookup,
     catalog_names,
 )
+from chebfred.spectral_core import cheb_grid
 
 BENCHMARKS = ("example1", "example2", "example3", "example4")
 # interior checkpoints, chosen away from example4's singular point at 0
@@ -207,3 +209,45 @@ def test_benchmark_kernels_finite_at_interior_points(idx, t, s):
     tt = a + (t + 1.0) * (b - a) / 2.0 if problem.name == "example2" else t
     ss = a + (s + 1.0) * (b - a) / 2.0 if problem.name == "example2" else s
     assert np.isfinite(problem.kernel.eval(tt, ss))
+
+
+def _catalog_entries():
+    """(name, branches) for every catalog entry: a kernel or a potential."""
+    for name in catalog_names():
+        problem = catalog_lookup(name)
+        yield name, getattr(problem, "kernel", None) or problem.potential
+
+
+def _reflection_holds(branches, x):
+    """upper(t, s) == lower(s, t) bitwise at every pair of points of ``x``."""
+    upper = branches.eval_upper(x[:, None], x[None, :])
+    lower = branches.eval_lower(x[:, None], x[None, :])
+    return np.array_equal(upper, lower.T)
+
+
+def _interval(name):
+    problem = catalog_lookup(name)
+    return (problem.a, problem.b) if hasattr(problem, "kernel") else (0.0, problem.potential.cutoff)
+
+
+@pytest.mark.parametrize("name", [name for name, branches in _catalog_entries() if branches.reflected])
+def test_reflected_entries_hold_bitwise(name):
+    # the assembly reads a flagged entry's upper branch as the transpose of
+    # its lower one, so the flag must hold bit for bit, on one panel's nodes
+    # and across the two panels of a layout cut at the midpoint
+    branches = dict(_catalog_entries())[name]
+    a, b = _interval(name)
+    for n in (16, 255, 384):
+        assert _reflection_holds(branches, cheb_grid(n, a, b).nodes), n
+    two_panels = build_partition(a, b, breakpoints=((a + b) / 2,), orders=(64, 63))
+    assert _reflection_holds(branches, np.concatenate([g.nodes for g in two_panels.grids]))
+
+
+def test_reflected_flags_are_the_four_that_hold():
+    flagged = {name for name, branches in _catalog_entries() if branches.reflected}
+    assert flagged == {"example2", "example4", "schrod_separable", "schrod_pereybuck"}
+    # the unflagged kernels fail the property, so a wrong flag on them
+    # could not pass the test above
+    for name in ("example1", "example3"):
+        a, b = _interval(name)
+        assert not _reflection_holds(catalog_lookup(name).kernel, cheb_grid(16, a, b).nodes)

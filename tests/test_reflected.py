@@ -1,0 +1,158 @@
+"""The reflected-kernel fast path against the plain path.
+
+A kernel or potential flagged ``reflected`` is sampled through its lower
+branch alone: ``semismooth_block`` walks mirrored tile pairs, and
+``assemble_blocks`` and Schrodinger ``assemble`` read the upper samples as
+transposes.  The oracle is the same kernel with the flag off, which samples
+both branches; every matrix must be bitwise the same.
+"""
+
+import dataclasses
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from dense_oracle import row_slices
+
+from chebfred import fredholm_solver
+from chebfred.block_operator import DenseBlocks, ToeplitzBlocks
+from chebfred.composite_solver import assemble_blocks, build_partition
+from chebfred.fredholm_solver import semismooth_block
+from chebfred.kernel_catalog import KernelEvaluationError, catalog_lookup
+from chebfred.schrodinger import assemble
+from chebfred.spectral_core import build_operators, cheb_grid
+
+TILE = math.isqrt(fredholm_solver.ROW_BLOCK_ENTRIES)
+
+
+def _both_paths(kernel, partition, lam, rhs):
+    fast = assemble_blocks(kernel, partition, lam, rhs).matrix
+    plain = assemble_blocks(dataclasses.replace(kernel, reflected=False), partition, lam, rhs).matrix
+    return fast, plain
+
+
+def _uniform(problem, panels, order):
+    edges = np.linspace(problem.a, problem.b, panels + 1)
+    return build_partition(problem.a, problem.b, breakpoints=tuple(edges[1:-1]), orders=order)
+
+
+# n + 1 = 2 (order 0 has no operators), one short of a tile, one tile, one
+# tile and one row, two tiles and three rows
+ONE_PANEL_SIZES = (2, TILE - 1, TILE, TILE + 1, 2 * TILE + 3)
+
+
+@pytest.mark.parametrize("size", ONE_PANEL_SIZES)
+@pytest.mark.parametrize("name, overrides", [
+    ("example2", {}),
+    ("example2", {"T": 50 * math.pi}),
+    ("example4", {}),
+])
+def test_one_panel_is_bitwise_the_plain_path(name, overrides, size):
+    problem = catalog_lookup(name, **overrides)
+    assert problem.kernel.reflected
+    fast, plain = _both_paths(problem.kernel, build_partition(problem.a, problem.b, orders=size - 1), problem.lam, problem.rhs)
+    assert np.array_equal(fast.dense(), plain.dense())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 7, 20])
+def test_small_tiles_are_bitwise_the_plain_path(monkeypatch, n):
+    # 12 entries per row block make tiles of side 3, so orders 1..20 cover
+    # one short tile up to seven tiles with a short last one
+    monkeypatch.setattr(fredholm_solver, "ROW_BLOCK_ENTRIES", 12)
+    problem = catalog_lookup("example2", T=3.0)
+    fast, plain = _both_paths(problem.kernel, build_partition(problem.a, problem.b, orders=n), problem.lam, problem.rhs)
+    assert np.array_equal(fast.dense(), plain.dense())
+
+
+def test_tile_walk_on_a_random_reflected_sample_is_bitwise_the_row_walk():
+    # semismooth_block alone: K2 = K1^T from a random K1, sampled by tiles
+    # on one side and by rows of K1 and K1^T on the other
+    n = 2 * TILE + 2
+    k1 = np.random.default_rng(n).uniform(-2.0, 2.0, (n + 1, n + 1))
+    ops = build_operators(n)
+    tiles = semismooth_block(ops, lambda r0, r1, c0, c1: k1[r0:r1, c0:c1], 0.37, reflected=True)
+    assert np.array_equal(tiles, semismooth_block(ops, row_slices(k1, k1.T), 0.37))
+
+
+def test_toeplitz_blocks_are_bitwise_the_plain_path():
+    problem = catalog_lookup("example2", T=200 * np.pi)
+    fast, plain = _both_paths(problem.kernel, _uniform(problem, 8, 200), problem.lam, problem.rhs)
+    assert isinstance(fast, ToeplitzBlocks)
+    assert np.array_equal(fast.dense(), plain.dense())
+
+
+def test_dense_blocks_are_bitwise_the_plain_path():
+    problem = catalog_lookup("example4")
+    fast, plain = _both_paths(problem.kernel, _uniform(problem, 16, 63), problem.lam, problem.rhs)
+    assert isinstance(fast, DenseBlocks)
+    assert np.array_equal(fast.dense(), plain.dense())
+    # unequal widths and orders: the mirrored strips are not square, and no
+    # column factor lam w_i / 2 is a power of two, whose products are exact
+    # in any order
+    part = build_partition(problem.a, problem.b, breakpoints=(-0.3, 0.45), orders=(31, 200, 15), singular_points=(0.0,))
+    fast, plain = _both_paths(problem.kernel, part, problem.lam, problem.rhs)
+    assert np.array_equal(fast.dense(), plain.dense())
+
+
+@pytest.mark.parametrize("n", [64, 255])
+@pytest.mark.parametrize("name", ["schrod_separable", "schrod_pereybuck"])
+def test_schrodinger_assembly_is_bitwise_the_plain_path(name, n):
+    pot = catalog_lookup(name).potential
+    assert pot.reflected
+    grid = cheb_grid(n, 0.0, pot.cutoff)
+    fast, plain = assemble(pot, grid), assemble(dataclasses.replace(pot, reflected=False), grid)
+    for field in ("matrix", "k1", "k2"):
+        assert np.array_equal(getattr(fast, field), getattr(plain, field)), field
+
+
+def _counting(kernel, counts):
+    """``kernel`` with the points each branch is sampled at added to ``counts``."""
+
+    def count(name, branch):
+        def sample(t, s):
+            counts[name] += np.broadcast(t, s).size
+            return branch(t, s)
+
+        return sample
+
+    return dataclasses.replace(kernel, k_lower=count("lower", kernel.k_lower), k_upper=count("upper", kernel.k_upper))
+
+
+@pytest.mark.parametrize("n", [1, TILE - 1, 2 * TILE + 2, 1023])
+def test_flagged_one_panel_assembly_samples_each_entry_once(n):
+    problem = catalog_lookup("example2")
+    part = build_partition(problem.a, problem.b, orders=n)
+    counts = {"lower": 0, "upper": 0}
+    assemble_blocks(_counting(problem.kernel, counts), part, problem.lam, problem.rhs)
+    assert counts == {"lower": (n + 1) ** 2, "upper": 0}
+    counts = {"lower": 0, "upper": 0}
+    assemble_blocks(_counting(dataclasses.replace(problem.kernel, reflected=False), counts), part, problem.lam, problem.rhs)
+    assert counts == {"lower": (n + 1) ** 2, "upper": (n + 1) ** 2}
+
+
+def test_flagged_one_panel_assembly_peak_at_n_1023():
+    # the 8 MiB block plus two tiles of samples and two of work space; the
+    # bound is the row-block walk's peak before the tile walk existed
+    problem = catalog_lookup("example2")
+    part = build_partition(problem.a, problem.b, orders=1023)
+    tracemalloc.start()
+    try:
+        assemble_blocks(problem.kernel, part, problem.lam, problem.rhs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9.3 * 2**20
+
+
+def test_nan_in_a_flagged_kernel_raises_from_the_tile_that_samples_it():
+    # every value the tile walk reads comes through eval_lower, so a NaN in
+    # the last node's row and column is caught, whichever tile samples it
+    problem = catalog_lookup("example2")
+    part = build_partition(problem.a, problem.b, orders=2 * TILE + 2)
+    last = part.grids[0].nodes[-1]
+    kernel = dataclasses.replace(
+        problem.kernel, k_lower=lambda t, s: np.where((t == last) | (s == last), np.nan, np.sin(t - s))
+    )
+    with pytest.raises(KernelEvaluationError, match="lower kernel branch"):
+        assemble_blocks(kernel, part, problem.lam, problem.rhs)

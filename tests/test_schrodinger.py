@@ -72,9 +72,12 @@ def _reference_kernel_matrices(potential, grid, ops):
     )
 
 
+@pytest.mark.parametrize("reflected", [False, True])
 @pytest.mark.parametrize("name", ["schrod_pereybuck", "schrod_separable"])
-def test_assemble_samples_each_branch_once(name):
-    pot = catalog_lookup(name).potential
+def test_assemble_samples_each_branch_once(name, reflected):
+    # both potentials are reflected; with the flag on, V2 is V1^T and the
+    # upper branch is never sampled
+    pot = dataclasses.replace(catalog_lookup(name).potential, reflected=reflected)
     calls = {"lower": 0, "upper": 0}
 
     def counted(branch, key):
@@ -89,7 +92,7 @@ def test_assemble_samples_each_branch_once(name):
     )
     grid = cheb_grid(48, 0.0, pot.cutoff)
     system = assemble(counted_pot, grid)
-    assert calls == {"lower": 1, "upper": 1}
+    assert calls == {"lower": 1, "upper": 0 if reflected else 1}
     k11, k12, k21, k22 = _reference_kernel_matrices(pot, grid, build_operators(48))
     sin_t = np.sin(pot.kappa * grid.nodes)[:, None]
     cos_t = np.cos(pot.kappa * grid.nodes)[:, None]
