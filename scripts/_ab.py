@@ -49,10 +49,10 @@ def alternating_rounds(commit, rounds):
                 yield r, side, sides[side]
 
 
-def run_worker(script, src, *flags):
-    """Run ``script --worker *flags`` against ``src`` in a fresh
-    single-threaded process and return the JSON it prints."""
-    env = dict(os.environ, PYTHONPATH=str(src), **{var: "1" for var in BLAS_THREAD_VARS})
+def run_worker(script, src, *flags, threads=1):
+    """Run ``script --worker *flags`` against ``src`` in a fresh process
+    with ``threads`` BLAS threads and return the JSON it prints."""
+    env = dict(os.environ, PYTHONPATH=str(src), **{var: str(threads) for var in BLAS_THREAD_VARS})
     args = [sys.executable, script, "--worker", *flags]
     proc = subprocess.run(args, env=env, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)

@@ -1,0 +1,156 @@
+#!/usr/bin/env python3
+"""Check that the working tree computes bitwise what a baseline commit does.
+
+Usage, from the root of a checkout:
+
+    python3 scripts/check_bitwise.py --baseline <commit> [--threads 2]
+
+The baseline's ``src/`` is taken with ``git archive``; the working tree's
+``src/`` is the change.  Each side runs once in a fresh worker process with
+``--threads`` BLAS threads (default one) and hashes, through public API
+only, so that any baseline runs it:
+
+* one-panel matrices of example1-4, and example2 at T = 50 pi, at orders
+  from 1 to 1023, below, at and across the tile side and the row block;
+* Toeplitz systems of example2 at T = 200 pi, and DenseBlocks systems of
+  example1, example3 and example4, some with unequal orders;
+* a plain callable kernel on panels of orders 20, 31 and 17;
+* the Schrodinger ``matrix``, ``k1`` and ``k2`` of both catalog potentials;
+* the node values of the gleg, alg1 and tdef solves of example2 and
+  example4 at their catalog orders;
+* the six CSVs of scripts/run_error_tables.py, without ``elapsed_ms``.
+
+It prints every item whose hash differs, or raised on one side only, and
+exits 1 if there is one.
+"""
+
+import argparse
+import contextlib
+import csv
+import hashlib
+import json
+import math
+import pathlib
+import sys
+import tempfile
+
+import _ab
+import numpy as np
+
+ONE_PANEL_ORDERS = (1, 2, 16, 63, 179, 180, 181, 182, 255, 362, 511, 1023)
+ONE_PANEL = (
+    ("example1", {}), ("example2", {}), ("example2", {"T": 50 * math.pi}), ("example3", {}), ("example4", {}),
+)
+# (name, overrides, panels, orders): uniform panels, plus the singular points
+LAYOUTS = (
+    ("example2", {"T": 200 * math.pi}, 8, 127),
+    ("example2", {"T": 200 * math.pi}, 16, 63),
+    ("example1", {}, 4, 31),
+    ("example1", {}, 2, 200),
+    ("example3", {}, 3, 20),
+    ("example4", {}, 16, 63),
+    ("example4", {}, 4, 31),
+    ("example4", {}, 2, 200),
+    ("example4", {}, 3, (31, 63, 15)),
+)
+SCHRODINGER_ORDERS = (16, 32, 64, 127, 128, 192, 256, 384)
+BASELINE_METHODS = ("gleg", "alg1", "tdef")
+
+
+def digest(array):
+    a = np.ascontiguousarray(array, dtype=float)
+    return hashlib.sha256(repr(a.shape).encode() + a.tobytes()).hexdigest()
+
+
+def hashes():
+    """Item name -> sha256 of what it computes, or the error it raised."""
+    import run_error_tables
+    from chebfred.baselines import MethodNotApplicableError
+    from chebfred.cli import run_method
+    from chebfred.composite_solver import assemble_blocks, build_partition
+    from chebfred.kernel_catalog import catalog_lookup
+    from chebfred.schrodinger import assemble
+    from chebfred.spectral_core import cheb_grid
+
+    out = {}
+
+    def record(name, compute):
+        try:
+            out[name] = compute()
+        except (ArithmeticError, ValueError, MethodNotApplicableError) as exc:
+            out[name] = f"raised {type(exc).__name__}: {exc}"
+
+    def system(problem, partition):
+        return digest(assemble_blocks(problem.kernel, partition, problem.lam, problem.rhs).matrix.dense())
+
+    for name, overrides in ONE_PANEL:
+        problem = catalog_lookup(name, **overrides)
+        for n in ONE_PANEL_ORDERS:
+            part = build_partition(problem.a, problem.b, orders=n)
+            record(f"one panel {name} {overrides} n={n}", lambda: system(problem, part))
+    for name, overrides, panels, orders in LAYOUTS:
+        problem = catalog_lookup(name, **overrides)
+        edges = np.linspace(problem.a, problem.b, panels + 1)[1:-1]
+        part = build_partition(
+            problem.a, problem.b, breakpoints=tuple(edges), orders=orders,
+            singular_points=problem.kernel.singular_points,
+        )
+        record(f"layout {name} {overrides} {panels}x{orders}", lambda: system(problem, part))
+    plain = catalog_lookup("example1")
+    plain_part = build_partition(-1.0, 1.0, breakpoints=(-0.3, 0.4), orders=(20, 31, 17))
+    record("plain callable kernel 20/31/17", lambda: digest(assemble_blocks(
+        lambda t, s: np.exp(-((t - s) ** 2)) * np.cos(t + 2.0 * s), plain_part, plain.lam, plain.rhs
+    ).matrix.dense()))
+    for name in ("schrod_separable", "schrod_pereybuck"):
+        pot = catalog_lookup(name).potential
+        for n in SCHRODINGER_ORDERS:
+            def schrodinger():
+                s = assemble(pot, cheb_grid(n, 0.0, pot.cutoff))
+                return " ".join(digest(getattr(s, field)) for field in ("matrix", "k1", "k2"))
+
+            record(f"schrodinger {name} n={n} matrix/k1/k2", schrodinger)
+    for name in ("example2", "example4"):
+        problem = catalog_lookup(name)
+        for method in BASELINE_METHODS:
+            for n in problem.orders:
+                record(f"{method} {name} n={n}", lambda: digest(run_method(problem, method, n)[1]))
+    with tempfile.TemporaryDirectory() as tmp:
+        with contextlib.redirect_stdout(sys.stderr):  # stdout carries the JSON
+            run_error_tables.main(["--outdir", tmp])
+        for path in sorted(pathlib.Path(tmp).glob("*.csv")):
+            with path.open(newline="") as fh:
+                rows = list(csv.reader(fh))
+            keep = [i for i, column in enumerate(rows[0]) if column != "elapsed_ms"]
+            text = "\n".join(",".join(row[i] for i in keep) for row in rows)
+            out[f"table {path.name}"] = hashlib.sha256(text.encode()).hexdigest()
+    return out
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--baseline", help="git commit whose src/ is the 'before' side")
+    parser.add_argument("--threads", type=int, default=1, help="BLAS threads of each worker (default 1)")
+    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.worker:
+        json.dump(hashes(), sys.stdout)
+        return
+    if not args.baseline:
+        parser.error("--baseline is required")
+    sides = {}
+    for _, side, src in _ab.alternating_rounds(args.baseline, 1):
+        sides[side] = _ab.run_worker(__file__, src, threads=args.threads)
+    before, after = sides["before"], sides["after"]
+    differ = [name for name in sorted(before.keys() | after.keys()) if before.get(name) != after.get(name)]
+    for name in differ:
+        print(f"DIFFERS: {name}\n  before: {before.get(name)}\n  after:  {after.get(name)}")
+    commit = _ab.short_commit(args.baseline)
+    print(
+        f"{len(before.keys() | after.keys())} items at {args.threads} BLAS thread(s), "
+        f"working tree against {commit}: {len(differ)} differ"
+    )
+    sys.exit(1 if differ else 0)
+
+
+if __name__ == "__main__":
+    main()

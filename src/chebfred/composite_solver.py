@@ -155,28 +155,23 @@ def assemble_blocks(kernel, partition: Partition, lam: float, rhs) -> BlockSyste
 
     ``kernel`` is a two-branch kernel or a plain callable k(t, s), taken as
     equal branches.  A diagonal block is ``semismooth_block``, which samples
-    both branches one row block at a time.  Block (j, i) off the diagonal is
-    (lam w_i / 2) K diag(full_weights_i), with w_i the width of source panel
-    i and K the lower branch for i < j, the upper for i > j; one kernel call
-    samples a run of such blocks, and the factor and the weights apply per
-    column, in the order (factor * sample) * weights.  When the block
-    structure is Toeplitz, each distinct block (indexed by the panel offset
-    j - i) is sampled once, from the first (j, i) on its diagonal, which the
-    operator reuses along that diagonal: one lower-branch call samples every
-    block (d, 0) and one upper-branch call every block (0, i).  No N x N
-    array is formed, and a one-panel system is its one block.  Otherwise
-    every block is written into the N x N array that the operator wraps,
-    row panel j taking one lower-branch call for the panels left of it and
-    one upper-branch call for those right of it.
-
-    A ``reflected`` kernel (``kernel_catalog``) has upper-branch samples
-    that are bitwise the transposes of lower-branch ones, so the upper
-    branch is never called.  ``semismooth_block`` walks the diagonal block
-    in mirrored tile pairs, sampling each entry once; the Toeplitz upper
-    blocks (0, d) are the transposes of the raw lower samples of blocks
-    (d, 0); and row panel j's lower strip, transposed, also fills the upper
-    blocks above its diagonal block.  Every matrix entry is the same bits
-    as from two samples.
+    both branches one row block at a time, or a reflected kernel's lower
+    branch alone, one pair of mirrored tiles at a time.  Block (j, i) off
+    the diagonal is (lam w_i / 2) K diag(full_weights_i), with w_i the width
+    of source panel i and K the lower branch for i < j, the upper for i > j.
+    One ``kernel.eval_mirrored`` call samples a run of blocks below the
+    diagonal and their mirrors above it (the mirror of a reflected kernel is
+    the transpose of its lower sample, so its upper branch is never
+    called), and the factor and the weights apply per column, in the order
+    (factor * sample) * weights.  When the block structure is Toeplitz,
+    each distinct block (indexed by the panel offset j - i) is sampled
+    once, from the first (j, i) on its diagonal, which the operator reuses
+    along that diagonal: one call samples every block (d, 0) and, mirrored,
+    every block (0, d).  No N x N array is formed, and a one-panel system
+    is its one block.  Otherwise every block is written into the N x N
+    array that the operator wraps, panel j taking one call for the row
+    strip left of its diagonal block and, mirrored, the column strip above
+    it.
     """
     kernel = as_semismooth(kernel)
     grids = partition.grids
@@ -187,20 +182,19 @@ def assemble_blocks(kernel, partition: Partition, lam: float, rhs) -> BlockSyste
         if g.order not in ops_cache:
             ops_cache[g.order] = build_operators(g.order)
 
-    reflected = getattr(kernel, "reflected", False)
-
     def diagonal(g):
         t = g.nodes
 
-        def branches(start, stop):
-            tt = t[start:stop, None]
-            return kernel.eval_lower(tt, t[None, :]), kernel.eval_upper(tt, t[None, :])
+        def lower(rows, cols):
+            return kernel.eval_lower(t[rows, None], t[None, cols])
 
-        def lower_tile(start, stop, col_start, col_stop):
-            return kernel.eval_lower(t[start:stop, None], t[None, col_start:col_stop])
+        def upper(rows, cols):
+            return kernel.eval_upper(t[rows, None], t[None, cols])
 
-        sampler = lower_tile if reflected else branches
-        return semismooth_block(ops_cache[g.order], sampler, lam * g.width / 2.0, reflected)
+        # a reflected kernel's K2 is K1^T
+        return semismooth_block(
+            ops_cache[g.order], lower, None if kernel.k_upper is None else upper, lam * g.width / 2.0
+        )
 
     def per_column():
         """lam w_i / 2 and full_weights_i per column of each source panel i."""
@@ -216,18 +210,13 @@ def assemble_blocks(kernel, partition: Partition, lam: float, rhs) -> BlockSyste
         diagonals = {0: diagonal(g0)}
         if m > 1:
             col_scale, weights = per_column()
-            raw = kernel.eval_lower(nodes[n1:, None], g0.nodes[None, :])
+            raw, mirror = kernel.eval_mirrored(nodes[n1:, None], g0.nodes[None, :])
             lower = col_scale[:n1] * raw * weights[:n1]
-            # the upper sample's columns run over panels 1 .. m-1; for a
-            # reflected kernel it is the transpose of the lower one.  Each
-            # block is written C-contiguous, as its own sample would be
-            if reflected:
-                sampled = raw.reshape(m - 1, n1, n1).transpose(2, 0, 1)
-            else:
-                sampled = kernel.eval_upper(g0.nodes[:, None], nodes[None, n1:]).reshape(n1, m - 1, n1)
+            # the mirror's columns run over panels 1 .. m-1.  Each block is
+            # written C-contiguous, as its own sample would be
             upper = np.empty((m - 1, n1, n1))
             by_row = upper.transpose(1, 0, 2)
-            np.multiply(col_scale[n1:].reshape(m - 1, n1), sampled, out=by_row)
+            np.multiply(col_scale[n1:].reshape(m - 1, n1), mirror.reshape(n1, m - 1, n1), out=by_row)
             by_row *= weights[n1:].reshape(m - 1, n1)
             for d in range(1, m):
                 diagonals[d] = lower[(d - 1) * n1 : d * n1]
@@ -240,14 +229,11 @@ def assemble_blocks(kernel, partition: Partition, lam: float, rhs) -> BlockSyste
             lo, hi = offsets[j], offsets[j + 1]
             dense[lo:hi, lo:hi] = diagonal(g)
             if lo > 0:
-                left = kernel.eval_lower(g.nodes[:, None], nodes[None, :lo])
+                # the row strip left of the diagonal block, and the column
+                # strip above it
+                left, above = kernel.eval_mirrored(g.nodes[:, None], nodes[None, :lo])
                 dense[lo:hi, :lo] = col_scale[:lo] * left * weights[:lo]
-                if reflected:
-                    # the upper blocks above this panel's diagonal block
-                    dense[:lo, lo:hi] = col_scale[lo:hi] * left.T * weights[lo:hi]
-            if hi < total and not reflected:
-                right = kernel.eval_upper(g.nodes[:, None], nodes[None, hi:])
-                dense[lo:hi, hi:] = col_scale[hi:] * right * weights[hi:]
+                dense[:lo, lo:hi] = col_scale[lo:hi] * above * weights[lo:hi]
         matrix = DenseBlocks(dense, offsets)
     rhs_vec = _rhs_values(rhs, nodes)
     return BlockSystem(matrix, rhs_vec, partition)

@@ -106,37 +106,35 @@ def dense_solve(matrix, rhs: np.ndarray):
     return _lu_solve(factors, rhs), rcond, bool(rcond < RCOND_WARN)
 
 
-def semismooth_block(ops: SpectralOperators, branches, scale: float, reflected: bool = False) -> np.ndarray:
+def semismooth_block(ops: SpectralOperators, lower, upper, scale: float) -> np.ndarray:
     """I + scale * (W o K1 + V o K2), the one-panel semismooth system matrix.
 
-    ``branches(start, stop)`` returns rows start .. stop-1 of the branch
-    samples K1 and K2, each of shape (stop - start, n + 1).  With W = a + B
-    and V = c - B (``spectral_core``), the sum is formed as
-    K1 o a + K2 o c + (K1 - K2) o B, so W and V are never built.  Neither is
-    B, nor a whole branch sample: the block is formed ROW_BLOCK_ENTRIES
-    entries at a time, each row block asking ``branches`` for its rows of K1
-    and K2 and computing its rows of B into a small work array
+    ``lower(rows, cols)`` and ``upper(rows, cols)`` return the branch
+    samples K1 and K2 on the given slices of rows and columns.  With W =
+    a + B and V = c - B (``spectral_core``), the sum is formed as
+    K1 o a + K2 o c + (K1 - K2) o B, so W and V are never built.  Neither
+    is B, nor a whole branch sample: the block is formed ROW_BLOCK_ENTRIES
+    entries at a time, each row block asking the samplers for its rows of
+    K1 and K2 and computing its rows of B into a small work array
     (``ops.bracket_rows``), so that a row block's rows of K1, K2, B and the
     result stay in cache through every elementwise step.  The steps and
     their order are those of the whole-array formula (B is computed first
     and multiplied by K1 - K2, and a product of two doubles does not depend
     on the order of its factors), so the result is bitwise the same.
     Besides the result it allocates one row block of work space, and holds
-    what ``branches`` returns for one row block at a time.
+    the samples of one row block at a time.
 
-    ``reflected`` states that K2 = K1^T, as for a kernel whose upper branch
-    is its lower branch with the arguments swapped
-    (``kernel_catalog.SemismoothKernel.reflected``).  Then
-    ``branches(start, stop, col_start, col_stop)`` returns K1 on rows
-    start .. stop-1 and columns col_start .. col_stop-1 alone, and the block
-    is walked in square tiles of side isqrt(ROW_BLOCK_ENTRIES), mirrored
-    tiles (R, C) and (C, R) together: the sample of K1 on (R, C) is K1 there
-    and, transposed, K2 on (C, R).  Each entry of K1 is sampled once and K2
-    never, with the same values and the same elementwise steps, so the
-    result is bitwise that of the row-block walk.  A tile is formed in
-    contiguous work space and written to the block once, scaled, since
-    every step written into a tile of the block itself costs a loop per
-    row.  It holds two tiles of samples and two of work space at a time.
+    ``upper=None`` states that K2 = K1^T, as for a reflected kernel
+    (``kernel_catalog``).  Then the block is walked in square tiles of side
+    isqrt(ROW_BLOCK_ENTRIES), mirrored tiles (R, C) and (C, R) together:
+    the sample of K1 on (R, C) is K1 there and, transposed, K2 on (C, R).
+    Each entry of K1 is sampled once, with the same values and the same
+    elementwise steps, so the result is bitwise that of the row-block walk
+    on K1 and K1^T.  A tile is formed in contiguous work space and written
+    to the block once, scaled, since every step written into a tile of the
+    block itself costs a loop per row.  It holds two tiles of samples and
+    two of work space at a time.  The row-block walk stays for two
+    samplers, on which the tile walk is slower.
 
     Under ``__debug__`` every call checks the row sums of B
     (``ops.check_bracket_row_sums``).  Samples of the wrong shape raise
@@ -169,18 +167,18 @@ def semismooth_block(ops: SpectralOperators, branches, scale: float, reflected: 
     def tile_pair(rows, cols):
         # the work space is allocated after the samples, so it is never
         # alive with the kernel's temporaries, and all is freed on return
-        lower = sampled(branches(rows.start, rows.stop, cols.start, cols.stop), rows, cols)
+        sample = sampled(lower(rows, cols), rows, cols)
         if cols is rows:
-            pairs = [(rows, rows, lower, lower.T)]
+            pairs = [(rows, rows, sample, sample.T)]
         else:
-            mirror = sampled(branches(cols.start, cols.stop, rows.start, rows.stop), cols, rows)
-            pairs = [(rows, cols, lower, mirror.T), (cols, rows, mirror, lower.T)]
-        work = np.empty((2, lower.size))
+            mirror = sampled(lower(cols, rows), cols, rows)
+            pairs = [(rows, cols, sample, mirror.T), (cols, rows, mirror, sample.T)]
+        work = np.empty((2, sample.size))
         for r, c, k1, k2 in pairs:
             out, scratch = work.reshape(2, *k1.shape)
             np.multiply(unscaled(r, c, k1, k2, out, scratch), scale, out=block[r, c])
 
-    if reflected:
+    if upper is None:
         side = math.isqrt(ROW_BLOCK_ENTRIES)
         tiles = [slice(start, min(start + side, n1)) for start in range(0, n1, side)]
         for i, rows in enumerate(tiles):
@@ -192,7 +190,8 @@ def semismooth_block(ops: SpectralOperators, branches, scale: float, reflected: 
         every = slice(0, n1)
         for start in range(0, n1, rows_per_block):
             rows = slice(start, min(start + rows_per_block, n1))
-            k1, k2 = (sampled(k, rows, every) for k in branches(rows.start, rows.stop))
+            k1 = sampled(lower(rows, every), rows, every)
+            k2 = sampled(upper(rows, every), rows, every)
             out = unscaled(rows, every, k1, k2, block[rows], scratch[: rows.stop - rows.start])
             out *= scale
             # freed before the next row block is sampled, so one row block of

@@ -6,17 +6,13 @@ The catalog carries four integral-equation benchmarks with manufactured
 right-hand sides plus two nonlocal scattering potentials consumed by the
 :mod:`chebfred.schrodinger` module.
 
-A kernel or potential flagged ``reflected`` promises that its upper branch
-is its lower branch with the arguments swapped, bitwise: k_upper(t, s) and
-k_lower(s, t) give the same floating-point value at every sampled point.
-Then a branch sample over a square of node pairs is the transpose of the
-other branch's, and the assembly samples only the lower branch
-(``fredholm_solver.semismooth_block``, ``composite_solver.assemble_blocks``,
-``schrodinger._spliced_branches``).  The flag is set where the upper branch is
-the lower expression with its two arguments swapped, so that both take the
-same operations on the same values: example2, example4 and both scattering
-potentials.  A kernel that agrees with its reflection only to rounding must
-not carry it; tests/test_kernel_catalog.py checks every flagged entry.
+A kernel or potential given without an upper branch (``k_upper=None``,
+``upper=None``) is reflected: its upper branch is its lower branch with the
+arguments swapped, k_upper(t, s) = k_lower(s, t), by construction.  A branch
+sample over a block of node pairs is then the transpose of the other
+branch's over the mirrored block, and the assembly samples the lower branch
+alone (``eval_mirrored``).  Example2, example4 and both scattering
+potentials are given so; example1 and example3 carry both branches.
 """
 
 from __future__ import annotations
@@ -61,35 +57,52 @@ def _checked(fn: Callable, t, s, what: str) -> np.ndarray:
     return out
 
 
+def _swapped(fn: Callable) -> Callable:
+    return lambda t, s: fn(s, t)
+
+
 @dataclass(frozen=True)
 class SemismoothKernel:
     """Two-branch kernel k(t, s), split along s = t.
 
-    ``singular_points`` lists diagonal points c where the kernel blows up at
-    (c, c); ``boundary_singular`` flags branches unbounded on the square's
-    boundary.  ``difference_form`` marks kernels of the form k(|t-s|), which
-    make uniform equal-order partitions block-Toeplitz.  ``reflected`` marks
-    kernels with k_upper(t, s) equal to k_lower(s, t) bitwise (module
-    docstring); the assembly then samples the lower branch alone.
+    ``k_upper=None`` makes the kernel reflected: its upper branch is
+    k_lower(s, t) (module docstring).  ``singular_points`` lists diagonal
+    points c where the kernel blows up at (c, c); ``boundary_singular``
+    flags branches unbounded on the square's boundary.  ``difference_form``
+    marks kernels of the form k(|t-s|), which make uniform equal-order
+    partitions block-Toeplitz.
     """
 
     k_lower: Callable  # branch for s <= t
-    k_upper: Callable  # branch for s >= t
+    k_upper: Callable | None = None  # branch for s >= t
     singular_points: tuple = ()
     boundary_singular: bool = False
     difference_form: bool = False
-    reflected: bool = False
+
+    @property
+    def _upper(self) -> Callable:
+        return _swapped(self.k_lower) if self.k_upper is None else self.k_upper
 
     def eval_lower(self, t, s) -> np.ndarray:
         return _checked(self.k_lower, t, s, "lower kernel branch")
 
     def eval_upper(self, t, s) -> np.ndarray:
-        return _checked(self.k_upper, t, s, "upper kernel branch")
+        return _checked(self._upper, t, s, "upper kernel branch")
 
     def eval(self, t, s) -> np.ndarray:
         """Branch-selected value; the diagonal uses the lower branch.  Only
         the selected branch must be finite."""
-        return _checked(lambda t, s: np.where(s <= t, self.k_lower(t, s), self.k_upper(t, s)), t, s, "kernel")
+        return _checked(lambda t, s: np.where(s <= t, self.k_lower(t, s), self._upper(t, s)), t, s, "kernel")
+
+    def eval_mirrored(self, t, s):
+        """For a column t and a row s: the lower branch on (t, s) and the
+        upper branch on (s^T, t^T), a block below the diagonal and its
+        mirror above it.  A reflected kernel is sampled once, and the mirror
+        is the transpose of that sample."""
+        lower = self.eval_lower(t, s)
+        if self.k_upper is None:
+            return lower, lower.T
+        return lower, self.eval_upper(np.transpose(s), np.transpose(t))
 
 
 def as_semismooth(kernel):
@@ -117,28 +130,36 @@ class NonlocalPotential:
     """Nonlocal potential v(p, r'), split along p = r'.
 
     ``lower`` is the branch for p <= r', ``upper`` for p >= r'; the first
-    argument of both is the integration variable p.  ``strength`` is folded
-    into the branch values already and kept only for reporting, as are the
-    wavenumber ``kappa``, the domain cutoff ``cutoff`` (the potential is
-    treated as negligible past it), and the optional ``nonlocal_range``.
-    ``reflected`` marks potentials with upper(p, r') equal to lower(r', p)
-    bitwise (module docstring); the assembly then samples the lower branch
-    alone.
+    argument of both is the integration variable p, and ``upper=None``
+    makes the potential reflected: its upper branch is lower(r', p) (module
+    docstring).  ``strength`` is folded into the branch values already and
+    kept only for reporting, as are the wavenumber ``kappa``, the domain
+    cutoff ``cutoff`` (the potential is treated as negligible past it), and
+    the optional ``nonlocal_range``.
     """
 
     lower: Callable
-    upper: Callable
     strength: float
     kappa: float
     cutoff: float
     nonlocal_range: float | None = None
-    reflected: bool = False
+    upper: Callable | None = None
 
     def eval_lower(self, p, r2) -> np.ndarray:
         return _checked(self.lower, p, r2, "lower potential branch")
 
     def eval_upper(self, p, r2) -> np.ndarray:
-        return _checked(self.upper, p, r2, "upper potential branch")
+        upper = _swapped(self.lower) if self.upper is None else self.upper
+        return _checked(upper, p, r2, "upper potential branch")
+
+    def eval_mirrored(self, p, r2):
+        """As ``SemismoothKernel.eval_mirrored``, but a reflected potential's
+        mirror is a C-order copy of the transpose: the BLAS products of the
+        Schrodinger assembly round by the layout of their operands."""
+        lower = self.eval_lower(p, r2)
+        if self.upper is None:
+            return lower, np.ascontiguousarray(lower.T)
+        return lower, self.eval_upper(np.transpose(r2), np.transpose(p))
 
 
 @dataclass(frozen=True)
@@ -181,9 +202,7 @@ def _example1(lam: float) -> BenchmarkProblem:
 def _example2(lam: float, T: float) -> BenchmarkProblem:
     kernel = SemismoothKernel(
         k_lower=lambda t, s: np.sin(t - s),
-        k_upper=lambda t, s: np.sin(s - t),
         difference_form=True,
-        reflected=True,
     )
 
     def rhs(t):
@@ -237,9 +256,7 @@ def _example3() -> BenchmarkProblem:
 def _example4() -> BenchmarkProblem:
     kernel = SemismoothKernel(
         k_lower=lambda t, s: 1.0 / (t**2 + s**4),
-        k_upper=lambda t, s: 1.0 / (s**2 + t**4),
         singular_points=(0.0,),
-        reflected=True,
     )
 
     def rhs(t):
@@ -267,11 +284,9 @@ def _example4() -> BenchmarkProblem:
 def _schrod_separable(lam: float, kappa: float, T: float) -> SchrodingerProblem:
     potential = NonlocalPotential(
         lower=lambda p, r2: lam * np.exp(p - r2),
-        upper=lambda p, r2: lam * np.exp(r2 - p),
         strength=lam,
         kappa=kappa,
         cutoff=T,
-        reflected=True,
     )
     if kappa == 1.0:
         def rhs(r):
@@ -300,12 +315,10 @@ def _schrod_separable(lam: float, kappa: float, T: float) -> SchrodingerProblem:
 def _schrod_pereybuck(lam: float, kappa: float, A: float, T: float) -> SchrodingerProblem:
     potential = NonlocalPotential(
         lower=lambda p, r2: lam * np.exp((p - r2) / A) / (1.0 + np.exp((p - r2) / A)),
-        upper=lambda p, r2: lam * np.exp((r2 - p) / A) / (1.0 + np.exp((r2 - p) / A)),
         strength=lam,
         kappa=kappa,
         cutoff=T,
         nonlocal_range=A,
-        reflected=True,
     )
     return SchrodingerProblem(
         name="schrod_pereybuck",

@@ -113,17 +113,13 @@ def _spliced_branches(
 
     Besides the bracket, the two branch samples and the two results, this
     allocates M and one scratch array.  The T/2 factor is folded into the
-    row vectors hc and hs.  For a ``reflected`` potential V2 is V1^T, so
-    only the lower branch is sampled, and V2 is a C-order copy of V1^T: the
-    BLAS product with the transposed view itself rounds differently below
-    about n = 128.
+    row vectors hc and hs.  V1 and V2 come from one
+    ``potential.eval_mirrored`` call, so a reflected potential is sampled
+    once, and its V2 is a C-order copy of V1^T: the BLAS product with the
+    transposed view itself rounds differently below about n = 128.
     """
     t = grid.nodes
-    v1 = potential.eval_lower(t[:, None], t[None, :])
-    if potential.reflected:
-        v2 = np.ascontiguousarray(v1.T)
-    else:
-        v2 = potential.eval_upper(t[:, None], t[None, :])
+    v1, v2 = potential.eval_mirrored(t[:, None], t[None, :])
     half_t = grid.width / 2.0
     a, c, bracket = ops.left_offset, ops.right_offset, ops.bracket_rows(0, ops.order + 1)
     hc = half_t * cos_t
@@ -163,11 +159,9 @@ def assemble(potential: NonlocalPotential, grid: ChebGrid, rhs_override=None) ->
     sin_t = np.sin(kappa * t)
     cos_t = np.cos(kappa * t)
     k1, k2 = _spliced_branches(potential, grid, ops, sin_t, cos_t)
-
-    def branches(start, stop):
-        return k1[start:stop], k2[start:stop]
-
-    matrix = semismooth_block(ops, branches, grid.width / (2.0 * kappa))
+    matrix = semismooth_block(
+        ops, lambda rows, cols: k1[rows, cols], lambda rows, cols: k2[rows, cols], grid.width / (2.0 * kappa)
+    )
     rhs = sin_t if rhs_override is None else _rhs_values(rhs_override, t)
     return SchrodingerSystem(grid=grid, k1=k1, k2=k2, matrix=matrix, rhs=rhs)
 

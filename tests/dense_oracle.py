@@ -6,7 +6,9 @@
   products, and ``integration_matrices``: W and V formed in full from the
   vectors of a ``SpectralOperators``, the ones every solve reads;
 * ``semismooth_block_reference``: the semismooth block over whole n x n
-  arrays;
+  arrays, and ``unreflected``: a reflected kernel or potential with its
+  upper branch made explicit, which takes the assembly's plain path, and
+  ``record_branch_calls``: the branch calls an assembly makes;
 * ``residual_check``: the residual of a catalog problem's analytic solution,
   by trapezium sums.
 
@@ -14,6 +16,8 @@ Shared by the tests and scripts/bench_build_operators.py.  It imports
 nothing from chebfred, so the benchmark can check a baseline checkout
 against it too.
 """
+
+import dataclasses
 
 import numpy as np
 
@@ -100,14 +104,39 @@ def integration_matrices(ops):
     return ops.left_offset + bracket, ops.right_offset - bracket
 
 
-def row_slices(k1, k2):
-    """The row sampler ``fredholm_solver.semismooth_block`` reads, taking
-    rows of the whole branch samples K1 and K2."""
+def slice_sampler(k):
+    """The sampler ``fredholm_solver.semismooth_block`` reads, taking
+    (rows, cols) slices of a whole branch sample ``k``."""
+    return lambda rows, cols: k[rows, cols]
 
-    def branches(start, stop):
-        return k1[start:stop], k2[start:stop]
 
-    return branches
+def unreflected(branches):
+    """A reflected kernel or potential (given without an upper branch) with
+    that branch made explicit: the lower one with its arguments swapped.
+    Its samples are the same doubles, but every assembly samples both of its
+    branches, so it is the plain-path oracle of the mirrored one."""
+    if hasattr(branches, "k_lower"):
+        assert branches.k_upper is None
+        lower = branches.k_lower
+        return dataclasses.replace(branches, k_upper=lambda t, s: lower(s, t))
+    assert branches.upper is None
+    lower = branches.lower
+    return dataclasses.replace(branches, upper=lambda p, r2: lower(r2, p))
+
+
+def record_branch_calls(monkeypatch, cls, calls):
+    """Append every ``eval_lower`` / ``eval_upper`` call on instances of
+    ``cls`` (a kernel or potential class) to ``calls`` as (branch, t, s):
+    the calls that the benchmark tracer's ``kernel_catalog.eval`` span
+    counts, whichever callables the branches are."""
+    for branch in ("lower", "upper"):
+        method = getattr(cls, f"eval_{branch}")
+
+        def recorded(self, t, s, branch=branch, method=method):
+            calls.append((branch, np.asarray(t), np.asarray(s)))
+            return method(self, t, s)
+
+        monkeypatch.setattr(cls, f"eval_{branch}", recorded)
 
 
 def semismooth_block_reference(ops, k1, k2, scale):

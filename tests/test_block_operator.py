@@ -56,10 +56,14 @@ def _dense_assembly(kernel, partition, lam, toeplitz):
     return matrix
 
 
+# example2 and example4 are reflected; example1 and example3 carry an upper
+# branch, which DenseBlocks samples in the column strips above the diagonal
 SYSTEMS = [
     ("example2", 8, 127, {"T": T_200PI}),
     ("example2", 32, 63, {"T": T_200PI}),
     ("example4", 16, 63, {}),
+    ("example1", 4, 31, {}),
+    ("example3", 4, 20, {}),
 ]
 
 
@@ -68,7 +72,7 @@ def assembled(request):
     name, panels, order, overrides = request.param
     problem, partition = _problem_and_partition(name, panels, order, **overrides)
     system = assemble_blocks(problem.kernel, partition, problem.lam, problem.rhs)
-    # example2 is a difference kernel on equal panels, example4 is not
+    # example2 is a difference kernel on equal panels, the others are not
     toeplitz = isinstance(system.matrix, ToeplitzBlocks)
     assert toeplitz == (name == "example2")
     dense = _dense_assembly(problem.kernel, partition, problem.lam, toeplitz)

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from dense_oracle import integration_matrices, semismooth_block_reference
+from dense_oracle import integration_matrices, record_branch_calls, semismooth_block_reference, unreflected
 
 from chebfred import fredholm_solver
 from chebfred.block_operator import ToeplitzBlocks
@@ -17,7 +17,7 @@ from chebfred.composite_solver import (
     solve_partitioned,
 )
 from chebfred.fredholm_solver import relative_sup_error
-from chebfred.kernel_catalog import KernelEvaluationError, catalog_lookup
+from chebfred.kernel_catalog import KernelEvaluationError, SemismoothKernel, catalog_lookup
 from chebfred.spectral_core import build_operators, cheb_grid
 
 
@@ -202,21 +202,6 @@ def _uniform_partition(problem, panels, orders):
     )
 
 
-def _recording(kernel, calls):
-    """``kernel`` with every branch call appended to ``calls`` as (branch, t, s)."""
-
-    def record(name, fn):
-        def branch(t, s):
-            calls.append((name, np.asarray(t), np.asarray(s)))
-            return fn(t, s)
-
-        return branch
-
-    return dataclasses.replace(
-        kernel, k_lower=record("lower", kernel.k_lower), k_upper=record("upper", kernel.k_upper)
-    )
-
-
 @pytest.mark.parametrize("reflected", [False, True])
 @pytest.mark.parametrize("name, panels, orders, overrides", [
     ("example4", 16, 63, {}),
@@ -224,40 +209,45 @@ def _recording(kernel, calls):
     ("example2", 32, 63, {"T": 200 * np.pi}),
     ("example2", 2, 63, {"T": 200 * np.pi}),
 ])
-def test_off_diagonal_sampling_takes_one_call_per_branch_per_panel_row(name, panels, orders, overrides, reflected):
-    # DenseBlocks (example4): row panel j samples the panels left of it with
-    # one lower-branch call and those right of it with one upper-branch
-    # call.  ToeplitzBlocks (example2): one call per branch in all.  A
-    # diagonal block of order <= 180 is one row block, sampled once per
-    # branch.  Both kernels are reflected; with the flag on, the upper
-    # branch is never called: a diagonal block of order <= 180 is one tile,
-    # sampled once, and each lower-branch call also gives the upper blocks
+def test_off_diagonal_sampling_takes_one_call_per_branch_per_panel_row(
+    monkeypatch, name, panels, orders, overrides, reflected
+):
+    # DenseBlocks (example4): panel j samples the row strip left of its
+    # diagonal block with one lower-branch call and the column strip above
+    # it with one upper-branch call.  ToeplitzBlocks (example2): one call
+    # per branch in all.  A diagonal block of order <= 180 is one row
+    # block, sampled once per branch.  Both kernels are reflected, and
+    # ``unreflected`` gives them an explicit upper branch; reflected, the
+    # upper branch is never called: a diagonal block of order <= 180 is one
+    # tile, sampled once, and each lower-branch call also gives its mirror
     problem = catalog_lookup(name, **overrides)
-    assert problem.kernel.reflected
+    assert problem.kernel.k_upper is None
     part = _uniform_partition(problem, panels, orders)
+    kernel = problem.kernel if reflected else unreflected(problem.kernel)
     calls = []
-    kernel = dataclasses.replace(problem.kernel, reflected=reflected)
-    system = assemble_blocks(_recording(kernel, calls), part, problem.lam, problem.rhs)
+    record_branch_calls(monkeypatch, SemismoothKernel, calls)
+    system = assemble_blocks(kernel, part, problem.lam, problem.rhs)
     m, grids = part.panels, part.grids
 
-    def target(t):
-        return int(np.searchsorted(part.breakpoints, t.ravel()[0])) - 1
+    def panel(x):
+        return int(np.searchsorted(part.breakpoints, x.ravel()[0])) - 1
 
     off = []
     for branch, t, s in calls:
-        j = target(t)
+        j = panel(t)
         if not (np.array_equal(t.ravel(), grids[j].nodes) and np.array_equal(s.ravel(), grids[j].nodes)):
-            off.append((j, branch))
+            # a row strip is keyed by its row panel, a column strip by its column panel
+            off.append((j if branch == "lower" else panel(s), branch))
     on = len(calls) - len(off)
     per_block = 1 if reflected else 2
     if isinstance(system.matrix, ToeplitzBlocks):
         assert name == "example2"
         assert on == per_block
-        assert sorted(off) == ([] if reflected else [(0, "upper")]) + [(1, "lower")]
+        assert sorted(off) == [(1, "lower")] + ([] if reflected else [(1, "upper")])
     else:
         assert on == per_block * m
-        expected = [(j, "lower") for j in range(1, m)] + ([] if reflected else [(j, "upper") for j in range(m - 1)])
-        assert sorted(off) == sorted(expected)
+        branches = ("lower",) if reflected else ("lower", "upper")
+        assert sorted(off) == sorted((j, branch) for j in range(1, m) for branch in branches)
 
 
 def test_one_panel_assembly_holds_no_whole_branch_sample():
@@ -276,36 +266,38 @@ def test_one_panel_assembly_holds_no_whole_branch_sample():
     assert peak < 1.3 * block_bytes
 
 
-def test_nan_in_the_last_row_block_of_one_panel_raises():
+def test_nan_in_the_last_row_block_of_one_panel_raises(monkeypatch):
     # the lower branch is NaN only in the diagonal block's last row, which
-    # is sampled by the last of 32 row blocks.  The NaN breaks the kernel's
-    # reflection, so the flag goes too
+    # is sampled by the last of 32 row blocks: the kernel has an explicit
+    # upper branch, so it takes the row walk
     problem = catalog_lookup("example2")
     part = build_partition(problem.a, problem.b, orders=1023)
     last = part.grids[0].nodes[-1]
     kernel = dataclasses.replace(
-        problem.kernel, k_lower=lambda t, s: np.where(t == last, np.nan, np.sin(t - s)), reflected=False
+        problem.kernel,
+        k_lower=lambda t, s: np.where(t == last, np.nan, np.sin(t - s)),
+        k_upper=lambda t, s: np.sin(s - t),
     )
     calls = []
+    record_branch_calls(monkeypatch, SemismoothKernel, calls)
     with pytest.raises(KernelEvaluationError, match="lower kernel branch"):
-        assemble_blocks(_recording(kernel, calls), part, problem.lam, problem.rhs)
+        assemble_blocks(kernel, part, problem.lam, problem.rhs)
     rows = fredholm_solver.ROW_BLOCK_ENTRIES // 1024
     assert len(calls) == 2 * (1024 // rows - 1) + 1
 
 
 def test_nan_in_one_off_diagonal_panel_of_a_row_raises():
-    # example4 on 4 panels is DenseBlocks; the upper branch is NaN only for
-    # targets in panel 0 and sources in panel 3, one block of row panel 0's
-    # upper-branch call.  The NaN breaks the kernel's reflection, so the
-    # flag goes too
+    # example4 on 4 panels is DenseBlocks; the explicit upper branch is NaN
+    # only for targets in panel 0 and sources in panel 3, one block of the
+    # column strip above panel 3's diagonal block, which panel 3's mirrored
+    # call samples after its finite row strip
     problem = catalog_lookup("example4")
     part = _uniform_partition(problem, 4, 31)
     edges = part.breakpoints
-    upper = problem.kernel.k_upper
+    lower = problem.kernel.k_lower
     kernel = dataclasses.replace(
         problem.kernel,
-        k_upper=lambda t, s: np.where((t < edges[1]) & (s > edges[3]), np.nan, upper(t, s)),
-        reflected=False,
+        k_upper=lambda t, s: np.where((t < edges[1]) & (s > edges[3]), np.nan, lower(s, t)),
     )
     assert not detect_toeplitz(kernel, part)
     with pytest.raises(KernelEvaluationError, match="upper kernel branch"):

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from dense_oracle import integration_matrices, inverse_cosine_matrix, row_slices, semismooth_block_reference
+from dense_oracle import integration_matrices, inverse_cosine_matrix, semismooth_block_reference, slice_sampler
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import linalg
@@ -23,7 +23,7 @@ from chebfred.fredholm_solver import (
     semismooth_block,
     solve_fredholm,
 )
-from chebfred.kernel_catalog import catalog_lookup
+from chebfred.kernel_catalog import SemismoothKernel, catalog_lookup
 from chebfred.spectral_core import build_operators, cheb_grid
 
 
@@ -147,7 +147,7 @@ def _fused_and_split_blocks(kernel, grid, lam):
     scale = lam * grid.width / 2.0
     W, V = integration_matrices(ops)
     split = np.eye(grid.order + 1) + scale * (W * k1 + V * k2)
-    return semismooth_block(ops, row_slices(k1, k2), scale), split
+    return semismooth_block(ops, slice_sampler(k1), slice_sampler(k2), scale), split
 
 
 @pytest.mark.parametrize("n", [1, 4, 63, 1023])
@@ -197,13 +197,12 @@ def test_semismooth_block_is_bitwise_the_whole_array_formula(monkeypatch, entrie
     k1, k2 = np.random.default_rng(n).uniform(-2.0, 2.0, (2, n + 1, n + 1))
     reference = semismooth_block_reference(build_operators(n), k1, k2, 0.37)
     sampled = []
-    whole = row_slices(k1, k2)
 
-    def branches(start, stop):
-        sampled.append((start, stop))
-        return whole(start, stop)
+    def lower(rows, cols):
+        sampled.append((rows.start, rows.stop))
+        return k1[rows, cols]
 
-    assert np.array_equal(semismooth_block(ops, branches, 0.37), reference)
+    assert np.array_equal(semismooth_block(ops, lower, slice_sampler(k2), 0.37), reference)
     assert all(np.ndim(value) <= 1 for value in vars(ops).values())
     # the sampler is asked once per row block, for consecutive row ranges
     rows = max(1, fredholm_solver.ROW_BLOCK_ENTRIES // (n + 1))
@@ -228,7 +227,7 @@ def test_semismooth_block_checks_bracket_row_sums():
     bad = dataclasses.replace(ops, s_values=ops.s_values * 1.001)
     k = np.ones((41, 41))
     with pytest.raises(AssertionError):
-        semismooth_block(bad, row_slices(k, k), 1.0)
+        semismooth_block(bad, slice_sampler(k), slice_sampler(k), 1.0)
 
 
 def test_semismooth_block_rejects_mismatched_shapes(monkeypatch):
@@ -236,22 +235,21 @@ def test_semismooth_block_rejects_mismatched_shapes(monkeypatch):
     good = np.ones((5, 5))
     for bad in (np.ones((5, 4)), np.ones((4, 4)), np.ones(5)):
         with pytest.raises(ValueError, match="shape mismatch"):
-            semismooth_block(ops, row_slices(bad, good), 1.0)
+            semismooth_block(ops, lambda rows, cols: bad, slice_sampler(good), 1.0)
         with pytest.raises(ValueError, match="shape mismatch"):
-            semismooth_block(ops, row_slices(good, bad), 1.0)
+            semismooth_block(ops, slice_sampler(good), lambda rows, cols: bad, 1.0)
     # rows of the wrong shape in one row block only: 2 rows per block here,
-    # and the sampler returns whole rows everywhere but in rows 2..3
+    # and the sampler returns the rows asked for everywhere but in rows 2..3
     monkeypatch.setattr(fredholm_solver, "ROW_BLOCK_ENTRIES", 10)
 
-    def one_bad_block(start, stop):
-        rows = good[start:stop] if start != 2 else good[start : stop + 1]
-        return good[start:stop], rows
+    def one_bad_block(rows, cols):
+        return good[rows.start : rows.stop + (rows.start == 2), cols]
 
     with pytest.raises(ValueError, match=r"shape mismatch \(2, 5\) vs \(3, 5\) in rows 2:4"):
-        semismooth_block(ops, one_bad_block, 1.0)
-    # a sampler that returns the whole samples, not the rows it was asked for
+        semismooth_block(ops, slice_sampler(good), one_bad_block, 1.0)
+    # a sampler that returns the whole sample, not the rows it was asked for
     with pytest.raises(ValueError, match=r"shape mismatch \(2, 5\) vs \(5, 5\) in rows 0:2"):
-        semismooth_block(ops, lambda start, stop: (good, good), 1.0)
+        semismooth_block(ops, lambda rows, cols: good, slice_sampler(good), 1.0)
 
 
 def _capture_operators(monkeypatch, module):
@@ -300,12 +298,7 @@ def test_smooth_rule_constant_kernel_constant_solution():
 def test_semismooth_rule_zero_branches():
     part = build_partition(0.0, 2.0, orders=6)
     zero = lambda t, s: t * 0.0 + s * 0.0
-    system = assemble_blocks(
-        type("K", (), {"eval_lower": staticmethod(zero), "eval_upper": staticmethod(zero)})(),
-        part,
-        0.5,
-        np.sin,
-    )
+    system = assemble_blocks(SemismoothKernel(zero, zero), part, 0.5, np.sin)
     sol = solve_composite(system)
     assert sol.node_values == pytest.approx(np.sin(part.grids[0].nodes))
 

@@ -230,11 +230,17 @@ def _interval(name):
     return (problem.a, problem.b) if hasattr(problem, "kernel") else (0.0, problem.potential.cutoff)
 
 
-@pytest.mark.parametrize("name", [name for name, branches in _catalog_entries() if branches.reflected])
+def _reflected(branches):
+    """True for a kernel or potential given without an upper branch."""
+    return (branches.k_upper if isinstance(branches, SemismoothKernel) else branches.upper) is None
+
+
+@pytest.mark.parametrize("name", [name for name, branches in _catalog_entries() if _reflected(branches)])
 def test_reflected_entries_hold_bitwise(name):
-    # the assembly reads a flagged entry's upper branch as the transpose of
-    # its lower one, so the flag must hold bit for bit, on one panel's nodes
-    # and across the two panels of a layout cut at the midpoint
+    # the assembly reads a reflected entry's upper samples as transposes of
+    # its lower ones, while eval_upper calls the lower branch on swapped
+    # arguments: the two must be the same doubles, on one panel's nodes and
+    # across the two panels of a layout cut at the midpoint
     branches = dict(_catalog_entries())[name]
     a, b = _interval(name)
     for n in (16, 255, 384):
@@ -243,11 +249,12 @@ def test_reflected_entries_hold_bitwise(name):
     assert _reflection_holds(branches, np.concatenate([g.nodes for g in two_panels.grids]))
 
 
-def test_reflected_flags_are_the_four_that_hold():
-    flagged = {name for name, branches in _catalog_entries() if branches.reflected}
-    assert flagged == {"example2", "example4", "schrod_separable", "schrod_pereybuck"}
-    # the unflagged kernels fail the property, so a wrong flag on them
-    # could not pass the test above
+def test_reflected_entries_are_the_four_without_an_upper_branch():
+    reflected = {name for name, branches in _catalog_entries() if _reflected(branches)}
+    assert reflected == {"example2", "example4", "schrod_separable", "schrod_pereybuck"}
+    # the kernels with an upper branch fail the property, so they could not
+    # be given without one
     for name in ("example1", "example3"):
         a, b = _interval(name)
         assert not _reflection_holds(catalog_lookup(name).kernel, cheb_grid(16, a, b).nodes)
+

@@ -1,10 +1,11 @@
 """The reflected-kernel fast path against the plain path.
 
-A kernel or potential flagged ``reflected`` is sampled through its lower
-branch alone: ``semismooth_block`` walks mirrored tile pairs, and
-``assemble_blocks`` and Schrodinger ``assemble`` read the upper samples as
-transposes.  The oracle is the same kernel with the flag off, which samples
-both branches; every matrix must be bitwise the same.
+A kernel or potential given without an upper branch is reflected, and is
+sampled through its lower branch alone: ``semismooth_block`` walks mirrored
+tile pairs, and ``assemble_blocks`` and Schrodinger ``assemble`` read the
+upper samples as transposes (``eval_mirrored``).  The oracle is the same
+kernel with its upper branch made explicit (``dense_oracle.unreflected``),
+which samples both branches; every matrix must be bitwise the same.
 """
 
 import dataclasses
@@ -13,13 +14,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from dense_oracle import row_slices
+from dense_oracle import record_branch_calls, semismooth_block_reference, slice_sampler, unreflected
 
 from chebfred import fredholm_solver
 from chebfred.block_operator import DenseBlocks, ToeplitzBlocks
 from chebfred.composite_solver import assemble_blocks, build_partition
 from chebfred.fredholm_solver import semismooth_block
-from chebfred.kernel_catalog import KernelEvaluationError, catalog_lookup
+from chebfred.kernel_catalog import KernelEvaluationError, NonlocalPotential, SemismoothKernel, catalog_lookup
 from chebfred.schrodinger import assemble
 from chebfred.spectral_core import build_operators, cheb_grid
 
@@ -28,7 +29,7 @@ TILE = math.isqrt(fredholm_solver.ROW_BLOCK_ENTRIES)
 
 def _both_paths(kernel, partition, lam, rhs):
     fast = assemble_blocks(kernel, partition, lam, rhs).matrix
-    plain = assemble_blocks(dataclasses.replace(kernel, reflected=False), partition, lam, rhs).matrix
+    plain = assemble_blocks(unreflected(kernel), partition, lam, rhs).matrix
     return fast, plain
 
 
@@ -50,7 +51,7 @@ ONE_PANEL_SIZES = (2, TILE - 1, TILE, TILE + 1, 2 * TILE + 3)
 ])
 def test_one_panel_is_bitwise_the_plain_path(name, overrides, size):
     problem = catalog_lookup(name, **overrides)
-    assert problem.kernel.reflected
+    assert problem.kernel.k_upper is None
     fast, plain = _both_paths(problem.kernel, build_partition(problem.a, problem.b, orders=size - 1), problem.lam, problem.rhs)
     assert np.array_equal(fast.dense(), plain.dense())
 
@@ -71,8 +72,8 @@ def test_tile_walk_on_a_random_reflected_sample_is_bitwise_the_row_walk():
     n = 2 * TILE + 2
     k1 = np.random.default_rng(n).uniform(-2.0, 2.0, (n + 1, n + 1))
     ops = build_operators(n)
-    tiles = semismooth_block(ops, lambda r0, r1, c0, c1: k1[r0:r1, c0:c1], 0.37, reflected=True)
-    assert np.array_equal(tiles, semismooth_block(ops, row_slices(k1, k1.T), 0.37))
+    tiles = semismooth_block(ops, slice_sampler(k1), None, 0.37)
+    assert np.array_equal(tiles, semismooth_block(ops, slice_sampler(k1), slice_sampler(k1.T), 0.37))
 
 
 def test_toeplitz_blocks_are_bitwise_the_plain_path():
@@ -99,39 +100,31 @@ def test_dense_blocks_are_bitwise_the_plain_path():
 @pytest.mark.parametrize("name", ["schrod_separable", "schrod_pereybuck"])
 def test_schrodinger_assembly_is_bitwise_the_plain_path(name, n):
     pot = catalog_lookup(name).potential
-    assert pot.reflected
+    assert pot.upper is None
     grid = cheb_grid(n, 0.0, pot.cutoff)
-    fast, plain = assemble(pot, grid), assemble(dataclasses.replace(pot, reflected=False), grid)
+    fast, plain = assemble(pot, grid), assemble(unreflected(pot), grid)
     for field in ("matrix", "k1", "k2"):
         assert np.array_equal(getattr(fast, field), getattr(plain, field)), field
 
 
-def _counting(kernel, counts):
-    """``kernel`` with the points each branch is sampled at added to ``counts``."""
-
-    def count(name, branch):
-        def sample(t, s):
-            counts[name] += np.broadcast(t, s).size
-            return branch(t, s)
-
-        return sample
-
-    return dataclasses.replace(kernel, k_lower=count("lower", kernel.k_lower), k_upper=count("upper", kernel.k_upper))
+def _points(calls, branch):
+    return sum(np.broadcast(t, s).size for name, t, s in calls if name == branch)
 
 
 @pytest.mark.parametrize("n", [1, TILE - 1, 2 * TILE + 2, 1023])
-def test_flagged_one_panel_assembly_samples_each_entry_once(n):
+def test_reflected_one_panel_assembly_samples_each_entry_once(monkeypatch, n):
     problem = catalog_lookup("example2")
     part = build_partition(problem.a, problem.b, orders=n)
-    counts = {"lower": 0, "upper": 0}
-    assemble_blocks(_counting(problem.kernel, counts), part, problem.lam, problem.rhs)
-    assert counts == {"lower": (n + 1) ** 2, "upper": 0}
-    counts = {"lower": 0, "upper": 0}
-    assemble_blocks(_counting(dataclasses.replace(problem.kernel, reflected=False), counts), part, problem.lam, problem.rhs)
-    assert counts == {"lower": (n + 1) ** 2, "upper": (n + 1) ** 2}
+    calls = []
+    record_branch_calls(monkeypatch, SemismoothKernel, calls)
+    assemble_blocks(problem.kernel, part, problem.lam, problem.rhs)
+    assert (_points(calls, "lower"), _points(calls, "upper")) == ((n + 1) ** 2, 0)
+    calls.clear()
+    assemble_blocks(unreflected(problem.kernel), part, problem.lam, problem.rhs)
+    assert (_points(calls, "lower"), _points(calls, "upper")) == ((n + 1) ** 2, (n + 1) ** 2)
 
 
-def test_flagged_one_panel_assembly_peak_at_n_1023():
+def test_reflected_one_panel_assembly_peak_at_n_1023():
     # the 8 MiB block plus two tiles of samples and two of work space; the
     # bound is the row-block walk's peak before the tile walk existed
     problem = catalog_lookup("example2")
@@ -145,7 +138,7 @@ def test_flagged_one_panel_assembly_peak_at_n_1023():
     assert peak <= 9.3 * 2**20
 
 
-def test_nan_in_a_flagged_kernel_raises_from_the_tile_that_samples_it():
+def test_nan_in_a_reflected_kernel_raises_from_the_tile_that_samples_it():
     # every value the tile walk reads comes through eval_lower, so a NaN in
     # the last node's row and column is caught, whichever tile samples it
     problem = catalog_lookup("example2")
@@ -156,3 +149,41 @@ def test_nan_in_a_flagged_kernel_raises_from_the_tile_that_samples_it():
     )
     with pytest.raises(KernelEvaluationError, match="lower kernel branch"):
         assemble_blocks(kernel, part, problem.lam, problem.rhs)
+
+
+@pytest.mark.parametrize("name", ["example2", "example4"])
+def test_replacing_the_lower_branch_replaces_the_mirrored_upper_branch(name):
+    # a reflected kernel with a new lower branch f is reflected in f: its
+    # upper branch is f(s, t) wherever it is read, in eval_upper and eval as
+    # in the tile walk of a one-panel assembly of two tiles a side
+    # (n + 1 = 182)
+    problem = catalog_lookup(name)
+    f = lambda t, s: np.exp(0.5 * t) * np.cos(3.0 * s + 0.2)
+    kernel = dataclasses.replace(problem.kernel, k_lower=f)
+    part = build_partition(problem.a, problem.b, orders=TILE)
+    t, s = part.grids[0].nodes[:, None], part.grids[0].nodes[None, :]
+    assert np.array_equal(kernel.eval_upper(t, s), f(s, t))
+    assert np.array_equal(kernel.eval(t, s), np.where(s <= t, f(t, s), f(s, t)))
+    k1, k2 = kernel.eval_lower(t, s), kernel.eval_upper(t, s)
+    reference = semismooth_block_reference(build_operators(TILE), k1, k2, problem.lam * part.grids[0].width / 2.0)
+    matrix = assemble_blocks(kernel, part, problem.lam, problem.rhs).matrix
+    assert np.array_equal(matrix.dense(), reference)
+
+
+@pytest.mark.parametrize("name", ["schrod_separable", "schrod_pereybuck"])
+def test_replacing_the_lower_potential_branch_replaces_the_mirrored_upper_branch(name):
+    # the same for a potential: assembled with its lower branch alone, it
+    # gives bitwise the system of a potential whose two branches are its own
+    # eval_lower and eval_upper
+    pot = catalog_lookup(name).potential
+    g = lambda p, r2: 0.1 * np.exp(-0.3 * p) / (1.0 + r2**2)
+    replaced = dataclasses.replace(pot, lower=g)
+    p, r2 = np.array([[0.4], [7.0]]), np.array([[1.5, 12.0, 19.0]])
+    assert np.array_equal(replaced.eval_upper(p, r2), g(r2, p))
+    explicit = NonlocalPotential(
+        lower=replaced.eval_lower, upper=replaced.eval_upper, strength=pot.strength, kappa=pot.kappa, cutoff=pot.cutoff
+    )
+    grid = cheb_grid(64, 0.0, pot.cutoff)
+    fast, plain = assemble(replaced, grid), assemble(explicit, grid)
+    for field in ("matrix", "k1", "k2"):
+        assert np.array_equal(getattr(fast, field), getattr(plain, field)), field

@@ -1,10 +1,8 @@
 """Nonlocal-potential scattering solver: kernel assembly and convergence."""
 
-import dataclasses
-
 import numpy as np
 import pytest
-from dense_oracle import integration_matrices, semismooth_block_reference
+from dense_oracle import integration_matrices, record_branch_calls, semismooth_block_reference, unreflected
 
 import chebfred.schrodinger as schrodinger
 from chebfred.kernel_catalog import NonlocalPotential, catalog_lookup
@@ -74,25 +72,18 @@ def _reference_kernel_matrices(potential, grid, ops):
 
 @pytest.mark.parametrize("reflected", [False, True])
 @pytest.mark.parametrize("name", ["schrod_pereybuck", "schrod_separable"])
-def test_assemble_samples_each_branch_once(name, reflected):
-    # both potentials are reflected; with the flag on, V2 is V1^T and the
-    # upper branch is never sampled
-    pot = dataclasses.replace(catalog_lookup(name).potential, reflected=reflected)
-    calls = {"lower": 0, "upper": 0}
-
-    def counted(branch, key):
-        def sample(p, r2):
-            calls[key] += 1
-            return branch(p, r2)
-
-        return sample
-
-    counted_pot = dataclasses.replace(
-        pot, lower=counted(pot.lower, "lower"), upper=counted(pot.upper, "upper")
-    )
+def test_assemble_samples_each_branch_once(monkeypatch, name, reflected):
+    # both potentials are reflected: V2 is V1^T and the upper branch is
+    # never sampled.  ``unreflected`` gives them an explicit upper branch
+    pot = catalog_lookup(name).potential
+    assert pot.upper is None
+    if not reflected:
+        pot = unreflected(pot)
+    calls = []
+    record_branch_calls(monkeypatch, NonlocalPotential, calls)
     grid = cheb_grid(48, 0.0, pot.cutoff)
-    system = assemble(counted_pot, grid)
-    assert calls == {"lower": 1, "upper": 0 if reflected else 1}
+    system = assemble(pot, grid)
+    assert [branch for branch, _, _ in calls] == (["lower"] if reflected else ["lower", "upper"])
     k11, k12, k21, k22 = _reference_kernel_matrices(pot, grid, build_operators(48))
     sin_t = np.sin(pot.kappa * grid.nodes)[:, None]
     cos_t = np.cos(pot.kappa * grid.nodes)[:, None]
