@@ -105,11 +105,17 @@ class SemismoothKernel:
         return lower, self.eval_upper(np.transpose(s), np.transpose(t))
 
 
-def as_semismooth(kernel):
-    """A plain callable k(t, s) as ``SemismoothKernel(k, k)``; a kernel with branches as is."""
-    if hasattr(kernel, "eval_lower"):
+def as_semismooth(kernel) -> SemismoothKernel:
+    """A ``SemismoothKernel`` as is; any other object with ``eval_lower`` and
+    ``eval_upper`` as the kernel of those two branches, keeping its flags;
+    a plain callable k(t, s) as ``SemismoothKernel(k, k)``."""
+    if isinstance(kernel, SemismoothKernel):
         return kernel
-    return SemismoothKernel(kernel, kernel)
+    if not hasattr(kernel, "eval_lower"):
+        return SemismoothKernel(kernel, kernel)
+    names = ("singular_points", "boundary_singular", "difference_form")
+    flags = {f: getattr(kernel, f) for f in names if hasattr(kernel, f)}
+    return SemismoothKernel(kernel.eval_lower, kernel.eval_upper, **flags)
 
 
 @dataclass(frozen=True)
@@ -125,7 +131,7 @@ class BenchmarkProblem:
     summary: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class NonlocalPotential:
     """Nonlocal potential v(p, r'), split along p = r'.
 
@@ -135,7 +141,7 @@ class NonlocalPotential:
     docstring).  ``strength`` is folded into the branch values already and
     kept only for reporting, as are the wavenumber ``kappa``, the domain
     cutoff ``cutoff`` (the potential is treated as negligible past it), and
-    the optional ``nonlocal_range``.
+    the optional ``nonlocal_range``.  The fields are keyword-only.
     """
 
     lower: Callable
@@ -145,12 +151,15 @@ class NonlocalPotential:
     nonlocal_range: float | None = None
     upper: Callable | None = None
 
+    @property
+    def _upper(self) -> Callable:
+        return _swapped(self.lower) if self.upper is None else self.upper
+
     def eval_lower(self, p, r2) -> np.ndarray:
         return _checked(self.lower, p, r2, "lower potential branch")
 
     def eval_upper(self, p, r2) -> np.ndarray:
-        upper = _swapped(self.lower) if self.upper is None else self.upper
-        return _checked(upper, p, r2, "upper potential branch")
+        return _checked(self._upper, p, r2, "upper potential branch")
 
     def eval_mirrored(self, p, r2):
         """As ``SemismoothKernel.eval_mirrored``, but a reflected potential's

@@ -165,6 +165,30 @@ def test_toeplitz_reuse_matches_direct_assembly():
     assert np.array_equal(reused.rhs, direct.rhs)
 
 
+@pytest.mark.parametrize("name, toeplitz", [("example1", False), ("example2", True), ("example2", False)])
+def test_a_branch_object_assembles_as_the_kernel_it_forwards_to(name, toeplitz):
+    # any object with eval_lower and eval_upper is the kernel of those two
+    # branches, its difference_form flag kept: on three equal panels it
+    # assembles to the same doubles as the catalog kernel, reflected or not
+    problem = catalog_lookup(name)
+    kernel = dataclasses.replace(problem.kernel, difference_form=toeplitz)
+    branches = type(
+        "K",
+        (),
+        {
+            "eval_lower": staticmethod(kernel.eval_lower),
+            "eval_upper": staticmethod(kernel.eval_upper),
+            "difference_form": toeplitz,
+        },
+    )()
+    edges = np.linspace(problem.a, problem.b, 4)
+    part = build_partition(problem.a, problem.b, breakpoints=tuple(edges[1:-1]), orders=15)
+    wrapped = assemble_blocks(branches, part, problem.lam, problem.rhs)
+    direct = assemble_blocks(kernel, part, problem.lam, problem.rhs)
+    assert isinstance(wrapped.matrix, ToeplitzBlocks) == toeplitz
+    assert np.array_equal(wrapped.matrix.dense(), direct.matrix.dense())
+
+
 def test_long_range_difference_kernel_solution():
     problem = catalog_lookup("example2", T=200.0 * np.pi)
     edges = np.linspace(problem.a, problem.b, 9)

@@ -14,6 +14,7 @@ from chebfred.composite_solver import build_partition
 from chebfred.kernel_catalog import (
     CatalogError,
     KernelEvaluationError,
+    NonlocalPotential,
     SemismoothKernel,
     catalog_lookup,
     catalog_names,
@@ -172,6 +173,14 @@ def test_separable_potential_record():
     assert problem.solution(0.0) == pytest.approx(1.0)
     # manufactured rhs at r=0: (1 - 3 lam/4) + 3 lam/4 - 0 = 1
     assert problem.rhs(0.0) == pytest.approx(1.0)
+
+
+def test_potential_fields_are_keyword_only():
+    # upper follows the required fields, so a positional call in the old
+    # field order would bind every value one field off
+    smooth = lambda p, r2: np.exp(-np.abs(p - r2))
+    with pytest.raises(TypeError):
+        NonlocalPotential(smooth, smooth, 0.1, 1.0, 20.0)
 
 
 def test_pereybuck_potential_record():
