@@ -12,11 +12,12 @@ per order: ``build_operators(n)`` alone; a one-panel ``assemble_blocks`` of
 each kernel in ``ASSEMBLIES``, which is what a one-panel solve assembles
 (operators, kernel sampling and ``semismooth_block``); and ``dense_solve``
 of the example2 block held as a fresh one-panel operator, which is what a
-one-panel solve factors (the copy that LU overwrites, the LU, the
-``gecon`` estimate and the solve).  ``ASSEMBLIES`` holds the reflected
-kernels example2 (T = pi/2 and 50 pi) and example4, which the tile-pair walk
-samples through the lower branch alone, and example1, which takes the
-row-block walk and is the control.  ``build_operators`` reports the best
+one-panel solve factors (below ``hierarchical.FLOAT32_CROSSOVER_N`` the copy
+that LU overwrites, the LU, the ``gecon`` estimate and the solve; from it
+up the float32 copy, its LU, the refinement and ``sgecon``).
+``ASSEMBLIES`` holds the reflected kernels example2 (T = pi/2 and 50 pi)
+and example4, which the tile-pair walk samples through the lower branch
+alone, and example1, which takes the row-block walk and is the control.  ``build_operators`` reports the best
 sample over every round.  The assembly and the dense solve report the best
 sample and the median and quartiles of every sample of every round, since
 one fast sample on a shared machine can decide a best-of figure, and the
@@ -34,7 +35,10 @@ solves read, with B from ``SpectralOperators.bracket_rows``, so the
 baseline must be a commit that has ``bracket_rows`` (8ba5047 or later).
 The change's worker also times the one-panel assembly with each value of
 ``fredholm_solver.ROW_BLOCK_ENTRIES`` in ``ROW_BLOCK_CANDIDATES``, which is
-how that constant was chosen.
+how that constant was chosen, and ``dense_solve`` of each ``SOLVES`` block
+at ``FLOAT32_ORDERS`` on the float32 path (a float32 LU refined in float64)
+and on float64 LU, by moving ``hierarchical.FLOAT32_CROSSOVER_N`` below and
+above the system, which is how that constant was chosen.
 """
 
 import argparse
@@ -65,6 +69,7 @@ SOLVES = (
 SOLVE_ORDERS = (511, 767, 1023)
 ROW_BLOCK_CANDIDATES = (2048, 4096, 8192, 16384, 32768, 65536, 131072)
 ROW_BLOCK_ORDERS = (255, 511, 767, 1023, 2047)
+FLOAT32_ORDERS = (383, 447, 511, 575, 639, 703, 767, 895, 1023)
 ROUNDS = 10
 REPEATS = 5
 # smallest total time of one timing sample, so that timer overhead is noise
@@ -84,10 +89,11 @@ def measure(with_deviation, with_sweep):
     """Worker: per order, the best build time, every dense solve sample,
     every assembly sample and the assembly's allocation peak per kernel
     and, in the first round, the oracle deviation and the solve errors;
-    with ``with_sweep``, the best assembly time per ROW_BLOCK_ENTRIES value."""
+    with ``with_sweep``, the best assembly time per ROW_BLOCK_ENTRIES value
+    and the best dense solve time of each SOLVES system per path."""
     import numpy as np
 
-    from chebfred import fredholm_solver
+    from chebfred import fredholm_solver, hierarchical
     from chebfred.block_operator import ToeplitzBlocks
     from chebfred.composite_solver import assemble_blocks, build_partition
     from chebfred.fredholm_solver import dense_solve, relative_sup_error, solve_fredholm
@@ -139,7 +145,23 @@ def measure(with_deviation, with_sweep):
             for entries in ROW_BLOCK_CANDIDATES:
                 fredholm_solver.ROW_BLOCK_ENTRIES = entries
                 sweep[f"{entries}/{n}"] = best_time(assemble)
-    return {"orders": out, "errors": errors, "row_block_sweep": sweep, "machine": _ab.machine()}
+    float32_sweep = {}
+    if with_sweep:
+        crossover = hierarchical.FLOAT32_CROSSOVER_N
+        for label, _, _ in SOLVES:  # each is also an ASSEMBLIES label
+            for n in FLOAT32_ORDERS:
+                system = one_panel_assembly(label, n)()
+                block = system.matrix.block(0, 0)
+                for path, smallest in (("float32", 0), ("float64", math.inf)):
+                    hierarchical.FLOAT32_CROSSOVER_N = smallest
+                    float32_sweep[f"{label}/{n}/{path}"] = best_time(
+                        lambda: dense_solve(ToeplitzBlocks([0, n + 1], {0: block}), system.rhs)
+                    )
+        hierarchical.FLOAT32_CROSSOVER_N = crossover
+    return {
+        "orders": out, "errors": errors, "row_block_sweep": sweep, "float32_sweep": float32_sweep,
+        "machine": _ab.machine(),
+    }
 
 
 def compare(samples, per_round):
@@ -171,7 +193,7 @@ def main():
     labels = [label for label, _, _ in ASSEMBLIES]
     # (quantity, n) -> side -> pooled samples, and -> side -> each round's median
     samples, per_round = {}, {}
-    deviation, errors, sweep = {}, {}, {}
+    deviation, errors, sweep, float32_sweep = {}, {}, {}, {}
     for r, side, src in _ab.alternating_rounds(commit, ROUNDS):
         flags = (["--deviation"] if r == 0 else []) + (["--sweep"] if side == "after" else [])
         result = _ab.run_worker(__file__, src, *flags)
@@ -190,6 +212,8 @@ def main():
             errors.setdefault(key, {})[side] = err
         for key, t in result["row_block_sweep"].items():
             sweep[key] = min(sweep.get(key, t), t)
+        for key, t in result["float32_sweep"].items():
+            float32_sweep[key] = min(float32_sweep.get(key, t), t)
     rows, assembly = [], []
     for n in ORDERS:
         build = compare(samples[("build", n)], per_round[("build", n)])
@@ -217,7 +241,8 @@ def main():
         "benchmark": (
             "spectral_core.build_operators (results: before_s/after_s, best sample), "
             "fredholm_solver.dense_solve of the one-panel example2 block as a fresh one-panel operator "
-            "(results: dense_solve_*: copy, LU, gecon, getrs), and a one-panel composite_solver.assemble_blocks "
+            "(results: dense_solve_*: copy, LU, gecon, getrs; from hierarchical.FLOAT32_CROSSOVER_N up, "
+            "float32 copy, sgetrf, refinement in float64, sgecon), and a one-panel composite_solver.assemble_blocks "
             "per kernel of ASSEMBLIES (assembly: operators, kernel sampling and semismooth_block), wall time per "
             "call; dense_solve_* and assembly rows give the best sample (*_s), the quartiles of every sample of "
             "every round (*_q1_s, *_median_s, *_q3_s) and the rounds won by the change on per-round medians "
@@ -252,6 +277,24 @@ def main():
                 str(entries): [sweep[f"{entries}/{n}"] for n in ROW_BLOCK_ORDERS] for entries in ROW_BLOCK_CANDIDATES
             },
         }
+    if float32_sweep:
+        report["float32_sweep"] = {
+            "note": (
+                "after side only: best time (s) over every round of dense_solve of the one-panel block of each "
+                "SOLVES system as a fresh one-panel operator, on the float32 path (float32 LU refined in float64) "
+                "and on float64 LU, chosen by hierarchical.FLOAT32_CROSSOVER_N; speedup = float64 / float32"
+            ),
+            "orders": list(FLOAT32_ORDERS),
+            "rows": [
+                {
+                    "problem": label, "n": n,
+                    "float32_s": float32_sweep[f"{label}/{n}/float32"],
+                    "float64_s": float32_sweep[f"{label}/{n}/float64"],
+                    "speedup": float32_sweep[f"{label}/{n}/float64"] / float32_sweep[f"{label}/{n}/float32"],
+                }
+                for label, _, _ in SOLVES for n in FLOAT32_ORDERS
+            ],
+        }
     OUT.write_text(json.dumps(report, indent=2) + "\n")
 
     def timing(row, side):
@@ -281,6 +324,11 @@ def main():
         for entries, times in report["row_block_sweep"]["best_s"].items():
             cells = "  ".join(f"n={n}: {t * 1e3:7.3f} ms" for n, t in zip(ROW_BLOCK_ORDERS, times))
             print(f"ROW_BLOCK_ENTRIES={entries:>7s}  {cells}")
+    for row in report.get("float32_sweep", {}).get("rows", []):
+        print(
+            f"{row['problem']:>15s} n={row['n']:5d}  dense_solve float64 {row['float64_s'] * 1e3:.3f}"
+            f" -> float32 {row['float32_s'] * 1e3:.3f} ms  x{row['speedup']:.2f}"
+        )
     return 0
 
 

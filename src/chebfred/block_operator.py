@@ -82,7 +82,7 @@ class BlockOperator:
         x = np.asarray(x, dtype=float)
         if len(x) != src[3] - src[2]:
             raise ValueError(f"operand has {len(x)} rows, expected {src[3] - src[2]}")
-        out = self._apply(x.reshape(len(x), -1), rows, cols, transpose)
+        out = self._apply(x[:, None] if x.ndim == 1 else x, rows, cols, transpose)
         return out.reshape(-1) if x.ndim == 1 else out
 
     def abs_sums(self):

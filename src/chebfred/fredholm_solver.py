@@ -25,7 +25,7 @@ from itertools import accumulate
 import numpy as np
 
 from .block_operator import ToeplitzBlocks, as_block_operator
-from .hierarchical import _lu, _lu_rcond, _lu_solve, hierarchical_solve
+from .hierarchical import _lu, _lu_rcond, _lu_solve, float32_solve, hierarchical_solve
 from .kernel_catalog import as_semismooth
 from .spectral_core import ChebGrid, SpectralOperators, build_operators, cheb_grid, chebyshev_eval
 
@@ -63,29 +63,44 @@ def dense_solve(matrix, rhs: np.ndarray):
     is not finite does an exact finiteness check, once per distinct block,
     decide between ``ValueError`` and an overflowed norm.
 
-    With at least two panels and N at or above ``hierarchical.CROSSOVER_N``,
-    the system is factored hierarchically from its blocks, forming no N x N
-    array: the matrix is bisected at panel boundaries, each off-diagonal
-    block is compressed to low rank by a seeded randomized range finder
-    working through blockwise products, and the factorization solves
-    through the Sherman-Morrison-Woodbury formula.  Under Toeplitz block
-    structure each distinct subtree is compressed and factored once.  That
-    answer is refined against the exact operator and kept only when the last
-    correction is below eps ||x||, or when refinement stagnates at a
-    normwise backward error of a few eps; rcond then comes from the same
-    estimator ``gecon`` uses (dlacn2), run on hierarchical solves with A and
-    A^T.  A node whose ranks make the Woodbury update cost more than a dense
-    LU of the node is factored densely.  Every other outcome (one panel, N
-    below the crossover, no low-rank split, a zero pivot, refinement that
-    does not converge) takes the dense LU: ``BlockOperator.dense`` forms a
-    plain C-order copy of A, and LAPACK factors its transpose, which is the
-    same memory in Fortran order, in place by LU with partial pivoting
-    (``hierarchical._lu``, the helper the hierarchical leaves use too).  The
-    factors are those of A^T, so ``getrs`` solves A x = y with ``trans``
-    flipped (``_lu_solve``), and rcond is ``gecon``'s infinity-norm
-    estimate for A^T from ||A^T||_inf = ||A||_1, which is its 1-norm
-    estimate for A (``_lu_rcond``).  A zero pivot raises
-    ``SingularMatrixError``.
+    Three paths are tried in turn; the first two refine their answer
+    against the exact float64 A (``hierarchical._refine``) and keep it only
+    when the last correction is below eps ||x||, or when refinement
+    stagnates at a normwise backward error of a few eps.
+
+    1. Hierarchical, with at least two panels and N at or above
+       ``hierarchical.CROSSOVER_N``: the system is factored from its blocks,
+       forming no N x N array.  The matrix is bisected at panel boundaries,
+       each off-diagonal block is compressed to low rank by a seeded
+       randomized range finder working through blockwise products, and the
+       factorization solves through the Sherman-Morrison-Woodbury formula.
+       Under Toeplitz block structure each distinct subtree is compressed
+       and factored once.  A node whose ranks make the Woodbury update cost
+       more than a dense LU of the node is factored densely.  rcond comes
+       from the estimator ``gecon`` uses (dlacn2), run on hierarchical solves
+       with A and A^T.  It gives up on one panel, N below the crossover, no
+       low-rank split, a zero pivot or refinement that does not converge.
+    2. Float32 LU refined in float64, with N at or above
+       ``hierarchical.FLOAT32_CROSSOVER_N`` (``hierarchical.float32_solve``):
+       ``sgetrf`` factors a float32 copy of the one float64 array the
+       residual reads, a lone panel's stored block or else ``op.dense()``,
+       so one panel makes no N x N float64 copy.  Each inner ``sgetrs``
+       solve scales its right-hand side by a power of two near its
+       max-norm, so the cast neither underflows nor overflows, and rcond is
+       ``sgecon``'s estimate from the float32 factors.  It gives up when
+       ||A||_1, which bounds every entry, overflows float32, on a zero pivot,
+       and when refinement does not converge, which needs rcond well above
+       float32's eps, 6e-8.
+    3. Float64 LU, which every give-up above ends in, bitwise as if the
+       path had not been tried: ``BlockOperator.dense`` forms a plain
+       C-order copy of A, and LAPACK factors its transpose, which is the
+       same memory in Fortran order, in place by LU with partial pivoting
+       (``hierarchical._lu``, the helper the hierarchical leaves use too).
+       The factors are those of A^T, so ``getrs`` solves A x = y with
+       ``trans`` flipped (``_lu_solve``), and rcond is ``gecon``'s
+       infinity-norm estimate for A^T from ||A^T||_inf = ||A||_1, which is
+       its 1-norm estimate for A (``_lu_rcond``).  A zero pivot raises
+       ``SingularMatrixError``.
     """
     rhs = np.asarray(rhs, dtype=float)
     op = as_block_operator(matrix)
@@ -95,6 +110,8 @@ def dense_solve(matrix, rhs: np.ndarray):
     if not (np.isfinite(anorm) or op.is_finite()):
         raise ValueError("system matrix contains non-finite entries")
     solved = hierarchical_solve(op, rhs)
+    if solved is None:
+        solved = float32_solve(op, rhs)
     if solved is not None:
         x, rcond = solved
         return x, rcond, bool(rcond < RCOND_WARN)

@@ -38,8 +38,17 @@ back to its dense LU.  The condition estimate is LAPACK's dlacn2 iteration
 (Hager 1984; Higham, ACM TOMS 1988), the estimator ``gecon`` runs, applied
 through the hierarchical solves.
 
+The same refinement serves ``float32_solve``, the dense solve of a large
+well-conditioned system: a float32 LU is the approximate inverse, refined
+against the float64 matrix (Langou et al., SC 2006; Carson & Higham, SIAM
+J. Sci. Comput. 2018).  Single-precision LU takes about half the time and
+half the memory of double, and a second-kind system converges in a few
+steps.
+
 LU, its condition estimate and every dense solve are LAPACK's ``getrf``,
-``gecon`` and ``getrs`` from scipy's compiled LAPACK module,
+``gecon`` and ``getrs`` in double precision (``dgetrf``, ``dgecon``,
+``dgetrs``) and, for ``float32_solve``, in single (``sgetrf``, ``sgecon``,
+``sgetrs``), all from scipy's compiled LAPACK module,
 ``scipy.linalg._flapack``, loaded on its own: the ``scipy.linalg`` package
 costs each process about 0.3 s and 25 MB at import, and nothing else of it
 is used.  The QR and SVD of the range finder are ``numpy.linalg``'s.
@@ -54,12 +63,21 @@ import sys
 
 import numpy as np
 
-__all__ = ["CROSSOVER_N", "LEAF_SIZE", "SKETCH_TOL", "hierarchical_solve"]
+__all__ = [
+    "CROSSOVER_N", "FLOAT32_CROSSOVER_N", "LEAF_SIZE", "SKETCH_TOL", "float32_solve", "hierarchical_solve",
+]
 
 # Smallest system the hierarchical path is tried on, and the largest node
 # factored as a dense leaf; both from scripts/bench_composite_solve.py.
 CROSSOVER_N = 1024
 LEAF_SIZE = 128
+# Smallest system solved by a float32 LU refined in float64.  In the float32
+# sweep of scripts/bench_build_operators.py (BENCH_build_operators.json) it
+# loses to float64 LU at n = 383 on two of three systems and wins on all
+# three from n = 447 up, by x1.35-1.54 at n = 1023.  513 keeps every system
+# of N <= 512 on float64 LU, bitwise: every error-table row but the one
+# panel of order 1023 in longrange.csv.
+FLOAT32_CROSSOVER_N = 513
 # Singular values below SKETCH_TOL * ||A||_1 are dropped.
 SKETCH_TOL = 1e-12
 SEED = 20130501
@@ -100,6 +118,7 @@ def _load_flapack():
 
 _flapack = _load_flapack()
 _getrf, _gecon, _getrs = _flapack.dgetrf, _flapack.dgecon, _flapack.dgetrs
+_sgetrf, _sgecon, _sgetrs = _flapack.sgetrf, _flapack.sgecon, _flapack.sgetrs
 
 
 def _lu(matrix):
@@ -279,18 +298,19 @@ def _split(op, p0, p1, tol, rng, memo):
     return node
 
 
-def _refine(op, rhs, solve, anorm_inf):
+def _refine(matmul, rhs, solve, anorm_inf):
     """x <- x + H^{-1}(y - A x) until the correction is below eps ||x||.
 
-    The residual is computed block by block.  A refinement that stops
-    contracting is accepted only at a normwise backward error of at most
-    BERR_EPS * eps; anything else returns None.
+    ``matmul(x)`` is A x in float64 and ``solve`` applies H^{-1}, an
+    approximate inverse.  A refinement that stops contracting is accepted
+    only at a normwise backward error of at most BERR_EPS * eps; anything
+    else returns None.
     """
     x = solve(rhs)
     rhs_norm = np.max(np.abs(rhs))
     previous = np.inf
     for _ in range(MAX_REFINE):
-        residual = rhs - op.matmul(x)
+        residual = rhs - matmul(x)
         correction = solve(residual)
         size = np.max(np.abs(correction))
         refined = x + correction
@@ -301,6 +321,44 @@ def _refine(op, rhs, solve, anorm_inf):
             return x if berr <= BERR_EPS * _EPS else None
         x, previous = refined, size
     return None
+
+
+def float32_solve(op, rhs):
+    """(x, rcond) from a float32 LU refined in float64, or None to use float64 LU.
+
+    ``op`` is a ``BlockOperator``.  The system's one float64 array is the
+    stored block of a lone panel, else ``op.dense()``: the residual reads
+    it, and a float32 copy of it is factored by ``sgetrf``, transposed in
+    place as ``_lu`` does.  Each right-hand side of an inner ``sgetrs``
+    solve is scaled by a power of two near its max-norm before its cast,
+    so it neither overflows nor underflows, and the result is scaled back
+    exactly.  ``_refine`` refines the answer against the float64 array and
+    rcond is ``sgecon``'s estimate from the float32 factors.  None means the
+    path does not apply (N below FLOAT32_CROSSOVER_N, or ||A||_1, which
+    bounds every entry, is not finite in float32) or failed (a zero pivot,
+    or refinement that did not reach working accuracy).
+    """
+    if len(op) < FLOAT32_CROSSOVER_N:
+        return None
+    with np.errstate(over="ignore"):
+        anorm = np.float32(op.norm1())
+    if not np.isfinite(anorm):
+        return None
+    matrix = op.block(0, 0) if op.panels == 1 else op.dense()
+    lu, piv, info = _sgetrf(np.array(matrix, dtype=np.float32, order="C").T, overwrite_a=True)
+    if info > 0:
+        return None
+
+    def solve(b):
+        e = np.frexp(np.max(np.abs(b)))[1]
+        x, _info = _sgetrs(lu, piv, np.ldexp(b, -e).astype(np.float32), trans=1)
+        return np.ldexp(x.astype(float), e)
+
+    x = _refine(lambda v: matrix @ v, rhs, solve, op.norm_inf())
+    if x is None:
+        return None
+    rcond, _info = _sgecon(lu, anorm, norm="I")
+    return x, float(rcond)
 
 
 def _inverse_norm1_estimate(solve, solve_t, n):
@@ -356,7 +414,7 @@ def hierarchical_solve(op, rhs):
             if isinstance(root, _Leaf):
                 return None
             root.factor()
-            x = _refine(op, rhs, solve, anorm_inf)
+            x = _refine(op.matmul, rhs, solve, anorm_inf)
             if x is None:
                 return None
             ainvnm = _inverse_norm1_estimate(solve, solve_t, n)

@@ -10,7 +10,9 @@
   upper branch made explicit, which takes the assembly's plain path, and
   ``record_branch_calls``: the branch calls an assembly makes;
 * ``residual_check``: the residual of a catalog problem's analytic solution,
-  by trapezium sums.
+  by trapezium sums;
+* ``lu_solve``: the plain float64 LU solve, the dense path that the
+  hierarchical and float32 paths refine against and fall back to.
 
 Shared by the tests and scripts/bench_build_operators.py.  It imports
 nothing from chebfred, so the benchmark can check a baseline checkout
@@ -20,6 +22,7 @@ against it too.
 import dataclasses
 
 import numpy as np
+from scipy.linalg import lapack
 
 
 def cosine_matrix(n: int) -> np.ndarray:
@@ -184,3 +187,22 @@ def residual_check(problem, t, panels=10_000):
         int_right = np.trapezoid(kern.eval_upper(ti, s_right) * x(s_right), s_right)
         out[i] = abs(x(ti) + lam * (int_left + int_right) - y(ti))
     return out if np.ndim(t) else out[0]
+
+
+def lu_solve(matrix, rhs):
+    """(x, rcond) of A x = y by float64 LU with partial pivoting, call for
+    call the dense path of ``fredholm_solver.dense_solve``.
+
+    ``getrf`` factors the transpose of a C-order copy of A, which is the
+    same memory in Fortran order; ``getrs`` solves with A through
+    ``trans=1``; ``gecon`` gives the infinity-norm rcond of A^T from
+    ||A^T||_inf = ||A||_1, which is the 1-norm rcond of A.  So x is bitwise
+    the dense path's, and rcond agrees to its last bits (||A||_1 is summed
+    in another order).
+    """
+    lu, piv, info = lapack.dgetrf(np.array(matrix, dtype=float, order="C").T, overwrite_a=True)
+    if info > 0:
+        raise np.linalg.LinAlgError("zero pivot")
+    x, _info = lapack.dgetrs(lu, piv, rhs, trans=1)
+    rcond, _info = lapack.dgecon(lu, np.linalg.norm(matrix, 1), norm="I")
+    return x, float(rcond)
