@@ -33,9 +33,9 @@ The integration operators ``int_left`` and ``int_right`` are W = a + B and
 V = c - B as ``integration_matrices`` forms them from the vectors that the
 solves read, with B from ``SpectralOperators.bracket_rows``, so the
 baseline must be a commit that has ``bracket_rows`` (8ba5047 or later).
-The change's worker also times the one-panel assembly with each value of
-``fredholm_solver.ROW_BLOCK_ENTRIES`` in ``ROW_BLOCK_CANDIDATES``, which is
-how that constant was chosen, and ``dense_solve`` of each ``SOLVES`` block
+The change's first worker also times the one-panel assembly with each
+value of ``fredholm_solver.ROW_BLOCK_ENTRIES`` in ``ROW_BLOCK_CANDIDATES``,
+which is how that constant was chosen, and ``dense_solve`` of each ``SOLVES`` block
 at ``FLOAT32_ORDERS`` on the float32 path (a float32 LU refined in float64)
 and on float64 LU, by moving ``hierarchical.FLOAT32_CROSSOVER_N`` below and
 above the system, which is how that constant was chosen.
@@ -195,7 +195,8 @@ def main():
     samples, per_round = {}, {}
     deviation, errors, sweep, float32_sweep = {}, {}, {}, {}
     for r, side, src in _ab.alternating_rounds(commit, ROUNDS):
-        flags = (["--deviation"] if r == 0 else []) + (["--sweep"] if side == "after" else [])
+        # the sweeps choose constants, not A/B columns: one worker runs them
+        flags = (["--deviation"] if r == 0 else []) + (["--sweep"] if (r, side) == (0, "after") else [])
         result = _ab.run_worker(__file__, src, *flags)
         for n, v in result["orders"].items():
             n = int(n)
@@ -210,10 +211,8 @@ def main():
                 deviation.setdefault(n, {})[side] = v["max_deviation"]
         for key, err in result["errors"].items():
             errors.setdefault(key, {})[side] = err
-        for key, t in result["row_block_sweep"].items():
-            sweep[key] = min(sweep.get(key, t), t)
-        for key, t in result["float32_sweep"].items():
-            float32_sweep[key] = min(float32_sweep.get(key, t), t)
+        sweep.update(result["row_block_sweep"])
+        float32_sweep.update(result["float32_sweep"])
     rows, assembly = [], []
     for n in ORDERS:
         build = compare(samples[("build", n)], per_round[("build", n)])
@@ -268,9 +267,9 @@ def main():
     if sweep:
         report["row_block_sweep"] = {
             "note": (
-                "after side only: best time (s) of the one-panel example2 assemble_blocks, kernel sampling "
-                "included, per fredholm_solver.ROW_BLOCK_ENTRIES value and order; example2 is reflected, so "
-                "this times the tile-pair walk with tiles of side isqrt(ROW_BLOCK_ENTRIES)"
+                "after side, first round's worker only: best time (s) of the one-panel example2 assemble_blocks, "
+                "kernel sampling included, per fredholm_solver.ROW_BLOCK_ENTRIES value and order; example2 is "
+                "reflected, so this times the tile-pair walk with tiles of side isqrt(ROW_BLOCK_ENTRIES)"
             ),
             "orders": list(ROW_BLOCK_ORDERS),
             "best_s": {
@@ -280,7 +279,7 @@ def main():
     if float32_sweep:
         report["float32_sweep"] = {
             "note": (
-                "after side only: best time (s) over every round of dense_solve of the one-panel block of each "
+                "after side, first round's worker only: best time (s) of dense_solve of the one-panel block of each "
                 "SOLVES system as a fresh one-panel operator, on the float32 path (float32 LU refined in float64) "
                 "and on float64 LU, chosen by hierarchical.FLOAT32_CROSSOVER_N; speedup = float64 / float32"
             ),

@@ -80,17 +80,16 @@ def dense_solve(matrix, rhs: np.ndarray):
        from the estimator ``gecon`` uses (dlacn2), run on hierarchical solves
        with A and A^T.  It gives up on one panel, N below the crossover, no
        low-rank split, a zero pivot or refinement that does not converge.
-    2. Float32 LU refined in float64, with N at or above
+    2. Float32 LU refined in float64, with one panel and N at or above
        ``hierarchical.FLOAT32_CROSSOVER_N`` (``hierarchical.float32_solve``):
-       ``sgetrf`` factors a float32 copy of the one float64 array the
-       residual reads, a lone panel's stored block or else ``op.dense()``,
-       so one panel makes no N x N float64 copy.  Each inner ``sgetrs``
-       solve scales its right-hand side by a power of two near its
-       max-norm, so the cast neither underflows nor overflows, and rcond is
-       ``sgecon``'s estimate from the float32 factors.  It gives up when
-       ||A||_1, which bounds every entry, overflows float32, on a zero pivot,
-       and when refinement does not converge, which needs rcond well above
-       float32's eps, 6e-8.
+       ``sgetrf`` factors a float32 copy of the panel's stored block, which
+       the residual reads, so the path makes no N x N float64 copy.  Each
+       inner ``sgetrs`` solve scales its right-hand side by a power of two
+       near its max-norm, so the cast neither underflows nor overflows, and
+       rcond is ``sgecon``'s estimate from the float32 factors.  It gives up
+       on several panels, N below the crossover, when ||A||_1, which bounds
+       every entry, overflows float32, on a zero pivot, and when refinement
+       does not converge, which needs rcond well above float32's eps, 6e-8.
     3. Float64 LU, which every give-up above ends in, bitwise as if the
        path had not been tried: ``BlockOperator.dense`` forms a plain
        C-order copy of A, and LAPACK factors its transpose, which is the

@@ -39,9 +39,9 @@ back to its dense LU.  The condition estimate is LAPACK's dlacn2 iteration
 through the hierarchical solves.
 
 The same refinement serves ``float32_solve``, the dense solve of a large
-well-conditioned system: a float32 LU is the approximate inverse, refined
-against the float64 matrix (Langou et al., SC 2006; Carson & Higham, SIAM
-J. Sci. Comput. 2018).  Single-precision LU takes about half the time and
+well-conditioned one-panel system: a float32 LU is the approximate
+inverse, refined against the float64 matrix (Langou et al., SC 2006; Carson
+& Higham, SIAM J. Sci. Comput. 2018).  Single-precision LU takes about half the time and
 half the memory of double, and a second-kind system converges in a few
 steps.
 
@@ -71,12 +71,12 @@ __all__ = [
 # factored as a dense leaf; both from scripts/bench_composite_solve.py.
 CROSSOVER_N = 1024
 LEAF_SIZE = 128
-# Smallest system solved by a float32 LU refined in float64.  In the float32
-# sweep of scripts/bench_build_operators.py (BENCH_build_operators.json) it
-# loses to float64 LU at n = 383 on two of three systems and wins on all
-# three from n = 447 up, by x1.35-1.54 at n = 1023.  513 keeps every system
-# of N <= 512 on float64 LU, bitwise: every error-table row but the one
-# panel of order 1023 in longrange.csv.
+# Smallest one-panel system solved by a float32 LU refined in float64.  In
+# the float32 sweep of scripts/bench_build_operators.py
+# (BENCH_build_operators.json) it loses to float64 LU at n = 383 on two of
+# three systems and wins on all three from n = 447 up, by x1.35-1.54 at
+# n = 1023.  513 keeps every system of N <= 512 on float64 LU, bitwise:
+# every error-table row but the one panel of order 1023 in longrange.csv.
 FLOAT32_CROSSOVER_N = 513
 # Singular values below SKETCH_TOL * ||A||_1 are dropped.
 SKETCH_TOL = 1e-12
@@ -326,38 +326,41 @@ def _refine(matmul, rhs, solve, anorm_inf):
 def float32_solve(op, rhs):
     """(x, rcond) from a float32 LU refined in float64, or None to use float64 LU.
 
-    ``op`` is a ``BlockOperator``.  The system's one float64 array is the
-    stored block of a lone panel, else ``op.dense()``: the residual reads
-    it, and a float32 copy of it is factored by ``sgetrf``, transposed in
-    place as ``_lu`` does.  Each right-hand side of an inner ``sgetrs``
-    solve is scaled by a power of two near its max-norm before its cast,
-    so it neither overflows nor underflows, and the result is scaled back
-    exactly.  ``_refine`` refines the answer against the float64 array and
-    rcond is ``sgecon``'s estimate from the float32 factors.  None means the
-    path does not apply (N below FLOAT32_CROSSOVER_N, or ||A||_1, which
-    bounds every entry, is not finite in float32) or failed (a zero pivot,
-    or refinement that did not reach working accuracy).
+    ``op`` is a ``BlockOperator`` of one panel.  The residual reads its
+    stored block, so the path makes no N x N float64 copy, and a float32
+    copy of that block is factored by ``sgetrf``, transposed in place as
+    ``_lu`` does.  Each right-hand side of an inner ``sgetrs`` solve is
+    scaled by a power of two near its max-norm before its cast, so it
+    neither overflows nor underflows, and the result is scaled back
+    exactly.  ``_refine`` refines the answer against the float64 block and
+    rcond is ``sgecon``'s estimate from the float32 factors.  None means
+    the path does not apply (several panels, N below FLOAT32_CROSSOVER_N,
+    or ||A||_1, which bounds every entry, is not finite in float32) or
+    failed (a zero pivot, or refinement that did not reach working
+    accuracy).
     """
-    if len(op) < FLOAT32_CROSSOVER_N:
+    if op.panels > 1 or len(op) < FLOAT32_CROSSOVER_N:
         return None
-    with np.errstate(over="ignore"):
-        anorm = np.float32(op.norm1())
-    if not np.isfinite(anorm):
-        return None
-    matrix = op.block(0, 0) if op.panels == 1 else op.dense()
-    lu, piv, info = _sgetrf(np.array(matrix, dtype=np.float32, order="C").T, overwrite_a=True)
-    if info > 0:
-        return None
+    matrix = op.block(0, 0)
 
     def solve(b):
         e = np.frexp(np.max(np.abs(b)))[1]
         x, _info = _sgetrs(lu, piv, np.ldexp(b, -e).astype(np.float32), trans=1)
         return np.ldexp(x.astype(float), e)
 
-    x = _refine(lambda v: matrix @ v, rhs, solve, op.norm_inf())
-    if x is None:
-        return None
-    rcond, _info = _sgecon(lu, anorm, norm="I")
+    # overflow anywhere, or an inf from a float32-subnormal pivot, hands the
+    # system back to float64 LU
+    with np.errstate(all="ignore"):
+        anorm = np.float32(op.norm1())
+        if not np.isfinite(anorm):
+            return None
+        lu, piv, info = _sgetrf(np.array(matrix, dtype=np.float32, order="C").T, overwrite_a=True)
+        if info > 0:
+            return None
+        x = _refine(lambda v: matrix @ v, rhs, solve, op.norm_inf())
+        if x is None:
+            return None
+        rcond, _info = _sgecon(lu, anorm, norm="I")
     return x, float(rcond)
 
 

@@ -190,12 +190,15 @@ def _random_operator(seed, toeplitz, panels=8, size=128):
 
 
 @pytest.mark.parametrize("toeplitz", [True, False])
-def test_full_rank_operator_returns_the_dense_lu_answer(toeplitz):
+def test_full_rank_operator_returns_the_dense_lu_answer(toeplitz, monkeypatch):
     op = _random_operator(3, toeplitz)
     rhs = np.ones(len(op))
     assert hierarchical.hierarchical_solve(op, rhs) is None
-    plain = dense_solve(op.dense(), rhs)
+    assert hierarchical.float32_solve(op, rhs) is None
     blocked = dense_solve(op, rhs)
+    # the same array as one panel, kept on float64 LU
+    monkeypatch.setattr(hierarchical, "FLOAT32_CROSSOVER_N", len(op) + 1)
+    plain = dense_solve(op.dense(), rhs)
     assert np.array_equal(plain[0], blocked[0])
     assert abs(blocked[1] - plain[1]) <= 4 * np.finfo(float).eps * plain[1]
 

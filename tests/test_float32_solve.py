@@ -92,3 +92,30 @@ def test_scaling_never_gives_a_quiet_wrong_answer(rhs_scale, matrix_scale, float
     assert _rel(x, x_lu) < 1e-12
     if not float32:
         assert np.array_equal(x, x_lu)
+
+
+def test_float32_subnormal_pivot_returns_the_float64_lu_answer():
+    # 1e-40 is a nonzero float32 pivot, so sgetrf succeeds, but sgetrs gives inf
+    n = 600
+    matrix = np.diag(np.r_[np.ones(n - 1), 1e-40])
+    rhs = np.ones(n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert hierarchical.float32_solve(as_block_operator(matrix), rhs) is None
+        x, rcond, warn = dense_solve(matrix, rhs)
+    x_lu, rcond_lu = lu_solve(matrix, rhs)
+    assert np.array_equal(x, x_lu)
+    assert rcond == pytest.approx(rcond_lu, rel=1e-12)
+    assert warn
+
+
+def test_several_panels_are_bitwise_the_float64_lu():
+    # N = 800 is above the float32 crossover and below the hierarchical one
+    problem = catalog_lookup("example1")
+    partition = build_partition(problem.a, problem.b, [(problem.a + problem.b) / 2], orders=399)
+    system = assemble_blocks(problem.kernel, partition, problem.lam, problem.rhs)
+    assert len(system.matrix) == 800 and system.matrix.panels == 2
+    assert hierarchical.hierarchical_solve(system.matrix, system.rhs) is None
+    assert hierarchical.float32_solve(system.matrix, system.rhs) is None
+    x, _, _ = dense_solve(system.matrix, system.rhs)
+    assert np.array_equal(x, lu_solve(system.matrix.dense(), system.rhs)[0])

@@ -130,12 +130,15 @@ def _same_lu_answer(plain, other):
     assert plain[2] == other[2]
 
 
-def test_full_rank_coupling_returns_the_lu_answer():
+def test_full_rank_coupling_returns_the_lu_answer(monkeypatch):
     matrix, offsets = _blocked_random(hierarchical.CROSSOVER_N, 4, 3)
     rhs = np.ones(len(matrix))
     blocked = as_block_operator(matrix, offsets)
     assert hierarchical.hierarchical_solve(blocked, rhs) is None
-    _same_lu_answer(dense_solve(matrix, rhs), dense_solve(blocked, rhs))
+    answer = dense_solve(blocked, rhs)
+    # the same array as one panel, kept on float64 LU
+    monkeypatch.setattr(hierarchical, "FLOAT32_CROSSOVER_N", len(matrix) + 1)
+    _same_lu_answer(dense_solve(matrix, rhs), answer)
 
 
 def test_singular_blocked_matrix_raises():
