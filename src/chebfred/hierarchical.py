@@ -73,10 +73,11 @@ CROSSOVER_N = 1024
 LEAF_SIZE = 128
 # Smallest one-panel system solved by a float32 LU refined in float64.  In
 # the float32 sweep of scripts/bench_build_operators.py
-# (BENCH_build_operators.json) it loses to float64 LU at n = 383 on two of
-# three systems and wins on all three from n = 447 up, by x1.35-1.54 at
-# n = 1023.  513 keeps every system of N <= 512 on float64 LU, bitwise:
-# every error-table row but the one panel of order 1023 in longrange.csv.
+# (BENCH_build_operators.json) it beats float64 LU on all three systems
+# from n = 383 up, in all but one reading (x0.97, example2 at n = 639),
+# and by x1.32-1.47 at n = 1023; the gain below n = 512 is within the
+# noise.  513 keeps every system of N <= 512 on float64 LU, bitwise: every
+# error-table row but the one panel of order 1023 in longrange.csv.
 FLOAT32_CROSSOVER_N = 513
 # Singular values below SKETCH_TOL * ||A||_1 are dropped.
 SKETCH_TOL = 1e-12

@@ -23,9 +23,10 @@ from workloads import tolerance  # noqa: E402
 SINGLE_PANEL_LARGE = (("example1", {}), ("example2", {}), ("example2", {"T": 50.0 * math.pi}))
 
 
-def _one_panel(name, order, **overrides):
+def _system(name, order, panels=1, **overrides):
     problem = catalog_lookup(name, **overrides)
-    partition = build_partition(problem.a, problem.b, orders=order)
+    breakpoints = np.linspace(problem.a, problem.b, panels + 1)[1:-1]
+    partition = build_partition(problem.a, problem.b, breakpoints, orders=order)
     return problem, partition, assemble_blocks(problem.kernel, partition, problem.lam, problem.rhs)
 
 
@@ -41,7 +42,7 @@ def _well_conditioned(n=600, seed=5):
 @pytest.mark.parametrize("order", [704, 1023])
 @pytest.mark.parametrize("name, overrides", SINGLE_PANEL_LARGE)
 def test_refined_float32_solve_is_as_accurate_as_float64_lu(name, overrides, order):
-    problem, partition, system = _one_panel(name, order, **overrides)
+    problem, partition, system = _system(name, order, **overrides)
     assert len(system.matrix) >= hierarchical.FLOAT32_CROSSOVER_N
     assert hierarchical.float32_solve(system.matrix, system.rhs) is not None
     x, rcond, warn = dense_solve(system.matrix, system.rhs)
@@ -69,21 +70,25 @@ def test_refinement_that_fails_returns_the_float64_lu_answer():
     assert not warn
 
 
-def test_below_the_crossover_is_bitwise_the_float64_lu():
-    _, _, system = _one_panel("example2", hierarchical.FLOAT32_CROSSOVER_N - 2)
-    assert len(system.matrix) == hierarchical.FLOAT32_CROSSOVER_N - 1
+@pytest.mark.parametrize("panels, order", [
+    (1, hierarchical.FLOAT32_CROSSOVER_N - 2),  # N = 512, below the crossover
+    (2, 399),  # N = 800: several panels stay on float64 LU below the hierarchical crossover too
+])
+def test_systems_the_float32_path_skips_are_bitwise_the_float64_lu(panels, order):
+    _, _, system = _system("example2", order, panels)
     assert hierarchical.float32_solve(system.matrix, system.rhs) is None
     assert np.array_equal(dense_solve(system.matrix, system.rhs)[0], lu_solve(system.matrix.dense(), system.rhs)[0])
 
 
-@pytest.mark.parametrize("rhs_scale, matrix_scale, float32", [
-    (1e-50, 1.0, True),  # the rhs underflows to zero in float32 unless it is scaled
-    (1e50, 1.0, True),  # and overflows
-    (1.0, 1e300, False),  # A is finite in float64, infinite in float32
-])
-def test_scaling_never_gives_a_quiet_wrong_answer(rhs_scale, matrix_scale, float32):
-    matrix, rhs = _well_conditioned()
-    matrix, rhs = matrix * matrix_scale, rhs * rhs_scale
+@pytest.mark.parametrize("system, float32", [
+    (lambda a, y: (a, y * 1e-50), True),  # the rhs underflows to zero in float32 unless it is scaled
+    (lambda a, y: (a, y * 1e50), True),  # and overflows
+    (lambda a, y: (a * 1e300, y), False),  # A is finite in float64, infinite in float32
+    # 1e-40 is a nonzero float32 pivot, so sgetrf succeeds, but sgetrs gives inf
+    (lambda a, y: (np.diag(np.r_[np.ones(len(y) - 1), 1e-40]), y), False),
+], ids=["rhs*1e-50", "rhs*1e50", "A*1e300", "subnormal-pivot"])
+def test_scaling_never_gives_a_quiet_wrong_answer(system, float32):
+    matrix, rhs = system(*_well_conditioned())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert (hierarchical.float32_solve(as_block_operator(matrix), rhs) is not None) == float32
@@ -92,30 +97,3 @@ def test_scaling_never_gives_a_quiet_wrong_answer(rhs_scale, matrix_scale, float
     assert _rel(x, x_lu) < 1e-12
     if not float32:
         assert np.array_equal(x, x_lu)
-
-
-def test_float32_subnormal_pivot_returns_the_float64_lu_answer():
-    # 1e-40 is a nonzero float32 pivot, so sgetrf succeeds, but sgetrs gives inf
-    n = 600
-    matrix = np.diag(np.r_[np.ones(n - 1), 1e-40])
-    rhs = np.ones(n)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert hierarchical.float32_solve(as_block_operator(matrix), rhs) is None
-        x, rcond, warn = dense_solve(matrix, rhs)
-    x_lu, rcond_lu = lu_solve(matrix, rhs)
-    assert np.array_equal(x, x_lu)
-    assert rcond == pytest.approx(rcond_lu, rel=1e-12)
-    assert warn
-
-
-def test_several_panels_are_bitwise_the_float64_lu():
-    # N = 800 is above the float32 crossover and below the hierarchical one
-    problem = catalog_lookup("example1")
-    partition = build_partition(problem.a, problem.b, [(problem.a + problem.b) / 2], orders=399)
-    system = assemble_blocks(problem.kernel, partition, problem.lam, problem.rhs)
-    assert len(system.matrix) == 800 and system.matrix.panels == 2
-    assert hierarchical.hierarchical_solve(system.matrix, system.rhs) is None
-    assert hierarchical.float32_solve(system.matrix, system.rhs) is None
-    x, _, _ = dense_solve(system.matrix, system.rhs)
-    assert np.array_equal(x, lu_solve(system.matrix.dense(), system.rhs)[0])
