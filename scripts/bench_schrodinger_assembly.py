@@ -15,11 +15,25 @@ median and quartiles of every sample of every round, and the rounds won by
 the change on each round's median (``_ab.rounds_won``).  Each call also
 gets its ``tracemalloc`` peak (numpy reports its buffers to tracemalloc),
 and its largest entrywise deviation from the explicit Hadamard-product
-formula of tests/test_schrodinger.py, relative to s max|K| as that test
-bounds it.
+formula (``hadamard_matrix`` of tests/dense_oracle.py), relative to s max|K|
+as tests/test_schrodinger.py bounds it.
 Each side also reports the error of every scattering configuration that the
 error tables and the benchmark's ``schrodinger`` workload print, through
 ``cli.schrodinger_error``.
+
+Every worker of the change also times ``assemble`` on two paths, at each
+order of ``SWEEP_ORDERS``: factored from any order and up to any rank
+(``schrodinger.LOWRANK_MIN_ORDER`` and ``LOWRANK_MAX_RANK`` moved out of the
+way) and by the dense products (``LOWRANK_MIN_ORDER`` moved above the
+order).  It does so for the catalog potentials and for the Gaussian
+potentials 0.1 exp(-alpha (p - r')^2) of ``GAUSSIANS``, whose numerical
+ranks run from 11 to 30, and reports the rank that the factorisation
+finds.  For the Gaussian of ``HIGH_RANK_ALPHA``, of rank about 80, it
+times the committed constants instead of the factored path, from
+``LOWRANK_MIN_ORDER`` up: the cost of trying to factor and giving up.  The
+report gives each path's median over every sample and the rounds the first
+path won on per-round medians, which is how ``LOWRANK_MIN_ORDER`` and
+``LOWRANK_MAX_RANK`` were chosen.
 """
 
 import argparse
@@ -33,7 +47,11 @@ import _ab
 sys.path.insert(0, str(_ab.ROOT / "tests"))
 
 POTENTIALS = ("schrod_pereybuck", "schrod_separable")
-ORDERS = (64, 96, 128, 192, 256, 384, 512)
+ORDERS = (64, 96, 128, 159, 160, 192, 224, 256, 384, 512)
+SWEEP_ORDERS = (128, 160, 192, 224, 256, 384, 512)
+# alpha of the Gaussian potentials of the sweep: ranks 11, 13, 16, 17, 21, 30
+GAUSSIANS = (0.003, 0.007, 0.014, 0.02, 0.04, 0.1)
+HIGH_RANK_ALPHA = 1.0
 # the catalog orders of both problems plus the perfbench schrodinger workload's
 ERROR_ORDERS = {"schrod_pereybuck": (16, 32, 64, 128, 192), "schrod_separable": (16, 32, 64, 128, 256)}
 ROUNDS = 10
@@ -47,16 +65,56 @@ def time_samples(call):
     return _ab.time_samples(call, SAMPLE_S, REPEATS)
 
 
-def measure(with_accuracy):
+def sweep():
+    """Worker of the change: every timing sample of the two paths, and the
+    rank found, per sweep potential and order."""
+    import numpy as np
+
+    from chebfred import schrodinger
+    from chebfred.kernel_catalog import NonlocalPotential, catalog_lookup
+    from chebfred.spectral_core import cheb_grid
+
+    def gaussian(alpha):
+        lower = lambda p, r2: 0.1 * np.exp(-alpha * (p - r2) ** 2)
+        return NonlocalPotential(lower=lower, strength=0.1, kappa=1.0, cutoff=20.0)
+
+    constants = schrodinger.LOWRANK_MIN_ORDER, schrodinger.LOWRANK_MAX_RANK
+    # path -> (LOWRANK_MIN_ORDER, LOWRANK_MAX_RANK) at order n
+    paths = {"factored": lambda n: (0, n + 1), "dense": lambda n: (n + 1, n + 1), "committed": lambda n: constants}
+    # name -> (potential, the path timed against the dense one, orders)
+    runs = {name: (catalog_lookup(name).potential, "factored", SWEEP_ORDERS) for name in POTENTIALS}
+    runs.update({f"gaussian{alpha}": (gaussian(alpha), "factored", SWEEP_ORDERS) for alpha in GAUSSIANS})
+    high_orders = tuple(n for n in SWEEP_ORDERS if n >= constants[0])
+    runs[f"gaussian{HIGH_RANK_ALPHA}"] = (gaussian(HIGH_RANK_ALPHA), "committed", high_orders)
+    out = {}
+    try:
+        for name, (pot, path, orders) in runs.items():
+            for n in orders:
+                grid = cheb_grid(n, 0.0, pot.cutoff)
+                row = {"path": path}
+                for timed in (path, "dense"):
+                    schrodinger.LOWRANK_MIN_ORDER, schrodinger.LOWRANK_MAX_RANK = paths[timed](n)
+                    row[f"{timed}_samples_s"] = time_samples(lambda: schrodinger.assemble(pot, grid))
+                sample = pot.eval_lower(grid.nodes[:, None], grid.nodes[None, :])
+                factors = schrodinger._cross_factors(sample, paths[path](n)[1])
+                row["rank"] = None if factors is None else len(factors[0])
+                out[f"{name}/{n}"] = row
+    finally:
+        schrodinger.LOWRANK_MIN_ORDER, schrodinger.LOWRANK_MAX_RANK = constants
+    return out
+
+
+def measure(with_accuracy, with_sweep):
     """Worker: every timing sample and the allocation peak per potential and
-    order, and optionally the oracle deviations and the configuration errors."""
+    order, optionally the oracle deviations and the configuration errors,
+    and optionally the path sweep."""
     import numpy as np
 
     from chebfred.cli import schrodinger_error
     from chebfred.kernel_catalog import catalog_lookup
-    from chebfred.schrodinger import assemble
-    from chebfred.spectral_core import cheb_grid
-    from test_schrodinger import _hadamard_matrix
+    from chebfred.schrodinger import assemble, build_kernel_matrices
+    from chebfred.spectral_core import build_operators, cheb_grid
+    from dense_oracle import hadamard_matrix
 
     timings, errors = {}, {}
     for name in POTENTIALS:
@@ -69,14 +127,15 @@ def measure(with_accuracy):
             row["peak_mb"] = tracemalloc.get_traced_memory()[1] / 2**20
             tracemalloc.stop()
             if with_accuracy:
-                reference, term_scale = _hadamard_matrix(pot, grid)
+                ops = build_operators(n)
+                reference, term_scale = hadamard_matrix(pot, grid, ops, build_kernel_matrices(pot, grid, ops))
                 row["oracle_deviation"] = float(np.max(np.abs(matrix - reference)) / term_scale)
             timings[f"{name}/{n}"] = row
         if with_accuracy:
             problem = catalog_lookup(name)
             for n in ERROR_ORDERS[name]:
                 errors[f"{name}/{n}"] = schrodinger_error(problem, n)
-    return {"timings": timings, "errors": errors, "machine": _ab.machine()}
+    return {"timings": timings, "errors": errors, "sweep": sweep() if with_sweep else {}, "machine": _ab.machine()}
 
 
 def main():
@@ -84,9 +143,10 @@ def main():
     parser.add_argument("--baseline", help="git commit whose src/ is the 'before' side")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--accuracy", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--sweep", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.worker:
-        print(json.dumps(measure(args.accuracy)))
+        print(json.dumps(measure(args.accuracy, args.sweep)))
         return 0
     if not args.baseline:
         parser.error("--baseline is required")
@@ -95,8 +155,15 @@ def main():
     medians = {"before": {}, "after": {}}  # side -> key -> each round's median
     peaks, deviations = {"before": {}, "after": {}}, {"before": {}, "after": {}}
     errors = {}
+    sweep_samples, sweep_medians, ranks = {}, {}, {}  # key -> path -> samples / per-round medians
     for r, side, src in _ab.alternating_rounds(commit, ROUNDS):
-        result = _ab.run_worker(__file__, src, *(["--accuracy"] if r == 0 else []))
+        flags = (["--accuracy"] if r == 0 else []) + (["--sweep"] if side == "after" else [])
+        result = _ab.run_worker(__file__, src, *flags)
+        for key, v in result["sweep"].items():
+            ranks[key] = v["rank"], v["path"]
+            for path in (v["path"], "dense"):
+                sweep_samples.setdefault(key, {}).setdefault(path, []).extend(v[f"{path}_samples_s"])
+                sweep_medians.setdefault(key, {}).setdefault(path, []).append(statistics.median(v[f"{path}_samples_s"]))
         for key, v in result["timings"].items():
             samples[side].setdefault(key, []).extend(v["samples_s"])
             medians[side].setdefault(key, []).append(statistics.median(v["samples_s"]))
@@ -122,6 +189,16 @@ def main():
         {"configuration": key, "before": errors["before"][key], "after": errors["after"][key]}
         for key in errors["before"]
     ]
+    sweep_rows = []
+    for key, paths in sweep_samples.items():
+        name, n = key.split("/")
+        rank, path = ranks[key]
+        row = {"potential": name, "n": int(n), "rank": rank, "path": path}
+        row["path_median_s"] = statistics.median(paths[path])
+        row["dense_median_s"] = statistics.median(paths["dense"])
+        row["speedup"] = row["dense_median_s"] / row["path_median_s"]
+        row["rounds_won"] = _ab.rounds_won(sweep_medians[key]["dense"], sweep_medians[key][path])
+        sweep_rows.append(row)
     report = {
         "benchmark": (
             "schrodinger.assemble on the catalog potentials, wall time per call: the best sample (*_s), the "
@@ -149,6 +226,18 @@ def main():
         "machine": result["machine"],
         "results": rows,
         "configuration_errors": error_rows,
+        "path_sweep": {
+            "what": (
+                "schrodinger.assemble of the change on two paths: 'path' is factored (LOWRANK_MIN_ORDER and "
+                "LOWRANK_MAX_RANK moved out of the way) or committed (the constants as committed), against dense "
+                "(LOWRANK_MIN_ORDER above n); medians over every sample of every round (path_median_s, "
+                "dense_median_s), speedup = dense / path, and the rounds of the change's workers that 'path' won "
+                "on per-round medians; gaussian<alpha> is 0.1 exp(-alpha (p - r')^2); rank is the rank the "
+                "factorisation finds, null where it gives up at LOWRANK_MAX_RANK"
+            ),
+            "rounds": len(next(iter(sweep_medians.values()))["dense"]) if sweep_medians else 0,
+            "rows": sweep_rows,
+        },
     }
     OUT.write_text(json.dumps(report, indent=2) + "\n")
     print(f"times in ms as best / median; won = rounds of {ROUNDS} won by the change")
@@ -162,6 +251,13 @@ def main():
         )
     for row in error_rows:
         print(f"{row['configuration']:22s} error {row['before']:.6e} -> {row['after']:.6e}")
+    print("path sweep of the change: dense -> factored or committed median ms, rounds won by the latter")
+    for row in sweep_rows:
+        rank = "gave up" if row["rank"] is None else f"rank {row['rank']:3d}"
+        print(
+            f"{row['potential']:17s} n={row['n']:4d} {rank:8s} {row['path']:9s} {row['dense_median_s'] * 1e3:7.3f} ->"
+            f" {row['path_median_s'] * 1e3:7.3f}  x{row['speedup']:5.2f} won {row['rounds_won']:2d}"
+        )
     return 0
 
 

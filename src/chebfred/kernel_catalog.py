@@ -11,7 +11,7 @@ A kernel or potential given without an upper branch (``k_upper=None``,
 arguments swapped, k_upper(t, s) = k_lower(s, t), by construction.  A branch
 sample over a block of node pairs is then the transpose of the other
 branch's over the mirrored block, and the assembly samples the lower branch
-alone (``eval_mirrored``).  Example2, example4 and both scattering
+alone (``eval_mirrored``; the Schrodinger assembly transposes V1 itself).  Example2, example4 and both scattering
 potentials are given so; example1 and example3 carry both branches.
 """
 
@@ -160,15 +160,6 @@ class NonlocalPotential:
 
     def eval_upper(self, p, r2) -> np.ndarray:
         return _checked(self._upper, p, r2, "upper potential branch")
-
-    def eval_mirrored(self, p, r2):
-        """As ``SemismoothKernel.eval_mirrored``, but a reflected potential's
-        mirror is a C-order copy of the transpose: the BLAS products of the
-        Schrodinger assembly round by the layout of their operands."""
-        lower = self.eval_lower(p, r2)
-        if self.upper is None:
-            return lower, np.ascontiguousarray(lower.T)
-        return lower, self.eval_upper(np.transpose(r2), np.transpose(p))
 
 
 @dataclass(frozen=True)

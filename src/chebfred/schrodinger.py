@@ -34,21 +34,54 @@ vectors a, c and the bracket B,
 
     M = B o (cos sin^T - sin cos^T) + cos (sin o a)^T + sin (cos o c)^T,
 
-and d and e read B, a and c against Delta^T.  ``assemble`` therefore
-forms neither W nor V, and its two n-by-n products M V2 and M V1 cost
-4n^3 flops, half of the four products that K11..K22 take.
+and d and e read B, a and c against Delta^T.  Below order
+LOWRANK_MIN_ORDER, ``assemble`` forms K1 and K2 so, whole, by the two
+n-by-n products M V2 and M V1, which cost 4n^3 flops
+(``_spliced_branches``).  It forms neither W nor V on either path.
 ``build_kernel_matrices`` is kept as the K11..K22 reference that tests
 check the splice against.
+
+Low-rank potentials
+-------------------
+The sampled potentials are numerically low-rank: the Perey-Buck potential
+has rank 5 and the separable one rank 1 at every order from 128 to 512.
+From order LOWRANK_MIN_ORDER up, ``assemble`` factors V1 = X1 Y1^T, with
+n-by-r factors, by cross approximation, and accepts the factors only when
+every entry of V1 - X1 Y1^T is within (n + 1) eps max|V1|
+(``_cross_factors``).  A reflected potential has V2 = V1^T = Y1 X1^T.  One
+with an explicit upper branch factors V2^T the same way, so an unreflected
+copy of a reflected potential gets bitwise the reflected factors.  With
+V2 = X2 Y2^T, row scaling again commutes with the products:
+
+    (T/2) M X = (T/2) [cos o W (sin o X) + sin o V (cos o X)],
+    (T/2) d   =  (T/2) [(Y1 o W (sin o X1)) 1 - (Y2 o W (sin o X2)) 1],
+    (T/2) e   = -(T/2) [(Y1 o V (cos o X1)) 1 - (Y2 o V (cos o X2)) 1],
+
+where u o X scales row l of X by u_l and 1 sums over the r columns.  With
+W = a + B and V = c - B, all of them read one product of B with the
+2 (r1 + r2) columns Z = [sin o X1, sin o X2, cos o X1, cos o X2], formed a
+row block of B at a time, and the O(n r) offset rows a^T Z and c^T Z.  Then
+
+    K1 = [(T/2) M X2, cos] [Y2, (T/2) d]^T,
+    K2 = [(T/2) M X1, sin] [Y1, (T/2) e]^T
+
+are products of n-by-(r + 1) factors, which the samplers that
+``semismooth_block`` reads form a row block at a time
+(``_product_sampler``).  The work is O(n^2 r), and no n-by-n array remains
+but the sample and the block.  A potential whose rank exceeds
+LOWRANK_MAX_RANK is given up on, and the dense products answer, bitwise as
+below LOWRANK_MIN_ORDER.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .fredholm_solver import (
-    ChebSolution, _rhs_values, relative_sup_error, semismooth_block, solve_system
+    ROW_BLOCK_ENTRIES, ChebSolution, _rhs_values, relative_sup_error, semismooth_block, solve_system
 )
 from .kernel_catalog import NonlocalPotential, SchrodingerProblem
 from .spectral_core import ChebGrid, SpectralOperators, build_operators, cheb_grid
@@ -62,6 +95,18 @@ __all__ = [
     "solve_schrodinger",
     "self_convergence",
 ]
+
+# Order from which ``assemble`` factors the sampled potential, and the rank
+# past which it gives up and forms K1 and K2 by the dense products.  From the
+# path sweep of scripts/bench_schrodinger_assembly.py: the factored path wins
+# every round for both catalog potentials from n = 128 up, but order 128
+# stays dense, so that no pinned error-table row moves but Perey-Buck's at
+# 128, whose self-convergence solves order 256.  Rank 11 wins from n = 160
+# up and rank 16 from n = 256 up, a few percent behind at n = 160-224; rank
+# 17 loses up to n = 192.  Giving up costs the factorisation to the cap.
+LOWRANK_MIN_ORDER = 160
+LOWRANK_MAX_RANK = 16
+_EPS = np.finfo(float).eps
 
 
 def build_kernel_matrices(potential: NonlocalPotential, grid: ChebGrid, ops: SpectralOperators):
@@ -96,31 +141,28 @@ def build_kernel_matrices(potential: NonlocalPotential, grid: ChebGrid, ops: Spe
 
 @dataclass(frozen=True)
 class SchrodingerSystem:
-    """The assembled system: ``k1`` and ``k2`` are the spliced branches, and
-    ``matrix`` is their semismooth block."""
+    """The assembled system: ``matrix`` is the semismooth block of the
+    spliced branches, and ``sample_k1(rows, cols)`` and
+    ``sample_k2(rows, cols)`` return K1 and K2 on slices of rows and
+    columns, the samplers ``semismooth_block`` read them through."""
 
     grid: ChebGrid
-    k1: np.ndarray
-    k2: np.ndarray
+    sample_k1: Callable
+    sample_k2: Callable
     matrix: np.ndarray
     rhs: np.ndarray
 
 
-def _spliced_branches(
-    potential: NonlocalPotential, grid: ChebGrid, ops: SpectralOperators, sin_t, cos_t
-):
-    """K1 and K2 through the shared operator M (module docstring).
+def _spliced_branches(ops: SpectralOperators, v1, v2, half_t, sin_t, cos_t):
+    """K1 and K2 through the shared operator M (module docstring), from the
+    whole branch samples V1 and V2.
 
     Besides the bracket, the two branch samples and the two results, this
     allocates M and one scratch array.  The T/2 factor is folded into the
-    row vectors hc and hs.  V1 and V2 come from one
-    ``potential.eval_mirrored`` call, so a reflected potential is sampled
-    once, and its V2 is a C-order copy of V1^T: the BLAS product with the
-    transposed view itself rounds differently below about n = 128.
+    row vectors hc and hs.  A reflected potential's V2 is a C-order copy of
+    V1^T: the BLAS product with the transposed view itself rounds
+    differently below about n = 128.
     """
-    t = grid.nodes
-    v1, v2 = potential.eval_mirrored(t[:, None], t[None, :])
-    half_t = grid.width / 2.0
     a, c, bracket = ops.left_offset, ops.right_offset, ops.bracket_rows(0, ops.order + 1)
     hc = half_t * cos_t
     hs = half_t * sin_t
@@ -146,6 +188,120 @@ def _spliced_branches(
     return k1, k2
 
 
+def _cross_factors(sample, max_rank: int):
+    """(X^T, Y^T) for n-by-r factors with |sample - X Y^T| at most
+    (n + 1) eps max|sample| in every entry, or None if that needs a rank
+    above ``max_rank``.  The rows of the two (r, n + 1) arrays are the
+    factors' columns.
+
+    Cross approximation with complete pivoting (Bebendorf, Numer. Math.
+    86, 2000): each step takes the residual's entry of largest magnitude as
+    pivot and adds the cross through it, the pivot's residual column over
+    the pivot times its residual row, which zeroes that row and column of
+    the residual.  The residual is formed afresh each step as
+    sample - X Y^T, one BLAS product and one subtraction, so the next
+    pivot is the exact check: every entry is tested, and the sample is
+    left as it was.  The first pivot is max|sample|.  The steps read the
+    sample's values alone, not its layout.
+    """
+    n1 = sample.shape[1]
+    xs, ys = np.empty((max_rank, len(sample))), np.empty((max_rank, n1))
+    residual, product, rank = sample, None, 0
+    while True:
+        hi, lo = residual.argmax(), residual.argmin()
+        index = hi if residual.flat[hi] >= -residual.flat[lo] else lo
+        pivot = residual.flat[index]
+        if rank == 0:
+            tol = n1 * _EPS * abs(pivot)
+        if abs(pivot) <= tol:
+            return xs[:rank], ys[:rank]
+        if rank == max_rank:
+            return None
+        i, j = divmod(int(index), n1)
+        np.divide(residual[:, j], pivot, out=xs[rank])
+        ys[rank] = residual[i]
+        rank += 1
+        product = np.dot(xs[:rank].T, ys[:rank], out=product)
+        residual = np.subtract(sample, product, out=product)
+
+
+def _product_sampler(left, right):
+    """The sampler of left^T right, for arrays of shape (k, n + 1).
+
+    It forms whole row blocks of ROW_BLOCK_ENTRIES entries, the row blocks
+    of ``semismooth_block``, by BLAS products, and slices the requested
+    rows and columns from them.  A BLAS product rounds a row by where it
+    lies in the product, so over this fixed partition each entry is bitwise
+    the same whichever rows and columns it is requested among.
+    """
+    n1 = left.shape[1]
+    step = max(1, ROW_BLOCK_ENTRIES // n1)
+
+    def sample(rows, cols):
+        start, stop, _ = rows.indices(n1)
+        first = start - start % step
+        blocks = [left[:, lo : lo + step].T @ right for lo in range(first, stop, step)]
+        whole = blocks[0] if len(blocks) == 1 else np.vstack(blocks)
+        return whole[start - first : stop - first, cols]
+
+    return sample
+
+
+def _factored_branches(ops: SpectralOperators, x1, y1, x2, y2, half_t, sin_t, cos_t):
+    """Samplers of K1 and K2 from V1 = X1 Y1^T and V2 = X2 Y2^T (module
+    docstring), given as x1 = X1^T, y1 = Y1^T, x2 = X2^T and y2 = Y2^T.
+    One product of B with the columns Z = [sin o X1, sin o X2, cos o X1,
+    cos o X2], formed by row blocks of B, gives W (sin o X) and V (cos o X)
+    for X = [X1, X2], and from them (T/2) M X1, (T/2) M X2 and the splice
+    diagonals, each held by rows as the factors are."""
+    n1 = ops.order + 1
+    r = len(x1)
+    z = np.vstack((x1 * sin_t, x2 * sin_t, x1 * cos_t, x2 * cos_t))
+    bz = np.empty((len(z), n1))
+    step = max(1, ROW_BLOCK_ENTRIES // n1)
+    for start in range(0, n1, step):
+        stop = min(start + step, n1)
+        bz[:, start:stop] = z @ ops.bracket_rows(start, stop).T
+    # row k of g is W (sin o X)[:, k], of h V (cos o X)[:, k]
+    half = len(z) // 2
+    g = bz[:half]
+    g += (z[:half] @ ops.left_offset)[:, None]
+    h = bz[half:]
+    np.subtract((z[half:] @ ops.right_offset)[:, None], h, out=h)
+    p = half_t * cos_t * g + half_t * sin_t * h  # (T/2) M X, by rows
+    d = half_t * ((y1 * g[:r]).sum(axis=0) - (y2 * g[r:]).sum(axis=0))
+    e = -half_t * ((y1 * h[:r]).sum(axis=0) - (y2 * h[r:]).sum(axis=0))
+    sample_k1 = _product_sampler(np.vstack((p[r:], cos_t)), np.vstack((y2, d)))
+    sample_k2 = _product_sampler(np.vstack((p[:r], sin_t)), np.vstack((y1, e)))
+    return sample_k1, sample_k2
+
+
+def _branch_samplers(potential: NonlocalPotential, grid: ChebGrid, ops: SpectralOperators, sin_t, cos_t):
+    """Samplers of the spliced branches K1 and K2.
+
+    V1 is sampled once, and V2 only for a potential with an explicit upper
+    branch.  From order LOWRANK_MIN_ORDER up, V1 and V2^T are factored
+    (``_cross_factors``), and a reflected potential's V2 = Y1 X1^T takes
+    V1's factors swapped; then the samples are dropped, and K1 and K2 are
+    formed from the factors a row block at a time (``_factored_branches``).
+    Below that order, or past the rank cap, the whole K1 and K2 are formed
+    by the dense products (``_spliced_branches``).
+    """
+    t = grid.nodes
+    half_t = grid.width / 2.0
+    v1 = potential.eval_lower(t[:, None], t[None, :])
+    v2 = None if potential.upper is None else potential.eval_upper(t[:, None], t[None, :])
+    if grid.order >= LOWRANK_MIN_ORDER:
+        f1 = _cross_factors(v1, LOWRANK_MAX_RANK)
+        # V2^T = P Q^T gives V2 = Q P^T, so X2 = Q and Y2 = P
+        f2 = f1 if v2 is None or f1 is None else _cross_factors(v2.T, LOWRANK_MAX_RANK)
+        if f2 is not None:
+            return _factored_branches(ops, *f1, f2[1], f2[0], half_t, sin_t, cos_t)
+    v2 = np.ascontiguousarray(v1.T) if v2 is None else v2
+    k1, k2 = _spliced_branches(ops, v1, v2, half_t, sin_t, cos_t)
+    return (lambda rows, cols: k1[rows, cols]), (lambda rows, cols: k2[rows, cols])
+
+
 def assemble(potential: NonlocalPotential, grid: ChebGrid, rhs_override=None) -> SchrodingerSystem:
     if not (grid.a == 0.0 and grid.b == potential.cutoff):
         raise ValueError(
@@ -158,12 +314,10 @@ def assemble(potential: NonlocalPotential, grid: ChebGrid, rhs_override=None) ->
     t = grid.nodes
     sin_t = np.sin(kappa * t)
     cos_t = np.cos(kappa * t)
-    k1, k2 = _spliced_branches(potential, grid, ops, sin_t, cos_t)
-    matrix = semismooth_block(
-        ops, lambda rows, cols: k1[rows, cols], lambda rows, cols: k2[rows, cols], grid.width / (2.0 * kappa)
-    )
+    sample_k1, sample_k2 = _branch_samplers(potential, grid, ops, sin_t, cos_t)
+    matrix = semismooth_block(ops, sample_k1, sample_k2, grid.width / (2.0 * kappa))
     rhs = sin_t if rhs_override is None else _rhs_values(rhs_override, t)
-    return SchrodingerSystem(grid=grid, k1=k1, k2=k2, matrix=matrix, rhs=rhs)
+    return SchrodingerSystem(grid=grid, sample_k1=sample_k1, sample_k2=sample_k2, matrix=matrix, rhs=rhs)
 
 
 def solve_schrodinger(potential: NonlocalPotential, order: int, rhs_override=None) -> ChebSolution:

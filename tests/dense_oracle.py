@@ -7,14 +7,18 @@
   vectors of a ``SpectralOperators``, the ones every solve reads;
 * ``semismooth_block_reference``: the semismooth block over whole n x n
   arrays, and ``unreflected``: a reflected kernel or potential with its
-  upper branch made explicit, which takes the assembly's plain path, and
+  upper branch made explicit, which takes the assembly's plain path,
   ``record_branch_calls``: the branch calls an assembly makes;
+* ``hadamard_matrix``: the Schrodinger system by explicit Hadamard
+  products, and ``whole_branches``: a Schrodinger system's K1 and K2 in
+  full;
 * ``residual_check``: the residual of a catalog problem's analytic solution,
   by trapezium sums;
 * ``lu_solve``: the plain float64 LU solve, the dense path that the
   hierarchical and float32 paths refine against and fall back to.
 
-Shared by the tests and scripts/bench_build_operators.py.  It imports
+Shared by the tests, scripts/bench_build_operators.py and
+scripts/bench_schrodinger_assembly.py.  It imports
 nothing from chebfred, so the benchmark can check a baseline checkout
 against it too.
 """
@@ -125,6 +129,30 @@ def unreflected(branches):
     assert branches.upper is None
     lower = branches.lower
     return dataclasses.replace(branches, upper=lambda p, r2: lower(r2, p))
+
+
+def hadamard_matrix(potential, grid, ops, kernel_matrices):
+    """I + s D_c (W o K11 + V o K12) + s D_s (W o K21 + V o K22), with
+    s = T/(2 kappa) and K11..K22 the ``kernel_matrices`` of
+    ``schrodinger.build_kernel_matrices``, formed from explicit Hadamard
+    products with W and V; and s max|K|, the size of the summed terms."""
+    k11, k12, k21, k22 = kernel_matrices
+    t = grid.nodes
+    scale = grid.width / (2.0 * potential.kappa)
+    W, V = integration_matrices(ops)
+    matrix = (
+        np.eye(grid.order + 1)
+        + scale * np.cos(potential.kappa * t)[:, None] * (W * k11 + V * k12)
+        + scale * np.sin(potential.kappa * t)[:, None] * (W * k21 + V * k22)
+    )
+    return matrix, scale * max(np.max(np.abs(k)) for k in kernel_matrices)
+
+
+def whole_branches(system):
+    """K1 and K2 of a Schrodinger system in full, read through its samplers
+    ``sample_k1`` and ``sample_k2``."""
+    every = slice(0, system.grid.order + 1)
+    return system.sample_k1(every, every), system.sample_k2(every, every)
 
 
 def record_branch_calls(monkeypatch, cls, calls):

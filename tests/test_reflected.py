@@ -2,8 +2,9 @@
 
 A kernel or potential given without an upper branch is reflected, and is
 sampled through its lower branch alone: ``semismooth_block`` walks mirrored
-tile pairs, and ``assemble_blocks`` and Schrodinger ``assemble`` read the
-upper samples as transposes (``eval_mirrored``).  The oracle is the same
+tile pairs, ``assemble_blocks`` reads the upper samples as transposes
+(``eval_mirrored``), and Schrodinger ``assemble`` takes V2 as the transpose
+of V1, or its factors as V1's swapped.  The oracle is the same
 kernel with its upper branch made explicit (``dense_oracle.unreflected``),
 which samples both branches; every matrix must be bitwise the same.
 """
@@ -14,14 +15,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from dense_oracle import record_branch_calls, semismooth_block_reference, slice_sampler, unreflected
+from dense_oracle import (
+    record_branch_calls, semismooth_block_reference, slice_sampler, unreflected, whole_branches
+)
 
 from chebfred import fredholm_solver
 from chebfred.block_operator import DenseBlocks, ToeplitzBlocks
 from chebfred.composite_solver import assemble_blocks, build_partition
 from chebfred.fredholm_solver import semismooth_block
 from chebfred.kernel_catalog import KernelEvaluationError, NonlocalPotential, SemismoothKernel, catalog_lookup
-from chebfred.schrodinger import assemble
+from chebfred.schrodinger import LOWRANK_MIN_ORDER, assemble
 from chebfred.spectral_core import build_operators, cheb_grid
 
 TILE = math.isqrt(fredholm_solver.ROW_BLOCK_ENTRIES)
@@ -96,15 +99,22 @@ def test_dense_blocks_are_bitwise_the_plain_path():
     assert np.array_equal(fast.dense(), plain.dense())
 
 
-@pytest.mark.parametrize("n", [64, 255])
+@pytest.mark.parametrize("n", [64, 255, LOWRANK_MIN_ORDER - 1, LOWRANK_MIN_ORDER, 384])
 @pytest.mark.parametrize("name", ["schrod_separable", "schrod_pereybuck"])
 def test_schrodinger_assembly_is_bitwise_the_plain_path(name, n):
+    # from the crossover up, the plain path factors V2^T, which is bitwise
+    # V1, so it takes the reflected path's factors bitwise
     pot = catalog_lookup(name).potential
     assert pot.upper is None
     grid = cheb_grid(n, 0.0, pot.cutoff)
     fast, plain = assemble(pot, grid), assemble(unreflected(pot), grid)
-    for field in ("matrix", "k1", "k2"):
-        assert np.array_equal(getattr(fast, field), getattr(plain, field)), field
+    _assert_bitwise_systems(fast, plain)
+
+
+def _assert_bitwise_systems(fast, plain):
+    assert np.array_equal(fast.matrix, plain.matrix)
+    for k_fast, k_plain in zip(whole_branches(fast), whole_branches(plain)):
+        assert np.array_equal(k_fast, k_plain)
 
 
 def _points(calls, branch):
@@ -170,8 +180,9 @@ def test_replacing_the_lower_branch_replaces_the_mirrored_upper_branch(name):
     assert np.array_equal(matrix.dense(), reference)
 
 
+@pytest.mark.parametrize("n", [64, LOWRANK_MIN_ORDER, 384])
 @pytest.mark.parametrize("name", ["schrod_separable", "schrod_pereybuck"])
-def test_replacing_the_lower_potential_branch_replaces_the_mirrored_upper_branch(name):
+def test_replacing_the_lower_potential_branch_replaces_the_mirrored_upper_branch(name, n):
     # the same for a potential: assembled with its lower branch alone, it
     # gives bitwise the system of a potential whose two branches are its own
     # eval_lower and eval_upper
@@ -183,7 +194,5 @@ def test_replacing_the_lower_potential_branch_replaces_the_mirrored_upper_branch
     explicit = NonlocalPotential(
         lower=replaced.eval_lower, upper=replaced.eval_upper, strength=pot.strength, kappa=pot.kappa, cutoff=pot.cutoff
     )
-    grid = cheb_grid(64, 0.0, pot.cutoff)
-    fast, plain = assemble(replaced, grid), assemble(explicit, grid)
-    for field in ("matrix", "k1", "k2"):
-        assert np.array_equal(getattr(fast, field), getattr(plain, field)), field
+    grid = cheb_grid(n, 0.0, pot.cutoff)
+    _assert_bitwise_systems(assemble(replaced, grid), assemble(explicit, grid))

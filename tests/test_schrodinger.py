@@ -1,12 +1,20 @@
 """Nonlocal-potential scattering solver: kernel assembly and convergence."""
 
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
-from dense_oracle import integration_matrices, record_branch_calls, semismooth_block_reference, unreflected
+from dense_oracle import (
+    hadamard_matrix, integration_matrices, record_branch_calls, semismooth_block_reference, unreflected, whole_branches
+)
 
 import chebfred.schrodinger as schrodinger
 from chebfred.kernel_catalog import NonlocalPotential, catalog_lookup
 from chebfred.schrodinger import (
+    LOWRANK_MAX_RANK,
+    LOWRANK_MIN_ORDER,
     assemble,
     build_kernel_matrices,
     self_convergence,
@@ -15,6 +23,9 @@ from chebfred.schrodinger import (
 from chebfred.spectral_core import build_operators, cheb_grid
 
 T_CUT = 20.0
+# one order on each side of the crossover to the factored assembly, and the
+# largest order of the benchmark's schrodinger workload
+AROUND_CROSSOVER = (LOWRANK_MIN_ORDER - 1, LOWRANK_MIN_ORDER, 384)
 
 
 def _zero_potential():
@@ -22,13 +33,18 @@ def _zero_potential():
     return NonlocalPotential(lower=zero, upper=zero, strength=0.0, kappa=1.0, cutoff=T_CUT)
 
 
-def test_zero_potential_gives_free_solution():
+@pytest.mark.parametrize("order", [16, LOWRANK_MIN_ORDER])
+def test_zero_potential_gives_free_solution(order):
+    # from the crossover up, the zero sample factors with rank 0
     pot = _zero_potential()
-    grid = cheb_grid(16, 0.0, T_CUT)
+    grid = cheb_grid(order, 0.0, T_CUT)
     system = assemble(pot, grid)
-    assert np.all(system.k1 == 0.0) and np.all(system.k2 == 0.0)
-    assert np.array_equal(system.matrix, np.eye(17))
-    sol = solve_schrodinger(pot, 16)
+    k1, k2 = whole_branches(system)
+    assert np.all(k1 == 0.0) and np.all(k2 == 0.0)
+    assert np.array_equal(system.matrix, np.eye(order + 1))
+    xs, ys = schrodinger._cross_factors(np.zeros((order + 1, order + 1)), LOWRANK_MAX_RANK)
+    assert xs.shape == ys.shape == (0, order + 1)
+    sol = solve_schrodinger(pot, order)
     assert np.max(np.abs(sol.node_values - np.sin(grid.nodes))) < 1e-13
 
 
@@ -70,9 +86,10 @@ def _reference_kernel_matrices(potential, grid, ops):
     )
 
 
+@pytest.mark.parametrize("order", [48, *AROUND_CROSSOVER])
 @pytest.mark.parametrize("reflected", [False, True])
 @pytest.mark.parametrize("name", ["schrod_pereybuck", "schrod_separable"])
-def test_assemble_samples_each_branch_once(monkeypatch, name, reflected):
+def test_assemble_samples_each_branch_once(monkeypatch, name, reflected, order):
     # both potentials are reflected: V2 is V1^T and the upper branch is
     # never sampled.  ``unreflected`` gives them an explicit upper branch
     pot = catalog_lookup(name).potential
@@ -81,36 +98,26 @@ def test_assemble_samples_each_branch_once(monkeypatch, name, reflected):
         pot = unreflected(pot)
     calls = []
     record_branch_calls(monkeypatch, NonlocalPotential, calls)
-    grid = cheb_grid(48, 0.0, pot.cutoff)
+    grid = cheb_grid(order, 0.0, pot.cutoff)
     system = assemble(pot, grid)
     assert [branch for branch, _, _ in calls] == (["lower"] if reflected else ["lower", "upper"])
-    k11, k12, k21, k22 = _reference_kernel_matrices(pot, grid, build_operators(48))
+    k11, k12, k21, k22 = _reference_kernel_matrices(pot, grid, build_operators(order))
     sin_t = np.sin(pot.kappa * grid.nodes)[:, None]
     cos_t = np.cos(pot.kappa * grid.nodes)[:, None]
     # relative to the spliced terms: on the separable potential the splice
     # cancels e^T-scale entries
     term_scale = max(np.max(np.abs(k)) for k in (k11, k12, k21, k22))
-    for k, ref in ((system.k1, cos_t * k11 + sin_t * k21), (system.k2, cos_t * k12 + sin_t * k22)):
+    k1, k2 = whole_branches(system)
+    for k, ref in ((k1, cos_t * k11 + sin_t * k21), (k2, cos_t * k12 + sin_t * k22)):
         assert np.max(np.abs(k - ref)) <= 1e-13 * term_scale
 
 
 def _hadamard_matrix(potential, grid):
-    """I + s D_c (W o K11 + V o K12) + s D_s (W o K21 + V o K22), s = T/(2 kappa),
-    formed from explicit Hadamard products with W and V."""
     ops = build_operators(grid.order)
-    k11, k12, k21, k22 = build_kernel_matrices(potential, grid, ops)
-    t = grid.nodes
-    scale = grid.width / (2.0 * potential.kappa)
-    W, V = integration_matrices(ops)
-    matrix = (
-        np.eye(grid.order + 1)
-        + scale * np.cos(potential.kappa * t)[:, None] * (W * k11 + V * k12)
-        + scale * np.sin(potential.kappa * t)[:, None] * (W * k21 + V * k22)
-    )
-    return matrix, scale * max(np.max(np.abs(k)) for k in (k11, k12, k21, k22))
+    return hadamard_matrix(potential, grid, ops, build_kernel_matrices(potential, grid, ops))
 
 
-@pytest.mark.parametrize("order", [8, 32, 128, 256])
+@pytest.mark.parametrize("order", [8, 32, 128, 256, *AROUND_CROSSOVER])
 @pytest.mark.parametrize("name", ["schrod_pereybuck", "schrod_separable"])
 def test_matrix_is_semismooth_block_of_spliced_branches(name, order):
     """The spliced-branch assembly agrees with the Hadamard-product formula.
@@ -126,20 +133,21 @@ def test_matrix_is_semismooth_block_of_spliced_branches(name, order):
     assert np.max(np.abs(matrix - reference)) <= 1e-14 * term_scale
 
 
-@pytest.mark.parametrize("order", [8, 127, 255, 384])
+@pytest.mark.parametrize("order", [8, 127, 255, *AROUND_CROSSOVER])
 @pytest.mark.parametrize("name", ["schrod_pereybuck", "schrod_separable"])
 def test_matrix_is_bitwise_the_whole_array_block_of_spliced_branches(name, order):
     """The row-blocked ``semismooth_block`` gives the spliced branches'
-    block bitwise as the whole-array formula does."""
+    block bitwise as the whole-array formula does: a sampler's rows are
+    bitwise the same whether it is asked for a row block or for every row."""
     pot = catalog_lookup(name).potential
     grid = cheb_grid(order, 0.0, pot.cutoff)
     system = assemble(pot, grid)
     scale = grid.width / (2.0 * pot.kappa)
-    reference = semismooth_block_reference(build_operators(order), system.k1, system.k2, scale)
+    reference = semismooth_block_reference(build_operators(order), *whole_branches(system), scale)
     assert np.array_equal(system.matrix, reference)
 
 
-@pytest.mark.parametrize("order", [8, 32, 128])
+@pytest.mark.parametrize("order", [8, 32, 128, *AROUND_CROSSOVER])
 @pytest.mark.parametrize("name", ["schrod_pereybuck", "schrod_separable"])
 def test_matrix_is_semismooth_block_at_kappa_2(name, order):
     """The oracle comparison above at kappa = 2, where sin and cos of the
@@ -162,6 +170,99 @@ def test_assemble_forms_neither_integration_matrix(monkeypatch):
     for name in ("schrod_pereybuck", "schrod_separable"):
         pot = catalog_lookup(name).potential
         schrodinger.assemble(pot, cheb_grid(32, 0.0, pot.cutoff))
+
+
+def _forbid_dense_products(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("assemble formed K1 and K2 by the dense products")
+
+    monkeypatch.setattr(schrodinger, "_spliced_branches", forbidden)
+
+
+def test_catalog_potentials_take_the_factored_path(monkeypatch):
+    """From the crossover up, the catalog potentials (ranks 5 and 1) are
+    assembled from their factors: the dense products never run."""
+    _forbid_dense_products(monkeypatch)
+    for name in ("schrod_pereybuck", "schrod_separable"):
+        pot = catalog_lookup(name).potential
+        schrodinger.assemble(pot, cheb_grid(LOWRANK_MIN_ORDER, 0.0, pot.cutoff))
+
+
+@pytest.mark.parametrize("order", [LOWRANK_MIN_ORDER, 384])
+@pytest.mark.parametrize("name", ["schrod_pereybuck", "schrod_separable"])
+def test_samplers_are_bitwise_the_same_whichever_rows_are_asked(name, order):
+    """K1 and K2 entries do not depend on the rows and columns a sampler is
+    asked for: single rows, runs across row blocks and column ranges are
+    bitwise the whole arrays' entries."""
+    pot = catalog_lookup(name).potential
+    system = assemble(pot, cheb_grid(order, 0.0, pot.cutoff))
+    every = slice(0, order + 1)
+    asked = [(slice(i, i + 1), every) for i in (0, 1, 57, order)]
+    asked += [(slice(3, order - 2), every), (slice(40, 130), slice(7, 91)), (slice(order, order + 1), slice(0, 1))]
+    for sample, whole in zip((system.sample_k1, system.sample_k2), whole_branches(system)):
+        for rows, cols in asked:
+            assert np.array_equal(sample(rows, cols), whole[rows, cols]), (rows, cols)
+
+
+def _gaussian_potential(alpha, upper=None):
+    lower = lambda p, r2: 0.1 * np.exp(-alpha * (p - r2) ** 2)
+    return NonlocalPotential(lower=lower, upper=upper, strength=0.1, kappa=1.0, cutoff=T_CUT)
+
+
+@pytest.mark.parametrize("order", [LOWRANK_MIN_ORDER, 384])
+def test_high_rank_potential_is_bitwise_the_dense_products(monkeypatch, order):
+    """A potential whose rank exceeds the cap is given up on, and its system
+    is bitwise the one the dense products give below the crossover."""
+    pot = _gaussian_potential(1.0)
+    grid = cheb_grid(order, 0.0, pot.cutoff)
+    sample = pot.eval_lower(grid.nodes[:, None], grid.nodes[None, :])
+    assert schrodinger._cross_factors(sample, LOWRANK_MAX_RANK) is None
+    system = assemble(pot, grid)
+    monkeypatch.setattr(schrodinger, "LOWRANK_MIN_ORDER", order + 1)
+    dense = assemble(pot, grid)
+    assert np.array_equal(system.matrix, dense.matrix)
+    for k, ref in zip(whole_branches(system), whole_branches(dense)):
+        assert np.array_equal(k, ref)
+
+
+@pytest.mark.parametrize("order", [LOWRANK_MIN_ORDER, 384])
+def test_explicit_upper_branch_matches_the_oracle(monkeypatch, order):
+    """A potential whose upper branch is not its mirrored lower one: V2 is
+    factored through V2^T on its own, and the system matches the oracle."""
+    upper = lambda p, r2: 0.05 * np.exp(-(p + 2.0 * r2) / 10.0) * np.cos(0.3 * p)
+    pot = _gaussian_potential(0.003, upper=upper)
+    grid = cheb_grid(order, 0.0, pot.cutoff)
+    _forbid_dense_products(monkeypatch)
+    reference, term_scale = _hadamard_matrix(pot, grid)
+    matrix = assemble(pot, grid).matrix
+    assert np.max(np.abs(matrix - reference)) <= 1e-14 * term_scale
+
+
+def test_factored_solve_peak_at_n_384():
+    # with the dense products a solve at n = 384 peaked at 8.48e6 bytes;
+    # the factored assembly holds the sample, one product and the block
+    pot = catalog_lookup("schrod_pereybuck").potential
+    tracemalloc.start()
+    try:
+        solve_schrodinger(pot, 384)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.24e6
+
+
+def test_solve_does_not_import_numpy_random():
+    """Importing numpy.random loads 19 more modules and about 6 MB more
+    resident memory than numpy alone; the factorisation is deterministic
+    and needs none."""
+    code = (
+        "import sys\n"
+        "from chebfred.kernel_catalog import catalog_lookup\n"
+        "from chebfred.schrodinger import solve_schrodinger\n"
+        "solve_schrodinger(catalog_lookup('schrod_pereybuck').potential, 384)\n"
+        "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 def test_inner_integral_matrix_against_row_quadrature():
