@@ -12,7 +12,7 @@ per order: ``build_operators(n)`` alone; a one-panel ``assemble_blocks`` of
 each kernel in ``ASSEMBLIES``, which is what a one-panel solve assembles
 (operators, kernel sampling and ``semismooth_block``); and ``dense_solve``
 of the example2 block held as a fresh one-panel operator, which is what a
-one-panel solve factors (below ``hierarchical.FLOAT32_CROSSOVER_N`` the copy
+one-panel solve factors (below ``fredholm_solver.FLOAT32_CROSSOVER_N`` the copy
 that LU overwrites, the LU, the ``gecon`` estimate and the solve; from it
 up the float32 copy, its LU, the refinement and ``sgecon``).
 ``ASSEMBLIES`` holds the reflected kernels example2 (T = pi/2 and 50 pi)
@@ -37,7 +37,7 @@ The change's first worker also times the one-panel assembly with each
 value of ``fredholm_solver.ROW_BLOCK_ENTRIES`` in ``ROW_BLOCK_CANDIDATES``,
 which is how that constant was chosen, and ``dense_solve`` of each ``SOLVES`` block
 at ``FLOAT32_ORDERS`` on the float32 path (a float32 LU refined in float64)
-and on float64 LU, by moving ``hierarchical.FLOAT32_CROSSOVER_N`` below and
+and on float64 LU, by moving ``fredholm_solver.FLOAT32_CROSSOVER_N`` below and
 above the system, which is how that constant was chosen.
 """
 
@@ -93,7 +93,7 @@ def measure(with_deviation, with_sweep):
     and the best dense solve time of each SOLVES system per path."""
     import numpy as np
 
-    from chebfred import fredholm_solver, hierarchical
+    from chebfred import fredholm_solver
     from chebfred.block_operator import ToeplitzBlocks
     from chebfred.composite_solver import assemble_blocks, build_partition
     from chebfred.fredholm_solver import dense_solve, relative_sup_error, solve_fredholm
@@ -147,17 +147,17 @@ def measure(with_deviation, with_sweep):
                 sweep[f"{entries}/{n}"] = best_time(assemble)
     float32_sweep = {}
     if with_sweep:
-        crossover = hierarchical.FLOAT32_CROSSOVER_N
+        crossover = fredholm_solver.FLOAT32_CROSSOVER_N
         for label, _, _ in SOLVES:  # each is also an ASSEMBLIES label
             for n in FLOAT32_ORDERS:
                 system = one_panel_assembly(label, n)()
                 block = system.matrix.block(0, 0)
                 for path, smallest in (("float32", 0), ("float64", math.inf)):
-                    hierarchical.FLOAT32_CROSSOVER_N = smallest
+                    fredholm_solver.FLOAT32_CROSSOVER_N = smallest
                     float32_sweep[f"{label}/{n}/{path}"] = best_time(
                         lambda: dense_solve(ToeplitzBlocks([0, n + 1], {0: block}), system.rhs)
                     )
-        hierarchical.FLOAT32_CROSSOVER_N = crossover
+        fredholm_solver.FLOAT32_CROSSOVER_N = crossover
     return {
         "orders": out, "errors": errors, "row_block_sweep": sweep, "float32_sweep": float32_sweep,
         "machine": _ab.machine(),
@@ -240,7 +240,7 @@ def main():
         "benchmark": (
             "spectral_core.build_operators (results: before_s/after_s, best sample), "
             "fredholm_solver.dense_solve of the one-panel example2 block as a fresh one-panel operator "
-            "(results: dense_solve_*: copy, LU, gecon, getrs; from hierarchical.FLOAT32_CROSSOVER_N up, "
+            "(results: dense_solve_*: copy, LU, gecon, getrs; from fredholm_solver.FLOAT32_CROSSOVER_N up, "
             "float32 copy, sgetrf, refinement in float64, sgecon), and a one-panel composite_solver.assemble_blocks "
             "per kernel of ASSEMBLIES (assembly: operators, kernel sampling and semismooth_block), wall time per "
             "call; dense_solve_* and assembly rows give the best sample (*_s), the quartiles of every sample of "
@@ -281,7 +281,7 @@ def main():
             "note": (
                 "after side, first round's worker only: best time (s) of dense_solve of the one-panel block of each "
                 "SOLVES system as a fresh one-panel operator, on the float32 path (float32 LU refined in float64) "
-                "and on float64 LU, chosen by hierarchical.FLOAT32_CROSSOVER_N; speedup = float64 / float32"
+                "and on float64 LU, chosen by fredholm_solver.FLOAT32_CROSSOVER_N; speedup = float64 / float32"
             ),
             "orders": list(FLOAT32_ORDERS),
             "rows": [

@@ -27,6 +27,7 @@ many_panel systems.
 """
 
 import argparse
+import contextlib
 import json
 import math
 import time
@@ -100,6 +101,27 @@ def solve_call(problem_name, panels, order, T):
     )
 
 
+@contextlib.contextmanager
+def patched(module, **values):
+    """Module attributes set to ``values`` for the duration, then restored."""
+    saved = {name: getattr(module, name) for name in values}
+    for name, value in values.items():
+        setattr(module, name, value)
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            setattr(module, name, value)
+
+
+def float64_lu(op, rhs):
+    """``dense_solve`` of ``op`` as one dense panel, kept on float64 LU."""
+    from chebfred import fredholm_solver
+
+    with patched(fredholm_solver, FLOAT32_CROSSOVER_N=math.inf):
+        return fredholm_solver.dense_solve(op.dense(), rhs)
+
+
 def best_time(fn, repeats=REPEATS):
     best, result = math.inf, None
     for _ in range(repeats):
@@ -110,11 +132,16 @@ def best_time(fn, repeats=REPEATS):
 
 
 def details(system):
-    """Ranks per tree level, sharing, refinement steps and the comparison with plain LU."""
+    """Ranks per tree level, sharing, refinement steps and the comparison with float64 LU.
+
+    The refinement steps are those of ``fredholm_solver.refined_solve``,
+    counted as the calls of the builder's ``solve`` less the first; they are
+    None when the hierarchical path does not answer.
+    """
     import numpy as np
 
     from chebfred import hierarchical
-    from chebfred.fredholm_solver import dense_solve
+    from chebfred.fredholm_solver import dense_solve, refined_solve
 
     op, rhs = system.matrix, system.rhs
     compressions = []
@@ -124,12 +151,9 @@ def details(system):
         compressions.append(1)
         return compress(*args)
 
-    hierarchical._compress = counted
-    try:
+    with patched(hierarchical, _compress=counted):
         root = hierarchical._build(op, 0, op.panels, hierarchical.SKETCH_TOL * op.norm1(),
                                    np.random.default_rng(hierarchical.SEED), {})
-    finally:
-        hierarchical._compress = compress
     ranks, distinct = [], {}
     level = [root]
     while level:
@@ -138,18 +162,24 @@ def details(system):
         if nodes:
             ranks.append(sorted({r for node in nodes for r in (node.u1.shape[1], node.u2.shape[1])}))
         level = [child for node in nodes for child in (node.left, node.right)]
-    steps = None
-    if isinstance(root, hierarchical._Node):
-        root.factor()
-        solves = []
+    build, solves = hierarchical.hierarchical_solve, []
+
+    def counted_build(op, anorm):
+        built = build(op, anorm)
+        if built is None:
+            return None
+        solve, rcond = built
 
         def counted_solve(b):
             solves.append(1)
-            return root.solve(b[:, None])[:, 0]
+            return solve(b)
 
-        hierarchical._refine(op, rhs, counted_solve, op.norm_inf())
-        steps = len(solves) - 1
-    x_dense, rcond_dense, _ = dense_solve(op.dense(), rhs)
+        return counted_solve, rcond
+
+    with patched(hierarchical, hierarchical_solve=counted_build):
+        refined = refined_solve(op, rhs, op.norm1())
+    steps = None if refined is None else len(solves) - 1
+    x_dense, rcond_dense, _ = float64_lu(op, rhs)
     x, rcond, _ = dense_solve(op, rhs)
     return {
         "ranks_by_level": ranks,
@@ -208,45 +238,38 @@ def measure_resolved():
 
 
 def crossover_table():
+    """Float64 LU against the refined hierarchical path, with the crossover moved below every case."""
     from chebfred import hierarchical
-    from chebfred.fredholm_solver import dense_solve
+    from chebfred.fredholm_solver import refined_solve
 
     rows = []
-    crossover = hierarchical.CROSSOVER_N
-    hierarchical.CROSSOVER_N = 0
-    try:
+    with patched(hierarchical, CROSSOVER_N=0):
         for name, T, panels, order in CROSSOVER_CASES:
             _, system = build(name, panels, order, T)
             op, rhs = system.matrix, system.rhs
-            dense_s, _ = best_time(lambda: dense_solve(op.dense(), rhs), 5)
-            hier_s, solved = best_time(lambda: hierarchical.hierarchical_solve(op, rhs), 5)
+            dense_s, _ = best_time(lambda: float64_lu(op, rhs), 5)
+            hier_s, solved = best_time(lambda: refined_solve(op, rhs, op.norm1()), 5)
             rows.append({"problem": name, "panels": panels, "order": order, "N": len(op),
                          "dense_s": dense_s, "hierarchical_s": hier_s, "fell_back": solved is None})
-    finally:
-        hierarchical.CROSSOVER_N = crossover
     return rows
 
 
 def sweeps():
     """Hierarchical time per many_panel system at other leaf sizes and tolerances."""
     from chebfred import hierarchical
+    from chebfred.fredholm_solver import refined_solve
 
-    saved = hierarchical.LEAF_SIZE, hierarchical.SKETCH_TOL
     systems = [(label, build(name, p, n, T)[1]) for label, name, p, n, T in MANY_PANEL]
     out = {"leaf_size": [], "sketch_tol": []}
-    try:
-        for key, values in (("leaf_size", LEAF_SIZES), ("sketch_tol", SKETCH_TOLS)):
-            for value in values:
-                hierarchical.LEAF_SIZE, hierarchical.SKETCH_TOL = saved
-                setattr(hierarchical, key.upper(), value)
-                row = {key: value}
+    for key, values in (("leaf_size", LEAF_SIZES), ("sketch_tol", SKETCH_TOLS)):
+        for value in values:
+            row = {key: value}
+            with patched(hierarchical, **{key.upper(): value}):
                 for label, system in systems:
-                    seconds, solved = best_time(lambda: hierarchical.hierarchical_solve(
-                        system.matrix, system.rhs), 5)
+                    op = system.matrix
+                    seconds, solved = best_time(lambda: refined_solve(op, system.rhs, op.norm1()), 5)
                     row[label] = None if solved is None else seconds
-                out[key].append(row)
-    finally:
-        hierarchical.LEAF_SIZE, hierarchical.SKETCH_TOL = saved
+            out[key].append(row)
     return out
 
 

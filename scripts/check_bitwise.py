@@ -19,7 +19,19 @@ only, so that any baseline runs it:
   the crossover to the factored assembly;
 * the node values of the gleg, alg1 and tdef solves of example2 and
   example4 at their catalog orders;
+* the node values x of ``dense_solve`` on systems that take each of its
+  paths: hierarchical (example2 at T = 200 pi, 8 x 127 and 16 x 63;
+  example4, 16 x 63), float32 LU refined in float64 (example1, 1 x 1023;
+  example2, 1 x 767) and float64 LU (example2, 1 x 511; example2 at
+  T = 200 pi, 2 x 399);
 * the six CSVs of scripts/run_error_tables.py, without ``elapsed_ms``.
+
+The solves hash x and not rcond, which is not reproducible to the bit:
+``gecon``'s estimate for the same float64 LU differed in its last bits
+between two processes of the same code whose environments differed in one
+variable (example2, 1 x 511: 0x1.f37df414b52e2p-7 against ...e4p-7), and
+``sgecon``'s moved by one float32 ulp between two versions of the code whose
+x agreed bitwise (example1, 1 x 1023: 0x1.377388p-1 against 0x1.37738ap-1).  The tests hold rcond to a relative tolerance.
 
 It prints every item whose hash differs, or raised on one side only, and
 exits 1 if there is one.
@@ -54,6 +66,16 @@ LAYOUTS = (
     ("example4", {}, 2, 200),
     ("example4", {}, 3, (31, 63, 15)),
 )
+# (name, overrides, panels, order) of the dense_solve items, laid out as LAYOUTS
+SOLVES = (
+    ("example2", {"T": 200 * math.pi}, 8, 127),
+    ("example2", {"T": 200 * math.pi}, 16, 63),
+    ("example4", {}, 16, 63),
+    ("example1", {}, 1, 1023),
+    ("example2", {}, 1, 767),
+    ("example2", {}, 1, 511),
+    ("example2", {"T": 200 * math.pi}, 2, 399),
+)
 SCHRODINGER_ORDERS = (16, 32, 64, 127, 128, 159, 160, 192, 256, 384)
 BASELINE_METHODS = ("gleg", "alg1", "tdef")
 
@@ -69,6 +91,7 @@ def hashes():
     from chebfred.baselines import MethodNotApplicableError
     from chebfred.cli import run_method
     from chebfred.composite_solver import assemble_blocks, build_partition
+    from chebfred.fredholm_solver import dense_solve
     from chebfred.kernel_catalog import catalog_lookup
     from chebfred.schrodinger import assemble
     from chebfred.spectral_core import cheb_grid
@@ -84,6 +107,17 @@ def hashes():
     def system(problem, partition):
         return digest(assemble_blocks(problem.kernel, partition, problem.lam, problem.rhs).matrix.dense())
 
+    def solve(problem, partition):
+        blocks = assemble_blocks(problem.kernel, partition, problem.lam, problem.rhs)
+        return digest(dense_solve(blocks.matrix, blocks.rhs)[0])
+
+    def layout(problem, panels, orders):
+        edges = np.linspace(problem.a, problem.b, panels + 1)[1:-1]
+        return build_partition(
+            problem.a, problem.b, breakpoints=tuple(edges), orders=orders,
+            singular_points=problem.kernel.singular_points,
+        )
+
     for name, overrides in ONE_PANEL:
         problem = catalog_lookup(name, **overrides)
         for n in ONE_PANEL_ORDERS:
@@ -91,12 +125,12 @@ def hashes():
             record(f"one panel {name} {overrides} n={n}", lambda: system(problem, part))
     for name, overrides, panels, orders in LAYOUTS:
         problem = catalog_lookup(name, **overrides)
-        edges = np.linspace(problem.a, problem.b, panels + 1)[1:-1]
-        part = build_partition(
-            problem.a, problem.b, breakpoints=tuple(edges), orders=orders,
-            singular_points=problem.kernel.singular_points,
-        )
+        part = layout(problem, panels, orders)
         record(f"layout {name} {overrides} {panels}x{orders}", lambda: system(problem, part))
+    for name, overrides, panels, order in SOLVES:
+        problem = catalog_lookup(name, **overrides)
+        part = layout(problem, panels, order)
+        record(f"dense_solve x {name} {overrides} {panels}x{order}", lambda: solve(problem, part))
     plain = catalog_lookup("example1")
     plain_part = build_partition(-1.0, 1.0, breakpoints=(-0.3, 0.4), orders=(20, 31, 17))
     record("plain callable kernel 20/31/17", lambda: digest(assemble_blocks(

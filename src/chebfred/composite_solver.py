@@ -20,15 +20,9 @@ storage.
 
 Because the kernel is smooth away from s = t, every block that couples two
 disjoint groups of panels is numerically low-rank.  ``solve_composite``
-passes the operator to ``dense_solve`` (through ``solve_system``), which from
-``hierarchical.CROSSOVER_N`` unknowns on factors the system hierarchically
-from its blocks: bisection at panel boundaries, randomized compression of
-the off-diagonal blocks through blockwise products, one compression and
-factorization per distinct subtree under Toeplitz structure,
-Sherman-Morrison-Woodbury solves, and refinement against the exact operator.
-Under Toeplitz structure the N x N array is formed only for dense LU: for
-one panel, below the crossover, and as the fallback whenever the
-hierarchical answer does not reach working accuracy (see ``dense_solve``).
+passes the operator to ``dense_solve`` (through ``solve_system``), whose
+hierarchical path factors a large system from its blocks and forms no N x N
+array; ``dense_solve`` says which path runs when.
 """
 
 from __future__ import annotations

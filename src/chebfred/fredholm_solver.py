@@ -12,8 +12,9 @@ partition of [a, b], and ``solve_fredholm`` is its one-panel case:
 ``discretize_smooth`` (the ``alg1`` baseline) treats the kernel as one
 smooth function and needs only the full-interval weight row.
 
-This module also holds what every solver shares: ``dense_solve``, the rhs
-check, and ``solve_system``, which solves and builds the ``ChebSolution``.
+This module also holds what every solver shares: ``dense_solve``, with the
+refinement of its fast paths, the rhs check, and ``solve_system``, which
+solves and builds the ``ChebSolution``.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ from itertools import accumulate
 
 import numpy as np
 
+from . import hierarchical
 from .block_operator import ToeplitzBlocks, as_block_operator
-from .hierarchical import _lu, _lu_rcond, _lu_solve, float32_solve, hierarchical_solve
+from .hierarchical import _flapack, _lu, _lu_rcond, _lu_solve
 from .kernel_catalog import as_semismooth
 from .spectral_core import ChebGrid, SpectralOperators, build_operators, cheb_grid, chebyshev_eval
 
@@ -45,6 +47,20 @@ RCOND_WARN = 1e-12
 # Entries per row block of ``semismooth_block``, from
 # scripts/bench_build_operators.py: 32 rows at n = 1000.
 ROW_BLOCK_ENTRIES = 32768
+# Smallest one-panel system solved by a float32 LU refined in float64.  In
+# the float32 sweep of scripts/bench_build_operators.py
+# (BENCH_build_operators.json) it beats float64 LU on all three systems
+# from n = 383 up, in all but one reading (x0.97, example2 at n = 639),
+# and by x1.32-1.47 at n = 1023; the gain below n = 512 is within the
+# noise.  513 keeps every system of N <= 512 on float64 LU, bitwise: every
+# error-table row but the one panel of order 1023 in longrange.csv.
+FLOAT32_CROSSOVER_N = 513
+# Iterative refinement: most steps, and the largest normwise backward error
+# accepted from a refinement that stopped contracting, in units of eps.
+MAX_REFINE = 8
+BERR_EPS = 8.0
+
+_EPS = np.finfo(float).eps
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -63,43 +79,23 @@ def dense_solve(matrix, rhs: np.ndarray):
     is not finite does an exact finiteness check, once per distinct block,
     decide between ``ValueError`` and an overflowed norm.
 
-    Three paths are tried in turn; the first two refine their answer
-    against the exact float64 A (``hierarchical._refine``) and keep it only
-    when the last correction is below eps ||x||, or when refinement
-    stagnates at a normwise backward error of a few eps.
+    At most one refined path applies, chosen by the operator's shape
+    (``refined_solve``): a hierarchical factorization
+    (``hierarchical.hierarchical_solve``) with several panels and N at or
+    above ``hierarchical.CROSSOVER_N``, or a float32 LU (``float32_solve``)
+    with one panel and N at or above ``FLOAT32_CROSSOVER_N``.  Its answer is
+    refined against the exact float64 A and kept only when it reaches
+    working accuracy.
 
-    1. Hierarchical, with at least two panels and N at or above
-       ``hierarchical.CROSSOVER_N``: the system is factored from its blocks,
-       forming no N x N array.  The matrix is bisected at panel boundaries,
-       each off-diagonal block is compressed to low rank by a seeded
-       randomized range finder working through blockwise products, and the
-       factorization solves through the Sherman-Morrison-Woodbury formula.
-       Under Toeplitz block structure each distinct subtree is compressed
-       and factored once.  A node whose ranks make the Woodbury update cost
-       more than a dense LU of the node is factored densely.  rcond comes
-       from the estimator ``gecon`` uses (dlacn2), run on hierarchical solves
-       with A and A^T.  It gives up on one panel, N below the crossover, no
-       low-rank split, a zero pivot or refinement that does not converge.
-    2. Float32 LU refined in float64, with one panel and N at or above
-       ``hierarchical.FLOAT32_CROSSOVER_N`` (``hierarchical.float32_solve``):
-       ``sgetrf`` factors a float32 copy of the panel's stored block, which
-       the residual reads, so the path makes no N x N float64 copy.  Each
-       inner ``sgetrs`` solve scales its right-hand side by a power of two
-       near its max-norm, so the cast neither underflows nor overflows, and
-       rcond is ``sgecon``'s estimate from the float32 factors.  It gives up
-       on several panels, N below the crossover, when ||A||_1, which bounds
-       every entry, overflows float32, on a zero pivot, and when refinement
-       does not converge, which needs rcond well above float32's eps, 6e-8.
-    3. Float64 LU, which every give-up above ends in, bitwise as if the
-       path had not been tried: ``BlockOperator.dense`` forms a plain
-       C-order copy of A, and LAPACK factors its transpose, which is the
-       same memory in Fortran order, in place by LU with partial pivoting
-       (``hierarchical._lu``, the helper the hierarchical leaves use too).
-       The factors are those of A^T, so ``getrs`` solves A x = y with
-       ``trans`` flipped (``_lu_solve``), and rcond is ``gecon``'s
-       infinity-norm estimate for A^T from ||A^T||_inf = ||A||_1, which is
-       its 1-norm estimate for A (``_lu_rcond``).  A zero pivot raises
-       ``SingularMatrixError``.
+    Otherwise, and whenever that path gives up, float64 LU answers, bitwise
+    as if the path had not been tried: ``BlockOperator.dense`` forms a plain
+    C-order copy of A, and LAPACK factors its transpose, which is the same
+    memory in Fortran order, in place by LU with partial pivoting
+    (``hierarchical._lu``, the helper the hierarchical leaves use too).  The
+    factors are those of A^T, so ``getrs`` solves A x = y with ``trans``
+    flipped (``_lu_solve``), and rcond is ``gecon``'s infinity-norm estimate
+    for A^T from ||A^T||_inf = ||A||_1, which is its 1-norm estimate for A
+    (``_lu_rcond``).  A zero pivot raises ``SingularMatrixError``.
     """
     rhs = np.asarray(rhs, dtype=float)
     op = as_block_operator(matrix)
@@ -108,18 +104,101 @@ def dense_solve(matrix, rhs: np.ndarray):
     anorm = op.norm1()
     if not (np.isfinite(anorm) or op.is_finite()):
         raise ValueError("system matrix contains non-finite entries")
-    solved = hierarchical_solve(op, rhs)
+    solved = refined_solve(op, rhs, anorm)
     if solved is None:
-        solved = float32_solve(op, rhs)
-    if solved is not None:
-        x, rcond = solved
-        return x, rcond, bool(rcond < RCOND_WARN)
-    try:
-        factors = _lu(op.dense())
-    except np.linalg.LinAlgError:
-        raise SingularMatrixError("discretized operator is singular to working precision") from None
-    rcond = _lu_rcond(factors, anorm)
-    return _lu_solve(factors, rhs), rcond, bool(rcond < RCOND_WARN)
+        try:
+            factors = _lu(op.dense())
+        except np.linalg.LinAlgError:
+            raise SingularMatrixError("discretized operator is singular to working precision") from None
+        solved = _lu_solve(factors, rhs), _lu_rcond(factors, anorm)
+    x, rcond = solved
+    return x, rcond, bool(rcond < RCOND_WARN)
+
+
+def refined_solve(op, rhs, anorm):
+    """(x, rcond) from the refined path that ``dense_solve`` picks for the
+    ``BlockOperator`` ``op``, or None to solve by float64 LU.
+
+    ``anorm`` is ||A||_1.  The path's builder gets it in the builder's
+    working precision and returns an approximate inverse, which ``_refine``
+    refines against A.  None follows when no path applies, when the norm is
+    not finite in that precision, when the builder declines or hits a zero
+    pivot, and when refinement does not reach working accuracy.  rcond is
+    the builder's estimate, made only after refinement converged.
+    """
+    n = len(op)
+    if op.panels > 1 and n >= hierarchical.CROSSOVER_N:
+        build, precision = hierarchical.hierarchical_solve, np.float64
+    elif op.panels == 1 and n >= FLOAT32_CROSSOVER_N:
+        build, precision = float32_solve, np.float32
+    else:
+        return None
+    # overflow, an inf from a float32-subnormal pivot, or a zero pivot
+    # anywhere hands the system back to float64 LU
+    with np.errstate(all="ignore"):
+        anorm = precision(anorm)
+        if not np.isfinite(anorm):
+            return None
+        try:
+            built = build(op, anorm)
+            if built is None:
+                return None
+            solve, rcond = built
+            x = _refine(op.matmul, rhs, solve, op.norm_inf())
+            return None if x is None else (x, float(rcond()))
+        except np.linalg.LinAlgError:
+            return None
+
+
+def _refine(matmul, rhs, solve, anorm_inf):
+    """x <- x + H^{-1}(y - A x) until the correction is below eps ||x||.
+
+    ``matmul(x)`` is A x in float64 and ``solve`` applies H^{-1}, an
+    approximate inverse.  A refinement that stops contracting is accepted
+    only at a normwise backward error of at most BERR_EPS * eps; anything
+    else returns None.
+    """
+    x = solve(rhs)
+    rhs_norm = np.max(np.abs(rhs))
+    previous = np.inf
+    for _ in range(MAX_REFINE):
+        residual = rhs - matmul(x)
+        correction = solve(residual)
+        size = np.max(np.abs(correction))
+        refined = x + correction
+        if size <= _EPS * np.max(np.abs(refined)):
+            return refined
+        if not size < 0.5 * previous:
+            berr = np.max(np.abs(residual)) / (anorm_inf * np.max(np.abs(x)) + rhs_norm)
+            return x if berr <= BERR_EPS * _EPS else None
+        x, previous = refined, size
+    return None
+
+
+def float32_solve(op, anorm):
+    """(solve, rcond) from a float32 LU of the one panel of ``op``, the
+    approximate inverse that ``refined_solve`` refines in float64
+    (Langou et al., SC 2006; Carson & Higham, SIAM J. Sci. Comput. 2018).
+
+    ``anorm`` is ||A||_1 in float32, finite, so no entry, which it bounds,
+    overflows the cast.  ``hierarchical._lu`` factors a float32 copy of the
+    panel's stored block with ``sgetrf``, and the residual reads the stored
+    block, so the path makes no N x N float64 copy.  Single-precision LU takes about half the time and half the
+    memory of double, and a second-kind system converges in a few steps,
+    given rcond well above float32's eps, 6e-8.  Each right-hand side of an
+    inner ``sgetrs`` solve is scaled by a power of two near its max-norm
+    before its cast, so it neither overflows nor underflows, and the result
+    is scaled back exactly.  ``rcond()`` is ``sgecon``'s estimate from the
+    float32 factors.  A zero pivot raises ``LinAlgError``.
+    """
+    lu, piv = _lu(np.array(op.block(0, 0), dtype=np.float32, order="C"), _flapack.sgetrf)
+
+    def solve(b):
+        e = np.frexp(np.max(np.abs(b)))[1]
+        x, _info = _flapack.sgetrs(lu, piv, np.ldexp(b, -e).astype(np.float32), trans=1)
+        return np.ldexp(x.astype(float), e)
+
+    return solve, lambda: _flapack.sgecon(lu, anorm, norm="I")[0]
 
 
 def semismooth_block(ops: SpectralOperators, lower, upper, scale: float) -> np.ndarray:

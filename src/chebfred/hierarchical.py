@@ -31,24 +31,16 @@ SIAM Rev. 2011): sketch, QR, SVD of the small projection, truncation at
 every run bitwise repeatable.  A node whose ranks make the Woodbury update
 cost more than a dense LU of the node is a dense leaf instead.
 
-The factorization is only a preconditioner: the answer is refined against
-the exact matrix, whose residual is computed block by block, and anything
-that does not converge to working accuracy returns None, so the caller falls
-back to its dense LU.  The condition estimate is LAPACK's dlacn2 iteration
-(Hager 1984; Higham, ACM TOMS 1988), the estimator ``gecon`` runs, applied
-through the hierarchical solves.
-
-The same refinement serves ``float32_solve``, the dense solve of a large
-well-conditioned one-panel system: a float32 LU is the approximate
-inverse, refined against the float64 matrix (Langou et al., SC 2006; Carson
-& Higham, SIAM J. Sci. Comput. 2018).  Single-precision LU takes about half the time and
-half the memory of double, and a second-kind system converges in a few
-steps.
+The factorization is only an approximate inverse:
+``fredholm_solver.refined_solve`` refines its answer against the exact
+matrix, whose residual is computed block by block, and falls back to dense
+LU when that does not converge to working accuracy.  The condition estimate
+is LAPACK's dlacn2 iteration (Hager 1984; Higham, ACM TOMS 1988), the
+estimator ``gecon`` runs, applied through the hierarchical solves.
 
 LU, its condition estimate and every dense solve are LAPACK's ``getrf``,
 ``gecon`` and ``getrs`` in double precision (``dgetrf``, ``dgecon``,
-``dgetrs``) and, for ``float32_solve``, in single (``sgetrf``, ``sgecon``,
-``sgetrs``), all from scipy's compiled LAPACK module,
+``dgetrs``) from scipy's compiled LAPACK module,
 ``scipy.linalg._flapack``, loaded on its own: the ``scipy.linalg`` package
 costs each process about 0.3 s and 25 MB at import, and nothing else of it
 is used.  The QR and SVD of the range finder are ``numpy.linalg``'s.
@@ -64,35 +56,21 @@ import sys
 import numpy as np
 
 __all__ = [
-    "CROSSOVER_N", "FLOAT32_CROSSOVER_N", "LEAF_SIZE", "SKETCH_TOL", "float32_solve", "hierarchical_solve",
+    "CROSSOVER_N", "LEAF_SIZE", "SKETCH_TOL", "hierarchical_solve",
 ]
 
 # Smallest system the hierarchical path is tried on, and the largest node
 # factored as a dense leaf; both from scripts/bench_composite_solve.py.
 CROSSOVER_N = 1024
 LEAF_SIZE = 128
-# Smallest one-panel system solved by a float32 LU refined in float64.  In
-# the float32 sweep of scripts/bench_build_operators.py
-# (BENCH_build_operators.json) it beats float64 LU on all three systems
-# from n = 383 up, in all but one reading (x0.97, example2 at n = 639),
-# and by x1.32-1.47 at n = 1023; the gain below n = 512 is within the
-# noise.  513 keeps every system of N <= 512 on float64 LU, bitwise: every
-# error-table row but the one panel of order 1023 in longrange.csv.
-FLOAT32_CROSSOVER_N = 513
 # Singular values below SKETCH_TOL * ||A||_1 are dropped.
 SKETCH_TOL = 1e-12
 SEED = 20130501
 # Range-finder sketch width: first try, and columns kept beyond the rank.
 SKETCH_START = 8
 OVERSAMPLE = 6
-# Iterative refinement: most steps, and the largest normwise backward error
-# accepted from a refinement that stopped contracting, in units of eps.
-MAX_REFINE = 8
-BERR_EPS = 8.0
 # dlacn2's iteration limit.
 ITMAX = 5
-
-_EPS = np.finfo(float).eps
 
 
 def _load_flapack():
@@ -119,16 +97,16 @@ def _load_flapack():
 
 _flapack = _load_flapack()
 _getrf, _gecon, _getrs = _flapack.dgetrf, _flapack.dgecon, _flapack.dgetrs
-_sgetrf, _sgecon, _sgetrs = _flapack.sgetrf, _flapack.sgecon, _flapack.sgetrs
 
 
-def _lu(matrix):
+def _lu(matrix, getrf=_getrf):
     """LU factors of A^T, for a fresh C-order array A.
 
     A^T is the same memory in Fortran order, so LAPACK factors it in place,
     with no transposing copy.  ``_lu_solve`` solves with A or A^T from it.
+    ``getrf`` is the LAPACK routine of A's precision.
     """
-    lu, piv, info = _getrf(matrix.T, overwrite_a=True)
+    lu, piv, info = getrf(matrix.T, overwrite_a=True)
     if info > 0:  # an exactly zero pivot
         raise np.linalg.LinAlgError("zero pivot")
     return lu, piv
@@ -299,72 +277,6 @@ def _split(op, p0, p1, tol, rng, memo):
     return node
 
 
-def _refine(matmul, rhs, solve, anorm_inf):
-    """x <- x + H^{-1}(y - A x) until the correction is below eps ||x||.
-
-    ``matmul(x)`` is A x in float64 and ``solve`` applies H^{-1}, an
-    approximate inverse.  A refinement that stops contracting is accepted
-    only at a normwise backward error of at most BERR_EPS * eps; anything
-    else returns None.
-    """
-    x = solve(rhs)
-    rhs_norm = np.max(np.abs(rhs))
-    previous = np.inf
-    for _ in range(MAX_REFINE):
-        residual = rhs - matmul(x)
-        correction = solve(residual)
-        size = np.max(np.abs(correction))
-        refined = x + correction
-        if size <= _EPS * np.max(np.abs(refined)):
-            return refined
-        if not size < 0.5 * previous:
-            berr = np.max(np.abs(residual)) / (anorm_inf * np.max(np.abs(x)) + rhs_norm)
-            return x if berr <= BERR_EPS * _EPS else None
-        x, previous = refined, size
-    return None
-
-
-def float32_solve(op, rhs):
-    """(x, rcond) from a float32 LU refined in float64, or None to use float64 LU.
-
-    ``op`` is a ``BlockOperator`` of one panel.  The residual reads its
-    stored block, so the path makes no N x N float64 copy, and a float32
-    copy of that block is factored by ``sgetrf``, transposed in place as
-    ``_lu`` does.  Each right-hand side of an inner ``sgetrs`` solve is
-    scaled by a power of two near its max-norm before its cast, so it
-    neither overflows nor underflows, and the result is scaled back
-    exactly.  ``_refine`` refines the answer against the float64 block and
-    rcond is ``sgecon``'s estimate from the float32 factors.  None means
-    the path does not apply (several panels, N below FLOAT32_CROSSOVER_N,
-    or ||A||_1, which bounds every entry, is not finite in float32) or
-    failed (a zero pivot, or refinement that did not reach working
-    accuracy).
-    """
-    if op.panels > 1 or len(op) < FLOAT32_CROSSOVER_N:
-        return None
-    matrix = op.block(0, 0)
-
-    def solve(b):
-        e = np.frexp(np.max(np.abs(b)))[1]
-        x, _info = _sgetrs(lu, piv, np.ldexp(b, -e).astype(np.float32), trans=1)
-        return np.ldexp(x.astype(float), e)
-
-    # overflow anywhere, or an inf from a float32-subnormal pivot, hands the
-    # system back to float64 LU
-    with np.errstate(all="ignore"):
-        anorm = np.float32(op.norm1())
-        if not np.isfinite(anorm):
-            return None
-        lu, piv, info = _sgetrf(np.array(matrix, dtype=np.float32, order="C").T, overwrite_a=True)
-        if info > 0:
-            return None
-        x = _refine(lambda v: matrix @ v, rhs, solve, op.norm_inf())
-        if x is None:
-            return None
-        rcond, _info = _sgecon(lu, anorm, norm="I")
-    return x, float(rcond)
-
-
 def _inverse_norm1_estimate(solve, solve_t, n):
     """dlacn2: a lower bound on ||A^{-1}||_1 from solves with A and A^T."""
     x = solve(np.full(n, 1.0 / n))
@@ -389,40 +301,26 @@ def _inverse_norm1_estimate(solve, solve_t, n):
     return max(est, 2.0 * np.sum(np.abs(solve(alternating))) / (3.0 * n))
 
 
-def hierarchical_solve(op, rhs):
-    """(x, rcond) from the hierarchical path, or None to use dense LU.
+def hierarchical_solve(op, anorm):
+    """(solve, rcond) from a hierarchical factorization of ``op``, or None
+    when the top split has no low-rank coupling.
 
-    ``op`` is a ``BlockOperator``.  None means the path does not apply (N
-    below CROSSOVER_N, one panel, no low-rank split, non-finite entries) or
-    failed (a zero pivot, or refinement that did not reach working accuracy).
-    The solve forms no N x N array.
+    ``op`` is a ``BlockOperator`` of several panels and ``anorm`` its
+    ||A||_1, finite.  ``solve(b)`` applies the factorization's inverse to a
+    vector and ``rcond()`` is dlacn2's estimate of 1 / (||A||_1
+    ||A^{-1}||_1) through solves with A and A^T.  A zero pivot raises
+    ``LinAlgError``.  The factorization forms no N x N array.
     """
-    n = len(op)
-    if n < CROSSOVER_N or op.panels < 2:
+    root = _build(op, 0, op.panels, SKETCH_TOL * anorm, np.random.default_rng(SEED), {})
+    if isinstance(root, _Leaf):
         return None
-    anorm, anorm_inf = op.norm1(), op.norm_inf()
-    if not np.isfinite(anorm):
-        return None
-    rng = np.random.default_rng(SEED)
+    root.factor()
 
     def solve(b):
         return root.solve(b[:, None])[:, 0]
 
-    def solve_t(b):
-        return root.solve_t(b[:, None])[:, 0]
+    def rcond():
+        ainvnm = _inverse_norm1_estimate(solve, lambda b: root.solve_t(b[:, None])[:, 0], len(op))
+        return 1.0 / ainvnm / anorm if ainvnm != 0.0 else 0.0
 
-    # overflow or a zero pivot anywhere hands the system back to dense LU
-    with np.errstate(all="ignore"):
-        try:
-            root = _build(op, 0, op.panels, SKETCH_TOL * anorm, rng, {})
-            if isinstance(root, _Leaf):
-                return None
-            root.factor()
-            x = _refine(op.matmul, rhs, solve, anorm_inf)
-            if x is None:
-                return None
-            ainvnm = _inverse_norm1_estimate(solve, solve_t, n)
-        except np.linalg.LinAlgError:
-            return None
-    rcond = 1.0 / ainvnm / anorm if ainvnm != 0.0 else 0.0
-    return x, float(rcond)
+    return solve, rcond

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from dense_oracle import semismooth_block_reference
 
-from chebfred import hierarchical
+from chebfred import fredholm_solver, hierarchical
 from chebfred.block_operator import DenseBlocks, ToeplitzBlocks, as_block_operator
 from chebfred.composite_solver import assemble_blocks, build_partition, solve_composite
-from chebfred.fredholm_solver import dense_solve, relative_sup_error
+from chebfred.fredholm_solver import dense_solve, refined_solve, relative_sup_error
 from chebfred.kernel_catalog import catalog_lookup
 from chebfred.spectral_core import build_operators
 
@@ -193,11 +193,10 @@ def _random_operator(seed, toeplitz, panels=8, size=128):
 def test_full_rank_operator_returns_the_dense_lu_answer(toeplitz, monkeypatch):
     op = _random_operator(3, toeplitz)
     rhs = np.ones(len(op))
-    assert hierarchical.hierarchical_solve(op, rhs) is None
-    assert hierarchical.float32_solve(op, rhs) is None
+    assert refined_solve(op, rhs, op.norm1()) is None
     blocked = dense_solve(op, rhs)
     # the same array as one panel, kept on float64 LU
-    monkeypatch.setattr(hierarchical, "FLOAT32_CROSSOVER_N", len(op) + 1)
+    monkeypatch.setattr(fredholm_solver, "FLOAT32_CROSSOVER_N", len(op) + 1)
     plain = dense_solve(op.dense(), rhs)
     assert np.array_equal(plain[0], blocked[0])
     assert abs(blocked[1] - plain[1]) <= 4 * np.finfo(float).eps * plain[1]

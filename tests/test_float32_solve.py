@@ -9,10 +9,9 @@ import numpy as np
 import pytest
 from dense_oracle import lu_solve
 
-from chebfred import hierarchical
 from chebfred.block_operator import as_block_operator
 from chebfred.composite_solver import assemble_blocks, build_partition
-from chebfred.fredholm_solver import RCOND_WARN, dense_solve, relative_sup_error
+from chebfred.fredholm_solver import FLOAT32_CROSSOVER_N, RCOND_WARN, dense_solve, refined_solve, relative_sup_error
 from chebfred.kernel_catalog import catalog_lookup
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
@@ -34,6 +33,12 @@ def _rel(a, b):
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
+def _refined(matrix, rhs):
+    """The refined path's answer for ``matrix`` (an operator or an array), or None."""
+    op = as_block_operator(matrix)
+    return refined_solve(op, rhs, op.norm1())
+
+
 def _well_conditioned(n=600, seed=5):
     rng = np.random.default_rng(seed)
     return np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n), rng.standard_normal(n)
@@ -43,8 +48,8 @@ def _well_conditioned(n=600, seed=5):
 @pytest.mark.parametrize("name, overrides", SINGLE_PANEL_LARGE)
 def test_refined_float32_solve_is_as_accurate_as_float64_lu(name, overrides, order):
     problem, partition, system = _system(name, order, **overrides)
-    assert len(system.matrix) >= hierarchical.FLOAT32_CROSSOVER_N
-    assert hierarchical.float32_solve(system.matrix, system.rhs) is not None
+    assert len(system.matrix) >= FLOAT32_CROSSOVER_N
+    assert _refined(system.matrix, system.rhs) is not None
     x, rcond, warn = dense_solve(system.matrix, system.rhs)
     x_lu, rcond_lu = lu_solve(system.matrix.dense(), system.rhs)
     exact = problem.solution(partition.grids[0].nodes)
@@ -61,7 +66,7 @@ def test_refinement_that_fails_returns_the_float64_lu_answer():
     q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
     matrix = (q1 * np.logspace(0, -9, n)) @ q2.T
     rhs = rng.standard_normal(n)
-    assert hierarchical.float32_solve(as_block_operator(matrix), rhs) is None
+    assert _refined(matrix, rhs) is None
     x, rcond, warn = dense_solve(matrix, rhs)
     x_lu, rcond_lu = lu_solve(matrix, rhs)
     assert 1e-11 < rcond < 1e-8
@@ -71,12 +76,12 @@ def test_refinement_that_fails_returns_the_float64_lu_answer():
 
 
 @pytest.mark.parametrize("panels, order", [
-    (1, hierarchical.FLOAT32_CROSSOVER_N - 2),  # N = 512, below the crossover
+    (1, FLOAT32_CROSSOVER_N - 2),  # N = 512, below the crossover
     (2, 399),  # N = 800: several panels stay on float64 LU below the hierarchical crossover too
 ])
 def test_systems_the_float32_path_skips_are_bitwise_the_float64_lu(panels, order):
     _, _, system = _system("example2", order, panels)
-    assert hierarchical.float32_solve(system.matrix, system.rhs) is None
+    assert _refined(system.matrix, system.rhs) is None
     assert np.array_equal(dense_solve(system.matrix, system.rhs)[0], lu_solve(system.matrix.dense(), system.rhs)[0])
 
 
@@ -91,7 +96,7 @@ def test_scaling_never_gives_a_quiet_wrong_answer(system, float32):
     matrix, rhs = system(*_well_conditioned())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert (hierarchical.float32_solve(as_block_operator(matrix), rhs) is not None) == float32
+        assert (_refined(matrix, rhs) is not None) == float32
         x, _, _ = dense_solve(matrix, rhs)
     x_lu, _ = lu_solve(matrix, rhs)
     assert _rel(x, x_lu) < 1e-12

@@ -1,5 +1,6 @@
 """Hierarchical (HODLR) solve of composite systems, checked against dense LU."""
 
+import pathlib
 import subprocess
 import sys
 
@@ -8,10 +9,10 @@ import pytest
 from dense_oracle import lu_solve
 from scipy import linalg
 
-from chebfred import hierarchical
+from chebfred import fredholm_solver, hierarchical
 from chebfred.block_operator import as_block_operator
 from chebfred.composite_solver import assemble_blocks, build_partition, solve_composite
-from chebfred.fredholm_solver import RCOND_WARN, SingularMatrixError, dense_solve
+from chebfred.fredholm_solver import RCOND_WARN, SingularMatrixError, dense_solve, refined_solve
 from chebfred.kernel_catalog import catalog_lookup
 
 T_200PI = 200.0 * np.pi
@@ -67,7 +68,7 @@ def case(request):
 def test_hierarchical_path_agrees_with_dense_oracle(case):
     system, dense, exact = case
     assert len(system.matrix) >= hierarchical.CROSSOVER_N
-    assert hierarchical.hierarchical_solve(system.matrix, system.rhs) is not None
+    assert refined_solve(system.matrix, system.rhs, system.matrix.norm1()) is not None
     x_dense, rcond_dense = lu_solve(dense, system.rhs)
     warn_dense = rcond_dense < RCOND_WARN
     # the block operator, and the dense array cut at the same offsets
@@ -88,6 +89,23 @@ def test_hierarchical_solve_is_bitwise_repeatable(case):
     x2, rcond2, _ = dense_solve(system.matrix, system.rhs)
     assert np.array_equal(x1, x2)
     assert rcond1 == rcond2
+
+
+def test_bench_details_reports_refinement_steps(monkeypatch):
+    # scripts/bench_composite_solve.py reads the solver's internals, so a
+    # change to them must keep its details() running
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "scripts"))
+    import bench_composite_solve
+
+    system = _system("example2", 8, 127, T=T_200PI)
+    dense = system.matrix.dense()
+    lu_error = _rel(lu_solve(dense, system.rhs)[0], _exact_discrete_solution(dense, system.rhs))
+    report = bench_composite_solve.details(system)
+    assert isinstance(report["refinement_steps"], int)
+    assert 1 <= report["refinement_steps"] <= fredholm_solver.MAX_REFINE
+    # float64 LU is itself off by lu_error (1.4e-12 here), as in
+    # test_hierarchical_path_agrees_with_dense_oracle
+    assert report["deviation_from_lu"] < 1e-12 + lu_error
 
 
 def test_factor_solves_with_matrix_and_transpose():
@@ -134,10 +152,10 @@ def test_full_rank_coupling_returns_the_lu_answer(monkeypatch):
     matrix, offsets = _blocked_random(hierarchical.CROSSOVER_N, 4, 3)
     rhs = np.ones(len(matrix))
     blocked = as_block_operator(matrix, offsets)
-    assert hierarchical.hierarchical_solve(blocked, rhs) is None
+    assert refined_solve(blocked, rhs, blocked.norm1()) is None
     answer = dense_solve(blocked, rhs)
     # the same array as one panel, kept on float64 LU
-    monkeypatch.setattr(hierarchical, "FLOAT32_CROSSOVER_N", len(matrix) + 1)
+    monkeypatch.setattr(fredholm_solver, "FLOAT32_CROSSOVER_N", len(matrix) + 1)
     _same_lu_answer(dense_solve(matrix, rhs), answer)
 
 
