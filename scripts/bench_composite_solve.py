@@ -18,12 +18,13 @@ The resolved long interval (T = 2000 pi, 256 panels of order 63,
 N = 16,384) runs once per side per round, each time in a fresh process, so
 that the process's peak resident set size is that solve's alone.
 
-The change's first worker also records, for every many_panel system, the
-ranks of the hierarchical tree, its distinct nodes and compressions, the
-number of refinement steps, the deviation from plain LU and both condition
-estimates; a dense-versus-hierarchical table over N from which the crossover
-N is read; and sweeps of the leaf size and the sketch tolerance on the
-many_panel systems.
+The first worker of each side also records the details of every many_panel
+system.  The report keeps both sides' rank of each compression and number
+of refinement steps, and the change's ranks of the hierarchical tree by
+level, distinct nodes and compressions, deviation from plain LU and both
+condition estimates.  The change's first worker adds a dense-versus-
+hierarchical table over N from which the crossover N is read, and sweeps of
+the leaf size and the compression tolerance on the many_panel systems.
 """
 
 import argparse
@@ -132,11 +133,15 @@ def best_time(fn, repeats=REPEATS):
 
 
 def details(system):
-    """Ranks per tree level, sharing, refinement steps and the comparison with float64 LU.
+    """Ranks, sharing, refinement steps and the comparison with float64 LU.
 
-    The refinement steps are those of ``fredholm_solver.refined_solve``,
-    counted as the calls of the builder's ``solve`` less the first; they are
-    None when the hierarchical path does not answer.
+    One ``refined_solve`` is watched through wrappers that take whatever
+    arguments the solver passes, so the baseline's tree reads as the
+    change's: ``_compress`` records the rank of each compression (None where
+    it gave up), ``_build`` keeps the tree it returns last, the root, and
+    the builder's ``solve`` counts its calls.  The refinement steps are
+    those calls less the first; they are None when the hierarchical path
+    does not answer.
     """
     import numpy as np
 
@@ -144,25 +149,17 @@ def details(system):
     from chebfred.fredholm_solver import dense_solve, refined_solve
 
     op, rhs = system.matrix, system.rhs
-    compressions = []
-    compress = hierarchical._compress
+    compression_ranks, roots, solves = [], [], []
+    compress, build_tree, build = hierarchical._compress, hierarchical._build, hierarchical.hierarchical_solve
 
     def counted(*args):
-        compressions.append(1)
-        return compress(*args)
+        factors = compress(*args)
+        compression_ranks.append(None if factors is None else factors[0].shape[1])
+        return factors
 
-    with patched(hierarchical, _compress=counted):
-        root = hierarchical._build(op, 0, op.panels, hierarchical.SKETCH_TOL * op.norm1(),
-                                   np.random.default_rng(hierarchical.SEED), {})
-    ranks, distinct = [], {}
-    level = [root]
-    while level:
-        distinct.update((id(node), node) for node in level)
-        nodes = [node for node in level if isinstance(node, hierarchical._Node)]
-        if nodes:
-            ranks.append(sorted({r for node in nodes for r in (node.u1.shape[1], node.u2.shape[1])}))
-        level = [child for node in nodes for child in (node.left, node.right)]
-    build, solves = hierarchical.hierarchical_solve, []
+    def recorded(*args):
+        roots.append(build_tree(*args))
+        return roots[-1]
 
     def counted_build(op, anorm):
         built = build(op, anorm)
@@ -176,17 +173,26 @@ def details(system):
 
         return counted_solve, rcond
 
-    with patched(hierarchical, hierarchical_solve=counted_build):
+    with patched(hierarchical, _compress=counted, _build=recorded, hierarchical_solve=counted_build):
         refined = refined_solve(op, rhs, op.norm1())
     steps = None if refined is None else len(solves) - 1
+    ranks, distinct = [], {}
+    level = roots[-1:]
+    while level:
+        distinct.update((id(node), node) for node in level)
+        nodes = [node for node in level if isinstance(node, hierarchical._Node)]
+        if nodes:
+            ranks.append(sorted({r for node in nodes for r in (node.u1.shape[1], node.u2.shape[1])}))
+        level = [child for node in nodes for child in (node.left, node.right)]
     x_dense, rcond_dense, _ = float64_lu(op, rhs)
     x, rcond, _ = dense_solve(op, rhs)
     return {
         "ranks_by_level": ranks,
+        "compression_ranks": compression_ranks,
         "leaf_sizes": sorted({node.size for node in distinct.values()
                               if isinstance(node, hierarchical._Leaf)}),
         "distinct_tree_nodes": len(distinct),
-        "compressions": len(compressions),
+        "compressions": len(compression_ranks),
         "refinement_steps": steps,
         "deviation_from_lu": float(np.max(np.abs(x - x_dense)) / np.max(np.abs(x_dense))),
         "rcond": rcond,
@@ -194,8 +200,9 @@ def details(system):
     }
 
 
-def measure(with_details):
-    """Worker: best assembly-plus-solve time and error per system; optionally the details."""
+def measure(with_details, with_tables):
+    """Worker: best assembly-plus-solve time and error per system; optionally
+    the details, and the crossover table and sweeps."""
     from chebfred.fredholm_solver import relative_sup_error
 
     out = {"systems": {}}
@@ -211,7 +218,7 @@ def measure(with_details):
         if with_details and (label, name, panels, order, T) in MANY_PANEL:
             entry.update(details(build(name, panels, order, T)[1]))
         out["systems"][label] = entry
-    if with_details:
+    if with_tables:
         out["crossover"] = crossover_table()
         out["sweeps"] = sweeps()
     out["machine"] = _ab.machine()
@@ -287,10 +294,11 @@ def main():
     parser.add_argument("--baseline", help="git commit whose src/ is the 'before' side")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--details", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--tables", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--resolved", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.worker:
-        print(json.dumps(measure_resolved() if args.resolved else measure(args.details)))
+        print(json.dumps(measure_resolved() if args.resolved else measure(args.details, args.tables)))
         return 0
     if not args.baseline:
         parser.error("--baseline is required")
@@ -299,7 +307,8 @@ def main():
     resolved = {"before": [], "after": []}
     extras = None
     for r, side, src in _ab.alternating_rounds(commit, ROUNDS):
-        result = _ab.run_worker(__file__, src, *(["--details"] if r == 0 and side == "after" else []))
+        flags = ["--details"] + (["--tables"] if side == "after" else []) if r == 0 else []
+        result = _ab.run_worker(__file__, src, *flags)
         if "crossover" in result:
             extras = result
         for label, v in result["systems"].items():
@@ -313,8 +322,10 @@ def main():
                "speedup": before["best_s"] / after["best_s"],
                "before_error": before["error"], "after_error": after["error"]}
         row.update({k: after[k] for k in ("ranks_by_level", "leaf_sizes", "distinct_tree_nodes",
-                                          "compressions", "refinement_steps",
-                                          "deviation_from_lu", "rcond", "rcond_gecon") if k in after})
+                                          "compressions", "deviation_from_lu", "rcond", "rcond_gecon")
+                    if k in after})
+        row.update({f"{side}_{k}": entry[k] for k in ("compression_ranks", "refinement_steps")
+                    for side, entry in (("before", before), ("after", after)) if k in entry})
         rows.append(row)
     resolved_rows = {
         side: {
@@ -353,7 +364,8 @@ def main():
         print(
             f"{row['system']:24s} N={row['N']:5d} before {row['before_s'] * 1e3:8.1f} ms  after "
             f"{row['after_s'] * 1e3:7.1f} ms  x{row['speedup']:5.2f}  err {row['before_error']:.6e} / "
-            f"{row['after_error']:.6e}  ranks {row.get('ranks_by_level')}  steps {row.get('refinement_steps')}"
+            f"{row['after_error']:.6e}  ranks {row.get('ranks_by_level')}  "
+            f"steps {row.get('before_refinement_steps')} / {row.get('after_refinement_steps')}"
         )
     for side, row in resolved_rows.items():
         print(f"{RESOLVED[0]} {side:6s} N={row['N']} {row['best_s']:.2f} s  err {row['error']:.6e}  "

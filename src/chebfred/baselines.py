@@ -10,6 +10,7 @@ and h^4 error terms by extrapolation.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,13 +41,26 @@ class QuadratureRule:
 def gauss_legendre_rule(n: int, a: float, b: float) -> QuadratureRule:
     """n-point Gauss-Legendre rule on [a, b], nodes ascending.
 
-    Roots of the degree-n Legendre polynomial by Newton iteration on the
-    three-term recurrence, derivative from (x^2 - 1) P' = n (x P - P_{n-1}).
+    The rule on [-1, 1] is computed once per n (``_reference_rule``) and
+    scaled to [a, b] into fresh arrays on every call.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if not b > a:
         raise ValueError(f"need b > a, got [{a}, {b}]")
+    x, w = _reference_rule(n)
+    half = (b - a) / 2.0
+    center = (a + b) / 2.0
+    return QuadratureRule(nodes=center + half * x, weights=half * w)
+
+
+@functools.lru_cache(maxsize=128)
+def _reference_rule(n: int):
+    """Read-only (nodes, weights) of the n-point rule on [-1, 1], nodes ascending.
+
+    Roots of the degree-n Legendre polynomial by Newton iteration on the
+    three-term recurrence, derivative from (x^2 - 1) P' = n (x P - P_{n-1}).
+    """
     i = np.arange(1, n + 1)
     x = np.cos(np.pi * (i - 0.25) / (n + 0.5))
     for _ in range(100):
@@ -61,9 +75,10 @@ def gauss_legendre_rule(n: int, a: float, b: float) -> QuadratureRule:
     p, pm = _legendre_pair(n, x)
     dp = n * (x * p - pm) / (x * x - 1.0)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
-    half = (b - a) / 2.0
-    center = (a + b) / 2.0
-    return QuadratureRule(nodes=center + half * x[::-1], weights=half * w[::-1])
+    rule = x[::-1].copy(), w[::-1].copy()
+    for array in rule:
+        array.flags.writeable = False
+    return rule
 
 
 def _legendre_pair(n: int, x: np.ndarray):

@@ -2,8 +2,9 @@
 
 A composite system is an N x N matrix cut at panel boundaries into m x m
 blocks.  ``BlockOperator`` is what the solvers read from such a matrix:
-products with A and A^T over any range of panels, the column and row sums
-of |A| (hence its 1- and infinity-norms), a finiteness check, and ``dense``,
+products with A, single rows and columns of any range of panels (``row``,
+``column``), the column and row sums of |A| (hence its 1- and
+infinity-norms), a finiteness check, and ``dense``,
 which forms the square array of a range of panels only when a dense
 factorization needs it.  That array is a plain C-order copy: its transpose
 is the same memory in Fortran order, so LAPACK factors A^T in place and
@@ -49,7 +50,8 @@ class BlockOperator:
 
     Panel ranges are half-open pairs ``(p0, p1)``; None means every panel.
     A storage provides ``block``, ``share_key``, ``is_finite``, ``dense``,
-    ``_apply`` (the product over spans from ``_span``) and ``_abs_sums``.
+    ``_apply`` (the product with a 2-D operand), ``_abs_sums``, and ``row``
+    and ``column``, which read one row or column of A[rows, cols].
     """
 
     def __init__(self, offsets):
@@ -68,21 +70,12 @@ class BlockOperator:
         p0, p1 = panels or (0, self.panels)
         return p0, p1, int(self.offsets[p0]), int(self.offsets[p1])
 
-    def matmul(self, x, rows=None, cols=None):
-        """A[rows, cols] @ x, for x of one or two dimensions."""
-        return self._product(x, rows, cols, transpose=False)
-
-    def rmatmul(self, x, rows=None, cols=None):
-        """A[rows, cols]^T @ x, for x of one or two dimensions."""
-        return self._product(x, rows, cols, transpose=True)
-
-    def _product(self, x, rows, cols, transpose):
-        rows, cols = self._span(rows), self._span(cols)
-        src = rows if transpose else cols
+    def matmul(self, x):
+        """A @ x, for x of one or two dimensions."""
         x = np.asarray(x, dtype=float)
-        if len(x) != src[3] - src[2]:
-            raise ValueError(f"operand has {len(x)} rows, expected {src[3] - src[2]}")
-        out = self._apply(x[:, None] if x.ndim == 1 else x, rows, cols, transpose)
+        if len(x) != len(self):
+            raise ValueError(f"operand has {len(x)} rows, expected {len(self)}")
+        out = self._apply(x[:, None] if x.ndim == 1 else x)
         return out.reshape(-1) if x.ndim == 1 else out
 
     def abs_sums(self):
@@ -114,9 +107,16 @@ class DenseBlocks(BlockOperator):
     def block(self, j, i):
         return self._view(self._span((j, j + 1)), self._span((i, i + 1)))
 
-    def _apply(self, x, rows, cols, transpose):
-        view = self._view(rows, cols)
-        return view.T @ x if transpose else view @ x
+    def row(self, i, rows=None, cols=None):
+        """Row i of A[rows, cols], a view."""
+        return self._view(self._span(rows), self._span(cols))[i]
+
+    def column(self, i, rows=None, cols=None):
+        """Column i of A[rows, cols], a view."""
+        return self._view(self._span(rows), self._span(cols))[:, i]
+
+    def _apply(self, x):
+        return self.matrix @ x
 
     def _abs_sums(self):
         return abs_sums(self.matrix)
@@ -146,32 +146,39 @@ class ToeplitzBlocks(BlockOperator):
     def block(self, j, i):
         return self.diagonals[j - i]
 
-    def _diagonals(self, rows, cols):
+    def _diagonals(self):
         """(d, j0, j1): row panels j0 .. j1-1 meet column panels j0-d .. j1-1-d
-        in the block of diagonal d, for every d the ranges cross."""
-        (p0, p1), (q0, q1) = rows[:2], cols[:2]
-        for d in range(p0 - q1 + 1, p1 - q0):
-            yield d, max(p0, q0 + d), min(p1, q1 + d)
+        in the block of diagonal d, for every d."""
+        m = self.panels
+        for d in range(1 - m, m):
+            yield d, max(0, d), min(m, m + d)
 
-    def _apply(self, x, rows, cols, transpose):
+    def row(self, i, rows=None, cols=None):
+        """Row i of A[rows, cols]: that row of each block diagonal the range crosses."""
+        p0, q0, q1 = self._span(rows)[0], *self._span(cols)[:2]
+        j, k = divmod(i, self.size)
+        return np.concatenate([self.diagonals[p0 + j - q][k] for q in range(q0, q1)])
+
+    def column(self, i, rows=None, cols=None):
+        """Column i of A[rows, cols]: that column of each block diagonal the range crosses."""
+        p0, p1, q0 = *self._span(rows)[:2], self._span(cols)[0]
+        q, k = divmod(i, self.size)
+        return np.concatenate([self.diagonals[p - q0 - q][:, k] for p in range(p0, p1)])
+
+    def _apply(self, x):
         # Panel p's k columns sit side by side at columns p*k .. p*k+k-1, so
         # the panel pairs along one diagonal are one product with its block.
         n, k = self.size, x.shape[1]
-        src, dst = (rows, cols) if transpose else (cols, rows)
         xt = x.reshape(-1, n, k).transpose(1, 0, 2).reshape(n, -1)
-        out = np.zeros((n, (dst[1] - dst[0]) * k))
-        for d, j0, j1 in self._diagonals(rows, cols):
-            block, (a, b) = self.diagonals[d], (j0 - d, j0)
-            if transpose:
-                block, (a, b) = block.T, (b, a)
-            a, b, count = (a - src[0]) * k, (b - dst[0]) * k, (j1 - j0) * k
-            out[:, b : b + count] += block @ xt[:, a : a + count]
+        out = np.zeros(xt.shape)
+        for d, j0, j1 in self._diagonals():
+            out[:, j0 * k : j1 * k] += self.diagonals[d] @ xt[:, (j0 - d) * k : (j1 - d) * k]
         return out.reshape(n, -1, k).transpose(1, 0, 2).reshape(-1, k)
 
     def _abs_sums(self):
         n, m = self.size, self.panels
         cols, rows = np.zeros((m, n)), np.zeros((m, n))
-        for d, j0, j1 in self._diagonals((0, m), (0, m)):
+        for d, j0, j1 in self._diagonals():
             col_sums, row_sums = abs_sums(self.diagonals[d])
             rows[j0:j1] += row_sums
             cols[j0 - d : j1 - d] += col_sums

@@ -16,20 +16,24 @@ leaf (Martinsson & Rokhlin, JCP 2005; Ambikasaran & Darve, J. Sci. Comput.
 swapped: A^{-T} = D^{-T} (I - V C^{-T} Y^T).
 
 The matrix is a ``BlockOperator``, and the solver forms no N x N array of
-its own.  Compression sketches an off-diagonal block through the operator's
-blockwise products with A and A^T; a leaf forms only its own diagonal part,
-when it is factored.  Nodes are memoised by ``BlockOperator.share_key``: under Toeplitz
+its own.  Compression reads an off-diagonal block a row and a column at a
+time (``BlockOperator.row``, ``column``); a leaf forms only its own diagonal
+part, when it is factored.  Nodes are memoised by ``BlockOperator.share_key``: under Toeplitz
 block structure every node over the same number of panels has the same
 matrix, so the tree holds one node per panel count, compressed and factored
 once, and a node whose two children are one object solves both halves in one
 batched call.  Without that structure the key is the panel range, and
 nothing is shared.
 
-Compression is a seeded randomized range finder (Halko, Martinsson & Tropp,
-SIAM Rev. 2011): sketch, QR, SVD of the small projection, truncation at
-``SKETCH_TOL`` times the 1-norm of the whole matrix.  The fixed seed makes
-every run bitwise repeatable.  A node whose ranks make the Woodbury update
-cost more than a dense LU of the node is a dense leaf instead.
+Compression is adaptive cross approximation with partial pivoting
+(Bebendorf, Numer. Math. 86, 2000; Bebendorf & Rjasanow, Computing 70,
+2003): a block of rank r is read as r of its rows and r of its columns, with
+no product with the whole block.  The crosses are then recompressed, by a QR
+of each factor and an SVD of the small core, and truncated at ``SKETCH_TOL``
+times the 1-norm of the whole matrix.  Every step is deterministic, so every
+run is bitwise repeatable.  A block that needs a rank near half its smaller
+side is not compressed, and neither is a node whose ranks make the Woodbury
+update cost more than a dense LU of the node: either is a dense leaf.
 
 The factorization is only an approximate inverse:
 ``fredholm_solver.refined_solve`` refines its answer against the exact
@@ -43,7 +47,7 @@ LU, its condition estimate and every dense solve are LAPACK's ``getrf``,
 ``dgetrs``) from scipy's compiled LAPACK module,
 ``scipy.linalg._flapack``, loaded on its own: the ``scipy.linalg`` package
 costs each process about 0.3 s and 25 MB at import, and nothing else of it
-is used.  The QR and SVD of the range finder are ``numpy.linalg``'s.
+is used.  The QR and SVD of the recompression are ``numpy.linalg``'s.
 """
 
 from __future__ import annotations
@@ -63,12 +67,9 @@ __all__ = [
 # factored as a dense leaf; both from scripts/bench_composite_solve.py.
 CROSSOVER_N = 1024
 LEAF_SIZE = 128
-# Singular values below SKETCH_TOL * ||A||_1 are dropped.
+# Cross approximation stops at a cross below SKETCH_TOL * ||A||_1, and the
+# recompression drops singular values below it.
 SKETCH_TOL = 1e-12
-SEED = 20130501
-# Range-finder sketch width: first try, and columns kept beyond the rank.
-SKETCH_START = 8
-OVERSAMPLE = 6
 # dlacn2's iteration limit.
 ITMAX = 5
 
@@ -210,38 +211,57 @@ class _Node:
         return np.concatenate(_solve_children(self.left, self.right, b1, b2, transpose=True))
 
 
-def _compress(op, rows, cols, tol, rng, start):
-    """(U, V) with block ~ U V^T to within tol in the 2-norm, or None if the
-    block's rank is near half its smaller side.
+def _compress(op, rows, cols, tol):
+    """(U, V) with block ~ U V^T to within about tol, or None if the block's
+    rank is near half its smaller side.
 
     The block is A[rows, cols] (panel ranges) of the BlockOperator ``op``,
-    seen only through the operator's products with it and its transpose.
-    The sketch starts ``start`` columns wide and grows, keeping the columns
-    it has, until it holds OVERSAMPLE columns more than the rank it finds.
+    read one row and one column at a time by partial-pivot cross
+    approximation: each step takes the residual of the next row, pivots on
+    its entry of largest magnitude, reads the residual of the pivot's
+    column, and adds the cross through the pivot, which zeroes that row and
+    column of the residual.  The next row is the one where the new column
+    is largest among the rows not yet used; a row whose residual is zero
+    moves on to the first such row.  The steps stop once a cross is no
+    larger than tol in the Frobenius norm, or once every row is used.  The
+    crosses are then recompressed: a QR of each factor, an SVD of the small
+    core, and truncation of its singular values at tol.
     """
     off = op.offsets
     m, n = off[rows[1]] - off[rows[0]], off[cols[1]] - off[cols[0]]
-    side = min(m, n)
-    sketch = op.matmul(rng.standard_normal((n, min(max(start, SKETCH_START), side))), rows, cols)
+    max_rank = min(m, n) // 2
+    # the crosses' columns and rows, one per row of us and vs, grown by doubling
+    us, vs = np.empty((8, m)), np.empty((8, n))
+    unused = np.ones(m, dtype=bool)
+    rank, i = 0, 0
     while True:
-        ell = sketch.shape[1]
-        q, _ = np.linalg.qr(sketch)
-        # SVD of the ell x n projection q^T block through a QR of its transpose
-        q2, r2 = np.linalg.qr(op.rmatmul(q, rows, cols))
-        ub, s, vt = np.linalg.svd(r2.T)
-        rank = int(np.count_nonzero(s > tol))
-        if rank + OVERSAMPLE <= ell or ell == side:
-            break
-        if 2 * ell >= side:
+        unused[i] = False
+        residual = op.row(i, rows, cols) - us[:rank, i] @ vs[:rank]
+        j = int(np.argmax(np.abs(residual)))
+        if residual[j] == 0.0:
+            # a zero row says nothing of the rows not yet read
+            if not unused.any():
+                break
+            i = int(np.argmax(unused))
+            continue
+        if rank == max_rank:
             return None
-        # a full sketch says nothing about the rank beyond it: double it
-        grow = ell if rank == ell else rank + 2 * OVERSAMPLE - ell
-        omega = rng.standard_normal((n, min(grow, side - ell)))
-        sketch = np.hstack([sketch, op.matmul(omega, rows, cols)])
-    return (q @ ub[:, :rank]) * s[:rank], q2 @ vt[:rank].T
+        if rank == len(us):
+            us, vs = np.concatenate([us, np.empty_like(us)]), np.concatenate([vs, np.empty_like(vs)])
+        u = us[rank] = op.column(j, rows, cols) - vs[:rank, j] @ us[:rank]
+        v = vs[rank] = residual / residual[j]
+        rank += 1
+        if (u @ u) * (v @ v) <= tol * tol or not unused.any():
+            break
+        i = int(np.argmax(np.where(unused, np.abs(u), -1.0)))
+    qu, ru = np.linalg.qr(us[:rank].T)
+    qv, rv = np.linalg.qr(vs[:rank].T)
+    ub, s, vt = np.linalg.svd(ru @ rv.T)
+    rank = int(np.count_nonzero(s > tol))
+    return (qu @ ub[:, :rank]) * s[:rank], qv @ vt[:rank].T
 
 
-def _build(op, p0, p1, tol, rng, memo):
+def _build(op, p0, p1, tol, memo):
     """Tree over panels p0 .. p1-1, compressed top-down.
 
     ``memo`` maps ``op.share_key`` to the subtree already built for it, so
@@ -250,26 +270,25 @@ def _build(op, p0, p1, tol, rng, memo):
     """
     key = op.share_key(p0, p1)
     if key not in memo:
-        memo[key] = _split(op, p0, p1, tol, rng, memo)
+        memo[key] = _split(op, p0, p1, tol, memo)
     return memo[key]
 
 
-def _split(op, p0, p1, tol, rng, memo):
+def _split(op, p0, p1, tol, memo):
     offsets = op.offsets
     lo, hi = int(offsets[p0]), int(offsets[p1])
     if p1 - p0 < 2 or hi - lo <= LEAF_SIZE:
         return _Leaf(op, p0, p1)
     k = p0 + 1 + int(np.argmin(np.abs(offsets[p0 + 1 : p1] - (lo + hi) / 2.0)))
-    upper = _compress(op, (p0, k), (k, p1), tol, rng, SKETCH_START)
+    upper = _compress(op, (p0, k), (k, p1), tol)
     if upper is None:
         return _Leaf(op, p0, p1)
-    # the transposed coupling usually has a similar rank: start the sketch there
-    lower = _compress(op, (k, p1), (p0, k), tol, rng, upper[0].shape[1] + OVERSAMPLE)
+    lower = _compress(op, (k, p1), (p0, k), tol)
     if lower is None:
         return _Leaf(op, p0, p1)
     node = _Node(
-        _build(op, p0, k, tol, rng, memo),
-        _build(op, k, p1, tol, rng, memo),
+        _build(op, p0, k, tol, memo),
+        _build(op, k, p1, tol, memo),
         upper[0], upper[1], lower[0], lower[1],
     )
     if node.factor_flops > 2.0 / 3.0 * node.size**3:
@@ -311,7 +330,7 @@ def hierarchical_solve(op, anorm):
     ||A^{-1}||_1) through solves with A and A^T.  A zero pivot raises
     ``LinAlgError``.  The factorization forms no N x N array.
     """
-    root = _build(op, 0, op.panels, SKETCH_TOL * anorm, np.random.default_rng(SEED), {})
+    root = _build(op, 0, op.panels, SKETCH_TOL * anorm, {})
     if isinstance(root, _Leaf):
         return None
     root.factor()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from chebfred import baselines
 from chebfred.baselines import (
     MethodNotApplicableError,
     gauss_legendre_rule,
@@ -42,6 +43,25 @@ class TestGaussLegendreRule:
         d = 2 * n
         approx = np.sum(rule.weights * rule.nodes**d)
         assert abs(approx - 2.0 / (d + 1)) > 1e-10
+
+    def test_cached_rule_is_bitwise_the_recurrence_and_fresh(self):
+        a, b = 0.5, 3.5
+        half, center = (b - a) / 2.0, (a + b) / 2.0
+        for n in range(1, 65):
+            # the recurrence run afresh, past the cache
+            x, w = baselines._reference_rule.__wrapped__(n)
+            first, second = gauss_legendre_rule(n, a, b), gauss_legendre_rule(n, a, b)
+            for rule in (first, second):
+                assert np.array_equal(rule.nodes, center + half * x)
+                assert np.array_equal(rule.weights, half * w)
+            # each call returns its own writable arrays, not the cached ones
+            cached = baselines._reference_rule(n)
+            for got, other, kept in ((first.nodes, second.nodes, cached[0]),
+                                     (first.weights, second.weights, cached[1])):
+                assert got.flags.writeable and not kept.flags.writeable
+                assert not np.shares_memory(got, other) and not np.shares_memory(got, kept)
+            first.nodes[:] = 0.0
+            assert np.array_equal(gauss_legendre_rule(n, a, b).nodes, second.nodes)
 
     def test_invalid_inputs_raise(self):
         with pytest.raises(ValueError):

@@ -58,7 +58,7 @@ def _dense_assembly(kernel, partition, lam, toeplitz):
 
 # example2 and example4 are reflected; example1 and example3 carry an upper
 # branch, which DenseBlocks samples in the column strips above the diagonal;
-# on 3 panels the column panels (1, m - 2) of the product test are empty
+# on 3 panels the column panels (1, m - 2) of the reader test are empty
 SYSTEMS = [
     ("example2", 8, 127, {"T": T_200PI}),
     ("example2", 32, 63, {"T": T_200PI}),
@@ -104,19 +104,32 @@ def test_materialisation_is_bitwise_the_dense_assembly(assembled):
 
 def test_products_match_the_dense_products(assembled):
     system, dense = assembled
-    op, off, m = system.matrix, system.matrix.offsets, system.matrix.panels
+    op = system.matrix
     scale = 1e-15 * max(np.linalg.norm(dense, 1), np.linalg.norm(dense, np.inf))
     rng = np.random.default_rng(7)
-    for rows, cols in (((0, m), (0, m)), ((0, m // 2), (m // 2, m)), ((m - 3, m), (1, m - 2))):
+    for k in (None, 1, 5):
+        x = rng.standard_normal((len(dense),) if k is None else (len(dense), k))
+        got = op.matmul(x)
+        assert got.shape == x.shape
+        assert np.max(np.abs(got - dense @ x)) <= scale * np.max(np.abs(x))
+
+
+def test_row_and_column_readers_are_slices_of_the_dense_matrix(assembled):
+    system, dense = assembled
+    op, off, m = system.matrix, system.matrix.offsets, system.matrix.panels
+    # whole, halves, unequal panel counts on either side, and one panel
+    for rows, cols in (((0, m), (0, m)), ((0, m // 2), (m // 2, m)), ((m // 2, m), (0, m // 2)),
+                       ((0, 1), (1, m)), ((1, m), (0, 1)), ((m - 1, m), (m - 1, m)),
+                       ((m - 3, m), (1, m - 2))):
         block = dense[off[rows[0]] : off[rows[1]], off[cols[0]] : off[cols[1]]]
-        for k in (None, 1, 5):
-            shape = (block.shape[1],) if k is None else (block.shape[1], k)
-            x = rng.standard_normal(shape)
-            y = rng.standard_normal((block.shape[0],) + shape[1:])
-            # a range may be empty, and so may x, y and the products
-            for got, want, v in ((op.matmul(x, rows, cols), block @ x, x), (op.rmatmul(y, rows, cols), block.T @ y, y)):
-                assert got.shape == want.shape
-                assert np.max(np.abs(got - want), initial=0.0) <= scale * np.max(np.abs(v), initial=0.0)
+        if block.size == 0:
+            continue
+        # every panel's first and last row or column, and every 7th
+        for read, (p0, p1), lines in ((op.row, rows, block), (op.column, cols, block.T)):
+            first, last = off[p0:p1] - off[p0], off[p0 + 1 : p1 + 1] - off[p0] - 1
+            for i in {*first, *last, *range(0, len(lines), 7)}:
+                assert np.array_equal(read(i, rows, cols), lines[i])
+    assert np.array_equal(op.row(5), dense[5]) and np.array_equal(op.column(5), dense[:, 5])
 
 
 def test_norms_match_numpy(assembled):
@@ -154,7 +167,7 @@ def test_toeplitz_tree_shares_one_subtree_per_panel_count(monkeypatch):
 
     monkeypatch.setattr(hierarchical, "_compress", counted)
     tol = hierarchical.SKETCH_TOL * op.norm1()
-    root = hierarchical._build(op, 0, op.panels, tol, np.random.default_rng(0), {})
+    root = hierarchical._build(op, 0, op.panels, tol, {})
     nodes = _tree_nodes(root)
     # panel counts 32, 16, 8, 4 are nodes and 2 is the leaf: one object each
     assert sorted(node.size // 64 for node in nodes) == [2, 4, 8, 16, 32]

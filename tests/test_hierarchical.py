@@ -10,7 +10,7 @@ from dense_oracle import lu_solve
 from scipy import linalg
 
 from chebfred import fredholm_solver, hierarchical
-from chebfred.block_operator import as_block_operator
+from chebfred.block_operator import ToeplitzBlocks, as_block_operator
 from chebfred.composite_solver import assemble_blocks, build_partition, solve_composite
 from chebfred.fredholm_solver import RCOND_WARN, SingularMatrixError, dense_solve, refined_solve
 from chebfred.kernel_catalog import catalog_lookup
@@ -65,22 +65,26 @@ def case(request):
     return system, dense, _exact_discrete_solution(dense, system.rhs)
 
 
+def _assert_agrees_with_oracle(answer, dense, rhs, exact):
+    """``dense_solve``'s answer against plain LU and the exact discrete solution."""
+    x, rcond, warn = answer
+    x_dense, rcond_dense = lu_solve(dense, rhs)
+    # Plain LU is itself off by up to ~cond * eps (5.3e-12 at 32 x 63), so
+    # both answers are measured against the exact discrete solution.
+    assert _rel(x, exact) < 1e-12
+    assert _rel(x, exact) <= max(_rel(x_dense, exact), 1e-13)
+    assert _rel(x, x_dense) < 1e-12 + _rel(x_dense, exact)
+    assert warn == (rcond_dense < RCOND_WARN)
+    assert 0.1 < rcond / rcond_dense < 10.0
+
+
 def test_hierarchical_path_agrees_with_dense_oracle(case):
     system, dense, exact = case
     assert len(system.matrix) >= hierarchical.CROSSOVER_N
     assert refined_solve(system.matrix, system.rhs, system.matrix.norm1()) is not None
-    x_dense, rcond_dense = lu_solve(dense, system.rhs)
-    warn_dense = rcond_dense < RCOND_WARN
     # the block operator, and the dense array cut at the same offsets
     for matrix in (system.matrix, as_block_operator(dense, system.partition.offsets)):
-        x, rcond, warn = dense_solve(matrix, system.rhs)
-        # Plain LU is itself off by up to ~cond * eps (5.3e-12 at 32 x 63), so
-        # both answers are measured against the exact discrete solution.
-        assert _rel(x, exact) < 1e-12
-        assert _rel(x, exact) <= max(_rel(x_dense, exact), 1e-13)
-        assert _rel(x, x_dense) < 1e-12 + _rel(x_dense, exact)
-        assert warn == warn_dense
-        assert 0.1 < rcond / rcond_dense < 10.0
+        _assert_agrees_with_oracle(dense_solve(matrix, system.rhs), dense, system.rhs, exact)
 
 
 def test_hierarchical_solve_is_bitwise_repeatable(case):
@@ -112,7 +116,7 @@ def test_factor_solves_with_matrix_and_transpose():
     system = _system("example2", 8, 127, T=T_200PI)
     op, matrix = system.matrix, system.matrix.dense()
     tol = hierarchical.SKETCH_TOL * np.linalg.norm(matrix, 1)
-    root = hierarchical._build(op, 0, op.panels, tol, np.random.default_rng(0), {})
+    root = hierarchical._build(op, 0, op.panels, tol, {})
     root.factor()
     b = np.random.default_rng(1).standard_normal((len(matrix), 3))
     assert _rel(matrix @ root.solve(b), b) < 1e-9
@@ -159,6 +163,57 @@ def test_full_rank_coupling_returns_the_lu_answer(monkeypatch):
     _same_lu_answer(dense_solve(matrix, rhs), answer)
 
 
+def _hard_operator(system, toeplitz, kind):
+    """``system``'s matrix with off-diagonal blocks that partial pivoting finds hard.
+
+    "spike" adds one entry of max|A| in the top-right corner block, far from
+    every pivot a smooth block leads to; "zero_row" zeroes the first row of
+    every block above the diagonal, which is the first row each compression
+    of an upper block reads.
+    """
+    op, off = system.matrix, system.partition.offsets
+    if toeplitz:
+        diagonals = {d: block.copy() for d, block in op.diagonals.items()}
+        if kind == "spike":
+            # the block of diagonal 1 - m is the corner block (0, m - 1) alone
+            diagonals[1 - op.panels][3, -5] += np.abs(op.dense()).max()
+        else:
+            for d in range(1 - op.panels, 0):
+                diagonals[d][0] = 0.0
+        return ToeplitzBlocks(off, diagonals)
+    dense = op.dense()
+    if kind == "spike":
+        dense[3, -5] += np.abs(dense).max()
+    else:
+        for j in range(op.panels - 1):
+            dense[off[j], off[j + 1] :] = 0.0
+    return as_block_operator(dense, off)
+
+
+@pytest.mark.parametrize("kind", ["spike", "zero_row"])
+@pytest.mark.parametrize("name, panels, order, overrides, toeplitz", [
+    ("example2", 8, 127, {"T": T_200PI}, True),
+    ("example2", 8, 127, {"T": T_200PI}, False),
+    ("example4", 16, 63, {}, False),
+])
+def test_hard_blocks_agree_with_the_oracle_or_return_the_lu_answer(
+    name, panels, order, overrides, toeplitz, kind, monkeypatch
+):
+    system = _system(name, panels, order, **overrides)
+    op = _hard_operator(system, toeplitz, kind)
+    dense, rhs = op.dense(), system.rhs
+    answer = dense_solve(op, rhs)
+    refined = refined_solve(op, rhs, op.norm1())
+    if kind == "zero_row":
+        # a zero first row must not end the compression
+        assert refined is not None
+    if refined is None:
+        monkeypatch.setattr(fredholm_solver, "FLOAT32_CROSSOVER_N", len(dense) + 1)
+        _same_lu_answer(dense_solve(dense, rhs), answer)
+    else:
+        _assert_agrees_with_oracle(answer, dense, rhs, _exact_discrete_solution(dense, rhs))
+
+
 def test_singular_blocked_matrix_raises():
     system = _system("example2", 8, 127, T=T_200PI)
     matrix = system.matrix.dense()
@@ -181,6 +236,30 @@ def test_below_crossover_is_bitwise_the_lu_path():
     plain = dense_solve(system.matrix.dense(), system.rhs)
     solution = solve_composite(system)
     _same_lu_answer(plain, (np.concatenate(solution.values), solution.rcond, solution.cond_warning))
+
+
+_NO_RANDOM = """
+import sys
+import numpy as np
+from chebfred import hierarchical
+from chebfred.composite_solver import solve_partitioned
+from chebfred.kernel_catalog import catalog_lookup
+built = []
+build = hierarchical.hierarchical_solve
+hierarchical.hierarchical_solve = lambda op, anorm: built.append(build(op, anorm)) or built[-1]
+problem = catalog_lookup("example4")
+edges = np.linspace(problem.a, problem.b, 17)
+solve_partitioned(problem.kernel, problem.a, problem.b, problem.lam, problem.rhs,
+                  breakpoints=tuple(edges[1:-1]), orders=63)
+assert len(built) == 1 and built[0] is not None, "the hierarchical path was not taken"
+assert "numpy.random" not in sys.modules, "numpy.random was imported"
+"""
+
+
+def test_hierarchical_solve_does_not_import_numpy_random():
+    """Cross approximation is deterministic and needs no random numbers, and
+    importing numpy.random costs each process modules and resident memory."""
+    subprocess.run([sys.executable, "-c", _NO_RANDOM], check=True)
 
 
 _SHARED_FLAPACK = """
