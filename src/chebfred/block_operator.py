@@ -3,9 +3,9 @@
 A composite system is an N x N matrix cut at panel boundaries into m x m
 blocks.  ``BlockOperator`` is what the solvers read from such a matrix:
 products with A, single rows and columns of any range of panels (``row``,
-``column``), the column and row sums of |A| (hence its 1- and
-infinity-norms), a finiteness check, and ``dense``,
-which forms the square array of a range of panels only when a dense
+``column``), whether such a range is all zero (``is_zero``), the column and
+row sums of |A| (hence its 1- and infinity-norms), a finiteness check, and
+``dense``, which forms the square array of a range of panels only when a dense
 factorization needs it.  That array is a plain C-order copy: its transpose
 is the same memory in Fortran order, so LAPACK factors A^T in place and
 solves with A through ``trans`` (``hierarchical._lu``).  ``share_key``
@@ -50,8 +50,9 @@ class BlockOperator:
 
     Panel ranges are half-open pairs ``(p0, p1)``; None means every panel.
     A storage provides ``block``, ``share_key``, ``is_finite``, ``dense``,
-    ``_apply`` (the product with a 2-D operand), ``_abs_sums``, and ``row``
-    and ``column``, which read one row or column of A[rows, cols].
+    ``_apply`` (the product with a 2-D operand), ``_abs_sums``, ``row``
+    and ``column``, which read one row or column of A[rows, cols], and
+    ``is_zero``, which tells whether A[rows, cols] is all zero.
     """
 
     def __init__(self, offsets):
@@ -115,6 +116,9 @@ class DenseBlocks(BlockOperator):
         """Column i of A[rows, cols], a view."""
         return self._view(self._span(rows), self._span(cols))[:, i]
 
+    def is_zero(self, rows=None, cols=None):
+        return not self._view(self._span(rows), self._span(cols)).any()
+
     def _apply(self, x):
         return self.matrix @ x
 
@@ -164,6 +168,11 @@ class ToeplitzBlocks(BlockOperator):
         p0, p1, q0 = *self._span(rows)[:2], self._span(cols)[0]
         q, k = divmod(i, self.size)
         return np.concatenate([self.diagonals[p - q0 - q][:, k] for p in range(p0, p1)])
+
+    def is_zero(self, rows=None, cols=None):
+        """Whether every block diagonal that A[rows, cols] crosses is zero."""
+        (p0, p1), (q0, q1) = self._span(rows)[:2], self._span(cols)[:2]
+        return not any(self.diagonals[d].any() for d in range(p0 - q1 + 1, p1 - q0))
 
     def _apply(self, x):
         # Panel p's k columns sit side by side at columns p*k .. p*k+k-1, so

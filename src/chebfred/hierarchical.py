@@ -222,10 +222,11 @@ def _compress(op, rows, cols, tol):
     column, and adds the cross through the pivot, which zeroes that row and
     column of the residual.  The next row is the one where the new column
     is largest among the rows not yet used; a row whose residual is zero
-    moves on to the first such row.  The steps stop once a cross is no
-    larger than tol in the Frobenius norm, or once every row is used.  The
-    crosses are then recompressed: a QR of each factor, an SVD of the small
-    core, and truncation of its singular values at tol.
+    moves on to the first such row, unless it is the first row read and
+    the storage finds the whole block zero (rank 0).  The steps stop once a
+    cross is no larger than tol in the Frobenius norm, or once every row is
+    used.  The crosses are then recompressed: a QR of each factor, an SVD of
+    the small core, and truncation of its singular values at tol.
     """
     off = op.offsets
     m, n = off[rows[1]] - off[rows[0]], off[cols[1]] - off[cols[0]]
@@ -239,8 +240,9 @@ def _compress(op, rows, cols, tol):
         residual = op.row(i, rows, cols) - us[:rank, i] @ vs[:rank]
         j = int(np.argmax(np.abs(residual)))
         if residual[j] == 0.0:
-            # a zero row says nothing of the rows not yet read
-            if not unused.any():
+            # a zero row says nothing of the rows not yet read, but a zero
+            # first row makes it worth one look at the whole block
+            if not unused.any() or (i == 0 and op.is_zero(rows, cols)):
                 break
             i = int(np.argmax(unused))
             continue

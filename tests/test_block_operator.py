@@ -1,5 +1,6 @@
 """The composite system as a block operator, checked against one dense array."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -130,6 +131,22 @@ def test_row_and_column_readers_are_slices_of_the_dense_matrix(assembled):
             for i in {*first, *last, *range(0, len(lines), 7)}:
                 assert np.array_equal(read(i, rows, cols), lines[i])
     assert np.array_equal(op.row(5), dense[5]) and np.array_equal(op.column(5), dense[:, 5])
+
+
+def test_is_zero_reads_the_dense_block():
+    # 5 panels of 3: the blocks above the diagonal are zero but for one
+    # entry of diagonal -2, which every range crossing it must find
+    rng = np.random.default_rng(7)
+    diagonals = {d: rng.standard_normal((3, 3)) * (d >= 0) for d in range(-4, 5)}
+    diagonals[-2][1, 2] = -0.5
+    toeplitz = ToeplitzBlocks(np.arange(0, 16, 3), diagonals)
+    dense = toeplitz.dense()
+    for op in (toeplitz, as_block_operator(dense, toeplitz.offsets)):
+        for rows in itertools.combinations(range(6), 2):
+            for cols in itertools.combinations(range(6), 2):
+                block = dense[3 * rows[0] : 3 * rows[1], 3 * cols[0] : 3 * cols[1]]
+                assert op.is_zero(rows, cols) == (not block.any())
+        assert op.is_zero((0, 2), (2, 5)) is False and op.is_zero((0, 1), (3, 5)) is True
 
 
 def test_norms_match_numpy(assembled):

@@ -13,7 +13,7 @@ from chebfred import fredholm_solver, hierarchical
 from chebfred.block_operator import ToeplitzBlocks, as_block_operator
 from chebfred.composite_solver import assemble_blocks, build_partition, solve_composite
 from chebfred.fredholm_solver import RCOND_WARN, SingularMatrixError, dense_solve, refined_solve
-from chebfred.kernel_catalog import catalog_lookup
+from chebfred.kernel_catalog import SemismoothKernel, catalog_lookup
 
 T_200PI = 200.0 * np.pi
 
@@ -214,6 +214,43 @@ def test_hard_blocks_agree_with_the_oracle_or_return_the_lu_answer(
         _assert_agrees_with_oracle(answer, dense, rhs, _exact_discrete_solution(dense, rhs))
 
 
+@pytest.mark.parametrize("toeplitz", [True, False])
+def test_zero_upper_blocks_are_given_rank_zero_from_one_row(toeplitz, monkeypatch):
+    """A Volterra-type kernel (k_upper = 0) makes every block above the
+    diagonal exactly zero.  Each such block must cost one row read, not one
+    per row, and still take the hierarchical path to the oracle's answer."""
+    kernel = SemismoothKernel(
+        k_lower=lambda t, s: np.cos(t - s),
+        k_upper=lambda t, s: np.zeros(np.broadcast(t, s).shape),
+        difference_form=toeplitz,
+    )
+    edges = np.linspace(0.0, 20.0, 17)
+    partition = build_partition(0.0, 20.0, breakpoints=tuple(edges[1:-1]), orders=63)
+    system = assemble_blocks(kernel, partition, 0.5, lambda t: np.ones_like(t))
+    op = system.matrix
+    assert isinstance(op, ToeplitzBlocks) == toeplitz
+    assert len(op) == hierarchical.CROSSOVER_N
+    row, compress, reads, upper = op.row, hierarchical._compress, [0], []
+
+    def counted_row(*args):
+        reads[0] += 1
+        return row(*args)
+
+    def watched_compress(op, rows, cols, tol):
+        before = reads[0]
+        factors = compress(op, rows, cols, tol)
+        if rows[0] < cols[0]:
+            upper.append((reads[0] - before, factors[0].shape[1]))
+        return factors
+
+    monkeypatch.setattr(op, "row", counted_row)
+    monkeypatch.setattr(hierarchical, "_compress", watched_compress)
+    answer = dense_solve(op, system.rhs)
+    assert upper and all(entry == (1, 0) for entry in upper)
+    dense = op.dense()
+    _assert_agrees_with_oracle(answer, dense, system.rhs, _exact_discrete_solution(dense, system.rhs))
+
+
 def test_singular_blocked_matrix_raises():
     system = _system("example2", 8, 127, T=T_200PI)
     matrix = system.matrix.dense()
@@ -243,7 +280,7 @@ import sys
 import numpy as np
 from chebfred import hierarchical
 from chebfred.composite_solver import solve_partitioned
-from chebfred.kernel_catalog import catalog_lookup
+from chebfred.kernel_catalog import SemismoothKernel, catalog_lookup
 built = []
 build = hierarchical.hierarchical_solve
 hierarchical.hierarchical_solve = lambda op, anorm: built.append(build(op, anorm)) or built[-1]
