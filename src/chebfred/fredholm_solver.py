@@ -77,7 +77,8 @@ def dense_solve(matrix, rhs: np.ndarray):
     distinct block stored once) or a plain array, taken as one panel.
     ||A||_1 comes from the operator's column sums of |A|, and only when it
     is not finite does an exact finiteness check, once per distinct block,
-    decide between ``ValueError`` and an overflowed norm.
+    decide between ``ValueError`` and an overflowed norm.  A non-finite
+    right-hand side raises ``ValueError`` too.
 
     At most one refined path applies, chosen by the operator's shape
     (``refined_solve``): a hierarchical factorization
@@ -101,6 +102,8 @@ def dense_solve(matrix, rhs: np.ndarray):
     op = as_block_operator(matrix)
     if rhs.shape != (len(op),):
         raise ValueError(f"rhs has shape {rhs.shape}, expected {(len(op),)}")
+    if not np.all(np.isfinite(rhs)):
+        raise ValueError("rhs contains non-finite values")
     anorm = op.norm1()
     if not (np.isfinite(anorm) or op.is_finite()):
         raise ValueError("system matrix contains non-finite entries")

@@ -65,12 +65,14 @@ row block of B at a time, and the O(n r) offset rows a^T Z and c^T Z.  Then
     K1 = [(T/2) M X2, cos] [Y2, (T/2) d]^T,
     K2 = [(T/2) M X1, sin] [Y1, (T/2) e]^T
 
-are products of n-by-(r + 1) factors, which the samplers that
-``semismooth_block`` reads form a row block at a time
-(``_product_sampler``).  The work is O(n^2 r), and no n-by-n array remains
-but the sample and the block.  A potential whose rank exceeds
-LOWRANK_MAX_RANK is given up on, and the dense products answer, bitwise as
-below LOWRANK_MIN_ORDER.
+are products of n-by-(r + 1) factors.  The samplers that
+``semismooth_block`` reads answer each request by one product of the
+factors' rows and columns asked for, so K1 and K2 are formed a row block at
+a time as the block is.  A BLAS product rounds an entry by the request it
+lies in, so an entry asked for among other rows may differ in its last
+bits.  The work is O(n^2 r), and no n-by-n array remains but the sample and
+the block.  A potential whose rank exceeds LOWRANK_MAX_RANK is given up on,
+and the dense products answer, bitwise as below LOWRANK_MIN_ORDER.
 """
 
 from __future__ import annotations
@@ -225,35 +227,15 @@ def _cross_factors(sample, max_rank: int):
         residual = np.subtract(sample, product, out=product)
 
 
-def _product_sampler(left, right):
-    """The sampler of left^T right, for arrays of shape (k, n + 1).
-
-    It forms whole row blocks of ROW_BLOCK_ENTRIES entries, the row blocks
-    of ``semismooth_block``, by BLAS products, and slices the requested
-    rows and columns from them.  A BLAS product rounds a row by where it
-    lies in the product, so over this fixed partition each entry is bitwise
-    the same whichever rows and columns it is requested among.
-    """
-    n1 = left.shape[1]
-    step = max(1, ROW_BLOCK_ENTRIES // n1)
-
-    def sample(rows, cols):
-        start, stop, _ = rows.indices(n1)
-        first = start - start % step
-        blocks = [left[:, lo : lo + step].T @ right for lo in range(first, stop, step)]
-        whole = blocks[0] if len(blocks) == 1 else np.vstack(blocks)
-        return whole[start - first : stop - first, cols]
-
-    return sample
-
-
 def _factored_branches(ops: SpectralOperators, x1, y1, x2, y2, half_t, sin_t, cos_t):
     """Samplers of K1 and K2 from V1 = X1 Y1^T and V2 = X2 Y2^T (module
     docstring), given as x1 = X1^T, y1 = Y1^T, x2 = X2^T and y2 = Y2^T.
     One product of B with the columns Z = [sin o X1, sin o X2, cos o X1,
     cos o X2], formed by row blocks of B, gives W (sin o X) and V (cos o X)
     for X = [X1, X2], and from them (T/2) M X1, (T/2) M X2 and the splice
-    diagonals, each held by rows as the factors are."""
+    diagonals, each held by rows as the factors are.  A sampler answers
+    (rows, cols) with one product of the left factor's rows and the right
+    factor's columns."""
     n1 = ops.order + 1
     r = len(x1)
     z = np.vstack((x1 * sin_t, x2 * sin_t, x1 * cos_t, x2 * cos_t))
@@ -271,9 +253,12 @@ def _factored_branches(ops: SpectralOperators, x1, y1, x2, y2, half_t, sin_t, co
     p = half_t * cos_t * g + half_t * sin_t * h  # (T/2) M X, by rows
     d = half_t * ((y1 * g[:r]).sum(axis=0) - (y2 * g[r:]).sum(axis=0))
     e = -half_t * ((y1 * h[:r]).sum(axis=0) - (y2 * h[r:]).sum(axis=0))
-    sample_k1 = _product_sampler(np.vstack((p[r:], cos_t)), np.vstack((y2, d)))
-    sample_k2 = _product_sampler(np.vstack((p[:r], sin_t)), np.vstack((y1, e)))
-    return sample_k1, sample_k2
+    left1, right1 = np.vstack((p[r:], cos_t)), np.vstack((y2, d))
+    left2, right2 = np.vstack((p[:r], sin_t)), np.vstack((y1, e))
+    return (
+        lambda rows, cols: left1[:, rows].T @ right1[:, cols],
+        lambda rows, cols: left2[:, rows].T @ right2[:, cols],
+    )
 
 
 def _branch_samplers(potential: NonlocalPotential, grid: ChebGrid, ops: SpectralOperators, sin_t, cos_t):

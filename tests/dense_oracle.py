@@ -11,7 +11,7 @@
   ``record_branch_calls``: the branch calls an assembly makes;
 * ``hadamard_matrix``: the Schrodinger system by explicit Hadamard
   products, and ``whole_branches``: a Schrodinger system's K1 and K2 in
-  full;
+  full, read at once or by row blocks;
 * ``residual_check``: the residual of a catalog problem's analytic solution,
   by trapezium sums;
 * ``lu_solve``: the plain float64 LU solve, the dense path that the
@@ -148,11 +148,19 @@ def hadamard_matrix(potential, grid, ops, kernel_matrices):
     return matrix, scale * max(np.max(np.abs(k)) for k in kernel_matrices)
 
 
-def whole_branches(system):
+def whole_branches(system, rows_per_block=None):
     """K1 and K2 of a Schrodinger system in full, read through its samplers
-    ``sample_k1`` and ``sample_k2``."""
-    every = slice(0, system.grid.order + 1)
-    return system.sample_k1(every, every), system.sample_k2(every, every)
+    ``sample_k1`` and ``sample_k2``: every row at once, or stacked from
+    requests of ``rows_per_block`` rows and every column each.
+
+    A sampler may round an entry by the rows it is asked among, so a test
+    that compares bitwise with ``semismooth_block`` asks for its row blocks:
+    ``max(1, ROW_BLOCK_ENTRIES // (n + 1))`` rows each."""
+    n1 = system.grid.order + 1
+    every = slice(0, n1)
+    step = n1 if rows_per_block is None else rows_per_block
+    blocks = [slice(start, min(start + step, n1)) for start in range(0, n1, step)]
+    return tuple(np.vstack([sample(rows, every) for rows in blocks]) for sample in (system.sample_k1, system.sample_k2))
 
 
 def record_branch_calls(monkeypatch, cls, calls):

@@ -125,6 +125,13 @@ def test_dense_solve_rejects_nonfinite_matrix():
         dense_solve(a, np.array([1.0, 1.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dense_solve_rejects_nonfinite_rhs(bad):
+    # a well-conditioned matrix: LU would return x all NaN and no warning
+    with pytest.raises(ValueError, match="non-finite"):
+        dense_solve(np.eye(3) + 0.1, np.array([1.0, bad, 2.0]))
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=200, deadline=None)
 def test_schur_vector_action_identity(seed):
