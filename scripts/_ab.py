@@ -6,6 +6,7 @@ runs both sides in fresh processes, round by round, the side that goes
 first alternating between rounds, and reduces what the rounds measured.
 """
 
+import contextlib
 import json
 import math
 import os
@@ -89,3 +90,16 @@ def rounds_won(before, after):
     round where the two are equal counts for neither side.
     """
     return sum(a < b for b, a in zip(before, after, strict=True))
+
+
+@contextlib.contextmanager
+def patched(module, **values):
+    """Module attributes set to ``values`` for the duration, then restored."""
+    saved = {name: getattr(module, name) for name in values}
+    for name, value in values.items():
+        setattr(module, name, value)
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            setattr(module, name, value)

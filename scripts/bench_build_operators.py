@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time build_operators against a baseline commit and write BENCH_build_operators.json.
+"""Time build_operators and the one-panel solve against a baseline commit and write BENCH_build_operators.json.
 
 Usage, from the root of a checkout:
 
@@ -7,38 +7,57 @@ Usage, from the root of a checkout:
 
 The baseline's ``src/`` is taken with ``git archive``; the working tree's
 ``src/`` is the change.  Each side runs in fresh single-threaded worker
-processes, the sides alternating round by round.  Three things are timed
+processes, the sides alternating round by round.  Four things are timed
 per order: ``build_operators(n)`` alone; a one-panel ``assemble_blocks`` of
 each kernel in ``ASSEMBLIES``, which is what a one-panel solve assembles
-(operators, kernel sampling and ``semismooth_block``); and ``dense_solve``
-of the example2 block held as a fresh one-panel operator, which is what a
-one-panel solve factors (below ``fredholm_solver.FLOAT32_CROSSOVER_N`` the copy
-that LU overwrites, the LU, the ``gecon`` estimate and the solve; from it
-up the float32 copy, its LU, the refinement and ``sgecon``).
+(operators, kernel sampling and ``semismooth_block``); ``dense_solve`` of
+the one-panel example2 system at ``ORDERS``; and ``dense_solve`` of each
+``REGRESSION`` system at ``REGRESSION_ORDERS``.  A solve is timed on a
+fresh copy of the assembled operator (``fresh``), which keeps the
+operator's coarse rule where the code under test gives it one, so it
+takes the path a one-panel solve takes: the two-grid iteration, the
+float32 LU refined in float64, or float64 LU (``dense_solve``).
 ``ASSEMBLIES`` holds the reflected kernels example2 (T = pi/2 and 50 pi)
 and example4, which the tile-pair walk samples through the lower branch
-alone, and example1, which takes the row-block walk and is the control.  ``build_operators`` reports the best
-sample over every round.  The assembly and the dense solve report the best
-sample and the median and quartiles of every sample of every round, since
-one fast sample on a shared machine can decide a best-of figure, and the
-rounds won by the change (``_ab.rounds_won``) on each round's median.  Each
-assembly also gets its ``tracemalloc`` peak (numpy reports its buffers to
-tracemalloc).
+alone, and example1, which takes the row-block walk and is the control.
+``build_operators`` reports the best sample over every round.  The
+assembly and the solves report the best sample and the median and
+quartiles of every sample of every round, since one fast sample on a
+shared machine can decide a best-of figure, and the rounds won by the
+change (``_ab.rounds_won``) on each round's median.  Each assembly also
+gets its ``tracemalloc`` peak (numpy reports its buffers to tracemalloc).
 
-Each side also reports its largest entrywise deviation, over the operators
-in ``OPERATOR_NAMES``, from the dense reference ``dense_operators`` in
-tests/dense_oracle.py, and the relative sup error of ``solve_fredholm`` on
-the ``SOLVES`` problems, so a speed-up that costs digits shows up here.
-The integration operators ``int_left`` and ``int_right`` are W = a + B and
-V = c - B as ``integration_matrices`` forms them from the vectors that the
-solves read, with B from ``SpectralOperators.bracket_rows``, so the
-baseline must be a commit that has ``bracket_rows`` (8ba5047 or later).
-The change's first worker also times the one-panel assembly with each
-value of ``fredholm_solver.ROW_BLOCK_ENTRIES`` in ``ROW_BLOCK_CANDIDATES``,
-which is how that constant was chosen, and ``dense_solve`` of each ``SOLVES`` block
-at ``FLOAT32_ORDERS`` on the float32 path (a float32 LU refined in float64)
-and on float64 LU, by moving ``fredholm_solver.FLOAT32_CROSSOVER_N`` below and
-above the system, which is how that constant was chosen.
+Each side's first worker also reports its largest entrywise deviation,
+over the operators in ``OPERATOR_NAMES``, from the dense reference
+``dense_operators`` in tests/dense_oracle.py, the relative sup error of
+``solve_fredholm`` on the ``SOLVES`` problems, and, for every
+``REGRESSION`` system, the path that answered, its refinement steps and
+the error of the answer, so a speed-up that costs digits shows up here.
+The paths are read by argument-agnostic wrappers of the builders the code
+under test has (``watched_path``).  The integration operators
+``int_left`` and ``int_right`` are W = a + B and V = c - B as
+``integration_matrices`` forms them from the vectors that the solves read,
+with B from ``SpectralOperators.bracket_rows``, so the baseline must be a
+commit that has ``bracket_rows`` (8ba5047 or later).
+
+The change's first ``PATH_WORKERS`` workers time ``dense_solve`` of each
+``PATH_SWEEP`` system at ``PATH_ORDERS`` on each path, chosen by moving
+``fredholm_solver.TWOGRID_CROSSOVER_N`` and ``FLOAT32_CROSSOVER_N`` below
+and above the system; the report gives the median over those workers of
+each worker's median, from which ``TWOGRID_CROSSOVER_N`` is read.  The
+same workers time, in one process, each ``REGRESSION`` system that tries
+the two-grid and is answered by another path with the two-grid allowed
+and ruled out, alternately: the cost of a decline, which the A/B columns,
+across processes, cannot resolve.  The
+change's first worker also times the one-panel assembly with each value of
+``fredholm_solver.ROW_BLOCK_ENTRIES`` in ``ROW_BLOCK_CANDIDATES``, which is
+how that constant was chosen, and runs the tail sweep: for each
+``REGRESSION`` system at ``TAIL_ORDERS``, with the gate open
+(``TWOGRID_TAIL`` infinite, so the coarse rule has a quarter of the
+order), the trailing coefficients of the coarse solution for the
+right-hand side, as the gate measures them, and whether the two-grid
+refinement then converged, and in how many steps; that is how
+``TWOGRID_TAIL`` was chosen.
 """
 
 import argparse
@@ -67,9 +86,25 @@ SOLVES = (
     ("example2-T50pi", "example2", {"T": 50 * math.pi}),
 )
 SOLVE_ORDERS = (511, 767, 1023)
+# (label, catalog name, overrides) of the one-panel solves timed on both sides
+REGRESSION = (
+    ("example1", "example1", {}),
+    ("example2", "example2", {}),
+    ("example2-T50pi", "example2", {"T": 50 * math.pi}),
+    ("example2-T200pi", "example2", {"T": 200 * math.pi}),
+    ("example3", "example3", {}),
+    ("example4", "example4", {}),
+)
+REGRESSION_ORDERS = (255, 319, 383, 447, 511, 575, 639, 703, 767, 895, 1023)
+# the systems resolved at a quarter of the order, on which the crossover is read
+PATH_SWEEP = REGRESSION[:2]
+PATH_ORDERS = (127, 191, 223, 255, 287, 319, 351, 383, 447, 511, 767, 1023)
+PATHS = ("twogrid", "float32", "float64")
+PATH_WORKERS = 3
+DECLINE_ALTERNATIONS = 2
+TAIL_ORDERS = (255, 383, 511, 575, 639, 703, 735, 751, 767, 783, 799, 815, 831, 895, 959, 1023)
 ROW_BLOCK_CANDIDATES = (2048, 4096, 8192, 16384, 32768, 65536, 131072)
 ROW_BLOCK_ORDERS = (255, 511, 767, 1023, 2047)
-FLOAT32_ORDERS = (383, 447, 511, 575, 639, 703, 767, 895, 1023)
 ROUNDS = 10
 REPEATS = 5
 # smallest total time of one timing sample, so that timer overhead is noise
@@ -85,39 +120,88 @@ def time_samples(call):
     return _ab.time_samples(call, SAMPLE_S, REPEATS)
 
 
-def measure(with_deviation, with_sweep):
+def fresh(system):
+    """A fresh copy of the one-panel ``system``'s operator, which keeps the
+    coarse rule where the code under test gives one: a solve caches the
+    norms on its operator, so every timed solve gets its own."""
+    from chebfred.block_operator import ToeplitzBlocks
+
+    op = ToeplitzBlocks(system.matrix.offsets, {0: system.matrix.block(0, 0)})
+    op.coarse = getattr(system.matrix, "coarse", None)
+    return op
+
+
+def watched_path(system):
+    """(path, refinement steps) of ``refined_solve`` on the one-panel
+    ``system``: the builder whose answer refinement accepted, or "float64"
+    (with the builder that failed, if one built) and None steps."""
+    from chebfred import fredholm_solver
+
+    built, solves = [], []
+
+    def watch(name):
+        build = getattr(fredholm_solver, name)
+
+        def watched(*args):
+            result = build(*args)
+            if result is None:
+                return None
+            built.append(name.removesuffix("_solve"))
+            solve, rcond = result
+
+            def counted(b):
+                solves.append(b)
+                return solve(b)
+
+            return counted, rcond
+
+        return watched
+
+    names = [name for name in ("twogrid_solve", "float32_solve") if hasattr(fredholm_solver, name)]
+    op = fresh(system)
+    with _ab.patched(fredholm_solver, **{name: watch(name) for name in names}):
+        refined = fredholm_solver.refined_solve(op, system.rhs, op.norm1())
+    if refined is None:
+        return ("float64" + (f" ({built[-1]} failed)" if built else "")), None
+    return built[-1], len(solves) - 1
+
+
+def measure(with_deviation, with_paths, with_sweep):
     """Worker: per order, the best build time, every dense solve sample,
-    every assembly sample and the assembly's allocation peak per kernel
-    and, in the first round, the oracle deviation and the solve errors;
-    with ``with_sweep``, the best assembly time per ROW_BLOCK_ENTRIES value
-    and the best dense solve time of each SOLVES system per path."""
+    every assembly sample and the assembly's allocation peak per kernel,
+    and every dense solve sample of each REGRESSION system; with
+    ``with_deviation``, the oracle deviation, the solve errors and each
+    REGRESSION system's path; with ``with_paths``, the median dense solve
+    time of each PATH_SWEEP system per path; with ``with_sweep``, the best
+    assembly time per ROW_BLOCK_ENTRIES value and the tail sweep."""
     import numpy as np
 
     from chebfred import fredholm_solver
-    from chebfred.block_operator import ToeplitzBlocks
     from chebfred.composite_solver import assemble_blocks, build_partition
     from chebfred.fredholm_solver import dense_solve, relative_sup_error, solve_fredholm
     from chebfred.kernel_catalog import catalog_lookup
     from chebfred.spectral_core import build_operators
     from dense_oracle import OPERATOR_NAMES, dense_operators, integration_matrices
 
-    problems = {label: catalog_lookup(name, **overrides) for label, name, overrides in ASSEMBLIES}
+    problems = {label: catalog_lookup(name, **overrides) for label, name, overrides in ASSEMBLIES + REGRESSION}
 
     def one_panel_assembly(label, n):
         problem = problems[label]
         partition = build_partition(problem.a, problem.b, orders=n)
         return lambda: assemble_blocks(problem.kernel, partition, problem.lam, problem.rhs)
 
+    def solve_samples(system):
+        return time_samples(lambda: dense_solve(fresh(system), system.rhs))
+
     out = {}
     for n in ORDERS:
-        block = one_panel_assembly("example2", n)().matrix.block(0, 0)
-        rhs = np.ones(n + 1)
+        system = one_panel_assembly("example2", n)()
         out[n] = {
             "best_s": best_time(lambda: build_operators(n)),
-            "dense_solve_samples_s": time_samples(lambda: dense_solve(ToeplitzBlocks([0, n + 1], {0: block}), rhs)),
+            "dense_solve_samples_s": solve_samples(system),
             "assemble": {},
         }
-        for label in problems:
+        for label, _, _ in ASSEMBLIES:
             assemble = one_panel_assembly(label, n)
             row = out[n]["assemble"][label] = {"samples_s": time_samples(assemble)}
             tracemalloc.start()
@@ -131,6 +215,16 @@ def measure(with_deviation, with_sweep):
             out[n]["max_deviation"] = max(
                 float(np.max(np.abs(np.asarray(got[name]) - ref[name]))) for name in OPERATOR_NAMES
             )
+    regression = {}
+    for label, _, _ in REGRESSION:
+        for n in REGRESSION_ORDERS:
+            system = one_panel_assembly(label, n)()
+            row = regression[f"{label}/{n}"] = {"samples_s": solve_samples(system)}
+            if with_deviation:
+                row["path"], row["steps"] = watched_path(system)
+                x = dense_solve(fresh(system), system.rhs)[0]
+                nodes = system.partition.grids[0].nodes
+                row["error"] = relative_sup_error(x, problems[label].solution(nodes))
     errors = {}
     if with_deviation:
         for label, name, overrides in SOLVES:
@@ -138,29 +232,62 @@ def measure(with_deviation, with_sweep):
             for n in SOLVE_ORDERS:
                 sol = solve_fredholm(problem.kernel, problem.a, problem.b, problem.lam, problem.rhs, n)
                 errors[f"{label}/{n}"] = relative_sup_error(sol.node_values, problem.solution(sol.nodes))
-    sweep = {}
+    paths = {}
+    if with_paths:
+        settings = {"twogrid": (0, math.inf), "float32": (math.inf, 0), "float64": (math.inf, math.inf)}
+        for label, _, _ in PATH_SWEEP:
+            for n in PATH_ORDERS:
+                system = one_panel_assembly(label, n)()
+                for path, (twogrid, float32) in settings.items():
+                    with _ab.patched(fredholm_solver, TWOGRID_CROSSOVER_N=twogrid, FLOAT32_CROSSOVER_N=float32):
+                        paths[f"{label}/{n}/{path}"] = statistics.median(solve_samples(system))
+                        if path == "twogrid":
+                            paths[f"{label}/{n}/answered"] = watched_path(system)[0]
+        # what a decline costs, in one process: each REGRESSION system that
+        # tries the two-grid and is answered by another path, timed with the
+        # two-grid allowed and ruled out, alternately
+        for label, _, _ in REGRESSION:
+            for n in REGRESSION_ORDERS:
+                system = one_panel_assembly(label, n)()
+                if n + 1 < fredholm_solver.TWOGRID_CROSSOVER_N or watched_path(system)[0] == "twogrid":
+                    continue
+                allowed, ruled_out = [], []
+                for _ in range(DECLINE_ALTERNATIONS):
+                    allowed += solve_samples(system)
+                    with _ab.patched(fredholm_solver, TWOGRID_CROSSOVER_N=math.inf):
+                        ruled_out += solve_samples(system)
+                paths[f"{label}/{n}/decline"] = statistics.median(allowed) / statistics.median(ruled_out)
+    sweep, tails = {}, {}
     if with_sweep:
+        # the tail sweep reads the change's two-grid, which the baseline lacks
+        from chebfred.spectral_core import chebyshev_coefficients, chebyshev_values
+
         for n in ROW_BLOCK_ORDERS:
             assemble = one_panel_assembly("example2", n)
             for entries in ROW_BLOCK_CANDIDATES:
-                fredholm_solver.ROW_BLOCK_ENTRIES = entries
-                sweep[f"{entries}/{n}"] = best_time(assemble)
-    float32_sweep = {}
-    if with_sweep:
-        crossover = fredholm_solver.FLOAT32_CROSSOVER_N
-        for label, _, _ in SOLVES:  # each is also an ASSEMBLIES label
-            for n in FLOAT32_ORDERS:
+                with _ab.patched(fredholm_solver, ROW_BLOCK_ENTRIES=entries):
+                    sweep[f"{entries}/{n}"] = best_time(assemble)
+        for label, _, _ in REGRESSION:
+            for n in TAIL_ORDERS:
                 system = one_panel_assembly(label, n)()
-                block = system.matrix.block(0, 0)
-                for path, smallest in (("float32", 0), ("float64", math.inf)):
-                    fredholm_solver.FLOAT32_CROSSOVER_N = smallest
-                    float32_sweep[f"{label}/{n}/{path}"] = best_time(
-                        lambda: dense_solve(ToeplitzBlocks([0, n + 1], {0: block}), system.rhs)
-                    )
-        fredholm_solver.FLOAT32_CROSSOVER_N = crossover
+                coarse = -(-(n + 1) // 4)
+                coeffs = chebyshev_coefficients(system.rhs)
+                try:
+                    z = np.linalg.solve(system.matrix.coarse(coarse - 1), chebyshev_values(coeffs[:coarse], coarse - 1))
+                    z = np.abs(chebyshev_coefficients(z))
+                    tail = float(z[-math.ceil(fredholm_solver.TWOGRID_TAIL_FRACTION * coarse) :].max() / z.max())
+                except ValueError as exc:  # a kernel sampled at a singular point
+                    tail = repr(exc)
+                wide = np.flatnonzero(np.abs(coeffs) > fredholm_solver.TWOGRID_TAIL * np.abs(coeffs).max())
+                with _ab.patched(fredholm_solver, TWOGRID_TAIL=math.inf, TWOGRID_CROSSOVER_N=0):
+                    path, steps = watched_path(system)
+                tails[f"{label}/{n}"] = {
+                    "coarse_nodes": coarse, "rhs_degree": int(wide[-1] + 1), "coarse_tail": tail,
+                    "open_gate_path": path, "open_gate_steps": steps, "gated_path": watched_path(system)[0],
+                }
     return {
-        "orders": out, "errors": errors, "row_block_sweep": sweep, "float32_sweep": float32_sweep,
-        "machine": _ab.machine(),
+        "orders": out, "regression": regression, "errors": errors, "paths": paths,
+        "row_block_sweep": sweep, "tails": tails, "machine": _ab.machine(),
     }
 
 
@@ -182,10 +309,11 @@ def main():
     parser.add_argument("--baseline", help="git commit whose src/ is the 'before' side")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--deviation", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--paths", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--sweep", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.worker:
-        print(json.dumps(measure(args.deviation, args.sweep)))
+        print(json.dumps(measure(args.deviation, args.paths, args.sweep)))
         return 0
     if not args.baseline:
         parser.error("--baseline is required")
@@ -193,27 +321,46 @@ def main():
     labels = [label for label, _, _ in ASSEMBLIES]
     # (quantity, n) -> side -> pooled samples, and -> side -> each round's median
     samples, per_round = {}, {}
-    deviation, errors, sweep, float32_sweep = {}, {}, {}, {}
+    deviation, errors, details, sweep, tails = {}, {}, {}, {}, {}
+    path_medians = {}  # (label, n, path) -> each sweep worker's median
+    answered, declines = {}, {}  # declines: "label/n" -> each sweep worker's time ratio
     for r, side, src in _ab.alternating_rounds(commit, ROUNDS):
-        # the sweeps choose constants, not A/B columns: one worker runs them
-        flags = (["--deviation"] if r == 0 else []) + (["--sweep"] if (r, side) == (0, "after") else [])
+        # the sweeps choose constants, not A/B columns: the change's workers run them
+        flags = ["--deviation"] if r == 0 else []
+        if side == "after" and r < PATH_WORKERS:
+            flags.append("--paths")
+        if (r, side) == (0, "after"):
+            flags.append("--sweep")
         result = _ab.run_worker(__file__, src, *flags)
+        timed = {}
         for n, v in result["orders"].items():
             n = int(n)
-            timed = {("build", n): [v["best_s"]], ("dense_solve", n): v["dense_solve_samples_s"]}
+            timed[("build", n)] = [v["best_s"]]
+            timed[("dense_solve", n)] = v["dense_solve_samples_s"]
             for label, a in v["assemble"].items():
                 timed[(label, n)] = a["samples_s"]
                 samples.setdefault(("peak", label, n), {}).setdefault(side, []).append(a["peak_mb"])
-            for key, times in timed.items():
-                samples.setdefault(key, {}).setdefault(side, []).extend(times)
-                per_round.setdefault(key, {}).setdefault(side, []).append(statistics.median(times))
             if "max_deviation" in v:
                 deviation.setdefault(n, {})[side] = v["max_deviation"]
+        for key, v in result["regression"].items():
+            timed[("solve", key)] = v["samples_s"]
+            if "path" in v:
+                details.setdefault(key, {})[side] = {k: v[k] for k in ("path", "steps", "error")}
+        for key, times in timed.items():
+            samples.setdefault(key, {}).setdefault(side, []).extend(times)
+            per_round.setdefault(key, {}).setdefault(side, []).append(statistics.median(times))
         for key, err in result["errors"].items():
             errors.setdefault(key, {})[side] = err
+        for key, value in result["paths"].items():
+            if key.endswith("/answered"):
+                answered[key.rsplit("/", 1)[0]] = value
+            elif key.endswith("/decline"):
+                declines.setdefault(key.rsplit("/", 1)[0], []).append(value)
+            else:
+                path_medians.setdefault(key, []).append(value)
         sweep.update(result["row_block_sweep"])
-        float32_sweep.update(result["float32_sweep"])
-    rows, assembly = [], []
+        tails.update(result["tails"])
+    rows, assembly, regression = [], [], []
     for n in ORDERS:
         build = compare(samples[("build", n)], per_round[("build", n)])
         row = {
@@ -232,6 +379,13 @@ def main():
             for side in ("before", "after"):
                 entry[f"{side}_peak_mb"] = min(samples[("peak", label, n)][side])
             assembly.append(entry)
+    for label, _, _ in REGRESSION:
+        for n in REGRESSION_ORDERS:
+            key = f"{label}/{n}"
+            entry = {"problem": label, "n": n, **compare(samples[("solve", key)], per_round[("solve", key)])}
+            for side in ("before", "after"):
+                entry.update({f"{side}_{k}": v for k, v in details[key][side].items()})
+            regression.append(entry)
     solve_errors = [
         {"problem": key.rsplit("/", 1)[0], "n": int(key.rsplit("/", 1)[1]), **sides_err}
         for key, sides_err in errors.items()
@@ -239,14 +393,15 @@ def main():
     report = {
         "benchmark": (
             "spectral_core.build_operators (results: before_s/after_s, best sample), "
-            "fredholm_solver.dense_solve of the one-panel example2 block as a fresh one-panel operator "
-            "(results: dense_solve_*: copy, LU, gecon, getrs; from fredholm_solver.FLOAT32_CROSSOVER_N up, "
-            "float32 copy, sgetrf, refinement in float64, sgecon), and a one-panel composite_solver.assemble_blocks "
-            "per kernel of ASSEMBLIES (assembly: operators, kernel sampling and semismooth_block), wall time per "
-            "call; dense_solve_* and assembly rows give the best sample (*_s), the quartiles of every sample of "
-            "every round (*_q1_s, *_median_s, *_q3_s) and the rounds won by the change on per-round medians "
-            "(rounds_won, ties counted for neither side; for build_operators, on per-round best samples); "
-            "*_peak_mb is the tracemalloc peak of one assembly"
+            "fredholm_solver.dense_solve of the one-panel example2 system at ORDERS (results: dense_solve_*) and of "
+            "each REGRESSION system at REGRESSION_ORDERS (regression), each on a fresh copy of the assembled operator "
+            "with its coarse rule, and a one-panel composite_solver.assemble_blocks per kernel of ASSEMBLIES "
+            "(assembly: operators, kernel sampling and semismooth_block), wall time per call; dense_solve_*, "
+            "regression and assembly rows give the best sample (*_s), the quartiles of every sample of every round "
+            "(*_q1_s, *_median_s, *_q3_s) and the rounds won by the change on per-round medians (rounds_won, ties "
+            "counted for neither side; for build_operators, on per-round best samples); *_peak_mb is the "
+            "tracemalloc peak of one assembly; regression rows also give each side's path, refinement steps and "
+            "relative sup error against the analytic solution"
         ),
         "command": f"python3 scripts/bench_build_operators.py --baseline {commit}",
         "before": f"src/ at {commit}",
@@ -262,6 +417,7 @@ def main():
         "machine": result["machine"],
         "results": rows,
         "assembly": assembly,
+        "regression": regression,
         "solve_errors": solve_errors,
     }
     if sweep:
@@ -276,23 +432,52 @@ def main():
                 str(entries): [sweep[f"{entries}/{n}"] for n in ROW_BLOCK_ORDERS] for entries in ROW_BLOCK_CANDIDATES
             },
         }
-    if float32_sweep:
-        report["float32_sweep"] = {
+    if path_medians:
+        workers = len(next(iter(path_medians.values())))
+        report["path_sweep"] = {
             "note": (
-                "after side, first round's worker only: best time (s) of dense_solve of the one-panel block of each "
-                "SOLVES system as a fresh one-panel operator, on the float32 path (float32 LU refined in float64) "
-                "and on float64 LU, chosen by fredholm_solver.FLOAT32_CROSSOVER_N; speedup = float64 / float32"
+                f"after side, the first {workers} rounds' workers: dense_solve of the one-panel system of each "
+                "PATH_SWEEP problem on a fresh copy of its operator, on the two-grid path, on the float32 LU refined "
+                "in float64 and on float64 LU, chosen by fredholm_solver.TWOGRID_CROSSOVER_N and "
+                "FLOAT32_CROSSOVER_N; *_s is the median over the workers of each worker's median, *_workers_s each "
+                "worker's median; twogrid_answered is the path that answered with the two-grid allowed"
             ),
-            "orders": list(FLOAT32_ORDERS),
+            "workers": workers,
             "rows": [
                 {
-                    "problem": label, "n": n,
-                    "float32_s": float32_sweep[f"{label}/{n}/float32"],
-                    "float64_s": float32_sweep[f"{label}/{n}/float64"],
-                    "speedup": float32_sweep[f"{label}/{n}/float64"] / float32_sweep[f"{label}/{n}/float32"],
+                    "problem": label, "n": n, "twogrid_answered": answered[f"{label}/{n}"],
+                    **{f"{path}_s": statistics.median(path_medians[f"{label}/{n}/{path}"]) for path in PATHS},
+                    **{f"{path}_workers_s": path_medians[f"{label}/{n}/{path}"] for path in PATHS},
                 }
-                for label, _, _ in SOLVES for n in FLOAT32_ORDERS
+                for label, _, _ in PATH_SWEEP for n in PATH_ORDERS
             ],
+        }
+    if declines:
+        report["decline_sweep"] = {
+            "note": (
+                "after side, the path sweep's workers: each REGRESSION system from TWOGRID_CROSSOVER_N up that the "
+                "two-grid does not answer, timed in one process with the two-grid allowed and with it ruled out "
+                f"(TWOGRID_CROSSOVER_N infinite), alternately, {DECLINE_ALTERNATIONS} times; ratio = median allowed / "
+                "median ruled out, the cost of the decline over the path that then answers; ratio_workers: each "
+                "worker's, ratio: their median"
+            ),
+            "rows": [
+                {"problem": key.rsplit("/", 1)[0], "n": int(key.rsplit("/", 1)[1]),
+                 "ratio": statistics.median(ratios), "ratio_workers": ratios}
+                for key, ratios in declines.items()
+            ],
+        }
+    if tails:
+        report["tail_sweep"] = {
+            "note": (
+                "after side, first round's worker only: coarse_nodes = ceil(N/4); rhs_degree = 1 + the last "
+                "Chebyshev coefficient of the right-hand side above fredholm_solver.TWOGRID_TAIL times the largest; "
+                "coarse_tail = the largest of the trailing TWOGRID_TAIL_FRACTION of the coarse solution's Chebyshev "
+                "coefficients over the largest, on coarse_nodes; open_gate_* = the path and refinement steps with "
+                "TWOGRID_TAIL infinite, so that the coarse rule has coarse_nodes nodes and the gate passes; "
+                "gated_path = the path with the committed constants"
+            ),
+            "rows": [{"problem": key.rsplit("/", 1)[0], "n": int(key.rsplit("/", 1)[1]), **v} for key, v in tails.items()],
         }
     OUT.write_text(json.dumps(report, indent=2) + "\n")
 
@@ -317,16 +502,30 @@ def main():
             f"  x{row['median_speedup']:.2f} won {row['rounds_won']}"
             f"  peak {row['before_peak_mb']:.2f} -> {row['after_peak_mb']:.2f} MB"
         )
+    for row in regression:
+        print(
+            f"{row['problem']:>15s} n={row['n']:5d}  dense_solve {timing(row, 'before')} -> {timing(row, 'after')}"
+            f"  x{row['median_speedup']:.2f} won {row['rounds_won']}"
+            f"  {row['before_path']} ({row['before_steps']}) -> {row['after_path']} ({row['after_steps']})"
+            f"  error {row['before_error']:.3e} -> {row['after_error']:.3e}"
+        )
     for row in solve_errors:
         print(f"{row['problem']:>15s} n={row['n']:5d}  error {row['before']:.6e} -> {row['after']:.6e}")
     if sweep:
         for entries, times in report["row_block_sweep"]["best_s"].items():
             cells = "  ".join(f"n={n}: {t * 1e3:7.3f} ms" for n, t in zip(ROW_BLOCK_ORDERS, times))
             print(f"ROW_BLOCK_ENTRIES={entries:>7s}  {cells}")
-    for row in report.get("float32_sweep", {}).get("rows", []):
+    for row in report.get("path_sweep", {}).get("rows", []):
+        cells = "  ".join(f"{path} {row[f'{path}_s'] * 1e3:7.3f}" for path in PATHS)
+        print(f"{row['problem']:>15s} n={row['n']:5d}  dense_solve ms: {cells}  ({row['twogrid_answered']})")
+    for row in report.get("decline_sweep", {}).get("rows", []):
+        print(f"{row['problem']:>15s} n={row['n']:5d}  declined, time with / without the two-grid x{row['ratio']:.3f}")
+    for row in report.get("tail_sweep", {}).get("rows", []):
+        tail = row["coarse_tail"]
         print(
-            f"{row['problem']:>15s} n={row['n']:5d}  dense_solve float64 {row['float64_s'] * 1e3:.3f}"
-            f" -> float32 {row['float32_s'] * 1e3:.3f} ms  x{row['speedup']:.2f}"
+            f"{row['problem']:>15s} n={row['n']:5d}  M={row['coarse_nodes']:4d} rhs degree {row['rhs_degree']:5d}"
+            f"  coarse tail {tail if isinstance(tail, str) else f'{tail:.2e}'}"
+            f"  open gate: {row['open_gate_path']} ({row['open_gate_steps']})  gated: {row['gated_path']}"
         )
     return 0
 

@@ -28,12 +28,12 @@ the leaf size and the compression tolerance on the many_panel systems.
 """
 
 import argparse
-import contextlib
 import json
 import math
 import time
 
 import _ab
+from _ab import patched
 
 
 T_200PI = 200.0 * math.pi
@@ -100,19 +100,6 @@ def solve_call(problem_name, panels, order, T):
         problem.kernel, problem.a, problem.b, problem.lam, problem.rhs,
         breakpoints=breakpoints, orders=order,
     )
-
-
-@contextlib.contextmanager
-def patched(module, **values):
-    """Module attributes set to ``values`` for the duration, then restored."""
-    saved = {name: getattr(module, name) for name in values}
-    for name, value in values.items():
-        setattr(module, name, value)
-    try:
-        yield
-    finally:
-        for name, value in saved.items():
-            setattr(module, name, value)
 
 
 def float64_lu(op, rhs):

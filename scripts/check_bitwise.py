@@ -21,9 +21,11 @@ only, so that any baseline runs it:
   example4 at their catalog orders;
 * the node values x of ``dense_solve`` on systems that take each of its
   paths: hierarchical (example2 at T = 200 pi, 8 x 127 and 16 x 63;
-  example4, 16 x 63), float32 LU refined in float64 (example1, 1 x 1023;
-  example2, 1 x 767) and float64 LU (example2, 1 x 511; example2 at
-  T = 200 pi, 2 x 399);
+  example4, 16 x 63), the two-grid iteration (example2, 1 x 767; example2
+  at T = 50 pi, 1 x 1023), float32 LU refined in float64 (example3,
+  1 x 767, which the two-grid's gate declines) and float64 LU (example1,
+  1 x 255, below the two-grid's crossover; example2 at T = 200 pi,
+  2 x 399);
 * the six CSVs of scripts/run_error_tables.py, without ``elapsed_ms``.
 
 The solves hash x and not rcond, which is not reproducible to the bit:
@@ -71,9 +73,10 @@ SOLVES = (
     ("example2", {"T": 200 * math.pi}, 8, 127),
     ("example2", {"T": 200 * math.pi}, 16, 63),
     ("example4", {}, 16, 63),
-    ("example1", {}, 1, 1023),
     ("example2", {}, 1, 767),
-    ("example2", {}, 1, 511),
+    ("example2", {"T": 50 * math.pi}, 1, 1023),
+    ("example3", {}, 1, 767),
+    ("example1", {}, 1, 255),
     ("example2", {"T": 200 * math.pi}, 2, 399),
 )
 SCHRODINGER_ORDERS = (16, 32, 64, 127, 128, 159, 160, 192, 256, 384)

@@ -53,7 +53,14 @@ class BlockOperator:
     ``_apply`` (the product with a 2-D operand), ``_abs_sums``, ``row``
     and ``column``, which read one row or column of A[rows, cols], and
     ``is_zero``, which tells whether A[rows, cols] is all zero.
+
+    ``coarse``, when not None, is the same rule at a lower order for a
+    one-panel system: ``coarse(order)`` returns a fresh C-order array, the
+    system matrix of the same kernel, lambda and interval on order + 1
+    nodes (``composite_solver.assemble_blocks``).
     """
+
+    coarse = None
 
     def __init__(self, offsets):
         self.offsets = np.asarray(offsets, dtype=int)
@@ -138,9 +145,10 @@ class ToeplitzBlocks(BlockOperator):
     """Block (j, i) is ``diagonals[j - i]``, for d = j - i from 1 - m to m - 1;
     every panel has the same size."""
 
-    def __init__(self, offsets, diagonals):
+    def __init__(self, offsets, diagonals, coarse=None):
         super().__init__(offsets)
         self.diagonals = diagonals
+        self.coarse = coarse
         self.size = int(self.offsets[1])
 
     def share_key(self, p0, p1):
@@ -175,6 +183,8 @@ class ToeplitzBlocks(BlockOperator):
         return not any(self.diagonals[d].any() for d in range(p0 - q1 + 1, p1 - q0))
 
     def _apply(self, x):
+        if self.panels == 1:
+            return self.diagonals[0] @ x
         # Panel p's k columns sit side by side at columns p*k .. p*k+k-1, so
         # the panel pairs along one diagonal are one product with its block.
         n, k = self.size, x.shape[1]

@@ -172,9 +172,11 @@ def assemble_blocks(kernel, partition: Partition, lam: float, rhs) -> BlockSyste
     offsets = partition.offsets
     total = offsets[-1]
     ops_cache = {}
-    for g in grids:
-        if g.order not in ops_cache:
-            ops_cache[g.order] = build_operators(g.order)
+
+    def operators(order):
+        if order not in ops_cache:
+            ops_cache[order] = build_operators(order)
+        return ops_cache[order]
 
     def diagonal(g):
         t = g.nodes
@@ -187,13 +189,13 @@ def assemble_blocks(kernel, partition: Partition, lam: float, rhs) -> BlockSyste
 
         # a reflected kernel's K2 is K1^T
         return semismooth_block(
-            ops_cache[g.order], lower, None if kernel.k_upper is None else upper, lam * g.width / 2.0
+            operators(g.order), lower, None if kernel.k_upper is None else upper, lam * g.width / 2.0
         )
 
     def per_column():
         """lam w_i / 2 and full_weights_i per column of each source panel i."""
         scale = np.repeat([lam * g.width / 2.0 for g in grids], np.diff(offsets))
-        return scale, np.concatenate([ops_cache[g.order].full_weights for g in grids])
+        return scale, np.concatenate([operators(g.order).full_weights for g in grids])
 
     m = len(grids)
     nodes = np.concatenate([g.nodes for g in grids])
@@ -202,6 +204,8 @@ def assemble_blocks(kernel, partition: Partition, lam: float, rhs) -> BlockSyste
         # (d, 0) for d > 0 and (0, -d) for d < 0
         g0, n1 = grids[0], offsets[1]
         diagonals = {0: diagonal(g0)}
+        # a one-panel system carries its rule at any order, for a coarse solve
+        coarse = (lambda order: diagonal(cheb_grid(order, g0.a, g0.b))) if m == 1 else None
         if m > 1:
             col_scale, weights = per_column()
             raw, mirror = kernel.eval_mirrored(nodes[n1:, None], g0.nodes[None, :])
@@ -215,7 +219,7 @@ def assemble_blocks(kernel, partition: Partition, lam: float, rhs) -> BlockSyste
             for d in range(1, m):
                 diagonals[d] = lower[(d - 1) * n1 : d * n1]
                 diagonals[-d] = upper[d - 1]
-        matrix = ToeplitzBlocks(offsets, diagonals)
+        matrix = ToeplitzBlocks(offsets, diagonals, coarse)
     else:
         col_scale, weights = per_column()
         dense = np.empty((total, total))

@@ -14,7 +14,11 @@ smooth function and needs only the full-interval weight row.
 
 This module also holds what every solver shares: ``dense_solve``, with the
 refinement of its fast paths, the rhs check, and ``solve_system``, which
-solves and builds the ``ChebSolution``.
+solves and builds the ``ChebSolution``.  A one-panel system from
+``assemble_blocks`` carries its rule at any lower order, so the rule
+converging spectrally also gives its solve: ``twogrid_solve`` factors the
+system at a quarter of the order or more and refines against the full
+one, in O(n^2) a step, where an LU costs O(n^3).
 """
 
 from __future__ import annotations
@@ -26,10 +30,12 @@ from itertools import accumulate
 import numpy as np
 
 from . import hierarchical
-from .block_operator import ToeplitzBlocks, as_block_operator
+from .block_operator import ToeplitzBlocks, abs_sums, as_block_operator
 from .hierarchical import _flapack, _lu, _lu_rcond, _lu_solve
-from .kernel_catalog import as_semismooth
-from .spectral_core import ChebGrid, SpectralOperators, build_operators, cheb_grid, chebyshev_eval
+from .kernel_catalog import KernelEvaluationError, as_semismooth
+from .spectral_core import (
+    ChebGrid, SpectralOperators, build_operators, cheb_grid, chebyshev_coefficients, chebyshev_eval, chebyshev_values,
+)
 
 __all__ = [
     "SingularMatrixError",
@@ -55,6 +61,22 @@ ROW_BLOCK_ENTRIES = 32768
 # noise.  513 keeps every system of N <= 512 on float64 LU, bitwise: every
 # error-table row but the one panel of order 1023 in longrange.csv.
 FLOAT32_CROSSOVER_N = 513
+# Smallest one-panel system offered to the two-grid iteration
+# (``twogrid_solve``).  In the path sweep of scripts/bench_build_operators.py
+# (BENCH_build_operators.json, medians of 3 workers) it beats float64 LU on
+# example1 and example2 at every order from n = 351 up, and at n = 255-319
+# in all but one reading.  But a system it declines pays the decline on top
+# of float64 LU: the script's decline sweep, run with this constant at 288,
+# read x1.31 at n = 319 and x1.03-1.07 at n = 383-447.  So it starts at 384.
+TWOGRID_CROSSOVER_N = 384
+# The two-grid's gate: the largest Chebyshev coefficient of the coarse
+# solution over its trailing TWOGRID_TAIL_FRACTION, as a multiple of the
+# largest.  In the tail sweep of the same file (example2, T = 50 pi, the
+# coarse rule at a quarter of the order), refinement failed at every coarse
+# tail of 1.05e-9 or more (n <= 767), took all MAX_REFINE steps at 6.7e-11
+# (n = 783), and 3-6 steps at 3.7e-12 or less (n >= 799).
+TWOGRID_TAIL = 1e-11
+TWOGRID_TAIL_FRACTION = 0.125
 # Iterative refinement: most steps, and the largest normwise backward error
 # accepted from a refinement that stopped contracting, in units of eps.
 MAX_REFINE = 8
@@ -80,13 +102,16 @@ def dense_solve(matrix, rhs: np.ndarray):
     decide between ``ValueError`` and an overflowed norm.  A non-finite
     right-hand side raises ``ValueError`` too.
 
-    At most one refined path applies, chosen by the operator's shape
+    The refined paths are chosen by the operator's shape
     (``refined_solve``): a hierarchical factorization
     (``hierarchical.hierarchical_solve``) with several panels and N at or
-    above ``hierarchical.CROSSOVER_N``, or a float32 LU (``float32_solve``)
-    with one panel and N at or above ``FLOAT32_CROSSOVER_N``.  Its answer is
-    refined against the exact float64 A and kept only when it reaches
-    working accuracy.
+    above ``hierarchical.CROSSOVER_N``; with one panel, the two-grid
+    iteration (``twogrid_solve``) when the operator carries its rule at
+    lower orders, N is at or above ``TWOGRID_CROSSOVER_N`` and the coarse
+    rule resolves the solution, and otherwise a float32 LU
+    (``float32_solve``) with N at or above ``FLOAT32_CROSSOVER_N``.  The
+    answer is refined against the exact float64 A and kept only when it
+    reaches working accuracy.
 
     Otherwise, and whenever that path gives up, float64 LU answers, bitwise
     as if the path had not been tried: ``BlockOperator.dense`` forms a plain
@@ -122,35 +147,41 @@ def refined_solve(op, rhs, anorm):
     """(x, rcond) from the refined path that ``dense_solve`` picks for the
     ``BlockOperator`` ``op``, or None to solve by float64 LU.
 
-    ``anorm`` is ||A||_1.  The path's builder gets it in the builder's
+    ``anorm`` is ||A||_1.  Each candidate builder gets it in the builder's
     working precision and returns an approximate inverse, which ``_refine``
-    refines against A.  None follows when no path applies, when the norm is
-    not finite in that precision, when the builder declines or hits a zero
+    refines against A, or declines, and then the next candidate is tried.
+    None follows when no candidate applies or all decline, when the norm is
+    not finite in a candidate's precision, when a builder hits a zero
     pivot, and when refinement does not reach working accuracy.  rcond is
     the builder's estimate, made only after refinement converged.
     """
     n = len(op)
+    candidates = []
     if op.panels > 1 and n >= hierarchical.CROSSOVER_N:
-        build, precision = hierarchical.hierarchical_solve, np.float64
-    elif op.panels == 1 and n >= FLOAT32_CROSSOVER_N:
-        build, precision = float32_solve, np.float32
-    else:
+        candidates.append((hierarchical.hierarchical_solve, np.float64))
+    if op.panels == 1 and op.coarse is not None and n >= TWOGRID_CROSSOVER_N:
+        candidates.append((lambda op, anorm: twogrid_solve(op, anorm, rhs), np.float64))
+    if op.panels == 1 and n >= FLOAT32_CROSSOVER_N:
+        candidates.append((float32_solve, np.float32))
+    if not candidates:
         return None
     # overflow, an inf from a float32-subnormal pivot, or a zero pivot
     # anywhere hands the system back to float64 LU
     with np.errstate(all="ignore"):
-        anorm = precision(anorm)
-        if not np.isfinite(anorm):
-            return None
-        try:
-            built = build(op, anorm)
-            if built is None:
+        for build, precision in candidates:
+            norm = precision(anorm)
+            if not np.isfinite(norm):
                 return None
-            solve, rcond = built
-            x = _refine(op.matmul, rhs, solve, op.norm_inf())
-            return None if x is None else (x, float(rcond()))
-        except np.linalg.LinAlgError:
-            return None
+            try:
+                built = build(op, norm)
+                if built is None:
+                    continue
+                solve, rcond = built
+                x = _refine(op.matmul, rhs, solve, op.norm_inf())
+                return None if x is None else (x, float(rcond()))
+            except np.linalg.LinAlgError:
+                return None
+    return None
 
 
 def _refine(matmul, rhs, solve, anorm_inf):
@@ -176,6 +207,70 @@ def _refine(matmul, rhs, solve, anorm_inf):
             return x if berr <= BERR_EPS * _EPS else None
         x, previous = refined, size
     return None
+
+
+def twogrid_solve(op, anorm, rhs):
+    """(solve, rcond) from the same rule at a quarter of the order or more,
+    the two-grid approximate inverse of a one-panel ``op`` that carries its
+    rule (``op.coarse``), or None when the coarse rule does not resolve the
+    solution for ``rhs`` (Atkinson & Brakhage; Atkinson, *The Numerical
+    Solution of Integral Equations of the Second Kind*, CUP 1997, ch. 6).
+
+    With N = n + 1 fine nodes, the coarse system A_m on M nodes is
+    assembled and LU-factored once, and
+
+        H^{-1} r = r + P (A_m^{-1} - I) R r,
+
+    where R keeps the first M Chebyshev coefficients of r and evaluates
+    them at the coarse nodes, and P evaluates coarse coefficients at the
+    fine nodes (``chebyshev_coefficients``, ``chebyshev_values``).  R is
+    exact on polynomials of degree below M, so (A_m^{-1} - I) R r is taken
+    in coefficient space, and the part of r above degree M passes through
+    unchanged: a second-kind operator I + K damps it there, K being
+    smoothing.  A solve costs two DCTs of length N, two of length M and one
+    ``getrs`` of order M, so refinement costs O(n^2) a step, the product
+    with A.
+
+    M is ceil(N / 4), or twice the degree d that resolves the right-hand
+    side y if that is more: the coarse rule integrates k(t, s) x(s), whose
+    degree is about that of the kernel plus that of x, and x is about as
+    wide as y.  Past ceil(N / 2) the coarse assembly and LU would take a
+    good part of what the float32 path costs, so the path declines there,
+    at the cost of one DCT.  "d
+    resolves y" and "resolved" below mean that the Chebyshev coefficients
+    from d on, or the trailing TWOGRID_TAIL_FRACTION of them, are at most
+    TWOGRID_TAIL times the largest.  The path is taken only when the
+    coarse solution A_m^{-1} R y is resolved.  A coarse assembly that
+    samples a non-finite kernel value, or a coarse zero pivot, declines
+    too.  ``anorm`` is unused: ``rcond()`` is ``gecon``'s estimate for A_m
+    from ||A_m||_1.
+    """
+    n = len(op)
+    coeffs = chebyshev_coefficients(rhs)
+    size = np.abs(coeffs)
+    wide = np.flatnonzero(size > TWOGRID_TAIL * size.max())
+    m = max(-(-n // 4), 2 * (wide[-1] + 1 if wide.size else 0))
+    if m > -(-n // 2):
+        return None
+    try:
+        coarse = op.coarse(m - 1)
+        coarse_norm = float(abs_sums(coarse)[0].max())
+        factors = _lu(coarse)
+    except (KernelEvaluationError, np.linalg.LinAlgError):
+        return None
+
+    def coarse_solution(c):
+        # the Chebyshev coefficients of A_m^{-1} at the coarse values of c
+        return chebyshev_coefficients(_lu_solve(factors, chebyshev_values(c, m - 1)))
+
+    def solve(r):
+        c = chebyshev_coefficients(r)[:m]
+        return r + chebyshev_values(coarse_solution(c) - c, n - 1)
+
+    z = np.abs(coarse_solution(coeffs[:m]))
+    if not z[-math.ceil(TWOGRID_TAIL_FRACTION * m) :].max() <= TWOGRID_TAIL * z.max():
+        return None
+    return solve, lambda: _lu_rcond(factors, coarse_norm)
 
 
 def float32_solve(op, anorm):

@@ -76,6 +76,7 @@ __all__ = [
     "chebyshev_nodes",
     "build_operators",
     "chebyshev_coefficients",
+    "chebyshev_values",
     "cheb_grid",
     "chebyshev_eval",
 ]
@@ -122,6 +123,26 @@ def chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
     coeffs = Y.real * (1.0 / N)
     coeffs[0] *= 0.5
     return coeffs
+
+
+def chebyshev_values(coeffs: np.ndarray, order: int) -> np.ndarray:
+    """The Chebyshev series ``coeffs`` at the order+1 nodes of
+    :func:`chebyshev_nodes`, the inverse of :func:`chebyshev_coefficients`.
+
+    ``coeffs`` may be shorter than order+1, and is then padded with zeros,
+    so the values are those of a lower-degree polynomial on a finer grid.
+    A DCT-III in O(n log n): with N = order + 1 and d_j = c_j
+    exp(i pi j/(2N)), d_0 doubled, f_m = sum_j c_j cos(j theta_m) is N times
+    the length-2N inverse real FFT of d at m.
+    """
+    c = np.asarray(coeffs, dtype=float)
+    N = order + 1
+    if c.ndim != 1 or not 0 < c.size <= N:
+        raise ValueError(f"need 1 to {N} coefficients, got shape {c.shape}")
+    d = np.zeros(N + 1, dtype=complex)
+    d[: c.size] = c * np.exp(np.arange(c.size) * (0.5j * np.pi / N))
+    d[0] *= 2.0
+    return np.fft.irfft(d, 2 * N)[:N] * N
 
 
 @dataclass(frozen=True)

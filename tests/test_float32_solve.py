@@ -11,7 +11,9 @@ from dense_oracle import lu_solve
 
 from chebfred.block_operator import as_block_operator
 from chebfred.composite_solver import assemble_blocks, build_partition
-from chebfred.fredholm_solver import FLOAT32_CROSSOVER_N, RCOND_WARN, dense_solve, refined_solve, relative_sup_error
+from chebfred.fredholm_solver import (
+    FLOAT32_CROSSOVER_N, RCOND_WARN, TWOGRID_CROSSOVER_N, dense_solve, refined_solve, relative_sup_error,
+)
 from chebfred.kernel_catalog import catalog_lookup
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
@@ -76,7 +78,7 @@ def test_refinement_that_fails_returns_the_float64_lu_answer():
 
 
 @pytest.mark.parametrize("panels, order", [
-    (1, FLOAT32_CROSSOVER_N - 2),  # N = 512, below the crossover
+    (1, TWOGRID_CROSSOVER_N - 2),  # N just below the two-grid crossover, which is below the float32 one
     (2, 399),  # N = 800: several panels stay on float64 LU below the hierarchical crossover too
 ])
 def test_systems_the_float32_path_skips_are_bitwise_the_float64_lu(panels, order):
