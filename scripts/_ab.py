@@ -103,3 +103,61 @@ def patched(module, **values):
     finally:
         for name, value in saved.items():
             setattr(module, name, value)
+
+
+def schrodinger_matrix(system):
+    """The matrix of a Schrodinger ``assemble`` result as an array, whether
+    the side under test returns it as one or as a one-panel BlockOperator."""
+    matrix = system.matrix
+    return matrix.block(0, 0) if hasattr(matrix, "block") else matrix
+
+
+def fresh(system):
+    """A fresh operator of the one-panel ``system``'s matrix, which keeps
+    the coarse rule where the code under test gives one: a solve caches the
+    norms on its operator, so every timed solve gets its own.  A matrix
+    that the side under test gives as an array is wrapped as ``dense_solve``
+    wraps it."""
+    from chebfred.block_operator import ToeplitzBlocks, as_block_operator
+
+    matrix = system.matrix
+    if not hasattr(matrix, "block"):
+        return as_block_operator(matrix)
+    op = ToeplitzBlocks(matrix.offsets, {0: matrix.block(0, 0)})
+    op.coarse = getattr(matrix, "coarse", None)
+    return op
+
+
+def watched_path(system):
+    """(path, refinement steps) of ``refined_solve`` on the one-panel
+    ``system``: the builder whose answer refinement accepted, or "float64"
+    (with the builder that failed, if one built) and None steps."""
+    from chebfred import fredholm_solver
+
+    built, solves = [], []
+
+    def watch(name):
+        build = getattr(fredholm_solver, name)
+
+        def watched(*args):
+            result = build(*args)
+            if result is None:
+                return None
+            built.append(name.removesuffix("_solve"))
+            solve, rcond = result
+
+            def counted(b):
+                solves.append(b)
+                return solve(b)
+
+            return counted, rcond
+
+        return watched
+
+    names = [name for name in ("twogrid_solve", "float32_solve") if hasattr(fredholm_solver, name)]
+    op = fresh(system)
+    with patched(fredholm_solver, **{name: watch(name) for name in names}):
+        refined = fredholm_solver.refined_solve(op, system.rhs, op.norm1())
+    if refined is None:
+        return ("float64" + (f" ({built[-1]} failed)" if built else "")), None
+    return built[-1], len(solves) - 1

@@ -13,7 +13,7 @@ each kernel in ``ASSEMBLIES``, which is what a one-panel solve assembles
 (operators, kernel sampling and ``semismooth_block``); ``dense_solve`` of
 the one-panel example2 system at ``ORDERS``; and ``dense_solve`` of each
 ``REGRESSION`` system at ``REGRESSION_ORDERS``.  A solve is timed on a
-fresh copy of the assembled operator (``fresh``), which keeps the
+fresh copy of the assembled operator (``_ab.fresh``), which keeps the
 operator's coarse rule where the code under test gives it one, so it
 takes the path a one-panel solve takes: the two-grid iteration, the
 float32 LU refined in float64, or float64 LU (``dense_solve``).
@@ -34,7 +34,7 @@ over the operators in ``OPERATOR_NAMES``, from the dense reference
 ``REGRESSION`` system, the path that answered, its refinement steps and
 the error of the answer, so a speed-up that costs digits shows up here.
 The paths are read by argument-agnostic wrappers of the builders the code
-under test has (``watched_path``).  The integration operators
+under test has (``_ab.watched_path``).  The integration operators
 ``int_left`` and ``int_right`` are W = a + B and V = c - B as
 ``integration_matrices`` forms them from the vectors that the solves read,
 with B from ``SpectralOperators.bracket_rows``, so the baseline must be a
@@ -45,22 +45,23 @@ The change's first ``PATH_WORKERS`` workers time ``dense_solve`` of each
 ``fredholm_solver.TWOGRID_CROSSOVER_N`` and ``FLOAT32_CROSSOVER_N`` below
 and above the system; the report gives the median over those workers of
 each worker's median, from which ``TWOGRID_CROSSOVER_N`` is read.  The
-same workers time, in one process, each ``REGRESSION`` system that tries
-the two-grid and is answered by another path with the two-grid allowed
-and ruled out, alternately: the cost of a decline, which the A/B columns,
-across processes, cannot resolve.  The
-change's first worker also times the one-panel assembly with each value of
-``fredholm_solver.ROW_BLOCK_ENTRIES`` in ``ROW_BLOCK_CANDIDATES``, which is
-how that constant was chosen, and runs the tail sweep: for each
-``REGRESSION`` system at ``TAIL_ORDERS``, with the gate open
-(``TWOGRID_TAIL`` infinite, so the coarse rule has a quarter of the
-order), the trailing coefficients of the coarse solution for the
-right-hand side, as the gate measures them, and whether the two-grid
-refinement then converged, and in how many steps; that is how
-``TWOGRID_TAIL`` was chosen.
+same workers time, in one process, each ``REGRESSION`` and
+``UNIT_RHS_DECLINES`` system that tries the two-grid and is answered by
+another path with the two-grid allowed and ruled out, alternately: the
+cost of a decline, which the A/B columns, across processes, cannot
+resolve.  The change's first worker also times the one-panel assembly
+with each value of ``fredholm_solver.ROW_BLOCK_ENTRIES`` in
+``ROW_BLOCK_CANDIDATES``, which is how that constant was chosen, and runs
+the tail sweep: for each ``REGRESSION`` system at ``TAIL_ORDERS``, with
+the gate open (``TWOGRID_TAIL`` infinite, so the coarse rule has a
+quarter of the order and passes its branch-row check), the trailing
+coefficients of the coarse solution for the right-hand side, as the gate
+measures them, and whether the two-grid refinement then converged, and in
+how many steps; that is how ``TWOGRID_TAIL`` was chosen.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import statistics
@@ -102,6 +103,10 @@ PATH_ORDERS = (127, 191, 223, 255, 287, 319, 351, 383, 447, 511, 767, 1023)
 PATHS = ("twogrid", "float32", "float64")
 PATH_WORKERS = 3
 DECLINE_ALTERNATIONS = 2
+# (label, catalog name, overrides, orders) of the systems with the
+# right-hand side y = 1 that the decline sweep times besides REGRESSION's:
+# resolved at a quarter of the order, on a kernel that is not
+UNIT_RHS_DECLINES = (("example2-T200pi-y=1", "example2", {"T": 200 * math.pi}, (575, 767, 1023)),)
 TAIL_ORDERS = (255, 383, 511, 575, 639, 703, 735, 751, 767, 783, 799, 815, 831, 895, 959, 1023)
 ROW_BLOCK_CANDIDATES = (2048, 4096, 8192, 16384, 32768, 65536, 131072)
 ROW_BLOCK_ORDERS = (255, 511, 767, 1023, 2047)
@@ -118,52 +123,6 @@ def best_time(call):
 
 def time_samples(call):
     return _ab.time_samples(call, SAMPLE_S, REPEATS)
-
-
-def fresh(system):
-    """A fresh copy of the one-panel ``system``'s operator, which keeps the
-    coarse rule where the code under test gives one: a solve caches the
-    norms on its operator, so every timed solve gets its own."""
-    from chebfred.block_operator import ToeplitzBlocks
-
-    op = ToeplitzBlocks(system.matrix.offsets, {0: system.matrix.block(0, 0)})
-    op.coarse = getattr(system.matrix, "coarse", None)
-    return op
-
-
-def watched_path(system):
-    """(path, refinement steps) of ``refined_solve`` on the one-panel
-    ``system``: the builder whose answer refinement accepted, or "float64"
-    (with the builder that failed, if one built) and None steps."""
-    from chebfred import fredholm_solver
-
-    built, solves = [], []
-
-    def watch(name):
-        build = getattr(fredholm_solver, name)
-
-        def watched(*args):
-            result = build(*args)
-            if result is None:
-                return None
-            built.append(name.removesuffix("_solve"))
-            solve, rcond = result
-
-            def counted(b):
-                solves.append(b)
-                return solve(b)
-
-            return counted, rcond
-
-        return watched
-
-    names = [name for name in ("twogrid_solve", "float32_solve") if hasattr(fredholm_solver, name)]
-    op = fresh(system)
-    with _ab.patched(fredholm_solver, **{name: watch(name) for name in names}):
-        refined = fredholm_solver.refined_solve(op, system.rhs, op.norm1())
-    if refined is None:
-        return ("float64" + (f" ({built[-1]} failed)" if built else "")), None
-    return built[-1], len(solves) - 1
 
 
 def measure(with_deviation, with_paths, with_sweep):
@@ -184,6 +143,8 @@ def measure(with_deviation, with_paths, with_sweep):
     from dense_oracle import OPERATOR_NAMES, dense_operators, integration_matrices
 
     problems = {label: catalog_lookup(name, **overrides) for label, name, overrides in ASSEMBLIES + REGRESSION}
+    for label, name, overrides, _ in UNIT_RHS_DECLINES:
+        problems[label] = dataclasses.replace(catalog_lookup(name, **overrides), rhs=np.ones_like)
 
     def one_panel_assembly(label, n):
         problem = problems[label]
@@ -191,7 +152,7 @@ def measure(with_deviation, with_paths, with_sweep):
         return lambda: assemble_blocks(problem.kernel, partition, problem.lam, problem.rhs)
 
     def solve_samples(system):
-        return time_samples(lambda: dense_solve(fresh(system), system.rhs))
+        return time_samples(lambda: dense_solve(_ab.fresh(system), system.rhs))
 
     out = {}
     for n in ORDERS:
@@ -221,8 +182,8 @@ def measure(with_deviation, with_paths, with_sweep):
             system = one_panel_assembly(label, n)()
             row = regression[f"{label}/{n}"] = {"samples_s": solve_samples(system)}
             if with_deviation:
-                row["path"], row["steps"] = watched_path(system)
-                x = dense_solve(fresh(system), system.rhs)[0]
+                row["path"], row["steps"] = _ab.watched_path(system)
+                x = dense_solve(_ab.fresh(system), system.rhs)[0]
                 nodes = system.partition.grids[0].nodes
                 row["error"] = relative_sup_error(x, problems[label].solution(nodes))
     errors = {}
@@ -242,21 +203,25 @@ def measure(with_deviation, with_paths, with_sweep):
                     with _ab.patched(fredholm_solver, TWOGRID_CROSSOVER_N=twogrid, FLOAT32_CROSSOVER_N=float32):
                         paths[f"{label}/{n}/{path}"] = statistics.median(solve_samples(system))
                         if path == "twogrid":
-                            paths[f"{label}/{n}/answered"] = watched_path(system)[0]
-        # what a decline costs, in one process: each REGRESSION system that
-        # tries the two-grid and is answered by another path, timed with the
-        # two-grid allowed and ruled out, alternately
-        for label, _, _ in REGRESSION:
-            for n in REGRESSION_ORDERS:
+                            paths[f"{label}/{n}/answered"] = _ab.watched_path(system)[0]
+        # what a decline costs, in one process: each REGRESSION and
+        # UNIT_RHS_DECLINES system that tries the two-grid and is answered by
+        # another path, timed with the two-grid allowed and ruled out,
+        # alternately
+        declines = [(label, REGRESSION_ORDERS) for label, _, _ in REGRESSION]
+        declines += [(label, orders) for label, _, _, orders in UNIT_RHS_DECLINES]
+        for label, orders in declines:
+            for n in orders:
                 system = one_panel_assembly(label, n)()
-                if n + 1 < fredholm_solver.TWOGRID_CROSSOVER_N or watched_path(system)[0] == "twogrid":
+                if n + 1 < fredholm_solver.TWOGRID_CROSSOVER_N or _ab.watched_path(system)[0] == "twogrid":
                     continue
                 allowed, ruled_out = [], []
                 for _ in range(DECLINE_ALTERNATIONS):
                     allowed += solve_samples(system)
                     with _ab.patched(fredholm_solver, TWOGRID_CROSSOVER_N=math.inf):
                         ruled_out += solve_samples(system)
-                paths[f"{label}/{n}/decline"] = statistics.median(allowed) / statistics.median(ruled_out)
+                allowed, ruled_out = statistics.median(allowed), statistics.median(ruled_out)
+                paths[f"{label}/{n}/decline"] = allowed / ruled_out, allowed - ruled_out
     sweep, tails = {}, {}
     if with_sweep:
         # the tail sweep reads the change's two-grid, which the baseline lacks
@@ -273,17 +238,20 @@ def measure(with_deviation, with_paths, with_sweep):
                 coarse = -(-(n + 1) // 4)
                 coeffs = chebyshev_coefficients(system.rhs)
                 try:
-                    z = np.linalg.solve(system.matrix.coarse(coarse - 1), chebyshev_values(coeffs[:coarse], coarse - 1))
+                    # with the gate open, so that the coarse rule assembles
+                    with _ab.patched(fredholm_solver, TWOGRID_TAIL=math.inf):
+                        matrix = system.matrix.coarse(coarse - 1)
+                    z = np.linalg.solve(matrix, chebyshev_values(coeffs[:coarse], coarse - 1))
                     z = np.abs(chebyshev_coefficients(z))
                     tail = float(z[-math.ceil(fredholm_solver.TWOGRID_TAIL_FRACTION * coarse) :].max() / z.max())
                 except ValueError as exc:  # a kernel sampled at a singular point
                     tail = repr(exc)
                 wide = np.flatnonzero(np.abs(coeffs) > fredholm_solver.TWOGRID_TAIL * np.abs(coeffs).max())
                 with _ab.patched(fredholm_solver, TWOGRID_TAIL=math.inf, TWOGRID_CROSSOVER_N=0):
-                    path, steps = watched_path(system)
+                    path, steps = _ab.watched_path(system)
                 tails[f"{label}/{n}"] = {
                     "coarse_nodes": coarse, "rhs_degree": int(wide[-1] + 1), "coarse_tail": tail,
-                    "open_gate_path": path, "open_gate_steps": steps, "gated_path": watched_path(system)[0],
+                    "open_gate_path": path, "open_gate_steps": steps, "gated_path": _ab.watched_path(system)[0],
                 }
     return {
         "orders": out, "regression": regression, "errors": errors, "paths": paths,
@@ -458,13 +426,15 @@ def main():
                 "after side, the path sweep's workers: each REGRESSION system from TWOGRID_CROSSOVER_N up that the "
                 "two-grid does not answer, timed in one process with the two-grid allowed and with it ruled out "
                 f"(TWOGRID_CROSSOVER_N infinite), alternately, {DECLINE_ALTERNATIONS} times; ratio = median allowed / "
-                "median ruled out, the cost of the decline over the path that then answers; ratio_workers: each "
-                "worker's, ratio: their median"
+                "median ruled out, the cost of the decline over the path that then answers, and cost_s = median "
+                "allowed - median ruled out; *_workers: each worker's, ratio and cost_s: their median; the "
+                "UNIT_RHS_DECLINES systems (right-hand side y = 1) are timed too"
             ),
             "rows": [
                 {"problem": key.rsplit("/", 1)[0], "n": int(key.rsplit("/", 1)[1]),
-                 "ratio": statistics.median(ratios), "ratio_workers": ratios}
-                for key, ratios in declines.items()
+                 "ratio": statistics.median(r for r, _ in values), "ratio_workers": [r for r, _ in values],
+                 "cost_s": statistics.median(c for _, c in values), "cost_s_workers": [c for _, c in values]}
+                for key, values in declines.items()
             ],
         }
     if tails:
@@ -519,7 +489,10 @@ def main():
         cells = "  ".join(f"{path} {row[f'{path}_s'] * 1e3:7.3f}" for path in PATHS)
         print(f"{row['problem']:>15s} n={row['n']:5d}  dense_solve ms: {cells}  ({row['twogrid_answered']})")
     for row in report.get("decline_sweep", {}).get("rows", []):
-        print(f"{row['problem']:>15s} n={row['n']:5d}  declined, time with / without the two-grid x{row['ratio']:.3f}")
+        print(
+            f"{row['problem']:>15s} n={row['n']:5d}  declined, time with / without the two-grid x{row['ratio']:.3f},"
+            f" {row['cost_s'] * 1e3:+.3f} ms"
+        )
     for row in report.get("tail_sweep", {}).get("rows", []):
         tail = row["coarse_tail"]
         print(

@@ -21,6 +21,15 @@ Each side also reports the error of every scattering configuration that the
 error tables and the benchmark's ``schrodinger`` workload print, through
 ``cli.schrodinger_error``.
 
+The solve sweep times ``dense_solve`` of each catalog potential's system,
+as the CLI assembles it, at ``SOLVE_ORDERS`` on a fresh operator per call
+(``_ab.fresh``), so each side takes its own path: the two-grid iteration
+where the side gives the system a coarse rule and the rule resolves it,
+float64 LU otherwise.  It reports the median over the workers of each
+worker's median, the rounds won by the change, and, from each side's
+first worker, the path that answered, its refinement steps
+(``_ab.watched_path``) and ``cli.schrodinger_error``.
+
 Every worker of the change also times ``assemble`` on two paths, at each
 order of ``SWEEP_ORDERS``: factored from any order and up to any rank
 (``schrodinger.LOWRANK_MIN_ORDER`` and ``LOWRANK_MAX_RANK`` moved out of the
@@ -48,6 +57,8 @@ sys.path.insert(0, str(_ab.ROOT / "tests"))
 
 POTENTIALS = ("schrod_pereybuck", "schrod_separable")
 ORDERS = (64, 96, 128, 159, 160, 192, 224, 256, 384, 512)
+# orders of the solve sweep: below, at and above TWOGRID_CROSSOVER_N
+SOLVE_ORDERS = (255, 383, 384, 511)
 SWEEP_ORDERS = (128, 160, 192, 224, 256, 384, 512)
 # alpha of the Gaussian potentials of the sweep: ranks 11, 13, 16, 17, 21, 30
 GAUSSIANS = (0.003, 0.007, 0.014, 0.02, 0.04, 0.1)
@@ -111,6 +122,7 @@ def measure(with_accuracy, with_sweep):
     import numpy as np
 
     from chebfred.cli import schrodinger_error
+    from chebfred.fredholm_solver import dense_solve
     from chebfred.kernel_catalog import catalog_lookup
     from chebfred.schrodinger import assemble, build_kernel_matrices
     from chebfred.spectral_core import build_operators, cheb_grid
@@ -123,7 +135,7 @@ def measure(with_accuracy, with_sweep):
             grid = cheb_grid(n, 0.0, pot.cutoff)
             row = {"samples_s": time_samples(lambda: assemble(pot, grid))}
             tracemalloc.start()
-            matrix = assemble(pot, grid).matrix
+            matrix = _ab.schrodinger_matrix(assemble(pot, grid))
             row["peak_mb"] = tracemalloc.get_traced_memory()[1] / 2**20
             tracemalloc.stop()
             if with_accuracy:
@@ -135,7 +147,21 @@ def measure(with_accuracy, with_sweep):
             problem = catalog_lookup(name)
             for n in ERROR_ORDERS[name]:
                 errors[f"{name}/{n}"] = schrodinger_error(problem, n)
-    return {"timings": timings, "errors": errors, "sweep": sweep() if with_sweep else {}, "machine": _ab.machine()}
+    solves = {}
+    for name in POTENTIALS:
+        problem = catalog_lookup(name)
+        pot = problem.potential
+        for n in SOLVE_ORDERS:
+            system = assemble(pot, cheb_grid(n, 0.0, pot.cutoff), problem.rhs)
+            samples = time_samples(lambda: dense_solve(_ab.fresh(system), system.rhs))
+            row = solves[f"{name}/{n}"] = {"samples_s": samples}
+            if with_accuracy:
+                row["path"], row["steps"] = _ab.watched_path(system)
+                row["error"] = schrodinger_error(problem, n)
+    return {
+        "timings": timings, "errors": errors, "solves": solves, "sweep": sweep() if with_sweep else {},
+        "machine": _ab.machine(),
+    }
 
 
 def main():
@@ -155,6 +181,7 @@ def main():
     medians = {"before": {}, "after": {}}  # side -> key -> each round's median
     peaks, deviations = {"before": {}, "after": {}}, {"before": {}, "after": {}}
     errors = {}
+    solve_medians, solve_details = {"before": {}, "after": {}}, {"before": {}, "after": {}}
     sweep_samples, sweep_medians, ranks = {}, {}, {}  # key -> path -> samples / per-round medians
     for r, side, src in _ab.alternating_rounds(commit, ROUNDS):
         flags = (["--accuracy"] if r == 0 else []) + (["--sweep"] if side == "after" else [])
@@ -170,8 +197,22 @@ def main():
             peaks[side][key] = min(peaks[side].get(key, v["peak_mb"]), v["peak_mb"])
             if "oracle_deviation" in v:
                 deviations[side][key] = v["oracle_deviation"]
+        for key, v in result["solves"].items():
+            solve_medians[side].setdefault(key, []).append(statistics.median(v["samples_s"]))
+            if "path" in v:
+                solve_details[side][key] = {k: v[k] for k in ("path", "steps", "error")}
         if r == 0:
             errors[side] = result["errors"]
+    solve_rows = []
+    for key in solve_medians["before"]:
+        name, n = key.split("/")
+        row = {"potential": name, "n": int(n)}
+        for side in ("before", "after"):
+            row[f"{side}_median_s"] = statistics.median(solve_medians[side][key])
+            row.update({f"{side}_{k}": v for k, v in solve_details[side][key].items()})
+        row["median_speedup"] = row["before_median_s"] / row["after_median_s"]
+        row["rounds_won"] = _ab.rounds_won(solve_medians["before"][key], solve_medians["after"][key])
+        solve_rows.append(row)
     rows = []
     for key in samples["before"]:
         name, n = key.split("/")
@@ -226,6 +267,16 @@ def main():
         "machine": result["machine"],
         "results": rows,
         "configuration_errors": error_rows,
+        "solve_sweep": {
+            "what": (
+                "fredholm_solver.dense_solve of the system that the CLI assembles (the separable potential with its "
+                "manufactured right-hand side, Perey-Buck with sin(kappa r)), on a fresh operator per call; *_median_s "
+                "is the median over the side's workers of each worker's median, rounds_won counts the rounds won by "
+                "the change on worker medians; path, steps and error (cli.schrodinger_error) are from each side's "
+                "first worker"
+            ),
+            "rows": solve_rows,
+        },
         "path_sweep": {
             "what": (
                 "schrodinger.assemble of the change on two paths: 'path' is factored (LOWRANK_MIN_ORDER and "
@@ -251,6 +302,13 @@ def main():
         )
     for row in error_rows:
         print(f"{row['configuration']:22s} error {row['before']:.6e} -> {row['after']:.6e}")
+    for row in solve_rows:
+        print(
+            f"{row['potential']:17s} n={row['n']:4d}  dense_solve {row['before_median_s'] * 1e3:7.3f} ->"
+            f" {row['after_median_s'] * 1e3:7.3f} ms  x{row['median_speedup']:5.2f} won {row['rounds_won']:2d}"
+            f"  {row['before_path']} ({row['before_steps']}) -> {row['after_path']} ({row['after_steps']})"
+            f"  error {row['before_error']:.3e} -> {row['after_error']:.3e}"
+        )
     print("path sweep of the change: dense -> factored or committed median ms, rounds won by the latter")
     for row in sweep_rows:
         rank = "gave up" if row["rank"] is None else f"rank {row['rank']:3d}"

@@ -14,7 +14,11 @@ matrices of ``build_kernel_matrices``.  Since D (W o K) = W o (D K), it is
 the semismooth block I + (T/2k) (W o K1 + V o K2) of the spliced branches
 K1 = D_c K11 + D_s K21 and K2 = D_c K12 + D_s K22.  The default right-hand
 side is the free solution sin(k t); tests with a manufactured solution
-override it.
+override it.  ``assemble`` returns it as a one-panel ``BlockSystem``
+(``SchrodingerSystem``) whose operator carries the same potential's rule
+at lower orders, so ``solve_composite`` solves it as any one-panel
+Fredholm system, by the two-grid iteration where the coarse rule resolves
+it (``fredholm_solver.twogrid_solve``).
 
 Assembly through one shared operator
 ------------------------------------
@@ -78,12 +82,13 @@ and the dense products answer, bitwise as below LOWRANK_MIN_ORDER.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
+from .block_operator import ToeplitzBlocks
+from .composite_solver import BlockSystem, Partition, solve_composite
 from .fredholm_solver import (
-    ROW_BLOCK_ENTRIES, ChebSolution, _rhs_values, relative_sup_error, semismooth_block, solve_system
+    ROW_BLOCK_ENTRIES, ChebSolution, _rhs_values, branch_rows, coarse_rule, relative_sup_error, semismooth_block
 )
 from .kernel_catalog import NonlocalPotential, SchrodingerProblem
 from .spectral_core import ChebGrid, SpectralOperators, build_operators, cheb_grid
@@ -142,17 +147,14 @@ def build_kernel_matrices(potential: NonlocalPotential, grid: ChebGrid, ops: Spe
 
 
 @dataclass(frozen=True)
-class SchrodingerSystem:
-    """The assembled system: ``matrix`` is the semismooth block of the
-    spliced branches, and ``sample_k1(rows, cols)`` and
-    ``sample_k2(rows, cols)`` return K1 and K2 on slices of rows and
-    columns, the samplers ``semismooth_block`` read them through."""
+class SchrodingerSystem(BlockSystem):
+    """The assembled system, a one-panel ``BlockSystem``: ``matrix`` holds
+    the semismooth block of the spliced branches, and carries the same
+    potential's rule at any lower order (``fredholm_solver.coarse_rule``)."""
 
-    grid: ChebGrid
-    sample_k1: Callable
-    sample_k2: Callable
-    matrix: np.ndarray
-    rhs: np.ndarray
+    @property
+    def grid(self) -> ChebGrid:
+        return self.partition.grids[0]
 
 
 def _spliced_branches(ops: SpectralOperators, v1, v2, half_t, sin_t, cos_t):
@@ -261,8 +263,9 @@ def _factored_branches(ops: SpectralOperators, x1, y1, x2, y2, half_t, sin_t, co
     )
 
 
-def _branch_samplers(potential: NonlocalPotential, grid: ChebGrid, ops: SpectralOperators, sin_t, cos_t):
-    """Samplers of the spliced branches K1 and K2.
+def _branch_samplers(potential: NonlocalPotential, grid: ChebGrid, ops: SpectralOperators):
+    """Samplers of the spliced branches K1 and K2, ``sample(rows, cols)``
+    on slices of rows and columns.
 
     V1 is sampled once, and V2 only for a potential with an explicit upper
     branch.  From order LOWRANK_MIN_ORDER up, V1 and V2^T are factored
@@ -274,6 +277,8 @@ def _branch_samplers(potential: NonlocalPotential, grid: ChebGrid, ops: Spectral
     """
     t = grid.nodes
     half_t = grid.width / 2.0
+    sin_t = np.sin(potential.kappa * t)
+    cos_t = np.cos(potential.kappa * t)
     v1 = potential.eval_lower(t[:, None], t[None, :])
     v2 = None if potential.upper is None else potential.eval_upper(t[:, None], t[None, :])
     if grid.order >= LOWRANK_MIN_ORDER:
@@ -287,28 +292,32 @@ def _branch_samplers(potential: NonlocalPotential, grid: ChebGrid, ops: Spectral
     return (lambda rows, cols: k1[rows, cols]), (lambda rows, cols: k2[rows, cols])
 
 
+def _spliced_block(potential: NonlocalPotential, grid: ChebGrid):
+    """The semismooth block of the spliced branches on ``grid``, and their
+    ``branch_rows``, read before the samplers are dropped."""
+    ops = build_operators(grid.order)
+    samplers = _branch_samplers(potential, grid, ops)
+    block = semismooth_block(ops, *samplers, grid.width / (2.0 * potential.kappa))
+    return block, branch_rows(*samplers, grid.order + 1)
+
+
 def assemble(potential: NonlocalPotential, grid: ChebGrid, rhs_override=None) -> SchrodingerSystem:
     if not (grid.a == 0.0 and grid.b == potential.cutoff):
         raise ValueError(
             f"grid [{grid.a}, {grid.b}] must span [0, {potential.cutoff}]"
         )
-    kappa = potential.kappa
-    if not kappa > 0.0:
-        raise ValueError(f"need kappa > 0, got {kappa}")
-    ops = build_operators(grid.order)
+    if not potential.kappa > 0.0:
+        raise ValueError(f"need kappa > 0, got {potential.kappa}")
+    block, rows = _spliced_block(potential, grid)
+    coarse = coarse_rule(lambda: rows, lambda order: _spliced_block(potential, cheb_grid(order, grid.a, grid.b))[0])
     t = grid.nodes
-    sin_t = np.sin(kappa * t)
-    cos_t = np.cos(kappa * t)
-    sample_k1, sample_k2 = _branch_samplers(potential, grid, ops, sin_t, cos_t)
-    matrix = semismooth_block(ops, sample_k1, sample_k2, grid.width / (2.0 * kappa))
-    rhs = sin_t if rhs_override is None else _rhs_values(rhs_override, t)
-    return SchrodingerSystem(grid=grid, sample_k1=sample_k1, sample_k2=sample_k2, matrix=matrix, rhs=rhs)
+    rhs = np.sin(potential.kappa * t) if rhs_override is None else _rhs_values(rhs_override, t)
+    partition = Partition(np.array([grid.a, grid.b]), (grid,))
+    return SchrodingerSystem(ToeplitzBlocks(partition.offsets, {0: block}, coarse), rhs, partition)
 
 
 def solve_schrodinger(potential: NonlocalPotential, order: int, rhs_override=None) -> ChebSolution:
-    grid = cheb_grid(order, 0.0, potential.cutoff)
-    system = assemble(potential, grid, rhs_override)
-    return solve_system((grid,), system.matrix, system.rhs)
+    return solve_composite(assemble(potential, cheb_grid(order, 0.0, potential.cutoff), rhs_override))
 
 
 def self_convergence(

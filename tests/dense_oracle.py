@@ -148,19 +148,19 @@ def hadamard_matrix(potential, grid, ops, kernel_matrices):
     return matrix, scale * max(np.max(np.abs(k)) for k in kernel_matrices)
 
 
-def whole_branches(system, rows_per_block=None):
-    """K1 and K2 of a Schrodinger system in full, read through its samplers
-    ``sample_k1`` and ``sample_k2``: every row at once, or stacked from
-    requests of ``rows_per_block`` rows and every column each.
+def whole_branches(samplers, n1, rows_per_block=None):
+    """K1 and K2 of a Schrodinger system on ``n1`` nodes in full, read
+    through its ``samplers`` (``schrodinger._branch_samplers``): every row
+    at once, or stacked from requests of ``rows_per_block`` rows and every
+    column each.
 
     A sampler may round an entry by the rows it is asked among, so a test
     that compares bitwise with ``semismooth_block`` asks for its row blocks:
     ``max(1, ROW_BLOCK_ENTRIES // (n + 1))`` rows each."""
-    n1 = system.grid.order + 1
     every = slice(0, n1)
     step = n1 if rows_per_block is None else rows_per_block
     blocks = [slice(start, min(start + step, n1)) for start in range(0, n1, step)]
-    return tuple(np.vstack([sample(rows, every) for rows in blocks]) for sample in (system.sample_k1, system.sample_k2))
+    return tuple(np.vstack([sample(rows, every) for rows in blocks]) for sample in samplers)
 
 
 def record_branch_calls(monkeypatch, cls, calls):

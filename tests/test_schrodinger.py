@@ -1,5 +1,6 @@
 """Nonlocal-potential scattering solver: kernel assembly and convergence."""
 
+import dataclasses
 import subprocess
 import sys
 import tracemalloc
@@ -11,11 +12,14 @@ from dense_oracle import (
 )
 
 import chebfred.schrodinger as schrodinger
+from chebfred import composite_solver
+from chebfred.composite_solver import BlockSystem
 from chebfred.fredholm_solver import ROW_BLOCK_ENTRIES
 from chebfred.kernel_catalog import NonlocalPotential, catalog_lookup
 from chebfred.schrodinger import (
     LOWRANK_MAX_RANK,
     LOWRANK_MIN_ORDER,
+    SchrodingerSystem,
     assemble,
     build_kernel_matrices,
     self_convergence,
@@ -29,6 +33,12 @@ T_CUT = 20.0
 AROUND_CROSSOVER = (LOWRANK_MIN_ORDER - 1, LOWRANK_MIN_ORDER, 384)
 
 
+def _branches(pot, grid, rows_per_block=None):
+    """K1 and K2 in full, through the samplers that ``assemble`` reads."""
+    samplers = schrodinger._branch_samplers(pot, grid, build_operators(grid.order))
+    return whole_branches(samplers, grid.order + 1, rows_per_block)
+
+
 def _zero_potential():
     zero = lambda p, r2: np.zeros(np.broadcast(p, r2).shape)
     return NonlocalPotential(lower=zero, upper=zero, strength=0.0, kappa=1.0, cutoff=T_CUT)
@@ -40,9 +50,9 @@ def test_zero_potential_gives_free_solution(order):
     pot = _zero_potential()
     grid = cheb_grid(order, 0.0, T_CUT)
     system = assemble(pot, grid)
-    k1, k2 = whole_branches(system)
+    k1, k2 = _branches(pot, grid)
     assert np.all(k1 == 0.0) and np.all(k2 == 0.0)
-    assert np.array_equal(system.matrix, np.eye(order + 1))
+    assert np.array_equal(system.matrix.block(0, 0), np.eye(order + 1))
     xs, ys = schrodinger._cross_factors(np.zeros((order + 1, order + 1)), LOWRANK_MAX_RANK)
     assert xs.shape == ys.shape == (0, order + 1)
     sol = solve_schrodinger(pot, order)
@@ -114,7 +124,7 @@ def test_assemble_samples_each_branch_once(monkeypatch, name, reflected, order):
     system = assemble(pot, grid)
     assert [branch for branch, _, _ in calls] == (["lower"] if reflected else ["lower", "upper"])
     references, term_scale = _reference_branches(pot, grid)
-    for k, ref in zip(whole_branches(system), references):
+    for k, ref in zip(_branches(pot, grid), references):
         assert np.max(np.abs(k - ref)) <= 1e-13 * term_scale
 
 
@@ -135,7 +145,7 @@ def test_matrix_is_semismooth_block_of_spliced_branches(name, order):
     pot = catalog_lookup(name).potential
     grid = cheb_grid(order, 0.0, pot.cutoff)
     reference, term_scale = _hadamard_matrix(pot, grid)
-    matrix = assemble(pot, grid).matrix
+    matrix = assemble(pot, grid).matrix.block(0, 0)
     assert np.max(np.abs(matrix - reference)) <= 1e-14 * term_scale
 
 
@@ -151,9 +161,9 @@ def test_matrix_is_bitwise_the_whole_array_block_of_spliced_branches(name, order
     system = assemble(pot, grid)
     scale = grid.width / (2.0 * pot.kappa)
     rows_per_block = max(1, ROW_BLOCK_ENTRIES // (order + 1))
-    branches = whole_branches(system, rows_per_block)
+    branches = _branches(pot, grid, rows_per_block)
     reference = semismooth_block_reference(build_operators(order), *branches, scale)
-    assert np.array_equal(system.matrix, reference)
+    assert np.array_equal(system.matrix.block(0, 0), reference)
 
 
 @pytest.mark.parametrize("order", [8, 32, 128, *AROUND_CROSSOVER])
@@ -164,8 +174,43 @@ def test_matrix_is_semismooth_block_at_kappa_2(name, order):
     pot = catalog_lookup(name, kappa=2.0).potential
     grid = cheb_grid(order, 0.0, pot.cutoff)
     reference, term_scale = _hadamard_matrix(pot, grid)
-    matrix = assemble(pot, grid).matrix
+    matrix = assemble(pot, grid).matrix.block(0, 0)
     assert np.max(np.abs(matrix - reference)) <= 1e-14 * term_scale
+
+
+def test_assemble_returns_a_one_panel_block_system_with_its_coarse_rule(monkeypatch):
+    assert [field.name for field in dataclasses.fields(SchrodingerSystem)] == ["matrix", "rhs", "partition"]
+    pot = catalog_lookup("schrod_pereybuck").potential
+    grid = cheb_grid(384, 0.0, pot.cutoff)
+    system = assemble(pot, grid)
+    assert isinstance(system, BlockSystem)
+    assert system.matrix.panels == 1 and system.grid is grid and system.partition.grids == (grid,)
+    # the coarse rule is the same potential assembled on fewer nodes, on
+    # either side of the crossover to the factored assembly
+    for order in (LOWRANK_MIN_ORDER - 1, 192):
+        coarse = assemble(pot, cheb_grid(order, 0.0, pot.cutoff)).matrix.block(0, 0)
+        assert np.array_equal(system.matrix.coarse(order), coarse)
+    # and solve_schrodinger solves the assembled system by solve_composite
+    solved = []
+    solve = composite_solver.solve_composite
+    monkeypatch.setattr(schrodinger, "solve_composite", lambda system: solved.append(system) or solve(system))
+    sol = solve_schrodinger(pot, 384)
+    assert len(solved) == 1 and np.array_equal(solved[0].matrix.block(0, 0), system.matrix.block(0, 0))
+    assert np.array_equal(sol.node_values, solve(system).node_values)
+
+
+@pytest.mark.parametrize("order", [383, 511])
+def test_the_separable_coarse_rule_declines_without_sampling(order, monkeypatch):
+    """The spliced rows of the separable potential sit on a rounding floor
+    of about 5e-9 of their largest coefficient, so its coarse rule declines
+    on the rows read at assembly, sampling nothing."""
+    pot = catalog_lookup("schrod_separable").potential
+    system = assemble(pot, cheb_grid(order, 0.0, pot.cutoff))
+    calls = []
+    record_branch_calls(monkeypatch, NonlocalPotential, calls)
+    monkeypatch.setattr(schrodinger, "semismooth_block", None)
+    assert system.matrix.coarse(-(-(order + 1) // 4) - 1) is None
+    assert calls == []
 
 
 def test_assemble_forms_neither_integration_matrix(monkeypatch):
@@ -207,12 +252,12 @@ def test_samplers_match_the_reference_whichever_rows_are_asked(name, order):
     lies in."""
     pot = catalog_lookup(name).potential
     grid = cheb_grid(order, 0.0, pot.cutoff)
-    system = assemble(pot, grid)
+    samplers = schrodinger._branch_samplers(pot, grid, build_operators(order))
     references, term_scale = _reference_branches(pot, grid)
     every = slice(0, order + 1)
     asked = [(slice(i, i + 1), every) for i in (0, 1, 57, order)]
     asked += [(slice(3, order - 2), every), (slice(40, 130), slice(7, 91)), (slice(order, order + 1), slice(0, 1))]
-    for sample, ref in zip((system.sample_k1, system.sample_k2), references):
+    for sample, ref in zip(samplers, references):
         for rows, cols in asked:
             assert np.max(np.abs(sample(rows, cols) - ref[rows, cols])) <= 1e-13 * term_scale, (rows, cols)
 
@@ -231,10 +276,11 @@ def test_high_rank_potential_is_bitwise_the_dense_products(monkeypatch, order):
     sample = pot.eval_lower(grid.nodes[:, None], grid.nodes[None, :])
     assert schrodinger._cross_factors(sample, LOWRANK_MAX_RANK) is None
     system = assemble(pot, grid)
+    branches = _branches(pot, grid)
     monkeypatch.setattr(schrodinger, "LOWRANK_MIN_ORDER", order + 1)
     dense = assemble(pot, grid)
-    assert np.array_equal(system.matrix, dense.matrix)
-    for k, ref in zip(whole_branches(system), whole_branches(dense)):
+    assert np.array_equal(system.matrix.block(0, 0), dense.matrix.block(0, 0))
+    for k, ref in zip(branches, _branches(pot, grid)):
         assert np.array_equal(k, ref)
 
 
@@ -247,7 +293,7 @@ def test_explicit_upper_branch_matches_the_oracle(monkeypatch, order):
     grid = cheb_grid(order, 0.0, pot.cutoff)
     _forbid_dense_products(monkeypatch)
     reference, term_scale = _hadamard_matrix(pot, grid)
-    matrix = assemble(pot, grid).matrix
+    matrix = assemble(pot, grid).matrix.block(0, 0)
     assert np.max(np.abs(matrix - reference)) <= 1e-14 * term_scale
 
 
@@ -368,7 +414,7 @@ def test_assembled_rows_match_nested_quadrature():
     psi_bar = problem.solution(grid.nodes)
     oracle = _nested_lhs(pot, problem.solution, grid.nodes)
     assert np.max(np.abs(oracle - problem.rhs(grid.nodes))) < 1e-7
-    assert np.max(np.abs(system.matrix @ psi_bar - oracle)) < 2e-4
+    assert np.max(np.abs(system.matrix.block(0, 0) @ psi_bar - oracle)) < 2e-4
 
 
 def test_separable_potential_analytic_solution():

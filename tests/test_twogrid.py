@@ -9,18 +9,24 @@ import numpy as np
 import pytest
 from dense_oracle import lu_solve
 
-from chebfred import fredholm_solver
+from chebfred import composite_solver, fredholm_solver, schrodinger
 from chebfred.composite_solver import assemble_blocks, build_partition
-from chebfred.fredholm_solver import RCOND_WARN, dense_solve, relative_sup_error
+from chebfred.fredholm_solver import RCOND_WARN, branch_rows, coarse_rule, dense_solve, relative_sup_error
 from chebfred.kernel_catalog import catalog_lookup
-from chebfred.spectral_core import chebyshev_coefficients, chebyshev_values
+from chebfred.spectral_core import cheb_grid, chebyshev_coefficients, chebyshev_values
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
 
-from workloads import tolerance  # noqa: E402
+from workloads import LARGE_ORDERS, OFFSETS, tolerance  # noqa: E402
 
 _EPS = np.finfo(float).eps
 T_50PI, T_200PI = 50.0 * math.pi, 200.0 * math.pi
+# the kernels of the benchmark's single_panel_large workload, each solved at
+# its order of LARGE_ORDERS less an offset below OFFSETS
+SINGLE_PANEL_LARGE = [
+    (name, overrides, large)
+    for (name, overrides), large in zip([("example1", {}), ("example2", {}), ("example2", {"T": T_50PI})], LARGE_ORDERS)
+]
 
 
 def _system(name, order, rhs=None, **overrides):
@@ -49,6 +55,21 @@ def _watch_paths(monkeypatch):
     return paths
 
 
+def _count_coarse_assemblies(monkeypatch):
+    """A list that gains an entry for every ``semismooth_block`` that the
+    one-panel assemblies make from now on."""
+    calls = []
+    block = fredholm_solver.semismooth_block
+
+    def counted(*args):
+        calls.append(args[0].order)
+        return block(*args)
+
+    for module in (composite_solver, schrodinger):
+        monkeypatch.setattr(module, "semismooth_block", counted)
+    return calls
+
+
 def _series_values(coeffs, order):
     """sum_j coeffs[j] T_j at the order+1 nodes, term by term: T_j at node k is
     cos(j (2k+1) pi / (2N)), its angle reduced mod 2 pi in integers first."""
@@ -74,10 +95,10 @@ def test_restriction_and_prolongation_are_exact_on_coarse_polynomials(order):
     assert np.max(np.abs(chebyshev_coefficients(prolonged)[coarse:])) <= 4 * _EPS * scale
 
 
-@pytest.mark.parametrize("order", [704, 1023])
-@pytest.mark.parametrize("name, overrides", [("example1", {}), ("example2", {}), ("example2", {"T": T_50PI})])
-def test_single_panel_large_systems_take_the_two_grid_path(name, overrides, order, monkeypatch):
-    problem, partition, system = _system(name, order, **overrides)
+@pytest.mark.parametrize("offset", range(0, OFFSETS, 9))
+@pytest.mark.parametrize("name, overrides, large", SINGLE_PANEL_LARGE)
+def test_single_panel_large_systems_take_the_two_grid_path(name, overrides, large, offset, monkeypatch):
+    problem, partition, system = _system(name, large - offset, **overrides)
     paths = _watch_paths(monkeypatch)
     x, rcond, warn = dense_solve(system.matrix, system.rhs)
     assert paths == ["twogrid"]
@@ -86,6 +107,21 @@ def test_single_panel_large_systems_take_the_two_grid_path(name, overrides, orde
     assert relative_sup_error(x, exact) <= tolerance(relative_sup_error(x_lu, exact))
     assert 0.1 < rcond / rcond_lu < 10.0
     assert warn == (rcond_lu < RCOND_WARN)
+
+
+@pytest.mark.parametrize("name, overrides, large", SINGLE_PANEL_LARGE)
+def test_every_single_panel_large_order_passes_the_row_check(name, overrides, large):
+    # the coarse rule has ceil(N / 4) nodes or more, and a row resolved on M
+    # nodes is resolved on more, so none of these orders declines before the
+    # coarse assembly
+    problem = catalog_lookup(name, **overrides)
+    kernel = problem.kernel
+    for n in range(large - OFFSETS + 1, large + 1):
+        t = cheb_grid(n, problem.a, problem.b).nodes
+        lower = lambda rows, cols: kernel.eval_lower(t[rows, None], t[None, cols])
+        upper = lambda rows, cols: kernel.eval_upper(t[rows, None], t[None, cols])
+        rows = branch_rows(lower, upper, n + 1)
+        assert coarse_rule(lambda: rows, lambda order: order)(-(-(n + 1) // 4) - 1) is not None, n
 
 
 def test_a_coarse_rule_wider_than_a_quarter_takes_the_two_grid_path(monkeypatch):
@@ -104,14 +140,17 @@ def test_a_coarse_rule_wider_than_a_quarter_takes_the_two_grid_path(monkeypatch)
     ("example4", 1023, None, {}),
     ("example2", 767, None, {"T": T_200PI}),
     # y = 1 needs no more than a quarter of the order, but the kernel does:
-    # the coarse solution's tail declines it
+    # its branch rows decline it
     ("example2", 767, np.ones_like, {"T": T_200PI}),
 ], ids=["example3", "example4", "example2-T200pi", "example2-T200pi-y=1"])
 def test_systems_the_gate_declines_are_bitwise_the_float32_answer(name, order, rhs, overrides, monkeypatch):
+    # each declines on its branch rows, before any coarse assembly
     _, _, system = _system(name, order, rhs, **overrides)
+    coarse = _count_coarse_assemblies(monkeypatch)
     paths = _watch_paths(monkeypatch)
     x, rcond, _ = dense_solve(system.matrix, system.rhs)
     assert paths == ["declined", "float32"]
+    assert coarse == []
     monkeypatch.setattr(fredholm_solver, "TWOGRID_CROSSOVER_N", math.inf)
     x32, rcond32, _ = dense_solve(system.matrix, system.rhs)
     assert np.array_equal(x, x32)
@@ -128,6 +167,41 @@ def test_a_two_grid_refinement_that_fails_returns_the_float64_lu_answer(name, or
     assert fredholm_solver.refined_solve(system.matrix, system.rhs, system.matrix.norm1()) is None
     assert paths == ["twogrid"]
     x, rcond, _ = dense_solve(system.matrix, system.rhs)
+    x_lu, rcond_lu = lu_solve(system.matrix.dense(), system.rhs)
+    assert np.array_equal(x, x_lu)
+    assert rcond == pytest.approx(rcond_lu, rel=1e-12)
+
+
+def _schrodinger_system(name, order):
+    pot = catalog_lookup(name).potential
+    return pot, schrodinger.assemble(pot, cheb_grid(order, 0.0, pot.cutoff))
+
+
+@pytest.mark.parametrize("order", [383, 511])
+def test_the_perey_buck_system_takes_the_two_grid_path(order, monkeypatch):
+    pot, system = _schrodinger_system("schrod_pereybuck", order)
+    paths = _watch_paths(monkeypatch)
+    x, rcond, warn = dense_solve(system.matrix, system.rhs)
+    assert paths == ["twogrid"]
+    x_lu, rcond_lu = lu_solve(system.matrix.dense(), system.rhs)
+    # the reference is the order-2n solution by float64 LU, at these nodes
+    monkeypatch.setattr(fredholm_solver, "TWOGRID_CROSSOVER_N", math.inf)
+    monkeypatch.setattr(fredholm_solver, "FLOAT32_CROSSOVER_N", math.inf)
+    fine = schrodinger.solve_schrodinger(pot, 2 * order).evaluate(system.grid.nodes)
+    assert relative_sup_error(x, fine) <= tolerance(relative_sup_error(x_lu, fine))
+    assert 0.1 < rcond / rcond_lu < 10.0
+    assert warn == (rcond_lu < RCOND_WARN)
+
+
+@pytest.mark.parametrize("order", [383, 511])
+def test_the_separable_system_declines_before_the_coarse_assembly(order, monkeypatch):
+    # its spliced rows sit on a rounding floor of about 5e-9, above the gate
+    _, system = _schrodinger_system("schrod_separable", order)
+    coarse = _count_coarse_assemblies(monkeypatch)
+    paths = _watch_paths(monkeypatch)
+    x, rcond, _ = dense_solve(system.matrix, system.rhs)
+    assert paths == ["declined"]
+    assert coarse == []
     x_lu, rcond_lu = lu_solve(system.matrix.dense(), system.rhs)
     assert np.array_equal(x, x_lu)
     assert rcond == pytest.approx(rcond_lu, rel=1e-12)
