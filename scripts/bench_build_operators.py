@@ -54,10 +54,10 @@ with each value of ``fredholm_solver.ROW_BLOCK_ENTRIES`` in
 ``ROW_BLOCK_CANDIDATES``, which is how that constant was chosen, and runs
 the tail sweep: for each ``REGRESSION`` system at ``TAIL_ORDERS``, with
 the gate open (``TWOGRID_TAIL`` infinite, so the coarse rule has a
-quarter of the order and passes its branch-row check), the trailing
-coefficients of the coarse solution for the right-hand side, as the gate
-measures them, and whether the two-grid refinement then converged, and in
-how many steps; that is how ``TWOGRID_TAIL`` was chosen.
+quarter of the order), the trailing coefficients of the coarse solution
+for the right-hand side, as the gate measures them, and whether the
+two-grid refinement then converged, and in how many steps; that is how
+``TWOGRID_TAIL`` was chosen.
 """
 
 import argparse
@@ -238,10 +238,7 @@ def measure(with_deviation, with_paths, with_sweep):
                 coarse = -(-(n + 1) // 4)
                 coeffs = chebyshev_coefficients(system.rhs)
                 try:
-                    # with the gate open, so that the coarse rule assembles
-                    with _ab.patched(fredholm_solver, TWOGRID_TAIL=math.inf):
-                        matrix = system.matrix.coarse(coarse - 1)
-                    z = np.linalg.solve(matrix, chebyshev_values(coeffs[:coarse], coarse - 1))
+                    z = np.linalg.solve(system.matrix.coarse(coarse - 1), chebyshev_values(coeffs[:coarse], coarse - 1))
                     z = np.abs(chebyshev_coefficients(z))
                     tail = float(z[-math.ceil(fredholm_solver.TWOGRID_TAIL_FRACTION * coarse) :].max() / z.max())
                 except ValueError as exc:  # a kernel sampled at a singular point

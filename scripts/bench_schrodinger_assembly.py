@@ -30,8 +30,8 @@ worker's median, the rounds won by the change, and, from each side's
 first worker, the path that answered, its refinement steps
 (``_ab.watched_path``) and ``cli.schrodinger_error``.
 
-Every worker of the change also times ``assemble`` on two paths, at each
-order of ``SWEEP_ORDERS``: factored from any order and up to any rank
+The first ``SWEEP_WORKERS`` workers of the change also time ``assemble``
+on two paths, at each order of ``SWEEP_ORDERS``: factored from any order and up to any rank
 (``schrodinger.LOWRANK_MIN_ORDER`` and ``LOWRANK_MAX_RANK`` moved out of the
 way) and by the dense products (``LOWRANK_MIN_ORDER`` moved above the
 order).  It does so for the catalog potentials and for the Gaussian
@@ -66,6 +66,8 @@ HIGH_RANK_ALPHA = 1.0
 # the catalog orders of both problems plus the perfbench schrodinger workload's
 ERROR_ORDERS = {"schrod_pereybuck": (16, 32, 64, 128, 192), "schrod_separable": (16, 32, 64, 128, 256)}
 ROUNDS = 10
+# workers of the change that run the path sweep, which dominates the run time
+SWEEP_WORKERS = 3
 REPEATS = 5
 # smallest total time of one timing sample, so that timer overhead is noise
 SAMPLE_S = 0.05
@@ -184,7 +186,7 @@ def main():
     solve_medians, solve_details = {"before": {}, "after": {}}, {"before": {}, "after": {}}
     sweep_samples, sweep_medians, ranks = {}, {}, {}  # key -> path -> samples / per-round medians
     for r, side, src in _ab.alternating_rounds(commit, ROUNDS):
-        flags = (["--accuracy"] if r == 0 else []) + (["--sweep"] if side == "after" else [])
+        flags = (["--accuracy"] if r == 0 else []) + (["--sweep"] if side == "after" and r < SWEEP_WORKERS else [])
         result = _ab.run_worker(__file__, src, *flags)
         for key, v in result["sweep"].items():
             ranks[key] = v["rank"], v["path"]
@@ -282,7 +284,8 @@ def main():
                 "schrodinger.assemble of the change on two paths: 'path' is factored (LOWRANK_MIN_ORDER and "
                 "LOWRANK_MAX_RANK moved out of the way) or committed (the constants as committed), against dense "
                 "(LOWRANK_MIN_ORDER above n); medians over every sample of every round (path_median_s, "
-                "dense_median_s), speedup = dense / path, and the rounds of the change's workers that 'path' won "
+                f"dense_median_s), speedup = dense / path, and the rounds of the change's first {SWEEP_WORKERS} "
+                "workers that 'path' won "
                 "on per-round medians; gaussian<alpha> is 0.1 exp(-alpha (p - r')^2); rank is the rank the "
                 "factorisation finds, null where it gives up at LOWRANK_MAX_RANK"
             ),

@@ -57,8 +57,9 @@ class BlockOperator:
     ``coarse``, when not None, is the same rule at a lower order for a
     one-panel system: ``coarse(order)`` returns a fresh C-order array, the
     system matrix of the same kernel, lambda and interval on order + 1
-    nodes, or None when the kernel's branch rows say that those nodes do
-    not resolve it (``fredholm_solver.coarse_rule``).
+    nodes (``composite_solver.assemble_blocks``), or the same potential's
+    (Schrodinger ``assemble``), or None when the kernel's branch rows say
+    that those nodes do not resolve it (``fredholm_solver.coarse_rule``).
     """
 
     coarse = None

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .block_operator import BlockOperator, DenseBlocks, ToeplitzBlocks
-from .fredholm_solver import ChebSolution, _rhs_values, branch_rows, coarse_rule, semismooth_block, solve_system
+from .fredholm_solver import ChebSolution, _rhs_values, semismooth_block, solve_system
 from .kernel_catalog import as_semismooth
 from .spectral_core import build_operators, cheb_grid
 
@@ -162,11 +162,10 @@ def assemble_blocks(kernel, partition: Partition, lam: float, rhs) -> BlockSyste
     once, from the first (j, i) on its diagonal, which the operator reuses
     along that diagonal: one call samples every block (d, 0) and, mirrored,
     every block (0, d).  No N x N array is formed, and a one-panel system
-    is its one block, which carries the rule at lower orders
-    (``fredholm_solver.coarse_rule``).  Otherwise every block is written
-    into the N x N array that the operator wraps, panel j taking one call
-    for the row strip left of its diagonal block and, mirrored, the column
-    strip above it.
+    is its one block.  Otherwise every block is written into the N x N
+    array that the operator wraps, panel j taking one call for the row
+    strip left of its diagonal block and, mirrored, the column strip above
+    it.
     """
     kernel = as_semismooth(kernel)
     grids = partition.grids
@@ -179,7 +178,7 @@ def assemble_blocks(kernel, partition: Partition, lam: float, rhs) -> BlockSyste
             ops_cache[order] = build_operators(order)
         return ops_cache[order]
 
-    def samplers(g):
+    def diagonal(g):
         t = g.nodes
 
         def lower(rows, cols):
@@ -188,10 +187,6 @@ def assemble_blocks(kernel, partition: Partition, lam: float, rhs) -> BlockSyste
         def upper(rows, cols):
             return kernel.eval_upper(t[rows, None], t[None, cols])
 
-        return lower, upper
-
-    def diagonal(g):
-        lower, upper = samplers(g)
         # a reflected kernel's K2 is K1^T
         return semismooth_block(
             operators(g.order), lower, None if kernel.k_upper is None else upper, lam * g.width / 2.0
@@ -209,11 +204,8 @@ def assemble_blocks(kernel, partition: Partition, lam: float, rhs) -> BlockSyste
         # (d, 0) for d > 0 and (0, -d) for d < 0
         g0, n1 = grids[0], offsets[1]
         diagonals = {0: diagonal(g0)}
-        # a one-panel system carries its rule at any order, for a coarse
-        # solve; the branch rows are sampled only if one is asked for
-        coarse = coarse_rule(
-            lambda: branch_rows(*samplers(g0), n1), lambda order: diagonal(cheb_grid(order, g0.a, g0.b))
-        ) if m == 1 else None
+        # a one-panel system carries its rule at any order, for a coarse solve
+        coarse = (lambda order: diagonal(cheb_grid(order, g0.a, g0.b))) if m == 1 else None
         if m > 1:
             col_scale, weights = per_column()
             raw, mirror = kernel.eval_mirrored(nodes[n1:, None], g0.nodes[None, :])

@@ -14,12 +14,11 @@ smooth function and needs only the full-interval weight row.
 
 This module also holds what every solver shares: ``dense_solve``, with the
 refinement of its fast paths, the rhs check, and ``solve_system``, which
-solves and builds the ``ChebSolution``.  A one-panel system, from
-``assemble_blocks`` or Schrodinger ``assemble``, carries its rule at any
-lower order (``coarse_rule``), so the rule converging spectrally also gives
-its solve: ``twogrid_solve`` factors the system at a quarter of the order
-or more and refines against the full one, in O(n^2) a step, where an LU
-costs O(n^3).
+solves and builds the ``ChebSolution``.  A one-panel system from
+``assemble_blocks`` or Schrodinger ``assemble`` carries its rule at any
+lower order, so the rule converging spectrally also gives its solve:
+``twogrid_solve`` factors the system at a quarter of the order or more and
+refines against the full one, in O(n^2) a step, where an LU costs O(n^3).
 """
 
 from __future__ import annotations
@@ -241,13 +240,13 @@ def twogrid_solve(op, anorm, rhs):
     at the cost of one DCT.  "d
     resolves y" and "resolved" below mean that the Chebyshev coefficients
     from d on, or the trailing TWOGRID_TAIL_FRACTION of them, are at most
-    TWOGRID_TAIL times the largest.  The coarse rule declines (returns
-    None) when M nodes do not resolve the kernel's branch rows
-    (``coarse_rule``), before any coarse assembly.  Otherwise the path is
+    TWOGRID_TAIL times the largest.  A coarse rule that returns None
+    declines before any coarse assembly, as ``coarse_rule`` does when M
+    nodes do not resolve the kernel's branch rows.  Otherwise the path is
     taken only when the coarse solution A_m^{-1} R y is resolved.  A
-    coarse rule that samples a non-finite kernel value, or a coarse zero
-    pivot, declines too.  ``anorm`` is unused: ``rcond()`` is ``gecon``'s
-    estimate for A_m from ||A_m||_1.
+    coarse assembly that samples a non-finite kernel value, or a coarse
+    zero pivot, declines too.  ``anorm`` is unused: ``rcond()`` is
+    ``gecon``'s estimate for A_m from ||A_m||_1.
     """
     n = len(op)
     coeffs = chebyshev_coefficients(rhs)
@@ -279,38 +278,28 @@ def twogrid_solve(op, anorm, rhs):
     return solve, lambda: _lu_rcond(factors, coarse_norm)
 
 
-def coarse_rule(branch_rows, assemble):
+def coarse_rule(rows, assemble):
     """``BlockOperator.coarse`` of a one-panel system: ``coarse(order)`` is
     ``assemble(order)``, the system matrix on order + 1 nodes, or None when
     those nodes do not resolve the kernel.
 
-    ``branch_rows()`` returns rows of the kernel's branches at the fine
-    nodes (``branch_rows``).  Row i of the coarse rule integrates
-    k(t_i, s) x(s) over s, so a branch row that order + 1 nodes cannot
-    interpolate leaves the coarse solution unresolved whatever x is, and
-    ``twogrid_solve``'s gate would decline it after the assembly, the LU
-    and a solve.  So the rule declines first, at the cost of one DCT call
-    on the stacked rows, when a row's Chebyshev coefficients from degree
-    order + 1 on exceed TWOGRID_TAIL times its largest.
+    ``rows`` are rows of the kernel's branches at the fine nodes.  Row i of
+    the coarse rule integrates k(t_i, s) x(s) over s, so a branch row that
+    order + 1 nodes cannot interpolate leaves the coarse solution
+    unresolved whatever x is, and ``twogrid_solve``'s gate would decline it
+    after the assembly, the LU and a solve.  So the rule declines first, at
+    the first row whose Chebyshev coefficients from degree order + 1 on
+    exceed TWOGRID_TAIL times its largest: a DCT a row read.
     """
 
     def coarse(order):
-        size = np.abs(chebyshev_coefficients(branch_rows()))
-        if np.any(size[:, order + 1 :].max(axis=1, initial=0.0) > TWOGRID_TAIL * size.max(axis=1)):
-            return None
+        for row in rows:
+            size = np.abs(chebyshev_coefficients(row))
+            if size[order + 1 :].max(initial=0.0) > TWOGRID_TAIL * size.max():
+                return None
         return assemble(order)
 
     return coarse
-
-
-def branch_rows(lower, upper, n1):
-    """The first, middle and last of the ``n1`` rows of each branch, from the
-    samplers ``lower(rows, cols)`` and ``upper(rows, cols)`` of a one-panel
-    block, each asked once for the three rows, by a list of row indices:
-    O(n) samples, in one fresh array, which holds no sampler's storage
-    alive."""
-    rows, every = [0, n1 // 2, n1 - 1], slice(0, n1)
-    return np.vstack([lower(rows, every), upper(rows, every)])
 
 
 def float32_solve(op, anorm):

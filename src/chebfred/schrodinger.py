@@ -15,7 +15,8 @@ the semismooth block I + (T/2k) (W o K1 + V o K2) of the spliced branches
 K1 = D_c K11 + D_s K21 and K2 = D_c K12 + D_s K22.  The default right-hand
 side is the free solution sin(k t); tests with a manufactured solution
 override it.  ``assemble`` returns it as a one-panel ``BlockSystem``
-(``SchrodingerSystem``) whose operator carries the same potential's rule
+(``SchrodingerSystem``) whose operator carries, from
+``fredholm_solver.TWOGRID_CROSSOVER_N`` nodes on, the same potential's rule
 at lower orders, so ``solve_composite`` solves it as any one-panel
 Fredholm system, by the two-grid iteration where the coarse rule resolves
 it (``fredholm_solver.twogrid_solve``).
@@ -85,10 +86,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fredholm_solver
 from .block_operator import ToeplitzBlocks
 from .composite_solver import BlockSystem, Partition, solve_composite
 from .fredholm_solver import (
-    ROW_BLOCK_ENTRIES, ChebSolution, _rhs_values, branch_rows, coarse_rule, relative_sup_error, semismooth_block
+    ROW_BLOCK_ENTRIES, ChebSolution, _rhs_values, coarse_rule, relative_sup_error, semismooth_block
 )
 from .kernel_catalog import NonlocalPotential, SchrodingerProblem
 from .spectral_core import ChebGrid, SpectralOperators, build_operators, cheb_grid
@@ -149,7 +151,8 @@ def build_kernel_matrices(potential: NonlocalPotential, grid: ChebGrid, ops: Spe
 @dataclass(frozen=True)
 class SchrodingerSystem(BlockSystem):
     """The assembled system, a one-panel ``BlockSystem``: ``matrix`` holds
-    the semismooth block of the spliced branches, and carries the same
+    the semismooth block of the spliced branches, and from
+    ``fredholm_solver.TWOGRID_CROSSOVER_N`` nodes on carries the same
     potential's rule at any lower order (``fredholm_solver.coarse_rule``)."""
 
     @property
@@ -293,12 +296,11 @@ def _branch_samplers(potential: NonlocalPotential, grid: ChebGrid, ops: Spectral
 
 
 def _spliced_block(potential: NonlocalPotential, grid: ChebGrid):
-    """The semismooth block of the spliced branches on ``grid``, and their
-    ``branch_rows``, read before the samplers are dropped."""
+    """The semismooth block of the spliced branches on ``grid``, and the
+    branch samplers it was read through."""
     ops = build_operators(grid.order)
     samplers = _branch_samplers(potential, grid, ops)
-    block = semismooth_block(ops, *samplers, grid.width / (2.0 * potential.kappa))
-    return block, branch_rows(*samplers, grid.order + 1)
+    return semismooth_block(ops, *samplers, grid.width / (2.0 * potential.kappa)), samplers
 
 
 def assemble(potential: NonlocalPotential, grid: ChebGrid, rhs_override=None) -> SchrodingerSystem:
@@ -308,8 +310,15 @@ def assemble(potential: NonlocalPotential, grid: ChebGrid, rhs_override=None) ->
         )
     if not potential.kappa > 0.0:
         raise ValueError(f"need kappa > 0, got {potential.kappa}")
-    block, rows = _spliced_block(potential, grid)
-    coarse = coarse_rule(lambda: rows, lambda order: _spliced_block(potential, cheb_grid(order, grid.a, grid.b))[0])
+    block, samplers = _spliced_block(potential, grid)
+    coarse, n1 = None, grid.order + 1
+    # only a system that dense_solve offers to the two-grid has a coarse
+    # rule; it checks the first, middle and last rows of K1 and K2, read
+    # here, since the system does not keep the samplers
+    if n1 >= fredholm_solver.TWOGRID_CROSSOVER_N:
+        picked, every = [0, n1 // 2, n1 - 1], slice(0, n1)
+        rows = np.vstack([sample(picked, every) for sample in samplers])
+        coarse = coarse_rule(rows, lambda order: _spliced_block(potential, cheb_grid(order, grid.a, grid.b))[0])
     t = grid.nodes
     rhs = np.sin(potential.kappa * t) if rhs_override is None else _rhs_values(rhs_override, t)
     partition = Partition(np.array([grid.a, grid.b]), (grid,))

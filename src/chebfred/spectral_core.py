@@ -66,7 +66,6 @@ full weights sigma = a + c.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
@@ -103,23 +102,12 @@ def chebyshev_nodes(n: int) -> np.ndarray:
     return np.cos((2 * k + 1) * np.pi / (2 * (n + 1)))
 
 
-@lru_cache(maxsize=4)
-def _twiddles(N: int, sign: int) -> np.ndarray:
-    """exp(sign i pi j / (2N)) for j < N, read-only.  A two-grid solve
-    transforms on two grids, each way, so the last four are kept."""
-    out = np.exp(np.arange(N) * (sign * 0.5j * np.pi / N))
-    out.flags.writeable = False
-    return out
-
-
 def chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
     """Chebyshev coefficients of the interpolant through node values.
 
-    ``values`` holds f at the n+1 nodes of :func:`chebyshev_nodes`, or a
-    stack of such vectors along its last axis, each transformed bitwise as
-    it would be alone, in one FFT call.  The result equals C^-1 values
-    (module docstring) up to rounding, but is a DCT-II in O(n log n): with
-    N = n + 1, theta_m = (2m+1) pi/(2N) and
+    ``values`` holds f at the n+1 nodes of :func:`chebyshev_nodes`.  The
+    result equals C^-1 values (module docstring) up to rounding, but is a
+    DCT-II in O(n log n): with N = n + 1, theta_m = (2m+1) pi/(2N) and
     Y the FFT of the even extension (f_0, ..., f_n, f_n, ..., f_0),
 
         sum_m f_m cos(j theta_m) = Re(exp(-i pi j/(2N)) Y_j) / 2,
@@ -127,13 +115,13 @@ def chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
     and coefficient j is that sum times (2 - [j = 0])/N.
     """
     f = np.asarray(values, dtype=float)
-    if f.ndim == 0 or f.shape[-1] == 0:
-        raise ValueError(f"need non-empty vectors of node values, got shape {f.shape}")
-    N = f.shape[-1]
-    Y = np.fft.rfft(np.concatenate((f, f[..., ::-1]), axis=-1))[..., :N]
-    Y *= _twiddles(N, -1)
+    if f.ndim != 1 or f.size == 0:
+        raise ValueError(f"need a non-empty vector of node values, got shape {f.shape}")
+    N = f.size
+    Y = np.fft.rfft(np.concatenate((f, f[::-1])))[:N]
+    Y *= np.exp(np.arange(N) * (-0.5j * np.pi / N))
     coeffs = Y.real * (1.0 / N)
-    coeffs[..., 0] *= 0.5
+    coeffs[0] *= 0.5
     return coeffs
 
 
@@ -152,7 +140,7 @@ def chebyshev_values(coeffs: np.ndarray, order: int) -> np.ndarray:
     if c.ndim != 1 or not 0 < c.size <= N:
         raise ValueError(f"need 1 to {N} coefficients, got shape {c.shape}")
     d = np.zeros(N + 1, dtype=complex)
-    d[: c.size] = c * _twiddles(N, 1)[: c.size]
+    d[: c.size] = c * np.exp(np.arange(c.size) * (0.5j * np.pi / N))
     d[0] *= 2.0
     return np.fft.irfft(d, 2 * N)[:N] * N
 

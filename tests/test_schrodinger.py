@@ -12,7 +12,7 @@ from dense_oracle import (
 )
 
 import chebfred.schrodinger as schrodinger
-from chebfred import composite_solver
+from chebfred import composite_solver, fredholm_solver
 from chebfred.composite_solver import BlockSystem
 from chebfred.fredholm_solver import ROW_BLOCK_ENTRIES
 from chebfred.kernel_catalog import NonlocalPotential, catalog_lookup
@@ -190,6 +190,9 @@ def test_assemble_returns_a_one_panel_block_system_with_its_coarse_rule(monkeypa
     for order in (LOWRANK_MIN_ORDER - 1, 192):
         coarse = assemble(pot, cheb_grid(order, 0.0, pot.cutoff)).matrix.block(0, 0)
         assert np.array_equal(system.matrix.coarse(order), coarse)
+    # below the two-grid's crossover, where dense_solve asks for none, there is none
+    below = assemble(pot, cheb_grid(fredholm_solver.TWOGRID_CROSSOVER_N - 2, 0.0, pot.cutoff))
+    assert below.matrix.coarse is None
     # and solve_schrodinger solves the assembled system by solve_composite
     solved = []
     solve = composite_solver.solve_composite

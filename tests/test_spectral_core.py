@@ -170,18 +170,9 @@ def test_coefficients_reject_wrong_length():
     with pytest.raises(ValueError):
         build_operators(4).coefficients(np.ones(4))
     with pytest.raises(ValueError):
-        chebyshev_coefficients(np.ones((2, 0)))
+        chebyshev_coefficients(np.ones((2, 2)))
     with pytest.raises(ValueError):
         chebyshev_coefficients(np.ones(0))
-    with pytest.raises(ValueError):
-        chebyshev_coefficients(np.float64(1.0))
-
-
-@pytest.mark.parametrize("n", [0, 16, 382, 990])
-def test_a_stack_of_vectors_transforms_as_each_vector(n):
-    # one call over the last axis gives bitwise each row's own transform
-    rows = np.random.default_rng(n).standard_normal((6, n + 1))
-    assert np.array_equal(chebyshev_coefficients(rows), [chebyshev_coefficients(row) for row in rows])
 
 
 def test_operators_hold_only_vectors_after_assembly(monkeypatch):

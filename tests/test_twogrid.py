@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from dense_oracle import lu_solve
 
-from chebfred import composite_solver, fredholm_solver, schrodinger
+from chebfred import fredholm_solver, schrodinger
 from chebfred.composite_solver import assemble_blocks, build_partition
-from chebfred.fredholm_solver import RCOND_WARN, branch_rows, coarse_rule, dense_solve, relative_sup_error
+from chebfred.fredholm_solver import RCOND_WARN, dense_solve, relative_sup_error
 from chebfred.kernel_catalog import catalog_lookup
 from chebfred.spectral_core import cheb_grid, chebyshev_coefficients, chebyshev_values
 
@@ -23,10 +23,7 @@ _EPS = np.finfo(float).eps
 T_50PI, T_200PI = 50.0 * math.pi, 200.0 * math.pi
 # the kernels of the benchmark's single_panel_large workload, each solved at
 # its order of LARGE_ORDERS less an offset below OFFSETS
-SINGLE_PANEL_LARGE = [
-    (name, overrides, large)
-    for (name, overrides), large in zip([("example1", {}), ("example2", {}), ("example2", {"T": T_50PI})], LARGE_ORDERS)
-]
+SINGLE_PANEL_LARGE = [("example1", {}), ("example2", {}), ("example2", {"T": T_50PI})]
 
 
 def _system(name, order, rhs=None, **overrides):
@@ -55,21 +52,6 @@ def _watch_paths(monkeypatch):
     return paths
 
 
-def _count_coarse_assemblies(monkeypatch):
-    """A list that gains an entry for every ``semismooth_block`` that the
-    one-panel assemblies make from now on."""
-    calls = []
-    block = fredholm_solver.semismooth_block
-
-    def counted(*args):
-        calls.append(args[0].order)
-        return block(*args)
-
-    for module in (composite_solver, schrodinger):
-        monkeypatch.setattr(module, "semismooth_block", counted)
-    return calls
-
-
 def _series_values(coeffs, order):
     """sum_j coeffs[j] T_j at the order+1 nodes, term by term: T_j at node k is
     cos(j (2k+1) pi / (2N)), its angle reduced mod 2 pi in integers first."""
@@ -95,10 +77,10 @@ def test_restriction_and_prolongation_are_exact_on_coarse_polynomials(order):
     assert np.max(np.abs(chebyshev_coefficients(prolonged)[coarse:])) <= 4 * _EPS * scale
 
 
-@pytest.mark.parametrize("offset", range(0, OFFSETS, 9))
-@pytest.mark.parametrize("name, overrides, large", SINGLE_PANEL_LARGE)
-def test_single_panel_large_systems_take_the_two_grid_path(name, overrides, large, offset, monkeypatch):
-    problem, partition, system = _system(name, large - offset, **overrides)
+@pytest.mark.parametrize("order", [704, 1023])
+@pytest.mark.parametrize("name, overrides", SINGLE_PANEL_LARGE)
+def test_single_panel_large_systems_take_the_two_grid_path(name, overrides, order, monkeypatch):
+    problem, partition, system = _system(name, order, **overrides)
     paths = _watch_paths(monkeypatch)
     x, rcond, warn = dense_solve(system.matrix, system.rhs)
     assert paths == ["twogrid"]
@@ -109,19 +91,11 @@ def test_single_panel_large_systems_take_the_two_grid_path(name, overrides, larg
     assert warn == (rcond_lu < RCOND_WARN)
 
 
-@pytest.mark.parametrize("name, overrides, large", SINGLE_PANEL_LARGE)
-def test_every_single_panel_large_order_passes_the_row_check(name, overrides, large):
-    # the coarse rule has ceil(N / 4) nodes or more, and a row resolved on M
-    # nodes is resolved on more, so none of these orders declines before the
-    # coarse assembly
-    problem = catalog_lookup(name, **overrides)
-    kernel = problem.kernel
-    for n in range(large - OFFSETS + 1, large + 1):
-        t = cheb_grid(n, problem.a, problem.b).nodes
-        lower = lambda rows, cols: kernel.eval_lower(t[rows, None], t[None, cols])
-        upper = lambda rows, cols: kernel.eval_upper(t[rows, None], t[None, cols])
-        rows = branch_rows(lower, upper, n + 1)
-        assert coarse_rule(lambda: rows, lambda order: order)(-(-(n + 1) // 4) - 1) is not None, n
+@pytest.mark.parametrize("offset", range(0, OFFSETS, 9))
+@pytest.mark.parametrize("kernel, large", list(zip(SINGLE_PANEL_LARGE, LARGE_ORDERS)))
+def test_single_panel_large_orders_take_the_two_grid_path(kernel, large, offset, monkeypatch):
+    # a stride of the orders that the workload draws
+    test_single_panel_large_systems_take_the_two_grid_path(*kernel, large - offset, monkeypatch)
 
 
 def test_a_coarse_rule_wider_than_a_quarter_takes_the_two_grid_path(monkeypatch):
@@ -140,17 +114,14 @@ def test_a_coarse_rule_wider_than_a_quarter_takes_the_two_grid_path(monkeypatch)
     ("example4", 1023, None, {}),
     ("example2", 767, None, {"T": T_200PI}),
     # y = 1 needs no more than a quarter of the order, but the kernel does:
-    # its branch rows decline it
+    # the coarse solution's tail declines it
     ("example2", 767, np.ones_like, {"T": T_200PI}),
 ], ids=["example3", "example4", "example2-T200pi", "example2-T200pi-y=1"])
 def test_systems_the_gate_declines_are_bitwise_the_float32_answer(name, order, rhs, overrides, monkeypatch):
-    # each declines on its branch rows, before any coarse assembly
     _, _, system = _system(name, order, rhs, **overrides)
-    coarse = _count_coarse_assemblies(monkeypatch)
     paths = _watch_paths(monkeypatch)
     x, rcond, _ = dense_solve(system.matrix, system.rhs)
     assert paths == ["declined", "float32"]
-    assert coarse == []
     monkeypatch.setattr(fredholm_solver, "TWOGRID_CROSSOVER_N", math.inf)
     x32, rcond32, _ = dense_solve(system.matrix, system.rhs)
     assert np.array_equal(x, x32)
@@ -197,11 +168,11 @@ def test_the_perey_buck_system_takes_the_two_grid_path(order, monkeypatch):
 def test_the_separable_system_declines_before_the_coarse_assembly(order, monkeypatch):
     # its spliced rows sit on a rounding floor of about 5e-9, above the gate
     _, system = _schrodinger_system("schrod_separable", order)
-    coarse = _count_coarse_assemblies(monkeypatch)
+    # so a coarse assembly would raise
+    monkeypatch.setattr(schrodinger, "semismooth_block", None)
     paths = _watch_paths(monkeypatch)
     x, rcond, _ = dense_solve(system.matrix, system.rhs)
     assert paths == ["declined"]
-    assert coarse == []
     x_lu, rcond_lu = lu_solve(system.matrix.dense(), system.rhs)
     assert np.array_equal(x, x_lu)
     assert rcond == pytest.approx(rcond_lu, rel=1e-12)
