@@ -4,6 +4,8 @@ The "before" side is the ``src/`` of a baseline commit, taken with
 ``git archive``; the "after" side is the working tree's ``src/``.  A script
 runs both sides in fresh processes, round by round, the side that goes
 first alternating between rounds, and reduces what the rounds measured.
+The helpers that read a system (``fresh``, ``watched_path``) take the API
+of commit 9036b52, so a baseline must be that commit or a later one.
 """
 
 import contextlib
@@ -105,27 +107,14 @@ def patched(module, **values):
             setattr(module, name, value)
 
 
-def schrodinger_matrix(system):
-    """The matrix of a Schrodinger ``assemble`` result as an array, whether
-    the side under test returns it as one or as a one-panel BlockOperator."""
-    matrix = system.matrix
-    return matrix.block(0, 0) if hasattr(matrix, "block") else matrix
-
-
 def fresh(system):
     """A fresh operator of the one-panel ``system``'s matrix, which keeps
-    the coarse rule where the code under test gives one: a solve caches the
-    norms on its operator, so every timed solve gets its own.  A matrix
-    that the side under test gives as an array is wrapped as ``dense_solve``
-    wraps it."""
-    from chebfred.block_operator import ToeplitzBlocks, as_block_operator
+    its coarse rule: a solve caches the norms on its operator, so every
+    timed solve gets its own."""
+    from chebfred.block_operator import ToeplitzBlocks
 
     matrix = system.matrix
-    if not hasattr(matrix, "block"):
-        return as_block_operator(matrix)
-    op = ToeplitzBlocks(matrix.offsets, {0: matrix.block(0, 0)})
-    op.coarse = getattr(matrix, "coarse", None)
-    return op
+    return ToeplitzBlocks(matrix.offsets, {0: matrix.block(0, 0)}, matrix.coarse)
 
 
 def watched_path(system):
@@ -154,7 +143,7 @@ def watched_path(system):
 
         return watched
 
-    names = [name for name in ("twogrid_solve", "float32_solve") if hasattr(fredholm_solver, name)]
+    names = ("twogrid_solve", "float32_solve")
     op = fresh(system)
     with patched(fredholm_solver, **{name: watch(name) for name in names}):
         refined = fredholm_solver.refined_solve(op, system.rhs, op.norm1())

@@ -24,7 +24,7 @@ error tables and the benchmark's ``schrodinger`` workload print, through
 The solve sweep times ``dense_solve`` of each catalog potential's system,
 as the CLI assembles it, at ``SOLVE_ORDERS`` on a fresh operator per call
 (``_ab.fresh``), so each side takes its own path: the two-grid iteration
-where the side gives the system a coarse rule and the rule resolves it,
+where the side gives the system a coarse rule and the gate takes it,
 float64 LU otherwise.  It reports the median over the workers of each
 worker's median, the rounds won by the change, and, from each side's
 first worker, the path that answered, its refinement steps
@@ -137,7 +137,7 @@ def measure(with_accuracy, with_sweep):
             grid = cheb_grid(n, 0.0, pot.cutoff)
             row = {"samples_s": time_samples(lambda: assemble(pot, grid))}
             tracemalloc.start()
-            matrix = _ab.schrodinger_matrix(assemble(pot, grid))
+            matrix = assemble(pot, grid).matrix.block(0, 0)
             row["peak_mb"] = tracemalloc.get_traced_memory()[1] / 2**20
             tracemalloc.stop()
             if with_accuracy:

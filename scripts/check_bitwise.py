@@ -8,7 +8,7 @@ Usage, from the root of a checkout:
 The baseline's ``src/`` is taken with ``git archive``; the working tree's
 ``src/`` is the change.  Each side runs once in a fresh worker process with
 ``--threads`` BLAS threads (default one) and hashes, through public API
-only, so that any baseline runs it:
+only, so that any baseline from commit 9036b52 on runs it:
 
 * one-panel matrices of example1-4, and example2 at T = 50 pi, at orders
   from 1 to 1023, below, at and across the tile side and the row block;
@@ -16,18 +16,19 @@ only, so that any baseline runs it:
   example1, example3 and example4, some with unequal orders;
 * a plain callable kernel on panels of orders 20, 31 and 17;
 * the Schrodinger matrix of both catalog potentials, on either side of
-  the crossover to the factored assembly, read as an array whatever type
-  ``assemble`` returns (``_ab.schrodinger_matrix``);
+  the crossover to the factored assembly;
 * the node values of the gleg, alg1 and tdef solves of example2 and
   example4 at their catalog orders;
 * the node values x of ``dense_solve`` on systems that take each of its
   paths: hierarchical (example2 at T = 200 pi, 8 x 127 and 16 x 63;
   example4, 16 x 63), the two-grid iteration (example2, 1 x 767; example2
-  at T = 50 pi, 1 x 1023; the Perey-Buck potential, 1 x 511), float32
-  LU refined in float64 (example3, 1 x 767, which the two-grid's gate
-  declines) and float64 LU (example1, 1 x 255, below the two-grid's
+  at T = 50 pi, 1 x 1023; the Perey-Buck potential, 1 x 383 and 1 x 511),
+  float32 LU refined in float64 (example3, 1 x 767, which the two-grid's
+  gate declines) and float64 LU (example1, 1 x 255, below the two-grid's
   crossover; example2 at T = 200 pi, 2 x 399; the separable potential,
-  1 x 511, which the two-grid declines on its branch rows);
+  1 x 383 and 1 x 511, and the Perey-Buck potential at kappa = 10,
+  1 x 383, which ``assemble`` gives no coarse rule, since a quarter of
+  their nodes do not resolve their branch rows);
 * the six CSVs of scripts/run_error_tables.py, without ``elapsed_ms``.
 
 The solves hash x and not rcond, which is not reproducible to the bit:
@@ -82,8 +83,15 @@ SOLVES = (
     ("example2", {"T": 200 * math.pi}, 2, 399),
 )
 SCHRODINGER_ORDERS = (16, 32, 64, 127, 128, 159, 160, 192, 256, 384)
-# (potential, order) of the Schrodinger dense_solve items
-SCHRODINGER_SOLVES = (("schrod_pereybuck", 511), ("schrod_separable", 511))
+# (potential, overrides, order) of the Schrodinger dense_solve items; 383 is
+# the first order that the two-grid is offered
+SCHRODINGER_SOLVES = (
+    ("schrod_pereybuck", {}, 383),
+    ("schrod_pereybuck", {}, 511),
+    ("schrod_separable", {}, 383),
+    ("schrod_separable", {}, 511),
+    ("schrod_pereybuck", {"kappa": 10.0}, 383),
+)
 BASELINE_METHODS = ("gleg", "alg1", "tdef")
 
 
@@ -148,12 +156,13 @@ def hashes():
         for n in SCHRODINGER_ORDERS:
             record(
                 f"schrodinger {name} n={n} matrix",
-                lambda: digest(_ab.schrodinger_matrix(assemble(pot, cheb_grid(n, 0.0, pot.cutoff)))),
+                lambda: digest(assemble(pot, cheb_grid(n, 0.0, pot.cutoff)).matrix.block(0, 0)),
             )
-    for name, n in SCHRODINGER_SOLVES:
-        pot = catalog_lookup(name).potential
+    for name, overrides, n in SCHRODINGER_SOLVES:
+        pot = catalog_lookup(name, **overrides).potential
         schrodinger = assemble(pot, cheb_grid(n, 0.0, pot.cutoff))
-        record(f"dense_solve x {name} 1x{n}", lambda: digest(dense_solve(schrodinger.matrix, schrodinger.rhs)[0]))
+        label = f"{name} {overrides}" if overrides else name
+        record(f"dense_solve x {label} 1x{n}", lambda: digest(dense_solve(schrodinger.matrix, schrodinger.rhs)[0]))
     for name in ("example2", "example4"):
         problem = catalog_lookup(name)
         for method in BASELINE_METHODS:

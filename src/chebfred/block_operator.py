@@ -54,12 +54,12 @@ class BlockOperator:
     and ``column``, which read one row or column of A[rows, cols], and
     ``is_zero``, which tells whether A[rows, cols] is all zero.
 
-    ``coarse``, when not None, is the same rule at a lower order for a
-    one-panel system: ``coarse(order)`` returns a fresh C-order array, the
-    system matrix of the same kernel, lambda and interval on order + 1
-    nodes (``composite_solver.assemble_blocks``), or the same potential's
-    (Schrodinger ``assemble``), or None when the kernel's branch rows say
-    that those nodes do not resolve it (``fredholm_solver.coarse_rule``).
+    ``coarse`` is None or the same rule at a lower order for a one-panel
+    system: ``coarse(order)`` returns a fresh C-order array, the system
+    matrix of the same kernel, lambda and interval on order + 1 nodes
+    (``composite_solver.assemble_blocks``), or of the same potential
+    (Schrodinger ``assemble``, which gives none when the kernel's branch
+    rows are not resolved at a quarter of the order).
     """
 
     coarse = None

@@ -15,8 +15,10 @@ smooth function and needs only the full-interval weight row.
 This module also holds what every solver shares: ``dense_solve``, with the
 refinement of its fast paths, the rhs check, and ``solve_system``, which
 solves and builds the ``ChebSolution``.  A one-panel system from
-``assemble_blocks`` or Schrodinger ``assemble`` carries its rule at any
-lower order, so the rule converging spectrally also gives its solve:
+``assemble_blocks`` carries its rule at any lower order, and so does a
+Schrodinger system whose branch rows a quarter of its nodes resolve
+(``BlockOperator.coarse``), so the rule converging spectrally also gives
+its solve:
 ``twogrid_solve`` factors the system at a quarter of the order or more and
 refines against the full one, in O(n^2) a step, where an LU costs O(n^3).
 """
@@ -41,7 +43,6 @@ __all__ = [
     "SingularMatrixError",
     "ChebSolution",
     "dense_solve",
-    "coarse_rule",
     "semismooth_block",
     "discretize_semismooth",
     "discretize_smooth",
@@ -237,16 +238,13 @@ def twogrid_solve(op, anorm, rhs):
     degree is about that of the kernel plus that of x, and x is about as
     wide as y.  Past ceil(N / 2) the coarse assembly and LU would take a
     good part of what the float32 path costs, so the path declines there,
-    at the cost of one DCT.  "d
-    resolves y" and "resolved" below mean that the Chebyshev coefficients
-    from d on, or the trailing TWOGRID_TAIL_FRACTION of them, are at most
-    TWOGRID_TAIL times the largest.  A coarse rule that returns None
-    declines before any coarse assembly, as ``coarse_rule`` does when M
-    nodes do not resolve the kernel's branch rows.  Otherwise the path is
-    taken only when the coarse solution A_m^{-1} R y is resolved.  A
-    coarse assembly that samples a non-finite kernel value, or a coarse
-    zero pivot, declines too.  ``anorm`` is unused: ``rcond()`` is
-    ``gecon``'s estimate for A_m from ||A_m||_1.
+    at the cost of one DCT.  "d resolves y" and "resolved" below mean that
+    the Chebyshev coefficients from d on, or the trailing
+    TWOGRID_TAIL_FRACTION of them, are at most TWOGRID_TAIL times the
+    largest.  The path is taken only when the coarse solution
+    A_m^{-1} R y is resolved.  A coarse assembly that samples a non-finite
+    kernel value, or a coarse zero pivot, declines too.  ``anorm`` is
+    unused: ``rcond()`` is ``gecon``'s estimate for A_m from ||A_m||_1.
     """
     n = len(op)
     coeffs = chebyshev_coefficients(rhs)
@@ -257,8 +255,6 @@ def twogrid_solve(op, anorm, rhs):
         return None
     try:
         coarse = op.coarse(m - 1)
-        if coarse is None:
-            return None
         coarse_norm = float(abs_sums(coarse)[0].max())
         factors = _lu(coarse)
     except (KernelEvaluationError, np.linalg.LinAlgError):
@@ -276,30 +272,6 @@ def twogrid_solve(op, anorm, rhs):
     if not z[-math.ceil(TWOGRID_TAIL_FRACTION * m) :].max() <= TWOGRID_TAIL * z.max():
         return None
     return solve, lambda: _lu_rcond(factors, coarse_norm)
-
-
-def coarse_rule(rows, assemble):
-    """``BlockOperator.coarse`` of a one-panel system: ``coarse(order)`` is
-    ``assemble(order)``, the system matrix on order + 1 nodes, or None when
-    those nodes do not resolve the kernel.
-
-    ``rows`` are rows of the kernel's branches at the fine nodes.  Row i of
-    the coarse rule integrates k(t_i, s) x(s) over s, so a branch row that
-    order + 1 nodes cannot interpolate leaves the coarse solution
-    unresolved whatever x is, and ``twogrid_solve``'s gate would decline it
-    after the assembly, the LU and a solve.  So the rule declines first, at
-    the first row whose Chebyshev coefficients from degree order + 1 on
-    exceed TWOGRID_TAIL times its largest: a DCT a row read.
-    """
-
-    def coarse(order):
-        for row in rows:
-            size = np.abs(chebyshev_coefficients(row))
-            if size[order + 1 :].max(initial=0.0) > TWOGRID_TAIL * size.max():
-                return None
-        return assemble(order)
-
-    return coarse
 
 
 def float32_solve(op, anorm):

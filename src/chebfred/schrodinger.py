@@ -15,11 +15,12 @@ the semismooth block I + (T/2k) (W o K1 + V o K2) of the spliced branches
 K1 = D_c K11 + D_s K21 and K2 = D_c K12 + D_s K22.  The default right-hand
 side is the free solution sin(k t); tests with a manufactured solution
 override it.  ``assemble`` returns it as a one-panel ``BlockSystem``
-(``SchrodingerSystem``) whose operator carries, from
-``fredholm_solver.TWOGRID_CROSSOVER_N`` nodes on, the same potential's rule
-at lower orders, so ``solve_composite`` solves it as any one-panel
-Fredholm system, by the two-grid iteration where the coarse rule resolves
-it (``fredholm_solver.twogrid_solve``).
+(``SchrodingerSystem``), solved by ``solve_composite`` as any one-panel
+Fredholm system.  From ``fredholm_solver.TWOGRID_CROSSOVER_N`` nodes on,
+its operator carries the same potential's rule at lower orders when a
+quarter of the nodes resolve the kernel's branch rows, so the two-grid
+iteration (``fredholm_solver.twogrid_solve``) may solve it; otherwise the
+system declines the two-grid at assembly (``_rows_resolved``).
 
 Assembly through one shared operator
 ------------------------------------
@@ -90,10 +91,10 @@ from . import fredholm_solver
 from .block_operator import ToeplitzBlocks
 from .composite_solver import BlockSystem, Partition, solve_composite
 from .fredholm_solver import (
-    ROW_BLOCK_ENTRIES, ChebSolution, _rhs_values, coarse_rule, relative_sup_error, semismooth_block
+    ROW_BLOCK_ENTRIES, ChebSolution, _rhs_values, relative_sup_error, semismooth_block
 )
 from .kernel_catalog import NonlocalPotential, SchrodingerProblem
-from .spectral_core import ChebGrid, SpectralOperators, build_operators, cheb_grid
+from .spectral_core import ChebGrid, SpectralOperators, build_operators, cheb_grid, chebyshev_coefficients
 
 __all__ = [
     "NonlocalPotential",
@@ -153,7 +154,8 @@ class SchrodingerSystem(BlockSystem):
     """The assembled system, a one-panel ``BlockSystem``: ``matrix`` holds
     the semismooth block of the spliced branches, and from
     ``fredholm_solver.TWOGRID_CROSSOVER_N`` nodes on carries the same
-    potential's rule at any lower order (``fredholm_solver.coarse_rule``)."""
+    potential's rule at any lower order as ``matrix.coarse``, or None when
+    a quarter of the nodes do not resolve its branch rows."""
 
     @property
     def grid(self) -> ChebGrid:
@@ -303,6 +305,26 @@ def _spliced_block(potential: NonlocalPotential, grid: ChebGrid):
     return semismooth_block(ops, *samplers, grid.width / (2.0 * potential.kappa)), samplers
 
 
+def _rows_resolved(samplers, n1: int) -> bool:
+    """Whether the first, middle and last rows of K1 and K2 on n1 nodes are
+    resolved at degree ceil(n1 / 4), the fewest coarse nodes that
+    ``fredholm_solver.twogrid_solve`` uses: their Chebyshev coefficients
+    from that degree on are at most TWOGRID_TAIL times the row's largest.
+
+    Row i of the coarse rule integrates k(t_i, s) x(s) over s, so a branch
+    row that the coarse nodes cannot interpolate leaves the coarse solution
+    unresolved whatever x is, and the two-grid's gate would decline it only
+    after the coarse assembly, the LU and a solve.  A row resolved at the
+    fewest coarse nodes is resolved at any more.  The rows are read with
+    one request per branch and transformed one at a time, stopping at the
+    first that is not resolved.
+    """
+    picked, every, m = [0, n1 // 2, n1 - 1], slice(0, n1), -(-n1 // 4)
+    rows = np.vstack([sample(picked, every) for sample in samplers])
+    sizes = (np.abs(chebyshev_coefficients(row)) for row in rows)
+    return all(size[m:].max() <= fredholm_solver.TWOGRID_TAIL * size.max() for size in sizes)
+
+
 def assemble(potential: NonlocalPotential, grid: ChebGrid, rhs_override=None) -> SchrodingerSystem:
     if not (grid.a == 0.0 and grid.b == potential.cutoff):
         raise ValueError(
@@ -311,14 +333,11 @@ def assemble(potential: NonlocalPotential, grid: ChebGrid, rhs_override=None) ->
     if not potential.kappa > 0.0:
         raise ValueError(f"need kappa > 0, got {potential.kappa}")
     block, samplers = _spliced_block(potential, grid)
-    coarse, n1 = None, grid.order + 1
-    # only a system that dense_solve offers to the two-grid has a coarse
-    # rule; it checks the first, middle and last rows of K1 and K2, read
-    # here, since the system does not keep the samplers
-    if n1 >= fredholm_solver.TWOGRID_CROSSOVER_N:
-        picked, every = [0, n1 // 2, n1 - 1], slice(0, n1)
-        rows = np.vstack([sample(picked, every) for sample in samplers])
-        coarse = coarse_rule(rows, lambda order: _spliced_block(potential, cheb_grid(order, grid.a, grid.b))[0])
+    n1 = grid.order + 1
+    # only a system that dense_solve offers to the two-grid, and whose rows
+    # the coarse nodes resolve, carries its rule at lower orders
+    resolved = n1 >= fredholm_solver.TWOGRID_CROSSOVER_N and _rows_resolved(samplers, n1)
+    coarse = (lambda order: _spliced_block(potential, cheb_grid(order, grid.a, grid.b))[0]) if resolved else None
     t = grid.nodes
     rhs = np.sin(potential.kappa * t) if rhs_override is None else _rhs_values(rhs_override, t)
     partition = Partition(np.array([grid.a, grid.b]), (grid,))

@@ -205,14 +205,15 @@ def test_assemble_returns_a_one_panel_block_system_with_its_coarse_rule(monkeypa
 @pytest.mark.parametrize("order", [383, 511])
 def test_the_separable_coarse_rule_declines_without_sampling(order, monkeypatch):
     """The spliced rows of the separable potential sit on a rounding floor
-    of about 5e-9 of their largest coefficient, so its coarse rule declines
-    on the rows read at assembly, sampling nothing."""
+    of about 5e-9 of their largest coefficient, so ``assemble``, which reads
+    them, gives the system no coarse rule, and its solve samples nothing."""
     pot = catalog_lookup("schrod_separable").potential
     system = assemble(pot, cheb_grid(order, 0.0, pot.cutoff))
+    assert system.matrix.coarse is None
     calls = []
     record_branch_calls(monkeypatch, NonlocalPotential, calls)
     monkeypatch.setattr(schrodinger, "semismooth_block", None)
-    assert system.matrix.coarse(-(-(order + 1) // 4) - 1) is None
+    composite_solver.solve_composite(system)
     assert calls == []
 
 

@@ -164,18 +164,36 @@ def test_the_perey_buck_system_takes_the_two_grid_path(order, monkeypatch):
     assert warn == (rcond_lu < RCOND_WARN)
 
 
-@pytest.mark.parametrize("order", [383, 511])
-def test_the_separable_system_declines_before_the_coarse_assembly(order, monkeypatch):
-    # its spliced rows sit on a rounding floor of about 5e-9, above the gate
-    _, system = _schrodinger_system("schrod_separable", order)
-    # so a coarse assembly would raise
+def _assert_declined_at_assembly(system, monkeypatch):
+    """No coarse rule, so no two-grid build and no coarse assembly, which
+    would raise, and x bitwise the float64 LU answer."""
+    assert system.matrix.coarse is None
     monkeypatch.setattr(schrodinger, "semismooth_block", None)
     paths = _watch_paths(monkeypatch)
     x, rcond, _ = dense_solve(system.matrix, system.rhs)
-    assert paths == ["declined"]
+    assert paths == []
     x_lu, rcond_lu = lu_solve(system.matrix.dense(), system.rhs)
     assert np.array_equal(x, x_lu)
     assert rcond == pytest.approx(rcond_lu, rel=1e-12)
+
+
+@pytest.mark.parametrize("order", [383, 511])
+def test_the_separable_system_declines_before_the_coarse_assembly(order, monkeypatch):
+    # its spliced rows sit on a rounding floor of about 5e-9, above the gate
+    _assert_declined_at_assembly(_schrodinger_system("schrod_separable", order)[1], monkeypatch)
+
+
+def test_a_perey_buck_system_whose_rows_a_quarter_does_not_resolve_declines_at_assembly(monkeypatch):
+    # at kappa = 10 the coefficients of the spliced rows from degree
+    # ceil(N / 4) = 96 on reach 3e-4 to 2.5e-3 of their largest
+    pot = catalog_lookup("schrod_pereybuck", kappa=10.0).potential
+    grid = cheb_grid(383, 0.0, pot.cutoff)
+    system = schrodinger.assemble(pot, grid)
+    # assemble reads the gate when it is called
+    with monkeypatch.context() as patch:
+        patch.setattr(fredholm_solver, "TWOGRID_TAIL", math.inf)
+        assert schrodinger.assemble(pot, grid).matrix.coarse is not None
+    _assert_declined_at_assembly(system, monkeypatch)
 
 
 @pytest.mark.parametrize("scale", [1e-50, 1e50])
