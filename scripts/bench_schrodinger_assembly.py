@@ -31,18 +31,18 @@ first worker, the path that answered, its refinement steps
 (``_ab.watched_path``) and ``cli.schrodinger_error``.
 
 The first ``SWEEP_WORKERS`` workers of the change also time ``assemble``
-on two paths, at each order of ``SWEEP_ORDERS``: factored from any order and up to any rank
-(``schrodinger.LOWRANK_MIN_ORDER`` and ``LOWRANK_MAX_RANK`` moved out of the
-way) and by the dense products (``LOWRANK_MIN_ORDER`` moved above the
-order).  It does so for the catalog potentials and for the Gaussian
-potentials 0.1 exp(-alpha (p - r')^2) of ``GAUSSIANS``, whose numerical
-ranks run from 11 to 30, and reports the rank that the factorisation
-finds.  For the Gaussian of ``HIGH_RANK_ALPHA``, of rank about 80, it
-times the committed constants instead of the factored path, from
-``LOWRANK_MIN_ORDER`` up: the cost of trying to factor and giving up.  The
-report gives each path's median over every sample and the rounds the first
-path won on per-round medians, which is how ``LOWRANK_MIN_ORDER`` and
-``LOWRANK_MAX_RANK`` were chosen.
+on two paths, at each order of ``SWEEP_ORDERS``, choosing the path by the
+rank cap alone: factored up to any rank (``schrodinger.LOWRANK_MAX_RANK``
+set above the order) and by the dense products (``LOWRANK_MAX_RANK`` set
+to 0, which gives up on any nonzero potential).  It does so for the catalog
+potentials and for the Gaussian potentials 0.1 exp(-alpha (p - r')^2) of
+``GAUSSIANS``, whose numerical ranks run from 11 to 30 at order 128 and
+up, and reports the rank that the factorisation finds.  For the Gaussian
+of ``HIGH_RANK_ALPHA``, of rank above the cap at every order, it times the
+committed rank cap instead of the factored path: the cost of trying to
+factor and giving up.  The report gives each path's median over every
+sample and the rounds the first path won on per-round medians, which is
+how ``LOWRANK_MAX_RANK`` was chosen.
 """
 
 import argparse
@@ -56,10 +56,10 @@ import _ab
 sys.path.insert(0, str(_ab.ROOT / "tests"))
 
 POTENTIALS = ("schrod_pereybuck", "schrod_separable")
-ORDERS = (64, 96, 128, 159, 160, 192, 224, 256, 384, 512)
+ORDERS = (16, 32, 64, 96, 128, 159, 160, 192, 224, 256, 384, 512)
 # orders of the solve sweep: below, at and above TWOGRID_CROSSOVER_N
 SOLVE_ORDERS = (255, 383, 384, 511)
-SWEEP_ORDERS = (128, 160, 192, 224, 256, 384, 512)
+SWEEP_ORDERS = (16, 32, 64, 128, 160, 192, 224, 256, 384, 512)
 # alpha of the Gaussian potentials of the sweep: ranks 11, 13, 16, 17, 21, 30
 GAUSSIANS = (0.003, 0.007, 0.014, 0.02, 0.04, 0.1)
 HIGH_RANK_ALPHA = 1.0
@@ -91,29 +91,28 @@ def sweep():
         lower = lambda p, r2: 0.1 * np.exp(-alpha * (p - r2) ** 2)
         return NonlocalPotential(lower=lower, strength=0.1, kappa=1.0, cutoff=20.0)
 
-    constants = schrodinger.LOWRANK_MIN_ORDER, schrodinger.LOWRANK_MAX_RANK
-    # path -> (LOWRANK_MIN_ORDER, LOWRANK_MAX_RANK) at order n
-    paths = {"factored": lambda n: (0, n + 1), "dense": lambda n: (n + 1, n + 1), "committed": lambda n: constants}
-    # name -> (potential, the path timed against the dense one, orders)
-    runs = {name: (catalog_lookup(name).potential, "factored", SWEEP_ORDERS) for name in POTENTIALS}
-    runs.update({f"gaussian{alpha}": (gaussian(alpha), "factored", SWEEP_ORDERS) for alpha in GAUSSIANS})
-    high_orders = tuple(n for n in SWEEP_ORDERS if n >= constants[0])
-    runs[f"gaussian{HIGH_RANK_ALPHA}"] = (gaussian(HIGH_RANK_ALPHA), "committed", high_orders)
+    cap = schrodinger.LOWRANK_MAX_RANK
+    # path -> LOWRANK_MAX_RANK at order n
+    paths = {"factored": lambda n: n + 1, "dense": lambda n: 0, "committed": lambda n: cap}
+    # name -> (potential, the path timed against the dense one)
+    runs = {name: (catalog_lookup(name).potential, "factored") for name in POTENTIALS}
+    runs.update({f"gaussian{alpha}": (gaussian(alpha), "factored") for alpha in GAUSSIANS})
+    runs[f"gaussian{HIGH_RANK_ALPHA}"] = (gaussian(HIGH_RANK_ALPHA), "committed")
     out = {}
     try:
-        for name, (pot, path, orders) in runs.items():
-            for n in orders:
+        for name, (pot, path) in runs.items():
+            for n in SWEEP_ORDERS:
                 grid = cheb_grid(n, 0.0, pot.cutoff)
                 row = {"path": path}
                 for timed in (path, "dense"):
-                    schrodinger.LOWRANK_MIN_ORDER, schrodinger.LOWRANK_MAX_RANK = paths[timed](n)
+                    schrodinger.LOWRANK_MAX_RANK = paths[timed](n)
                     row[f"{timed}_samples_s"] = time_samples(lambda: schrodinger.assemble(pot, grid))
                 sample = pot.eval_lower(grid.nodes[:, None], grid.nodes[None, :])
-                factors = schrodinger._cross_factors(sample, paths[path](n)[1])
+                factors = schrodinger._cross_factors(sample, paths[path](n))
                 row["rank"] = None if factors is None else len(factors[0])
                 out[f"{name}/{n}"] = row
     finally:
-        schrodinger.LOWRANK_MIN_ORDER, schrodinger.LOWRANK_MAX_RANK = constants
+        schrodinger.LOWRANK_MAX_RANK = cap
     return out
 
 
@@ -281,9 +280,9 @@ def main():
         },
         "path_sweep": {
             "what": (
-                "schrodinger.assemble of the change on two paths: 'path' is factored (LOWRANK_MIN_ORDER and "
-                "LOWRANK_MAX_RANK moved out of the way) or committed (the constants as committed), against dense "
-                "(LOWRANK_MIN_ORDER above n); medians over every sample of every round (path_median_s, "
+                "schrodinger.assemble of the change on two paths: 'path' is factored (LOWRANK_MAX_RANK above n) "
+                "or committed (LOWRANK_MAX_RANK as committed), against dense (LOWRANK_MAX_RANK = 0); medians over "
+                "every sample of every round (path_median_s, "
                 f"dense_median_s), speedup = dense / path, and the rounds of the change's first {SWEEP_WORKERS} "
                 "workers that 'path' won "
                 "on per-round medians; gaussian<alpha> is 0.1 exp(-alpha (p - r')^2); rank is the rank the "

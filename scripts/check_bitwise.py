@@ -15,8 +15,10 @@ only, so that any baseline from commit 9036b52 on runs it:
 * Toeplitz systems of example2 at T = 200 pi, and DenseBlocks systems of
   example1, example3 and example4, some with unequal orders;
 * a plain callable kernel on panels of orders 20, 31 and 17;
-* the Schrodinger matrix of both catalog potentials, on either side of
-  the crossover to the factored assembly;
+* the Schrodinger matrix of both catalog potentials, which ``assemble``
+  forms from their cross-approximation factors, at orders from 16 to 384,
+  and of a Gaussian potential whose rank exceeds the rank cap, which it
+  forms by the dense products, at orders 32 and 255;
 * the node values of the gleg, alg1 and tdef solves of example2 and
   example4 at their catalog orders;
 * the node values x of ``dense_solve`` on systems that take each of its
@@ -83,6 +85,7 @@ SOLVES = (
     ("example2", {"T": 200 * math.pi}, 2, 399),
 )
 SCHRODINGER_ORDERS = (16, 32, 64, 127, 128, 159, 160, 192, 256, 384)
+HIGH_RANK_ORDERS = (32, 255)
 # (potential, overrides, order) of the Schrodinger dense_solve items; 383 is
 # the first order that the two-grid is offered
 SCHRODINGER_SOLVES = (
@@ -107,7 +110,7 @@ def hashes():
     from chebfred.cli import run_method
     from chebfred.composite_solver import assemble_blocks, build_partition
     from chebfred.fredholm_solver import dense_solve
-    from chebfred.kernel_catalog import catalog_lookup
+    from chebfred.kernel_catalog import NonlocalPotential, catalog_lookup
     from chebfred.schrodinger import assemble
     from chebfred.spectral_core import cheb_grid
 
@@ -158,6 +161,14 @@ def hashes():
                 f"schrodinger {name} n={n} matrix",
                 lambda: digest(assemble(pot, cheb_grid(n, 0.0, pot.cutoff)).matrix.block(0, 0)),
             )
+    gaussian = NonlocalPotential(
+        lower=lambda p, r2: 0.1 * np.exp(-((p - r2) ** 2)), strength=0.1, kappa=1.0, cutoff=20.0
+    )
+    for n in HIGH_RANK_ORDERS:
+        record(
+            f"schrodinger high-rank gaussian n={n} matrix",
+            lambda: digest(assemble(gaussian, cheb_grid(n, 0.0, gaussian.cutoff)).matrix.block(0, 0)),
+        )
     for name, overrides, n in SCHRODINGER_SOLVES:
         pot = catalog_lookup(name, **overrides).potential
         schrodinger = assemble(pot, cheb_grid(n, 0.0, pot.cutoff))

@@ -322,6 +322,8 @@ def _schrod_separable(lam: float, kappa: float, T: float) -> SchrodingerProblem:
 
 
 def _schrod_pereybuck(lam: float, kappa: float, A: float, T: float) -> SchrodingerProblem:
+    if not A > 0.0:
+        raise ValueError(f"need A > 0, got {A}")
     potential = NonlocalPotential(
         lower=lambda p, r2: lam * np.exp((p - r2) / A) / (1.0 + np.exp((p - r2) / A)),
         strength=lam,

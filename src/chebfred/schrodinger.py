@@ -40,18 +40,18 @@ vectors a, c and the bracket B,
 
     M = B o (cos sin^T - sin cos^T) + cos (sin o a)^T + sin (cos o c)^T,
 
-and d and e read B, a and c against Delta^T.  Below order
-LOWRANK_MIN_ORDER, ``assemble`` forms K1 and K2 so, whole, by the two
-n-by-n products M V2 and M V1, which cost 4n^3 flops
-(``_spliced_branches``).  It forms neither W nor V on either path.
+and d and e read B, a and c against Delta^T.  For a potential past the
+rank cap below, ``assemble`` forms K1 and K2 so, whole, by the two n-by-n
+products M V2 and M V1, which cost 4n^3 flops (``_spliced_branches``).  It
+forms neither W nor V on either path.
 ``build_kernel_matrices`` is kept as the K11..K22 reference that tests
 check the splice against.
 
 Low-rank potentials
 -------------------
 The sampled potentials are numerically low-rank: the Perey-Buck potential
-has rank 5 and the separable one rank 1 at every order from 128 to 512.
-From order LOWRANK_MIN_ORDER up, ``assemble`` factors V1 = X1 Y1^T, with
+has rank 5 and the separable one rank 1 at every order from 8 to 512.
+At every order, ``assemble`` factors V1 = X1 Y1^T, with
 n-by-r factors, by cross approximation, and accepts the factors only when
 every entry of V1 - X1 Y1^T is within (n + 1) eps max|V1|
 (``_cross_factors``).  A reflected potential has V2 = V1^T = Y1 X1^T.  One
@@ -78,7 +78,7 @@ a time as the block is.  A BLAS product rounds an entry by the request it
 lies in, so an entry asked for among other rows may differ in its last
 bits.  The work is O(n^2 r), and no n-by-n array remains but the sample and
 the block.  A potential whose rank exceeds LOWRANK_MAX_RANK is given up on,
-and the dense products answer, bitwise as below LOWRANK_MIN_ORDER.
+and the dense products answer (``_spliced_branches``).
 """
 
 from __future__ import annotations
@@ -106,15 +106,11 @@ __all__ = [
     "self_convergence",
 ]
 
-# Order from which ``assemble`` factors the sampled potential, and the rank
-# past which it gives up and forms K1 and K2 by the dense products.  From the
-# path sweep of scripts/bench_schrodinger_assembly.py: the factored path wins
-# every round for both catalog potentials from n = 128 up, but order 128
-# stays dense, so that no pinned error-table row moves but Perey-Buck's at
-# 128, whose self-convergence solves order 256.  Rank 11 wins from n = 160
-# up and rank 16 from n = 256 up, a few percent behind at n = 160-224; rank
-# 17 loses up to n = 192.  Giving up costs the factorisation to the cap.
-LOWRANK_MIN_ORDER = 160
+# Rank past which ``assemble`` gives up on the factored path and forms K1 and
+# K2 by the dense products.  From the path sweep of
+# scripts/bench_schrodinger_assembly.py: rank 11 wins from n = 160 up and
+# rank 16 from n = 256 up, a few percent behind at n = 160-224; rank 17
+# loses up to n = 192.  Giving up costs the factorisation to the cap.
 LOWRANK_MAX_RANK = 16
 _EPS = np.finfo(float).eps
 
@@ -273,12 +269,11 @@ def _branch_samplers(potential: NonlocalPotential, grid: ChebGrid, ops: Spectral
     on slices of rows and columns.
 
     V1 is sampled once, and V2 only for a potential with an explicit upper
-    branch.  From order LOWRANK_MIN_ORDER up, V1 and V2^T are factored
-    (``_cross_factors``), and a reflected potential's V2 = Y1 X1^T takes
-    V1's factors swapped; then the samples are dropped, and K1 and K2 are
-    formed from the factors a row block at a time (``_factored_branches``).
-    Below that order, or past the rank cap, the whole K1 and K2 are formed
-    by the dense products (``_spliced_branches``).
+    branch.  V1 and V2^T are factored (``_cross_factors``), and a reflected
+    potential's V2 = Y1 X1^T takes V1's factors swapped; then the samples
+    are dropped, and K1 and K2 are formed from the factors a row block at a
+    time (``_factored_branches``).  Past the rank cap, the whole K1 and K2
+    are formed by the dense products (``_spliced_branches``).
     """
     t = grid.nodes
     half_t = grid.width / 2.0
@@ -286,12 +281,11 @@ def _branch_samplers(potential: NonlocalPotential, grid: ChebGrid, ops: Spectral
     cos_t = np.cos(potential.kappa * t)
     v1 = potential.eval_lower(t[:, None], t[None, :])
     v2 = None if potential.upper is None else potential.eval_upper(t[:, None], t[None, :])
-    if grid.order >= LOWRANK_MIN_ORDER:
-        f1 = _cross_factors(v1, LOWRANK_MAX_RANK)
-        # V2^T = P Q^T gives V2 = Q P^T, so X2 = Q and Y2 = P
-        f2 = f1 if v2 is None or f1 is None else _cross_factors(v2.T, LOWRANK_MAX_RANK)
-        if f2 is not None:
-            return _factored_branches(ops, *f1, f2[1], f2[0], half_t, sin_t, cos_t)
+    f1 = _cross_factors(v1, LOWRANK_MAX_RANK)
+    # V2^T = P Q^T gives V2 = Q P^T, so X2 = Q and Y2 = P
+    f2 = f1 if v2 is None or f1 is None else _cross_factors(v2.T, LOWRANK_MAX_RANK)
+    if f2 is not None:
+        return _factored_branches(ops, *f1, f2[1], f2[0], half_t, sin_t, cos_t)
     v2 = np.ascontiguousarray(v1.T) if v2 is None else v2
     k1, k2 = _spliced_branches(ops, v1, v2, half_t, sin_t, cos_t)
     return (lambda rows, cols: k1[rows, cols]), (lambda rows, cols: k2[rows, cols])

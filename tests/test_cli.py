@@ -109,6 +109,9 @@ def test_composite_method_with_panels(capsys):
         ["solve", "--problem", "example2", "--T", "inf", "--n", "8"],
         ["schrodinger", "--problem", "schrod_separable", "--kappa", "inf"],
         ["schrodinger", "--problem", "schrod_pereybuck", "--A", "inf", "--n", "8"],
+        # a non-positive range, which the catalog's potential does not describe
+        ["schrodinger", "--problem", "schrod_pereybuck", "--A", "0", "--n", "16"],
+        ["schrodinger", "--problem", "schrod_pereybuck", "--A", "-5", "--n", "16"],
         ["solve", "--problem", "example1", "--n", "8", "--output", "/nonexistent/x.csv"],
         ["solve", "--problem", "example1", "--n", "8", "--output", ""],
         # a partition that the run would silently drop

@@ -24,7 +24,7 @@ from chebfred.block_operator import DenseBlocks, ToeplitzBlocks
 from chebfred.composite_solver import assemble_blocks, build_partition
 from chebfred.fredholm_solver import semismooth_block
 from chebfred.kernel_catalog import KernelEvaluationError, NonlocalPotential, SemismoothKernel, catalog_lookup
-from chebfred.schrodinger import LOWRANK_MIN_ORDER, _branch_samplers, assemble
+from chebfred.schrodinger import _branch_samplers, assemble
 from chebfred.spectral_core import build_operators, cheb_grid
 
 TILE = math.isqrt(fredholm_solver.ROW_BLOCK_ENTRIES)
@@ -99,11 +99,13 @@ def test_dense_blocks_are_bitwise_the_plain_path():
     assert np.array_equal(fast.dense(), plain.dense())
 
 
-@pytest.mark.parametrize("n", [64, 255, LOWRANK_MIN_ORDER - 1, LOWRANK_MIN_ORDER, 384])
+# at TILE - 1 and TILE, n + 1 is one tile, the most nodes that one row block
+# holds, and one tile and one row
+@pytest.mark.parametrize("n", [64, 255, TILE - 1, TILE, 384])
 @pytest.mark.parametrize("name", ["schrod_separable", "schrod_pereybuck"])
 def test_schrodinger_assembly_is_bitwise_the_plain_path(name, n):
-    # from the crossover up, the plain path factors V2^T, which is bitwise
-    # V1, so it takes the reflected path's factors bitwise
+    # the plain path factors V2^T, which is bitwise V1, so it takes the
+    # reflected path's factors bitwise
     pot = catalog_lookup(name).potential
     assert pot.upper is None
     grid = cheb_grid(n, 0.0, pot.cutoff)
@@ -183,7 +185,7 @@ def test_replacing_the_lower_branch_replaces_the_mirrored_upper_branch(name):
     assert np.array_equal(matrix.dense(), reference)
 
 
-@pytest.mark.parametrize("n", [64, LOWRANK_MIN_ORDER, 384])
+@pytest.mark.parametrize("n", [64, TILE, 384])
 @pytest.mark.parametrize("name", ["schrod_separable", "schrod_pereybuck"])
 def test_replacing_the_lower_potential_branch_replaces_the_mirrored_upper_branch(name, n):
     # the same for a potential: assembled with its lower branch alone, it

@@ -1,6 +1,8 @@
 """Nonlocal-potential scattering solver: kernel assembly and convergence."""
 
 import dataclasses
+import math
+import pathlib
 import subprocess
 import sys
 import tracemalloc
@@ -13,12 +15,12 @@ from dense_oracle import (
 
 import chebfred.schrodinger as schrodinger
 from chebfred import composite_solver, fredholm_solver
+from chebfred.cli import schrodinger_error
 from chebfred.composite_solver import BlockSystem
 from chebfred.fredholm_solver import ROW_BLOCK_ENTRIES
 from chebfred.kernel_catalog import NonlocalPotential, catalog_lookup
 from chebfred.schrodinger import (
     LOWRANK_MAX_RANK,
-    LOWRANK_MIN_ORDER,
     SchrodingerSystem,
     assemble,
     build_kernel_matrices,
@@ -27,10 +29,16 @@ from chebfred.schrodinger import (
 )
 from chebfred.spectral_core import build_operators, cheb_grid
 
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+
+from workloads import pass_calls  # noqa: E402
+
 T_CUT = 20.0
-# one order on each side of the crossover to the factored assembly, and the
-# largest order of the benchmark's schrodinger workload
-AROUND_CROSSOVER = (LOWRANK_MIN_ORDER - 1, LOWRANK_MIN_ORDER, 384)
+# n + 1 = 181 nodes fill one row block of ROW_BLOCK_ENTRIES and 182 take two,
+# in semismooth_block and in the factored branches alike; and the largest
+# order of the benchmark's schrodinger workload
+TILE = math.isqrt(ROW_BLOCK_ENTRIES)
+AROUND_ONE_ROW_BLOCK = (TILE - 1, TILE, 384)
 
 
 def _branches(pot, grid, rows_per_block=None):
@@ -44,9 +52,9 @@ def _zero_potential():
     return NonlocalPotential(lower=zero, upper=zero, strength=0.0, kappa=1.0, cutoff=T_CUT)
 
 
-@pytest.mark.parametrize("order", [16, LOWRANK_MIN_ORDER])
+@pytest.mark.parametrize("order", [16, TILE])
 def test_zero_potential_gives_free_solution(order):
-    # from the crossover up, the zero sample factors with rank 0
+    # the zero sample factors with rank 0
     pot = _zero_potential()
     grid = cheb_grid(order, 0.0, T_CUT)
     system = assemble(pot, grid)
@@ -108,7 +116,7 @@ def _reference_branches(potential, grid):
     return (cos_t * k11 + sin_t * k21, cos_t * k12 + sin_t * k22), term_scale
 
 
-@pytest.mark.parametrize("order", [48, *AROUND_CROSSOVER])
+@pytest.mark.parametrize("order", [48, *AROUND_ONE_ROW_BLOCK])
 @pytest.mark.parametrize("reflected", [False, True])
 @pytest.mark.parametrize("name", ["schrod_pereybuck", "schrod_separable"])
 def test_assemble_samples_each_branch_once(monkeypatch, name, reflected, order):
@@ -133,7 +141,7 @@ def _hadamard_matrix(potential, grid):
     return hadamard_matrix(potential, grid, ops, build_kernel_matrices(potential, grid, ops))
 
 
-@pytest.mark.parametrize("order", [8, 32, 128, 256, *AROUND_CROSSOVER])
+@pytest.mark.parametrize("order", [8, 32, 128, 256, *AROUND_ONE_ROW_BLOCK])
 @pytest.mark.parametrize("name", ["schrod_pereybuck", "schrod_separable"])
 def test_matrix_is_semismooth_block_of_spliced_branches(name, order):
     """The spliced-branch assembly agrees with the Hadamard-product formula.
@@ -149,7 +157,7 @@ def test_matrix_is_semismooth_block_of_spliced_branches(name, order):
     assert np.max(np.abs(matrix - reference)) <= 1e-14 * term_scale
 
 
-@pytest.mark.parametrize("order", [8, 127, 255, *AROUND_CROSSOVER])
+@pytest.mark.parametrize("order", [8, 127, 255, *AROUND_ONE_ROW_BLOCK])
 @pytest.mark.parametrize("name", ["schrod_pereybuck", "schrod_separable"])
 def test_matrix_is_bitwise_the_whole_array_block_of_spliced_branches(name, order):
     """The row-blocked ``semismooth_block`` gives the spliced branches'
@@ -166,7 +174,7 @@ def test_matrix_is_bitwise_the_whole_array_block_of_spliced_branches(name, order
     assert np.array_equal(system.matrix.block(0, 0), reference)
 
 
-@pytest.mark.parametrize("order", [8, 32, 128, *AROUND_CROSSOVER])
+@pytest.mark.parametrize("order", [8, 32, 128, *AROUND_ONE_ROW_BLOCK])
 @pytest.mark.parametrize("name", ["schrod_pereybuck", "schrod_separable"])
 def test_matrix_is_semismooth_block_at_kappa_2(name, order):
     """The oracle comparison above at kappa = 2, where sin and cos of the
@@ -185,9 +193,9 @@ def test_assemble_returns_a_one_panel_block_system_with_its_coarse_rule(monkeypa
     system = assemble(pot, grid)
     assert isinstance(system, BlockSystem)
     assert system.matrix.panels == 1 and system.grid is grid and system.partition.grids == (grid,)
-    # the coarse rule is the same potential assembled on fewer nodes, on
-    # either side of the crossover to the factored assembly
-    for order in (LOWRANK_MIN_ORDER - 1, 192):
+    # the coarse rule is the same potential assembled on fewer nodes: at the
+    # fewest that the two-grid uses at n = 384 and at the most
+    for order in (96, 192):
         coarse = assemble(pot, cheb_grid(order, 0.0, pot.cutoff)).matrix.block(0, 0)
         assert np.array_equal(system.matrix.coarse(order), coarse)
     # below the two-grid's crossover, where dense_solve asks for none, there is none
@@ -238,15 +246,28 @@ def _forbid_dense_products(monkeypatch):
 
 
 def test_catalog_potentials_take_the_factored_path(monkeypatch):
-    """From the crossover up, the catalog potentials (ranks 5 and 1) are
-    assembled from their factors: the dense products never run."""
+    """The catalog potentials (ranks 5 and 1) are assembled from their
+    factors at every order that the CLI's default orders, the error tables
+    (both the catalog's orders, and twice them for Perey-Buck's
+    self-convergence), the benchmark's tables and schrodinger workloads and
+    the two-grid's coarse rules reach: the dense products never run."""
     _forbid_dense_products(monkeypatch)
-    for name in ("schrod_pereybuck", "schrod_separable"):
-        pot = catalog_lookup(name).potential
-        schrodinger.assemble(pot, cheb_grid(LOWRANK_MIN_ORDER, 0.0, pot.cutoff))
+    assembled = set()
+    samplers = schrodinger._branch_samplers
+    monkeypatch.setattr(
+        schrodinger, "_branch_samplers", lambda pot, grid, ops: assembled.add(grid.order) or samplers(pot, grid, ops)
+    )
+    runs = {(name, n) for name in ("schrod_pereybuck", "schrod_separable") for n in catalog_lookup(name).orders}
+    for workload in ("tables", "schrodinger"):
+        runs |= {(call.label, n) for call in pass_calls(workload, None) if call.methods == ("-",) for n in call.orders}
+    for name, n in sorted(runs):
+        schrodinger_error(catalog_lookup(name), n)
+    # Perey-Buck's order-384 solve takes the two-grid, whose coarse rule is
+    # assembled at order ceil(385 / 4) - 1 = 96
+    assert assembled == {16, 32, 64, 96, 128, 192, 256, 384}
 
 
-@pytest.mark.parametrize("order", [LOWRANK_MIN_ORDER, 384])
+@pytest.mark.parametrize("order", [TILE, 384])
 @pytest.mark.parametrize("name", ["schrod_pereybuck", "schrod_separable"])
 def test_samplers_match_the_reference_whichever_rows_are_asked(name, order):
     """Single rows, runs across row blocks and column ranges of K1 and K2
@@ -271,24 +292,24 @@ def _gaussian_potential(alpha, upper=None):
     return NonlocalPotential(lower=lower, upper=upper, strength=0.1, kappa=1.0, cutoff=T_CUT)
 
 
-@pytest.mark.parametrize("order", [LOWRANK_MIN_ORDER, 384])
+@pytest.mark.parametrize("order", [32, TILE, 384])
 def test_high_rank_potential_is_bitwise_the_dense_products(monkeypatch, order):
     """A potential whose rank exceeds the cap is given up on, and its system
-    is bitwise the one the dense products give below the crossover."""
+    is bitwise the one the dense products give with a rank cap of 0."""
     pot = _gaussian_potential(1.0)
     grid = cheb_grid(order, 0.0, pot.cutoff)
     sample = pot.eval_lower(grid.nodes[:, None], grid.nodes[None, :])
     assert schrodinger._cross_factors(sample, LOWRANK_MAX_RANK) is None
     system = assemble(pot, grid)
     branches = _branches(pot, grid)
-    monkeypatch.setattr(schrodinger, "LOWRANK_MIN_ORDER", order + 1)
+    monkeypatch.setattr(schrodinger, "LOWRANK_MAX_RANK", 0)
     dense = assemble(pot, grid)
     assert np.array_equal(system.matrix.block(0, 0), dense.matrix.block(0, 0))
     for k, ref in zip(branches, _branches(pot, grid)):
         assert np.array_equal(k, ref)
 
 
-@pytest.mark.parametrize("order", [LOWRANK_MIN_ORDER, 384])
+@pytest.mark.parametrize("order", [32, TILE, 384])
 def test_explicit_upper_branch_matches_the_oracle(monkeypatch, order):
     """A potential whose upper branch is not its mirrored lower one: V2 is
     factored through V2^T on its own, and the system matches the oracle."""
