@@ -107,10 +107,11 @@ __all__ = [
 ]
 
 # Rank past which ``assemble`` gives up on the factored path and forms K1 and
-# K2 by the dense products.  From the path sweep of
-# scripts/bench_schrodinger_assembly.py: rank 11 wins from n = 160 up and
-# rank 16 from n = 256 up, a few percent behind at n = 160-224; rank 17
-# loses up to n = 192.  Giving up costs the factorisation to the cap.
+# K2 by the dense products; the rank alone picks the path, at every order.
+# From the path sweep of scripts/bench_schrodinger_assembly.py: rank 11 wins
+# from n = 160 up and rank 16 from n = 192 up; rank 17 loses up to n = 256.
+# Below n = 128 the dense products are faster for every rank from 11, by up
+# to about 0.3 ms an assembly.  Giving up costs the factorisation to the cap.
 LOWRANK_MAX_RANK = 16
 _EPS = np.finfo(float).eps
 
