@@ -17,8 +17,9 @@ only, so that any baseline from commit 9036b52 on runs it:
 * a plain callable kernel on panels of orders 20, 31 and 17;
 * the Schrodinger matrix of both catalog potentials, which ``assemble``
   forms from their cross-approximation factors, at orders from 16 to 384,
-  and of a Gaussian potential whose rank exceeds the rank cap, which it
-  forms by the dense products, at orders 32 and 255;
+  and of two Gaussian potentials whose rank exceeds the rank cap, which it
+  forms by the dense products, at orders 32 and 255: 0.1 exp(-(p - r')^2),
+  and the same times exp(-p / 20), whose splice columns are not zero;
 * the node values of the gleg, alg1 and tdef solves of example2 and
   example4 at their catalog orders;
 * the node values x of ``dense_solve`` on systems that take each of its
@@ -161,14 +162,19 @@ def hashes():
                 f"schrodinger {name} n={n} matrix",
                 lambda: digest(assemble(pot, cheb_grid(n, 0.0, pot.cutoff)).matrix.block(0, 0)),
             )
-    gaussian = NonlocalPotential(
-        lower=lambda p, r2: 0.1 * np.exp(-((p - r2) ** 2)), strength=0.1, kappa=1.0, cutoff=20.0
-    )
-    for n in HIGH_RANK_ORDERS:
-        record(
-            f"schrodinger high-rank gaussian n={n} matrix",
-            lambda: digest(assemble(gaussian, cheb_grid(n, 0.0, gaussian.cutoff)).matrix.block(0, 0)),
-        )
+    # the symmetric Gaussian's splice columns are zero; exp(-p / 20) makes
+    # the other one unsymmetric, so that its splice is formed too
+    high_rank = {
+        "gaussian": lambda p, r2: 0.1 * np.exp(-((p - r2) ** 2)),
+        "skewed gaussian": lambda p, r2: 0.1 * np.exp(-((p - r2) ** 2) - p / 20.0),
+    }
+    for label, lower in high_rank.items():
+        pot = NonlocalPotential(lower=lower, strength=0.1, kappa=1.0, cutoff=20.0)
+        for n in HIGH_RANK_ORDERS:
+            record(
+                f"schrodinger high-rank {label} n={n} matrix",
+                lambda: digest(assemble(pot, cheb_grid(n, 0.0, pot.cutoff)).matrix.block(0, 0)),
+            )
     for name, overrides, n in SCHRODINGER_SOLVES:
         pot = catalog_lookup(name, **overrides).potential
         schrodinger = assemble(pot, cheb_grid(n, 0.0, pot.cutoff))

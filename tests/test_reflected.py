@@ -19,7 +19,7 @@ from dense_oracle import (
     record_branch_calls, semismooth_block_reference, slice_sampler, unreflected, whole_branches
 )
 
-from chebfred import fredholm_solver
+from chebfred import fredholm_solver, schrodinger
 from chebfred.block_operator import DenseBlocks, ToeplitzBlocks
 from chebfred.composite_solver import assemble_blocks, build_partition
 from chebfred.fredholm_solver import semismooth_block
@@ -99,17 +99,29 @@ def test_dense_blocks_are_bitwise_the_plain_path():
     assert np.array_equal(fast.dense(), plain.dense())
 
 
+# 0.1 exp(-(p - r')^2 - p / 20) is past the rank cap, so both paths take the
+# dense products: the reflected one with V2 the transpose of V1 in row-major
+# order, which multiplies bitwise as the plain path's sampled V2
+HIGH_RANK = NonlocalPotential(
+    lower=lambda p, r2: 0.1 * np.exp(-((p - r2) ** 2) - p / 20.0), strength=0.1, kappa=1.0, cutoff=20.0
+)
+
+
 # at TILE - 1 and TILE, n + 1 is one tile, the most nodes that one row block
 # holds, and one tile and one row
-@pytest.mark.parametrize("n", [64, 255, TILE - 1, TILE, 384])
-@pytest.mark.parametrize("name", ["schrod_separable", "schrod_pereybuck"])
-def test_schrodinger_assembly_is_bitwise_the_plain_path(name, n):
+@pytest.mark.parametrize("n", [32, 64, 255, TILE - 1, TILE, 384])
+@pytest.mark.parametrize("name", ["schrod_separable", "schrod_pereybuck", "high_rank"])
+def test_schrodinger_assembly_is_bitwise_the_plain_path(monkeypatch, name, n):
     # the plain path factors V2^T, which is bitwise V1, so it takes the
     # reflected path's factors bitwise
-    pot = catalog_lookup(name).potential
+    pot = HIGH_RANK if name == "high_rank" else catalog_lookup(name).potential
     assert pot.upper is None
+    dense = []
+    spliced = schrodinger._spliced_branches
+    monkeypatch.setattr(schrodinger, "_spliced_branches", lambda *args: dense.append(args) or spliced(*args))
     grid = cheb_grid(n, 0.0, pot.cutoff)
     _assert_bitwise_systems(pot, unreflected(pot), grid)
+    assert len(dense) == (4 if pot is HIGH_RANK else 0)
 
 
 def _assert_bitwise_systems(fast, plain, grid):

@@ -39,6 +39,38 @@ T_CUT = 20.0
 # order of the benchmark's schrodinger workload
 TILE = math.isqrt(ROW_BLOCK_ENTRIES)
 AROUND_ONE_ROW_BLOCK = (TILE - 1, TILE, 384)
+# 0.1 exp(-(p - r')^2 - p / 20) has rank about 80, past LOWRANK_MAX_RANK
+# from order 32 on, so its K1 and K2 come from the dense products; the
+# factor exp(-p / 20) makes V1 unsymmetric, so that the splice is not zero
+HIGH_RANK = "high_rank_gaussian"
+HIGH_RANK_ORDERS = (32, TILE, 384)
+
+
+def _gaussian_potential(alpha, upper=None):
+    lower = lambda p, r2: 0.1 * np.exp(-alpha * (p - r2) ** 2)
+    return NonlocalPotential(lower=lower, upper=upper, strength=0.1, kappa=1.0, cutoff=T_CUT)
+
+
+def _potential(name):
+    if name != HIGH_RANK:
+        return catalog_lookup(name).potential
+    lower = lambda p, r2: 0.1 * np.exp(-((p - r2) ** 2) - p / 20.0)
+    return NonlocalPotential(lower=lower, strength=0.1, kappa=1.0, cutoff=T_CUT)
+
+
+def _with_high_rank(orders):
+    """(name, order): both catalog potentials at ``orders``, and the
+    high-rank Gaussian at HIGH_RANK_ORDERS."""
+    catalog = [(name, order) for name in ("schrod_pereybuck", "schrod_separable") for order in orders]
+    return catalog + [(HIGH_RANK, order) for order in HIGH_RANK_ORDERS]
+
+
+def _record_dense_products(monkeypatch):
+    """The calls of ``_spliced_branches`` from here on, which still run."""
+    calls = []
+    spliced = schrodinger._spliced_branches
+    monkeypatch.setattr(schrodinger, "_spliced_branches", lambda *args: calls.append(args) or spliced(*args))
+    return calls
 
 
 def _branches(pot, grid, rows_per_block=None):
@@ -141,32 +173,36 @@ def _hadamard_matrix(potential, grid):
     return hadamard_matrix(potential, grid, ops, build_kernel_matrices(potential, grid, ops))
 
 
-@pytest.mark.parametrize("order", [8, 32, 128, 256, *AROUND_ONE_ROW_BLOCK])
-@pytest.mark.parametrize("name", ["schrod_pereybuck", "schrod_separable"])
-def test_matrix_is_semismooth_block_of_spliced_branches(name, order):
-    """The spliced-branch assembly agrees with the Hadamard-product formula.
+@pytest.mark.parametrize("name, order", _with_high_rank([8, 32, 128, 256, *AROUND_ONE_ROW_BLOCK]))
+def test_matrix_is_semismooth_block_of_spliced_branches(monkeypatch, name, order):
+    """The spliced-branch assembly agrees with the Hadamard-product formula,
+    from the factors for the catalog potentials and from the dense products
+    for the high-rank one.
 
     The bound is relative to s max|K|, the size of the summed terms, not to
     max|A|: on the separable potential the splice cancels e^T-scale terms
     to order one, so the difference is a rounding residue of the terms.
     """
-    pot = catalog_lookup(name).potential
+    pot = _potential(name)
     grid = cheb_grid(order, 0.0, pot.cutoff)
     reference, term_scale = _hadamard_matrix(pot, grid)
+    dense = _record_dense_products(monkeypatch)
     matrix = assemble(pot, grid).matrix.block(0, 0)
+    assert bool(dense) == (name == HIGH_RANK)
     assert np.max(np.abs(matrix - reference)) <= 1e-14 * term_scale
 
 
-@pytest.mark.parametrize("order", [8, 127, 255, *AROUND_ONE_ROW_BLOCK])
-@pytest.mark.parametrize("name", ["schrod_pereybuck", "schrod_separable"])
-def test_matrix_is_bitwise_the_whole_array_block_of_spliced_branches(name, order):
+@pytest.mark.parametrize("name, order", _with_high_rank([8, 127, 255, *AROUND_ONE_ROW_BLOCK]))
+def test_matrix_is_bitwise_the_whole_array_block_of_spliced_branches(monkeypatch, name, order):
     """The row-blocked ``semismooth_block`` gives the spliced branches'
     block bitwise as the whole-array formula does, on K1 and K2 read by
     the same row blocks, so that how a BLAS rounds a row inside a row block
     against inside the whole product does not enter."""
-    pot = catalog_lookup(name).potential
+    pot = _potential(name)
     grid = cheb_grid(order, 0.0, pot.cutoff)
+    dense = _record_dense_products(monkeypatch)
     system = assemble(pot, grid)
+    assert bool(dense) == (name == HIGH_RANK)
     scale = grid.width / (2.0 * pot.kappa)
     rows_per_block = max(1, ROW_BLOCK_ENTRIES // (order + 1))
     branches = _branches(pot, grid, rows_per_block)
@@ -287,16 +323,11 @@ def test_samplers_match_the_reference_whichever_rows_are_asked(name, order):
             assert np.max(np.abs(sample(rows, cols) - ref[rows, cols])) <= 1e-13 * term_scale, (rows, cols)
 
 
-def _gaussian_potential(alpha, upper=None):
-    lower = lambda p, r2: 0.1 * np.exp(-alpha * (p - r2) ** 2)
-    return NonlocalPotential(lower=lower, upper=upper, strength=0.1, kappa=1.0, cutoff=T_CUT)
-
-
-@pytest.mark.parametrize("order", [32, TILE, 384])
+@pytest.mark.parametrize("order", HIGH_RANK_ORDERS)
 def test_high_rank_potential_is_bitwise_the_dense_products(monkeypatch, order):
     """A potential whose rank exceeds the cap is given up on, and its system
     is bitwise the one the dense products give with a rank cap of 0."""
-    pot = _gaussian_potential(1.0)
+    pot = _potential(HIGH_RANK)
     grid = cheb_grid(order, 0.0, pot.cutoff)
     sample = pot.eval_lower(grid.nodes[:, None], grid.nodes[None, :])
     assert schrodinger._cross_factors(sample, LOWRANK_MAX_RANK) is None
