@@ -17,9 +17,12 @@ fresh copy of the assembled operator (``_ab.fresh``), which keeps the
 operator's coarse rule where the code under test gives it one, so it
 takes the path a one-panel solve takes: the two-grid iteration, the
 float32 LU refined in float64, or float64 LU (``dense_solve``).
-``ASSEMBLIES`` holds the reflected kernels example2 (T = pi/2 and 50 pi)
-and example4, which the tile-pair walk samples through the lower branch
-alone, and example1, which takes the row-block walk and is the control.
+``ASSEMBLIES`` holds example1 and example2 (T = pi/2 and 50 pi), whose
+branches are stated by factor pairs, so that ``semismooth_block`` fills
+their blocks from the factors at the nodes and samples nothing; example4,
+reflected, which the tile-pair walk samples through the lower branch
+alone; and example3, whose two branches are plain callables, which takes
+the row-block walk and is the control.
 ``build_operators`` reports the best sample over every round.  The
 assembly and the solves report the best sample and the median and
 quartiles of every sample of every round, since one fast sample on a
@@ -29,7 +32,9 @@ gets its ``tracemalloc`` peak (numpy reports its buffers to tracemalloc).
 
 Each side's first worker also reports its largest entrywise deviation,
 over the operators in ``OPERATOR_NAMES``, from the dense reference
-``dense_operators`` in tests/dense_oracle.py, the relative sup error of
+``dense_operators`` in tests/dense_oracle.py, each assembly's largest
+entrywise deviation from ``semismooth_block_reference`` on the whole
+branch samples, in units of eps max|A|, the relative sup error of
 ``solve_fredholm`` on the ``SOLVES`` problems, and, for every
 ``REGRESSION`` system, the path that answered, its refinement steps and
 the error of the answer, so a speed-up that costs digits shows up here.
@@ -50,8 +55,9 @@ same workers time, in one process, each ``REGRESSION`` and
 another path with the two-grid allowed and ruled out, alternately: the
 cost of a decline, which the A/B columns, across processes, cannot
 resolve.  The change's first worker also times the one-panel assembly
-with each value of ``fredholm_solver.ROW_BLOCK_ENTRIES`` in
-``ROW_BLOCK_CANDIDATES``, which is how that constant was chosen, and runs
+of each ``ROW_BLOCK_KERNELS`` kernel with each value of
+``fredholm_solver.ROW_BLOCK_ENTRIES`` in ``ROW_BLOCK_CANDIDATES``, which
+is how that constant was chosen, and runs
 the tail sweep: for each ``REGRESSION`` system at ``TAIL_ORDERS``, with
 the gate open (``TWOGRID_TAIL`` infinite, so the coarse rule has a
 quarter of the order), the trailing coefficients of the coarse solution
@@ -78,6 +84,7 @@ ASSEMBLIES = (
     ("example1", "example1", {}),
     ("example2", "example2", {}),
     ("example2-T50pi", "example2", {"T": 50 * math.pi}),
+    ("example3", "example3", {}),
     ("example4", "example4", {}),
 )
 # (label, catalog name, overrides) solved at SOLVE_ORDERS for the error columns
@@ -109,6 +116,8 @@ DECLINE_ALTERNATIONS = 2
 UNIT_RHS_DECLINES = (("example2-T200pi-y=1", "example2", {"T": 200 * math.pi}, (575, 767, 1023)),)
 TAIL_ORDERS = (255, 383, 511, 575, 639, 703, 735, 751, 767, 783, 799, 815, 831, 895, 959, 1023)
 ROW_BLOCK_CANDIDATES = (2048, 4096, 8192, 16384, 32768, 65536, 131072)
+# the factored fill and the tile-pair walk
+ROW_BLOCK_KERNELS = ("example2", "example4")
 ROW_BLOCK_ORDERS = (255, 511, 767, 1023, 2047)
 ROUNDS = 10
 REPEATS = 5
@@ -140,7 +149,7 @@ def measure(with_deviation, with_paths, with_sweep):
     from chebfred.fredholm_solver import dense_solve, relative_sup_error, solve_fredholm
     from chebfred.kernel_catalog import catalog_lookup
     from chebfred.spectral_core import build_operators
-    from dense_oracle import OPERATOR_NAMES, dense_operators, integration_matrices
+    from dense_oracle import OPERATOR_NAMES, dense_operators, integration_matrices, semismooth_block_reference
 
     problems = {label: catalog_lookup(name, **overrides) for label, name, overrides in ASSEMBLIES + REGRESSION}
     for label, name, overrides, _ in UNIT_RHS_DECLINES:
@@ -176,6 +185,17 @@ def measure(with_deviation, with_paths, with_sweep):
             out[n]["max_deviation"] = max(
                 float(np.max(np.abs(np.asarray(got[name]) - ref[name]))) for name in OPERATOR_NAMES
             )
+            for label, _, _ in ASSEMBLIES:
+                problem, row = problems[label], out[n]["assemble"][label]
+                matrix = one_panel_assembly(label, n)().matrix.dense()
+                t = build_partition(problem.a, problem.b, orders=n).grids[0].nodes
+                k1 = problem.kernel.eval_lower(t[:, None], t[None, :])
+                k2 = problem.kernel.eval_upper(t[:, None], t[None, :])
+                reference = semismooth_block_reference(ops, k1, k2, problem.lam * (problem.b - problem.a) / 2.0)
+                del k1, k2
+                row["max_deviation_eps"] = float(
+                    np.max(np.abs(matrix - reference)) / (np.finfo(float).eps * np.max(np.abs(reference)))
+                )
     regression = {}
     for label, _, _ in REGRESSION:
         for n in REGRESSION_ORDERS:
@@ -227,11 +247,12 @@ def measure(with_deviation, with_paths, with_sweep):
         # the tail sweep reads the change's two-grid, which the baseline lacks
         from chebfred.spectral_core import chebyshev_coefficients, chebyshev_values
 
-        for n in ROW_BLOCK_ORDERS:
-            assemble = one_panel_assembly("example2", n)
-            for entries in ROW_BLOCK_CANDIDATES:
-                with _ab.patched(fredholm_solver, ROW_BLOCK_ENTRIES=entries):
-                    sweep[f"{entries}/{n}"] = best_time(assemble)
+        for label in ROW_BLOCK_KERNELS:
+            for n in ROW_BLOCK_ORDERS:
+                assemble = one_panel_assembly(label, n)
+                for entries in ROW_BLOCK_CANDIDATES:
+                    with _ab.patched(fredholm_solver, ROW_BLOCK_ENTRIES=entries):
+                        sweep[f"{label}/{entries}/{n}"] = best_time(assemble)
         for label, _, _ in REGRESSION:
             for n in TAIL_ORDERS:
                 system = one_panel_assembly(label, n)()
@@ -286,7 +307,7 @@ def main():
     labels = [label for label, _, _ in ASSEMBLIES]
     # (quantity, n) -> side -> pooled samples, and -> side -> each round's median
     samples, per_round = {}, {}
-    deviation, errors, details, sweep, tails = {}, {}, {}, {}, {}
+    deviation, assembly_deviation, errors, details, sweep, tails = {}, {}, {}, {}, {}, {}
     path_medians = {}  # (label, n, path) -> each sweep worker's median
     answered, declines = {}, {}  # declines: "label/n" -> each sweep worker's time ratio
     for r, side, src in _ab.alternating_rounds(commit, ROUNDS):
@@ -305,6 +326,8 @@ def main():
             for label, a in v["assemble"].items():
                 timed[(label, n)] = a["samples_s"]
                 samples.setdefault(("peak", label, n), {}).setdefault(side, []).append(a["peak_mb"])
+                if "max_deviation_eps" in a:
+                    assembly_deviation.setdefault((label, n), {})[side] = a["max_deviation_eps"]
             if "max_deviation" in v:
                 deviation.setdefault(n, {})[side] = v["max_deviation"]
         for key, v in result["regression"].items():
@@ -343,6 +366,7 @@ def main():
             entry = {"kernel": label, "n": n, **compare(samples[(label, n)], per_round[(label, n)])}
             for side in ("before", "after"):
                 entry[f"{side}_peak_mb"] = min(samples[("peak", label, n)][side])
+                entry[f"{side}_max_deviation_eps"] = assembly_deviation[(label, n)][side]
             assembly.append(entry)
     for label, _, _ in REGRESSION:
         for n in REGRESSION_ORDERS:
@@ -361,12 +385,14 @@ def main():
             "fredholm_solver.dense_solve of the one-panel example2 system at ORDERS (results: dense_solve_*) and of "
             "each REGRESSION system at REGRESSION_ORDERS (regression), each on a fresh copy of the assembled operator "
             "with its coarse rule, and a one-panel composite_solver.assemble_blocks per kernel of ASSEMBLIES "
-            "(assembly: operators, kernel sampling and semismooth_block), wall time per call; dense_solve_*, "
+            "(assembly: operators, kernel sampling or factors, and semismooth_block), wall time per call; "
+            "dense_solve_*, "
             "regression and assembly rows give the best sample (*_s), the quartiles of every sample of every round "
             "(*_q1_s, *_median_s, *_q3_s) and the rounds won by the change on per-round medians (rounds_won, ties "
             "counted for neither side; for build_operators, on per-round best samples); *_peak_mb is the "
-            "tracemalloc peak of one assembly; regression rows also give each side's path, refinement steps and "
-            "relative sup error against the analytic solution"
+            "tracemalloc peak of one assembly and *_max_deviation_eps its largest entrywise deviation from "
+            "semismooth_block_reference on the whole branch samples, over eps max|A|; regression rows also give each "
+            "side's path, refinement steps and relative sup error against the analytic solution"
         ),
         "command": f"python3 scripts/bench_build_operators.py --baseline {commit}",
         "before": f"src/ at {commit}",
@@ -388,13 +414,19 @@ def main():
     if sweep:
         report["row_block_sweep"] = {
             "note": (
-                "after side, first round's worker only: best time (s) of the one-panel example2 assemble_blocks, "
-                "kernel sampling included, per fredholm_solver.ROW_BLOCK_ENTRIES value and order; example2 is "
-                "reflected, so this times the tile-pair walk with tiles of side isqrt(ROW_BLOCK_ENTRIES)"
+                "after side, first round's worker only: best time (s) of the one-panel assemble_blocks of each "
+                "ROW_BLOCK_KERNELS kernel, kernel sampling or factors included, per "
+                "fredholm_solver.ROW_BLOCK_ENTRIES value and order; example2's branches are factor pairs, so it "
+                "times the factored fill in row blocks of ROW_BLOCK_ENTRIES entries, and example4 is reflected, so "
+                "it times the tile-pair walk with tiles of side isqrt(ROW_BLOCK_ENTRIES)"
             ),
             "orders": list(ROW_BLOCK_ORDERS),
             "best_s": {
-                str(entries): [sweep[f"{entries}/{n}"] for n in ROW_BLOCK_ORDERS] for entries in ROW_BLOCK_CANDIDATES
+                label: {
+                    str(entries): [sweep[f"{label}/{entries}/{n}"] for n in ROW_BLOCK_ORDERS]
+                    for entries in ROW_BLOCK_CANDIDATES
+                }
+                for label in ROW_BLOCK_KERNELS
             },
         }
     if path_medians:
@@ -468,6 +500,7 @@ def main():
             f"{row['kernel']:>15s} n={row['n']:5d}  assembly {timing(row, 'before')} -> {timing(row, 'after')}"
             f"  x{row['median_speedup']:.2f} won {row['rounds_won']}"
             f"  peak {row['before_peak_mb']:.2f} -> {row['after_peak_mb']:.2f} MB"
+            f"  dev {row['before_max_deviation_eps']:.2f} -> {row['after_max_deviation_eps']:.2f} eps max|A|"
         )
     for row in regression:
         print(
@@ -479,9 +512,10 @@ def main():
     for row in solve_errors:
         print(f"{row['problem']:>15s} n={row['n']:5d}  error {row['before']:.6e} -> {row['after']:.6e}")
     if sweep:
-        for entries, times in report["row_block_sweep"]["best_s"].items():
-            cells = "  ".join(f"n={n}: {t * 1e3:7.3f} ms" for n, t in zip(ROW_BLOCK_ORDERS, times))
-            print(f"ROW_BLOCK_ENTRIES={entries:>7s}  {cells}")
+        for label, by_entries in report["row_block_sweep"]["best_s"].items():
+            for entries, times in by_entries.items():
+                cells = "  ".join(f"n={n}: {t * 1e3:7.3f} ms" for n, t in zip(ROW_BLOCK_ORDERS, times))
+                print(f"{label:>15s} ROW_BLOCK_ENTRIES={entries:>7s}  {cells}")
     for row in report.get("path_sweep", {}).get("rows", []):
         cells = "  ".join(f"{path} {row[f'{path}_s'] * 1e3:7.3f}" for path in PATHS)
         print(f"{row['problem']:>15s} n={row['n']:5d}  dense_solve ms: {cells}  ({row['twogrid_answered']})")

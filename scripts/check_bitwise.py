@@ -15,6 +15,10 @@ only, so that any baseline from commit 9036b52 on runs it:
 * Toeplitz systems of example2 at T = 200 pi, and DenseBlocks systems of
   example1, example3 and example4, some with unequal orders;
 * a plain callable kernel on panels of orders 20, 31 and 17;
+* example1 and example2 (T = pi/2 and 50 pi) with their branches given as
+  plain callables (``dense_oracle.plain``), so that their one-panel blocks
+  are sampled as at any baseline, not filled from factor pairs: the matrix
+  and the ``dense_solve`` node values at orders 32, 255 and 1023;
 * the Schrodinger matrix of both catalog potentials, which ``assemble``
   forms from their cross-approximation factors, at orders from 16 to 384,
   and of two Gaussian potentials whose rank exceeds the rank cap, which it
@@ -48,6 +52,7 @@ exits 1 if there is one.
 import argparse
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -57,6 +62,8 @@ import tempfile
 
 import _ab
 import numpy as np
+
+sys.path.insert(0, str(_ab.ROOT / "tests"))
 
 ONE_PANEL_ORDERS = (1, 2, 16, 63, 179, 180, 181, 182, 255, 362, 511, 1023)
 ONE_PANEL = (
@@ -85,6 +92,10 @@ SOLVES = (
     ("example1", {}, 1, 255),
     ("example2", {"T": 200 * math.pi}, 2, 399),
 )
+# (name, overrides) assembled and solved as one panel at PLAIN_ORDERS with
+# plain callable branches
+PLAIN = (("example1", {}), ("example2", {}), ("example2", {"T": 50 * math.pi}))
+PLAIN_ORDERS = (32, 255, 1023)
 SCHRODINGER_ORDERS = (16, 32, 64, 127, 128, 159, 160, 192, 256, 384)
 HIGH_RANK_ORDERS = (32, 255)
 # (potential, overrides, order) of the Schrodinger dense_solve items; 383 is
@@ -107,6 +118,7 @@ def digest(array):
 def hashes():
     """Item name -> sha256 of what it computes, or the error it raised."""
     import run_error_tables
+    from dense_oracle import plain
     from chebfred.baselines import MethodNotApplicableError
     from chebfred.cli import run_method
     from chebfred.composite_solver import assemble_blocks, build_partition
@@ -150,11 +162,18 @@ def hashes():
         problem = catalog_lookup(name, **overrides)
         part = layout(problem, panels, order)
         record(f"dense_solve x {name} {overrides} {panels}x{order}", lambda: solve(problem, part))
-    plain = catalog_lookup("example1")
+    example1 = catalog_lookup("example1")
     plain_part = build_partition(-1.0, 1.0, breakpoints=(-0.3, 0.4), orders=(20, 31, 17))
     record("plain callable kernel 20/31/17", lambda: digest(assemble_blocks(
-        lambda t, s: np.exp(-((t - s) ** 2)) * np.cos(t + 2.0 * s), plain_part, plain.lam, plain.rhs
+        lambda t, s: np.exp(-((t - s) ** 2)) * np.cos(t + 2.0 * s), plain_part, example1.lam, example1.rhs
     ).matrix.dense()))
+    for name, overrides in PLAIN:
+        problem = catalog_lookup(name, **overrides)
+        sampled = dataclasses.replace(problem, kernel=plain(problem.kernel))
+        for n in PLAIN_ORDERS:
+            part = build_partition(problem.a, problem.b, orders=n)
+            record(f"plain callables {name} {overrides} n={n} matrix", lambda: system(sampled, part))
+            record(f"dense_solve x plain callables {name} {overrides} 1x{n}", lambda: solve(sampled, part))
     for name in ("schrod_separable", "schrod_pereybuck"):
         pot = catalog_lookup(name).potential
         for n in SCHRODINGER_ORDERS:

@@ -43,6 +43,7 @@ from .kernel_catalog import (
     NonlocalPotential,
     SchrodingerProblem,
     SemismoothKernel,
+    Separable,
     catalog_lookup,
     catalog_names,
 )

@@ -148,9 +148,12 @@ def assemble_blocks(kernel, partition: Partition, lam: float, rhs) -> BlockSyste
     """Build the system as a BlockOperator of panel blocks, plus the right-hand side.
 
     ``kernel`` is a two-branch kernel or a plain callable k(t, s), taken as
-    equal branches.  A diagonal block is ``semismooth_block``, which samples
-    both branches one row block at a time, or a reflected kernel's lower
-    branch alone, one pair of mirrored tiles at a time.  Block (j, i) off
+    equal branches.  A diagonal block is ``semismooth_block``: when both
+    branches are stated by factor pairs (``SemismoothKernel.factors``), it
+    is filled from the factors at the panel's nodes and nothing is sampled;
+    otherwise it samples both branches one row block at a time, or a
+    reflected kernel's lower branch alone, one pair of mirrored tiles at a
+    time.  Block (j, i) off
     the diagonal is (lam w_i / 2) K diag(full_weights_i), with w_i the width
     of source panel i and K the lower branch for i < j, the upper for i > j.
     One ``kernel.eval_mirrored`` call samples a run of blocks below the
@@ -180,6 +183,11 @@ def assemble_blocks(kernel, partition: Partition, lam: float, rhs) -> BlockSyste
 
     def diagonal(g):
         t = g.nodes
+        ops, scale = operators(g.order), lam * g.width / 2.0
+        factors = kernel.factors(t)
+        if factors is not None:
+            f1, g1, f2, g2 = factors
+            return semismooth_block(ops, (f1, g1), (f2, g2), scale)
 
         def lower(rows, cols):
             return kernel.eval_lower(t[rows, None], t[None, cols])
@@ -188,9 +196,7 @@ def assemble_blocks(kernel, partition: Partition, lam: float, rhs) -> BlockSyste
             return kernel.eval_upper(t[rows, None], t[None, cols])
 
         # a reflected kernel's K2 is K1^T
-        return semismooth_block(
-            operators(g.order), lower, None if kernel.k_upper is None else upper, lam * g.width / 2.0
-        )
+        return semismooth_block(ops, lower, None if kernel.k_upper is None else upper, scale)
 
     def per_column():
         """lam w_i / 2 and full_weights_i per column of each source panel i."""

@@ -5,7 +5,9 @@ nodes.  The branch-split rule keeps the two kernel branches separate and
 pairs each with the one-sided integration matrix that is exact for
 polynomial integrands up to the discretization degree, which is what
 preserves spectral accuracy when the kernel has a kink or jump on the
-diagonal; ``semismooth_block`` forms one panel's matrix of it.  The
+diagonal; ``semismooth_block`` forms one panel's matrix of it, from
+samples of the two branches or, for branches stated by factor pairs, from
+the factors at the nodes.  The
 composite solver (``composite_solver``) assembles these blocks on a
 partition of [a, b], and ``solve_fredholm`` is its one-panel case:
 ``discretize_semismooth`` is ``assemble_blocks`` on one panel.
@@ -330,13 +332,30 @@ def semismooth_block(ops: SpectralOperators, lower, upper, scale: float) -> np.n
     two of work space at a time.  The row-block walk stays for two
     samplers, on which the tile walk is slower.
 
+    ``lower`` and ``upper`` may instead be the branches' factors at the
+    nodes, pairs (F1, G1) and (F2, G2) of n x r arrays with K1 = F1 G1^T
+    and K2 = F2 G2^T (``kernel_catalog.Separable``), and then nothing is
+    sampled.  With T + H the Toeplitz plus Hankel part of the bracket
+    before its column scale b (``ops.toeplitz_hankel_rows``), so that
+    B = (T + H) diag(b), the block is
+
+        I + (T + H) o (P Q^T) + R S^T,
+
+    with P = [F1, -F2], Q = scale [G1, G2] o b, R = [F1, F2] and
+    S = scale [G1 o a, G2 o c], the products o b, o a and o c scaling rows
+    of G.  Each row block is two thin matrix products, one into the block
+    and one into a work array that first holds its rows of T + H, one
+    multiply and one add; the factors are O(n r), and the work array is one
+    row block.  It agrees with the sampled block to rounding, not bitwise.
+
     Under ``__debug__`` every call checks the row sums of B
-    (``ops.check_bracket_row_sums``).  Samples of the wrong shape raise
-    ValueError.
+    (``ops.check_bracket_row_sums``), on the factored fill as (T + H) b.
+    Samples of the wrong shape raise ValueError.
     """
     n1 = ops.order + 1
     block = np.empty((n1, n1))
     row_sums = np.zeros(n1) if __debug__ else None
+    rows_per_block = max(1, ROW_BLOCK_ENTRIES // n1)
 
     def sampled(values, rows, cols):
         k = np.asarray(values, dtype=float)
@@ -372,14 +391,29 @@ def semismooth_block(ops: SpectralOperators, lower, upper, scale: float) -> np.n
             out, scratch = work.reshape(2, *k1.shape)
             np.multiply(unscaled(r, c, k1, k2, out, scratch), scale, out=block[r, c])
 
-    if upper is None:
+    if isinstance(lower, tuple):
+        (f1, g1), (f2, g2) = lower, upper
+        b = ops.bracket_scale
+        p, r = np.concatenate((f1, -f2), axis=1), np.concatenate((f1, f2), axis=1)
+        qt = np.concatenate((g1, g2), axis=1).T * (scale * b)
+        st = np.concatenate((g1.T * (scale * ops.left_offset), g2.T * (scale * ops.right_offset)))
+        work = np.empty((min(rows_per_block, n1), n1))
+        for start in range(0, n1, rows_per_block):
+            rows = slice(start, min(start + rows_per_block, n1))
+            out, scratch = block[rows], work[: rows.stop - rows.start]
+            np.matmul(p[rows], qt, out=out)
+            ops.toeplitz_hankel_rows(rows.start, rows.stop, out=scratch)
+            if __debug__:
+                row_sums[rows] = scratch @ b
+            out *= scratch
+            out += np.matmul(r[rows], st, out=scratch)
+    elif upper is None:
         side = math.isqrt(ROW_BLOCK_ENTRIES)
         tiles = [slice(start, min(start + side, n1)) for start in range(0, n1, side)]
         for i, rows in enumerate(tiles):
             for cols in tiles[i:]:
                 tile_pair(rows, cols)
     else:
-        rows_per_block = max(1, ROW_BLOCK_ENTRIES // n1)
         scratch = np.empty((min(rows_per_block, n1), n1))
         every = slice(0, n1)
         for start in range(0, n1, rows_per_block):

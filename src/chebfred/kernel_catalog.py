@@ -14,10 +14,24 @@ branch's over the mirrored block, and the assembly samples the lower branch
 alone (``eval_mirrored``; the Schrodinger assembly transposes V1 itself).  Example2, example4 and both scattering
 potentials are given so; example1 and example3 carry both branches.
 
-Example2's branch sin(t - s) is stated by its two factor pairs,
+A branch may be stated by its factor pairs, k(t, s) = sum_r f_r(t) g_r(s)
+(``Separable``).  Such a branch is a callable like any other, which sums
+the products f_r(t) g_r(s) in the order of its pairs, so its samples are
+those of the expression written out term by term.  The factors cannot
+disagree with the samples, because they are the branch: replacing the
+branch by a plain callable drops them.  A reflected kernel whose lower
+branch is ``Separable`` has the swapped pairs (g_r, f_r) as its upper
+branch's factors, since k_lower(s, t) = sum_r g_r(t) f_r(s).  When both
+branches of a kernel have factor pairs (``SemismoothKernel.factors``), a
+one-panel block is filled from the factors at the nodes, and no branch is
+sampled (``fredholm_solver.semismooth_block``).
+
+Example1's branches are the constants 1 and -1, one pair each.  Example2's
+branch sin(t - s) is stated by its two factor pairs,
 sin t cos s - cos t sin s, the same function: a sample on R rows and C
 columns then takes R + C sines and cosines and R C products, where
 sin(t - s) takes R C sines, and t - s, rounded to ulp(T), is never formed.
+Example3, example4 and both scattering potentials are plain callables.
 """
 
 from __future__ import annotations
@@ -31,6 +45,7 @@ import numpy as np
 __all__ = [
     "KernelEvaluationError",
     "CatalogError",
+    "Separable",
     "SemismoothKernel",
     "as_semismooth",
     "BenchmarkProblem",
@@ -67,6 +82,46 @@ def _swapped(fn: Callable) -> Callable:
 
 
 @dataclass(frozen=True)
+class Separable:
+    """A kernel branch k(t, s) = sum_r f_r(t) g_r(s), stated by its factor
+    pairs ``pairs`` = ((f_1, g_1), (f_2, g_2), ...), each factor a function
+    of one array argument that returns an array of its shape.
+
+    Calling it gives f_1(t) g_1(s) + f_2(t) g_2(s) + ..., summed in that
+    order (module docstring).  A term with a minus sign is a pair whose f
+    is negated: (-c) d is -(c d) exactly, and x + (-y) is x - y.
+    """
+
+    pairs: tuple
+
+    def __call__(self, t, s):
+        (f, g), *rest = self.pairs
+        total = f(t) * g(s)
+        for f, g in rest:
+            total = total + f(t) * g(s)
+        return total
+
+    def factors(self, t, what: str):
+        """(F, G), with columns r the factors f_r and g_r at the 1-D points
+        t.  A non-finite factor raises ``KernelEvaluationError``, and so
+        does a factor size that lets a product overflow: the largest |k|
+        the factors allow, sum_r max|f_r| max|g_r|, is attained term by
+        term among the pairs of points."""
+        f = np.empty((len(t), len(self.pairs)))
+        g = np.empty_like(f)
+        with np.errstate(all="ignore"):
+            for r, (fn, gn) in enumerate(self.pairs):
+                f[:, r] = fn(t)
+                g[:, r] = gn(t)
+            bound = np.abs(f).max(axis=0) @ np.abs(g).max(axis=0)
+        if not np.isfinite(bound):
+            bad = np.count_nonzero(~np.isfinite(f)) + np.count_nonzero(~np.isfinite(g))
+            problem = f"evaluated to a non-finite value at {bad} point(s)" if bad else "overflow their products"
+            raise KernelEvaluationError(f"{what} factors {problem}")
+        return f, g
+
+
+@dataclass(frozen=True)
 class SemismoothKernel:
     """Two-branch kernel k(t, s), split along s = t.
 
@@ -87,6 +142,20 @@ class SemismoothKernel:
     @property
     def _upper(self) -> Callable:
         return _swapped(self.k_lower) if self.k_upper is None else self.k_upper
+
+    def factors(self, t):
+        """(F1, G1, F2, G2), the factors of the lower and the upper branch
+        at the points t (``Separable.factors``), or None unless both
+        branches are ``Separable``.  A reflected kernel's upper factors are
+        its lower ones swapped, F2 = G1 and G2 = F1."""
+        if not isinstance(self.k_lower, Separable):
+            return None
+        f1, g1 = self.k_lower.factors(t, "lower kernel branch")
+        if self.k_upper is None:
+            return f1, g1, g1, f1
+        if not isinstance(self.k_upper, Separable):
+            return None
+        return (f1, g1, *self.k_upper.factors(t, "upper kernel branch"))
 
     def eval_lower(self, t, s) -> np.ndarray:
         return _checked(self.k_lower, t, s, "lower kernel branch")
@@ -178,14 +247,16 @@ class SchrodingerProblem:
 
 
 def _const(value: float) -> Callable:
-    def f(t, s):
-        return np.full(np.broadcast(np.asarray(t), np.asarray(s)).shape, value)
+    return lambda x: np.full(np.shape(x), value)
 
-    return f
+
+def _neg_cos(x):
+    return -np.cos(x)
 
 
 def _example1(lam: float) -> BenchmarkProblem:
-    kernel = SemismoothKernel(k_lower=_const(1.0), k_upper=_const(-1.0))
+    one = _const(1.0)
+    kernel = SemismoothKernel(k_lower=Separable(((one, one),)), k_upper=Separable(((_const(-1.0), one),)))
     e = math.e
 
     def rhs(t):
@@ -206,10 +277,7 @@ def _example1(lam: float) -> BenchmarkProblem:
 
 def _example2(lam: float, T: float) -> BenchmarkProblem:
     # sin(t - s) by its addition formula (module docstring)
-    kernel = SemismoothKernel(
-        k_lower=lambda t, s: np.sin(t) * np.cos(s) - np.cos(t) * np.sin(s),
-        difference_form=True,
-    )
+    kernel = SemismoothKernel(k_lower=Separable(((np.sin, np.cos), (_neg_cos, np.sin))), difference_form=True)
 
     def rhs(t):
         t = np.asarray(t, float)
@@ -324,8 +392,15 @@ def _schrod_separable(lam: float, kappa: float, T: float) -> SchrodingerProblem:
 def _schrod_pereybuck(lam: float, kappa: float, A: float, T: float) -> SchrodingerProblem:
     if not A > 0.0:
         raise ValueError(f"need A > 0, got {A}")
+
+    def logistic(p, r2):
+        # lam e / (1 + e) with e = exp((p - r') / A); where e overflows, the
+        # quotient would be inf / inf, and its limit lam is taken instead
+        e = np.exp((p - r2) / A)
+        return np.where(e == np.inf, lam, lam * e / (1.0 + e))
+
     potential = NonlocalPotential(
-        lower=lambda p, r2: lam * np.exp((p - r2) / A) / (1.0 + np.exp((p - r2) / A)),
+        lower=logistic,
         strength=lam,
         kappa=kappa,
         cutoff=T,

@@ -61,6 +61,21 @@ reading its entries of B from the Toeplitz and Hankel views of S
 (``SpectralOperators.bracket_rows``).
 Where the branches agree, K1 - K2 vanishes and the rule reduces to the
 full weights sigma = a + c.
+
+When each branch is stated by r factor pairs, K1 = F1 G1^T and
+K2 = F2 G2^T with F and G holding the factors at the nodes, no branch need
+be sampled.  Write B = (T + H) diag(b), with T + H the Toeplitz plus
+Hankel matrix S(m-k) + S(m+k+1) (``SpectralOperators.toeplitz_hankel_rows``).
+Then (K1 - K2) o B = (T + H) o ((K1 - K2) diag(b)), and the column scalings
+move onto G, so that
+
+    I + s (W o K1 + V o K2) = I + (T + H) o (P Q^T) + R S^T,
+
+    P = [F1, -F2],  Q = s [G1, G2] o b,  R = [F1, F2],  S = s [G1 o a, G2 o c],
+
+where G o b scales row m of G by b_m.  P, Q, R and S are n-by-2r, and a
+few rows of the block cost two thin products and a read of T + H
+(``fredholm_solver.semismooth_block``).
 """
 
 from __future__ import annotations
@@ -183,6 +198,17 @@ class SpectralOperators:
         restricted to columns col_start .. col_stop-1 (all columns by
         default), computed into ``out`` if given.  Each entry is bitwise the
         same whichever rows and columns it is computed among.
+        """
+        col_stop = self.order + 1 if col_stop is None else col_stop
+        rows = self.toeplitz_hankel_rows(start, stop, col_start, col_stop, out=out)
+        rows *= self.bracket_scale[col_start:col_stop]
+        return rows
+
+    def toeplitz_hankel_rows(
+        self, start: int, stop: int, col_start: int = 0, col_stop: int | None = None, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """The same rows and columns of S(m-k) + S(m+k+1), the bracket
+        before its column scale b_m.
 
         S(m-k) and S(m+k+1) are read through strided views of S, a Toeplitz
         and a Hankel matrix (numpy checks that both stay inside S), so a
@@ -195,9 +221,7 @@ class SpectralOperators:
         shape = (stop - start, col_stop - col_start)
         toeplitz = np.ndarray(shape, S.dtype, S, (n + col_start - start) * step, (-step, step))
         hankel = np.ndarray(shape, S.dtype, S, (n + 1 + start + col_start) * step, (step, step))
-        rows = np.add(toeplitz, hankel, out=out)
-        rows *= self.bracket_scale[col_start:col_stop]
-        return rows
+        return np.add(toeplitz, hankel, out=out)
 
     def check_bracket_row_sums(self, row_sums: np.ndarray) -> None:
         """Debug check of the bracket's row sums B 1 against the row sums of

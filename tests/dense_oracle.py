@@ -6,8 +6,10 @@
   products, and ``integration_matrices``: W and V formed in full from the
   vectors of a ``SpectralOperators``, the ones every solve reads;
 * ``semismooth_block_reference``: the semismooth block over whole n x n
-  arrays, and ``unreflected``: a reflected kernel or potential with its
+  arrays, ``unreflected``: a reflected kernel or potential with its
   upper branch made explicit, which takes the assembly's plain path,
+  ``plain``: a kernel with its branches as plain callables, which the
+  assembly samples where it would use their factor pairs, and
   ``record_branch_calls``: the branch calls an assembly makes;
 * ``hadamard_matrix``: the Schrodinger system by explicit Hadamard
   products, and ``whole_branches``: a Schrodinger system's K1 and K2 in
@@ -129,6 +131,19 @@ def unreflected(branches):
     assert branches.upper is None
     lower = branches.lower
     return dataclasses.replace(branches, upper=lambda p, r2: lower(r2, p))
+
+
+def plain(kernel):
+    """``kernel`` with each branch wrapped in a plain callable of the same
+    samples, so that no branch carries factor pairs
+    (``kernel_catalog.Separable``): its one-panel blocks are sampled, by
+    the tile walk when it is reflected (it stays so) and by the row walk
+    otherwise, which is what every assembly of it did before factor pairs
+    existed."""
+    lower, upper = kernel.k_lower, kernel.k_upper
+    return dataclasses.replace(
+        kernel, k_lower=lambda t, s: lower(t, s), k_upper=None if upper is None else (lambda t, s: upper(t, s))
+    )
 
 
 def hadamard_matrix(potential, grid, ops, kernel_matrices):

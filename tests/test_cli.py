@@ -330,6 +330,15 @@ def test_schrodinger_self_convergence_table(capsys):
     assert 1e-5 < float(err) < 1e-2
 
 
+@pytest.mark.parametrize("A", ["0.03", "0.02"])
+def test_a_short_range_perey_buck_potential_solves(capsys, A):
+    # at A = 0.02 the logistic's exp overflows for p - r' > 14.2, which the
+    # default T = 20 reaches; its limit lam keeps every sample finite
+    assert cli.main(["schrodinger", "--problem", "schrod_pereybuck", "--n", "16", "--A", A]) == 0
+    n, err = capsys.readouterr().out.strip().splitlines()[1].split(",")
+    assert n == "16" and np.isfinite(float(err))
+
+
 def test_schrodinger_solves_each_distinct_order_once(monkeypatch, capsys):
     pot = catalog_lookup("schrod_pereybuck").potential
     separate = [f"{schrodinger.self_convergence(pot, n):.6e}" for n in (16, 32, 64)]

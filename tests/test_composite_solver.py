@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from dense_oracle import integration_matrices, record_branch_calls, semismooth_block_reference, unreflected
+from dense_oracle import integration_matrices, plain, record_branch_calls, semismooth_block_reference, unreflected
 
 from chebfred import fredholm_solver
 from chebfred.block_operator import ToeplitzBlocks
@@ -70,14 +70,16 @@ class TestBuildPartition:
 
 
 def test_single_panel_matches_single_grid_discretization():
-    # with no breakpoints the block system is bit for bit the one-panel system
+    # with no breakpoints the block system is bit for bit the one-panel
+    # system, for a sampled kernel
     problem = catalog_lookup("example2")
+    kernel = plain(problem.kernel)
     part = build_partition(problem.a, problem.b, orders=16)
-    block = assemble_blocks(problem.kernel, part, problem.lam, problem.rhs)
+    block = assemble_blocks(kernel, part, problem.lam, problem.rhs)
     grid = cheb_grid(16, problem.a, problem.b)
     t = grid.nodes
-    k1 = problem.kernel.eval_lower(t[:, None], t[None, :])
-    k2 = problem.kernel.eval_upper(t[:, None], t[None, :])
+    k1 = kernel.eval_lower(t[:, None], t[None, :])
+    k2 = kernel.eval_upper(t[:, None], t[None, :])
     single = semismooth_block_reference(build_operators(16), k1, k2, problem.lam * grid.width / 2.0)
     assert np.array_equal(block.matrix.dense(), single)
     assert np.array_equal(block.rhs, problem.rhs(t))
@@ -169,9 +171,11 @@ def test_toeplitz_reuse_matches_direct_assembly():
 def test_a_branch_object_assembles_as_the_kernel_it_forwards_to(name, toeplitz):
     # any object with eval_lower and eval_upper is the kernel of those two
     # branches, its difference_form flag kept: on three equal panels it
-    # assembles to the same doubles as the catalog kernel, reflected or not
+    # assembles to the same doubles as the catalog kernel given as plain
+    # callables, reflected or not (the object's branches carry no factor
+    # pairs, so its diagonal blocks are sampled)
     problem = catalog_lookup(name)
-    kernel = dataclasses.replace(problem.kernel, difference_form=toeplitz)
+    kernel = dataclasses.replace(plain(problem.kernel), difference_form=toeplitz)
     branches = type(
         "K",
         (),
@@ -243,11 +247,13 @@ def test_off_diagonal_sampling_takes_one_call_per_branch_per_panel_row(
     # block, sampled once per branch.  Both kernels are reflected, and
     # ``unreflected`` gives them an explicit upper branch; reflected, the
     # upper branch is never called: a diagonal block of order <= 180 is one
-    # tile, sampled once, and each lower-branch call also gives its mirror
+    # tile, sampled once, and each lower-branch call also gives its mirror.
+    # The kernels are given as plain callables, so that the diagonal blocks
+    # of example2 are sampled
     problem = catalog_lookup(name, **overrides)
     assert problem.kernel.k_upper is None
     part = _uniform_partition(problem, panels, orders)
-    kernel = problem.kernel if reflected else unreflected(problem.kernel)
+    kernel = plain(problem.kernel) if reflected else unreflected(plain(problem.kernel))
     calls = []
     record_branch_calls(monkeypatch, SemismoothKernel, calls)
     system = assemble_blocks(kernel, part, problem.lam, problem.rhs)
@@ -275,13 +281,13 @@ def test_off_diagonal_sampling_takes_one_call_per_branch_per_panel_row(
 
 
 def test_one_panel_assembly_holds_no_whole_branch_sample():
-    # at n = 1023 the block is 8.0 MiB; the reflected example2 kernel is
-    # sampled one pair of 181 x 181 tiles at a time
+    # at n = 1023 the block is 8.0 MiB; the reflected example2 kernel, as a
+    # plain callable, is sampled one pair of 181 x 181 tiles at a time
     problem = catalog_lookup("example2")
     part = build_partition(problem.a, problem.b, orders=1023)
     tracemalloc.start()
     try:
-        system = assemble_blocks(problem.kernel, part, problem.lam, problem.rhs)
+        system = assemble_blocks(plain(problem.kernel), part, problem.lam, problem.rhs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -191,6 +191,24 @@ def test_pereybuck_potential_record():
     assert catalog_lookup("schrod_pereybuck", A=5.0).potential.nonlocal_range == 5.0
 
 
+@pytest.mark.parametrize("A", [100.0, 0.03, 0.02])
+def test_pereybuck_logistic_takes_its_limit_where_exp_overflows(A):
+    # lam e / (1 + e), e = exp((p - r') / A), bitwise wherever e is finite,
+    # and lam where e overflows (p - r' > 709.78 A, on [0, 20] only at
+    # A = 0.02), not inf / inf
+    pot = catalog_lookup("schrod_pereybuck", A=A).potential
+    x = np.linspace(0.0, 20.0, 41)
+    p, r2 = x[:, None], x[None, :]
+    with np.errstate(all="ignore"):
+        e = np.exp((p - r2) / A)
+        written_out = 0.1 * e / (1.0 + e)
+    values = pot.eval_lower(p, r2)
+    finite = np.isfinite(e)
+    assert np.array_equal(values[finite], written_out[finite])
+    assert np.all(values[~finite] == 0.1) and np.any(~finite) == (A == 0.02)
+    assert np.all((0.0 <= values) & (values <= 0.1 * (1.0 + 4.0 * np.finfo(float).eps)))
+
+
 def test_kappa_override_drops_manufactured_pair():
     problem = catalog_lookup("schrod_separable", kappa=2.0)
     assert problem.rhs is None

@@ -6,7 +6,9 @@ tile pairs, ``assemble_blocks`` reads the upper samples as transposes
 (``eval_mirrored``), and Schrodinger ``assemble`` takes V2 as the transpose
 of V1, or its factors as V1's swapped.  The oracle is the same
 kernel with its upper branch made explicit (``dense_oracle.unreflected``),
-which samples both branches; every matrix must be bitwise the same.
+which samples both branches; every matrix must be bitwise the same.  The
+catalog kernels are given as plain callables (``dense_oracle.plain``), so
+that their one-panel blocks are sampled, not filled from factor pairs.
 """
 
 import dataclasses
@@ -16,7 +18,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from dense_oracle import (
-    record_branch_calls, semismooth_block_reference, slice_sampler, unreflected, whole_branches
+    plain, record_branch_calls, semismooth_block_reference, slice_sampler, unreflected, whole_branches
 )
 
 from chebfred import fredholm_solver, schrodinger
@@ -31,9 +33,10 @@ TILE = math.isqrt(fredholm_solver.ROW_BLOCK_ENTRIES)
 
 
 def _both_paths(kernel, partition, lam, rhs):
+    kernel = plain(kernel)
     fast = assemble_blocks(kernel, partition, lam, rhs).matrix
-    plain = assemble_blocks(unreflected(kernel), partition, lam, rhs).matrix
-    return fast, plain
+    explicit = assemble_blocks(unreflected(kernel), partition, lam, rhs).matrix
+    return fast, explicit
 
 
 def _uniform(problem, panels, order):
@@ -141,13 +144,14 @@ def _points(calls, branch):
 @pytest.mark.parametrize("n", [1, TILE - 1, 2 * TILE + 2, 1023])
 def test_reflected_one_panel_assembly_samples_each_entry_once(monkeypatch, n):
     problem = catalog_lookup("example2")
+    kernel = plain(problem.kernel)
     part = build_partition(problem.a, problem.b, orders=n)
     calls = []
     record_branch_calls(monkeypatch, SemismoothKernel, calls)
-    assemble_blocks(problem.kernel, part, problem.lam, problem.rhs)
+    assemble_blocks(kernel, part, problem.lam, problem.rhs)
     assert (_points(calls, "lower"), _points(calls, "upper")) == ((n + 1) ** 2, 0)
     calls.clear()
-    assemble_blocks(unreflected(problem.kernel), part, problem.lam, problem.rhs)
+    assemble_blocks(unreflected(kernel), part, problem.lam, problem.rhs)
     assert (_points(calls, "lower"), _points(calls, "upper")) == ((n + 1) ** 2, (n + 1) ** 2)
 
 
@@ -158,7 +162,7 @@ def test_reflected_one_panel_assembly_peak_at_n_1023():
     part = build_partition(problem.a, problem.b, orders=1023)
     tracemalloc.start()
     try:
-        assemble_blocks(problem.kernel, part, problem.lam, problem.rhs)
+        assemble_blocks(plain(problem.kernel), part, problem.lam, problem.rhs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
