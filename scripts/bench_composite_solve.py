@@ -16,7 +16,13 @@ each side also reports its relative sup error against the analytic solution.
 
 The resolved long interval (T = 2000 pi, 256 panels of order 63,
 N = 16,384) runs once per side per round, each time in a fresh process, so
-that the process's peak resident set size is that solve's alone.
+that the process's peak resident set size is that solve's alone.  So does
+the largest system, T = 20000 pi on 2560 panels of order 63 (N = 163,840):
+the report keeps its assembly time, its best product time, the megabytes
+of arrays its operator stores, the time of ``refined_solve`` (the
+hierarchical path and its refinement, without the float64 LU fallback,
+whose N x N array would take 200 GiB) with the error of its answer, None
+when it declines, and the process's peak RSS.
 
 The first worker of each side also records the details of every many_panel
 system.  The report keeps both sides' rank of each compression and number
@@ -52,6 +58,8 @@ LONG_INTERVAL = (("example2-T2000pi-128p", "example2", 128, 63, T_2000PI),)
 # resolved at 256 panels (N = 16,384), where the dense matrix alone is 2.1 GB:
 # one call per fresh process, for its peak RSS
 RESOLVED = ("example2-T2000pi-256p", "example2", 256, 63, T_2000PI)
+# solved by the refined path alone: the dense fallback cannot be allocated
+LARGEST = ("example2-T20000pi-2560p", "example2", 2560, 63, 20000.0 * math.pi)
 # dense versus hierarchical below and above the crossover: (problem, T, panels,
 # order), with order-63 panels and with the two panels of the CLI's default
 # example4 partition (split at the singular point) or of example2 halved
@@ -231,6 +239,59 @@ def measure_resolved():
     }
 
 
+def stored_mb(op):
+    """Megabytes of the arrays an operator holds, each memory block counted once."""
+    import numpy as np
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            while value.base is not None:
+                value = value.base
+            yield value
+        elif isinstance(value, dict):
+            for item in value.values():
+                yield from arrays(item)
+        elif isinstance(value, (tuple, list)):
+            for item in value:
+                yield from arrays(item)
+
+    owners = {id(a): a.nbytes for a in arrays(list(vars(op).values()))}
+    return sum(owners.values()) / 1e6
+
+
+def measure_largest():
+    """Worker: one assembly and the best product of the largest system, what
+    its operator stores, one ``refined_solve`` and the peak RSS."""
+    import resource
+
+    import numpy as np
+
+    from chebfred.composite_solver import assemble_blocks
+    from chebfred.fredholm_solver import refined_solve, relative_sup_error
+
+    label, name, panels, order, T = LARGEST
+    problem, partition = problem_and_partition(name, panels, order, T)
+    start = time.perf_counter()
+    system = assemble_blocks(problem.kernel, partition, problem.lam, problem.rhs)
+    assembly_s = time.perf_counter() - start
+    stored = stored_mb(system.matrix)
+    product_s, _ = best_time(lambda: system.matrix.matmul(system.rhs))
+    start = time.perf_counter()
+    solved = refined_solve(system.matrix, system.rhs, system.matrix.norm1())
+    refined_s = time.perf_counter() - start
+    exact = problem.solution(np.concatenate([g.nodes for g in partition.grids]))
+    return {
+        "N": len(system.matrix),
+        "storage": type(system.matrix).__name__,
+        "assembly_s": assembly_s,
+        "product_s": product_s,
+        "stored_mb": stored,
+        "refined_s": refined_s,
+        "refined_error": None if solved is None else relative_sup_error(solved[0], exact),
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+    }
+
+
 def crossover_table():
     """Float64 LU against the refined hierarchical path, with the crossover moved below every case."""
     from chebfred import hierarchical
@@ -283,15 +344,20 @@ def main():
     parser.add_argument("--details", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--tables", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--resolved", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--largest", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.worker:
-        print(json.dumps(measure_resolved() if args.resolved else measure(args.details, args.tables)))
+        if args.largest:
+            print(json.dumps(measure_largest()))
+        else:
+            print(json.dumps(measure_resolved() if args.resolved else measure(args.details, args.tables)))
         return 0
     if not args.baseline:
         parser.error("--baseline is required")
     commit = _ab.short_commit(args.baseline)
     best = {"before": {}, "after": {}}
     resolved = {"before": [], "after": []}
+    largest = {"before": [], "after": []}
     extras = None
     for r, side, src in _ab.alternating_rounds(commit, ROUNDS):
         flags = ["--details"] + (["--tables"] if side == "after" else []) if r == 0 else []
@@ -302,6 +368,7 @@ def main():
             entry = best[side].setdefault(label, dict(v))
             entry["best_s"] = min(entry["best_s"], v["best_s"])
         resolved[side].append(_ab.run_worker(__file__, src, "--resolved"))
+        largest[side].append(_ab.run_worker(__file__, src, "--largest"))
     rows = []
     for label in best["after"]:
         before, after = best["before"][label], best["after"][label]
@@ -339,6 +406,17 @@ def main():
         "machine": extras["machine"],
         "results": rows,
         "resolved_long_interval": {"system": RESOLVED[0], **resolved_rows},
+        "largest": {
+            "system": LARGEST[0],
+            **{side: {"N": runs[0]["N"], "storage": runs[0]["storage"],
+                      "best_assembly_s": min(run["assembly_s"] for run in runs),
+                      "best_product_s": min(run["product_s"] for run in runs),
+                      "stored_mb": runs[0]["stored_mb"],
+                      "best_refined_s": min(run["refined_s"] for run in runs),
+                      "refined_error": runs[0]["refined_error"],
+                      "peak_rss_mb": max(run["peak_rss_mb"] for run in runs), "runs": runs}
+               for side, runs in largest.items()},
+        },
         "crossover": {
             "measured_N": measured_crossover(extras["crossover"]),
             "rule": "smallest N from which the hierarchical path wins on every row; best of 5 per cell",
@@ -357,6 +435,12 @@ def main():
     for side, row in resolved_rows.items():
         print(f"{RESOLVED[0]} {side:6s} N={row['N']} {row['best_s']:.2f} s  err {row['error']:.6e}  "
               f"peak RSS {row['peak_rss_mb']:.0f} MB")
+    for side in ("before", "after"):
+        row = report["largest"][side]
+        print(f"{LARGEST[0]} {side:6s} N={row['N']} {row['storage']}: "
+              f"assembly {row['best_assembly_s']:.2f} s  product {row['best_product_s'] * 1e3:.1f} ms  "
+              f"stored {row['stored_mb']:.0f} MB  refined_solve {row['best_refined_s']:.2f} s, "
+              f"error {row['refined_error']}  peak RSS {row['peak_rss_mb']:.0f} MB")
     print("measured crossover N:", report["crossover"]["measured_N"])
     return 0
 

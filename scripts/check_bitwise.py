@@ -12,8 +12,12 @@ only, so that any baseline from commit 9036b52 on runs it:
 
 * one-panel matrices of example1-4, and example2 at T = 50 pi, at orders
   from 1 to 1023, below, at and across the tile side and the row block;
-* Toeplitz systems of example2 at T = 200 pi, and DenseBlocks systems of
-  example1, example3 and example4, some with unequal orders;
+* systems of example2 at T = 200 pi on equal panels (``FactoredBlocks``),
+  and DenseBlocks systems of example1, example3 and example4, some with
+  unequal orders;
+* the same example2 systems and their ``dense_solve`` node values with the
+  branches given as plain callables (``dense_oracle.plain``), which are
+  stored as ``ToeplitzBlocks``;
 * a plain callable kernel on panels of orders 20, 31 and 17;
 * example1 and example2 (T = pi/2 and 50 pi) with their branches given as
   plain callables (``dense_oracle.plain``), so that their one-panel blocks
@@ -162,6 +166,16 @@ def hashes():
         problem = catalog_lookup(name, **overrides)
         part = layout(problem, panels, order)
         record(f"dense_solve x {name} {overrides} {panels}x{order}", lambda: solve(problem, part))
+    # the multi-panel example2 items again with plain callable branches: a
+    # difference kernel whose blocks are sampled, stored as ToeplitzBlocks
+    for items, kind, compute in ((LAYOUTS, "layout", system), (SOLVES, "dense_solve x", solve)):
+        for name, overrides, panels, order in items:
+            if name == "example2" and panels > 1:
+                problem = catalog_lookup(name, **overrides)
+                sampled = dataclasses.replace(problem, kernel=plain(problem.kernel))
+                part = layout(problem, panels, order)
+                label = f"{kind} plain callables {name} {overrides} {panels}x{order}"
+                record(label, lambda: compute(sampled, part))
     example1 = catalog_lookup("example1")
     plain_part = build_partition(-1.0, 1.0, breakpoints=(-0.3, 0.4), orders=(20, 31, 17))
     record("plain callable kernel 20/31/17", lambda: digest(assemble_blocks(

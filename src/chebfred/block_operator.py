@@ -9,9 +9,11 @@ row sums of |A| (hence its 1- and infinity-norms), a finiteness check, and
 factorization needs it.  That array is a plain C-order copy: its transpose
 is the same memory in Fortran order, so LAPACK factors A^T in place and
 solves with A through ``trans`` (``hierarchical._lu``).  ``share_key``
-tells the hierarchical solver which panel ranges carry the same matrix.
+tells the hierarchical solver which panel ranges carry the same matrix, and
+``off_diagonal_factors`` gives a storage's own factors U V^T of a block off
+the diagonal, when it holds them, so that the solver compresses nothing.
 
-Two storages implement it:
+Three storages implement it:
 
 * ``ToeplitzBlocks``: block (j, i) depends on j - i only (a difference
   kernel on equal panels), so the 2m - 1 distinct blocks hold the whole
@@ -20,6 +22,21 @@ Two storages implement it:
   check runs once per distinct block; the N x N array is never formed.
 * ``DenseBlocks``: every block is distinct, so the N x N array is itself
   the storage, and a range of panels is a view of it.
+* ``FactoredBlocks``: a difference kernel stated by factor pairs on equal
+  panels.  The m diagonal blocks are stored, one (m, n, n) array, and
+  every block off the diagonal is a product of the branch factors at the
+  nodes, F_j G_i^T, scaled per column; nothing N x N and nothing per block
+  diagonal is kept.  A product is one batched product with the diagonal
+  blocks plus, for each panel j, F_j times a prefix sum (below the
+  diagonal) or suffix sum (above it) of the panels' G_i^T (c w x)_i, in
+  O(m n^2 + N r).  ``dense`` forms entries term by term, bitwise those of
+  the same kernel sampled at its own nodes.  The |A| sums take each
+  diagonal block and the first block of each block diagonal, as
+  ``ToeplitzBlocks`` does, formed from the factors a chunk of panels at a
+  time.  Ranges of the same panel count carry the same matrix up to the
+  rounding of their nodes, so ``share_key`` is the panel count, and
+  refinement corrects the difference.  It reads no single rows or
+  columns: the hierarchical solver takes its stated factors.
 
 ``as_block_operator`` wraps a plain array as ``DenseBlocks``, cut at given
 offsets or taken as one panel.
@@ -27,9 +44,13 @@ offsets or taken as one panel.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-__all__ = ["BlockOperator", "DenseBlocks", "ToeplitzBlocks", "abs_sums", "as_block_operator"]
+__all__ = [
+    "BlockOperator", "DenseBlocks", "FactoredBlocks", "ToeplitzBlocks", "abs_sums", "as_block_operator",
+]
 
 
 def abs_sums(matrix, rows=64):
@@ -50,9 +71,10 @@ class BlockOperator:
 
     Panel ranges are half-open pairs ``(p0, p1)``; None means every panel.
     A storage provides ``block``, ``share_key``, ``is_finite``, ``dense``,
-    ``_apply`` (the product with a 2-D operand), ``_abs_sums``, ``row``
-    and ``column``, which read one row or column of A[rows, cols], and
-    ``is_zero``, which tells whether A[rows, cols] is all zero.
+    ``_apply`` (the product with a 2-D operand), ``_abs_sums``, and either
+    ``off_diagonal_factors`` or ``row`` and ``column``, which read one row
+    or column of A[rows, cols], and ``is_zero``, which tells whether
+    A[rows, cols] is all zero.
 
     ``coarse`` is None or the same rule at a lower order for a one-panel
     system: ``coarse(order)`` returns a fresh C-order array, the system
@@ -99,6 +121,11 @@ class BlockOperator:
 
     def norm_inf(self):
         return float(self.abs_sums()[1].max())
+
+    def off_diagonal_factors(self, rows, cols):
+        """(U, V) with A[rows, cols] = U V^T, for panel ranges that do not
+        overlap, when the storage holds that block as factors; else None."""
+        return None
 
 
 class DenseBlocks(BlockOperator):
@@ -216,6 +243,133 @@ class ToeplitzBlocks(BlockOperator):
         for j in range(count):
             for i in range(count):
                 out[j * n : (j + 1) * n, i * n : (i + 1) * n] = self.diagonals[j - i]
+        return out
+
+
+class FactoredBlocks(BlockOperator):
+    """Block (j, i) is ``diagonal[j]`` on the diagonal, and off it
+
+        (c_i o sum_r F[rows j, r] G[cols i, r]^T) o w_i,
+
+    with (F, G) the ``lower`` factors for i < j and the ``upper`` ones for
+    i > j, each an N x r array at the nodes, and c and w the N-vectors of
+    the column scale and the weights; every panel has the same size."""
+
+    def __init__(self, offsets, diagonal, lower, upper, col_scale, weights):
+        super().__init__(offsets)
+        self.diagonal = diagonal
+        self.lower, self.upper = lower, upper
+        self.col_scale, self.weights = col_scale, weights
+        self._cw = col_scale * weights
+        self.size = int(self.offsets[1])
+
+    def share_key(self, p0, p1):
+        """Ranges of the same number of panels carry the same matrix but for
+        the rounding of their nodes, which refinement corrects."""
+        return p1 - p0
+
+    def _entries(self, factors, rows, cols):
+        """A[rows, cols] (index slices) of one side of the diagonal, term by
+        term and in the order of the sampled kernel."""
+        f, g = factors[0][rows], factors[1][cols]
+        total = f[:, :1] * g[:, 0]
+        for k in range(1, f.shape[1]):
+            total = total + f[:, k : k + 1] * g[:, k]
+        return self.col_scale[cols] * total * self.weights[cols]
+
+    def _panels(self, p0, p1):
+        return slice(*self._span((p0, p1))[2:])
+
+    def block(self, j, i):
+        if i == j:
+            return self.diagonal[j]
+        rows, cols = self._panels(j, j + 1), self._panels(i, i + 1)
+        return self._entries(self.lower if i < j else self.upper, rows, cols)
+
+    def off_diagonal_factors(self, rows, cols):
+        """(U, V) with A[rows, cols] = U V^T to rounding: F at the rows, and G
+        at the columns scaled by c o w."""
+        f, g = self.lower if rows[0] >= cols[1] else self.upper
+        rows, cols = self._panels(*rows), self._panels(*cols)
+        return f[rows], g[cols] * self._cw[cols, None]
+
+    def _apply(self, x):
+        # the diagonal blocks in one batched product; off the diagonal, panel
+        # j takes F_j times the sum of G_i^T (c o w o x)_i over the panels
+        # i < j (lower) or i > j (upper)
+        m, k = self.panels, x.shape[1]
+        out = np.matmul(self.diagonal, x.reshape(m, self.size, k))
+        y = (self._cw[:, None] * x).reshape(m, self.size, k)
+        for (f, g), below in ((self.lower, True), (self.upper, False)):
+            z = np.matmul(g.reshape(m, self.size, -1).transpose(0, 2, 1), y)
+            acc = np.zeros_like(z)
+            if below:
+                np.cumsum(z[:-1], axis=0, out=acc[1:])
+            else:
+                acc[:-1] = np.cumsum(z[:0:-1], axis=0)[::-1]
+            out += np.matmul(f.reshape(m, self.size, -1), acc)
+        return out.reshape(-1, k)
+
+    def _first_blocks(self):
+        """(p0, p1, |diagonal blocks p0 .. p1-1|, |blocks (d, 0)|, |blocks
+        (0, d)|) for d from p0 .. p1-1 (none for d = 0), a chunk of about
+        sqrt(m) panels at a time, in one work array.  The blocks off the
+        diagonal are products of their factors, equal to the entries to
+        rounding."""
+        n, m = self.size, self.panels
+        step = max(1, math.isqrt(m))
+        work = np.empty((3, step, n, n))
+        for p0 in range(0, m, step):
+            p1 = min(p0 + step, m)
+            diagonal = np.abs(self.diagonal[p0:p1], out=work[0, : p1 - p0])
+            q0 = max(p0, 1)
+            lower, upper = work[1, : p1 - q0], work[2, : p1 - q0]
+            u, v = self.off_diagonal_factors((q0, p1), (0, 1))
+            np.matmul(u, v.T, out=lower.reshape(-1, n))
+            # the transposes of the blocks (0, d), stacked
+            u, v = self.off_diagonal_factors((0, 1), (q0, p1))
+            np.matmul(v, u.T, out=upper.reshape(-1, n))
+            yield p0, p1, diagonal, np.abs(lower, out=lower), np.abs(upper, out=upper).transpose(0, 2, 1)
+
+    def _abs_sums(self):
+        """Every diagonal block's sums, and those of the first block of each
+        block diagonal (d, 0) or (0, d), added along its diagonal as for
+        ``ToeplitzBlocks``."""
+        n, m = self.size, self.panels
+        cols, rows = np.zeros((m, n)), np.zeros((m, n))
+        # by d: the row and column sums of |block (d, 0)| and |block (0, d)|
+        lower_rows, lower_cols = np.zeros((m, n)), np.zeros((m, n))
+        upper_rows, upper_cols = np.zeros((m, n)), np.zeros((m, n))
+        ones = np.ones(n)
+        for p0, p1, diagonal, lower, upper in self._first_blocks():
+            rows[p0:p1] += diagonal @ ones
+            cols[p0:p1] += ones @ diagonal
+            q0 = p1 - len(lower)
+            lower_rows[q0:p1], lower_cols[q0:p1] = lower @ ones, ones @ lower
+            upper_rows[q0:p1], upper_cols[q0:p1] = upper @ ones, ones @ upper
+        # row panel j meets diagonals d = 1 .. j below and 1 .. m-1-j above;
+        # column panel i meets d = 1 .. m-1-i below and 1 .. i above
+        rows += np.cumsum(lower_rows, axis=0) + np.cumsum(upper_rows, axis=0)[::-1]
+        cols += np.cumsum(lower_cols, axis=0)[::-1] + np.cumsum(upper_cols, axis=0)
+        return cols.reshape(-1), rows.reshape(-1)
+
+    def is_finite(self):
+        return all(np.isfinite(a).all() for chunk in self._first_blocks() for a in chunk[2:])
+
+    def dense(self, p0=0, p1=None):
+        """A fresh C-order array holding A[p0:p1, p0:p1] (panels; default all),
+        row panel by row panel: its diagonal block, the strip left of it and
+        the strip above it."""
+        p0, p1, lo, hi = self._span((p0, self.panels if p1 is None else p1))
+        out = np.empty((hi - lo, hi - lo))
+        for j in range(p0, p1):
+            rows = self._panels(j, j + 1)
+            local = slice(rows.start - lo, rows.stop - lo)
+            out[local, local] = self.diagonal[j]
+            if rows.start > lo:
+                before = slice(lo, rows.start)
+                out[local, : local.start] = self._entries(self.lower, rows, before)
+                out[: local.start, local] = self._entries(self.upper, before, rows)
         return out
 
 

@@ -11,12 +11,26 @@ singularities onto panel boundaries keeps every sampled point regular, since
 Chebyshev nodes of the first kind never touch panel endpoints.
 
 ``assemble_blocks`` returns the system matrix as a ``BlockOperator``
-(``block_operator``).  When ``detect_toeplitz`` holds (one panel, or a
-difference kernel on panels of equal width and order), block (j, i) depends
-on j - i only, so the operator keeps the 2m - 1 distinct blocks, each
-sampled once, and no N x N array is formed.  Otherwise every block is
-distinct, and the N x N array they are written into is the operator's
-storage.
+(``block_operator``) in one of three storages:
+
+* a difference kernel stated by factor pairs (``SemismoothKernel.factors``)
+  on several panels of equal width and order is ``FactoredBlocks``: the m
+  diagonal blocks, filled at their own panels' nodes in one call, and the
+  branch factors at all N nodes, which state every block off the diagonal;
+* otherwise, when ``detect_toeplitz`` holds (one panel, or a difference
+  kernel on panels of equal width and order), block (j, i) depends on
+  j - i only, so ``ToeplitzBlocks`` keeps the 2m - 1 distinct blocks, each
+  sampled once;
+* otherwise every block is distinct, and the N x N array they are written
+  into is the storage (``DenseBlocks``).
+
+Only ``DenseBlocks`` forms an N x N array.  The Toeplitz copies hold block
+(j, i) at the nodes of panels j - i and 0, which are those of panels j and
+i shifted only up to rounding (ulp(628) = 1.1e-13 at T = 200 pi), so they
+sample the kernel at other node pairs than those of the right-hand side
+and the solution.  The entries of ``FactoredBlocks`` are those of each
+block at its own nodes: on example2 at T = 200 pi, 8 panels of order 127
+solve to 9.3e-14 where the Toeplitz copies read 1.6e-11.
 
 Because the kernel is smooth away from s = t, every block that couples two
 disjoint groups of panels is numerically low-rank.  ``solve_composite``
@@ -31,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .block_operator import BlockOperator, DenseBlocks, ToeplitzBlocks
+from .block_operator import BlockOperator, DenseBlocks, FactoredBlocks, ToeplitzBlocks
 from .fredholm_solver import ChebSolution, _rhs_values, semismooth_block, solve_system
 from .kernel_catalog import as_semismooth
 from .spectral_core import build_operators, cheb_grid
@@ -169,6 +183,14 @@ def assemble_blocks(kernel, partition: Partition, lam: float, rhs) -> BlockSyste
     array that the operator wraps, panel j taking one call for the row
     strip left of its diagonal block and, mirrored, the column strip above
     it.
+
+    A Toeplitz structure of several panels whose kernel has factor pairs is
+    stored as ``FactoredBlocks`` instead, and nothing is sampled: the
+    factors are evaluated once at all N nodes, every diagonal block is
+    filled from them at its own panel's nodes by one ``semismooth_block``
+    call over all panels, and the blocks off the diagonal are the factors
+    with the column factor and weights above, entries that are bitwise
+    those the same kernel samples with ``difference_form=False``.
     """
     kernel = as_semismooth(kernel)
     grids = partition.grids
@@ -205,7 +227,16 @@ def assemble_blocks(kernel, partition: Partition, lam: float, rhs) -> BlockSyste
 
     m = len(grids)
     nodes = np.concatenate([g.nodes for g in grids])
-    if detect_toeplitz(kernel, partition):
+    toeplitz = detect_toeplitz(kernel, partition)
+    factors = kernel.factors(nodes) if toeplitz and m > 1 else None
+    if factors is not None:
+        # every diagonal block filled at its own panel's nodes, in one call
+        n1 = offsets[1]
+        f1, g1, f2, g2 = (f.reshape(m, n1, -1) for f in factors)
+        scale = np.array([lam * g.width / 2.0 for g in grids])
+        diagonal = semismooth_block(operators(grids[0].order), (f1, g1), (f2, g2), scale)
+        matrix = FactoredBlocks(offsets, diagonal, factors[:2], factors[2:], *per_column())
+    elif toeplitz:
         # diagonal d is sampled at its first (j, i) in row-major order:
         # (d, 0) for d > 0 and (0, -d) for d < 0
         g0, n1 = grids[0], offsets[1]

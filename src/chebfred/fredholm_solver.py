@@ -347,11 +347,18 @@ def semismooth_block(ops: SpectralOperators, lower, upper, scale: float) -> np.n
     and one into a work array that first holds its rows of T + H, one
     multiply and one add; the factors are O(n r), and the work array is one
     row block.  It agrees with the sampled block to rounding, not bitwise.
+    The factors may carry a leading panel axis, m x n x r for m panels of
+    the same order, with ``scale`` one per panel: then the m blocks are
+    filled together, an m x n x n array, each bitwise its own call.  The
+    rows of T + H serve every panel, and R S^T is formed a few panels at a
+    time in the one row block of work space.
 
     Under ``__debug__`` every call checks the row sums of B
     (``ops.check_bracket_row_sums``), on the factored fill as (T + H) b.
     Samples of the wrong shape raise ValueError.
     """
+    if isinstance(lower, tuple):
+        return _factored_blocks(ops, lower, upper, scale)
     n1 = ops.order + 1
     block = np.empty((n1, n1))
     row_sums = np.zeros(n1) if __debug__ else None
@@ -391,23 +398,7 @@ def semismooth_block(ops: SpectralOperators, lower, upper, scale: float) -> np.n
             out, scratch = work.reshape(2, *k1.shape)
             np.multiply(unscaled(r, c, k1, k2, out, scratch), scale, out=block[r, c])
 
-    if isinstance(lower, tuple):
-        (f1, g1), (f2, g2) = lower, upper
-        b = ops.bracket_scale
-        p, r = np.concatenate((f1, -f2), axis=1), np.concatenate((f1, f2), axis=1)
-        qt = np.concatenate((g1, g2), axis=1).T * (scale * b)
-        st = np.concatenate((g1.T * (scale * ops.left_offset), g2.T * (scale * ops.right_offset)))
-        work = np.empty((min(rows_per_block, n1), n1))
-        for start in range(0, n1, rows_per_block):
-            rows = slice(start, min(start + rows_per_block, n1))
-            out, scratch = block[rows], work[: rows.stop - rows.start]
-            np.matmul(p[rows], qt, out=out)
-            ops.toeplitz_hankel_rows(rows.start, rows.stop, out=scratch)
-            if __debug__:
-                row_sums[rows] = scratch @ b
-            out *= scratch
-            out += np.matmul(r[rows], st, out=scratch)
-    elif upper is None:
+    if upper is None:
         side = math.isqrt(ROW_BLOCK_ENTRIES)
         tiles = [slice(start, min(start + side, n1)) for start in range(0, n1, side)]
         for i, rows in enumerate(tiles):
@@ -429,6 +420,50 @@ def semismooth_block(ops: SpectralOperators, lower, upper, scale: float) -> np.n
         ops.check_bracket_row_sums(row_sums)
     block.reshape(-1)[:: n1 + 1] += 1.0
     return block
+
+
+def _factored_blocks(ops, lower, upper, scale):
+    """``semismooth_block`` from the factor pairs ``lower`` = (F1, G1) and
+    ``upper`` = (F2, G2), of one panel (n x r arrays, one block) or of
+    several panels of the same order (m x n x r, with ``scale`` one per
+    panel, an m x n x n array of blocks)."""
+    (f1, g1), (f2, g2) = lower, upper
+    stacked = f1.ndim == 3
+    if not stacked:
+        f1, g1, f2, g2 = f1[None], g1[None], f2[None], g2[None]
+    m, n1 = len(f1), ops.order + 1
+    rows_per_block = max(1, ROW_BLOCK_ENTRIES // n1)
+    # a row of column scales per panel: scale b, scale a and scale c
+    scale = np.reshape(scale, (-1, 1))
+    b = ops.bracket_scale
+    p, r = np.concatenate((f1, -f2), axis=2), np.concatenate((f1, f2), axis=2)
+    qt = np.concatenate((g1, g2), axis=2).transpose(0, 2, 1) * (scale * b)[:, None]
+    st = np.concatenate((
+        g1.transpose(0, 2, 1) * (scale * ops.left_offset)[:, None],
+        g2.transpose(0, 2, 1) * (scale * ops.right_offset)[:, None],
+    ), axis=1)
+    blocks = np.empty((m, n1, n1))
+    # one row block of work space, for a few panels of R S^T at a time; its
+    # first panel holds the rows of T + H first, which serve every panel
+    rows_in_work = min(rows_per_block, n1)
+    step = max(1, ROW_BLOCK_ENTRIES // (rows_in_work * n1))
+    work = np.empty((min(step, m), rows_in_work, n1))
+    row_sums = np.zeros(n1) if __debug__ else None
+    for start in range(0, n1, rows_per_block):
+        rows = slice(start, min(start + rows_per_block, n1))
+        out, th = blocks[:, rows], work[0, : rows.stop - rows.start]
+        np.matmul(p[:, rows], qt, out=out)
+        ops.toeplitz_hankel_rows(rows.start, rows.stop, out=th)
+        if __debug__:
+            row_sums[rows] = th @ b
+        out *= th
+        for j in range(0, m, step):
+            few = slice(j, min(j + step, m))
+            out[few] += np.matmul(r[few, rows], st[few], out=work[: few.stop - j, : len(th)])
+    if __debug__:
+        ops.check_bracket_row_sums(row_sums)
+    blocks.reshape(m, -1)[:, :: n1 + 1] += 1.0
+    return blocks if stacked else blocks[0]
 
 
 def _rhs_values(rhs, nodes: np.ndarray) -> np.ndarray:

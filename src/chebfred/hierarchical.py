@@ -16,23 +16,31 @@ leaf (Martinsson & Rokhlin, JCP 2005; Ambikasaran & Darve, J. Sci. Comput.
 swapped: A^{-T} = D^{-T} (I - V C^{-T} Y^T).
 
 The matrix is a ``BlockOperator``, and the solver forms no N x N array of
-its own.  Compression reads an off-diagonal block a row and a column at a
-time (``BlockOperator.row``, ``column``); a leaf forms only its own diagonal
-part, when it is factored.  Nodes are memoised by ``BlockOperator.share_key``: under Toeplitz
-block structure every node over the same number of panels has the same
-matrix, so the tree holds one node per panel count, compressed and factored
-once, and a node whose two children are one object solves both halves in one
-batched call.  Without that structure the key is the panel range, and
-nothing is shared.
+its own.  A storage that holds an off-diagonal block as factors
+(``BlockOperator.off_diagonal_factors``, the factor pairs of
+``FactoredBlocks``) gives them as the compression, with no QR or SVD.
+Otherwise compression reads the block a row and a column at a time
+(``BlockOperator.row``, ``column``).  A leaf forms only its own diagonal
+part, when it is factored.  Nodes are memoised by
+``BlockOperator.share_key``: under Toeplitz block structure every node over
+the same number of panels has the same matrix, so the tree holds one node
+per panel count, compressed and factored once, and a node whose two
+children are one object solves both halves in one batched call.  Under
+``FactoredBlocks`` such ranges differ only in the rounding of their nodes;
+the tree is built from the first of them, and refinement against the
+stored operator corrects the difference.  Without that structure the key
+is the panel range, and nothing is shared.
 
-Compression is adaptive cross approximation with partial pivoting
+Compression without stated factors is adaptive cross approximation with
+partial pivoting
 (Bebendorf, Numer. Math. 86, 2000; Bebendorf & Rjasanow, Computing 70,
 2003): a block of rank r is read as r of its rows and r of its columns, with
 no product with the whole block.  The crosses are then recompressed, by a QR
 of each factor and an SVD of the small core, and truncated at ``SKETCH_TOL``
 times the 1-norm of the whole matrix.  Every step is deterministic, so every
 run is bitwise repeatable.  A block that needs a rank near half its smaller
-side is not compressed, and neither is a node whose ranks make the Woodbury
+side, or whose stated factors have more columns than that, is not
+compressed, and neither is a node whose ranks make the Woodbury
 update cost more than a dense LU of the node: either is a dense leaf.
 
 The factorization is only an approximate inverse:
@@ -215,8 +223,11 @@ def _compress(op, rows, cols, tol):
     """(U, V) with block ~ U V^T to within about tol, or None if the block's
     rank is near half its smaller side.
 
-    The block is A[rows, cols] (panel ranges) of the BlockOperator ``op``,
-    read one row and one column at a time by partial-pivot cross
+    The block is A[rows, cols] (panel ranges) of the BlockOperator ``op``.
+    When the storage holds it as factors (``op.off_diagonal_factors``),
+    they are the answer, or None when they have more columns than half the
+    block's smaller side.  Otherwise the block is read one row and one
+    column at a time by partial-pivot cross
     approximation: each step takes the residual of the next row, pivots on
     its entry of largest magnitude, reads the residual of the pivot's
     column, and adds the cross through the pivot, which zeroes that row and
@@ -231,6 +242,9 @@ def _compress(op, rows, cols, tol):
     off = op.offsets
     m, n = off[rows[1]] - off[rows[0]], off[cols[1]] - off[cols[0]]
     max_rank = min(m, n) // 2
+    stated = op.off_diagonal_factors(rows, cols)
+    if stated is not None:
+        return None if stated[0].shape[1] > max_rank else stated
     # the crosses' columns and rows, one per row of us and vs, grown by doubling
     us, vs = np.empty((8, m)), np.empty((8, n))
     unused = np.ones(m, dtype=bool)

@@ -18,7 +18,7 @@ import pytest
 from dense_oracle import plain, record_branch_calls, semismooth_block_reference
 
 from chebfred import cli, fredholm_solver
-from chebfred.block_operator import DenseBlocks, ToeplitzBlocks
+from chebfred.block_operator import DenseBlocks, FactoredBlocks
 from chebfred.composite_solver import assemble_blocks, build_partition
 from chebfred.fredholm_solver import dense_solve, relative_sup_error
 from chebfred.kernel_catalog import KernelEvaluationError, SemismoothKernel, Separable, catalog_lookup
@@ -98,17 +98,20 @@ def test_factored_row_blocks_of_a_few_rows(monkeypatch, n):
 @pytest.mark.parametrize("name, panels, orders, overrides, storage", [
     ("example1", 4, 31, {}, DenseBlocks),
     ("example1", 3, (20, 31, 17), {}, DenseBlocks),
-    ("example2", 8, 63, {"T": 200 * math.pi}, ToeplitzBlocks),
+    ("example2", 8, 63, {"T": 200 * math.pi}, FactoredBlocks),
 ])
 def test_composite_diagonal_blocks_are_factored_and_the_rest_is_sampled(name, panels, orders, overrides, storage):
-    # off the diagonal the blocks are sampled as before, bitwise those of
-    # the plain callables; each diagonal block is the factored fill
+    # off the diagonal the blocks are bitwise those the plain callables
+    # sample at their own nodes (a difference kernel's too, whose factored
+    # storage forms them from the factors); each diagonal block is the
+    # factored fill
     problem = catalog_lookup(name, **overrides)
     edges = np.linspace(problem.a, problem.b, panels + 1)
     part = build_partition(problem.a, problem.b, breakpoints=tuple(edges[1:-1]), orders=orders)
     factored = assemble_blocks(problem.kernel, part, problem.lam, problem.rhs).matrix
-    sampled = assemble_blocks(plain(problem.kernel), part, problem.lam, problem.rhs).matrix
-    assert isinstance(factored, storage)
+    own_nodes = dataclasses.replace(plain(problem.kernel), difference_form=False)
+    sampled = assemble_blocks(own_nodes, part, problem.lam, problem.rhs).matrix
+    assert isinstance(factored, storage) and isinstance(sampled, DenseBlocks)
     for j in range(part.panels):
         for i in range(part.panels):
             if i != j:

@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from dense_oracle import lu_solve
+from dense_oracle import lu_solve, plain
 from scipy import linalg
 
 from chebfred import fredholm_solver, hierarchical
@@ -18,8 +18,10 @@ from chebfred.kernel_catalog import SemismoothKernel, catalog_lookup
 T_200PI = 200.0 * np.pi
 
 
-def _system(name, panels, order, **overrides):
-    """The composite system the CLI builds for --panels/--n."""
+def _system(name, panels, order, sampled=False, **overrides):
+    """The composite system the CLI builds for --panels/--n; with
+    ``sampled``, of the kernel's branches as plain callables, so that a
+    difference kernel on equal panels is stored as ``ToeplitzBlocks``."""
     problem = catalog_lookup(name, **overrides)
     edges = np.linspace(problem.a, problem.b, panels + 1)
     partition = build_partition(
@@ -29,7 +31,8 @@ def _system(name, panels, order, **overrides):
         orders=order,
         singular_points=problem.kernel.singular_points,
     )
-    return assemble_blocks(problem.kernel, partition, problem.lam, problem.rhs)
+    kernel = plain(problem.kernel) if sampled else problem.kernel
+    return assemble_blocks(kernel, partition, problem.lam, problem.rhs)
 
 
 def _exact_discrete_solution(matrix, rhs):
@@ -199,7 +202,7 @@ def _hard_operator(system, toeplitz, kind):
 def test_hard_blocks_agree_with_the_oracle_or_return_the_lu_answer(
     name, panels, order, overrides, toeplitz, kind, monkeypatch
 ):
-    system = _system(name, panels, order, **overrides)
+    system = _system(name, panels, order, sampled=toeplitz, **overrides)
     op = _hard_operator(system, toeplitz, kind)
     dense, rhs = op.dense(), system.rhs
     answer = dense_solve(op, rhs)
