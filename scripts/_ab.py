@@ -111,10 +111,10 @@ def fresh(system):
     """A fresh operator of the one-panel ``system``'s matrix, which keeps
     its coarse rule: a solve caches the norms on its operator, so every
     timed solve gets its own."""
-    from chebfred.block_operator import ToeplitzBlocks
+    from chebfred.block_operator import DenseBlocks
 
     matrix = system.matrix
-    return ToeplitzBlocks(matrix.offsets, {0: matrix.block(0, 0)}, matrix.coarse)
+    return DenseBlocks(matrix.matrix, matrix.offsets, matrix.coarse)
 
 
 def watched_path(system):

@@ -248,9 +248,6 @@ def stored_mb(op):
             while value.base is not None:
                 value = value.base
             yield value
-        elif isinstance(value, dict):
-            for item in value.values():
-                yield from arrays(item)
         elif isinstance(value, (tuple, list)):
             for item in value:
                 yield from arrays(item)

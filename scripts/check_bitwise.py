@@ -16,8 +16,9 @@ only, so that any baseline from commit 9036b52 on runs it:
   and DenseBlocks systems of example1, example3 and example4, some with
   unequal orders;
 * the same example2 systems and their ``dense_solve`` node values with the
-  branches given as plain callables (``dense_oracle.plain``), which are
-  stored as ``ToeplitzBlocks``;
+  branches given as plain callables (``dense_oracle.plain``), which carry
+  no factor pairs and so are stored as ``DenseBlocks``, every block at its
+  own nodes;
 * a plain callable kernel on panels of orders 20, 31 and 17;
 * example1 and example2 (T = pi/2 and 50 pi) with their branches given as
   plain callables (``dense_oracle.plain``), so that their one-panel blocks
@@ -167,7 +168,7 @@ def hashes():
         part = layout(problem, panels, order)
         record(f"dense_solve x {name} {overrides} {panels}x{order}", lambda: solve(problem, part))
     # the multi-panel example2 items again with plain callable branches: a
-    # difference kernel whose blocks are sampled, stored as ToeplitzBlocks
+    # difference kernel whose blocks are sampled, stored as DenseBlocks
     for items, kind, compute in ((LAYOUTS, "layout", system), (SOLVES, "dense_solve x", solve)):
         for name, overrides, panels, order in items:
             if name == "example2" and panels > 1:

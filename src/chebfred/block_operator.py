@@ -1,4 +1,4 @@
-"""Panel-blocked system matrices, stored so that each distinct block is kept once.
+"""Panel-blocked system matrices, stored as an array or as factors.
 
 A composite system is an N x N matrix cut at panel boundaries into m x m
 blocks.  ``BlockOperator`` is what the solvers read from such a matrix:
@@ -13,15 +13,12 @@ tells the hierarchical solver which panel ranges carry the same matrix, and
 ``off_diagonal_factors`` gives a storage's own factors U V^T of a block off
 the diagonal, when it holds them, so that the solver compresses nothing.
 
-Three storages implement it:
+Two storages implement it:
 
-* ``ToeplitzBlocks``: block (j, i) depends on j - i only (a difference
-  kernel on equal panels), so the 2m - 1 distinct blocks hold the whole
-  matrix.  Every product is one matrix product per distinct block, applied
-  to all the panel pairs along its diagonal at once, and every sum and
-  check runs once per distinct block; the N x N array is never formed.
-* ``DenseBlocks``: every block is distinct, so the N x N array is itself
-  the storage, and a range of panels is a view of it.
+* ``DenseBlocks``: the array itself is the storage, and a range of panels
+  is a view of it.  It is the N x N array of a system of several panels,
+  every block written at its own nodes, or the one block of a one-panel
+  system.
 * ``FactoredBlocks``: a difference kernel stated by factor pairs on equal
   panels.  The m diagonal blocks are stored, one (m, n, n) array, and
   every block off the diagonal is a product of the branch factors at the
@@ -31,10 +28,10 @@ Three storages implement it:
   diagonal) or suffix sum (above it) of the panels' G_i^T (c w x)_i, in
   O(m n^2 + N r).  ``dense`` forms entries term by term, bitwise those of
   the same kernel sampled at its own nodes.  The |A| sums take each
-  diagonal block and the first block of each block diagonal, as
-  ``ToeplitzBlocks`` does, formed from the factors a chunk of panels at a
-  time.  Ranges of the same panel count carry the same matrix up to the
-  rounding of their nodes, so ``share_key`` is the panel count, and
+  diagonal block and the first block of each block diagonal, formed from
+  the factors a chunk of panels at a time, and add the latter along its
+  diagonal.  Ranges of the same panel count carry the same matrix up to
+  the rounding of their nodes, so ``share_key`` is the panel count, and
   refinement corrects the difference.  It reads no single rows or
   columns: the hierarchical solver takes its stated factors.
 
@@ -49,7 +46,7 @@ import math
 import numpy as np
 
 __all__ = [
-    "BlockOperator", "DenseBlocks", "FactoredBlocks", "ToeplitzBlocks", "abs_sums", "as_block_operator",
+    "BlockOperator", "DenseBlocks", "FactoredBlocks", "abs_sums", "as_block_operator",
 ]
 
 
@@ -131,9 +128,10 @@ class BlockOperator:
 class DenseBlocks(BlockOperator):
     """The N x N ``matrix`` itself, cut at ``offsets``; nothing is shared."""
 
-    def __init__(self, matrix, offsets):
+    def __init__(self, matrix, offsets, coarse=None):
         super().__init__(offsets)
         self.matrix = matrix
+        self.coarse = coarse
 
     def share_key(self, p0, p1):
         return (p0, p1)
@@ -168,82 +166,6 @@ class DenseBlocks(BlockOperator):
         """A fresh C-order copy of A[p0:p1, p0:p1] (panels; default all)."""
         span = self._span((p0, self.panels if p1 is None else p1))
         return np.array(self._view(span, span), order="C")
-
-
-class ToeplitzBlocks(BlockOperator):
-    """Block (j, i) is ``diagonals[j - i]``, for d = j - i from 1 - m to m - 1;
-    every panel has the same size."""
-
-    def __init__(self, offsets, diagonals, coarse=None):
-        super().__init__(offsets)
-        self.diagonals = diagonals
-        self.coarse = coarse
-        self.size = int(self.offsets[1])
-
-    def share_key(self, p0, p1):
-        """Every range of the same number of panels carries the same matrix."""
-        return p1 - p0
-
-    def block(self, j, i):
-        return self.diagonals[j - i]
-
-    def _diagonals(self):
-        """(d, j0, j1): row panels j0 .. j1-1 meet column panels j0-d .. j1-1-d
-        in the block of diagonal d, for every d."""
-        m = self.panels
-        for d in range(1 - m, m):
-            yield d, max(0, d), min(m, m + d)
-
-    def row(self, i, rows=None, cols=None):
-        """Row i of A[rows, cols]: that row of each block diagonal the range crosses."""
-        p0, q0, q1 = self._span(rows)[0], *self._span(cols)[:2]
-        j, k = divmod(i, self.size)
-        return np.concatenate([self.diagonals[p0 + j - q][k] for q in range(q0, q1)])
-
-    def column(self, i, rows=None, cols=None):
-        """Column i of A[rows, cols]: that column of each block diagonal the range crosses."""
-        p0, p1, q0 = *self._span(rows)[:2], self._span(cols)[0]
-        q, k = divmod(i, self.size)
-        return np.concatenate([self.diagonals[p - q0 - q][:, k] for p in range(p0, p1)])
-
-    def is_zero(self, rows=None, cols=None):
-        """Whether every block diagonal that A[rows, cols] crosses is zero."""
-        (p0, p1), (q0, q1) = self._span(rows)[:2], self._span(cols)[:2]
-        return not any(self.diagonals[d].any() for d in range(p0 - q1 + 1, p1 - q0))
-
-    def _apply(self, x):
-        if self.panels == 1:
-            return self.diagonals[0] @ x
-        # Panel p's k columns sit side by side at columns p*k .. p*k+k-1, so
-        # the panel pairs along one diagonal are one product with its block.
-        n, k = self.size, x.shape[1]
-        xt = x.reshape(-1, n, k).transpose(1, 0, 2).reshape(n, -1)
-        out = np.zeros(xt.shape)
-        for d, j0, j1 in self._diagonals():
-            out[:, j0 * k : j1 * k] += self.diagonals[d] @ xt[:, (j0 - d) * k : (j1 - d) * k]
-        return out.reshape(n, -1, k).transpose(1, 0, 2).reshape(-1, k)
-
-    def _abs_sums(self):
-        n, m = self.size, self.panels
-        cols, rows = np.zeros((m, n)), np.zeros((m, n))
-        for d, j0, j1 in self._diagonals():
-            col_sums, row_sums = abs_sums(self.diagonals[d])
-            rows[j0:j1] += row_sums
-            cols[j0 - d : j1 - d] += col_sums
-        return cols.reshape(-1), rows.reshape(-1)
-
-    def is_finite(self):
-        return all(np.isfinite(block).all() for block in self.diagonals.values())
-
-    def dense(self, p0=0, p1=None):
-        """A fresh C-order array holding A[p0:p1, p0:p1] (panels; default all)."""
-        count = (self.panels if p1 is None else p1) - p0
-        n = self.size
-        out = np.empty((count * n, count * n))
-        for j in range(count):
-            for i in range(count):
-                out[j * n : (j + 1) * n, i * n : (i + 1) * n] = self.diagonals[j - i]
-        return out
 
 
 class FactoredBlocks(BlockOperator):
@@ -333,8 +255,9 @@ class FactoredBlocks(BlockOperator):
 
     def _abs_sums(self):
         """Every diagonal block's sums, and those of the first block of each
-        block diagonal (d, 0) or (0, d), added along its diagonal as for
-        ``ToeplitzBlocks``."""
+        block diagonal, (d, 0) or (0, d), added to every panel along that
+        diagonal: its blocks are the first one up to the rounding of their
+        nodes."""
         n, m = self.size, self.panels
         cols, rows = np.zeros((m, n)), np.zeros((m, n))
         # by d: the row and column sums of |block (d, 0)| and |block (0, d)|

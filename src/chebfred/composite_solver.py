@@ -11,26 +11,25 @@ singularities onto panel boundaries keeps every sampled point regular, since
 Chebyshev nodes of the first kind never touch panel endpoints.
 
 ``assemble_blocks`` returns the system matrix as a ``BlockOperator``
-(``block_operator``) in one of three storages:
+(``block_operator``) in one of two storages:
 
 * a difference kernel stated by factor pairs (``SemismoothKernel.factors``)
-  on several panels of equal width and order is ``FactoredBlocks``: the m
-  diagonal blocks, filled at their own panels' nodes in one call, and the
-  branch factors at all N nodes, which state every block off the diagonal;
-* otherwise, when ``detect_toeplitz`` holds (one panel, or a difference
-  kernel on panels of equal width and order), block (j, i) depends on
-  j - i only, so ``ToeplitzBlocks`` keeps the 2m - 1 distinct blocks, each
-  sampled once;
-* otherwise every block is distinct, and the N x N array they are written
-  into is the storage (``DenseBlocks``).
+  on several panels of equal width and order (``detect_toeplitz``) is
+  ``FactoredBlocks``: the m diagonal blocks, filled at their own panels'
+  nodes in one call, and the branch factors at all N nodes, which state
+  every block off the diagonal;
+* otherwise every block is distinct, and the storage is ``DenseBlocks``:
+  the N x N array the blocks are written into, or a one-panel system's one
+  block.
 
-Only ``DenseBlocks`` forms an N x N array.  The Toeplitz copies hold block
-(j, i) at the nodes of panels j - i and 0, which are those of panels j and
-i shifted only up to rounding (ulp(628) = 1.1e-13 at T = 200 pi), so they
-sample the kernel at other node pairs than those of the right-hand side
-and the solution.  The entries of ``FactoredBlocks`` are those of each
-block at its own nodes: on example2 at T = 200 pi, 8 panels of order 127
-solve to 9.3e-14 where the Toeplitz copies read 1.6e-11.
+Every entry of either storage is that of its block at its own nodes.  A
+difference kernel given as plain callables is written into the N x N
+array: copies of one block along its diagonal would hold block (j, i) at
+the nodes of panels j - i and 0, which are those of panels j and i shifted
+only up to rounding (ulp(628) = 1.1e-13 at T = 200 pi), and on example2 at
+T = 200 pi, 8 panels of order 127, such copies solve to 1.6e-11 where the
+blocks at their own nodes solve to 2.1e-13.  That array grows as N^2, so a
+long-interval difference kernel is best stated by factor pairs.
 
 Because the kernel is smooth away from s = t, every block that couples two
 disjoint groups of panels is numerically low-rank.  ``solve_composite``
@@ -45,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .block_operator import BlockOperator, DenseBlocks, FactoredBlocks, ToeplitzBlocks
+from .block_operator import BlockOperator, DenseBlocks, FactoredBlocks
 from .fredholm_solver import ChebSolution, _rhs_values, semismooth_block, solve_system
 from .kernel_catalog import as_semismooth
 from .spectral_core import build_operators, cheb_grid
@@ -140,7 +139,8 @@ def build_partition(
 def detect_toeplitz(kernel, partition: Partition) -> bool:
     """True when blocks repeat along diagonals: one panel, whose single block
     depends on j - i trivially, or a difference-form kernel on panels of
-    equal width and order."""
+    equal width and order.  On several panels, with factor pairs, it is the
+    gate of ``FactoredBlocks``."""
     if partition.panels == 1:
         return True
     if not getattr(kernel, "difference_form", False):
@@ -174,23 +174,20 @@ def assemble_blocks(kernel, partition: Partition, lam: float, rhs) -> BlockSyste
     diagonal and their mirrors above it (the mirror of a reflected kernel is
     the transpose of its lower sample, so its upper branch is never
     called), and the factor and the weights apply per column, in the order
-    (factor * sample) * weights.  When the block structure is Toeplitz,
-    each distinct block (indexed by the panel offset j - i) is sampled
-    once, from the first (j, i) on its diagonal, which the operator reuses
-    along that diagonal: one call samples every block (d, 0) and, mirrored,
-    every block (0, d).  No N x N array is formed, and a one-panel system
-    is its one block.  Otherwise every block is written into the N x N
+    (factor * sample) * weights.  Every block is written into the N x N
     array that the operator wraps, panel j taking one call for the row
     strip left of its diagonal block and, mirrored, the column strip above
-    it.
+    it; a one-panel system's operator wraps its one block, and carries the
+    rule at any order, for a coarse solve.
 
-    A Toeplitz structure of several panels whose kernel has factor pairs is
-    stored as ``FactoredBlocks`` instead, and nothing is sampled: the
-    factors are evaluated once at all N nodes, every diagonal block is
-    filled from them at its own panel's nodes by one ``semismooth_block``
-    call over all panels, and the blocks off the diagonal are the factors
-    with the column factor and weights above, entries that are bitwise
-    those the same kernel samples with ``difference_form=False``.
+    When ``detect_toeplitz`` holds on several panels and the kernel has
+    factor pairs, the system is stored as ``FactoredBlocks`` instead, and
+    nothing is sampled: the factors are evaluated once at all N nodes,
+    every diagonal block is filled from them at its own panel's nodes by
+    one ``semismooth_block`` call over all panels, and the blocks off the
+    diagonal are the factors with the column factor and weights above,
+    entries that are bitwise those the same kernel samples with
+    ``difference_form=False``.
     """
     kernel = as_semismooth(kernel)
     grids = partition.grids
@@ -227,8 +224,7 @@ def assemble_blocks(kernel, partition: Partition, lam: float, rhs) -> BlockSyste
 
     m = len(grids)
     nodes = np.concatenate([g.nodes for g in grids])
-    toeplitz = detect_toeplitz(kernel, partition)
-    factors = kernel.factors(nodes) if toeplitz and m > 1 else None
+    factors = kernel.factors(nodes) if m > 1 and detect_toeplitz(kernel, partition) else None
     if factors is not None:
         # every diagonal block filled at its own panel's nodes, in one call
         n1 = offsets[1]
@@ -236,27 +232,10 @@ def assemble_blocks(kernel, partition: Partition, lam: float, rhs) -> BlockSyste
         scale = np.array([lam * g.width / 2.0 for g in grids])
         diagonal = semismooth_block(operators(grids[0].order), (f1, g1), (f2, g2), scale)
         matrix = FactoredBlocks(offsets, diagonal, factors[:2], factors[2:], *per_column())
-    elif toeplitz:
-        # diagonal d is sampled at its first (j, i) in row-major order:
-        # (d, 0) for d > 0 and (0, -d) for d < 0
-        g0, n1 = grids[0], offsets[1]
-        diagonals = {0: diagonal(g0)}
-        # a one-panel system carries its rule at any order, for a coarse solve
-        coarse = (lambda order: diagonal(cheb_grid(order, g0.a, g0.b))) if m == 1 else None
-        if m > 1:
-            col_scale, weights = per_column()
-            raw, mirror = kernel.eval_mirrored(nodes[n1:, None], g0.nodes[None, :])
-            lower = col_scale[:n1] * raw * weights[:n1]
-            # the mirror's columns run over panels 1 .. m-1.  Each block is
-            # written C-contiguous, as its own sample would be
-            upper = np.empty((m - 1, n1, n1))
-            by_row = upper.transpose(1, 0, 2)
-            np.multiply(col_scale[n1:].reshape(m - 1, n1), mirror.reshape(n1, m - 1, n1), out=by_row)
-            by_row *= weights[n1:].reshape(m - 1, n1)
-            for d in range(1, m):
-                diagonals[d] = lower[(d - 1) * n1 : d * n1]
-                diagonals[-d] = upper[d - 1]
-        matrix = ToeplitzBlocks(offsets, diagonals, coarse)
+    elif m == 1:
+        # the block itself is the storage: no N x N copy of it
+        g0 = grids[0]
+        matrix = DenseBlocks(diagonal(g0), offsets, lambda order: diagonal(cheb_grid(order, g0.a, g0.b)))
     else:
         col_scale, weights = per_column()
         dense = np.empty((total, total))

@@ -34,7 +34,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import hierarchical
-from .block_operator import ToeplitzBlocks, abs_sums, as_block_operator
+from .block_operator import DenseBlocks, abs_sums, as_block_operator
 from .hierarchical import _flapack, _lu, _lu_rcond, _lu_solve
 from .kernel_catalog import KernelEvaluationError, as_semismooth
 from .spectral_core import (
@@ -99,10 +99,10 @@ def dense_solve(matrix, rhs: np.ndarray):
     ``rcond`` is the reciprocal condition estimate in the 1-norm and
     ``warning`` is True when it drops below 1e-12.
 
-    ``matrix`` is a ``BlockOperator`` (a system cut at panel boundaries, each
-    distinct block stored once) or a plain array, taken as one panel.
+    ``matrix`` is a ``BlockOperator`` (a system cut at panel boundaries,
+    stored as an array or as factors) or a plain array, taken as one panel.
     ||A||_1 comes from the operator's column sums of |A|, and only when it
-    is not finite does an exact finiteness check, once per distinct block,
+    is not finite does an exact finiteness check of the stored entries
     decide between ``ValueError`` and an overflowed norm.  A non-finite
     right-hand side raises ``ValueError`` too.
 
@@ -506,8 +506,7 @@ def discretize_smooth(kernel, grid: ChebGrid, lam: float, rhs):
     scale = lam * grid.width / 2.0
     matrix = np.eye(grid.order + 1) + scale * k_vals * ops.full_weights[None, :]
     partition = Partition(np.array([grid.a, grid.b]), (grid,))
-    op = ToeplitzBlocks(partition.offsets, {0: matrix})
-    return BlockSystem(op, _rhs_values(rhs, t), partition)
+    return BlockSystem(DenseBlocks(matrix, partition.offsets), _rhs_values(rhs, t), partition)
 
 
 @dataclass(frozen=True)

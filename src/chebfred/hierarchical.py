@@ -22,14 +22,13 @@ its own.  A storage that holds an off-diagonal block as factors
 Otherwise compression reads the block a row and a column at a time
 (``BlockOperator.row``, ``column``).  A leaf forms only its own diagonal
 part, when it is factored.  Nodes are memoised by
-``BlockOperator.share_key``: under Toeplitz block structure every node over
-the same number of panels has the same matrix, so the tree holds one node
-per panel count, compressed and factored once, and a node whose two
-children are one object solves both halves in one batched call.  Under
-``FactoredBlocks`` such ranges differ only in the rounding of their nodes;
-the tree is built from the first of them, and refinement against the
-stored operator corrects the difference.  Without that structure the key
-is the panel range, and nothing is shared.
+``BlockOperator.share_key``.  Under ``FactoredBlocks`` every range of the
+same number of panels carries the same matrix up to the rounding of its
+nodes, so the key is the panel count: the tree holds one node per panel
+count, built from the first such range, compressed and factored once, and
+refinement against the stored operator corrects the difference; a node
+whose two children are one object solves both halves in one batched call.
+Under ``DenseBlocks`` the key is the panel range, and nothing is shared.
 
 Compression without stated factors is adaptive cross approximation with
 partial pivoting

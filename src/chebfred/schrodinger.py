@@ -88,7 +88,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fredholm_solver
-from .block_operator import ToeplitzBlocks
+from .block_operator import DenseBlocks
 from .composite_solver import BlockSystem, Partition, solve_composite
 from .fredholm_solver import (
     ROW_BLOCK_ENTRIES, ChebSolution, _rhs_values, relative_sup_error, semismooth_block
@@ -336,7 +336,7 @@ def assemble(potential: NonlocalPotential, grid: ChebGrid, rhs_override=None) ->
     t = grid.nodes
     rhs = np.sin(potential.kappa * t) if rhs_override is None else _rhs_values(rhs_override, t)
     partition = Partition(np.array([grid.a, grid.b]), (grid,))
-    return SchrodingerSystem(ToeplitzBlocks(partition.offsets, {0: block}, coarse), rhs, partition)
+    return SchrodingerSystem(DenseBlocks(block, partition.offsets, coarse), rhs, partition)
 
 
 def solve_schrodinger(potential: NonlocalPotential, order: int, rhs_override=None) -> ChebSolution:

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from dense_oracle import plain, semismooth_block_reference
 
-from chebfred import fredholm_solver, hierarchical
-from chebfred.block_operator import DenseBlocks, ToeplitzBlocks, as_block_operator
+from chebfred import fredholm_solver
+from chebfred.block_operator import DenseBlocks, as_block_operator
 from chebfred.composite_solver import assemble_blocks, build_partition, solve_composite
 from chebfred.fredholm_solver import dense_solve, refined_solve, relative_sup_error
 from chebfred.kernel_catalog import catalog_lookup
@@ -28,21 +28,16 @@ def _problem_and_partition(name, panels, order, **overrides):
     return problem, partition
 
 
-def _dense_assembly(kernel, partition, lam, toeplitz):
+def _dense_assembly(kernel, partition, lam):
     """Reference: every block written into one N x N array, row panel by row
-    panel, each branch sampled on the whole block; a diagonal block is the
-    whole-array formula of ``dense_oracle``, and with ``toeplitz`` the block
-    j - i is sampled at its first (j, i) and copied along its diagonal."""
+    panel, each branch sampled on the whole block at its own nodes; a
+    diagonal block is the whole-array formula of ``dense_oracle``."""
     grids, offsets = partition.grids, partition.offsets
     matrix = np.zeros((offsets[-1], offsets[-1]))
-    block_cache = {}
     for j, gj in enumerate(grids):
         rows = slice(offsets[j], offsets[j + 1])
         for i, gi in enumerate(grids):
             cols = slice(offsets[i], offsets[i + 1])
-            if toeplitz and j - i in block_cache:
-                matrix[rows, cols] = block_cache[j - i]
-                continue
             ops_i = build_operators(gi.order)
             if i == j:
                 k1 = kernel.eval_lower(gj.nodes[:, None], gj.nodes[None, :])
@@ -53,7 +48,6 @@ def _dense_assembly(kernel, partition, lam, toeplitz):
                 kv = kernel.eval_lower(tt, ss) if i < j else kernel.eval_upper(tt, ss)
                 block = (lam * gi.width / 2.0) * kv * ops_i.full_weights[None, :]
             matrix[rows, cols] = block
-            block_cache[j - i] = block
     return matrix
 
 
@@ -78,17 +72,16 @@ def assembled(request):
     problem, partition = _problem_and_partition(name, panels, order, **overrides)
     kernel = plain(problem.kernel)
     system = assemble_blocks(kernel, partition, problem.lam, problem.rhs)
-    # example2 is a difference kernel on equal panels, the others are not
-    toeplitz = isinstance(system.matrix, ToeplitzBlocks)
-    assert toeplitz == (name == "example2")
-    dense = _dense_assembly(kernel, partition, problem.lam, toeplitz)
-    return system, dense
+    # a difference kernel given as plain callables (example2) is sampled
+    # at every block's own nodes, as the others are
+    assert isinstance(system.matrix, DenseBlocks)
+    return system, _dense_assembly(kernel, partition, problem.lam)
 
 
 # one panel of orders 1023 and 1000: 32 whole row blocks of 32 rows, then
 # 31 whole ones plus a short last one of 9 rows; example4 on 4 panels (3
 # plus the singular point) of orders 31, 63, 15, 15, so one row's source
-# panels differ in size and weights; a Toeplitz system of two panels
+# panels differ in size and weights; example2 on two panels
 @pytest.mark.parametrize("assembled", SYSTEMS + [
     ("example2", 1, 1000, {}),
     ("example2", 1, 1023, {}),
@@ -138,18 +131,17 @@ def test_row_and_column_readers_are_slices_of_the_dense_matrix(assembled):
 
 def test_is_zero_reads_the_dense_block():
     # 5 panels of 3: the blocks above the diagonal are zero but for one
-    # entry of diagonal -2, which every range crossing it must find
+    # entry of each block (j, j + 2), which every range crossing it must find
     rng = np.random.default_rng(7)
-    diagonals = {d: rng.standard_normal((3, 3)) * (d >= 0) for d in range(-4, 5)}
-    diagonals[-2][1, 2] = -0.5
-    toeplitz = ToeplitzBlocks(np.arange(0, 16, 3), diagonals)
-    dense = toeplitz.dense()
-    for op in (toeplitz, as_block_operator(dense, toeplitz.offsets)):
-        for rows in itertools.combinations(range(6), 2):
-            for cols in itertools.combinations(range(6), 2):
-                block = dense[3 * rows[0] : 3 * rows[1], 3 * cols[0] : 3 * cols[1]]
-                assert op.is_zero(rows, cols) == (not block.any())
-        assert op.is_zero((0, 2), (2, 5)) is False and op.is_zero((0, 1), (3, 5)) is True
+    dense = np.kron(np.tril(np.ones((5, 5))), np.ones((3, 3))) * rng.standard_normal((15, 15))
+    for j in range(3):
+        dense[3 * j + 1, 3 * j + 8] = -0.5
+    op = as_block_operator(dense, np.arange(0, 16, 3))
+    for rows in itertools.combinations(range(6), 2):
+        for cols in itertools.combinations(range(6), 2):
+            block = dense[3 * rows[0] : 3 * rows[1], 3 * cols[0] : 3 * cols[1]]
+            assert op.is_zero(rows, cols) == (not block.any())
+    assert op.is_zero((0, 2), (2, 5)) is False and op.is_zero((0, 1), (3, 5)) is True
 
 
 def test_norms_match_numpy(assembled):
@@ -162,37 +154,6 @@ def test_wrong_operand_length_raises(assembled):
     system, _ = assembled
     with pytest.raises(ValueError, match="rows"):
         system.matrix.matmul(np.ones(len(system.matrix) + 1))
-
-
-def _tree_nodes(root):
-    seen, stack = {}, [root]
-    while stack:
-        node = stack.pop()
-        seen[id(node)] = node
-        if isinstance(node, hierarchical._Node):
-            stack += [node.left, node.right]
-    return list(seen.values())
-
-
-def test_toeplitz_tree_shares_one_subtree_per_panel_count(monkeypatch):
-    problem, partition = _problem_and_partition("example2", 32, 63, T=T_200PI)
-    op = assemble_blocks(plain(problem.kernel), partition, problem.lam, problem.rhs).matrix
-    assert isinstance(op, ToeplitzBlocks)
-    calls = []
-    compress = hierarchical._compress
-
-    def counted(*args):
-        calls.append(args)
-        return compress(*args)
-
-    monkeypatch.setattr(hierarchical, "_compress", counted)
-    tol = hierarchical.SKETCH_TOL * op.norm1()
-    root = hierarchical._build(op, 0, op.panels, tol, {})
-    nodes = _tree_nodes(root)
-    # panel counts 32, 16, 8, 4 are nodes and 2 is the leaf: one object each
-    assert sorted(node.size // 64 for node in nodes) == [2, 4, 8, 16, 32]
-    # two off-diagonal blocks per distinct node, where the unshared tree has 30
-    assert len(calls) == 8
 
 
 def test_long_interval_solves_without_the_dense_matrix():
@@ -210,21 +171,15 @@ def test_long_interval_solves_without_the_dense_matrix():
     assert peak < 537e6 / 20
 
 
-def _random_operator(seed, toeplitz, panels=8, size=128):
+def _random_operator(seed, panels=8, size=128):
     rng = np.random.default_rng(seed)
     offsets = np.arange(panels + 1) * size
-    if toeplitz:
-        diagonals = {d: rng.standard_normal((size, size)) / np.sqrt(panels * size)
-                     for d in range(1 - panels, panels)}
-        diagonals[0] = diagonals[0] + np.eye(size)
-        return ToeplitzBlocks(offsets, diagonals)
     n = panels * size
     return DenseBlocks(np.eye(n) + rng.standard_normal((n, n)) / np.sqrt(n), offsets)
 
 
-@pytest.mark.parametrize("toeplitz", [True, False])
-def test_full_rank_operator_returns_the_dense_lu_answer(toeplitz, monkeypatch):
-    op = _random_operator(3, toeplitz)
+def test_full_rank_operator_returns_the_dense_lu_answer(monkeypatch):
+    op = _random_operator(3)
     rhs = np.ones(len(op))
     assert refined_solve(op, rhs, op.norm1()) is None
     blocked = dense_solve(op, rhs)
@@ -235,9 +190,8 @@ def test_full_rank_operator_returns_the_dense_lu_answer(toeplitz, monkeypatch):
     assert abs(blocked[1] - plain[1]) <= 4 * np.finfo(float).eps * plain[1]
 
 
-@pytest.mark.parametrize("toeplitz", [True, False])
-def test_nonfinite_off_diagonal_block_raises(toeplitz):
-    op = _random_operator(4, toeplitz)
+def test_nonfinite_off_diagonal_block_raises():
+    op = _random_operator(4)
     op.block(2, 5)[5, 6] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         dense_solve(op, np.ones(len(op)))

@@ -1,4 +1,4 @@
-"""Multi-panel assembly: partition handling, block structure, Toeplitz reuse."""
+"""Multi-panel assembly: partition handling, block structure, storage."""
 
 import dataclasses
 import tracemalloc
@@ -8,7 +8,7 @@ import pytest
 from dense_oracle import integration_matrices, plain, record_branch_calls, semismooth_block_reference, unreflected
 
 from chebfred import fredholm_solver
-from chebfred.block_operator import ToeplitzBlocks
+from chebfred.block_operator import DenseBlocks
 from chebfred.composite_solver import (
     assemble_blocks,
     build_partition,
@@ -153,45 +153,48 @@ class TestToeplitzDetection:
         assert not detect_toeplitz(problem.kernel, part)
 
 
-def test_toeplitz_reuse_matches_direct_assembly():
+@pytest.mark.parametrize("panels, order", [(8, 127), (32, 63)])
+def test_a_plain_difference_kernel_is_sampled_at_every_blocks_own_nodes(panels, order):
+    # the branches as plain callables carry no factor pairs, so every block
+    # is written into the N x N array at its own nodes, bitwise as without
+    # the difference flag.  Copies of one block along its diagonal, at nodes
+    # shifted by up to ulp(628), solved these to 1.6e-11 and 1.8e-11
     problem = catalog_lookup("example2", T=200.0 * np.pi)
-    edges = np.linspace(problem.a, problem.b, 5)
-    part = build_partition(problem.a, problem.b, breakpoints=tuple(edges[1:-1]), orders=31)
-    # the branches as plain callables, which the Toeplitz storage samples
+    part = _uniform_partition(problem, panels, order)
     kernel = plain(problem.kernel)
-    reused = assemble_blocks(kernel, part, problem.lam, problem.rhs)
-    assert isinstance(reused.matrix, ToeplitzBlocks)
-    plain_kernel = dataclasses.replace(kernel, difference_form=False)
-    direct = assemble_blocks(plain_kernel, part, problem.lam, problem.rhs)
-    assert not isinstance(direct.matrix, ToeplitzBlocks)
-    diff = np.max(np.abs(reused.matrix.dense() - direct.matrix.dense()))
-    assert diff / np.max(np.abs(direct.matrix.dense())) < 1e-11
-    assert np.array_equal(reused.rhs, direct.rhs)
+    assert kernel.difference_form
+    system = assemble_blocks(kernel, part, problem.lam, problem.rhs)
+    assert isinstance(system.matrix, DenseBlocks)
+    direct = assemble_blocks(dataclasses.replace(kernel, difference_form=False), part, problem.lam, problem.rhs)
+    assert np.array_equal(system.matrix.matrix, direct.matrix.matrix)
+    assert np.array_equal(system.rhs, direct.rhs)
+    solution = solve_composite(system)
+    assert relative_sup_error(solution.node_values, problem.solution(solution.nodes)) < 1e-12
 
 
-@pytest.mark.parametrize("name, toeplitz", [("example1", False), ("example2", True), ("example2", False)])
-def test_a_branch_object_assembles_as_the_kernel_it_forwards_to(name, toeplitz):
+@pytest.mark.parametrize("name, difference_form", [("example1", False), ("example2", True), ("example2", False)])
+def test_a_branch_object_assembles_as_the_kernel_it_forwards_to(name, difference_form):
     # any object with eval_lower and eval_upper is the kernel of those two
     # branches, its difference_form flag kept: on three equal panels it
     # assembles to the same doubles as the catalog kernel given as plain
     # callables, reflected or not (the object's branches carry no factor
     # pairs, so its diagonal blocks are sampled)
     problem = catalog_lookup(name)
-    kernel = dataclasses.replace(plain(problem.kernel), difference_form=toeplitz)
+    kernel = dataclasses.replace(plain(problem.kernel), difference_form=difference_form)
     branches = type(
         "K",
         (),
         {
             "eval_lower": staticmethod(kernel.eval_lower),
             "eval_upper": staticmethod(kernel.eval_upper),
-            "difference_form": toeplitz,
+            "difference_form": difference_form,
         },
     )()
     edges = np.linspace(problem.a, problem.b, 4)
     part = build_partition(problem.a, problem.b, breakpoints=tuple(edges[1:-1]), orders=15)
     wrapped = assemble_blocks(branches, part, problem.lam, problem.rhs)
     direct = assemble_blocks(kernel, part, problem.lam, problem.rhs)
-    assert isinstance(wrapped.matrix, ToeplitzBlocks) == toeplitz
+    assert isinstance(wrapped.matrix, DenseBlocks)
     assert np.array_equal(wrapped.matrix.dense(), direct.matrix.dense())
 
 
@@ -242,10 +245,9 @@ def _uniform_partition(problem, panels, orders):
 def test_off_diagonal_sampling_takes_one_call_per_branch_per_panel_row(
     monkeypatch, name, panels, orders, overrides, reflected
 ):
-    # DenseBlocks (example4): panel j samples the row strip left of its
-    # diagonal block with one lower-branch call and the column strip above
-    # it with one upper-branch call.  ToeplitzBlocks (example2): one call
-    # per branch in all.  A diagonal block of order <= 180 is one row
+    # DenseBlocks: panel j samples the row strip left of its diagonal block
+    # with one lower-branch call and the column strip above it with one
+    # upper-branch call.  A diagonal block of order <= 180 is one row
     # block, sampled once per branch.  Both kernels are reflected, and
     # ``unreflected`` gives them an explicit upper branch; reflected, the
     # upper branch is never called: a diagonal block of order <= 180 is one
@@ -271,15 +273,10 @@ def test_off_diagonal_sampling_takes_one_call_per_branch_per_panel_row(
             # a row strip is keyed by its row panel, a column strip by its column panel
             off.append((j if branch == "lower" else panel(s), branch))
     on = len(calls) - len(off)
-    per_block = 1 if reflected else 2
-    if isinstance(system.matrix, ToeplitzBlocks):
-        assert name == "example2"
-        assert on == per_block
-        assert sorted(off) == [(1, "lower")] + ([] if reflected else [(1, "upper")])
-    else:
-        assert on == per_block * m
-        branches = ("lower",) if reflected else ("lower", "upper")
-        assert sorted(off) == sorted((j, branch) for j in range(1, m) for branch in branches)
+    assert isinstance(system.matrix, DenseBlocks)
+    assert on == (1 if reflected else 2) * m
+    branches = ("lower",) if reflected else ("lower", "upper")
+    assert sorted(off) == sorted((j, branch) for j in range(1, m) for branch in branches)
 
 
 def test_one_panel_assembly_holds_no_whole_branch_sample():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy import linalg
 
 from chebfred import composite_solver, fredholm_solver
-from chebfred.block_operator import ToeplitzBlocks
+from chebfred.block_operator import DenseBlocks
 from chebfred.composite_solver import assemble_blocks, build_partition, solve_composite
 from chebfred.fredholm_solver import (
     SingularMatrixError,
@@ -334,17 +334,17 @@ def test_smooth_and_split_rules_agree_on_smooth_kernel(n):
 
 
 def test_one_panel_system_keeps_its_block_as_storage():
-    # a one-panel system is Toeplitz: the operator holds the assembled block
-    # itself (8.0 MB at n = 1000), filled from example1's factor pairs one
-    # row block at a time, and the solve takes the two-grid, whose coarse
-    # system is a quarter of the order.  The peak reads 9.2 MB, so one more
-    # n x n array, in the assembly or the solve, fails the bound
+    # a one-panel system is DenseBlocks of its one block: the operator holds
+    # the assembled block itself (8.0 MB at n = 1000), filled from
+    # example1's factor pairs one row block at a time, and the solve takes
+    # the two-grid, whose coarse system is a quarter of the order.  The peak
+    # reads 9.1 MB, so one more n x n array, in the assembly or the solve,
+    # fails the bound
     problem = catalog_lookup("example1")
     part = build_partition(problem.a, problem.b, orders=1000)
     system = assemble_blocks(problem.kernel, part, problem.lam, problem.rhs)
-    assert isinstance(system.matrix, ToeplitzBlocks)
-    assert list(system.matrix.diagonals) == [0]
-    assert system.matrix.diagonals[0].shape == (1001, 1001)
+    assert isinstance(system.matrix, DenseBlocks)
+    assert system.matrix.matrix.shape == (1001, 1001)
     tracemalloc.start()
     try:
         solve_fredholm(problem.kernel, problem.a, problem.b, problem.lam, problem.rhs, 1000)
@@ -360,7 +360,7 @@ def test_discretize_semismooth_is_the_one_panel_assembly():
     system = discretize_semismooth(problem.kernel, grid, problem.lam, problem.rhs)
     part = build_partition(problem.a, problem.b, orders=12)
     expected = assemble_blocks(problem.kernel, part, problem.lam, problem.rhs)
-    assert isinstance(system.matrix, ToeplitzBlocks)
+    assert isinstance(system.matrix, DenseBlocks)
     assert system.partition.grids == (grid,)
     assert np.array_equal(system.matrix.dense(), expected.matrix.dense())
     assert np.array_equal(system.rhs, expected.rhs)

@@ -6,11 +6,11 @@ import sys
 
 import numpy as np
 import pytest
-from dense_oracle import lu_solve, plain
+from dense_oracle import lu_solve
 from scipy import linalg
 
 from chebfred import fredholm_solver, hierarchical
-from chebfred.block_operator import ToeplitzBlocks, as_block_operator
+from chebfred.block_operator import DenseBlocks, as_block_operator
 from chebfred.composite_solver import assemble_blocks, build_partition, solve_composite
 from chebfred.fredholm_solver import RCOND_WARN, SingularMatrixError, dense_solve, refined_solve
 from chebfred.kernel_catalog import SemismoothKernel, catalog_lookup
@@ -18,10 +18,8 @@ from chebfred.kernel_catalog import SemismoothKernel, catalog_lookup
 T_200PI = 200.0 * np.pi
 
 
-def _system(name, panels, order, sampled=False, **overrides):
-    """The composite system the CLI builds for --panels/--n; with
-    ``sampled``, of the kernel's branches as plain callables, so that a
-    difference kernel on equal panels is stored as ``ToeplitzBlocks``."""
+def _system(name, panels, order, **overrides):
+    """The composite system the CLI builds for --panels/--n."""
     problem = catalog_lookup(name, **overrides)
     edges = np.linspace(problem.a, problem.b, panels + 1)
     partition = build_partition(
@@ -31,8 +29,7 @@ def _system(name, panels, order, sampled=False, **overrides):
         orders=order,
         singular_points=problem.kernel.singular_points,
     )
-    kernel = plain(problem.kernel) if sampled else problem.kernel
-    return assemble_blocks(kernel, partition, problem.lam, problem.rhs)
+    return assemble_blocks(problem.kernel, partition, problem.lam, problem.rhs)
 
 
 def _exact_discrete_solution(matrix, rhs):
@@ -166,7 +163,7 @@ def test_full_rank_coupling_returns_the_lu_answer(monkeypatch):
     _same_lu_answer(dense_solve(matrix, rhs), answer)
 
 
-def _hard_operator(system, toeplitz, kind):
+def _hard_operator(system, kind):
     """``system``'s matrix with off-diagonal blocks that partial pivoting finds hard.
 
     "spike" adds one entry of max|A| in the top-right corner block, far from
@@ -175,15 +172,6 @@ def _hard_operator(system, toeplitz, kind):
     of an upper block reads.
     """
     op, off = system.matrix, system.partition.offsets
-    if toeplitz:
-        diagonals = {d: block.copy() for d, block in op.diagonals.items()}
-        if kind == "spike":
-            # the block of diagonal 1 - m is the corner block (0, m - 1) alone
-            diagonals[1 - op.panels][3, -5] += np.abs(op.dense()).max()
-        else:
-            for d in range(1 - op.panels, 0):
-                diagonals[d][0] = 0.0
-        return ToeplitzBlocks(off, diagonals)
     dense = op.dense()
     if kind == "spike":
         dense[3, -5] += np.abs(dense).max()
@@ -194,16 +182,15 @@ def _hard_operator(system, toeplitz, kind):
 
 
 @pytest.mark.parametrize("kind", ["spike", "zero_row"])
-@pytest.mark.parametrize("name, panels, order, overrides, toeplitz", [
-    ("example2", 8, 127, {"T": T_200PI}, True),
-    ("example2", 8, 127, {"T": T_200PI}, False),
-    ("example4", 16, 63, {}, False),
+@pytest.mark.parametrize("name, panels, order, overrides", [
+    ("example2", 8, 127, {"T": T_200PI}),
+    ("example4", 16, 63, {}),
 ])
 def test_hard_blocks_agree_with_the_oracle_or_return_the_lu_answer(
-    name, panels, order, overrides, toeplitz, kind, monkeypatch
+    name, panels, order, overrides, kind, monkeypatch
 ):
-    system = _system(name, panels, order, sampled=toeplitz, **overrides)
-    op = _hard_operator(system, toeplitz, kind)
+    system = _system(name, panels, order, **overrides)
+    op = _hard_operator(system, kind)
     dense, rhs = op.dense(), system.rhs
     answer = dense_solve(op, rhs)
     refined = refined_solve(op, rhs, op.norm1())
@@ -217,21 +204,19 @@ def test_hard_blocks_agree_with_the_oracle_or_return_the_lu_answer(
         _assert_agrees_with_oracle(answer, dense, rhs, _exact_discrete_solution(dense, rhs))
 
 
-@pytest.mark.parametrize("toeplitz", [True, False])
-def test_zero_upper_blocks_are_given_rank_zero_from_one_row(toeplitz, monkeypatch):
+def test_zero_upper_blocks_are_given_rank_zero_from_one_row(monkeypatch):
     """A Volterra-type kernel (k_upper = 0) makes every block above the
     diagonal exactly zero.  Each such block must cost one row read, not one
     per row, and still take the hierarchical path to the oracle's answer."""
     kernel = SemismoothKernel(
         k_lower=lambda t, s: np.cos(t - s),
         k_upper=lambda t, s: np.zeros(np.broadcast(t, s).shape),
-        difference_form=toeplitz,
     )
     edges = np.linspace(0.0, 20.0, 17)
     partition = build_partition(0.0, 20.0, breakpoints=tuple(edges[1:-1]), orders=63)
     system = assemble_blocks(kernel, partition, 0.5, lambda t: np.ones_like(t))
     op = system.matrix
-    assert isinstance(op, ToeplitzBlocks) == toeplitz
+    assert isinstance(op, DenseBlocks)
     assert len(op) == hierarchical.CROSSOVER_N
     row, compress, reads, upper = op.row, hierarchical._compress, [0], []
 

@@ -22,7 +22,7 @@ from dense_oracle import (
 )
 
 from chebfred import fredholm_solver, schrodinger
-from chebfred.block_operator import DenseBlocks, ToeplitzBlocks
+from chebfred.block_operator import DenseBlocks
 from chebfred.composite_solver import assemble_blocks, build_partition
 from chebfred.fredholm_solver import semismooth_block
 from chebfred.kernel_catalog import KernelEvaluationError, NonlocalPotential, SemismoothKernel, catalog_lookup
@@ -82,10 +82,10 @@ def test_tile_walk_on_a_random_reflected_sample_is_bitwise_the_row_walk():
     assert np.array_equal(tiles, semismooth_block(ops, slice_sampler(k1), slice_sampler(k1.T), 0.37))
 
 
-def test_toeplitz_blocks_are_bitwise_the_plain_path():
+def test_difference_kernel_blocks_are_bitwise_the_plain_path():
     problem = catalog_lookup("example2", T=200 * np.pi)
     fast, plain = _both_paths(problem.kernel, _uniform(problem, 8, 200), problem.lam, problem.rhs)
-    assert isinstance(fast, ToeplitzBlocks)
+    assert isinstance(fast, DenseBlocks)
     assert np.array_equal(fast.dense(), plain.dense())
 
 
