@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from dense_oracle import plain, semismooth_block_reference
 
-from chebfred import fredholm_solver
-from chebfred.block_operator import DenseBlocks, as_block_operator
+from chebfred import fredholm_solver, hierarchical
+from chebfred.block_operator import DenseBlocks, FactoredBlocks, as_block_operator
 from chebfred.composite_solver import assemble_blocks, build_partition, solve_composite
 from chebfred.fredholm_solver import dense_solve, refined_solve, relative_sup_error
 from chebfred.kernel_catalog import catalog_lookup
@@ -156,6 +156,38 @@ def test_wrong_operand_length_raises(assembled):
         system.matrix.matmul(np.ones(len(system.matrix) + 1))
 
 
+def _tree_nodes(root):
+    seen, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        seen[id(node)] = node
+        if isinstance(node, hierarchical._Node):
+            stack += [node.left, node.right]
+    return list(seen.values())
+
+
+def test_toeplitz_tree_shares_one_subtree_per_panel_count(monkeypatch):
+    # example2 by its factor pairs on equal panels is block-Toeplitz
+    problem, partition = _problem_and_partition("example2", 32, 63, T=T_200PI)
+    op = assemble_blocks(problem.kernel, partition, problem.lam, problem.rhs).matrix
+    assert isinstance(op, FactoredBlocks)
+    calls = []
+    compress = hierarchical._compress
+
+    def counted(*args):
+        calls.append(args)
+        return compress(*args)
+
+    monkeypatch.setattr(hierarchical, "_compress", counted)
+    tol = hierarchical.SKETCH_TOL * op.norm1()
+    root = hierarchical._build(op, 0, op.panels, tol, {})
+    nodes = _tree_nodes(root)
+    # panel counts 32, 16, 8, 4 are nodes and 2 is the leaf: one object each
+    assert sorted(node.size // 64 for node in nodes) == [2, 4, 8, 16, 32]
+    # two off-diagonal blocks per distinct node, where the unshared tree has 30
+    assert len(calls) == 8
+
+
 def test_long_interval_solves_without_the_dense_matrix():
     # 128 panels of order 63: N = 8192, whose dense matrix alone is 537 MB
     problem, partition = _problem_and_partition("example2", 128, 63, T=T_2000PI)
@@ -171,15 +203,27 @@ def test_long_interval_solves_without_the_dense_matrix():
     assert peak < 537e6 / 20
 
 
-def _random_operator(seed, panels=8, size=128):
+def _random_operator(seed, factored, panels=8, size=128):
     rng = np.random.default_rng(seed)
     offsets = np.arange(panels + 1) * size
     n = panels * size
+    if factored:
+        # diagonal blocks I + D, and below (above) the diagonal every block
+        # the one product F G^T of 300 columns, more than half of any panel
+        # range; the entries are dyadic, so every product and |A| sum is
+        # exact in any order and the Toeplitz rule of the sums holds exactly
+        diagonal = np.eye(size) + rng.integers(-1, 2, (panels, size, size)) / 1024.0
+        lower, upper = (
+            tuple(np.tile(rng.integers(-1, 2, (size, 300)) / 256.0, (panels, 1)) for _ in range(2))
+            for _ in range(2)
+        )
+        return FactoredBlocks(offsets, diagonal, lower, upper, np.ones(n), np.ones(n))
     return DenseBlocks(np.eye(n) + rng.standard_normal((n, n)) / np.sqrt(n), offsets)
 
 
-def test_full_rank_operator_returns_the_dense_lu_answer(monkeypatch):
-    op = _random_operator(3)
+@pytest.mark.parametrize("factored", [True, False])
+def test_full_rank_operator_returns_the_dense_lu_answer(factored, monkeypatch):
+    op = _random_operator(3, factored)
     rhs = np.ones(len(op))
     assert refined_solve(op, rhs, op.norm1()) is None
     blocked = dense_solve(op, rhs)
@@ -190,9 +234,15 @@ def test_full_rank_operator_returns_the_dense_lu_answer(monkeypatch):
     assert abs(blocked[1] - plain[1]) <= 4 * np.finfo(float).eps * plain[1]
 
 
-def test_nonfinite_off_diagonal_block_raises():
-    op = _random_operator(4)
-    op.block(2, 5)[5, 6] = np.nan
+@pytest.mark.parametrize("factored", [True, False])
+def test_nonfinite_off_diagonal_block_raises(factored):
+    op = _random_operator(4, factored)
+    if factored:
+        # block (2, 5) is formed from the upper factors, G at its columns
+        op.upper[1][5 * op.size + 6] = np.nan
+        assert np.isnan(op.block(2, 5)[:, 6]).all()
+    else:
+        op.block(2, 5)[5, 6] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         dense_solve(op, np.ones(len(op)))
 
