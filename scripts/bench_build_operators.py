@@ -20,9 +20,9 @@ float32 LU refined in float64, or float64 LU (``dense_solve``).
 ``ASSEMBLIES`` holds example1 and example2 (T = pi/2 and 50 pi), whose
 branches are stated by factor pairs, so that ``semismooth_block`` fills
 their blocks from the factors at the nodes and samples nothing; example4,
-reflected, which the tile-pair walk samples through the lower branch
-alone; and example3, whose two branches are plain callables, which takes
-the row-block walk and is the control.
+reflected, whose upper sampler reads the lower branch with the arguments
+swapped; and example3, whose two branches are plain callables and which is
+the control.  Example3 and example4 both take the row-block walk.
 ``build_operators`` reports the best sample over every round.  The
 assembly and the solves report the best sample and the median and
 quartiles of every sample of every round, since one fast sample on a
@@ -116,7 +116,7 @@ DECLINE_ALTERNATIONS = 2
 UNIT_RHS_DECLINES = (("example2-T200pi-y=1", "example2", {"T": 200 * math.pi}, (575, 767, 1023)),)
 TAIL_ORDERS = (255, 383, 511, 575, 639, 703, 735, 751, 767, 783, 799, 815, 831, 895, 959, 1023)
 ROW_BLOCK_CANDIDATES = (2048, 4096, 8192, 16384, 32768, 65536, 131072)
-# the factored fill and the tile-pair walk
+# the factored fill and the row-block walk
 ROW_BLOCK_KERNELS = ("example2", "example4")
 ROW_BLOCK_ORDERS = (255, 511, 767, 1023, 2047)
 ROUNDS = 10
@@ -417,8 +417,8 @@ def main():
                 "after side, first round's worker only: best time (s) of the one-panel assemble_blocks of each "
                 "ROW_BLOCK_KERNELS kernel, kernel sampling or factors included, per "
                 "fredholm_solver.ROW_BLOCK_ENTRIES value and order; example2's branches are factor pairs, so it "
-                "times the factored fill in row blocks of ROW_BLOCK_ENTRIES entries, and example4 is reflected, so "
-                "it times the tile-pair walk with tiles of side isqrt(ROW_BLOCK_ENTRIES)"
+                "times the factored fill and example4 the sampled row-block walk, both in row blocks of "
+                "ROW_BLOCK_ENTRIES entries"
             ),
             "orders": list(ROW_BLOCK_ORDERS),
             "best_s": {

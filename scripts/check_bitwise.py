@@ -11,7 +11,8 @@ The baseline's ``src/`` is taken with ``git archive``; the working tree's
 only, so that any baseline from commit 9036b52 on runs it:
 
 * one-panel matrices of example1-4, and example2 at T = 50 pi, at orders
-  from 1 to 1023, below, at and across the tile side and the row block;
+  from 1 to 1023, around the largest block that is one row block
+  (n + 1 = 181) and past it;
 * systems of example2 at T = 200 pi on equal panels (``FactoredBlocks``),
   and DenseBlocks systems of example1, example3 and example4, some with
   unequal orders;

@@ -165,20 +165,20 @@ def assemble_blocks(kernel, partition: Partition, lam: float, rhs) -> BlockSyste
     equal branches.  A diagonal block is ``semismooth_block``: when both
     branches are stated by factor pairs (``SemismoothKernel.factors``), it
     is filled from the factors at the panel's nodes and nothing is sampled;
-    otherwise it samples both branches one row block at a time, or a
-    reflected kernel's lower branch alone, one pair of mirrored tiles at a
-    time.  Block (j, i) off
-    the diagonal is (lam w_i / 2) K diag(full_weights_i), with w_i the width
-    of source panel i and K the lower branch for i < j, the upper for i > j.
-    One ``kernel.eval_mirrored`` call samples a run of blocks below the
-    diagonal and their mirrors above it (the mirror of a reflected kernel is
-    the transpose of its lower sample, so its upper branch is never
-    called), and the factor and the weights apply per column, in the order
-    (factor * sample) * weights.  Every block is written into the N x N
-    array that the operator wraps, panel j taking one call for the row
-    strip left of its diagonal block and, mirrored, the column strip above
-    it; a one-panel system's operator wraps its one block, and carries the
-    rule at any order, for a coarse solve.
+    otherwise it samples both branches one row block at a time, a reflected
+    kernel's upper branch being its lower one with the arguments swapped.
+    Block (j, i) off the diagonal is (lam w_i / 2) K diag(full_weights_i),
+    with w_i the width of source panel i and K the lower branch for i < j,
+    the upper for i > j.  One ``kernel.eval_mirrored`` call samples a run
+    of blocks below the diagonal and their mirrors above it (the mirror of
+    a reflected kernel is the transpose of its lower sample, so off the
+    diagonal its upper branch is never called), and the factor and the
+    weights apply per column, in the order (factor * sample) * weights.
+    Every block is written into the N x N array that the operator wraps,
+    panel j taking one call for the row strip left of its diagonal block
+    and, mirrored, the column strip above it; a one-panel system's operator
+    wraps its one block, and carries the rule at any order, for a coarse
+    solve.
 
     When ``detect_toeplitz`` holds on several panels and the kernel has
     factor pairs, the system is stored as ``FactoredBlocks`` instead, and
@@ -214,8 +214,7 @@ def assemble_blocks(kernel, partition: Partition, lam: float, rhs) -> BlockSyste
         def upper(rows, cols):
             return kernel.eval_upper(t[rows, None], t[None, cols])
 
-        # a reflected kernel's K2 is K1^T
-        return semismooth_block(ops, lower, None if kernel.k_upper is None else upper, scale)
+        return semismooth_block(ops, lower, upper, scale)
 
     def per_column():
         """lam w_i / 2 and full_weights_i per column of each source panel i."""

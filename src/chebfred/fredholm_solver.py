@@ -306,31 +306,22 @@ def semismooth_block(ops: SpectralOperators, lower, upper, scale: float) -> np.n
     """I + scale * (W o K1 + V o K2), the one-panel semismooth system matrix.
 
     ``lower(rows, cols)`` and ``upper(rows, cols)`` return the branch
-    samples K1 and K2 on the given slices of rows and columns.  With W =
-    a + B and V = c - B (``spectral_core``), the sum is formed as
+    samples K1 and K2 on the given slices of rows and columns; the block
+    asks for a slice of rows and every column.  With W = a + B and
+    V = c - B (``spectral_core``), the sum is formed as
     K1 o a + K2 o c + (K1 - K2) o B, so W and V are never built.  Neither
     is B, nor a whole branch sample: the block is formed ROW_BLOCK_ENTRIES
-    entries at a time, each row block asking the samplers for its rows of
-    K1 and K2 and computing its rows of B into a small work array
+    entries at a time, each row block asking both samplers for its rows of
+    K1 and K2 and computing its rows of B into the block itself
     (``ops.bracket_rows``), so that a row block's rows of K1, K2, B and the
     result stay in cache through every elementwise step.  The steps and
     their order are those of the whole-array formula (B is computed first
     and multiplied by K1 - K2, and a product of two doubles does not depend
     on the order of its factors), so the result is bitwise the same.
     Besides the result it allocates one row block of work space, and holds
-    the samples of one row block at a time.
-
-    ``upper=None`` states that K2 = K1^T, as for a reflected kernel
-    (``kernel_catalog``).  Then the block is walked in square tiles of side
-    isqrt(ROW_BLOCK_ENTRIES), mirrored tiles (R, C) and (C, R) together:
-    the sample of K1 on (R, C) is K1 there and, transposed, K2 on (C, R).
-    Each entry of K1 is sampled once, with the same values and the same
-    elementwise steps, so the result is bitwise that of the row-block walk
-    on K1 and K1^T.  A tile is formed in contiguous work space and written
-    to the block once, scaled, since every step written into a tile of the
-    block itself costs a loop per row.  It holds two tiles of samples and
-    two of work space at a time.  The row-block walk stays for two
-    samplers, on which the tile walk is slower.
+    the samples of one row block at a time.  A reflected kernel, whose K2
+    is K1^T, is sampled the same way, its upper sampler reading the lower
+    branch with the arguments swapped (``kernel_catalog``).
 
     ``lower`` and ``upper`` may instead be the branches' factors at the
     nodes, pairs (F1, G1) and (F2, G2) of n x r arrays with K1 = F1 G1^T
@@ -363,59 +354,32 @@ def semismooth_block(ops: SpectralOperators, lower, upper, scale: float) -> np.n
     block = np.empty((n1, n1))
     row_sums = np.zeros(n1) if __debug__ else None
     rows_per_block = max(1, ROW_BLOCK_ENTRIES // n1)
+    scratch = np.empty((min(rows_per_block, n1), n1))
+    every = slice(0, n1)
 
-    def sampled(values, rows, cols):
-        k = np.asarray(values, dtype=float)
-        shape = (rows.stop - rows.start, cols.stop - cols.start)
+    def sampled(sampler, rows):
+        k = np.asarray(sampler(rows, every), dtype=float)
+        shape = (rows.stop - rows.start, n1)
         if k.shape != shape:
-            raise ValueError(
-                f"shape mismatch {shape} vs {k.shape} in rows {rows.start}:{rows.stop}, columns {cols.start}:{cols.stop}"
-            )
+            raise ValueError(f"shape mismatch {shape} vs {k.shape} in rows {rows.start}:{rows.stop}")
         return k
 
-    def unscaled(rows, cols, k1, k2, out, scratch):
-        # (K1 - K2) o B + K1 o a + K2 o c on block[rows, cols], into out: B
-        # first, summed by the debug check before out is multiplied in place
-        bracket = ops.bracket_rows(rows.start, rows.stop, cols.start, cols.stop, out=out)
+    for start in range(0, n1, rows_per_block):
+        rows = slice(start, min(start + rows_per_block, n1))
+        k1, k2 = sampled(lower, rows), sampled(upper, rows)
+        # (K1 - K2) o B + K1 o a + K2 o c on the row block: B first, summed
+        # by the debug check before it is multiplied in place
+        out, work = block[rows], scratch[: rows.stop - rows.start]
+        bracket = ops.bracket_rows(rows.start, rows.stop, out=out)
         if __debug__:
-            row_sums[rows] += bracket.sum(axis=1)
-        out *= np.subtract(k1, k2, out=scratch)
-        out += np.multiply(k1, ops.left_offset[cols], out=scratch)
-        out += np.multiply(k2, ops.right_offset[cols], out=scratch)
-        return out
-
-    def tile_pair(rows, cols):
-        # the work space is allocated after the samples, so it is never
-        # alive with the kernel's temporaries, and all is freed on return
-        sample = sampled(lower(rows, cols), rows, cols)
-        if cols is rows:
-            pairs = [(rows, rows, sample, sample.T)]
-        else:
-            mirror = sampled(lower(cols, rows), cols, rows)
-            pairs = [(rows, cols, sample, mirror.T), (cols, rows, mirror, sample.T)]
-        work = np.empty((2, sample.size))
-        for r, c, k1, k2 in pairs:
-            out, scratch = work.reshape(2, *k1.shape)
-            np.multiply(unscaled(r, c, k1, k2, out, scratch), scale, out=block[r, c])
-
-    if upper is None:
-        side = math.isqrt(ROW_BLOCK_ENTRIES)
-        tiles = [slice(start, min(start + side, n1)) for start in range(0, n1, side)]
-        for i, rows in enumerate(tiles):
-            for cols in tiles[i:]:
-                tile_pair(rows, cols)
-    else:
-        scratch = np.empty((min(rows_per_block, n1), n1))
-        every = slice(0, n1)
-        for start in range(0, n1, rows_per_block):
-            rows = slice(start, min(start + rows_per_block, n1))
-            k1 = sampled(lower(rows, every), rows, every)
-            k2 = sampled(upper(rows, every), rows, every)
-            out = unscaled(rows, every, k1, k2, block[rows], scratch[: rows.stop - rows.start])
-            out *= scale
-            # freed before the next row block is sampled, so one row block of
-            # samples is alive at a time
-            del k1, k2
+            row_sums[rows] = bracket.sum(axis=1)
+        out *= np.subtract(k1, k2, out=work)
+        out += np.multiply(k1, ops.left_offset, out=work)
+        out += np.multiply(k2, ops.right_offset, out=work)
+        out *= scale
+        # freed before the next row block is sampled, so one row block of
+        # samples is alive at a time
+        del k1, k2
     if __debug__:
         ops.check_bracket_row_sums(row_sums)
     block.reshape(-1)[:: n1 + 1] += 1.0

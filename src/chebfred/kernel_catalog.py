@@ -10,9 +10,12 @@ A kernel or potential given without an upper branch (``k_upper=None``,
 ``upper=None``) is reflected: its upper branch is its lower branch with the
 arguments swapped, k_upper(t, s) = k_lower(s, t), by construction.  A branch
 sample over a block of node pairs is then the transpose of the other
-branch's over the mirrored block, and the assembly samples the lower branch
-alone (``eval_mirrored``; the Schrodinger assembly transposes V1 itself).  Example2, example4 and both scattering
-potentials are given so; example1 and example3 carry both branches.
+branch's over the mirrored block, so the assembly samples the lower branch
+alone off the diagonal (``eval_mirrored``), and the Schrodinger assembly
+transposes V1 itself.  A diagonal block is sampled one row block at a time
+through both branches, the upper one reading ``k_lower`` with the arguments
+swapped.  Example2, example4 and both scattering potentials are given so;
+example1 and example3 carry both branches.
 
 A branch may be stated by its factor pairs, k(t, s) = sum_r f_r(t) g_r(s)
 (``Separable``).  Such a branch is a callable like any other, which sums
@@ -163,7 +166,10 @@ class SemismoothKernel:
         return _checked(self.k_lower, t, s, "lower kernel branch")
 
     def eval_upper(self, t, s) -> np.ndarray:
-        return _checked(self._upper, t, s, "upper kernel branch")
+        """The upper branch; a reflected kernel's reads ``k_lower``, and
+        names that branch when it is not finite."""
+        what = "lower kernel branch" if self.k_upper is None else "upper kernel branch"
+        return _checked(self._upper, t, s, what)
 
     def eval(self, t, s) -> np.ndarray:
         """Branch-selected value; the diagonal uses the lower branch.  Only

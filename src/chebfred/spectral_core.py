@@ -56,9 +56,8 @@ vectors a and c and the single matrix B, so the semismooth block
 I + s (W o K1 + V o K2) is assembled without forming W or V
 (``fredholm_solver.semismooth_block``).  It forms no B either: entry
 (k, m) of B needs only b_m and two values of S, so the block is built a
-few rows (for a reflected kernel, one square tile) at a time, each piece
-reading its entries of B from the Toeplitz and Hankel views of S
-(``SpectralOperators.bracket_rows``).
+few rows at a time, each row block reading its entries of B from the
+Toeplitz and Hankel views of S (``SpectralOperators.bracket_rows``).
 Where the branches agree, K1 - K2 vanishes and the rule reduces to the
 full weights sigma = a + c.
 
@@ -191,36 +190,29 @@ class SpectralOperators:
     s_values: np.ndarray
     full_weights: np.ndarray
 
-    def bracket_rows(
-        self, start: int, stop: int, col_start: int = 0, col_stop: int | None = None, out: np.ndarray | None = None
-    ) -> np.ndarray:
+    def bracket_rows(self, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
         """Rows start .. stop-1 of the bracket B[k, m] = b_m [S(m-k) + S(m+k+1)],
-        restricted to columns col_start .. col_stop-1 (all columns by
-        default), computed into ``out`` if given.  Each entry is bitwise the
-        same whichever rows and columns it is computed among.
+        computed into ``out`` if given.  Each entry is bitwise the same
+        whichever rows it is computed among.
         """
-        col_stop = self.order + 1 if col_stop is None else col_stop
-        rows = self.toeplitz_hankel_rows(start, stop, col_start, col_stop, out=out)
-        rows *= self.bracket_scale[col_start:col_stop]
+        rows = self.toeplitz_hankel_rows(start, stop, out=out)
+        rows *= self.bracket_scale
         return rows
 
-    def toeplitz_hankel_rows(
-        self, start: int, stop: int, col_start: int = 0, col_stop: int | None = None, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """The same rows and columns of S(m-k) + S(m+k+1), the bracket
-        before its column scale b_m.
+    def toeplitz_hankel_rows(self, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The same rows of S(m-k) + S(m+k+1), the bracket before its column
+        scale b_m.
 
         S(m-k) and S(m+k+1) are read through strided views of S, a Toeplitz
         and a Hankel matrix (numpy checks that both stay inside S), so a
-        tile costs no more than its own entries.
+        row block costs no more than its own entries.
         """
         n = self.order
-        col_stop = n + 1 if col_stop is None else col_stop
         S = self.s_values
         step = S.itemsize
-        shape = (stop - start, col_stop - col_start)
-        toeplitz = np.ndarray(shape, S.dtype, S, (n + col_start - start) * step, (-step, step))
-        hankel = np.ndarray(shape, S.dtype, S, (n + 1 + start + col_start) * step, (step, step))
+        shape = (stop - start, n + 1)
+        toeplitz = np.ndarray(shape, S.dtype, S, (n - start) * step, (-step, step))
+        hankel = np.ndarray(shape, S.dtype, S, (n + 1 + start) * step, (step, step))
         return np.add(toeplitz, hankel, out=out)
 
     def check_bracket_row_sums(self, row_sums: np.ndarray) -> None:

@@ -136,10 +136,9 @@ def unreflected(branches):
 def plain(kernel):
     """``kernel`` with each branch wrapped in a plain callable of the same
     samples, so that no branch carries factor pairs
-    (``kernel_catalog.Separable``): its one-panel blocks are sampled, by
-    the tile walk when it is reflected (it stays so) and by the row walk
-    otherwise, which is what every assembly of it did before factor pairs
-    existed."""
+    (``kernel_catalog.Separable``): its one-panel blocks are sampled one
+    row block at a time, reflected or not (a reflected kernel stays so),
+    which is what every assembly of it did before factor pairs existed."""
     lower, upper = kernel.k_lower, kernel.k_upper
     return dataclasses.replace(
         kernel, k_lower=lambda t, s: lower(t, s), k_upper=None if upper is None else (lambda t, s: upper(t, s))

@@ -294,7 +294,9 @@ def test_solver_failure_exits_4(monkeypatch, capsys):
 
 def test_kernel_failure_in_a_late_row_block_exits_4(monkeypatch, capsys):
     # the lower branch is NaN only in the last row of a one-panel system,
-    # which the assembly samples in its last row block
+    # which the lower sampler reaches in the last row block; the kernel is
+    # reflected, so the first row block's upper sample, the lower branch
+    # with the arguments swapped, reads it first, in the last column
     problem = catalog_lookup("example2")
     last = cheb_grid(1023, problem.a, problem.b).nodes[-1]
     kernel = dataclasses.replace(

@@ -250,10 +250,10 @@ def test_off_diagonal_sampling_takes_one_call_per_branch_per_panel_row(
     # upper-branch call.  A diagonal block of order <= 180 is one row
     # block, sampled once per branch.  Both kernels are reflected, and
     # ``unreflected`` gives them an explicit upper branch; reflected, the
-    # upper branch is never called: a diagonal block of order <= 180 is one
-    # tile, sampled once, and each lower-branch call also gives its mirror.
-    # The kernels are given as plain callables, so that the diagonal blocks
-    # of example2 are sampled
+    # upper branch is called only on the diagonal blocks, since each
+    # lower-branch call off the diagonal also gives its mirror.  The
+    # kernels are given as plain callables, so that the diagonal blocks of
+    # example2 are sampled
     problem = catalog_lookup(name, **overrides)
     assert problem.kernel.k_upper is None
     part = _uniform_partition(problem, panels, orders)
@@ -274,14 +274,14 @@ def test_off_diagonal_sampling_takes_one_call_per_branch_per_panel_row(
             off.append((j if branch == "lower" else panel(s), branch))
     on = len(calls) - len(off)
     assert isinstance(system.matrix, DenseBlocks)
-    assert on == (1 if reflected else 2) * m
+    assert on == 2 * m
     branches = ("lower",) if reflected else ("lower", "upper")
     assert sorted(off) == sorted((j, branch) for j in range(1, m) for branch in branches)
 
 
 def test_one_panel_assembly_holds_no_whole_branch_sample():
     # at n = 1023 the block is 8.0 MiB; the reflected example2 kernel, as a
-    # plain callable, is sampled one pair of 181 x 181 tiles at a time
+    # plain callable, is sampled one row block of 32 rows at a time
     problem = catalog_lookup("example2")
     part = build_partition(problem.a, problem.b, orders=1023)
     tracemalloc.start()

@@ -30,7 +30,8 @@ EPS = np.finfo(float).eps
 # orders 1-39 and 63-1023
 BOUND_EPS = 8.0
 FACTORED = [("example1", {}), ("example2", {}), ("example2", {"T": 50 * math.pi}), ("example2", {"T": 200 * math.pi})]
-TILE = math.isqrt(fredholm_solver.ROW_BLOCK_ENTRIES)
+# the most nodes n + 1 whose block is one row block of ``semismooth_block``
+ONE_ROW_BLOCK = math.isqrt(fredholm_solver.ROW_BLOCK_ENTRIES)
 
 
 def _sampled_block(problem, grid):
@@ -71,7 +72,7 @@ def test_a_reflected_kernels_upper_pairs_are_its_swapped_lower_pairs():
     assert np.array_equal(f2, g1) and np.array_equal(g2, f1)
 
 
-@pytest.mark.parametrize("n", [1, 2, 16, TILE - 1, TILE, TILE + 1, 255, 1023])
+@pytest.mark.parametrize("n", [1, 2, 16, ONE_ROW_BLOCK - 1, ONE_ROW_BLOCK, ONE_ROW_BLOCK + 1, 255, 1023])
 @pytest.mark.parametrize("name, overrides", FACTORED)
 def test_factored_block_matches_the_sampled_block_and_samples_nothing(monkeypatch, name, overrides, n):
     problem = catalog_lookup(name, **overrides)
@@ -160,11 +161,13 @@ def test_factored_assembly_peak_at_n_1023(name):
     assert peak <= 9.3 * 2**20
 
 
-@pytest.mark.parametrize("name, n", [("example1", 16), ("example1", TILE), ("example2", 16), ("example2", TILE)])
+@pytest.mark.parametrize(
+    "name, n", [("example1", 16), ("example1", ONE_ROW_BLOCK), ("example2", 16), ("example2", ONE_ROW_BLOCK)]
+)
 def test_replacing_a_branch_by_a_plain_callable_drops_the_factors(name, n):
-    # the replaced kernel is sampled, by the row walk (example1, whose upper
-    # branch keeps its pairs) or the tile walk (example2, reflected), bitwise
-    # the whole-array formula
+    # the replaced kernel is sampled by the row walk, example1's upper
+    # branch keeping its pairs and example2's reading the replaced lower
+    # branch, bitwise the whole-array formula
     problem = catalog_lookup(name)
     lower = problem.kernel.k_lower
     kernel = dataclasses.replace(problem.kernel, k_lower=lambda t, s: lower(t, s))

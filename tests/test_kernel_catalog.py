@@ -86,6 +86,17 @@ def test_boundary_singular_kernel_values():
         k.eval_upper(0.5, 1.0)
 
 
+def test_a_reflected_kernels_upper_sample_names_the_branch_it_reads():
+    # a reflected kernel's upper branch is k_lower with the arguments
+    # swapped, so a non-finite value there is the lower branch's
+    reflected = SemismoothKernel(k_lower=lambda t, s: np.log(t - s))
+    with pytest.raises(KernelEvaluationError, match="^lower kernel branch evaluated"):
+        reflected.eval_upper(0.5, 0.0)
+    explicit = dataclasses.replace(reflected, k_upper=lambda t, s: np.log(s - t))
+    with pytest.raises(KernelEvaluationError, match="^upper kernel branch evaluated"):
+        explicit.eval_upper(0.5, 0.0)
+
+
 def test_eval_checks_the_selected_branch_only():
     # a branch may blow up on the far side of the diagonal without harm
     k = SemismoothKernel(k_lower=lambda t, s: 1.0 / (t - s + 1e-30), k_upper=lambda t, s: t * 0 + s * 0)

@@ -1,8 +1,9 @@
 """The reflected-kernel fast path against the plain path.
 
 A kernel or potential given without an upper branch is reflected, and is
-sampled through its lower branch alone: ``semismooth_block`` walks mirrored
-tile pairs, ``assemble_blocks`` reads the upper samples as transposes
+sampled through its lower branch alone: ``semismooth_block`` reads its
+upper branch as the lower one with the arguments swapped, off the diagonal
+``assemble_blocks`` reads the upper samples as transposes
 (``eval_mirrored``), and Schrodinger ``assemble`` takes V2 as the transpose
 of V1, or its factors as V1's swapped.  The oracle is the same
 kernel with its upper branch made explicit (``dense_oracle.unreflected``),
@@ -17,19 +18,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from dense_oracle import (
-    plain, record_branch_calls, semismooth_block_reference, slice_sampler, unreflected, whole_branches
-)
+from dense_oracle import plain, record_branch_calls, semismooth_block_reference, unreflected, whole_branches
 
 from chebfred import fredholm_solver, schrodinger
 from chebfred.block_operator import DenseBlocks
 from chebfred.composite_solver import assemble_blocks, build_partition
-from chebfred.fredholm_solver import semismooth_block
 from chebfred.kernel_catalog import KernelEvaluationError, NonlocalPotential, SemismoothKernel, catalog_lookup
 from chebfred.schrodinger import _branch_samplers, assemble
 from chebfred.spectral_core import build_operators, cheb_grid
 
-TILE = math.isqrt(fredholm_solver.ROW_BLOCK_ENTRIES)
+# the most nodes n + 1 whose block is one row block of ``semismooth_block``
+ONE_ROW_BLOCK = math.isqrt(fredholm_solver.ROW_BLOCK_ENTRIES)
 
 
 def _both_paths(kernel, partition, lam, rhs):
@@ -44,9 +43,9 @@ def _uniform(problem, panels, order):
     return build_partition(problem.a, problem.b, breakpoints=tuple(edges[1:-1]), orders=order)
 
 
-# n + 1 = 2 (order 0 has no operators), one short of a tile, one tile, one
-# tile and one row, two tiles and three rows
-ONE_PANEL_SIZES = (2, TILE - 1, TILE, TILE + 1, 2 * TILE + 3)
+# n + 1 = 2 (order 0 has no operators), one row block short of full, one
+# full row block, two row blocks, and three with a short last one
+ONE_PANEL_SIZES = (2, ONE_ROW_BLOCK - 1, ONE_ROW_BLOCK, ONE_ROW_BLOCK + 1, 2 * ONE_ROW_BLOCK + 3)
 
 
 @pytest.mark.parametrize("size", ONE_PANEL_SIZES)
@@ -63,23 +62,14 @@ def test_one_panel_is_bitwise_the_plain_path(name, overrides, size):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 7, 20])
-def test_small_tiles_are_bitwise_the_plain_path(monkeypatch, n):
-    # 12 entries per row block make tiles of side 3, so orders 1..20 cover
-    # one short tile up to seven tiles with a short last one
+def test_small_row_blocks_are_bitwise_the_plain_path(monkeypatch, n):
+    # 12 entries per row block make row blocks of 12 // (n + 1) rows, so
+    # orders 1..20 cover one row block, a short last one (n = 3), three of
+    # two rows (n = 5) and one row per block (n >= 6)
     monkeypatch.setattr(fredholm_solver, "ROW_BLOCK_ENTRIES", 12)
     problem = catalog_lookup("example2", T=3.0)
     fast, plain = _both_paths(problem.kernel, build_partition(problem.a, problem.b, orders=n), problem.lam, problem.rhs)
     assert np.array_equal(fast.dense(), plain.dense())
-
-
-def test_tile_walk_on_a_random_reflected_sample_is_bitwise_the_row_walk():
-    # semismooth_block alone: K2 = K1^T from a random K1, sampled by tiles
-    # on one side and by rows of K1 and K1^T on the other
-    n = 2 * TILE + 2
-    k1 = np.random.default_rng(n).uniform(-2.0, 2.0, (n + 1, n + 1))
-    ops = build_operators(n)
-    tiles = semismooth_block(ops, slice_sampler(k1), None, 0.37)
-    assert np.array_equal(tiles, semismooth_block(ops, slice_sampler(k1), slice_sampler(k1.T), 0.37))
 
 
 def test_difference_kernel_blocks_are_bitwise_the_plain_path():
@@ -110,9 +100,9 @@ HIGH_RANK = NonlocalPotential(
 )
 
 
-# at TILE - 1 and TILE, n + 1 is one tile, the most nodes that one row block
-# holds, and one tile and one row
-@pytest.mark.parametrize("n", [32, 64, 255, TILE - 1, TILE, 384])
+# at ONE_ROW_BLOCK - 1 and ONE_ROW_BLOCK, n + 1 is the most nodes that one
+# row block holds, and one more
+@pytest.mark.parametrize("n", [32, 64, 255, ONE_ROW_BLOCK - 1, ONE_ROW_BLOCK, 384])
 @pytest.mark.parametrize("name", ["schrod_separable", "schrod_pereybuck", "high_rank"])
 def test_schrodinger_assembly_is_bitwise_the_plain_path(monkeypatch, name, n):
     # the plain path factors V2^T, which is bitwise V1, so it takes the
@@ -141,23 +131,26 @@ def _points(calls, branch):
     return sum(np.broadcast(t, s).size for name, t, s in calls if name == branch)
 
 
-@pytest.mark.parametrize("n", [1, TILE - 1, 2 * TILE + 2, 1023])
-def test_reflected_one_panel_assembly_samples_each_entry_once(monkeypatch, n):
+@pytest.mark.parametrize("explicit", [False, True])
+@pytest.mark.parametrize("n", [1, ONE_ROW_BLOCK - 1, 2 * ONE_ROW_BLOCK + 2, 1023])
+def test_one_panel_assembly_samples_each_branch_once_per_row_block(monkeypatch, n, explicit):
+    # reflected or with its upper branch made explicit, the kernel is
+    # sampled the same way: one call per branch per row block, which
+    # together cover the (n + 1)^2 node pairs once
     problem = catalog_lookup("example2")
-    kernel = plain(problem.kernel)
+    kernel = unreflected(plain(problem.kernel)) if explicit else plain(problem.kernel)
     part = build_partition(problem.a, problem.b, orders=n)
     calls = []
     record_branch_calls(monkeypatch, SemismoothKernel, calls)
     assemble_blocks(kernel, part, problem.lam, problem.rhs)
-    assert (_points(calls, "lower"), _points(calls, "upper")) == ((n + 1) ** 2, 0)
-    calls.clear()
-    assemble_blocks(unreflected(kernel), part, problem.lam, problem.rhs)
+    row_blocks = -(-(n + 1) // max(1, fredholm_solver.ROW_BLOCK_ENTRIES // (n + 1)))
+    assert [name for name, _, _ in calls] == ["lower", "upper"] * row_blocks
     assert (_points(calls, "lower"), _points(calls, "upper")) == ((n + 1) ** 2, (n + 1) ** 2)
 
 
 def test_reflected_one_panel_assembly_peak_at_n_1023():
-    # the 8 MiB block plus two tiles of samples and two of work space; the
-    # bound is the row-block walk's peak before the tile walk existed
+    # the 8 MiB block plus one row block of each branch's samples and one of
+    # work space
     problem = catalog_lookup("example2")
     part = build_partition(problem.a, problem.b, orders=1023)
     tracemalloc.start()
@@ -169,11 +162,12 @@ def test_reflected_one_panel_assembly_peak_at_n_1023():
     assert peak <= 9.3 * 2**20
 
 
-def test_nan_in_a_reflected_kernel_raises_from_the_tile_that_samples_it():
-    # every value the tile walk reads comes through eval_lower, so a NaN in
-    # the last node's row and column is caught, whichever tile samples it
+def test_nan_in_a_reflected_kernel_raises_from_the_row_block_that_samples_it():
+    # the upper branch reads k_lower with the arguments swapped, so a NaN in
+    # the last node's row and column is caught in the first row block's
+    # upper sample, and named for the lower branch, whose value it is
     problem = catalog_lookup("example2")
-    part = build_partition(problem.a, problem.b, orders=2 * TILE + 2)
+    part = build_partition(problem.a, problem.b, orders=2 * ONE_ROW_BLOCK + 2)
     last = part.grids[0].nodes[-1]
     kernel = dataclasses.replace(
         problem.kernel, k_lower=lambda t, s: np.where((t == last) | (s == last), np.nan, np.sin(t - s))
@@ -186,22 +180,22 @@ def test_nan_in_a_reflected_kernel_raises_from_the_tile_that_samples_it():
 def test_replacing_the_lower_branch_replaces_the_mirrored_upper_branch(name):
     # a reflected kernel with a new lower branch f is reflected in f: its
     # upper branch is f(s, t) wherever it is read, in eval_upper and eval as
-    # in the tile walk of a one-panel assembly of two tiles a side
-    # (n + 1 = 182)
+    # in a one-panel assembly of two row blocks (n + 1 = 182)
     problem = catalog_lookup(name)
     f = lambda t, s: np.exp(0.5 * t) * np.cos(3.0 * s + 0.2)
     kernel = dataclasses.replace(problem.kernel, k_lower=f)
-    part = build_partition(problem.a, problem.b, orders=TILE)
+    part = build_partition(problem.a, problem.b, orders=ONE_ROW_BLOCK)
     t, s = part.grids[0].nodes[:, None], part.grids[0].nodes[None, :]
     assert np.array_equal(kernel.eval_upper(t, s), f(s, t))
     assert np.array_equal(kernel.eval(t, s), np.where(s <= t, f(t, s), f(s, t)))
     k1, k2 = kernel.eval_lower(t, s), kernel.eval_upper(t, s)
-    reference = semismooth_block_reference(build_operators(TILE), k1, k2, problem.lam * part.grids[0].width / 2.0)
+    scale = problem.lam * part.grids[0].width / 2.0
+    reference = semismooth_block_reference(build_operators(ONE_ROW_BLOCK), k1, k2, scale)
     matrix = assemble_blocks(kernel, part, problem.lam, problem.rhs).matrix
     assert np.array_equal(matrix.dense(), reference)
 
 
-@pytest.mark.parametrize("n", [64, TILE, 384])
+@pytest.mark.parametrize("n", [64, ONE_ROW_BLOCK, 384])
 @pytest.mark.parametrize("name", ["schrod_separable", "schrod_pereybuck"])
 def test_replacing_the_lower_potential_branch_replaces_the_mirrored_upper_branch(name, n):
     # the same for a potential: assembled with its lower branch alone, it

@@ -37,13 +37,13 @@ T_CUT = 20.0
 # n + 1 = 181 nodes fill one row block of ROW_BLOCK_ENTRIES and 182 take two,
 # in semismooth_block and in the factored branches alike; and the largest
 # order of the benchmark's schrodinger workload
-TILE = math.isqrt(ROW_BLOCK_ENTRIES)
-AROUND_ONE_ROW_BLOCK = (TILE - 1, TILE, 384)
+ONE_ROW_BLOCK = math.isqrt(ROW_BLOCK_ENTRIES)
+AROUND_ONE_ROW_BLOCK = (ONE_ROW_BLOCK - 1, ONE_ROW_BLOCK, 384)
 # 0.1 exp(-(p - r')^2 - p / 20) has rank about 80, past LOWRANK_MAX_RANK
 # from order 32 on, so its K1 and K2 come from the dense products; the
 # factor exp(-p / 20) makes V1 unsymmetric, so that the splice is not zero
 HIGH_RANK = "high_rank_gaussian"
-HIGH_RANK_ORDERS = (32, TILE, 384)
+HIGH_RANK_ORDERS = (32, ONE_ROW_BLOCK, 384)
 
 
 def _gaussian_potential(alpha, upper=None):
@@ -84,7 +84,7 @@ def _zero_potential():
     return NonlocalPotential(lower=zero, upper=zero, strength=0.0, kappa=1.0, cutoff=T_CUT)
 
 
-@pytest.mark.parametrize("order", [16, TILE])
+@pytest.mark.parametrize("order", [16, ONE_ROW_BLOCK])
 def test_zero_potential_gives_free_solution(order):
     # the zero sample factors with rank 0
     pot = _zero_potential()
@@ -303,7 +303,7 @@ def test_catalog_potentials_take_the_factored_path(monkeypatch):
     assert assembled == {16, 32, 64, 96, 128, 192, 256, 384}
 
 
-@pytest.mark.parametrize("order", [TILE, 384])
+@pytest.mark.parametrize("order", [ONE_ROW_BLOCK, 384])
 @pytest.mark.parametrize("name", ["schrod_pereybuck", "schrod_separable"])
 def test_samplers_match_the_reference_whichever_rows_are_asked(name, order):
     """Single rows, runs across row blocks and column ranges of K1 and K2
@@ -340,7 +340,7 @@ def test_high_rank_potential_is_bitwise_the_dense_products(monkeypatch, order):
         assert np.array_equal(k, ref)
 
 
-@pytest.mark.parametrize("order", [32, TILE, 384])
+@pytest.mark.parametrize("order", [32, ONE_ROW_BLOCK, 384])
 def test_explicit_upper_branch_matches_the_oracle(monkeypatch, order):
     """A potential whose upper branch is not its mirrored lower one: V2 is
     factored through V2^T on its own, and the system matches the oracle."""
