@@ -9,6 +9,7 @@ of commit 9036b52, so a baseline must be that commit or a later one.
 """
 
 import contextlib
+import copy
 import json
 import math
 import os
@@ -108,13 +109,13 @@ def patched(module, **values):
 
 
 def fresh(system):
-    """A fresh operator of the one-panel ``system``'s matrix, which keeps
-    its coarse rule: a solve caches the norms on its operator, so every
-    timed solve gets its own."""
-    from chebfred.block_operator import DenseBlocks
-
-    matrix = system.matrix
-    return DenseBlocks(matrix.matrix, matrix.offsets, matrix.coarse)
+    """A fresh operator of the one-panel ``system``'s matrix, in whatever
+    storage it has, which keeps its coarse rule: a solve caches the norms on
+    its operator (``_sums``, in every storage since 9036b52), so every timed
+    solve gets a copy with them cleared."""
+    op = copy.copy(system.matrix)
+    op._sums = None
+    return op
 
 
 def watched_path(system):

@@ -46,6 +46,7 @@ how ``LOWRANK_MAX_RANK`` was chosen.
 """
 
 import argparse
+import dataclasses
 import json
 import statistics
 import sys
@@ -84,12 +85,13 @@ def sweep():
     import numpy as np
 
     from chebfred import schrodinger
-    from chebfred.kernel_catalog import NonlocalPotential, catalog_lookup
+    from chebfred.kernel_catalog import catalog_lookup
     from chebfred.spectral_core import cheb_grid
 
     def gaussian(alpha):
         lower = lambda p, r2: 0.1 * np.exp(-alpha * (p - r2) ** 2)
-        return NonlocalPotential(lower=lower, strength=0.1, kappa=1.0, cutoff=20.0)
+        # the separable potential's kappa = 1 and cutoff 20, with this branch
+        return dataclasses.replace(catalog_lookup("schrod_separable").potential, lower=lower)
 
     cap = schrodinger.LOWRANK_MAX_RANK
     # path -> LOWRANK_MAX_RANK at order n

@@ -129,7 +129,7 @@ def hashes():
     from chebfred.cli import run_method
     from chebfred.composite_solver import assemble_blocks, build_partition
     from chebfred.fredholm_solver import dense_solve
-    from chebfred.kernel_catalog import NonlocalPotential, catalog_lookup
+    from chebfred.kernel_catalog import catalog_lookup
     from chebfred.schrodinger import assemble
     from chebfred.spectral_core import cheb_grid
 
@@ -204,7 +204,8 @@ def hashes():
         "skewed gaussian": lambda p, r2: 0.1 * np.exp(-((p - r2) ** 2) - p / 20.0),
     }
     for label, lower in high_rank.items():
-        pot = NonlocalPotential(lower=lower, strength=0.1, kappa=1.0, cutoff=20.0)
+        # the separable potential's kappa = 1 and cutoff 20, with this branch
+        pot = dataclasses.replace(catalog_lookup("schrod_separable").potential, lower=lower)
         for n in HIGH_RANK_ORDERS:
             record(
                 f"schrodinger high-rank {label} n={n} matrix",

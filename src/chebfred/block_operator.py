@@ -50,8 +50,10 @@ __all__ = [
 ]
 
 
-def abs_sums(matrix, rows=64):
-    """Column and row sums of |A|, without an n x n temporary."""
+def abs_sums(matrix):
+    """Column and row sums of |A|, without an n x n temporary.  The rows are
+    taken 64 at a time, which fixes the summation order of the column sums."""
+    rows = 64
     cols = np.zeros(matrix.shape[1])
     row_sums = np.empty(matrix.shape[0])
     buf = np.empty((min(rows, len(matrix)), matrix.shape[1]))
@@ -90,10 +92,6 @@ class BlockOperator:
 
     def __len__(self):
         return int(self.offsets[-1])
-
-    @property
-    def shape(self):
-        return (len(self), len(self))
 
     def _span(self, panels):
         p0, p1 = panels or (0, self.panels)

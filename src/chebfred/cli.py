@@ -243,14 +243,15 @@ def run_method(problem, method: str, order: int, breakpoints=()):
 
 
 def schrodinger_error(problem: SchrodingerProblem, order: int, solutions=None) -> float:
-    """Relative sup error of an order-``order`` scattering solve: against the
-    analytic solution if the problem has one, else ``self_convergence``.
+    """Relative sup error of an order-``order`` scattering solve of the
+    problem's right-hand side: against the analytic solution if the problem
+    has one, else ``self_convergence``.
 
     ``solutions`` is passed to ``self_convergence``: a caller that keeps one
     dict across the orders of a problem solves each distinct order once.
     """
     if problem.solution is None:
-        return self_convergence(problem.potential, order, solutions=solutions)
+        return self_convergence(problem.potential, order, rhs_override=problem.rhs, solutions=solutions)
     sol = solve_schrodinger(problem.potential, order, rhs_override=problem.rhs)
     return relative_sup_error(sol.node_values, problem.solution(sol.nodes))
 

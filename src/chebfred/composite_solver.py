@@ -67,14 +67,6 @@ class Partition:
     grids: tuple  # m ChebGrid panels
 
     @property
-    def a(self) -> float:
-        return float(self.breakpoints[0])
-
-    @property
-    def b(self) -> float:
-        return float(self.breakpoints[-1])
-
-    @property
     def panels(self) -> int:
         return len(self.grids)
 

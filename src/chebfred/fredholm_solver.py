@@ -164,7 +164,7 @@ def refined_solve(op, rhs, anorm):
     if op.panels > 1 and n >= hierarchical.CROSSOVER_N:
         candidates.append((hierarchical.hierarchical_solve, np.float64))
     if op.panels == 1 and op.coarse is not None and n >= TWOGRID_CROSSOVER_N:
-        candidates.append((lambda op, anorm: twogrid_solve(op, anorm, rhs), np.float64))
+        candidates.append((lambda op, _norm: twogrid_solve(op, rhs), np.float64))
     if op.panels == 1 and n >= FLOAT32_CROSSOVER_N:
         candidates.append((float32_solve, np.float32))
     if not candidates:
@@ -213,7 +213,7 @@ def _refine(matmul, rhs, solve, anorm_inf):
     return None
 
 
-def twogrid_solve(op, anorm, rhs):
+def twogrid_solve(op, rhs):
     """(solve, rcond) from the same rule at a quarter of the order or more,
     the two-grid approximate inverse of a one-panel ``op`` that carries its
     rule (``op.coarse``), or None when the coarse rule does not resolve the
@@ -245,8 +245,8 @@ def twogrid_solve(op, anorm, rhs):
     TWOGRID_TAIL_FRACTION of them, are at most TWOGRID_TAIL times the
     largest.  The path is taken only when the coarse solution
     A_m^{-1} R y is resolved.  A coarse assembly that samples a non-finite
-    kernel value, or a coarse zero pivot, declines too.  ``anorm`` is
-    unused: ``rcond()`` is ``gecon``'s estimate for A_m from ||A_m||_1.
+    kernel value, or a coarse zero pivot, declines too.  ``rcond()`` is
+    ``gecon``'s estimate for A_m from ||A_m||_1.
     """
     n = len(op)
     coeffs = chebyshev_coefficients(rhs)

@@ -220,17 +220,15 @@ class NonlocalPotential:
     ``lower`` is the branch for p <= r', ``upper`` for p >= r'; the first
     argument of both is the integration variable p, and ``upper=None``
     makes the potential reflected: its upper branch is lower(r', p) (module
-    docstring).  ``strength`` is folded into the branch values already and
-    kept only for reporting, as are the wavenumber ``kappa``, the domain
-    cutoff ``cutoff`` (the potential is treated as negligible past it), and
-    the optional ``nonlocal_range``.  The fields are keyword-only.
+    docstring).  The coupling lam is folded into the branch values.  The
+    Schrodinger assembly reads the wavenumber ``kappa`` and solves on
+    [0, ``cutoff``], past which the potential is taken as negligible.  The
+    fields are keyword-only.
     """
 
     lower: Callable
-    strength: float
     kappa: float
     cutoff: float
-    nonlocal_range: float | None = None
     upper: Callable | None = None
 
     @property
@@ -241,7 +239,10 @@ class NonlocalPotential:
         return _checked(self.lower, p, r2, "lower potential branch")
 
     def eval_upper(self, p, r2) -> np.ndarray:
-        return _checked(self._upper, p, r2, "upper potential branch")
+        """The upper branch; a reflected potential's reads ``lower``, and
+        names that branch when it is not finite."""
+        what = "lower potential branch" if self.upper is None else "upper potential branch"
+        return _checked(self._upper, p, r2, what)
 
 
 @dataclass(frozen=True)
@@ -369,7 +370,6 @@ def _example4() -> BenchmarkProblem:
 def _schrod_separable(lam: float, kappa: float, T: float) -> SchrodingerProblem:
     potential = NonlocalPotential(
         lower=lambda p, r2: lam * np.exp(p - r2),
-        strength=lam,
         kappa=kappa,
         cutoff=T,
     )
@@ -407,13 +407,7 @@ def _schrod_pereybuck(lam: float, kappa: float, A: float, T: float) -> Schroding
         e = np.exp((p - r2) / A)
         return np.where(e == np.inf, lam, lam * e / (1.0 + e))
 
-    potential = NonlocalPotential(
-        lower=logistic,
-        strength=lam,
-        kappa=kappa,
-        cutoff=T,
-        nonlocal_range=A,
-    )
+    potential = NonlocalPotential(lower=logistic, kappa=kappa, cutoff=T)
     return SchrodingerProblem(
         name="schrod_pereybuck",
         potential=potential,

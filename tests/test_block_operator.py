@@ -91,7 +91,7 @@ def assembled(request):
 def test_materialisation_is_bitwise_the_dense_assembly(assembled):
     system, dense = assembled
     op = system.matrix
-    assert len(op) == len(dense) and op.shape == dense.shape
+    assert len(op) == len(dense) == dense.shape[1]
     assert np.array_equal(op.dense(), dense)
     off = op.offsets
     p1 = min(7, op.panels)

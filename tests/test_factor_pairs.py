@@ -161,16 +161,15 @@ def test_factored_assembly_peak_at_n_1023(name):
     assert peak <= 9.3 * 2**20
 
 
-@pytest.mark.parametrize(
-    "name, n", [("example1", 16), ("example1", ONE_ROW_BLOCK), ("example2", 16), ("example2", ONE_ROW_BLOCK)]
-)
-def test_replacing_a_branch_by_a_plain_callable_drops_the_factors(name, n):
-    # the replaced kernel is sampled by the row walk, example1's upper
-    # branch keeping its pairs and example2's reading the replaced lower
-    # branch, bitwise the whole-array formula
+@pytest.mark.parametrize("name, branch", [("example1", "k_lower"), ("example1", "k_upper"), ("example2", "k_lower")])
+@pytest.mark.parametrize("n", [16, ONE_ROW_BLOCK])
+def test_replacing_a_branch_by_a_plain_callable_drops_the_factors(name, branch, n):
+    # the replaced kernel is sampled by the row walk, the other branch of
+    # example1 keeping its pairs and example2's upper branch reading the
+    # replaced lower branch, bitwise the whole-array formula
     problem = catalog_lookup(name)
-    lower = problem.kernel.k_lower
-    kernel = dataclasses.replace(problem.kernel, k_lower=lambda t, s: lower(t, s))
+    replaced = getattr(problem.kernel, branch)
+    kernel = dataclasses.replace(problem.kernel, **{branch: lambda t, s: replaced(t, s)})
     part = build_partition(problem.a, problem.b, orders=n)
     t = part.grids[0].nodes
     assert problem.kernel.factors(t) is not None and kernel.factors(t) is None

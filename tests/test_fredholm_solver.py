@@ -114,6 +114,28 @@ def test_dense_solve_near_singular_warns():
     assert x == pytest.approx([1.0, 1.0])
 
 
+def test_a_refinement_that_keeps_contracting_gives_up_after_max_refine(monkeypatch):
+    # H^{-1} = 0.6 A^{-1} leaves 0.4 of the error after each step, so every
+    # correction is below half the last, and working accuracy is some 40
+    # steps away, past MAX_REFINE
+    rng = np.random.default_rng(7)
+    a = np.eye(40) + 0.3 * rng.standard_normal((40, 40)) / np.sqrt(40)
+    rhs = rng.standard_normal(40)
+    inverse = np.linalg.inv(a)
+    solves = []
+
+    def solve(r):
+        solves.append(r)
+        return 0.6 * (inverse @ r)
+
+    norm_inf = np.abs(a).sum(axis=1).max()
+    assert fredholm_solver._refine(lambda x: a @ x, rhs, solve, norm_inf) is None
+    assert len(solves) == 1 + fredholm_solver.MAX_REFINE
+    monkeypatch.setattr(fredholm_solver, "MAX_REFINE", 60)
+    x = fredholm_solver._refine(lambda x: a @ x, rhs, solve, norm_inf)
+    assert np.max(np.abs(a @ x - rhs)) <= 1e-14 * np.max(np.abs(rhs))
+
+
 def test_dense_solve_rejects_wrong_length_rhs():
     with pytest.raises(ValueError, match="rhs has shape"):
         dense_solve(np.eye(3), np.ones(2))

@@ -247,6 +247,85 @@ def test_zero_upper_blocks_are_given_rank_zero_from_one_row(monkeypatch):
     _assert_agrees_with_oracle(answer, dense, system.rhs, _exact_discrete_solution(dense, system.rhs))
 
 
+def _watch_compress(monkeypatch):
+    """The ranks (None for a block declined) of every ``_compress`` call, in
+    call order."""
+    compress, ranks = hierarchical._compress, []
+
+    def watched(*args):
+        factors = compress(*args)
+        ranks.append(None if factors is None else factors[0].shape[1])
+        return factors
+
+    monkeypatch.setattr(hierarchical, "_compress", watched)
+    return ranks
+
+
+def test_a_lower_block_that_does_not_compress_makes_the_root_a_leaf(monkeypatch):
+    # the upper quadrant is zero, so it compresses to rank 0, and the lower
+    # one is full rank: the root is a dense leaf, and float64 LU answers
+    matrix, offsets = _blocked_random(hierarchical.CROSSOVER_N, 4, 5)
+    half = offsets[2]
+    matrix[:half, half:] = 0.0
+    rhs = np.ones(len(matrix))
+    blocked = as_block_operator(matrix, offsets)
+    ranks = _watch_compress(monkeypatch)
+    assert refined_solve(blocked, rhs, blocked.norm1()) is None
+    assert ranks == [0, None]
+    answer = dense_solve(blocked, rhs)
+    monkeypatch.setattr(fredholm_solver, "FLOAT32_CROSSOVER_N", len(matrix) + 1)
+    _same_lu_answer(dense_solve(matrix, rhs), answer)
+
+
+def _factored_pair(width):
+    """``FactoredBlocks`` of 2 x 512 whose off-diagonal blocks are stated by
+    factors of ``width`` columns, with dyadic entries.  The two diagonal
+    blocks are one block, as in a difference kernel's system, since the
+    hierarchical tree shares one leaf between them."""
+    rng = np.random.default_rng(width)
+    size, n = 512, 1024
+    diagonal = np.tile(np.eye(size) + rng.integers(-1, 2, (size, size)) / 1024.0, (2, 1, 1))
+    lower, upper = (tuple(rng.integers(-1, 2, (n, width)) / 256.0 for _ in range(2)) for _ in range(2))
+    return FactoredBlocks(np.array([0, size, n]), diagonal, lower, upper, np.ones(n), np.ones(n))
+
+
+# by the flop model, a node of two 512 leaves with both ranks r costs more
+# than a dense LU of 1024 from r of about 233 on, below the rank cap of 256
+@pytest.mark.parametrize("width", [200, 240])
+def test_a_node_whose_update_costs_more_than_a_dense_lu_is_a_leaf(width, monkeypatch):
+    op = _factored_pair(width)
+    rhs = np.ones(len(op))
+    ranks = _watch_compress(monkeypatch)
+    root = hierarchical._build(op, 0, op.panels, hierarchical.SKETCH_TOL * op.norm1(), {})
+    assert ranks == [width, width]
+    assert isinstance(root, hierarchical._Leaf) == (width == 240)
+    answer = dense_solve(op, rhs)
+    dense = op.dense()
+    if width == 240:
+        assert refined_solve(op, rhs, op.norm1()) is None
+        monkeypatch.setattr(fredholm_solver, "FLOAT32_CROSSOVER_N", len(dense) + 1)
+        _same_lu_answer(dense_solve(dense, rhs), answer)
+    else:
+        assert refined_solve(op, rhs, op.norm1()) is not None
+        _assert_agrees_with_oracle(answer, dense, rhs, _exact_discrete_solution(dense, rhs))
+
+
+def test_a_block_diagonal_system_has_no_capacitance_matrix():
+    # every coupling is zero, rank 0, so no node has a capacitance matrix to
+    # factor, and a node's solve is its two children's
+    matrix, offsets = _blocked_random(hierarchical.CROSSOVER_N, 4, 6)
+    for j in range(4):
+        lo, hi = offsets[j], offsets[j + 1]
+        matrix[lo:hi, :lo] = matrix[lo:hi, hi:] = 0.0
+    op = as_block_operator(matrix, offsets)
+    root = hierarchical._build(op, 0, op.panels, hierarchical.SKETCH_TOL * op.norm1(), {})
+    root.factor()
+    assert root.cap is None and root.left.cap is None and root.right.cap is None
+    rhs = np.cos(np.arange(len(matrix)))
+    assert refined_solve(op, rhs, op.norm1()) is not None
+    _assert_agrees_with_oracle(dense_solve(op, rhs), matrix, rhs, _exact_discrete_solution(matrix, rhs))
+
+
 def test_singular_blocked_matrix_raises():
     system = _system("example2", 8, 127, T=T_200PI)
     matrix = system.matrix.dense()

@@ -97,6 +97,17 @@ def test_a_reflected_kernels_upper_sample_names_the_branch_it_reads():
         explicit.eval_upper(0.5, 0.0)
 
 
+def test_a_reflected_potentials_upper_sample_names_the_branch_it_reads():
+    # likewise for a potential: its upper branch is lower(r', p), so at
+    # (0.5, 0) the reflected potential reads log(0 - 0.5)
+    reflected = NonlocalPotential(lower=lambda p, r2: np.log(p - r2), kappa=1.0, cutoff=20.0)
+    with pytest.raises(KernelEvaluationError, match="^lower potential branch evaluated"):
+        reflected.eval_upper(0.5, 0.0)
+    explicit = dataclasses.replace(reflected, upper=lambda p, r2: np.log(r2 - p))
+    with pytest.raises(KernelEvaluationError, match="^upper potential branch evaluated"):
+        explicit.eval_upper(0.5, 0.0)
+
+
 def test_eval_checks_the_selected_branch_only():
     # a branch may blow up on the far side of the diagonal without harm
     k = SemismoothKernel(k_lower=lambda t, s: 1.0 / (t - s + 1e-30), k_upper=lambda t, s: t * 0 + s * 0)
@@ -178,8 +189,8 @@ def test_potential_branches_agree_on_diagonal(name):
 def test_separable_potential_record():
     problem = catalog_lookup("schrod_separable")
     pot = problem.potential
-    assert (pot.strength, pot.kappa, pot.cutoff) == (0.1, 1.0, 20.0)
-    assert pot.nonlocal_range is None
+    assert (pot.kappa, pot.cutoff) == (1.0, 20.0)
+    # the coupling lam = 0.1 is folded into the branch values
     assert pot.eval_lower(1.0, 3.0) == pytest.approx(0.1 * math.exp(-2.0))
     assert problem.solution(0.0) == pytest.approx(1.0)
     # manufactured rhs at r=0: (1 - 3 lam/4) + 3 lam/4 - 0 = 1
@@ -191,15 +202,20 @@ def test_potential_fields_are_keyword_only():
     # field order would bind every value one field off
     smooth = lambda p, r2: np.exp(-np.abs(p - r2))
     with pytest.raises(TypeError):
-        NonlocalPotential(smooth, smooth, 0.1, 1.0, 20.0)
+        NonlocalPotential(smooth, smooth, 1.0, 20.0)
 
 
 def test_pereybuck_potential_record():
     pot = catalog_lookup("schrod_pereybuck").potential
-    assert pot.nonlocal_range == 100.0
+    assert (pot.kappa, pot.cutoff) == (1.0, 20.0)
     # on the diagonal the sigmoid is exactly 1/2
     assert pot.eval_lower(2.0, 2.0) == pytest.approx(0.05)
-    assert catalog_lookup("schrod_pereybuck", A=5.0).potential.nonlocal_range == 5.0
+    # the range A shapes the sigmoid lam / (1 + exp(-(p - r') / A)): at
+    # p - r' = 2, 0.1 / (1 + e^-0.02) at the default A = 100, and
+    # 0.1 / (1 + e^-0.4) at A = 5
+    assert pot.eval_lower(3.0, 1.0) == pytest.approx(0.1 / (1.0 + math.exp(-0.02)), rel=1e-14)
+    narrow = catalog_lookup("schrod_pereybuck", A=5.0).potential
+    assert narrow.eval_lower(3.0, 1.0) == pytest.approx(0.1 / (1.0 + math.exp(-0.4)), rel=1e-14)
 
 
 @pytest.mark.parametrize("A", [100.0, 0.03, 0.02])

@@ -96,7 +96,7 @@ def test_dense_blocks_are_bitwise_the_plain_path():
 # dense products: the reflected one with V2 the transpose of V1 in row-major
 # order, which multiplies bitwise as the plain path's sampled V2
 HIGH_RANK = NonlocalPotential(
-    lower=lambda p, r2: 0.1 * np.exp(-((p - r2) ** 2) - p / 20.0), strength=0.1, kappa=1.0, cutoff=20.0
+    lower=lambda p, r2: 0.1 * np.exp(-((p - r2) ** 2) - p / 20.0), kappa=1.0, cutoff=20.0
 )
 
 
@@ -207,7 +207,7 @@ def test_replacing_the_lower_potential_branch_replaces_the_mirrored_upper_branch
     p, r2 = np.array([[0.4], [7.0]]), np.array([[1.5, 12.0, 19.0]])
     assert np.array_equal(replaced.eval_upper(p, r2), g(r2, p))
     explicit = NonlocalPotential(
-        lower=replaced.eval_lower, upper=replaced.eval_upper, strength=pot.strength, kappa=pot.kappa, cutoff=pot.cutoff
+        lower=replaced.eval_lower, upper=replaced.eval_upper, kappa=pot.kappa, cutoff=pot.cutoff
     )
     grid = cheb_grid(n, 0.0, pot.cutoff)
     _assert_bitwise_systems(replaced, explicit, grid)

@@ -48,14 +48,14 @@ HIGH_RANK_ORDERS = (32, ONE_ROW_BLOCK, 384)
 
 def _gaussian_potential(alpha, upper=None):
     lower = lambda p, r2: 0.1 * np.exp(-alpha * (p - r2) ** 2)
-    return NonlocalPotential(lower=lower, upper=upper, strength=0.1, kappa=1.0, cutoff=T_CUT)
+    return NonlocalPotential(lower=lower, upper=upper, kappa=1.0, cutoff=T_CUT)
 
 
 def _potential(name):
     if name != HIGH_RANK:
         return catalog_lookup(name).potential
     lower = lambda p, r2: 0.1 * np.exp(-((p - r2) ** 2) - p / 20.0)
-    return NonlocalPotential(lower=lower, strength=0.1, kappa=1.0, cutoff=T_CUT)
+    return NonlocalPotential(lower=lower, kappa=1.0, cutoff=T_CUT)
 
 
 def _with_high_rank(orders):
@@ -81,7 +81,7 @@ def _branches(pot, grid, rows_per_block=None):
 
 def _zero_potential():
     zero = lambda p, r2: np.zeros(np.broadcast(p, r2).shape)
-    return NonlocalPotential(lower=zero, upper=zero, strength=0.0, kappa=1.0, cutoff=T_CUT)
+    return NonlocalPotential(lower=zero, upper=zero, kappa=1.0, cutoff=T_CUT)
 
 
 @pytest.mark.parametrize("order", [16, ONE_ROW_BLOCK])
@@ -102,7 +102,7 @@ def test_zero_potential_gives_free_solution(order):
 def test_smooth_potential_has_no_splice_correction():
     # identical branches make the diagonal splice columns exactly zero
     smooth = lambda p, r2: 0.1 * np.exp(-((p - r2) ** 2) / 4.0)
-    pot = NonlocalPotential(lower=smooth, upper=smooth, strength=0.1, kappa=1.0, cutoff=T_CUT)
+    pot = NonlocalPotential(lower=smooth, upper=smooth, kappa=1.0, cutoff=T_CUT)
     grid = cheb_grid(12, 0.0, T_CUT)
     ops = build_operators(12)
     k11, k12, k21, k22 = build_kernel_matrices(pot, grid, ops)
@@ -496,7 +496,7 @@ def test_assemble_validates_grid_and_kappa():
     with pytest.raises(ValueError, match="span"):
         assemble(pot, cheb_grid(8, 0.0, 10.0))
     zero = lambda p, r2: np.zeros(np.broadcast(p, r2).shape)
-    bad = NonlocalPotential(lower=zero, upper=zero, strength=0.0, kappa=0.0, cutoff=T_CUT)
+    bad = NonlocalPotential(lower=zero, upper=zero, kappa=0.0, cutoff=T_CUT)
     with pytest.raises(ValueError, match="kappa"):
         assemble(bad, cheb_grid(8, 0.0, T_CUT))
 

@@ -12,7 +12,7 @@ from dense_oracle import lu_solve
 from chebfred import fredholm_solver, schrodinger
 from chebfred.composite_solver import assemble_blocks, build_partition
 from chebfred.fredholm_solver import RCOND_WARN, dense_solve, relative_sup_error
-from chebfred.kernel_catalog import catalog_lookup
+from chebfred.kernel_catalog import KernelEvaluationError, SemismoothKernel, catalog_lookup
 from chebfred.spectral_core import cheb_grid, chebyshev_coefficients, chebyshev_values
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
@@ -139,6 +139,25 @@ def test_a_two_grid_refinement_that_fails_returns_the_float64_lu_answer(name, or
     assert paths == ["twogrid"]
     x, rcond, _ = dense_solve(system.matrix, system.rhs)
     x_lu, rcond_lu = lu_solve(system.matrix.dense(), system.rhs)
+    assert np.array_equal(x, x_lu)
+    assert rcond == pytest.approx(rcond_lu, rel=1e-12)
+
+
+def test_a_coarse_assembly_that_samples_a_non_finite_value_declines(monkeypatch):
+    # 0.1 log|s - c| is finite at the 512 fine nodes, and -inf at the coarse
+    # node c of order 127, the rule at a quarter of the order
+    c = cheb_grid(127, -1.0, 1.0).nodes[40]
+    branch = lambda t, s: 0.1 * np.log(np.abs(s - c)) + 0.0 * t
+    kernel = SemismoothKernel(k_lower=branch, k_upper=branch)
+    system = assemble_blocks(kernel, build_partition(-1.0, 1.0, orders=511), 1.0, np.cos)
+    with pytest.raises(KernelEvaluationError):
+        system.matrix.coarse(127)
+    paths = _watch_paths(monkeypatch)
+    x, rcond, _ = dense_solve(system.matrix, system.rhs)
+    assert paths == ["declined"]
+    # bitwise the answer of the same system with the two-grid ruled out
+    monkeypatch.setattr(fredholm_solver, "TWOGRID_CROSSOVER_N", math.inf)
+    x_lu, rcond_lu, _ = dense_solve(system.matrix, system.rhs)
     assert np.array_equal(x, x_lu)
     assert rcond == pytest.approx(rcond_lu, rel=1e-12)
 
