@@ -34,7 +34,9 @@ only, so that any baseline from commit 9036b52 on runs it:
   example4 at their catalog orders;
 * the node values x of ``dense_solve`` on systems that take each of its
   paths: hierarchical (example2 at T = 200 pi, 8 x 127 and 16 x 63;
-  example4, 16 x 63), the two-grid iteration (example2, 1 x 767; example2
+  example4, 16 x 63; and a Volterra-type kernel, cos(t - s) below the
+  diagonal and 0 above it, on [0, 20] in 16 x 63, whose zero blocks take
+  the cross approximation's zero-block exit), the two-grid iteration (example2, 1 x 767; example2
   at T = 50 pi, 1 x 1023; the Perey-Buck potential, 1 x 383 and 1 x 511),
   float32 LU refined in float64 (example3, 1 x 767, which the two-grid's
   gate declines) and float64 LU (example1, 1 x 255, below the two-grid's
@@ -65,6 +67,7 @@ import math
 import pathlib
 import sys
 import tempfile
+from types import SimpleNamespace
 
 import _ab
 import numpy as np
@@ -129,7 +132,7 @@ def hashes():
     from chebfred.cli import run_method
     from chebfred.composite_solver import assemble_blocks, build_partition
     from chebfred.fredholm_solver import dense_solve
-    from chebfred.kernel_catalog import catalog_lookup
+    from chebfred.kernel_catalog import SemismoothKernel, catalog_lookup
     from chebfred.schrodinger import assemble
     from chebfred.spectral_core import cheb_grid
 
@@ -168,6 +171,14 @@ def hashes():
         problem = catalog_lookup(name, **overrides)
         part = layout(problem, panels, order)
         record(f"dense_solve x {name} {overrides} {panels}x{order}", lambda: solve(problem, part))
+    volterra = SimpleNamespace(
+        kernel=SemismoothKernel(
+            k_lower=lambda t, s: np.cos(t - s), k_upper=lambda t, s: np.zeros(np.broadcast(t, s).shape)
+        ),
+        lam=0.5, rhs=lambda t: np.ones_like(t),
+    )
+    volterra_part = build_partition(0.0, 20.0, breakpoints=tuple(np.linspace(0.0, 20.0, 17)[1:-1]), orders=63)
+    record("dense_solve x volterra cos(t - s) 16x63", lambda: solve(volterra, volterra_part))
     # the multi-panel example2 items again with plain callable branches: a
     # difference kernel whose blocks are sampled, stored as DenseBlocks
     for items, kind, compute in ((LAYOUTS, "layout", system), (SOLVES, "dense_solve x", solve)):

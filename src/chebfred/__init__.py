@@ -22,7 +22,6 @@ from .composite_solver import (
     Partition,
     assemble_blocks,
     build_partition,
-    detect_toeplitz,
     solve_composite,
     solve_partitioned,
 )

@@ -2,23 +2,23 @@
 
 A composite system is an N x N matrix cut at panel boundaries into m x m
 blocks.  ``BlockOperator`` is what the solvers read from such a matrix:
-products with A, single rows and columns of any range of panels (``row``,
-``column``), whether such a range is all zero (``is_zero``), the column and
-row sums of |A| (hence its 1- and infinity-norms), a finiteness check, and
-``dense``, which forms the square array of a range of panels only when a dense
-factorization needs it.  That array is a plain C-order copy: its transpose
-is the same memory in Fortran order, so LAPACK factors A^T in place and
-solves with A through ``trans`` (``hierarchical._lu``).  ``share_key``
-tells the hierarchical solver which panel ranges carry the same matrix, and
-``off_diagonal_factors`` gives a storage's own factors U V^T of a block off
-the diagonal, when it holds them, so that the solver compresses nothing.
+products with A, the column and row sums of |A| (hence its 1- and
+infinity-norms), a finiteness check, and ``dense``, which forms the square
+array of a range of panels only when a dense factorization needs it.  That
+array is a plain C-order copy: its transpose is the same memory in Fortran
+order, so LAPACK factors A^T in place and solves with A through ``trans``
+(``hierarchical._lu``).  ``share_key`` tells the hierarchical solver which
+panel ranges carry the same matrix.  For a block off the diagonal, a
+storage gives either its own factors U V^T (``off_diagonal_factors``), so
+that the solver compresses nothing, or the block itself as a view of its
+array (``view``), which the solver's cross approximation indexes.
 
 Two storages implement it:
 
 * ``DenseBlocks``: the array itself is the storage, and a range of panels
-  is a view of it.  It is the N x N array of a system of several panels,
-  every block written at its own nodes, or the one block of a one-panel
-  system.
+  is a view of it (``view``).  It is the N x N array of a system of
+  several panels, every block written at its own nodes, or the one block
+  of a one-panel system.
 * ``FactoredBlocks``: a difference kernel stated by factor pairs on equal
   panels.  The m diagonal blocks are stored, one (m, n, n) array, and
   every block off the diagonal is a product of the branch factors at the
@@ -32,8 +32,8 @@ Two storages implement it:
   the factors a chunk of panels at a time, and add the latter along its
   diagonal.  Ranges of the same panel count carry the same matrix up to
   the rounding of their nodes, so ``share_key`` is the panel count, and
-  refinement corrects the difference.  It reads no single rows or
-  columns: the hierarchical solver takes its stated factors.
+  refinement corrects the difference.  It has no ``view``: the
+  hierarchical solver takes its stated factors.
 
 ``as_block_operator`` wraps a plain array as ``DenseBlocks``, cut at given
 offsets or taken as one panel.
@@ -71,9 +71,8 @@ class BlockOperator:
     Panel ranges are half-open pairs ``(p0, p1)``; None means every panel.
     A storage provides ``block``, ``share_key``, ``is_finite``, ``dense``,
     ``_apply`` (the product with a 2-D operand), ``_abs_sums``, and either
-    ``off_diagonal_factors`` or ``row`` and ``column``, which read one row
-    or column of A[rows, cols], and ``is_zero``, which tells whether
-    A[rows, cols] is all zero.
+    ``off_diagonal_factors`` or ``view``, which gives A[rows, cols] as an
+    array view.
 
     ``coarse`` is None or the same rule at a lower order for a one-panel
     system: ``coarse(order)`` returns a fresh C-order array, the system
@@ -134,22 +133,13 @@ class DenseBlocks(BlockOperator):
     def share_key(self, p0, p1):
         return (p0, p1)
 
-    def _view(self, rows, cols):
-        return self.matrix[rows[2] : rows[3], cols[2] : cols[3]]
+    def view(self, rows, cols):
+        """A[rows, cols] (panel ranges), a view of the array."""
+        (*_, r0, r1), (*_, c0, c1) = self._span(rows), self._span(cols)
+        return self.matrix[r0:r1, c0:c1]
 
     def block(self, j, i):
-        return self._view(self._span((j, j + 1)), self._span((i, i + 1)))
-
-    def row(self, i, rows=None, cols=None):
-        """Row i of A[rows, cols], a view."""
-        return self._view(self._span(rows), self._span(cols))[i]
-
-    def column(self, i, rows=None, cols=None):
-        """Column i of A[rows, cols], a view."""
-        return self._view(self._span(rows), self._span(cols))[:, i]
-
-    def is_zero(self, rows=None, cols=None):
-        return not self._view(self._span(rows), self._span(cols)).any()
+        return self.view((j, j + 1), (i, i + 1))
 
     def _apply(self, x):
         return self.matrix @ x
@@ -162,8 +152,8 @@ class DenseBlocks(BlockOperator):
 
     def dense(self, p0=0, p1=None):
         """A fresh C-order copy of A[p0:p1, p0:p1] (panels; default all)."""
-        span = self._span((p0, self.panels if p1 is None else p1))
-        return np.array(self._view(span, span), order="C")
+        span = (p0, self.panels if p1 is None else p1)
+        return np.array(self.view(span, span), order="C")
 
 
 class FactoredBlocks(BlockOperator):

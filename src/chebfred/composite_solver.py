@@ -14,10 +14,9 @@ Chebyshev nodes of the first kind never touch panel endpoints.
 (``block_operator``) in one of two storages:
 
 * a difference kernel stated by factor pairs (``SemismoothKernel.factors``)
-  on several panels of equal width and order (``detect_toeplitz``) is
-  ``FactoredBlocks``: the m diagonal blocks, filled at their own panels'
-  nodes in one call, and the branch factors at all N nodes, which state
-  every block off the diagonal;
+  on several panels of equal width and order is ``FactoredBlocks``: the m
+  diagonal blocks, filled at their own panels' nodes in one call, and the
+  branch factors at all N nodes, which state every block off the diagonal;
 * otherwise every block is distinct, and the storage is ``DenseBlocks``:
   the N x N array the blocks are written into, or a one-panel system's one
   block.
@@ -54,7 +53,6 @@ __all__ = [
     "BlockOperator",
     "BlockSystem",
     "build_partition",
-    "detect_toeplitz",
     "assemble_blocks",
     "solve_composite",
     "solve_partitioned",
@@ -128,21 +126,6 @@ def build_partition(
     return Partition(breakpoints=edges, grids=grids)
 
 
-def detect_toeplitz(kernel, partition: Partition) -> bool:
-    """True when blocks repeat along diagonals: one panel, whose single block
-    depends on j - i trivially, or a difference-form kernel on panels of
-    equal width and order.  On several panels, with factor pairs, it is the
-    gate of ``FactoredBlocks``."""
-    if partition.panels == 1:
-        return True
-    if not getattr(kernel, "difference_form", False):
-        return False
-    widths = np.array([g.width for g in partition.grids])
-    if not np.allclose(widths, widths[0], rtol=1e-12, atol=0.0):
-        return False
-    return len(set(partition.orders)) == 1
-
-
 @dataclass(frozen=True)
 class BlockSystem:
     matrix: BlockOperator
@@ -172,8 +155,8 @@ def assemble_blocks(kernel, partition: Partition, lam: float, rhs) -> BlockSyste
     wraps its one block, and carries the rule at any order, for a coarse
     solve.
 
-    When ``detect_toeplitz`` holds on several panels and the kernel has
-    factor pairs, the system is stored as ``FactoredBlocks`` instead, and
+    A kernel with factor pairs and ``difference_form``, on several panels
+    of equal width and order, is stored as ``FactoredBlocks`` instead, and
     nothing is sampled: the factors are evaluated once at all N nodes,
     every diagonal block is filled from them at its own panel's nodes by
     one ``semismooth_block`` call over all panels, and the blocks off the
@@ -200,11 +183,11 @@ def assemble_blocks(kernel, partition: Partition, lam: float, rhs) -> BlockSyste
             f1, g1, f2, g2 = factors
             return semismooth_block(ops, (f1, g1), (f2, g2), scale)
 
-        def lower(rows, cols):
-            return kernel.eval_lower(t[rows, None], t[None, cols])
+        def lower(rows):
+            return kernel.eval_lower(t[rows, None], t[None, :])
 
-        def upper(rows, cols):
-            return kernel.eval_upper(t[rows, None], t[None, cols])
+        def upper(rows):
+            return kernel.eval_upper(t[rows, None], t[None, :])
 
         return semismooth_block(ops, lower, upper, scale)
 
@@ -215,7 +198,12 @@ def assemble_blocks(kernel, partition: Partition, lam: float, rhs) -> BlockSyste
 
     m = len(grids)
     nodes = np.concatenate([g.nodes for g in grids])
-    factors = kernel.factors(nodes) if m > 1 and detect_toeplitz(kernel, partition) else None
+    widths = np.array([g.width for g in grids])
+    factored = (
+        m > 1 and kernel.difference_form and len(set(partition.orders)) == 1
+        and np.allclose(widths, widths[0], rtol=1e-12, atol=0.0)
+    )
+    factors = kernel.factors(nodes) if factored else None
     if factors is not None:
         # every diagonal block filled at its own panel's nodes, in one call
         n1 = offsets[1]

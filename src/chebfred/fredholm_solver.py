@@ -305,9 +305,8 @@ def float32_solve(op, anorm):
 def semismooth_block(ops: SpectralOperators, lower, upper, scale: float) -> np.ndarray:
     """I + scale * (W o K1 + V o K2), the one-panel semismooth system matrix.
 
-    ``lower(rows, cols)`` and ``upper(rows, cols)`` return the branch
-    samples K1 and K2 on the given slices of rows and columns; the block
-    asks for a slice of rows and every column.  With W = a + B and
+    ``lower(rows)`` and ``upper(rows)`` return the branch samples K1 and
+    K2 on the given slice of rows, every column.  With W = a + B and
     V = c - B (``spectral_core``), the sum is formed as
     K1 o a + K2 o c + (K1 - K2) o B, so W and V are never built.  Neither
     is B, nor a whole branch sample: the block is formed ROW_BLOCK_ENTRIES
@@ -355,10 +354,9 @@ def semismooth_block(ops: SpectralOperators, lower, upper, scale: float) -> np.n
     row_sums = np.zeros(n1) if __debug__ else None
     rows_per_block = max(1, ROW_BLOCK_ENTRIES // n1)
     scratch = np.empty((min(rows_per_block, n1), n1))
-    every = slice(0, n1)
 
     def sampled(sampler, rows):
-        k = np.asarray(sampler(rows, every), dtype=float)
+        k = np.asarray(sampler(rows), dtype=float)
         shape = (rows.stop - rows.start, n1)
         if k.shape != shape:
             raise ValueError(f"shape mismatch {shape} vs {k.shape} in rows {rows.start}:{rows.stop}")

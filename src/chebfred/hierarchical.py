@@ -19,8 +19,8 @@ The matrix is a ``BlockOperator``, and the solver forms no N x N array of
 its own.  A storage that holds an off-diagonal block as factors
 (``BlockOperator.off_diagonal_factors``, the factor pairs of
 ``FactoredBlocks``) gives them as the compression, with no QR or SVD.
-Otherwise compression reads the block a row and a column at a time
-(``BlockOperator.row``, ``column``).  A leaf forms only its own diagonal
+Otherwise compression reads the block a row and a column at a time from
+its view (``BlockOperator.view``).  A leaf forms only its own diagonal
 part, when it is factored.  Nodes are memoised by
 ``BlockOperator.share_key``.  Under ``FactoredBlocks`` every range of the
 same number of panels carries the same matrix up to the rounding of its
@@ -225,17 +225,16 @@ def _compress(op, rows, cols, tol):
     The block is A[rows, cols] (panel ranges) of the BlockOperator ``op``.
     When the storage holds it as factors (``op.off_diagonal_factors``),
     they are the answer, or None when they have more columns than half the
-    block's smaller side.  Otherwise the block is read one row and one
-    column at a time by partial-pivot cross
-    approximation: each step takes the residual of the next row, pivots on
-    its entry of largest magnitude, reads the residual of the pivot's
-    column, and adds the cross through the pivot, which zeroes that row and
-    column of the residual.  The next row is the one where the new column
-    is largest among the rows not yet used; a row whose residual is zero
-    moves on to the first such row, unless it is the first row read and
-    the storage finds the whole block zero (rank 0).  The steps stop once a
-    cross is no larger than tol in the Frobenius norm, or once every row is
-    used.  The crosses are then recompressed: a QR of each factor, an SVD of
+    block's smaller side.  Otherwise the block's view (``op.view``) is read
+    one row and one column at a time by partial-pivot cross approximation:
+    each step takes the residual of the next row, pivots on its entry of
+    largest magnitude, reads the residual of the pivot's column, and adds
+    the cross through the pivot, which zeroes that row and column of the
+    residual.  The next row is the one where the new column is largest
+    among the rows not yet used; a row whose residual is zero moves on to
+    the first such row, unless it is the first row read and the whole
+    block is zero (rank 0).  The steps stop once a cross is no larger than
+    tol in the Frobenius norm, or once every row is used.  The crosses are then recompressed: a QR of each factor, an SVD of
     the small core, and truncation of its singular values at tol.
     """
     off = op.offsets
@@ -244,18 +243,19 @@ def _compress(op, rows, cols, tol):
     stated = op.off_diagonal_factors(rows, cols)
     if stated is not None:
         return None if stated[0].shape[1] > max_rank else stated
+    block = op.view(rows, cols)
     # the crosses' columns and rows, one per row of us and vs, grown by doubling
     us, vs = np.empty((8, m)), np.empty((8, n))
     unused = np.ones(m, dtype=bool)
     rank, i = 0, 0
     while True:
         unused[i] = False
-        residual = op.row(i, rows, cols) - us[:rank, i] @ vs[:rank]
+        residual = block[i] - us[:rank, i] @ vs[:rank]
         j = int(np.argmax(np.abs(residual)))
         if residual[j] == 0.0:
             # a zero row says nothing of the rows not yet read, but a zero
             # first row makes it worth one look at the whole block
-            if not unused.any() or (i == 0 and op.is_zero(rows, cols)):
+            if not unused.any() or (i == 0 and not block.any()):
                 break
             i = int(np.argmax(unused))
             continue
@@ -263,7 +263,7 @@ def _compress(op, rows, cols, tol):
             return None
         if rank == len(us):
             us, vs = np.concatenate([us, np.empty_like(us)]), np.concatenate([vs, np.empty_like(vs)])
-        u = us[rank] = op.column(j, rows, cols) - vs[:rank, j] @ us[:rank]
+        u = us[rank] = block[:, j] - vs[:rank, j] @ us[:rank]
         v = vs[rank] = residual / residual[j]
         rank += 1
         if (u @ u) * (v @ v) <= tol * tol or not unused.any():

@@ -132,10 +132,10 @@ class SemismoothKernel:
     k_lower(s, t) (module docstring).  ``singular_points`` lists diagonal
     points c where the kernel blows up at (c, c); ``boundary_singular``
     flags branches unbounded on the square's boundary.  ``difference_form``
-    marks kernels of the form k(|t-s|), which make uniform equal-order
-    partitions block-Toeplitz; only a kernel stated by factor pairs uses
-    it, to be stored as its factors (``composite_solver.assemble_blocks``),
-    and on plain callables it changes nothing.
+    marks kernels of the form k(|t-s|): stated by factor pairs on several
+    panels of equal width and order, such a kernel is stored as its factors
+    (``composite_solver.assemble_blocks``); on plain callables it changes
+    nothing.
     """
 
     k_lower: Callable  # branch for s <= t

@@ -238,8 +238,8 @@ def _factored_branches(ops: SpectralOperators, x1, y1, x2, y2, half_t, sin_t, co
     cos o X2], formed by row blocks of B, gives W (sin o X) and V (cos o X)
     for X = [X1, X2], and from them (T/2) M X1, (T/2) M X2 and the splice
     diagonals, each held by rows as the factors are.  A sampler answers
-    (rows, cols) with one product of the left factor's rows and the right
-    factor's columns."""
+    ``rows`` with one product of the left factor's rows and the whole right
+    factor."""
     n1 = ops.order + 1
     r = len(x1)
     z = np.vstack((x1 * sin_t, x2 * sin_t, x1 * cos_t, x2 * cos_t))
@@ -260,14 +260,14 @@ def _factored_branches(ops: SpectralOperators, x1, y1, x2, y2, half_t, sin_t, co
     left1, right1 = np.vstack((p[r:], cos_t)), np.vstack((y2, d))
     left2, right2 = np.vstack((p[:r], sin_t)), np.vstack((y1, e))
     return (
-        lambda rows, cols: left1[:, rows].T @ right1[:, cols],
-        lambda rows, cols: left2[:, rows].T @ right2[:, cols],
+        lambda rows: left1[:, rows].T @ right1,
+        lambda rows: left2[:, rows].T @ right2,
     )
 
 
 def _branch_samplers(potential: NonlocalPotential, grid: ChebGrid, ops: SpectralOperators):
-    """Samplers of the spliced branches K1 and K2, ``sample(rows, cols)``
-    on slices of rows and columns.
+    """Samplers of the spliced branches K1 and K2, ``sample(rows)`` giving
+    the rows asked for, every column.
 
     V1 is sampled once, and V2 only for a potential with an explicit upper
     branch.  V1 and V2^T are factored (``_cross_factors``), and a reflected
@@ -289,7 +289,7 @@ def _branch_samplers(potential: NonlocalPotential, grid: ChebGrid, ops: Spectral
         return _factored_branches(ops, *f1, f2[1], f2[0], half_t, sin_t, cos_t)
     v2 = np.ascontiguousarray(v1.T) if v2 is None else v2
     k1, k2 = _spliced_branches(ops, v1, v2, half_t, sin_t, cos_t)
-    return (lambda rows, cols: k1[rows, cols]), (lambda rows, cols: k2[rows, cols])
+    return (lambda rows: k1[rows]), (lambda rows: k2[rows])
 
 
 def _spliced_block(potential: NonlocalPotential, grid: ChebGrid):
@@ -314,8 +314,8 @@ def _rows_resolved(samplers, n1: int) -> bool:
     one request per branch and transformed one at a time, stopping at the
     first that is not resolved.
     """
-    picked, every, m = [0, n1 // 2, n1 - 1], slice(0, n1), -(-n1 // 4)
-    rows = np.vstack([sample(picked, every) for sample in samplers])
+    picked, m = [0, n1 // 2, n1 - 1], -(-n1 // 4)
+    rows = np.vstack([sample(picked) for sample in samplers])
     sizes = (np.abs(chebyshev_coefficients(row)) for row in rows)
     return all(size[m:].max() <= fredholm_solver.TWOGRID_TAIL * size.max() for size in sizes)
 

@@ -114,9 +114,9 @@ def integration_matrices(ops):
 
 
 def slice_sampler(k):
-    """The sampler ``fredholm_solver.semismooth_block`` reads, taking
-    (rows, cols) slices of a whole branch sample ``k``."""
-    return lambda rows, cols: k[rows, cols]
+    """The sampler ``fredholm_solver.semismooth_block`` reads, taking a
+    slice of rows of a whole branch sample ``k``."""
+    return lambda rows: k[rows]
 
 
 def unreflected(branches):
@@ -165,16 +165,14 @@ def hadamard_matrix(potential, grid, ops, kernel_matrices):
 def whole_branches(samplers, n1, rows_per_block=None):
     """K1 and K2 of a Schrodinger system on ``n1`` nodes in full, read
     through its ``samplers`` (``schrodinger._branch_samplers``): every row
-    at once, or stacked from requests of ``rows_per_block`` rows and every
-    column each.
+    at once, or stacked from requests of ``rows_per_block`` rows each.
 
     A sampler may round an entry by the rows it is asked among, so a test
     that compares bitwise with ``semismooth_block`` asks for its row blocks:
     ``max(1, ROW_BLOCK_ENTRIES // (n + 1))`` rows each."""
-    every = slice(0, n1)
     step = n1 if rows_per_block is None else rows_per_block
     blocks = [slice(start, min(start + step, n1)) for start in range(0, n1, step)]
-    return tuple(np.vstack([sample(rows, every) for rows in blocks]) for sample in samplers)
+    return tuple(np.vstack([sample(rows) for rows in blocks]) for sample in samplers)
 
 
 def record_branch_calls(monkeypatch, cls, calls):

@@ -111,7 +111,7 @@ def test_products_match_the_dense_products(assembled):
         assert np.max(np.abs(got - dense @ x)) <= scale * np.max(np.abs(x))
 
 
-def test_row_and_column_readers_are_slices_of_the_dense_matrix(assembled):
+def test_view_is_the_slice_of_the_dense_matrix(assembled):
     system, dense = assembled
     op, off, m = system.matrix, system.matrix.offsets, system.matrix.panels
     # whole, halves, unequal panel counts on either side, and one panel
@@ -119,17 +119,12 @@ def test_row_and_column_readers_are_slices_of_the_dense_matrix(assembled):
                        ((0, 1), (1, m)), ((1, m), (0, 1)), ((m - 1, m), (m - 1, m)),
                        ((m - 3, m), (1, m - 2))):
         block = dense[off[rows[0]] : off[rows[1]], off[cols[0]] : off[cols[1]]]
-        if block.size == 0:
-            continue
-        # every panel's first and last row or column, and every 7th
-        for read, (p0, p1), lines in ((op.row, rows, block), (op.column, cols, block.T)):
-            first, last = off[p0:p1] - off[p0], off[p0 + 1 : p1 + 1] - off[p0] - 1
-            for i in {*first, *last, *range(0, len(lines), 7)}:
-                assert np.array_equal(read(i, rows, cols), lines[i])
-    assert np.array_equal(op.row(5), dense[5]) and np.array_equal(op.column(5), dense[:, 5])
+        view = op.view(rows, cols)
+        assert view.shape == block.shape and np.array_equal(view, block)
+        assert view.size == 0 or np.shares_memory(view, op.matrix)
 
 
-def test_is_zero_reads_the_dense_block():
+def test_compression_gives_rank_zero_exactly_on_the_zero_blocks():
     # 5 panels of 3: the blocks above the diagonal are zero but for one
     # entry of each block (j, j + 2), which every range crossing it must find
     rng = np.random.default_rng(7)
@@ -137,11 +132,14 @@ def test_is_zero_reads_the_dense_block():
     for j in range(3):
         dense[3 * j + 1, 3 * j + 8] = -0.5
     op = as_block_operator(dense, np.arange(0, 16, 3))
+    ranks = {}
     for rows in itertools.combinations(range(6), 2):
         for cols in itertools.combinations(range(6), 2):
             block = dense[3 * rows[0] : 3 * rows[1], 3 * cols[0] : 3 * cols[1]]
-            assert op.is_zero(rows, cols) == (not block.any())
-    assert op.is_zero((0, 2), (2, 5)) is False and op.is_zero((0, 1), (3, 5)) is True
+            factors = hierarchical._compress(op, rows, cols, 1e-12)
+            ranks[rows, cols] = None if factors is None else factors[0].shape[1]
+            assert (ranks[rows, cols] == 0) == (not block.any()), (rows, cols)
+    assert ranks[(0, 2), (2, 5)] != 0 and ranks[(0, 1), (3, 5)] == 0
 
 
 def test_norms_match_numpy(assembled):

@@ -124,6 +124,14 @@ def test_composite_method_with_panels(capsys):
         ["schrodinger", "--problem", "schrod_pereybuck", "--n", "8", "--method", "schur"],
         ["schrodinger", "--problem", "schrod_separable", "--n", "8", "--panels", "2"],
         ["schrodinger", "--problem", "schrod_separable", "--n", "8", "--breakpoints", "3"],
+        # an empty method list, an unknown method, a negative order, no
+        # panels, an unknown format and an unreadable config file
+        ["solve", "--problem", "example1", "--n", "8", "--method", ","],
+        ["solve", "--problem", "example1", "--n", "8", "--method", "foo"],
+        ["solve", "--problem", "example1", "--n", "-1"],
+        ["solve", "--problem", "example2", "--method", "composite", "--panels", "0", "--n", "8"],
+        ["solve", "--problem", "example1", "--n", "8", "--format", "xml"],
+        ["solve", "--config", "/nonexistent/run.json"],
     ],
 )
 def test_configuration_errors_exit_2(argv, capsys):
@@ -183,7 +191,9 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert cli.main(["solve", "--config", str(cfg)]) == 2
     cfg.write_text("{not json")
     assert cli.main(["solve", "--config", str(cfg)]) == 2
-    capsys.readouterr()
+    cfg.write_text(json.dumps([{"problem": "example1"}]))
+    assert cli.main(["solve", "--config", str(cfg)]) == 2
+    assert "must hold a JSON object" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -283,13 +293,28 @@ def test_mismatched_method_and_problem_exit_3(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_solver_failure_exits_4(monkeypatch, capsys):
-    def boom(*args, **kwargs):
-        raise SingularMatrixError("synthetic failure")
+def _singular(*args, **kwargs):
+    raise SingularMatrixError("synthetic failure")
 
-    monkeypatch.setattr(cli, "solve_fredholm", boom)
-    assert cli.main(["solve", "--problem", "example1", "--n", "8"]) == 4
-    assert "synthetic failure" in capsys.readouterr().err
+
+@pytest.mark.parametrize(("argv", "name", "failure", "message"), [
+    (["solve", "--problem", "example1", "--n", "8"], "solve_fredholm", _singular, "synthetic failure"),
+    # a table row whose error is not finite
+    (["solve", "--problem", "example1", "--n", "8"], "relative_sup_error", lambda *args: np.nan,
+     "schur on example1 at n=8 gave a non-finite error"),
+    (["schrodinger", "--problem", "schrod_separable", "--n", "8"], "schrodinger_error", lambda *args: np.nan,
+     "schrod_separable at n=8 gave a non-finite error"),
+], ids=["singular", "nan-solve-row", "nan-schrodinger-row"])
+def test_solver_failure_exits_4(argv, name, failure, message, monkeypatch, capsys):
+    monkeypatch.setattr(cli, name, failure)
+    assert cli.main(argv) == 4
+    assert message in capsys.readouterr().err
+
+
+def test_run_method_rejects_an_unknown_method():
+    # the CLI checks its method list first, so only a library call gets here
+    with pytest.raises(cli.ConfigError, match="unknown method 'foo'"):
+        cli.run_method(catalog_lookup("example1"), "foo", 8)
 
 
 def test_kernel_failure_in_a_late_row_block_exits_4(monkeypatch, capsys):

@@ -8,11 +8,10 @@ import pytest
 from dense_oracle import integration_matrices, plain, record_branch_calls, semismooth_block_reference, unreflected
 
 from chebfred import fredholm_solver
-from chebfred.block_operator import DenseBlocks
+from chebfred.block_operator import DenseBlocks, FactoredBlocks
 from chebfred.composite_solver import (
     assemble_blocks,
     build_partition,
-    detect_toeplitz,
     solve_composite,
     solve_partitioned,
 )
@@ -129,28 +128,27 @@ def test_evaluate_across_panels():
     assert np.max(np.abs(sol.evaluate(probes) - problem.solution(probes))) < 1e-10
 
 
-class TestToeplitzDetection:
+class TestFactoredStorage:
+    """A difference kernel stated by factor pairs is stored as its factors
+    only on several panels of equal width and order."""
+
+    @staticmethod
+    def _storage(name, breakpoints, orders):
+        problem = catalog_lookup(name)
+        part = build_partition(problem.a, problem.b, breakpoints=breakpoints, orders=orders)
+        return type(assemble_blocks(problem.kernel, part, problem.lam, problem.rhs).matrix)
+
     def test_difference_kernel_uniform_panels(self):
-        problem = catalog_lookup("example2")
-        part = build_partition(problem.a, problem.b, breakpoints=(problem.b / 2,), orders=8)
-        assert detect_toeplitz(problem.kernel, part)
+        assert self._storage("example2", (catalog_lookup("example2").b / 2,), 8) is FactoredBlocks
 
-    def test_unequal_widths_disable_reuse(self):
-        problem = catalog_lookup("example2")
-        part = build_partition(problem.a, problem.b, breakpoints=(problem.b / 3,), orders=8)
-        assert not detect_toeplitz(problem.kernel, part)
+    def test_unequal_widths_disable_factors(self):
+        assert self._storage("example2", (catalog_lookup("example2").b / 3,), 8) is DenseBlocks
 
-    def test_unequal_orders_disable_reuse(self):
-        problem = catalog_lookup("example2")
-        part = build_partition(
-            problem.a, problem.b, breakpoints=(problem.b / 2,), orders=(8, 12)
-        )
-        assert not detect_toeplitz(problem.kernel, part)
+    def test_unequal_orders_disable_factors(self):
+        assert self._storage("example2", (catalog_lookup("example2").b / 2,), (8, 12)) is DenseBlocks
 
-    def test_general_kernel_never_reused(self):
-        problem = catalog_lookup("example1")
-        part = build_partition(problem.a, problem.b, breakpoints=(0.0,), orders=8)
-        assert not detect_toeplitz(problem.kernel, part)
+    def test_general_kernel_never_factored(self):
+        assert self._storage("example1", (0.0,), 8) is DenseBlocks
 
 
 @pytest.mark.parametrize("panels, order", [(8, 127), (32, 63)])
@@ -328,6 +326,10 @@ def test_nan_in_one_off_diagonal_panel_of_a_row_raises():
         problem.kernel,
         k_upper=lambda t, s: np.where((t < edges[1]) & (s > edges[3]), np.nan, lower(s, t)),
     )
-    assert not detect_toeplitz(kernel, part)
+    # the same kernel with the NaN made finite is assembled as DenseBlocks
+    finite = dataclasses.replace(
+        kernel, k_upper=lambda t, s: np.where((t < edges[1]) & (s > edges[3]), 0.0, lower(s, t))
+    )
+    assert isinstance(assemble_blocks(finite, part, problem.lam, problem.rhs).matrix, DenseBlocks)
     with pytest.raises(KernelEvaluationError, match="upper kernel branch"):
         assemble_blocks(kernel, part, problem.lam, problem.rhs)

@@ -227,9 +227,9 @@ def test_semismooth_block_is_bitwise_the_whole_array_formula(monkeypatch, entrie
     reference = semismooth_block_reference(build_operators(n), k1, k2, 0.37)
     sampled = []
 
-    def lower(rows, cols):
+    def lower(rows):
         sampled.append((rows.start, rows.stop))
-        return k1[rows, cols]
+        return k1[rows]
 
     assert np.array_equal(semismooth_block(ops, lower, slice_sampler(k2), 0.37), reference)
     assert all(np.ndim(value) <= 1 for value in vars(ops).values())
@@ -264,21 +264,21 @@ def test_semismooth_block_rejects_mismatched_shapes(monkeypatch):
     good = np.ones((5, 5))
     for bad in (np.ones((5, 4)), np.ones((4, 4)), np.ones(5)):
         with pytest.raises(ValueError, match="shape mismatch"):
-            semismooth_block(ops, lambda rows, cols: bad, slice_sampler(good), 1.0)
+            semismooth_block(ops, lambda rows: bad, slice_sampler(good), 1.0)
         with pytest.raises(ValueError, match="shape mismatch"):
-            semismooth_block(ops, slice_sampler(good), lambda rows, cols: bad, 1.0)
+            semismooth_block(ops, slice_sampler(good), lambda rows: bad, 1.0)
     # rows of the wrong shape in one row block only: 2 rows per block here,
     # and the sampler returns the rows asked for everywhere but in rows 2..3
     monkeypatch.setattr(fredholm_solver, "ROW_BLOCK_ENTRIES", 10)
 
-    def one_bad_block(rows, cols):
-        return good[rows.start : rows.stop + (rows.start == 2), cols]
+    def one_bad_block(rows):
+        return good[rows.start : rows.stop + (rows.start == 2)]
 
     with pytest.raises(ValueError, match=r"shape mismatch \(2, 5\) vs \(3, 5\) in rows 2:4"):
         semismooth_block(ops, slice_sampler(good), one_bad_block, 1.0)
     # a sampler that returns the whole sample, not the rows it was asked for
     with pytest.raises(ValueError, match=r"shape mismatch \(2, 5\) vs \(5, 5\) in rows 0:2"):
-        semismooth_block(ops, lambda rows, cols: good, slice_sampler(good), 1.0)
+        semismooth_block(ops, lambda rows: good, slice_sampler(good), 1.0)
 
 
 def _capture_operators(monkeypatch, module):

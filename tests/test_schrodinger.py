@@ -306,8 +306,8 @@ def test_catalog_potentials_take_the_factored_path(monkeypatch):
 @pytest.mark.parametrize("order", [ONE_ROW_BLOCK, 384])
 @pytest.mark.parametrize("name", ["schrod_pereybuck", "schrod_separable"])
 def test_samplers_match_the_reference_whichever_rows_are_asked(name, order):
-    """Single rows, runs across row blocks and column ranges of K1 and K2
-    agree with the K11..K22 reference within the bound of
+    """Single rows and runs across row blocks of K1 and K2 agree with the
+    K11..K22 reference within the bound of
     ``test_assemble_samples_each_branch_once``.  They are not bitwise the
     whole arrays' entries: a BLAS product rounds a row by the request it
     lies in."""
@@ -315,12 +315,10 @@ def test_samplers_match_the_reference_whichever_rows_are_asked(name, order):
     grid = cheb_grid(order, 0.0, pot.cutoff)
     samplers = schrodinger._branch_samplers(pot, grid, build_operators(order))
     references, term_scale = _reference_branches(pot, grid)
-    every = slice(0, order + 1)
-    asked = [(slice(i, i + 1), every) for i in (0, 1, 57, order)]
-    asked += [(slice(3, order - 2), every), (slice(40, 130), slice(7, 91)), (slice(order, order + 1), slice(0, 1))]
+    asked = [slice(i, i + 1) for i in (0, 1, 57, order)] + [slice(3, order - 2)]
     for sample, ref in zip(samplers, references):
-        for rows, cols in asked:
-            assert np.max(np.abs(sample(rows, cols) - ref[rows, cols])) <= 1e-13 * term_scale, (rows, cols)
+        for rows in asked:
+            assert np.max(np.abs(sample(rows) - ref[rows])) <= 1e-13 * term_scale, rows
 
 
 @pytest.mark.parametrize("order", HIGH_RANK_ORDERS)

@@ -27,6 +27,7 @@ from chebfred.spectral_core import (
     chebyshev_coefficients,
     chebyshev_eval,
     chebyshev_nodes,
+    chebyshev_values,
 )
 
 
@@ -173,6 +174,12 @@ def test_coefficients_reject_wrong_length():
         chebyshev_coefficients(np.ones((2, 2)))
     with pytest.raises(ValueError):
         chebyshev_coefficients(np.ones(0))
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        chebyshev_nodes(-1)
+    # no coefficients, more than order + 1, and an array that is not 1-D
+    for coeffs in (np.ones(0), np.ones(6), np.ones((2, 2))):
+        with pytest.raises(ValueError, match="need 1 to 5 coefficients"):
+            chebyshev_values(coeffs, 4)
 
 
 def test_operators_hold_only_vectors_after_assembly(monkeypatch):
