@@ -36,7 +36,10 @@ only, so that any baseline from commit 9036b52 on runs it:
   paths: hierarchical (example2 at T = 200 pi, 8 x 127 and 16 x 63;
   example4, 16 x 63; and a Volterra-type kernel, cos(t - s) below the
   diagonal and 0 above it, on [0, 20] in 16 x 63, whose zero blocks take
-  the cross approximation's zero-block exit), the two-grid iteration (example2, 1 x 767; example2
+  the cross approximation's zero-block exit), the hierarchical refinement
+  stagnating and handing over to float64 LU (example4, 8 x 511, whose
+  stagnated iterate reads 15.6 eps of backward error and 9.3e-5 of error,
+  where ``BERR_EPS`` is 8), the two-grid iteration (example2, 1 x 767; example2
   at T = 50 pi, 1 x 1023; the Perey-Buck potential, 1 x 383 and 1 x 511),
   float32 LU refined in float64 (example3, 1 x 767, which the two-grid's
   gate declines) and float64 LU (example1, 1 x 255, below the two-grid's
@@ -95,6 +98,7 @@ SOLVES = (
     ("example2", {"T": 200 * math.pi}, 8, 127),
     ("example2", {"T": 200 * math.pi}, 16, 63),
     ("example4", {}, 16, 63),
+    ("example4", {}, 8, 511),
     ("example2", {}, 1, 767),
     ("example2", {"T": 50 * math.pi}, 1, 1023),
     ("example3", {}, 1, 767),

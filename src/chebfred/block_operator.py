@@ -35,8 +35,7 @@ Two storages implement it:
   refinement corrects the difference.  It has no ``view``: the
   hierarchical solver takes its stated factors.
 
-``as_block_operator`` wraps a plain array as ``DenseBlocks``, cut at given
-offsets or taken as one panel.
+``as_block_operator`` takes a plain array as one panel of ``DenseBlocks``.
 """
 
 from __future__ import annotations
@@ -284,14 +283,13 @@ class FactoredBlocks(BlockOperator):
         return out
 
 
-def as_block_operator(matrix, offsets=None):
-    """``matrix`` itself if it is a BlockOperator, else the array cut at
-    ``offsets`` (default: one panel)."""
+def as_block_operator(matrix):
+    """``matrix`` itself if it is a BlockOperator, else the array as one
+    panel; an array that is not square, or is empty, raises ValueError."""
     if isinstance(matrix, BlockOperator):
         return matrix
     matrix = np.asarray(matrix, dtype=float)
     n = len(matrix)
-    off = np.asarray((0, n) if offsets is None else offsets, dtype=int)
-    if matrix.shape != (n, n) or off[0] != 0 or off[-1] != n or np.any(np.diff(off) <= 0):
-        raise ValueError(f"offsets {off.tolist()} do not cut a square {matrix.shape} matrix")
-    return DenseBlocks(matrix, off)
+    if n == 0 or matrix.shape != (n, n):
+        raise ValueError(f"a {matrix.shape} array is not one square panel")
+    return DenseBlocks(matrix, (0, n))

@@ -39,6 +39,7 @@ array; ``dense_solve`` says which path runs when.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,10 +64,6 @@ __all__ = [
 class Partition:
     breakpoints: np.ndarray  # m+1 ascending edges, including both endpoints
     grids: tuple  # m ChebGrid panels
-
-    @property
-    def panels(self) -> int:
-        return len(self.grids)
 
     @property
     def orders(self) -> tuple:
@@ -168,12 +165,7 @@ def assemble_blocks(kernel, partition: Partition, lam: float, rhs) -> BlockSyste
     grids = partition.grids
     offsets = partition.offsets
     total = offsets[-1]
-    ops_cache = {}
-
-    def operators(order):
-        if order not in ops_cache:
-            ops_cache[order] = build_operators(order)
-        return ops_cache[order]
+    operators = functools.cache(build_operators)
 
     def diagonal(g):
         t = g.nodes

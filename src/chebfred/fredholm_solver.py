@@ -151,33 +151,29 @@ def refined_solve(op, rhs, anorm):
     """(x, rcond) from the refined path that ``dense_solve`` picks for the
     ``BlockOperator`` ``op``, or None to solve by float64 LU.
 
-    ``anorm`` is ||A||_1.  Each candidate builder gets it in the builder's
-    working precision and returns an approximate inverse, which ``_refine``
-    refines against A, or declines, and then the next candidate is tried.
-    None follows when no candidate applies or all decline, when the norm is
-    not finite in a candidate's precision, when a builder hits a zero
+    ``anorm`` is ||A||_1.  Each candidate builder returns an approximate
+    inverse, which ``_refine`` refines against A, or declines, and then the
+    next candidate is tried.  None follows when no candidate applies or all
+    decline, when ``anorm`` is not finite, when a builder hits a zero
     pivot, and when refinement does not reach working accuracy.  rcond is
     the builder's estimate, made only after refinement converged.
     """
     n = len(op)
     candidates = []
     if op.panels > 1 and n >= hierarchical.CROSSOVER_N:
-        candidates.append((hierarchical.hierarchical_solve, np.float64))
+        candidates.append(lambda: hierarchical.hierarchical_solve(op, anorm))
     if op.panels == 1 and op.coarse is not None and n >= TWOGRID_CROSSOVER_N:
-        candidates.append((lambda op, _norm: twogrid_solve(op, rhs), np.float64))
+        candidates.append(lambda: twogrid_solve(op, rhs))
     if op.panels == 1 and n >= FLOAT32_CROSSOVER_N:
-        candidates.append((float32_solve, np.float32))
-    if not candidates:
+        candidates.append(lambda: float32_solve(op, anorm))
+    if not (candidates and np.isfinite(anorm)):
         return None
     # overflow, an inf from a float32-subnormal pivot, or a zero pivot
     # anywhere hands the system back to float64 LU
     with np.errstate(all="ignore"):
-        for build, precision in candidates:
-            norm = precision(anorm)
-            if not np.isfinite(norm):
-                return None
+        for build in candidates:
             try:
-                built = build(op, norm)
+                built = build()
                 if built is None:
                     continue
                 solve, rcond = built
@@ -281,17 +277,22 @@ def float32_solve(op, anorm):
     approximate inverse that ``refined_solve`` refines in float64
     (Langou et al., SC 2006; Carson & Higham, SIAM J. Sci. Comput. 2018).
 
-    ``anorm`` is ||A||_1 in float32, finite, so no entry, which it bounds,
-    overflows the cast.  ``hierarchical._lu`` factors a float32 copy of the
-    panel's stored block with ``sgetrf``, and the residual reads the stored
-    block, so the path makes no N x N float64 copy.  Single-precision LU takes about half the time and half the
-    memory of double, and a second-kind system converges in a few steps,
-    given rcond well above float32's eps, 6e-8.  Each right-hand side of an
-    inner ``sgetrs`` solve is scaled by a power of two near its max-norm
-    before its cast, so it neither overflows nor underflows, and the result
-    is scaled back exactly.  ``rcond()`` is ``sgecon``'s estimate from the
-    float32 factors.  A zero pivot raises ``LinAlgError``.
+    ``anorm`` is ||A||_1, cast to float32; when the cast overflows, so may
+    an entry, which it bounds, and the path declines: None.  Otherwise
+    ``hierarchical._lu`` factors a float32 copy of the panel's stored block
+    with ``sgetrf``, and the residual reads the stored block, so the path
+    makes no N x N float64 copy.  Single-precision LU takes about half the
+    time and half the memory of double, and a second-kind system converges
+    in a few steps, given rcond well above float32's eps, 6e-8.  Each
+    right-hand side of an inner ``sgetrs`` solve is scaled by a power of two
+    near its max-norm before its cast, so it neither overflows nor
+    underflows, and the result is scaled back exactly.  ``rcond()`` is
+    ``sgecon``'s estimate from the float32 factors.  A zero pivot raises
+    ``LinAlgError``.
     """
+    anorm = np.float32(anorm)
+    if not np.isfinite(anorm):
+        return None
     lu, piv = _lu(np.array(op.block(0, 0), dtype=np.float32, order="C"), _flapack.sgetrf)
 
     def solve(b):

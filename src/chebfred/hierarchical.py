@@ -12,8 +12,9 @@ formula on top of its two children:
 
 with one small LU of the capacitance matrix C per node and a dense LU per
 leaf (Martinsson & Rokhlin, JCP 2005; Ambikasaran & Darve, J. Sci. Comput.
-2013).  Solves with A^T use the same factors with the roles of U and V
-swapped: A^{-T} = D^{-T} (I - V C^{-T} Y^T).
+2013).  A solve with A^T (``trans=1``, as LAPACK's ``getrs`` takes it)
+uses the same factors with the roles of U and V swapped:
+A^{-T} = D^{-T} (I - V C^{-T} Y^T).
 
 The matrix is a ``BlockOperator``, and the solver forms no N x N array of
 its own.  A storage that holds an off-diagonal block as factors
@@ -147,27 +148,23 @@ class _Leaf:
         if self.lu is None:
             self.lu = _lu(self.op.dense(self.p0, self.p1))
 
-    def solve(self, b):
-        return _lu_solve(self.lu, b)
-
-    def solve_t(self, b):
-        return _lu_solve(self.lu, b, trans=1)
+    def solve(self, b, trans=0):
+        return _lu_solve(self.lu, b, trans)
 
 
-def _solve_children(left, right, b1, b2, transpose=False):
-    """(left^{-1} b1, right^{-1} b2), one batched solve when both are one shared node."""
+def _solve_children(left, right, b1, b2, trans=0):
+    """(left^{-1} b1, right^{-1} b2), transposed for trans=1; one batched solve when both are one node."""
     if left is right:
-        z = left.solve_t(np.hstack([b1, b2])) if transpose else left.solve(np.hstack([b1, b2]))
+        z = left.solve(np.hstack([b1, b2]), trans)
         return z[:, : b1.shape[1]], z[:, b1.shape[1] :]
-    if transpose:
-        return left.solve_t(b1), right.solve_t(b2)
-    return left.solve(b1), right.solve(b2)
+    return left.solve(b1, trans), right.solve(b2, trans)
 
 
 class _Node:
     """A12 = U1 V2^T, A21 = U2 V1^T over children of sizes n1 and n2.
 
-    Solves take and return 2-D arrays, one column per right-hand side.
+    Solves take and return 2-D arrays, one column per right-hand side, and
+    solve with A^T for trans=1, as ``_lu_solve`` does.
     """
 
     def __init__(self, left, right, u1, v2, u2, v1):
@@ -200,22 +197,20 @@ class _Node:
         self.cap = _lu(cap) if len(cap) else None
         self.factored = True
 
-    def solve(self, b):
+    def solve(self, b, trans=0):
         n1, r1 = self.left.size, self.r1
-        z1, z2 = _solve_children(self.left, self.right, b[:n1], b[n1:])
+        b1, b2 = b[:n1], b[n1:]
+        if trans:
+            if self.cap is not None:
+                w = _lu_solve(self.cap, np.concatenate([self.y1.T @ b1, self.y2.T @ b2]), trans=1)
+                b1 = b1 - self.v1 @ w[r1:]
+                b2 = b2 - self.v2 @ w[:r1]
+            return np.concatenate(_solve_children(self.left, self.right, b1, b2, trans=1))
+        z1, z2 = _solve_children(self.left, self.right, b1, b2)
         if self.cap is None:
             return np.concatenate([z1, z2])
         w = _lu_solve(self.cap, np.concatenate([self.v2.T @ z2, self.v1.T @ z1]))
         return np.concatenate([z1 - self.y1 @ w[:r1], z2 - self.y2 @ w[r1:]])
-
-    def solve_t(self, b):
-        n1, r1 = self.left.size, self.r1
-        b1, b2 = b[:n1], b[n1:]
-        if self.cap is not None:
-            w = _lu_solve(self.cap, np.concatenate([self.y1.T @ b1, self.y2.T @ b2]), trans=1)
-            b1 = b1 - self.v1 @ w[r1:]
-            b2 = b2 - self.v2 @ w[:r1]
-        return np.concatenate(_solve_children(self.left, self.right, b1, b2, transpose=True))
 
 
 def _compress(op, rows, cols, tol):
@@ -341,8 +336,8 @@ def hierarchical_solve(op, anorm):
 
     ``op`` is a ``BlockOperator`` of several panels and ``anorm`` its
     ||A||_1, finite.  ``solve(b)`` applies the factorization's inverse to a
-    vector and ``rcond()`` is dlacn2's estimate of 1 / (||A||_1
-    ||A^{-1}||_1) through solves with A and A^T.  A zero pivot raises
+    vector, and ``solve(b, 1)`` that of A^T.  ``rcond()`` is dlacn2's
+    estimate of 1 / (||A||_1 ||A^{-1}||_1) through both.  A zero pivot raises
     ``LinAlgError``.  The factorization forms no N x N array.
     """
     root = _build(op, 0, op.panels, SKETCH_TOL * anorm, {})
@@ -350,11 +345,11 @@ def hierarchical_solve(op, anorm):
         return None
     root.factor()
 
-    def solve(b):
-        return root.solve(b[:, None])[:, 0]
+    def solve(b, trans=0):
+        return root.solve(b[:, None], trans)[:, 0]
 
     def rcond():
-        ainvnm = _inverse_norm1_estimate(solve, lambda b: root.solve_t(b[:, None])[:, 0], len(op))
+        ainvnm = _inverse_norm1_estimate(solve, lambda b: solve(b, 1), len(op))
         return 1.0 / ainvnm / anorm if ainvnm != 0.0 else 0.0
 
     return solve, rcond

@@ -63,6 +63,18 @@ class TestGaussLegendreRule:
             first.nodes[:] = 0.0
             assert np.array_equal(gauss_legendre_rule(n, a, b).nodes, second.nodes)
 
+    def test_newton_that_does_not_converge_raises(self, monkeypatch):
+        # a Legendre pair of NaNs, whose Newton step never falls below the
+        # tolerance; the cache is cleared so that the rule is computed, and
+        # again so that no later test reads a rule made under the patch
+        monkeypatch.setattr(baselines, "_legendre_pair", lambda n, x: (np.full_like(x, np.nan), x))
+        baselines._reference_rule.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match="did not converge"):
+                gauss_legendre_rule(4, -1.0, 1.0)
+        finally:
+            baselines._reference_rule.cache_clear()
+
     def test_invalid_inputs_raise(self):
         with pytest.raises(ValueError):
             gauss_legendre_rule(0, -1.0, 1.0)

@@ -131,7 +131,7 @@ def test_compression_gives_rank_zero_exactly_on_the_zero_blocks():
     dense = np.kron(np.tril(np.ones((5, 5))), np.ones((3, 3))) * rng.standard_normal((15, 15))
     for j in range(3):
         dense[3 * j + 1, 3 * j + 8] = -0.5
-    op = as_block_operator(dense, np.arange(0, 16, 3))
+    op = DenseBlocks(dense, np.arange(0, 16, 3))
     ranks = {}
     for rows in itertools.combinations(range(6), 2):
         for cols in itertools.combinations(range(6), 2):
@@ -245,6 +245,7 @@ def test_nonfinite_off_diagonal_block_raises(factored):
         dense_solve(op, np.ones(len(op)))
 
 
-def test_offsets_must_cut_the_matrix():
-    with pytest.raises(ValueError, match="offsets"):
-        as_block_operator(np.eye(4), [0, 2, 5])
+@pytest.mark.parametrize("matrix", [np.ones((4, 5)), np.ones(4), np.empty((0, 0))])
+def test_only_a_square_array_is_one_panel(matrix):
+    with pytest.raises(ValueError, match="not one square panel"):
+        as_block_operator(matrix)

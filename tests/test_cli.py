@@ -142,6 +142,17 @@ def test_configuration_errors_exit_2(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["solve", "--bogus", "1"], 2), ([], 2), (["frobnicate"], 2), (["--help"], 0)],
+)
+def test_argparse_exits_are_returned_as_codes(argv, code, capsys):
+    # argparse raises SystemExit; main returns its code instead of exiting
+    assert cli.main(argv) == code
+    out, err = capsys.readouterr()
+    assert ("usage:" in out) if code == 0 else ("error:" in err)
+
+
 @pytest.mark.parametrize("entry", [{"method": "schur"}, {"panels": 4}, {"breakpoints": [3.0]}])
 def test_schrodinger_config_keys_it_would_ignore_exit_2(entry, tmp_path, capsys):
     cfg = tmp_path / "run.json"

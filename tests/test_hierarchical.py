@@ -10,7 +10,7 @@ from dense_oracle import lu_solve, plain
 from scipy import linalg
 
 from chebfred import fredholm_solver, hierarchical
-from chebfred.block_operator import DenseBlocks, FactoredBlocks, as_block_operator
+from chebfred.block_operator import DenseBlocks, FactoredBlocks
 from chebfred.composite_solver import assemble_blocks, build_partition, solve_composite
 from chebfred.fredholm_solver import RCOND_WARN, SingularMatrixError, dense_solve, refined_solve
 from chebfred.kernel_catalog import SemismoothKernel, catalog_lookup
@@ -87,7 +87,7 @@ def test_hierarchical_path_agrees_with_dense_oracle(case):
     assert len(system.matrix) >= hierarchical.CROSSOVER_N
     assert refined_solve(system.matrix, system.rhs, system.matrix.norm1()) is not None
     # the block operator, and the dense array cut at the same offsets
-    for matrix in (system.matrix, as_block_operator(dense, system.partition.offsets)):
+    for matrix in (system.matrix, DenseBlocks(dense, system.partition.offsets)):
         _assert_agrees_with_oracle(dense_solve(matrix, system.rhs), dense, system.rhs, exact)
 
 
@@ -124,7 +124,7 @@ def test_factor_solves_with_matrix_and_transpose():
     root.factor()
     b = np.random.default_rng(1).standard_normal((len(matrix), 3))
     assert _rel(matrix @ root.solve(b), b) < 1e-9
-    assert _rel(matrix.T @ root.solve_t(b), b) < 1e-9
+    assert _rel(matrix.T @ root.solve(b, 1), b) < 1e-9
     assert root.u1.shape[1] <= 4 and root.u2.shape[1] <= 4
 
 
@@ -159,7 +159,7 @@ def _same_lu_answer(plain, other):
 def test_full_rank_coupling_returns_the_lu_answer(monkeypatch):
     matrix, offsets = _blocked_random(hierarchical.CROSSOVER_N, 4, 3)
     rhs = np.ones(len(matrix))
-    blocked = as_block_operator(matrix, offsets)
+    blocked = DenseBlocks(matrix, offsets)
     assert refined_solve(blocked, rhs, blocked.norm1()) is None
     answer = dense_solve(blocked, rhs)
     # the same array as one panel, kept on float64 LU
@@ -182,7 +182,7 @@ def _hard_operator(system, kind):
     else:
         for j in range(op.panels - 1):
             dense[off[j], off[j + 1] :] = 0.0
-    return as_block_operator(dense, off)
+    return DenseBlocks(dense, off)
 
 
 @pytest.mark.parametrize("kind", ["spike", "zero_row"])
@@ -274,7 +274,7 @@ def test_a_lower_block_that_does_not_compress_makes_the_root_a_leaf(monkeypatch)
     half = offsets[2]
     matrix[:half, half:] = 0.0
     rhs = np.ones(len(matrix))
-    blocked = as_block_operator(matrix, offsets)
+    blocked = DenseBlocks(matrix, offsets)
     ranks = _watch_compress(monkeypatch)
     assert refined_solve(blocked, rhs, blocked.norm1()) is None
     assert ranks == [0, None]
@@ -323,7 +323,7 @@ def test_a_block_diagonal_system_has_no_capacitance_matrix():
     for j in range(4):
         lo, hi = offsets[j], offsets[j + 1]
         matrix[lo:hi, :lo] = matrix[lo:hi, hi:] = 0.0
-    op = as_block_operator(matrix, offsets)
+    op = DenseBlocks(matrix, offsets)
     root = hierarchical._build(op, 0, op.panels, hierarchical.SKETCH_TOL * op.norm1(), {})
     root.factor()
     assert root.cap is None and root.left.cap is None and root.right.cap is None
@@ -332,12 +332,23 @@ def test_a_block_diagonal_system_has_no_capacitance_matrix():
     _assert_agrees_with_oracle(dense_solve(op, rhs), matrix, rhs, _exact_discrete_solution(matrix, rhs))
 
 
+def test_a_refinement_that_stagnates_above_the_backward_error_bound_hands_over_to_lu():
+    # example4 on 8 x 511 (rcond 2e-11): the hierarchical refinement contracts
+    # at only 0.78 a step and stops at a backward error of 15.6 eps, whose
+    # iterate is off by 3.7e-4; BERR_EPS = 8 rejects it and float64 LU
+    # answers.  A bound above 15.6 eps, or a factorization whose refinement
+    # stagnates lower, turns this into a quiet wrong answer
+    system = _system("example4", 8, 511)
+    solution = solve_composite(system)
+    assert np.max(np.abs(solution.node_values - 4.0 * solution.nodes**3)) < 1e-10
+
+
 def test_singular_blocked_matrix_raises():
     system = _system("example2", 8, 127, T=T_200PI)
     matrix = system.matrix.dense()
     matrix[700] = 0.0
     with pytest.raises(SingularMatrixError):
-        dense_solve(as_block_operator(matrix, system.partition.offsets), system.rhs)
+        dense_solve(DenseBlocks(matrix, system.partition.offsets), system.rhs)
 
 
 def test_nonfinite_blocked_matrix_raises():
@@ -345,7 +356,7 @@ def test_nonfinite_blocked_matrix_raises():
     matrix = system.matrix.dense()
     matrix[3, 900] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
-        dense_solve(as_block_operator(matrix, system.partition.offsets), system.rhs)
+        dense_solve(DenseBlocks(matrix, system.partition.offsets), system.rhs)
 
 
 def test_below_crossover_is_bitwise_the_lu_path():
